@@ -84,6 +84,13 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
             raise UsageError(f"objects[{i}]: 'carrier' must be a list of strings")
         if len(set(carrier)) != len(carrier):
             raise UsageError(f"objects[{i}]: duplicate carrier element")
+        # Product and pullback elements are labelled "(a,b)", so these
+        # characters could give two different pairs one label.
+        for e in carrier:
+            if any(c in e for c in "(,)"):
+                raise UsageError(
+                    f"objects[{i}]: carrier label {e!r} contains '(', ',' "
+                    "or ')', which pair labels such as '(a,b)' reserve")
         if len(carrier) > MAX_CARRIER:
             raise UsageError(
                 f"objects[{i}]: carrier has {len(carrier)} elements; "
@@ -96,6 +103,9 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
         if not ordered:
             out.append(FiniteObject(tuple(carrier), None, name=str(name)))
             continue
+        if order_pairs is not None and not isinstance(order_pairs, list):
+            raise UsageError(
+                f"objects[{i}]: 'order' must be a list of [a, b] pairs")
         pairs = set()
         for p in order_pairs or ():
             if (not isinstance(p, (list, tuple)) or len(p) != 2

@@ -218,25 +218,35 @@ def _join_raw(sys: FactorizationSystem, p: Subobject, q: Subobject) -> Subobject
     return Subobject(p.ambient, carrier)
 
 
-def check_adjunction_admissible(sys: FactorizationSystem,
-                                x: FiniteObject, y: FiniteObject) -> Report:
+def check_adjunction_admissible(lat_x: SubobjectLattice, lat_y: SubobjectLattice,
+                                lat_xy: SubobjectLattice) -> Report:
     """Join of extensions is left adjoint to the pair of injection preimages.
 
     Checks, for all admissible m of X, n of Y and p of X+Y:
     L(m) v R(n) <= p  iff  m <= preimage(inl, p) and n <= preimage(inr, p).
+
+    `lat_xy` must be the lattice of the constructed coproduct X+Y, whose
+    carrier lists X's tagged labels first and Y's after them in their own
+    order.  On masks L(m) is then m, R(n) is n << |X|, and the preimages of
+    p along the injections (`iota_map`) are p & low and p >> |X|.
     """
-    cp = coproduct(x, y)
-    lat_x = enumerate_subobjects(sys, x)
-    lat_y = enumerate_subobjects(sys, y)
-    lat_xy = enumerate_subobjects(sys, cp.ob)
+    sys = lat_xy.sys
+    x, y, amb = lat_x.ambient, lat_y.ambient, lat_xy.ambient
+    if amb.elements != tuple(LEFT_TAG + e for e in x.elements) + tuple(
+            RIGHT_TAG + e for e in y.elements):
+        raise ValueError(f"{amb.label} is not the constructed sum "
+                         f"of {x.label} and {y.label}")
+    nx = x.size
+    low = (1 << nx) - 1
+    preimages = [(p, p.mask & low, p.mask >> nx) for p in lat_xy]
+    rights = [(n, subobject_from_mask(amb, n.mask << nx)) for n in lat_y]
     checks = []
     count = 0
     witness = None
     ok = True
     for m in lat_x:
-        lm = L_map(m, y)
-        for n in lat_y:
-            rn = R_map(x, n)
+        lm = subobject_from_mask(amb, m.mask)
+        for n, rn in rights:
             join_mask = lm.mask | rn.mask
             lhs_join = _join_raw(sys, lm, rn)
             if lhs_join.mask != join_mask:
@@ -244,11 +254,10 @@ def check_adjunction_admissible(sys: FactorizationSystem,
                 witness = {"m": serialize_subobject(m), "n": serialize_subobject(n),
                            "reason": "join of extensions is not their union"}
                 break
-            for p in lat_xy:
+            for p, pl, pr in preimages:
                 count += 1
                 lhs = join_mask & ~p.mask == 0
-                pl, pr = iota_map(p)
-                rhs = m.leq(pl) and n.leq(pr)
+                rhs = m.mask & ~pl == 0 and n.mask & ~pr == 0
                 if lhs != rhs:
                     ok = False
                     witness = {"m": serialize_subobject(m), "n": serialize_subobject(n),

@@ -31,6 +31,7 @@ from .core import (
     RIGHT_TAG,
     compose,
     copair,
+    coproduct,
     identity,
     initial,
     inclusion,
@@ -54,6 +55,7 @@ from .semilattice import (
     subobject_biproduct,
 )
 from .subobjects import (
+    check_adjunction_admissible,
     serialize_subobject,
     subobject_from_mask,
     sum_subobjects,
@@ -882,24 +884,33 @@ def check_sum_separated(ctx: Context, family: ClosureFamily,
 
 # ------------------------------------------------------- adjunction checker
 
+def _admissible_adjunction_side(ctx: Context, pool):
+    """Family-independent side: the sum lattice is that of the plain
+    constructed coproduct, whatever coproduct the context builds."""
+    n_adm = 0
+    for x, y in _object_pairs(pool):
+        rep = check_adjunction_admissible(
+            ctx.sub_lattice(x), ctx.sub_lattice(y),
+            ctx.sub_lattice(coproduct(x, y).ob))
+        n_adm += rep.checks[0].checked
+        if not rep.passed:
+            return False, rep.checks[0].witness, n_adm
+    return True, None, n_adm
+
+
 def check_adjunctions(ctx: Context, family: ClosureFamily,
                       bound: int, memo=None) -> Verdict:
     """The join of tagged extensions is left adjoint to componentwise
     preimage, both on admissible and on closed subobject lattices."""
-    from .subobjects import check_adjunction_admissible
-    sys = ctx.system
     pool = ctx.objects(bound)
     cls_of = _component_cache(family)
-    ok_adm = True
-    wit_adm = None
-    n_adm = 0
-    for x, y in _object_pairs(pool):
-        rep = check_adjunction_admissible(sys, x, y)
-        n_adm += rep.checks[0].checked
-        if not rep.passed:
-            ok_adm = False
-            wit_adm = rep.checks[0].witness
-            break
+    adm_key = ("adjunction_admissible", bound)
+    if memo is not None and adm_key in memo:
+        ok_adm, wit_adm, n_adm = memo[adm_key]
+    else:
+        ok_adm, wit_adm, n_adm = _admissible_adjunction_side(ctx, pool)
+        if memo is not None:
+            memo[adm_key] = (ok_adm, wit_adm, n_adm)
 
     ok_cls = True
     wit_cls = None

@@ -153,6 +153,31 @@ def test_objects_flag_rejected_at_cli_level(tmp_path, capsys):
     assert "unordered" in capsys.readouterr().err
 
 
+def test_objects_order_that_is_not_a_list_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "order.json"
+    p.write_text(json.dumps([{"carrier": ["a", "b"], "order": 5}]))
+    with pytest.raises(UsageError, match="'order' must be a list"):
+        load_objects(str(p), ordered=True)
+    code = main(["--context", "finpre", "--theorem", "validate",
+                 "--bound", "0", "--objects", str(p)])
+    assert code == 2
+    assert "'order' must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["a,b", "(a", "b)"])
+def test_objects_labels_reserved_by_pair_labels_are_rejected(
+        tmp_path, capsys, label):
+    # pair_label("a", "b,c") == pair_label("a,b", "c"): such carriers would
+    # give products and pullbacks two elements with one label.
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps([{"carrier": ["a", label, "c"], "order": []}]))
+    code = main(["--context", "finpre", "--theorem", "validate",
+                 "--bound", "0", "--objects", str(p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(label) in err and "pair labels" in err
+
+
 def test_run_function_returns_verdicts_in_declared_order():
     cfg = RunConfig(context="finset", theorems=("all",), bound=1)
     result = run(cfg)

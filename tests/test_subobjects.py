@@ -165,8 +165,35 @@ def test_admissible_adjunction_reports_pass(ctx):
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
-            rep = check_adjunction_admissible(ctx.system, x, y)
+            rep = check_adjunction_admissible(
+                ctx.sub_lattice(x), ctx.sub_lattice(y),
+                ctx.sub_lattice(coproduct(x, y).ob))
             assert rep.passed, rep.to_dict()
+
+
+def test_admissible_adjunction_rejects_a_lattice_not_of_the_sum(ctx):
+    x, y = ctx.objects(2)[-1], ctx.objects(1)[-1]
+    with pytest.raises(ValueError, match="not the constructed sum"):
+        check_adjunction_admissible(ctx.sub_lattice(x), ctx.sub_lattice(y),
+                                    ctx.sub_lattice(coproduct(y, x).ob))
+
+
+def test_mask_preimages_and_extensions_match_labels(ctx):
+    """The mask arithmetic of the admissible adjunction sweep against the
+    label-level iota_map, L_map and R_map, on every constructed sum."""
+    pool = ctx.objects(2)
+    for x in pool:
+        for y in pool:
+            amb = coproduct(x, y).ob
+            nx = x.size
+            low = (1 << nx) - 1
+            for p in ctx.sub_lattice(amb):
+                pl, pr = iota_map(p)
+                assert (p.mask & low, p.mask >> nx) == (pl.mask, pr.mask)
+            for m in ctx.sub_lattice(x):
+                assert subobject_from_mask(amb, m.mask) == L_map(m, y)
+            for n in ctx.sub_lattice(y):
+                assert subobject_from_mask(amb, n.mask << nx) == R_map(x, n)
 
 
 def test_subobject_from_mask_round_trip(ctx):

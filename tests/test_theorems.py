@@ -185,3 +185,34 @@ def test_memo_reuses_gate_results(finset):
 
 def test_checker_dispatch_table_is_total():
     assert set(THEOREM_IDS) == set(CHECKERS)
+
+
+def test_adjunctions_finpre_bound_3_counts_and_memo(monkeypatch):
+    """Both adjunction sides hold for every finpre family at bound 3; the
+    family-independent admissible side is swept once per run and then
+    served from the memo, with the same verdict as an unmemoized run."""
+    from extcheck import cli, theorems
+
+    sweeps = []
+    sweep = theorems.check_adjunction_admissible
+
+    def counted(*lattices):
+        sweeps.append(lattices)
+        return sweep(*lattices)
+
+    monkeypatch.setattr(theorems, "check_adjunction_admissible", counted)
+    result = cli.run(cli.RunConfig(context="finpre", theorems=("adjunctions",),
+                                   bound=3))
+    pool = result.context.objects(3)
+    assert len(sweeps) == len(pool) ** 2
+    closed = {"alexandrov": 56644, "identity": 395641, "indiscrete": 1457}
+    assert [v.family for v in result.verdicts] == list(closed)
+    for v in result.verdicts:
+        assert v.passed and all(ok for _, ok in v.sides)
+        assert dict(v.counts) == {"admissible_triples": 395641,
+                                  "closed_triples": closed[v.family]}
+    monkeypatch.undo()
+    fresh = builtin("finpre")
+    for v in result.verdicts:
+        assert run_checker("adjunctions", fresh, fresh.family(v.family),
+                           3, None) == v
