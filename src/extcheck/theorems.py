@@ -7,12 +7,20 @@ witness (the first counterexample, or a confirming instance when everything
 agrees), and instance counts.  Checkers whose statement assumes an earlier
 one gate on it and report hypothesis-failed instead of a verdict when the
 hypothesis does not hold in the given universe.
+
+Each side is a generator of outcomes, one per instance in enumeration
+order: None when the instance holds, a witness when it fails.
+`first_counterexample` runs a side to its first witness, so a side's count
+is the number of instances enumerated up to and including its first
+counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from itertools import product
+from typing import Iterable, Sequence
 
 from .closure import (
     ClosureFamily,
@@ -97,6 +105,40 @@ class Verdict:
         }
 
 
+def first_counterexample(outcomes: Iterable) -> tuple[bool, object, int]:
+    """(ok, witness, count) of a side: consume `outcomes` up to the first
+    non-None one, the witness, and never past it.  `count` is the number of
+    outcomes consumed, the failing one included."""
+    count = 0
+    for count, outcome in enumerate(outcomes, 1):
+        if outcome is not None:
+            return False, outcome, count
+    return True, None, count
+
+
+def _verdict(theorem: str, ctx: Context, family, bound: int, sides,
+             equivalence_ok: bool | None = None, passed: bool | None = None,
+             confirming: dict | None = None) -> Verdict:
+    """A checked verdict from (side name, count name or None, (ok, witness,
+    count)) triples.  A witness is a counterexample of a false side or a
+    confirming instance of a true one, tagged with its side when there are
+    several; `confirming` is reported, untagged, only if no side has one.
+    `passed` defaults to `equivalence_ok` if given, else to all sides."""
+    tagged = len(sides) > 1
+    wits = tuple(dict(w, **({"side": name} if tagged else {}),
+                      kind="confirming" if ok else "counterexample")
+                 for name, _, (ok, w, _) in sides if w)
+    if not wits and confirming:
+        wits = (dict(confirming, kind="confirming"),)
+    named = tuple((name, ok) for name, _, (ok, _, _) in sides)
+    if passed is None:
+        passed = (all(ok for _, ok in named) if equivalence_ok is None
+                  else equivalence_ok)
+    return Verdict(theorem, ctx.name, family.name if family else None, bound, named,
+                   equivalence_ok, "ok", None, passed, wits,
+                   tuple((cname, n) for _, cname, (_, _, n) in sides if cname))
+
+
 def _gated(theorem: str, ctx: Context, family, bound: int,
            hypothesis: str, witness: dict | None) -> Verdict:
     wits = (witness,) if witness else ()
@@ -104,62 +146,55 @@ def _gated(theorem: str, ctx: Context, family, bound: int,
                    (), None, "hypothesis-failed", hypothesis, True, wits, ())
 
 
-def _component_cache(family: ClosureFamily):
-    cache: dict[FiniteObject, object] = {}
+def _memoized(memo, key, compute):
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
-    def get(ob: FiniteObject):
-        fn = cache.get(ob)
-        if fn is None:
-            fn = family.component(ob)
-            cache[ob] = fn
-        return fn
 
-    return get
+def _confirmed(result, described):
+    """`result`, with the first item of `described` as witness if it holds."""
+    ok, wit, n = result
+    return ok, next(described, None) if ok else wit, n
 
 
 def _object_pairs(pool: Sequence[FiniteObject]):
-    for x in pool:
-        for y in pool:
-            yield x, y
+    return product(pool, repeat=2)
+
+
+def _maps_witness(f: Morphism, g: Morphism, **more) -> dict:
+    return {"f": serialize_morphism(f), "g": serialize_morphism(g), **more}
+
+
+def _witness(x: FiniteObject, y: FiniteObject, a=None, b=None, **more) -> dict:
+    """The object pair of an instance, its subobject pair if given, and
+    `more`."""
+    wit = {"x": serialize_object(x), "y": serialize_object(y)}
+    if a is not None:
+        wit.update(a=serialize_subobject(a), b=serialize_subobject(b))
+    wit.update(more)
+    return wit
 
 
 # ---------------------------------------------------------------- checker A
 
-def _sums_admissible_side(ctx: Context, pool):
+def _sums_admissible_outcomes(ctx: Context, pool, every: bool = False):
+    """Per admissible a of x and b of y: None when a + b is admissible, else
+    the witness; with `every`, the witness of every pair."""
     sys = ctx.system
-    count = 0
-    confirming = None
     for x, y in _object_pairs(pool):
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
-                count += 1
                 res = sum_subobjects(sys, a, b)
-                if not res.admissible:
-                    wit = {"x": serialize_object(x), "y": serialize_object(y),
-                           "a": serialize_subobject(a), "b": serialize_subobject(b),
-                           "sum": serialize_subobject(res.sub)}
-                    return False, wit, count
-                if confirming is None:
-                    confirming = {"x": serialize_object(x), "y": serialize_object(y),
-                                  "a": serialize_subobject(a),
-                                  "b": serialize_subobject(b),
-                                  "sum": serialize_subobject(res.sub)}
-    return True, confirming, count
+                yield (None if res.admissible and not every
+                       else _witness(x, y, a, b, sum=serialize_subobject(res.sub)))
 
 
-def _pullback_along_injection(e: Morphism, component: FiniteObject, left: bool):
-    """The pullback of e along one coproduct injection, taken concretely as
-    the corestriction of e to the tagged block."""
-    tag = LEFT_TAG if left else RIGHT_TAG
-    keep = [z for z in e.source.elements if e.table[z].startswith(tag)]
-    sub_ob = e.source.restrict(keep)
-    return sub_ob, Morphism(sub_ob, component,
-                            tuple((z, e.table[z][len(tag):]) for z in keep))
-
-
-def _e_monos_between_sums(ctx: Context, pool):
+def _e_monos_between_sums(ctx: Context, pool, cls_of=None):
     """Yield (e, sum sources) for every member of E cap Mono between
-    constructed binary sums at the bound.  Since E-members are epi, only
+    constructed binary sums at the bound, closed and continuous ones only
+    when `cls_of` gives a closure.  Since E-members are epi, only
     carrier-size-matched sums can carry one."""
     sys = ctx.system
     by_total: dict[int, list] = {}
@@ -172,79 +207,131 @@ def _e_monos_between_sums(ctx: Context, pool):
             for (x, y) in pairs:
                 tgt = ctx.coproduct(x, y)
                 for e in monotone_bijections(src.ob, tgt.ob):
-                    if sys.in_e(e) and is_injective(e):
-                        yield e, (x, y)
+                    if not (sys.in_e(e) and is_injective(e)):
+                        continue
+                    if cls_of is not None:
+                        f_src, f_tgt = cls_of(e.source), cls_of(e.target)
+                        n = e.source.size
+                        if not (_continuous_fast(e.idx, f_src, f_tgt, n)
+                                and _closed_fast(e.idx, f_src, f_tgt, n)):
+                            continue
+                    yield e, (x, y)
+
+
+def _failed_pullback(sys, e: Morphism, x, y, cls_of):
+    """The first pullback of e along an injection, taken concretely as the
+    corestriction of e to the tagged block, that is not an E-mono (closed,
+    under `cls_of`); or None."""
+    for component, tag in ((x, LEFT_TAG), (y, RIGHT_TAG)):
+        keep = [z for z in e.source.elements if e.table[z].startswith(tag)]
+        sub_ob = e.source.restrict(keep)
+        pulled = Morphism(sub_ob, component,
+                          tuple((z, e.table[z][len(tag):]) for z in keep))
+        ok = sys.in_e(pulled) and is_injective(pulled)
+        if ok and cls_of is not None:
+            ok = _closed_fast(pulled.idx, cls_of(sub_ob),
+                              cls_of(component), sub_ob.size)
+        if not ok:
+            return pulled
+    return None
 
 
 def _injection_pullback_side(ctx: Context, pool, family: ClosureFamily | None):
     sys = ctx.system
-    cls_of = _component_cache(family) if family else None
-    count = 0
-    confirming = None
-    for e, (x, y) in _e_monos_between_sums(ctx, pool):
-        if family is not None:
-            f_src = cls_of(e.source)
-            f_tgt = cls_of(e.target)
-            n = e.source.size
-            if not (_continuous_fast(e.idx, f_src, f_tgt, n)
-                    and _closed_fast(e.idx, f_src, f_tgt, n)):
-                continue
-        count += 1
-        good = True
-        parts = []
-        for component, left in ((x, True), (y, False)):
-            sub_ob, pulled = _pullback_along_injection(e, component, left)
-            ok = sys.in_e(pulled) and is_injective(pulled)
-            if ok and family is not None:
-                ok = _closed_fast(pulled.idx, cls_of(sub_ob),
-                                  cls_of(component), sub_ob.size)
-            parts.append(pulled)
-            if not ok:
-                good = False
-                break
-        if not good:
-            wit = {"e": serialize_morphism(e),
-                   "pulled_back": serialize_morphism(parts[-1])}
-            return False, wit, count
-        if confirming is None:
-            confirming = {"e": serialize_morphism(e)}
-    return True, confirming, count
+    cls_of = cache(family.component) if family else None
+
+    def outcomes():
+        for e, (x, y) in _e_monos_between_sums(ctx, pool, cls_of):
+            bad = _failed_pullback(sys, e, x, y, cls_of)
+            yield None if bad is None else {"e": serialize_morphism(e),
+                                            "pulled_back": serialize_morphism(bad)}
+
+    return _confirmed(first_counterexample(outcomes()),
+                      ({"e": serialize_morphism(e)}
+                       for e, _ in _e_monos_between_sums(ctx, pool, cls_of)))
 
 
 def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
     """Sums of admissible subobjects are admissible, and members of E cap
     Mono between binary sums pull back along the injections into E cap Mono."""
     pool = ctx.objects(bound)
-    ok1, wit1, n1 = _sums_admissible_side(ctx, pool)
-    ok2, wit2, n2 = _injection_pullback_side(ctx, pool, None)
-    sides = (("sums_of_admissibles_admissible", ok1),
-             ("e_monos_pull_back_along_injections", ok2))
-    equal = ok1 == ok2
-    wits = tuple(w for w in (
-        dict(wit1, side="sums_of_admissibles_admissible",
-             kind="counterexample" if not ok1 else "confirming") if wit1 else None,
-        dict(wit2, side="e_monos_pull_back_along_injections",
-             kind="counterexample" if not ok2 else "confirming") if wit2 else None,
-    ) if w)
-    return Verdict("A", ctx.name, None, bound, sides, equal, "ok", None,
-                   equal, wits, (("subobject_pairs", n1), ("e_monos", n2)))
+    sums = _confirmed(first_counterexample(_sums_admissible_outcomes(ctx, pool)),
+                      _sums_admissible_outcomes(ctx, pool, every=True))
+    pullbacks = _injection_pullback_side(ctx, pool, None)
+    return _verdict("A", ctx, None, bound, (
+        ("sums_of_admissibles_admissible", "subobject_pairs", sums),
+        ("e_monos_pull_back_along_injections", "e_monos", pullbacks)),
+        equivalence_ok=sums[0] == pullbacks[0])
 
 
 def _gate_sums_admissible(ctx: Context, bound: int, memo):
-    key = ("sums_admissible", bound)
-    if memo is not None and key in memo:
-        return memo[key]
-    ok, wit, _ = _sums_admissible_side(ctx, ctx.objects(bound))
-    result = (ok, None if ok else wit)
-    if memo is not None:
-        memo[key] = result
-    return result
+    return _memoized(memo, ("sums_admissible", bound), lambda: first_counterexample(
+        _sums_admissible_outcomes(ctx, ctx.objects(bound)))[:2])
 
 
 # ---------------------------------------------------------------- checker B
+#
+# B counts every instance of each condition, so it finishes each side after
+# its first failure; the sides yield the values a witness shows, and only
+# the first failure is described.
 
 def _closed_masks(lattice, fn):
     return [s for s in lattice if fn(s.mask) == s.mask]
+
+
+def _closed_sum_outcomes(ctx: Context, pool, cls_of, every: bool = False):
+    """Condition (a), per closed admissible a of x and b of y: None when
+    a + b is admissible and closed, else (x, y, a, b, sum, closure labels);
+    with `every`, that tuple for every pair."""
+    sys = ctx.system
+    for x, y in _object_pairs(pool):
+        ob = ctx.coproduct(x, y).ob
+        fsum = cls_of(ob)
+        nx = x.size
+        for a in _closed_masks(ctx.sub_lattice(x), cls_of(x)):
+            for b in _closed_masks(ctx.sub_lattice(y), cls_of(y)):
+                res = sum_subobjects(sys, a, b)
+                mask = a.mask | (b.mask << nx)
+                closure = fsum(mask)
+                yield (None if res.admissible and closure == mask and not every
+                       else (x, y, a, b, res, ob.labels_of(closure)))
+
+
+def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
+    """Condition (b), per admissible a of x and b of y: None when a + b is
+    admissible and both injections are closed embeddings, else
+    (x, y, a, b, sum admissible, injections closed embeddings)."""
+    sys = ctx.system
+    for x, y in _object_pairs(pool):
+        cp = ctx.coproduct(x, y)
+        fsum = cls_of(cp.ob)
+        low = (1 << x.size) - 1
+        high = ((1 << cp.ob.size) - 1) & ~low
+        inj_ok = (sys.in_m(cp.inl) and sys.in_m(cp.inr)
+                  and fsum(low) == low and fsum(high) == high)
+        for a in ctx.sub_lattice(x):
+            for b in ctx.sub_lattice(y):
+                adm = sum_subobjects(sys, a, b).admissible
+                yield None if adm and inj_ok else (x, y, a, b, adm, inj_ok)
+
+
+def _dense_split_outcomes(ctx: Context, pool, cls_of):
+    """Condition (c), per subset s of x + y: None unless s is dense and a
+    component is not, else (x, y, labels of s and of component closures)."""
+    for x, y in _object_pairs(pool):
+        fx, fy = cls_of(x), cls_of(y)
+        cp = ctx.coproduct(x, y)
+        fsum = cls_of(cp.ob)
+        nx = x.size
+        full_x = (1 << x.size) - 1
+        full_y = (1 << y.size) - 1
+        full_sum = (1 << cp.ob.size) - 1
+        low = (1 << nx) - 1
+        for s in range(1 << cp.ob.size):
+            yield (None if fsum(s) != full_sum
+                   or (fx(s & low) == full_x and fy(s >> nx) == full_y)
+                   else (x, y, cp.ob.labels_of(s), x.labels_of(fx(s & low)),
+                         y.labels_of(fy(s >> nx))))
 
 
 def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
@@ -254,123 +341,53 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     admissibles are admissible and the injections are closed embeddings,
     (c) dense morphisms between binary sums restrict densely along the
     injections (quantified over image subobjects, which is the same)."""
-    sys = ctx.system
     pool = ctx.objects(bound)
-    cls_of = _component_cache(family)
-    oks = {"a": True, "b": True, "c": True}
-    wits: dict[str, dict | None] = {"a": None, "b": None, "c": None}
-    counts = {"a": 0, "b": 0, "c": 0}
-    confirming = None
-    for x, y in _object_pairs(pool):
-        fx, fy = cls_of(x), cls_of(y)
-        cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
-        nx = x.size
-        lat_x, lat_y = ctx.sub_lattice(x), ctx.sub_lattice(y)
-        full_x = (1 << x.size) - 1
-        full_y = (1 << y.size) - 1
-        full_sum = (1 << cp.ob.size) - 1
-        low = (1 << nx) - 1
+    cls_of = cache(family.component)
+    sides = []
+    for name, cond, outcomes, describe in (
+            ("sums_of_closed_embeddings_closed", "a",
+             _closed_sum_outcomes(ctx, pool, cls_of),
+             lambda x, y, a, b, res, closure: _witness(
+                 x, y, a, b, sum=serialize_subobject(res.sub),
+                 sum_admissible=res.admissible, closure_of_sum=list(closure))),
+            ("sums_admissible_and_injections_closed", "b",
+             _admissible_sum_outcomes(ctx, pool, cls_of),
+             lambda x, y, a, b, adm, inj_ok: _witness(
+                 x, y, a, b, sum_admissible=adm,
+                 injections_closed_embeddings=inj_ok)),
+            ("dense_between_sums_splits_dense", "c",
+             _dense_split_outcomes(ctx, pool, cls_of),
+             lambda x, y, dense, left, right: _witness(
+                 x, y, dense_image=list(dense), left_component_closure=list(left),
+                 right_component_closure=list(right)))):
+        ok, failed, n = first_counterexample(outcomes)
+        n += sum(1 for _ in outcomes)
+        sides.append((name, f"condition_{cond}",
+                      (ok, failed and describe(*failed), n)))
+    first = next(_closed_sum_outcomes(ctx, pool, cls_of, every=True), None)
+    return _verdict("B", ctx, family, bound, sides,
+                    equivalence_ok=sides[0][2][0] == sides[1][2][0] == sides[2][2][0],
+                    confirming=first and _witness(*first[:4]))
 
-        for a in _closed_masks(lat_x, fx):
-            for b in _closed_masks(lat_y, fy):
-                counts["a"] += 1
-                res = sum_subobjects(sys, a, b)
-                mask = a.mask | (b.mask << nx)
-                closed = fsum(mask) == mask
-                if oks["a"] and not (res.admissible and closed):
-                    oks["a"] = False
-                    wits["a"] = {
-                        "x": serialize_object(x), "y": serialize_object(y),
-                        "a": serialize_subobject(a), "b": serialize_subobject(b),
-                        "sum": serialize_subobject(res.sub),
-                        "sum_admissible": res.admissible,
-                        "closure_of_sum": list(cp.ob.labels_of(fsum(mask)))}
-                elif confirming is None:
-                    confirming = {
-                        "x": serialize_object(x), "y": serialize_object(y),
-                        "a": serialize_subobject(a), "b": serialize_subobject(b)}
 
-        inj_ok = (sys.in_m(cp.inl) and sys.in_m(cp.inr)
-                  and fsum(low) == low
-                  and fsum(full_sum & ~low) == full_sum & ~low)
-        for a in lat_x:
-            for b in lat_y:
-                counts["b"] += 1
-                res = sum_subobjects(sys, a, b)
-                if oks["b"] and not (res.admissible and inj_ok):
-                    oks["b"] = False
-                    wits["b"] = {
-                        "x": serialize_object(x), "y": serialize_object(y),
-                        "a": serialize_subobject(a), "b": serialize_subobject(b),
-                        "sum_admissible": res.admissible,
-                        "injections_closed_embeddings": inj_ok}
-
-        for s in range(1 << cp.ob.size):
-            counts["c"] += 1
-            if fsum(s) != full_sum:
-                continue
-            if fx(s & low) != full_x or fy(s >> nx) != full_y:
-                if oks["c"]:
-                    oks["c"] = False
-                    wits["c"] = {
-                        "x": serialize_object(x), "y": serialize_object(y),
-                        "dense_image": list(cp.ob.labels_of(s)),
-                        "left_component_closure": list(x.labels_of(fx(s & low))),
-                        "right_component_closure": list(y.labels_of(fy(s >> nx)))}
-
-    sides = (("sums_of_closed_embeddings_closed", oks["a"]),
-             ("sums_admissible_and_injections_closed", oks["b"]),
-             ("dense_between_sums_splits_dense", oks["c"]))
-    equal = oks["a"] == oks["b"] == oks["c"]
-    witnesses = []
-    for cond in ("a", "b", "c"):
-        if wits[cond] is not None:
-            witnesses.append(dict(wits[cond], side=sides[ord(cond) - ord("a")][0],
-                                  kind="counterexample"))
-    if not witnesses and confirming is not None:
-        witnesses.append(dict(confirming, kind="confirming"))
-    return Verdict("B", ctx.name, family.name, bound, sides, equal, "ok", None,
-                   equal, tuple(witnesses),
-                   tuple((f"condition_{c}", counts[c]) for c in ("a", "b", "c")))
+CLOSED_SUMS = "sums of closed embeddings are closed embeddings"
 
 
 def _gate_closed_sums(ctx: Context, family: ClosureFamily, bound: int, memo):
-    """Condition (a) of the closed-embedding checker, used as a hypothesis."""
-    key = ("closed_sums", family.name, bound)
-    if memo is not None and key in memo:
-        return memo[key]
-    sys = ctx.system
-    cls_of = _component_cache(family)
-    ok = True
-    wit = None
-    for x, y in _object_pairs(ctx.objects(bound)):
-        fx, fy = cls_of(x), cls_of(y)
-        cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
-        nx = x.size
-        for a in _closed_masks(ctx.sub_lattice(x), fx):
-            for b in _closed_masks(ctx.sub_lattice(y), fy):
-                mask = a.mask | (b.mask << nx)
-                if not (sum_subobjects(sys, a, b).admissible
-                        and fsum(mask) == mask):
-                    ok = False
-                    wit = {"x": serialize_object(x), "y": serialize_object(y),
-                           "a": serialize_subobject(a), "b": serialize_subobject(b)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    result = (ok, wit)
-    if memo is not None:
-        memo[key] = result
-    return result
+    """Condition (a) of the closed-embedding checker, used as the
+    hypothesis CLOSED_SUMS."""
+    def compute():
+        ok, failed, _ = first_counterexample(_closed_sum_outcomes(
+            ctx, ctx.objects(bound), cache(family.component)))
+        return ok, failed and _witness(*failed[:4])
+    return _memoized(memo, ("closed_sums", family.name, bound), compute)
 
 
 # ---------------------------------------------------------------- checker C
 
-def _closed_morphism_pool(ctx: Context, family: ClosureFamily, pool, cls_of):
+def _continuous_morphisms(ctx: Context, pool, cls_of, closed: bool = False):
+    """Every continuous morphism between pool objects; closed ones only
+    when `closed`."""
     out = []
     for src in pool:
         fs = cls_of(src)
@@ -378,49 +395,41 @@ def _closed_morphism_pool(ctx: Context, family: ClosureFamily, pool, cls_of):
             ft = cls_of(tgt)
             for f in ctx.hom(src, tgt):
                 if (_continuous_fast(f.idx, fs, ft, src.size)
-                        and _closed_fast(f.idx, fs, ft, src.size)):
+                        and (not closed or _closed_fast(f.idx, fs, ft, src.size))):
                     out.append(f)
     return out
 
 
-def _c_sides(ctx: Context, family: ClosureFamily, bound: int):
-    pool = ctx.objects(bound)
-    cls_of = _component_cache(family)
-    closed = _closed_morphism_pool(ctx, family, pool, cls_of)
-    ok_l = True
-    wit_l = None
-    n_l = 0
+def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
     for f in closed:
         nt = f.target.size
         ns = f.source.size
         f_idx = f.idx
         for g in closed:
-            n_l += 1
             src_sum = ctx.coproduct(f.source, g.source).ob
             tgt_sum = ctx.coproduct(f.target, g.target).ob
             idx = f_idx + tuple(t + nt for t in g.idx)
-            if not _closed_fast(idx, cls_of(src_sum), cls_of(tgt_sum),
-                                ns + g.source.size):
-                ok_l = False
-                wit_l = {"f": serialize_morphism(f), "g": serialize_morphism(g)}
-                break
-        if not ok_l:
-            break
-    ok_r = True
-    wit_r = None
-    n_r = 0
+            yield (None if _closed_fast(idx, cls_of(src_sum), cls_of(tgt_sum),
+                                        ns + g.source.size)
+                   else _maps_witness(f, g))
+
+
+def _injections_closed_outcomes(ctx: Context, pool, cls_of):
     for x, y in _object_pairs(pool):
-        n_r += 1
-        cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
+        fsum = cls_of(ctx.coproduct(x, y).ob)
         inl_idx = tuple(range(x.size))
         inr_idx = tuple(x.size + j for j in range(y.size))
-        if not (_closed_fast(inl_idx, cls_of(x), fsum, x.size)
-                and _closed_fast(inr_idx, cls_of(y), fsum, y.size)):
-            ok_r = False
-            wit_r = {"x": serialize_object(x), "y": serialize_object(y)}
-            break
-    return (ok_l, wit_l, n_l), (ok_r, wit_r, n_r)
+        yield (None if _closed_fast(inl_idx, cls_of(x), fsum, x.size)
+               and _closed_fast(inr_idx, cls_of(y), fsum, y.size)
+               else _witness(x, y))
+
+
+def _c_sides(ctx: Context, family: ClosureFamily, bound: int):
+    pool = ctx.objects(bound)
+    cls_of = cache(family.component)
+    closed = _continuous_morphisms(ctx, pool, cls_of, closed=True)
+    return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, cls_of)),
+            first_counterexample(_injections_closed_outcomes(ctx, pool, cls_of)))
 
 
 def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
@@ -430,73 +439,50 @@ def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
     if not gate:
         return _gated("C", ctx, family, bound,
                       "sums of admissible subobjects are admissible", gate_wit)
-    (ok_l, wit_l, n_l), (ok_r, wit_r, n_r) = _c_sides(ctx, family, bound)
-    sides = (("sums_of_closed_morphisms_closed", ok_l),
-             ("injections_closed", ok_r))
-    equal = ok_l == ok_r
-    wits = []
-    if wit_l is not None:
-        wits.append(dict(wit_l, side=sides[0][0], kind="counterexample"))
-    if wit_r is not None:
-        wits.append(dict(wit_r, side=sides[1][0], kind="counterexample"))
-    return Verdict("C", ctx.name, family.name, bound, sides, equal, "ok", None,
-                   equal, tuple(wits),
-                   (("closed_morphism_pairs", n_l), ("object_pairs", n_r)))
+    sums, injections = _c_sides(ctx, family, bound)
+    return _verdict("C", ctx, family, bound, (
+        ("sums_of_closed_morphisms_closed", "closed_morphism_pairs", sums),
+        ("injections_closed", "object_pairs", injections)),
+        equivalence_ok=sums[0] == injections[0])
 
 
 def _gate_c_both(ctx: Context, family: ClosureFamily, bound: int, memo):
-    key = ("c_both", family.name, bound)
-    if memo is not None and key in memo:
-        return memo[key]
-    gate, gate_wit = _gate_sums_admissible(ctx, bound, memo)
-    if not gate:
-        result = (False, gate_wit)
-    else:
+    def compute():
+        gate, gate_wit = _gate_sums_admissible(ctx, bound, memo)
+        if not gate:
+            return False, gate_wit
         (ok_l, wit_l, _), (ok_r, wit_r, _) = _c_sides(ctx, family, bound)
-        result = (ok_l and ok_r, wit_l or wit_r)
-    if memo is not None:
-        memo[key] = result
-    return result
+        return ok_l and ok_r, wit_l or wit_r
+    return _memoized(memo, ("c_both", family.name, bound), compute)
 
 
 # ---------------------------------------------------------------- checker D
 
-def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
-                                      bound: int, memo=None) -> Verdict:
-    """Closure of a sum of admissibles is the sum of the closures."""
-    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
-    if not gate:
-        return _gated("D", ctx, family, bound,
-                      "sums of closed embeddings are closed embeddings", gate_wit)
-    cls_of = _component_cache(family)
-    ok = True
-    wit = None
-    count = 0
-    for x, y in _object_pairs(ctx.objects(bound)):
+def _componentwise_closure_outcomes(ctx: Context, pool, cls_of):
+    for x, y in _object_pairs(pool):
         fx, fy = cls_of(x), cls_of(y)
         cp = ctx.coproduct(x, y)
         fsum = cls_of(cp.ob)
         nx = x.size
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
-                count += 1
                 lhs = fsum(a.mask | (b.mask << nx))
                 rhs = fx(a.mask) | (fy(b.mask) << nx)
-                if lhs != rhs:
-                    ok = False
-                    wit = {"x": serialize_object(x), "y": serialize_object(y),
-                           "a": serialize_subobject(a), "b": serialize_subobject(b),
-                           "closure_of_sum": list(cp.ob.labels_of(lhs)),
-                           "sum_of_closures": list(cp.ob.labels_of(rhs))}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    sides = (("closure_of_sum_is_sum_of_closures", ok),)
-    wits = (dict(wit, kind="counterexample"),) if wit else ()
-    return Verdict("D", ctx.name, family.name, bound, sides, None, "ok", None,
-                   ok, wits, (("subobject_pairs", count),))
+                yield (None if lhs == rhs else _witness(
+                    x, y, a, b, closure_of_sum=list(cp.ob.labels_of(lhs)),
+                    sum_of_closures=list(cp.ob.labels_of(rhs))))
+
+
+def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
+                                      bound: int, memo=None) -> Verdict:
+    """Closure of a sum of admissibles is the sum of the closures."""
+    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
+    if not gate:
+        return _gated("D", ctx, family, bound, CLOSED_SUMS, gate_wit)
+    side = first_counterexample(_componentwise_closure_outcomes(
+        ctx, ctx.objects(bound), cache(family.component)))
+    return _verdict("D", ctx, family, bound, (
+        ("closure_of_sum_is_sum_of_closures", "subobject_pairs", side),))
 
 
 # ---------------------------------------------------------------- checker E
@@ -530,115 +516,66 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     sweep over all subobject quadruples is run as well.
     """
     from .factorization import image_factorization
+    from .core import coproduct as core_coproduct
+    from .subobjects import image as sub_image, restriction as sub_restriction
     sys = ctx.system
     pool = ctx.objects(bound)
     homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
-    fac: dict[Morphism, Factorization] = {}
-    for f in homs:
-        fac[f] = sys.factorize(f)
+    fac: dict[Morphism, Factorization] = {f: sys.factorize(f) for f in homs}
 
-    ok1 = True
-    wit1 = None
-    n1 = 0
-    canonical = sys.factorize_fn is image_factorization
-    if bound <= 2 or not canonical:
+    def pair_outcomes():
         for f in homs:
             ff = fac[f]
             for g in homs:
-                n1 += 1
                 s = sum_morphisms(f, g)
                 fac_s = sys.factorize_fn(s)
                 cand_e = sum_morphisms(ff.e_part, fac[g].e_part)
                 cand_m = sum_morphisms(ff.m_part, fac[g].m_part)
-                if not _factorizations_agree(fac_s, cand_e, cand_m):
-                    ok1 = False
-                    wit1 = {"f": serialize_morphism(f),
-                            "g": serialize_morphism(g)}
-                    break
-            if not ok1:
-                break
-    else:
-        # Each canonical factorization keeps source mappings and includes
-        # the image carrier, so the pair equation reduces to the
-        # middle-object agreement swept below.
+                yield (None if _factorizations_agree(fac_s, cand_e, cand_m)
+                       else _maps_witness(f, g))
+
+    def middle_outcomes():
+        # Middle-object agreement per image combination: the only coupled
+        # part of the summand equations.
+        for x, y in _object_pairs(pool):
+            imgs_x = sorted(set(f.image_mask((1 << f.source.size) - 1)
+                                for f in homs if f.target == x)
+                            | set(s.mask for s in ctx.sub_lattice(x)))
+            imgs_y = sorted(set(s.mask for s in ctx.sub_lattice(y)))
+            cp = ctx.coproduct(x, y)
+            for ma in imgs_x:
+                sub_a = subobject_from_mask(x, ma)
+                for mb in imgs_y:
+                    sub_b = subobject_from_mask(y, mb)
+                    direct = cp.ob.restrict(
+                        tuple(LEFT_TAG + e for e in sub_a.elements)
+                        + tuple(RIGHT_TAG + e for e in sub_b.elements))
+                    summed = core_coproduct(sub_a.ob, sub_b.ob).ob
+                    yield (None if direct == summed else _witness(
+                        x, y, left_carrier=list(sub_a.elements),
+                        right_carrier=list(sub_b.elements)))
+
+    def piece_outcomes():
+        # Single-summand pieces: restriction and composite of every
+        # morphism with every admissible subobject of its source are
+        # well-formed and match the direct-image data.
         for f in homs:
-            ff = fac[f]
-            good = (ff.e_part.mapping == f.mapping
-                    and ff.m_part == inclusion(ff.mid, f.target))
-            if not good:
-                ok1 = False
-                wit1 = {"f": serialize_morphism(f)}
-                break
-        n1 = len(homs) ** 2 if ok1 else n1
+            for ma in ctx.sub_lattice(f.source):
+                good = sub_image(sys, f, ma).mask == f.image_mask(ma.mask)
+                if good:
+                    rest = sub_restriction(sys, f, ma)
+                    comp = compose(f, ma.rep)
+                    good = (rest.mapping == tuple((e, f.table[e]) for e in ma.elements)
+                            and comp.mapping == rest.mapping)
+                yield None if good else {"f": serialize_morphism(f),
+                                         "m": serialize_subobject(ma)}
 
-    # Middle-object agreement per image combination: the only coupled part
-    # of the summand equations.
-    ok2 = True
-    wit2 = None
-    n2 = 0
-    from .core import coproduct as core_coproduct
-    for x, y in _object_pairs(pool):
-        imgs_x = sorted(set(f.image_mask((1 << f.source.size) - 1)
-                            for f in homs if f.target == x)
-                        | set(s.mask for s in ctx.sub_lattice(x)))
-        imgs_y = sorted(set(s.mask for s in ctx.sub_lattice(y)))
-        cp = ctx.coproduct(x, y)
-        nx = x.size
-        for ma in imgs_x:
-            sub_a = subobject_from_mask(x, ma)
-            for mb in imgs_y:
-                n2 += 1
-                sub_b = subobject_from_mask(y, mb)
-                direct = cp.ob.restrict(
-                    tuple(LEFT_TAG + e for e in sub_a.elements)
-                    + tuple(RIGHT_TAG + e for e in sub_b.elements))
-                summed = core_coproduct(sub_a.ob, sub_b.ob).ob
-                if direct != summed:
-                    ok2 = False
-                    wit2 = {"x": serialize_object(x), "y": serialize_object(y),
-                            "left_carrier": list(sub_a.elements),
-                            "right_carrier": list(sub_b.elements)}
-                    break
-            if not ok2:
-                break
-        if not ok2:
-            break
-
-    # Single-summand pieces: restriction and composite of every morphism
-    # with every admissible subobject of its source are well-formed and
-    # match the direct-image data.
-    ok3 = True
-    wit3 = None
-    n3 = 0
-    from .subobjects import image as sub_image, restriction as sub_restriction
-    for f in homs:
-        for ma in ctx.sub_lattice(f.source):
-            n3 += 1
-            img = sub_image(sys, f, ma)
-            if img.mask != f.image_mask(ma.mask):
-                ok3 = False
-            else:
-                rest = sub_restriction(sys, f, ma)
-                comp = compose(f, ma.rep)
-                if (rest.mapping != tuple((e, f.table[e]) for e in ma.elements)
-                        or comp.mapping != rest.mapping):
-                    ok3 = False
-            if not ok3:
-                wit3 = {"f": serialize_morphism(f), "m": serialize_subobject(ma)}
-                break
-        if not ok3:
-            break
-
-    ok4 = True
-    wit4 = None
-    n4 = 0
-    if bound <= 2:
+    def quadruple_outcomes():
         for f in homs:
             for g in homs:
                 s = sum_morphisms(f, g)
                 for ma in ctx.sub_lattice(f.source):
                     for mb in ctx.sub_lattice(g.source):
-                        n4 += 1
                         res = sum_subobjects(sys, ma, mb)
                         lhs_comp = compose(s, res.morphism)
                         rhs_comp = sum_morphisms(compose(f, ma.rep),
@@ -650,34 +587,32 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
                         rest_parts = sum_morphisms(
                             sub_restriction(sys, f, ma),
                             sub_restriction(sys, g, mb))
-                        if (lhs_comp != rhs_comp
-                                or img_s.elements != img_parts.sub.elements
-                                or rest_s != rest_parts):
-                            ok4 = False
-                            wit4 = {"f": serialize_morphism(f),
-                                    "g": serialize_morphism(g),
-                                    "m_a": serialize_subobject(ma),
-                                    "m_b": serialize_subobject(mb)}
-                            break
-                    if not ok4:
-                        break
-                if not ok4:
-                    break
-            if not ok4:
-                break
+                        yield (None if lhs_comp == rhs_comp
+                               and img_s.elements == img_parts.sub.elements
+                               and rest_s == rest_parts
+                               else _maps_witness(f, g, m_a=serialize_subobject(ma),
+                                                  m_b=serialize_subobject(mb)))
 
-    sides = (("factorization_of_sum_is_sum_of_factorizations", ok1),
-             ("sum_middle_objects_agree", ok2),
-             ("single_summand_pieces_consistent", ok3),
-             ("direct_summand_sweep", ok4))
-    passed = ok1 and ok2 and ok3 and ok4
-    wits = tuple(dict(w, side=s, kind="counterexample")
-                 for w, s in ((wit1, sides[0][0]), (wit2, sides[1][0]),
-                              (wit3, sides[2][0]), (wit4, sides[3][0])) if w)
-    return Verdict("E", ctx.name, None, bound, sides, None, "ok", None,
-                   passed, wits,
-                   (("morphism_pairs", n1), ("image_combinations", n2),
-                    ("summand_pieces", n3), ("direct_quadruples", n4)))
+    if bound <= 2 or sys.factorize_fn is not image_factorization:
+        pairs = first_counterexample(pair_outcomes())
+    else:
+        # Each canonical factorization keeps source mappings and includes
+        # the image carrier, so the pair equation reduces to the
+        # middle-object agreement swept below.
+        ok, wit, _ = first_counterexample(
+            None if (fac[f].e_part.mapping == f.mapping
+                     and fac[f].m_part == inclusion(fac[f].mid, f.target))
+            else {"f": serialize_morphism(f)} for f in homs)
+        pairs = (ok, wit, len(homs) ** 2 if ok else 0)
+    middles = first_counterexample(middle_outcomes())
+    pieces = first_counterexample(piece_outcomes())
+    quadruples = (first_counterexample(quadruple_outcomes()) if bound <= 2
+                  else (True, None, 0))
+    return _verdict("E", ctx, None, bound, (
+        ("factorization_of_sum_is_sum_of_factorizations", "morphism_pairs", pairs),
+        ("sum_middle_objects_agree", "image_combinations", middles),
+        ("single_summand_pieces_consistent", "summand_pieces", pieces),
+        ("direct_summand_sweep", "direct_quadruples", quadruples)))
 
 
 # ---------------------------------------------------------------- checker F
@@ -688,46 +623,88 @@ def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
     closed E-monos."""
     gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
     if not gate:
-        return _gated("F", ctx, family, bound,
-                      "sums of closed embeddings are closed embeddings", gate_wit)
-    ok, wit, count = _injection_pullback_side(ctx, ctx.objects(bound), family)
-    sides = (("closed_e_monos_pull_back_closed", ok),)
-    wits = ()
-    if wit is not None:
-        wits = (dict(wit, kind="counterexample" if not ok else "confirming"),)
-    return Verdict("F", ctx.name, family.name, bound, sides, None, "ok", None,
-                   ok, wits, (("closed_e_monos", count),))
+        return _gated("F", ctx, family, bound, CLOSED_SUMS, gate_wit)
+    side = _injection_pullback_side(ctx, ctx.objects(bound), family)
+    return _verdict("F", ctx, family, bound, (
+        ("closed_e_monos_pull_back_closed", "closed_e_monos", side),))
 
 
 # ------------------------------------------------------------- checkers G/H
 
-def _continuous_pool(ctx: Context, family: ClosureFamily, pool, cls_of):
-    spaces: dict[FiniteObject, Space] = {}
+def _empty_inclusion_and_codiagonal(ctx, family, pool, test, space_of, compact):
+    """G's criterion, per space x: the empty inclusion into x and the
+    codiagonal x + x -> x are proper."""
+    zero = initial(ctx.ordered)
 
-    def space_of(ob: FiniteObject) -> Space:
-        sp = spaces.get(ob)
-        if sp is None:
-            sp = Space(ob, cls_of(ob), family.name)
-            spaces[ob] = sp
-        return sp
+    def outcomes():
+        for x in pool:
+            good, bad = test(SpaceMorphism(Morphism(zero, x, ()),
+                                           space_of(zero), space_of(x)))
+            if good:
+                cp = ctx.coproduct(x, x)
+                fold = copair(identity(x), identity(x), cp.ob)
+                good, bad = test(SpaceMorphism(fold, space_of(cp.ob), space_of(x)))
+            yield None if good else {"x": serialize_object(x), "failure": bad}
 
-    morphisms = []
-    for src in pool:
-        fs = cls_of(src)
-        for tgt in pool:
-            ft = cls_of(tgt)
-            for f in ctx.hom(src, tgt):
-                if _continuous_fast(f.idx, fs, ft, src.size):
-                    morphisms.append(SpaceMorphism(f, space_of(src), space_of(tgt)))
-    return morphisms, space_of
+    return first_counterexample(outcomes())
 
 
-def _sum_space_morphism(ctx: Context, sf: SpaceMorphism, sg: SpaceMorphism,
-                        space_of) -> SpaceMorphism:
-    src = ctx.coproduct(sf.f.source, sg.f.source)
-    tgt = ctx.coproduct(sf.f.target, sg.f.target)
-    s = sum_morphisms(sf.f, sg.f, src.ob, tgt.ob)
-    return SpaceMorphism(s, space_of(src.ob), space_of(tgt.ob))
+def _two_point_sum(ctx, family, pool, test, space_of, hausdorff):
+    """H's criterion: the sum of two terminals is Hausdorff; counted as the
+    number of Hausdorff spaces."""
+    one = terminal(ctx.ordered)
+    two = ctx.coproduct(one, one).ob
+    ok, wit = test(terminal_space_morphism(family, space_of(two)))
+    return ok, wit, len(hausdorff)
+
+
+def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
+                   bound: int, memo, witness_fn, names, criterion) -> Verdict:
+    """A class of morphisms, tested by `witness_fn`, is closed under binary
+    sums, and its spaces (those whose map to the point is in the class) are
+    closed under binary sums iff `criterion` holds.  `names` are the three
+    (side name, count name) pairs."""
+    gate, gate_wit = _gate_c_both(ctx, family, bound, memo)
+    if not gate:
+        return _gated(theorem, ctx, family, bound,
+                      "sums of closed morphisms are closed", gate_wit)
+    pool = ctx.objects(bound)
+    cls_of = cache(family.component)
+    space_of = cache(lambda ob: Space(ob, cls_of(ob), family.name))
+
+    def test(sm: SpaceMorphism):
+        return witness_fn(family, pool, sm, bound)
+
+    def to_point(ob: FiniteObject):
+        return test(terminal_space_morphism(family, space_of(ob)))
+
+    def morphism_sums():
+        for sf in members:
+            for sg in members:
+                src = ctx.coproduct(sf.f.source, sg.f.source).ob
+                tgt = ctx.coproduct(sf.f.target, sg.f.target).ob
+                s = sum_morphisms(sf.f, sg.f, src, tgt)
+                good, bad = test(SpaceMorphism(s, space_of(src), space_of(tgt)))
+                yield None if good else _maps_witness(sf.f, sg.f, failure=bad)
+
+    def space_sums():
+        for x in spaces:
+            for y in spaces:
+                good, bad = to_point(ctx.coproduct(x, y).ob)
+                yield None if good else _witness(x, y, failure=bad)
+
+    members = [sm for sm in (SpaceMorphism(f, space_of(f.source), space_of(f.target))
+                             for f in _continuous_morphisms(ctx, pool, cls_of))
+               if test(sm)[0]]
+    morphism_side = first_counterexample(morphism_sums())
+    spaces = [x for x in pool if to_point(x)[0]]
+    space_side = first_counterexample(space_sums())
+    criterion_side = criterion(ctx, family, pool, test, space_of, spaces)
+    agree = space_side[0] == criterion_side[0]
+    return _verdict(theorem, ctx, family, bound, [
+        (*name, side) for name, side in
+        zip(names, (morphism_side, space_side, criterion_side))],
+        equivalence_ok=agree, passed=morphism_side[0] and agree)
 
 
 def check_sum_proper(ctx: Context, family: ClosureFamily,
@@ -735,82 +712,12 @@ def check_sum_proper(ctx: Context, family: ClosureFamily,
     """Sums of proper morphisms are proper; the compact spaces are closed
     under binary sums iff the empty inclusion and the codiagonal of every
     space are proper."""
-    gate, gate_wit = _gate_c_both(ctx, family, bound, memo)
-    if not gate:
-        return _gated("G", ctx, family, bound,
-                      "sums of closed morphisms are closed", gate_wit)
-    pool = ctx.objects(bound)
-    cls_of = _component_cache(family)
-    morphisms, space_of = _continuous_pool(ctx, family, pool, cls_of)
-    proper = [sf for sf in morphisms
-              if is_proper_witness(family, pool, sf, bound)[0]]
-    ok1 = True
-    wit1 = None
-    n1 = 0
-    for sf in proper:
-        for sg in proper:
-            n1 += 1
-            ssum = _sum_space_morphism(ctx, sf, sg, space_of)
-            good, bad = is_proper_witness(family, pool, ssum, bound)
-            if not good:
-                ok1 = False
-                wit1 = {"f": serialize_morphism(sf.f),
-                        "g": serialize_morphism(sg.f), "failure": bad}
-                break
-        if not ok1:
-            break
-
-    compact = [x for x in pool
-               if is_proper_witness(family, pool,
-                                    terminal_space_morphism(family, space_of(x)),
-                                    bound)[0]]
-    ok2a = True
-    wit2a = None
-    n2a = 0
-    for x in compact:
-        for y in compact:
-            n2a += 1
-            cp = ctx.coproduct(x, y)
-            tm = terminal_space_morphism(family, space_of(cp.ob))
-            good, bad = is_proper_witness(family, pool, tm, bound)
-            if not good:
-                ok2a = False
-                wit2a = {"x": serialize_object(x), "y": serialize_object(y),
-                         "failure": bad}
-                break
-        if not ok2a:
-            break
-
-    ok2b = True
-    wit2b = None
-    n2b = 0
-    zero = initial(ctx.ordered)
-    for x in pool:
-        n2b += 1
-        empty_in = SpaceMorphism(Morphism(zero, x, ()),
-                                 space_of(zero), space_of(x))
-        good, bad = is_proper_witness(family, pool, empty_in, bound)
-        if good:
-            cp = ctx.coproduct(x, x)
-            fold = copair(identity(x), identity(x), cp.ob)
-            fold_sm = SpaceMorphism(fold, space_of(cp.ob), space_of(x))
-            good, bad = is_proper_witness(family, pool, fold_sm, bound)
-        if not good:
-            ok2b = False
-            wit2b = {"x": serialize_object(x), "failure": bad}
-            break
-
-    sides = (("sums_of_proper_proper", ok1),
-             ("sums_of_compact_compact", ok2a),
-             ("empty_inclusion_and_codiagonal_proper", ok2b))
-    passed = ok1 and (ok2a == ok2b)
-    wits = tuple(dict(w, side=s, kind="counterexample")
-                 for w, s in ((wit1, sides[0][0]), (wit2a, sides[1][0]),
-                              (wit2b, sides[2][0])) if w)
-    return Verdict("G", ctx.name, family.name, bound, sides, ok2a == ok2b,
-                   "ok", None, passed, wits,
-                   (("proper_pairs", n1), ("compact_pairs", n2a),
-                    ("spaces", n2b)))
+    return _sums_of_class(
+        "G", ctx, family, bound, memo, is_proper_witness,
+        (("sums_of_proper_proper", "proper_pairs"),
+         ("sums_of_compact_compact", "compact_pairs"),
+         ("empty_inclusion_and_codiagonal_proper", "spaces")),
+        _empty_inclusion_and_codiagonal)
 
 
 def check_sum_separated(ctx: Context, family: ClosureFamily,
@@ -818,68 +725,12 @@ def check_sum_separated(ctx: Context, family: ClosureFamily,
     """Sums of separated morphisms are separated; the Hausdorff spaces are
     closed under binary sums iff the two-point sum of terminals is
     Hausdorff."""
-    gate, gate_wit = _gate_c_both(ctx, family, bound, memo)
-    if not gate:
-        return _gated("H", ctx, family, bound,
-                      "sums of closed morphisms are closed", gate_wit)
-    pool = ctx.objects(bound)
-    cls_of = _component_cache(family)
-    morphisms, space_of = _continuous_pool(ctx, family, pool, cls_of)
-    separated = [sf for sf in morphisms
-                 if is_separated_witness(family, pool, sf, bound)[0]]
-    ok1 = True
-    wit1 = None
-    n1 = 0
-    for sf in separated:
-        for sg in separated:
-            n1 += 1
-            ssum = _sum_space_morphism(ctx, sf, sg, space_of)
-            good, bad = is_separated_witness(family, pool, ssum, bound)
-            if not good:
-                ok1 = False
-                wit1 = {"f": serialize_morphism(sf.f),
-                        "g": serialize_morphism(sg.f), "failure": bad}
-                break
-        if not ok1:
-            break
-
-    hausdorff = [x for x in pool
-                 if is_separated_witness(
-                     family, pool,
-                     terminal_space_morphism(family, space_of(x)), bound)[0]]
-    ok2a = True
-    wit2a = None
-    n2a = 0
-    for x in hausdorff:
-        for y in hausdorff:
-            n2a += 1
-            cp = ctx.coproduct(x, y)
-            tm = terminal_space_morphism(family, space_of(cp.ob))
-            good, bad = is_separated_witness(family, pool, tm, bound)
-            if not good:
-                ok2a = False
-                wit2a = {"x": serialize_object(x), "y": serialize_object(y),
-                         "failure": bad}
-                break
-        if not ok2a:
-            break
-
-    one = terminal(ctx.ordered)
-    two = ctx.coproduct(one, one)
-    ok2b, wit2b = is_separated_witness(
-        family, pool, terminal_space_morphism(family, space_of(two.ob)), bound)
-
-    sides = (("sums_of_separated_separated", ok1),
-             ("sums_of_hausdorff_hausdorff", ok2a),
-             ("two_point_sum_hausdorff", ok2b))
-    passed = ok1 and (ok2a == ok2b)
-    wits = tuple(dict(w, side=s, kind="counterexample")
-                 for w, s in ((wit1, sides[0][0]), (wit2a, sides[1][0]),
-                              (wit2b, sides[2][0])) if w)
-    return Verdict("H", ctx.name, family.name, bound, sides, ok2a == ok2b,
-                   "ok", None, passed, wits,
-                   (("separated_pairs", n1), ("hausdorff_pairs", n2a),
-                    ("hausdorff_spaces", len(hausdorff))))
+    return _sums_of_class(
+        "H", ctx, family, bound, memo, is_separated_witness,
+        (("sums_of_separated_separated", "separated_pairs"),
+         ("sums_of_hausdorff_hausdorff", "hausdorff_pairs"),
+         ("two_point_sum_hausdorff", "hausdorff_spaces")),
+        _two_point_sum)
 
 
 # ------------------------------------------------------- adjunction checker
@@ -898,28 +749,13 @@ def _admissible_adjunction_side(ctx: Context, pool):
     return True, None, n_adm
 
 
-def check_adjunctions(ctx: Context, family: ClosureFamily,
-                      bound: int, memo=None) -> Verdict:
-    """The join of tagged extensions is left adjoint to componentwise
-    preimage, both on admissible and on closed subobject lattices."""
-    pool = ctx.objects(bound)
-    cls_of = _component_cache(family)
-    adm_key = ("adjunction_admissible", bound)
-    if memo is not None and adm_key in memo:
-        ok_adm, wit_adm, n_adm = memo[adm_key]
-    else:
-        ok_adm, wit_adm, n_adm = _admissible_adjunction_side(ctx, pool)
-        if memo is not None:
-            memo[adm_key] = (ok_adm, wit_adm, n_adm)
-
-    ok_cls = True
-    wit_cls = None
-    n_cls = 0
+def _closed_adjunction_outcomes(ctx: Context, pool, cls_of):
     for x, y in _object_pairs(pool):
         fx, fy = cls_of(x), cls_of(y)
         cp = ctx.coproduct(x, y)
         fsum = cls_of(cp.ob)
         nx = x.size
+        low = (1 << nx) - 1
         closed_x = [s.mask for s in ctx.sub_lattice(x) if fx(s.mask) == s.mask]
         closed_y = [s.mask for s in ctx.sub_lattice(y) if fy(s.mask) == s.mask]
         closed_sum = [s.mask for s in ctx.sub_lattice(cp.ob)
@@ -928,34 +764,25 @@ def check_adjunctions(ctx: Context, family: ClosureFamily,
             for v in closed_y:
                 lhs_val = fsum(u | (v << nx))
                 for w in closed_sum:
-                    n_cls += 1
                     lhs = lhs_val & ~w == 0
-                    rhs = (u & ~(w & ((1 << nx) - 1)) == 0
-                           and v & ~(w >> nx) == 0)
-                    if lhs != rhs:
-                        ok_cls = False
-                        wit_cls = {
-                            "x": serialize_object(x), "y": serialize_object(y),
-                            "u": list(x.labels_of(u)), "v": list(y.labels_of(v)),
-                            "w": list(cp.ob.labels_of(w)),
-                            "lhs": lhs, "rhs": rhs}
-                        break
-                if not ok_cls:
-                    break
-            if not ok_cls:
-                break
-        if not ok_cls:
-            break
+                    rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
+                    yield (None if lhs == rhs else _witness(
+                        x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
+                        w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs))
 
-    sides = (("admissible_extension_adjunction", ok_adm),
-             ("closed_extension_adjunction", ok_cls))
-    passed = ok_adm and ok_cls
-    wits = tuple(dict(w, side=s, kind="counterexample")
-                 for w, s in ((wit_adm, sides[0][0]), (wit_cls, sides[1][0]))
-                 if w)
-    return Verdict("adjunctions", ctx.name, family.name, bound, sides, None,
-                   "ok", None, passed, wits,
-                   (("admissible_triples", n_adm), ("closed_triples", n_cls)))
+
+def check_adjunctions(ctx: Context, family: ClosureFamily,
+                      bound: int, memo=None) -> Verdict:
+    """The join of tagged extensions is left adjoint to componentwise
+    preimage, both on admissible and on closed subobject lattices."""
+    pool = ctx.objects(bound)
+    admissible = _memoized(memo, ("adjunction_admissible", bound),
+                           lambda: _admissible_adjunction_side(ctx, pool))
+    closed = first_counterexample(_closed_adjunction_outcomes(
+        ctx, pool, cache(family.component)))
+    return _verdict("adjunctions", ctx, family, bound, (
+        ("admissible_extension_adjunction", "admissible_triples", admissible),
+        ("closed_extension_adjunction", "closed_triples", closed)))
 
 
 # --------------------------------------------------------- biproduct checker
@@ -963,51 +790,38 @@ def check_adjunctions(ctx: Context, family: ClosureFamily,
 HOM_ENUMERATION_CAP = 4096
 
 
-def check_biproduct(ctx: Context, family: ClosureFamily,
-                    bound: int, memo=None) -> Verdict:
-    """Subobject and closed-subobject lattices of binary sums split as
-    biproducts, and homs between sum lattices round-trip through their 2x2
-    matrices."""
-    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
-    if not gate:
-        return _gated("biproduct", ctx, family, bound,
-                      "sums of closed embeddings are closed embeddings",
-                      gate_wit)
+def _lattice_hypothesis_outcomes(ctx: Context, pool):
+    """Per pool object, then per constructed sum of two: None when its
+    admissible masks contain 0 and are closed under union, which the
+    semilattice tables assume; else the object."""
+    sums = (ctx.coproduct(x, y).ob for x, y in _object_pairs(pool))
+    for ob in (*pool, *sums):
+        masks = {s.mask for s in ctx.sub_lattice(ob)}
+        yield (None if 0 in masks and all(a | b in masks
+                                          for a in masks for b in masks)
+               else {"object": serialize_object(ob)})
+
+
+def _lattice_biproduct_outcomes(ctx: Context, family: ClosureFamily, pool):
+    """Per object pair: None when both Sub(x + y) and its closed lattice
+    split as biproducts, else (index of the failing side, witness)."""
     sys = ctx.system
-    pool = ctx.objects(bound)
-    ok_sub = True
-    wit_sub = None
-    n_sub = 0
-    ok_cls = True
-    wit_cls = None
     for x, y in _object_pairs(pool):
-        n_sub += 1
         cp = ctx.coproduct(x, y)
         bp = subobject_biproduct(sys, x, y, cp)
         if not bp.passed:
-            ok_sub = False
-            wit_sub = {"x": serialize_object(x), "y": serialize_object(y),
-                       "failed": [c.id for c in bp.report.failed()]}
-            break
+            yield 0, _witness(x, y, failed=[c.id for c in bp.report.failed()])
+            continue
         cbp = closed_biproduct(sys, family, x, y, cp)
-        if not cbp.passed:
-            ok_cls = False
-            wit_cls = {"x": serialize_object(x), "y": serialize_object(y),
-                       "failed": [c.id for c in cbp.report.failed()]}
-            break
+        yield None if cbp.passed else (
+            1, _witness(x, y, failed=[c.id for c in cbp.report.failed()]))
 
-    rt_key = ("biproduct_roundtrip", bound)
-    if memo is not None and rt_key in memo:
-        ok_rt, wit_rt, n_rt = memo[rt_key]
-        return _biproduct_verdict(ctx, family, bound, ok_sub, wit_sub, ok_cls,
-                                  wit_cls, ok_rt, wit_rt, n_sub, n_rt)
-    ok_rt = True
-    wit_rt = None
-    n_rt = 0
+
+def _roundtrip_outcomes(ctx: Context, pool):
+    sys = ctx.system
     small = [x for x in pool if x.size <= 2]
-    bps = {}
-    for x, y in _object_pairs(small):
-        bps[(x, y)] = subobject_biproduct(sys, x, y, ctx.coproduct(x, y))
+    bps = {(x, y): subobject_biproduct(sys, x, y, ctx.coproduct(x, y))
+           for x, y in _object_pairs(small)}
     for src_key, bp_s in bps.items():
         for tgt_key, bp_t in bps.items():
             irr = len(join_irreducibles(bp_s.total))
@@ -1019,45 +833,45 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
                 from .semilattice import zero_hom
                 homs = list(homs) + [zero_hom(bp_s.total, bp_t.total)]
             for h in homs:
-                n_rt += 1
                 mat = hom_matrix(bp_s, bp_t, h)
                 back = matrix_to_hom(bp_s, bp_t, mat)
-                if back != h:
-                    ok_rt = False
-                    wit_rt = {"source_pair": [o.label for o in src_key],
-                              "target_pair": [o.label for o in tgt_key],
-                              "hom_table": list(h.table)}
-                    break
-                mat2 = hom_matrix(bp_s, bp_t, back)
-                if any(mat2[i][j] != mat[i][j] for i in range(2) for j in range(2)):
-                    ok_rt = False
-                    wit_rt = {"source_pair": [o.label for o in src_key],
-                              "target_pair": [o.label for o in tgt_key],
-                              "hom_table": list(h.table),
-                              "reason": "matrix round-trip"}
-                    break
-            if not ok_rt:
-                break
-        if not ok_rt:
-            break
-    if memo is not None:
-        memo[rt_key] = (ok_rt, wit_rt, n_rt)
-    return _biproduct_verdict(ctx, family, bound, ok_sub, wit_sub, ok_cls,
-                              wit_cls, ok_rt, wit_rt, n_sub, n_rt)
+                failure = {} if back != h else None
+                if failure is None:
+                    mat2 = hom_matrix(bp_s, bp_t, back)
+                    if any(mat2[i][j] != mat[i][j] for i in range(2) for j in range(2)):
+                        failure = {"reason": "matrix round-trip"}
+                yield None if failure is None else dict(
+                    failure, source_pair=[o.label for o in src_key],
+                    target_pair=[o.label for o in tgt_key],
+                    hom_table=list(h.table))
 
 
-def _biproduct_verdict(ctx, family, bound, ok_sub, wit_sub, ok_cls, wit_cls,
-                       ok_rt, wit_rt, n_sub, n_rt) -> Verdict:
-    sides = (("subobject_lattice_biproduct", ok_sub),
-             ("closed_lattice_biproduct", ok_cls),
-             ("hom_matrix_roundtrip", ok_rt))
-    passed = ok_sub and ok_cls and ok_rt
-    wits = tuple(dict(w, side=s, kind="counterexample")
-                 for w, s in ((wit_sub, sides[0][0]), (wit_cls, sides[1][0]),
-                              (wit_rt, sides[2][0])) if w)
-    return Verdict("biproduct", ctx.name, family.name, bound, sides, None,
-                   "ok", None, passed, wits,
-                   (("object_pairs", n_sub), ("homs_roundtripped", n_rt)))
+def check_biproduct(ctx: Context, family: ClosureFamily,
+                    bound: int, memo=None) -> Verdict:
+    """Subobject and closed-subobject lattices of binary sums split as
+    biproducts, and homs between sum lattices round-trip through their 2x2
+    matrices."""
+    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
+    if not gate:
+        return _gated("biproduct", ctx, family, bound, CLOSED_SUMS, gate_wit)
+    pool = ctx.objects(bound)
+    lattices_ok, lattice_wit, _ = first_counterexample(
+        _lattice_hypothesis_outcomes(ctx, pool))
+    if not lattices_ok:
+        return _gated("biproduct", ctx, family, bound,
+                      "admissible subobjects contain the empty one and are "
+                      "closed under unions", lattice_wit)
+    ok, failed, n_sub = first_counterexample(
+        _lattice_biproduct_outcomes(ctx, family, pool))
+    wits = [None, None]
+    if failed:
+        wits[failed[0]] = failed[1]
+    roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),
+                          lambda: first_counterexample(_roundtrip_outcomes(ctx, pool)))
+    return _verdict("biproduct", ctx, family, bound, (
+        ("subobject_lattice_biproduct", "object_pairs", (wits[0] is None, wits[0], n_sub)),
+        ("closed_lattice_biproduct", None, (wits[1] is None, wits[1], n_sub)),
+        ("hom_matrix_roundtrip", "homs_roundtripped", roundtrip)))
 
 
 # ----------------------------------------------------------------- validate

@@ -8,10 +8,12 @@ from extcheck.contexts import (
     split_mono_context,
     swapped_system_context,
 )
+from extcheck.core import serialize_object
 from extcheck.theorems import (
     CHECKERS,
     FAMILY_FREE,
     THEOREM_IDS,
+    first_counterexample,
     run_checker,
 )
 
@@ -216,3 +218,52 @@ def test_adjunctions_finpre_bound_3_counts_and_memo(monkeypatch):
     for v in result.verdicts:
         assert run_checker("adjunctions", fresh, fresh.family(v.family),
                            3, None) == v
+
+
+def test_first_counterexample_counts_through_the_first_failure():
+    outcomes = iter([None, None, {"w": 1}, None, {"w": 2}])
+    assert first_counterexample(outcomes) == (False, {"w": 1}, 3)
+    # the rest of the side is left unconsumed
+    assert list(outcomes) == [None, {"w": 2}]
+
+
+def test_first_counterexample_never_resumes_past_the_failure():
+    def outcomes():
+        yield None
+        yield {"w": 2}
+        raise AssertionError("resumed past the first counterexample")
+
+    assert first_counterexample(outcomes()) == (False, {"w": 2}, 2)
+
+
+def test_first_counterexample_on_an_exhausted_side():
+    assert first_counterexample(None for _ in range(4)) == (True, None, 4)
+    assert first_counterexample(iter(())) == (True, None, 0)
+
+
+@pytest.mark.parametrize("base", ["finset", "finpre"])
+@pytest.mark.parametrize("variant", [swapped_system_context, split_mono_context])
+def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
+                                                            monkeypatch):
+    """On the variants whose admissible subobjects miss the empty one, the
+    biproduct checker reports the failed hypothesis with the first object
+    that breaks it, and builds neither semilattice biproduct."""
+    from extcheck import theorems
+
+    def unguarded(*args):
+        raise AssertionError("semilattice biproduct built without its hypothesis")
+
+    monkeypatch.setattr(theorems, "subobject_biproduct", unguarded)
+    monkeypatch.setattr(theorems, "closed_biproduct", unguarded)
+    ctx = variant(builtin(base))
+    point = ctx.objects(1)[1]
+    assert point.size == 1
+    for bound in (1, 2):
+        memo = {}
+        for fam in ctx.families:
+            v = run_checker("biproduct", ctx, fam, bound, memo)
+            assert v.status == "hypothesis-failed" and v.passed
+            assert v.hypothesis == ("admissible subobjects contain the empty "
+                                    "one and are closed under unions")
+            assert v.witnesses == ({"object": serialize_object(point)},)
+        assert ("biproduct_roundtrip", bound) not in memo
