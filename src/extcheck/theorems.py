@@ -861,7 +861,7 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
         return _gated("biproduct", ctx, family, bound,
                       "admissible subobjects contain the empty one and are "
                       "closed under unions", lattice_wit)
-    ok, failed, n_sub = first_counterexample(
+    _, failed, n_sub = first_counterexample(
         _lattice_biproduct_outcomes(ctx, family, pool))
     wits = [None, None]
     if failed:
