@@ -5,6 +5,10 @@ biproduct in the category of join-semilattices: injections given by closure
 of the tagged embedding, projections by component restriction.  This module
 materializes those lattices over bitmasks, verifies the biproduct equations,
 and provides the 2x2 matrix calculus for homs between binary sums.
+
+Homs between two lattices the caller already holds are plain index tables
+(`Table`); `SemilatticeHom` carries its endpoints and serves the biproduct
+structure maps.
 """
 
 from __future__ import annotations
@@ -102,6 +106,10 @@ def closed_semilattice(space: Space,
     return lat, masks
 
 
+# A hom between two given lattices: the image of each source index.
+Table = tuple[int, ...]
+
+
 @dataclass(eq=False)
 class SemilatticeHom:
     source: JoinSemilattice
@@ -162,29 +170,42 @@ def join_irreducibles(lat: JoinSemilattice) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_homs(src: JoinSemilattice, tgt: JoinSemilattice,
-                   verify: bool = True) -> tuple[SemilatticeHom, ...]:
-    """All join-zero homomorphisms, via assignments on join-irreducibles.
+def enumerate_homs(src: JoinSemilattice,
+                   tgt: JoinSemilattice) -> tuple[Table, ...]:
+    """All join-zero homomorphisms as index tables, via assignments on
+    join-irreducibles.
 
     Every hom is determined by its (monotone) values on the irreducibles;
-    conversely each monotone assignment extends by joins.  With `verify`
-    each candidate is rechecked against the full hom equations, so the
-    result is sound even without leaning on distributivity.
+    conversely each monotone assignment extends by joins.  Each candidate
+    is rechecked against the full hom equations, so the result is sound
+    even without leaning on distributivity.
     """
     irr = join_irreducibles(src)
     below = [tuple(p for p, i in enumerate(irr) if src.leq(i, x))
              for x in range(src.n)]
     order_pairs = [(p, q) for p in range(len(irr)) for q in range(len(irr))
                    if p != q and src.leq(irr[p], irr[q])]
+    joins = [(i, j, src.join[i][j])
+             for i in range(src.n) for j in range(i + 1, src.n)]
+    tj, s_zero, t_zero = tgt.join, src.zero, tgt.zero
     out = []
     for assign in itertools.product(range(tgt.n), repeat=len(irr)):
-        if any(not tgt.leq(assign[p], assign[q]) for (p, q) in order_pairs):
+        if any(tj[assign[p]][assign[q]] != assign[q] for p, q in order_pairs):
             continue
-        table = tuple(tgt.join_of(assign[p] for p in below[x])
-                      for x in range(src.n))
-        hom = SemilatticeHom(src, tgt, table)
-        if not verify or hom.is_valid():
-            out.append(hom)
+        # t[x] = join of the values assigned to the irreducibles below x
+        t = []
+        for ps in below:
+            v = t_zero
+            for p in ps:
+                v = tj[v][assign[p]]
+            t.append(v)
+        if t[s_zero] != t_zero:
+            continue
+        for i, j, k in joins:
+            if t[k] != tj[t[i]][t[j]]:
+                break
+        else:
+            out.append(tuple(t))
     return tuple(out)
 
 
@@ -279,32 +300,28 @@ def closed_biproduct(sys: FactorizationSystem, family: ClosureFamily,
     return Biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r, report)
 
 
-Matrix = tuple[tuple[SemilatticeHom, SemilatticeHom],
-               tuple[SemilatticeHom, SemilatticeHom]]
+Matrix = tuple[tuple[Table, Table], tuple[Table, Table]]
 
 
-def hom_matrix(bp_src: Biproduct, bp_tgt: Biproduct, h: SemilatticeHom) -> Matrix:
-    """2x2 matrix of a hom between totals: entry [i][j] goes from source
-    component j to target component i."""
-    assert h.source is bp_src.total and h.target is bp_tgt.total
+def hom_matrix(bp_src: Biproduct, bp_tgt: Biproduct, t: Table) -> Matrix:
+    """2x2 matrix of the hom with table `t` between totals: entry [i][j]
+    is the table of proj_i . t . inj_j, from source component j to target
+    component i."""
+    assert len(t) == bp_src.total.n
+    inj_l, inj_r = bp_src.inj_l.table, bp_src.inj_r.table
+    proj_l, proj_r = bp_tgt.proj_l.table, bp_tgt.proj_r.table
     return (
-        (compose_homs(bp_tgt.proj_l, compose_homs(h, bp_src.inj_l)),
-         compose_homs(bp_tgt.proj_l, compose_homs(h, bp_src.inj_r))),
-        (compose_homs(bp_tgt.proj_r, compose_homs(h, bp_src.inj_l)),
-         compose_homs(bp_tgt.proj_r, compose_homs(h, bp_src.inj_r))),
+        (tuple(proj_l[t[k]] for k in inj_l), tuple(proj_l[t[k]] for k in inj_r)),
+        (tuple(proj_r[t[k]] for k in inj_l), tuple(proj_r[t[k]] for k in inj_r)),
     )
 
 
-def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> SemilatticeHom:
-    """Joint extension of a 2x2 matrix of component homs."""
+def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> Table:
+    """Table of the joint extension of a 2x2 matrix of component tables:
+    the join of inj_i . m[i][j] . proj_j over the four entries."""
     (m_ll, m_lr), (m_rl, m_rr) = matrix
-    parts = [
-        compose_homs(bp_tgt.inj_l, compose_homs(m_ll, bp_src.proj_l)),
-        compose_homs(bp_tgt.inj_l, compose_homs(m_lr, bp_src.proj_r)),
-        compose_homs(bp_tgt.inj_r, compose_homs(m_rl, bp_src.proj_l)),
-        compose_homs(bp_tgt.inj_r, compose_homs(m_rr, bp_src.proj_r)),
-    ]
-    out = parts[0]
-    for p in parts[1:]:
-        out = join_homs(out, p)
-    return out
+    inj_l, inj_r = bp_tgt.inj_l.table, bp_tgt.inj_r.table
+    join = bp_tgt.total.join
+    return tuple(
+        join[join[join[inj_l[m_ll[a]]][inj_l[m_lr[b]]]][inj_r[m_rl[a]]]][inj_r[m_rr[b]]]
+        for a, b in zip(bp_src.proj_l.table, bp_src.proj_r.table))

@@ -61,6 +61,7 @@ from .semilattice import (
     join_irreducibles,
     matrix_to_hom,
     subobject_biproduct,
+    zero_hom,
 )
 from .subobjects import (
     check_adjunction_admissible,
@@ -802,48 +803,40 @@ def _lattice_hypothesis_outcomes(ctx: Context, pool):
                else {"object": serialize_object(ob)})
 
 
-def _lattice_biproduct_outcomes(ctx: Context, family: ClosureFamily, pool):
-    """Per object pair: None when both Sub(x + y) and its closed lattice
-    split as biproducts, else (index of the failing side, witness)."""
+def _lattice_biproduct_outcomes(ctx: Context, pool, build):
+    """Per object pair: None when `build(sys, x, y, cp)` splits as a
+    biproduct, else the pair with the failed equations."""
     sys = ctx.system
     for x, y in _object_pairs(pool):
-        cp = ctx.coproduct(x, y)
-        bp = subobject_biproduct(sys, x, y, cp)
-        if not bp.passed:
-            yield 0, _witness(x, y, failed=[c.id for c in bp.report.failed()])
-            continue
-        cbp = closed_biproduct(sys, family, x, y, cp)
-        yield None if cbp.passed else (
-            1, _witness(x, y, failed=[c.id for c in cbp.report.failed()]))
+        bp = build(sys, x, y, ctx.coproduct(x, y))
+        yield None if bp.passed else _witness(
+            x, y, failed=[c.id for c in bp.report.failed()])
 
 
 def _roundtrip_outcomes(ctx: Context, pool):
+    """Per hom between sum lattices of objects of size at most 2: None when
+    its 2x2 matrix joins back to the same table."""
     sys = ctx.system
     small = [x for x in pool if x.size <= 2]
     bps = {(x, y): subobject_biproduct(sys, x, y, ctx.coproduct(x, y))
            for x, y in _object_pairs(small)}
     for src_key, bp_s in bps.items():
+        irr = len(join_irreducibles(bp_s.total))
         for tgt_key, bp_t in bps.items():
-            irr = len(join_irreducibles(bp_s.total))
             expected = bp_t.total.n ** irr if irr else 1
             if expected <= HOM_ENUMERATION_CAP:
                 homs = enumerate_homs(bp_s.total, bp_t.total)
             else:
-                homs = [identity_hom(bp_s.total)] if bp_s.total is bp_t.total else []
-                from .semilattice import zero_hom
-                homs = list(homs) + [zero_hom(bp_s.total, bp_t.total)]
+                homs = ([identity_hom(bp_s.total).table]
+                        if bp_s.total is bp_t.total else [])
+                homs.append(zero_hom(bp_s.total, bp_t.total).table)
             for h in homs:
-                mat = hom_matrix(bp_s, bp_t, h)
-                back = matrix_to_hom(bp_s, bp_t, mat)
-                failure = {} if back != h else None
-                if failure is None:
-                    mat2 = hom_matrix(bp_s, bp_t, back)
-                    if any(mat2[i][j] != mat[i][j] for i in range(2) for j in range(2)):
-                        failure = {"reason": "matrix round-trip"}
-                yield None if failure is None else dict(
-                    failure, source_pair=[o.label for o in src_key],
-                    target_pair=[o.label for o in tgt_key],
-                    hom_table=list(h.table))
+                if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h:
+                    yield None
+                else:
+                    yield {"source_pair": [o.label for o in src_key],
+                           "target_pair": [o.label for o in tgt_key],
+                           "hom_table": list(h)}
 
 
 def check_biproduct(ctx: Context, family: ClosureFamily,
@@ -861,16 +854,15 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
         return _gated("biproduct", ctx, family, bound,
                       "admissible subobjects contain the empty one and are "
                       "closed under unions", lattice_wit)
-    _, failed, n_sub = first_counterexample(
-        _lattice_biproduct_outcomes(ctx, family, pool))
-    wits = [None, None]
-    if failed:
-        wits[failed[0]] = failed[1]
+    sub = first_counterexample(
+        _lattice_biproduct_outcomes(ctx, pool, subobject_biproduct))
+    closed = first_counterexample(_lattice_biproduct_outcomes(
+        ctx, pool, lambda sys, x, y, cp: closed_biproduct(sys, family, x, y, cp)))
     roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),
                           lambda: first_counterexample(_roundtrip_outcomes(ctx, pool)))
     return _verdict("biproduct", ctx, family, bound, (
-        ("subobject_lattice_biproduct", "object_pairs", (wits[0] is None, wits[0], n_sub)),
-        ("closed_lattice_biproduct", None, (wits[1] is None, wits[1], n_sub)),
+        ("subobject_lattice_biproduct", "object_pairs", sub),
+        ("closed_lattice_biproduct", None, closed),
         ("hom_matrix_roundtrip", "homs_roundtripped", roundtrip)))
 
 

@@ -23,9 +23,11 @@ def test_finset_pool_sizes():
 
 
 def test_preorder_counts_up_to_iso():
-    # iso classes of preorders on 0..3 points
-    assert [len(preorders_of_size(k)) for k in range(4)] == [1, 1, 3, 9]
+    # iso classes of preorders on 0..4 points, OEIS A001930 (size 5, 139
+    # classes, takes seconds and is left out)
+    assert [len(preorders_of_size(k)) for k in range(5)] == [1, 1, 3, 9, 33]
     assert len(finpre_objects(3)) == 14
+    assert len(finpre_objects(4)) == 47
 
 
 def test_preorder_enumeration_is_irredundant():

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from extcheck.contexts import builtin
-from extcheck.core import terminal
+from extcheck.core import FiniteObject, terminal
 from extcheck.semilattice import (
     JoinSemilattice,
     SemilatticeHom,
@@ -63,7 +63,7 @@ def test_join_irreducibles_of_powerset():
 def test_hom_enumeration_matches_brute_force_on_small_lattices():
     for n_src, n_tgt in ((1, 2), (2, 1), (2, 2)):
         src, tgt = powerset_lattice(n_src), powerset_lattice(n_tgt)
-        fast = {h.table for h in enumerate_homs(src, tgt)}
+        fast = set(enumerate_homs(src, tgt))
         slow = set()
         for values in itertools.product(range(tgt.n), repeat=src.n):
             cand = SemilatticeHom(src, tgt, tuple(values))
@@ -145,11 +145,11 @@ def test_hom_matrix_of_identity_is_identity_matrix():
     ctx = builtin("finset")
     one = terminal(False)
     bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
-    mat = hom_matrix(bp, bp, identity_hom(bp.total))
-    assert mat[0][0] == identity_hom(bp.left)
-    assert mat[1][1] == identity_hom(bp.right)
-    assert mat[0][1].table == zero_hom(bp.right, bp.left).table
-    assert mat[1][0].table == zero_hom(bp.left, bp.right).table
+    mat = hom_matrix(bp, bp, identity_hom(bp.total).table)
+    assert mat[0][0] == identity_hom(bp.left).table
+    assert mat[1][1] == identity_hom(bp.right).table
+    assert mat[0][1] == zero_hom(bp.right, bp.left).table
+    assert mat[1][0] == zero_hom(bp.left, bp.right).table
 
 
 def test_matrix_round_trip_exhaustive_on_two_point_sum():
@@ -163,15 +163,87 @@ def test_matrix_round_trip_exhaustive_on_two_point_sum():
         assert matrix_to_hom(bp, bp, mat) == h
 
 
+def _lattice_algebra_pool():
+    """finpre at bound 1 plus the two-element chain, as the `lattice-algebra`
+    benchmark workload passes it through `--objects`."""
+    chain = FiniteObject(("p1", "p2"),
+                         frozenset({("p1", "p1"), ("p2", "p2"), ("p1", "p2")}),
+                         "chain2")
+    ctx = builtin("finpre").with_extra_objects([chain])
+    return ctx, ctx.objects(1)
+
+
+def _homs_by_is_valid(src, tgt):
+    """Reference enumeration: the join-extension of every monotone
+    assignment on the join-irreducibles, kept when `SemilatticeHom.is_valid`."""
+    irr = join_irreducibles(src)
+    order = [(p, q) for p, i in enumerate(irr) for q, j in enumerate(irr)
+             if src.leq(i, j)]
+    out = []
+    for assign in itertools.product(range(tgt.n), repeat=len(irr)):
+        if not all(tgt.leq(assign[p], assign[q]) for p, q in order):
+            continue
+        hom = SemilatticeHom(src, tgt, tuple(
+            tgt.join_of(a for i, a in zip(irr, assign) if src.leq(i, x))
+            for x in range(src.n)))
+        if hom.is_valid():
+            out.append(hom.table)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("pool", ["finset-b2", "lattice-algebra"])
+def test_table_hom_algebra_matches_object_composites(pool):
+    """Every hom between sum lattices, the capped pairs included: the table
+    enumeration equals the reference one (and, where all tables can be
+    tried, the brute-force filter), and the table matrix calculus equals
+    the literal `compose_homs`/`join_homs` composites."""
+    if pool == "finset-b2":
+        ctx = builtin("finset")
+        objs = ctx.objects(2)
+    else:
+        ctx, objs = _lattice_algebra_pool()
+    bps = [subobject_biproduct(ctx.system, x, y, ctx.coproduct(x, y))
+           for x, y in itertools.product(objs, repeat=2)]
+    total = 0
+    for s, t in itertools.product(bps, repeat=2):
+        src, tgt = s.total, t.total
+        homs = enumerate_homs(src, tgt)
+        assert homs == _homs_by_is_valid(src, tgt)
+        if tgt.n ** src.n <= 4096:
+            assert set(homs) == {
+                table for table in itertools.product(range(tgt.n), repeat=src.n)
+                if SemilatticeHom(src, tgt, table).is_valid()}
+        for h in homs:
+            hom = SemilatticeHom(src, tgt, h)
+            lit = [[compose_homs(p, compose_homs(hom, i)) for i in (s.inj_l, s.inj_r)]
+                   for p in (t.proj_l, t.proj_r)]
+            mat = hom_matrix(s, t, h)
+            assert mat == tuple(tuple(e.table for e in row) for row in lit)
+            parts = [compose_homs(inj, compose_homs(lit[r][c], proj))
+                     for r, inj in enumerate((t.inj_l, t.inj_r))
+                     for c, proj in enumerate((s.proj_l, s.proj_r))]
+            joined = parts[0]
+            for part in parts[1:]:
+                joined = join_homs(joined, part)
+            assert matrix_to_hom(s, t, mat) == joined.table
+        total += len(homs)
+    # 21,081 below the round-trip cap (the checker's 21,083 adds the
+    # identity and zero of the capped pair) and the 65,536 endo-homs of the
+    # 16-element lattice above it
+    assert total == 21081 + 65536
+
+
 def test_matrix_to_hom_of_zero_matrix():
     ctx = builtin("finset")
     one = terminal(False)
     bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
-    z = zero_hom
+
+    def z(src, tgt):
+        return zero_hom(src, tgt).table
+
     mat = ((z(bp.left, bp.left), z(bp.right, bp.left)),
            (z(bp.left, bp.right), z(bp.right, bp.right)))
-    h = matrix_to_hom(bp, bp, mat)
-    assert h.table == zero_hom(bp.total, bp.total).table
+    assert matrix_to_hom(bp, bp, mat) == z(bp.total, bp.total)
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])

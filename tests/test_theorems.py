@@ -267,3 +267,47 @@ def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
                                     "one and are closed under unions")
             assert v.witnesses == ({"object": serialize_object(point)},)
         assert ("biproduct_roundtrip", bound) not in memo
+
+
+@pytest.mark.parametrize("name, fam_name", [("finset", "identity"),
+                                            ("finpre", "alexandrov")])
+def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
+                                                             monkeypatch):
+    """A forced `subobject_lattice_biproduct` failure on the first pair
+    ends that side only: the closed lattices of every pair are still built,
+    and the closed side keeps the value it has without the failure."""
+    from itertools import product
+
+    from extcheck import theorems
+    from extcheck.core import CheckResult, Report
+
+    ctx = builtin(name)
+    fam = ctx.family(fam_name)
+    unforced = dict(run_checker("biproduct", ctx, fam, 1, {}).sides)
+    pairs = list(product(ctx.objects(1), repeat=2))
+    real_sub, real_closed = theorems.subobject_biproduct, theorems.closed_biproduct
+    closed_pairs = []
+
+    def failing_on_first_pair(sys, x, y, cp):
+        bp = real_sub(sys, x, y, cp)
+        if (x, y) == pairs[0]:
+            bp.report = Report("biproduct", (CheckResult("forced", False, 1),))
+        return bp
+
+    def recording(sys, family, x, y, cp):
+        closed_pairs.append((x, y))
+        return real_closed(sys, family, x, y, cp)
+
+    monkeypatch.setattr(theorems, "subobject_biproduct", failing_on_first_pair)
+    monkeypatch.setattr(theorems, "closed_biproduct", recording)
+    v = run_checker("biproduct", ctx, fam, 1, {})
+    sides = dict(v.sides)
+    assert sides["subobject_lattice_biproduct"] is False
+    assert sides["closed_lattice_biproduct"] is unforced["closed_lattice_biproduct"]
+    assert closed_pairs == pairs
+    assert dict(v.counts)["object_pairs"] == 1
+    x, y = pairs[0]
+    assert v.witnesses[0] == {"x": serialize_object(x), "y": serialize_object(y),
+                              "failed": ["forced"],
+                              "side": "subobject_lattice_biproduct",
+                              "kind": "counterexample"}
