@@ -26,6 +26,7 @@ from .core import (
     coproduct,
     enumerate_morphisms,
     equalizer,
+    first_counterexample,
     kernel_pair,
     serialize_morphism,
     serialize_object,
@@ -158,50 +159,38 @@ def validate_closure(family: ClosureFamily, sys: FactorizationSystem,
                      objects: Sequence[FiniteObject]) -> Report:
     """Extensive, monotone, idempotent, additive on every admissible lattice.
 
-    Groundedness (empty goes to empty) is reported but never fails the run.
+    Each law is a generator of outcomes, one per instance: None when it
+    holds, the witness when it fails.  Every instance is counted, past the
+    first failure too.  Groundedness (empty goes to empty) is reported but
+    never fails the run.
     """
-    ext = mono = idem = add = True
-    w_ext = w_mono = w_idem = w_add = None
-    counts = [0, 0, 0, 0]
-    ungrounded: list[str] = []
-    for x in objects:
-        lat = enumerate_subobjects(sys, x)
-        fn = family.component(x)
-        masks = [s.mask for s in lat]
-        for u in masks:
-            counts[0] += 1
-            cu = fn(u)
-            if ext and u & ~cu:
-                ext = False
-                w_ext = {"object": serialize_object(x), "u": list(x.labels_of(u))}
-            counts[2] += 1
-            if idem and fn(cu) != cu:
-                idem = False
-                w_idem = {"object": serialize_object(x), "u": list(x.labels_of(u))}
-        for u in masks:
-            cu = fn(u)
-            for v in masks:
-                counts[1] += 1
-                if mono and u & ~v == 0 and cu & ~fn(v):
-                    mono = False
-                    w_mono = {"object": serialize_object(x),
-                              "u": list(x.labels_of(u)), "v": list(x.labels_of(v))}
-                counts[3] += 1
-                if add and fn(u | v) != cu | fn(v):
-                    add = False
-                    w_add = {"object": serialize_object(x),
-                             "u": list(x.labels_of(u)), "v": list(x.labels_of(v))}
-        if fn(0) != 0:
-            ungrounded.append(x.label)
-    checks = (
-        CheckResult("extensive", ext, counts[0], w_ext),
-        CheckResult("monotone", mono, counts[1], w_mono),
-        CheckResult("idempotent", idem, counts[2], w_idem),
-        CheckResult("additive", add, counts[3], w_add),
-        CheckResult("grounded_informational", True, len(objects),
-                    {"ungrounded_objects": ungrounded} if ungrounded else None),
-    )
-    return Report(f"closure[{family.name}]", checks)
+    lattices = [(x, family.component(x),
+                 [s.mask for s in enumerate_subobjects(sys, x)]) for x in objects]
+
+    def witness(x: FiniteObject, *masks: int) -> dict:
+        return {"object": serialize_object(x),
+                **{name: list(x.labels_of(m)) for name, m in zip("uv", masks)}}
+
+    singles = [(x, fn, u) for x, fn, masks in lattices for u in masks]
+    pairs = [(x, fn, u, v) for x, fn, masks in lattices for u in masks for v in masks]
+    checks = []
+    for check_id, outcomes in (
+            ("extensive", (witness(x, u) if u & ~fn(u) else None
+                           for x, fn, u in singles)),
+            ("monotone", (witness(x, u, v) if u & ~v == 0 and fn(u) & ~fn(v) else None
+                          for x, fn, u, v in pairs)),
+            ("idempotent", (witness(x, u) if fn(fn(u)) != fn(u) else None
+                            for x, fn, u in singles)),
+            ("additive", (witness(x, u, v) if fn(u | v) != fn(u) | fn(v) else None
+                          for x, fn, u, v in pairs))):
+        ok, failed, count = first_counterexample(outcomes)
+        count += sum(1 for _ in outcomes)
+        checks.append(CheckResult(check_id, ok, count, failed))
+    ungrounded = [x.label for x, fn, _ in lattices if fn(0) != 0]
+    checks.append(CheckResult(
+        "grounded_informational", True, len(objects),
+        {"ungrounded_objects": ungrounded} if ungrounded else None))
+    return Report(f"closure[{family.name}]", tuple(checks))
 
 
 def subspace(space: Space, sub: Subobject) -> Space:
@@ -237,10 +226,6 @@ def sum_space(s: Space, t: Space) -> Space:
         return s_fn(mask & low) | (t_fn(mask >> nx) << nx)
 
     return Space(cp.ob, fn, f"({s.family}+{t.family})")
-
-
-def is_closed_subobject(space: Space, sub: Subobject) -> bool:
-    return space.is_closed_mask(sub.mask)
 
 
 def closed_lattice(sys: FactorizationSystem, space: Space) -> tuple[Subobject, ...]:

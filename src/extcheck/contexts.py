@@ -246,34 +246,25 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
     Pullback stability is checked by constructing, for every map into a
     constructed coproduct, the canonical comparison out of the coproduct of
     the two injection pullbacks, and testing it is an isomorphism commuting
-    with everything.
+    with everything.  Each swept law is a generator of outcomes, one per
+    instance: None when it holds, the witness when it fails.
     """
     pool = ctx.objects(bound)
+    pairs = [(x, y) for x in pool for y in pool]
     zero = initial(ctx.ordered)
     one = terminal(ctx.ordered)
-    checks: list[CheckResult] = []
 
-    count = 0
-    ok = True
-    witness = None
-    for x in pool:
-        count += 1
-        if len(ctx.hom(zero, x)) != 1:
-            ok = False
-            witness = {"object": serialize_object(x), "reason": "no unique map from 0"}
-            break
-        if x.size and len(ctx.hom(x, zero)) != 0:
-            ok = False
-            witness = {"object": serialize_object(x), "reason": "map into 0 exists"}
-            break
-    checks.append(CheckResult("initial_strict", ok, count, witness))
+    def initial_strict():
+        for x in pool:
+            if len(ctx.hom(zero, x)) != 1:
+                yield {"object": serialize_object(x), "reason": "no unique map from 0"}
+            elif x.size and len(ctx.hom(x, zero)) != 0:
+                yield {"object": serialize_object(x), "reason": "map into 0 exists"}
+            else:
+                yield None
 
-    count = 0
-    ok = True
-    witness = None
-    for x in pool:
-        for y in pool:
-            count += 1
+    def injections_admissible_disjoint_jointly_epic():
+        for x, y in pairs:
             cp = ctx.coproduct(x, y)
             inl_img = set(v for (_, v) in cp.inl.mapping)
             inr_img = set(v for (_, v) in cp.inr.mapping)
@@ -281,43 +272,19 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
                     and ctx.system.in_m(cp.inl) and ctx.system.in_m(cp.inr)
                     and not (inl_img & inr_img)
                     and inl_img | inr_img == set(cp.ob.elements))
-            if not good:
-                ok = False
-                witness = {"x": serialize_object(x), "y": serialize_object(y)}
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("injections_admissible_disjoint_jointly_epic",
-                              ok, count, witness))
+            yield None if good else {"x": serialize_object(x), "y": serialize_object(y)}
 
-    count = 0
-    ok = True
-    witness = None
-    for x in pool:
-        for y in pool:
-            count += 1
+    def coproduct_disjoint():
+        for x, y in pairs:
             cp = ctx.coproduct(x, y)
-            if pullback(cp.inl, cp.inr).ob.size != 0:
-                ok = False
-                witness = {"x": serialize_object(x), "y": serialize_object(y)}
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("coproduct_disjoint", ok, count, witness))
+            yield (None if pullback(cp.inl, cp.inr).ob.size == 0
+                   else {"x": serialize_object(x), "y": serialize_object(y)})
 
-    count = 0
-    ok = True
-    witness = None
-    for x in pool:
-        for y in pool:
-            if not ok:
-                break
+    def coproducts_pullback_stable():
+        for x, y in pairs:
             cp = ctx.coproduct(x, y)
             for z in pool:
-                if not ok:
-                    break
                 for f in ctx.hom(z, cp.ob):
-                    count += 1
                     pb_l = pullback(f, cp.inl)
                     pb_r = pullback(f, cp.inr)
                     mid = ctx.coproduct(pb_l.ob, pb_r.ob)
@@ -326,50 +293,34 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
                         into_sum = copair(compose(cp.inl, pb_l.p2),
                                           compose(cp.inr, pb_r.p2), mid.ob)
                     except ValueError as err:
-                        ok = False
-                        witness = {"f": serialize_morphism(f), "error": str(err)}
-                        break
-                    if not is_iso(comparison) or compose(f, comparison) != into_sum:
-                        ok = False
-                        witness = {"f": serialize_morphism(f),
-                                   "comparison": serialize_morphism(comparison)}
-                        break
-    checks.append(CheckResult("coproducts_pullback_stable", ok, count, witness))
+                        yield {"f": serialize_morphism(f), "error": str(err)}
+                        continue
+                    yield (None if is_iso(comparison)
+                           and compose(f, comparison) == into_sum
+                           else {"f": serialize_morphism(f),
+                                 "comparison": serialize_morphism(comparison)})
 
-    count = 0
-    ok = True
-    witness = None
-    two = ctx.coproduct(one, one)
-    for x in pool:
-        count += 1
-        lhs = product(two.ob, x).ob
-        rhs = ctx.coproduct(x, x).ob
-        if find_iso(lhs, rhs) is None:
-            ok = False
-            witness = {"x": serialize_object(x),
-                       "lhs": serialize_object(lhs), "rhs": serialize_object(rhs)}
-            break
-    checks.append(CheckResult("distributivity_two_by_x", ok, count, witness))
+    def distributivity_two_by_x():
+        two = ctx.coproduct(one, one)
+        for x in pool:
+            lhs = product(two.ob, x).ob
+            rhs = ctx.coproduct(x, x).ob
+            yield (None if find_iso(lhs, rhs) is not None
+                   else {"x": serialize_object(x), "lhs": serialize_object(lhs),
+                         "rhs": serialize_object(rhs)})
+
+    def morphisms_reflect_zero():
+        for x, y in pairs:
+            for f in ctx.hom(x, y):
+                yield None if f.preimage_mask(0) == 0 else {"f": serialize_morphism(f)}
 
     zero_to_one = Morphism(zero, one, ())
-    checks.append(CheckResult("zero_embedding_admissible",
-                              ctx.system.in_m(zero_to_one), 1, None))
-
-    count = 0
-    ok = True
-    witness = None
-    for x in pool:
-        for y in pool:
-            if not ok:
-                break
-            for f in ctx.hom(x, y):
-                count += 1
-                if f.preimage_mask(0) != 0:
-                    ok = False
-                    witness = {"f": serialize_morphism(f)}
-                    break
-        if not ok:
-            break
-    checks.append(CheckResult("morphisms_reflect_zero", ok, count, witness))
-
-    return Report(f"extensive[{ctx.name}]", tuple(checks))
+    return Report(f"extensive[{ctx.name}]", (
+        CheckResult.of("initial_strict", initial_strict()),
+        CheckResult.of("injections_admissible_disjoint_jointly_epic",
+                       injections_admissible_disjoint_jointly_epic()),
+        CheckResult.of("coproduct_disjoint", coproduct_disjoint()),
+        CheckResult.of("coproducts_pullback_stable", coproducts_pullback_stable()),
+        CheckResult.of("distributivity_two_by_x", distributivity_two_by_x()),
+        CheckResult("zero_embedding_admissible", ctx.system.in_m(zero_to_one), 1),
+        CheckResult.of("morphisms_reflect_zero", morphisms_reflect_zero())))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 LEFT_TAG = "L:"
 RIGHT_TAG = "R:"
@@ -376,16 +376,6 @@ class Cospan:
             raise ValueError("cospan legs must share their target")
 
 
-@dataclass(frozen=True)
-class Span:
-    left: Morphism
-    right: Morphism
-
-    def __post_init__(self):
-        if self.left.source != self.right.source:
-            raise ValueError("span legs must share their source")
-
-
 def pullback(f: Morphism, g: Morphism) -> Pullback:
     """Apex of f and g over their common target, as pairs (a,b) with
     f(a) = g(b), ordered componentwise."""
@@ -418,31 +408,24 @@ def kernel_pair(f: Morphism) -> Pullback:
     return pullback(f, f)
 
 
-@lru_cache(maxsize=None)
-def enumerate_morphisms(x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...]:
-    """All morphisms x -> y in lexicographic order over lookup tables."""
+def _monotone_maps(x: FiniteObject, y: FiniteObject,
+                   injective: bool) -> list[Morphism]:
+    """The monotone maps x -> y, only the injective ones if `injective`, in
+    lexicographic order over lookup tables."""
     n, m = x.size, y.size
-    if n == 0:
-        return (Morphism(x, y, ()),)
-    if m == 0:
-        return ()
     ordered = x.has_order and y.has_order
-    out = []
-    if not ordered:
-        for assign in itertools.product(range(m), repeat=n):
-            mapping = tuple((x.elements[i], y.elements[assign[i]]) for i in range(n))
-            out.append(Morphism(x, y, mapping))
-        return tuple(out)
-
+    y_up = y.up_masks if ordered else ()
     constraints: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            fw = (j, i) in x.order_idx
-            bw = (i, j) in x.order_idx
-            if fw or bw:
-                constraints[i].append((j, fw, bw))
-    y_up = y.up_masks
+    if ordered:
+        for i in range(n):
+            for j in range(i):
+                fw = (j, i) in x.order_idx
+                bw = (i, j) in x.order_idx
+                if fw or bw:
+                    constraints[i].append((j, fw, bw))
     assign = [0] * n
+    used = [False] * m
+    out: list[Morphism] = []
 
     def extend(i: int):
         if i == n:
@@ -450,6 +433,8 @@ def enumerate_morphisms(x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...
             out.append(Morphism(x, y, mapping))
             return
         for t in range(m):
+            if used[t]:
+                continue
             ok = True
             for (j, fw, bw) in constraints[i]:
                 tj = assign[j]
@@ -461,60 +446,24 @@ def enumerate_morphisms(x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...
                     break
             if ok:
                 assign[i] = t
-                extend(i + 1)
-
-    extend(0)
-    return tuple(out)
-
-
-def monotone_bijections(x: FiniteObject, y: FiniteObject) -> Iterator[Morphism]:
-    """All bijective morphisms x -> y (monotone, not necessarily iso)."""
-    n = x.size
-    if n != y.size:
-        return
-    if n == 0:
-        yield Morphism(x, y, ())
-        return
-    ordered = x.has_order and y.has_order
-    y_up = y.up_masks if ordered else None
-    constraints: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n)]
-    if ordered:
-        for i in range(n):
-            for j in range(i):
-                fw = (j, i) in x.order_idx
-                bw = (i, j) in x.order_idx
-                if fw or bw:
-                    constraints[i].append((j, fw, bw))
-    assign = [0] * n
-    used = [False] * n
-    stack: list[Morphism] = []
-
-    def extend(i: int):
-        if i == n:
-            mapping = tuple((x.elements[k], y.elements[assign[k]]) for k in range(n))
-            stack.append(Morphism(x, y, mapping))
-            return
-        for t in range(n):
-            if used[t]:
-                continue
-            ok = True
-            if ordered:
-                for (j, fw, bw) in constraints[i]:
-                    tj = assign[j]
-                    if fw and not ((y_up[tj] >> t) & 1):
-                        ok = False
-                        break
-                    if bw and not ((y_up[t] >> tj) & 1):
-                        ok = False
-                        break
-            if ok:
-                assign[i] = t
-                used[t] = True
+                used[t] = injective
                 extend(i + 1)
                 used[t] = False
 
     extend(0)
-    yield from stack
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_morphisms(x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...]:
+    """All morphisms x -> y in lexicographic order over lookup tables."""
+    return tuple(_monotone_maps(x, y, False))
+
+
+def monotone_bijections(x: FiniteObject, y: FiniteObject) -> Iterator[Morphism]:
+    """All bijective morphisms x -> y (monotone, not necessarily iso)."""
+    if x.size == y.size:
+        yield from _monotone_maps(x, y, True)
 
 
 def find_iso(x: FiniteObject, y: FiniteObject) -> Morphism | None:
@@ -533,12 +482,32 @@ def is_isomorphic(x: FiniteObject, y: FiniteObject) -> bool:
     return find_iso(x, y) is not None
 
 
+def first_counterexample(outcomes: Iterable) -> tuple[bool, object, int]:
+    """(ok, witness, count) of a check written as a generator of outcomes,
+    one per instance in enumeration order: None when the instance holds, a
+    witness when it fails.  Consumes `outcomes` up to the first witness and
+    never past it, so `count` is the number of instances enumerated up to
+    and including the first counterexample."""
+    count = 0
+    for count, outcome in enumerate(outcomes, 1):
+        if outcome is not None:
+            return False, outcome, count
+    return True, None, count
+
+
 @dataclass(frozen=True)
 class CheckResult:
     id: str
     passed: bool
     checked: int = 0
     witness: dict | None = None
+
+    @classmethod
+    def of(cls, check_id: str, outcomes: Iterable) -> "CheckResult":
+        """The check whose instances yield `outcomes`, run through
+        `first_counterexample`."""
+        ok, witness, count = first_counterexample(outcomes)
+        return cls(check_id, ok, count, witness)
 
 
 @dataclass(frozen=True)

@@ -177,161 +177,103 @@ def _all_homs(objects: Sequence[FiniteObject]):
 
 def validate_system(sys: FactorizationSystem,
                     objects: Sequence[FiniteObject]) -> Report:
-    """Brute-force every factorization-system law over the object pool."""
+    """Brute-force every factorization-system law over the object pool.
+
+    Each law is a generator of outcomes, one per instance: None when it
+    holds, the witness when it fails."""
     homs = list(_all_homs(objects))
     e_list = [f for f in homs if sys.in_e(f)]
     m_list = [f for f in homs if sys.in_m(f)]
     e_set = set(e_list)
     m_set = set(m_list)
-    checks: list[CheckResult] = []
+    by_target: dict[FiniteObject, list[Morphism]] = {}
+    for f in homs:
+        by_target.setdefault(f.target, []).append(f)
 
-    def first_fail(check_id, pairs, predicate, describe):
-        count = 0
-        witness = None
-        ok = True
-        for item in pairs:
-            count += 1
-            if not predicate(item):
-                ok = False
-                witness = describe(item)
-                break
-        checks.append(CheckResult(check_id, ok, count, witness))
+    def each(morphisms, predicate):
+        """Per morphism: None if it satisfies `predicate`, else the morphism."""
+        return (None if predicate(f) else {"morphism": serialize_morphism(f)}
+                for f in morphisms)
 
-    first_fail("e_members_are_epi", e_list, is_surjective,
-               lambda f: {"morphism": serialize_morphism(f)})
-    first_fail("m_members_are_mono", m_list, is_injective,
-               lambda f: {"morphism": serialize_morphism(f)})
-    first_fail("isos_belong_to_both",
-               [f for f in homs if is_iso(f)],
-               lambda f: sys.in_e(f) and sys.in_m(f),
-               lambda f: {"morphism": serialize_morphism(f)})
-    first_fail("e_cap_m_is_iso",
-               [f for f in e_list if f in m_set],
-               is_iso,
-               lambda f: {"morphism": serialize_morphism(f)})
-
-    def composable(pool):
+    def closed_under_composition(pool, members):
         by_source: dict[FiniteObject, list[Morphism]] = {}
         for f in pool:
             by_source.setdefault(f.source, []).append(f)
         for f in pool:
             for g in by_source.get(f.target, ()):
-                yield (f, g)
+                yield (None if compose(g, f) in members
+                       else {"first": serialize_morphism(f),
+                             "second": serialize_morphism(g)})
 
-    first_fail("e_closed_under_composition", composable(e_list),
-               lambda fg: compose(fg[1], fg[0]) in e_set,
-               lambda fg: {"first": serialize_morphism(fg[0]),
-                           "second": serialize_morphism(fg[1])})
-    first_fail("m_closed_under_composition", composable(m_list),
-               lambda fg: compose(fg[1], fg[0]) in m_set,
-               lambda fg: {"first": serialize_morphism(fg[0]),
-                           "second": serialize_morphism(fg[1])})
+    def factorizations_valid():
+        for f in homs:
+            try:
+                fac = sys.factorize(f)
+            except ValueError as err:
+                yield {"morphism": serialize_morphism(f), "error": str(err)}
+                continue
+            yield (None if sys.in_e(fac.e_part) and sys.in_m(fac.m_part)
+                   else {"morphism": serialize_morphism(f),
+                         "e_part_in_e": sys.in_e(fac.e_part),
+                         "m_part_in_m": sys.in_m(fac.m_part)})
 
-    count = 0
-    witness = None
-    ok = True
-    for f in homs:
-        count += 1
-        try:
-            fac = sys.factorize(f)
-        except ValueError as err:
-            ok = False
-            witness = {"morphism": serialize_morphism(f), "error": str(err)}
-            break
-        if not (sys.in_e(fac.e_part) and sys.in_m(fac.m_part)):
-            ok = False
-            witness = {"morphism": serialize_morphism(f),
-                       "e_part_in_e": sys.in_e(fac.e_part),
-                       "m_part_in_m": sys.in_m(fac.m_part)}
-            break
-    checks.append(CheckResult("factorizations_valid", ok, count, witness))
-
-    by_target: dict[FiniteObject, list[Morphism]] = {}
-    for f in homs:
-        by_target.setdefault(f.target, []).append(f)
-    count = 0
-    witness = None
-    ok = True
-    for m in m_list:
-        for g in by_target.get(m.target, ()):
-            count += 1
-            pb = pullback(g, m)
-            if not sys.in_m(pb.p1):
-                ok = False
-                witness = {"m": serialize_morphism(m), "along": serialize_morphism(g),
-                           "pulled_back": serialize_morphism(pb.p1)}
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("m_stable_under_pullback", ok, count, witness))
-
-    count = 0
-    witness = None
-    ok = True
-    for e in e_list:
+    def m_stable_under_pullback():
         for m in m_list:
-            count += 1
-            good, wit = down_arrow_witness(e, m)
-            if not good:
-                ok = False
-                witness = wit
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("orthogonality", ok, count, witness))
+            for g in by_target.get(m.target, ()):
+                pb = pullback(g, m)
+                yield (None if sys.in_m(pb.p1)
+                       else {"m": serialize_morphism(m), "along": serialize_morphism(g),
+                             "pulled_back": serialize_morphism(pb.p1)})
+
+    def orthogonality():
+        for e in e_list:
+            for m in m_list:
+                yield down_arrow_witness(e, m)[1]
 
     # Completeness: anything outside E must fail orthogonality against some
     # M-member, and dually.  The own factorization parts are tried first
     # because they falsify immediately for the stock systems.
-    count = 0
-    witness = None
-    ok = True
-    for f in homs:
-        if f in e_set:
-            continue
-        count += 1
-        candidates = []
-        try:
-            candidates.append(sys.factorize(f).m_part)
-        except ValueError:
-            pass
-        found = False
-        for m in candidates + m_list:
-            good, _ = down_arrow_witness(f, m)
-            if not good:
-                found = True
-                break
-        if not found:
-            ok = False
-            witness = {"morphism": serialize_morphism(f),
-                       "reason": "left-orthogonal to all of M but not in E"}
-            break
-    checks.append(CheckResult("e_complete", ok, count, witness))
+    def e_complete():
+        for f in homs:
+            if f in e_set:
+                continue
+            try:
+                candidates = [sys.factorize(f).m_part]
+            except ValueError:
+                candidates = []
+            found = any(not down_arrow_witness(f, m)[0] for m in candidates + m_list)
+            yield None if found else {
+                "morphism": serialize_morphism(f),
+                "reason": "left-orthogonal to all of M but not in E"}
 
-    count = 0
-    witness = None
-    ok = True
-    small_first = sorted(e_list, key=lambda e: (e.source.size, e.target.size))
-    for g in homs:
-        if g in m_set:
-            continue
-        count += 1
-        candidates = []
-        try:
-            candidates.append(sys.factorize(g).e_part)
-        except ValueError:
-            pass
-        found = False
-        for e in candidates + small_first:
-            good, _ = down_arrow_witness(e, g)
-            if not good:
-                found = True
-                break
-        if not found:
-            ok = False
-            witness = {"morphism": serialize_morphism(g),
-                       "reason": "right-orthogonal to all of E but not in M"}
-            break
-    checks.append(CheckResult("m_complete", ok, count, witness))
+    def m_complete():
+        small_first = sorted(e_list, key=lambda e: (e.source.size, e.target.size))
+        for g in homs:
+            if g in m_set:
+                continue
+            try:
+                candidates = [sys.factorize(g).e_part]
+            except ValueError:
+                candidates = []
+            found = any(not down_arrow_witness(e, g)[0]
+                        for e in candidates + small_first)
+            yield None if found else {
+                "morphism": serialize_morphism(g),
+                "reason": "right-orthogonal to all of E but not in M"}
 
-    return Report(f"factorization[{sys.name}]", tuple(checks))
+    return Report(f"factorization[{sys.name}]", (
+        CheckResult.of("e_members_are_epi", each(e_list, is_surjective)),
+        CheckResult.of("m_members_are_mono", each(m_list, is_injective)),
+        CheckResult.of("isos_belong_to_both", each(
+            [f for f in homs if is_iso(f)], lambda f: sys.in_e(f) and sys.in_m(f))),
+        CheckResult.of("e_cap_m_is_iso",
+                       each([f for f in e_list if f in m_set], is_iso)),
+        CheckResult.of("e_closed_under_composition",
+                       closed_under_composition(e_list, e_set)),
+        CheckResult.of("m_closed_under_composition",
+                       closed_under_composition(m_list, m_set)),
+        CheckResult.of("factorizations_valid", factorizations_valid()),
+        CheckResult.of("m_stable_under_pullback", m_stable_under_pullback()),
+        CheckResult.of("orthogonality", orthogonality()),
+        CheckResult.of("e_complete", e_complete()),
+        CheckResult.of("m_complete", m_complete())))

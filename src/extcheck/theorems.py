@@ -10,9 +10,9 @@ hypothesis does not hold in the given universe.
 
 Each side is a generator of outcomes, one per instance in enumeration
 order: None when the instance holds, a witness when it fails.
-`first_counterexample` runs a side to its first witness, so a side's count
-is the number of instances enumerated up to and including its first
-counterexample.
+`core.first_counterexample`, the kernel the validators share, runs a side
+to its first witness, so a side's count is the number of instances
+enumerated up to and including its first counterexample.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .closure import (
     ClosureFamily,
@@ -40,6 +40,7 @@ from .core import (
     compose,
     copair,
     coproduct,
+    first_counterexample,
     identity,
     initial,
     inclusion,
@@ -104,17 +105,6 @@ class Verdict:
             "witnesses": list(self.witnesses),
             "counts": {name: n for name, n in self.counts},
         }
-
-
-def first_counterexample(outcomes: Iterable) -> tuple[bool, object, int]:
-    """(ok, witness, count) of a side: consume `outcomes` up to the first
-    non-None one, the witness, and never past it.  `count` is the number of
-    outcomes consumed, the failing one included."""
-    count = 0
-    for count, outcome in enumerate(outcomes, 1):
-        if outcome is not None:
-            return False, outcome, count
-    return True, None, count
 
 
 def _verdict(theorem: str, ctx: Context, family, bound: int, sides,
@@ -854,8 +844,8 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
         return _gated("biproduct", ctx, family, bound,
                       "admissible subobjects contain the empty one and are "
                       "closed under unions", lattice_wit)
-    sub = first_counterexample(
-        _lattice_biproduct_outcomes(ctx, pool, subobject_biproduct))
+    sub = _memoized(memo, ("subobject_biproduct", bound), lambda: first_counterexample(
+        _lattice_biproduct_outcomes(ctx, pool, subobject_biproduct)))
     closed = first_counterexample(_lattice_biproduct_outcomes(
         ctx, pool, lambda sys, x, y, cp: closed_biproduct(sys, family, x, y, cp)))
     roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),

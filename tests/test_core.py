@@ -227,6 +227,30 @@ def test_enumerate_morphisms_is_deterministic_and_sorted():
     assert tables == sorted(tables)
 
 
+def test_enumerators_match_a_literal_table_sweep():
+    """Both enumerators share one backtracker: each must give, in
+    lexicographic table order, exactly the tables of all |Y|^|X| candidates
+    that are monotone (and bijective, for `monotone_bijections`)."""
+    import itertools
+
+    from extcheck.contexts import finpre_objects, finset_objects
+
+    for pool in (finset_objects(3), finpre_objects(3)):
+        for x, y in itertools.product(pool, repeat=2):
+            literal = []
+            for values in itertools.product(y.elements, repeat=x.size):
+                try:
+                    literal.append(Morphism(x, y, tuple(zip(x.elements, values))))
+                except ValueError:
+                    pass
+            # Uncached: the cache is keyed by object equality, which ignores
+            # names, so filling it here would rename later witnesses.
+            assert enumerate_morphisms.__wrapped__(x, y) == tuple(literal)
+            bijective = [f for f in literal
+                         if x.size == y.size and is_injective(f)]
+            assert list(monotone_bijections(x, y)) == bijective
+
+
 def test_monotone_bijections_and_find_iso():
     a = FiniteObject(("x", "y"), make_preorder(("x", "y"), [("x", "y")]))
     assert is_isomorphic(a, SIERPINSKI)

@@ -220,6 +220,36 @@ def test_adjunctions_finpre_bound_3_counts_and_memo(monkeypatch):
                            3, None) == v
 
 
+def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
+    """The family-independent `subobject_lattice_biproduct` side is built
+    once per run and served from the memo for the other families, with the
+    same verdicts as unmemoized runs."""
+    from collections import Counter
+    from itertools import product
+
+    from extcheck import theorems
+
+    ctx = builtin("finpre")
+    built = Counter()
+    real = theorems.subobject_biproduct
+
+    def counted(sys, x, y, cp):
+        built[x, y] += 1
+        return real(sys, x, y, cp)
+
+    monkeypatch.setattr(theorems, "subobject_biproduct", counted)
+    memo = {}
+    verdicts = [run_checker("biproduct", ctx, fam, 1, memo) for fam in ctx.families]
+    assert [v.status for v in verdicts] == ["ok", "ok", "hypothesis-failed"]
+    # Once for the side and once for the hom round trip, which builds every
+    # pair of objects of size at most 2: at bound 1, all of them.
+    pairs = list(product(ctx.objects(1), repeat=2))
+    assert built == {pair: 2 for pair in pairs}
+    monkeypatch.undo()
+    for fam, v in zip(ctx.families, verdicts):
+        assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
+
+
 def test_first_counterexample_counts_through_the_first_failure():
     outcomes = iter([None, None, {"w": 1}, None, {"w": 2}])
     assert first_counterexample(outcomes) == (False, {"w": 1}, 3)
