@@ -40,23 +40,18 @@ from .core import (
     transitive_closure,
 )
 from .closure import ALEXANDROV, IDENTITY, INDISCRETE, ClosureFamily
-from .factorization import (
-    FactorizationSystem,
-    image_factorization,
-    is_embedding,
-    validate_system,
-)
+from .factorization import FactorizationSystem, is_embedding, validate_system
 from .subobjects import SubobjectLattice, enumerate_subobjects
 
 
 def surjections_injections() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/injections", is_surjective, is_injective, image_factorization)
+        "surjections/injections", is_surjective, is_injective)
 
 
 def surjections_embeddings() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/embeddings", is_surjective, is_embedding, image_factorization)
+        "surjections/embeddings", is_surjective, is_embedding)
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +191,10 @@ BUILTIN_CONTEXTS = ("finset", "finpre")
 
 
 def swapped_system_context(base: Context) -> Context:
-    """Self-test mutant: the two classes exchanged, factorizer untouched."""
+    """Self-test mutant: the two classes exchanged."""
     sys = base.system
     swapped = FactorizationSystem(
-        f"{sys.name}|swapped", sys.m_member, sys.e_member, sys.factorize_fn)
+        f"{sys.name}|swapped", sys.m_member, sys.e_member)
     return Context(f"{base.name}!swapped", base.ordered, swapped, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 
@@ -234,8 +229,7 @@ def split_mono_context(base: Context) -> Context:
                    for r in enumerate_morphisms(f.target, f.source))
 
     sys = FactorizationSystem(
-        f"{base.system.name}|split", base.system.e_member, has_retraction,
-        base.system.factorize_fn)
+        f"{base.system.name}|split", base.system.e_member, has_retraction)
     return Context(f"{base.name}!split", base.ordered, sys, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 

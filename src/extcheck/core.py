@@ -111,10 +111,6 @@ class FiniteObject:
             masks[j] |= 1 << i
         return tuple(masks)
 
-    def le(self, a: str, b: str) -> bool:
-        assert self.order is not None
-        return (a, b) in self.order
-
     def restrict(self, labels) -> "FiniteObject":
         """Full subobject on `labels` with the induced order."""
         keep = set(labels)
@@ -217,14 +213,6 @@ def is_injective(f: Morphism) -> bool:
 
 def is_surjective(f: Morphism) -> bool:
     return len(set(v for (_, v) in f.mapping)) == f.target.size
-
-
-def is_mono(f: Morphism) -> bool:
-    return is_injective(f)
-
-
-def is_epi(f: Morphism) -> bool:
-    return is_surjective(f)
 
 
 def is_order_reflecting(f: Morphism) -> bool:
@@ -366,20 +354,11 @@ class Pullback(NamedTuple):
     p2: Morphism
 
 
-@dataclass(frozen=True)
-class Cospan:
-    left: Morphism
-    right: Morphism
-
-    def __post_init__(self):
-        if self.left.target != self.right.target:
-            raise ValueError("cospan legs must share their target")
-
-
 def pullback(f: Morphism, g: Morphism) -> Pullback:
     """Apex of f and g over their common target, as pairs (a,b) with
     f(a) = g(b), ordered componentwise."""
-    Cospan(f, g)
+    if f.target != g.target:
+        raise ValueError("cospan legs must share their target")
     x, y = f.source, g.source
     pairs = [(a, b) for a in x.elements for b in y.elements
              if f.table[a] == g.table[b]]

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
 from .closure import ClosureFamily, Space
-from .factorization import FactorizationSystem
-from .subobjects import enumerate_subobjects
+
+# The admissible subobjects of an object, in lattice order, as anything
+# with a `.mask` (a context's `sub_lattice`).
+LatticeOf = Callable[[FiniteObject], Iterable]
 
 
 @dataclass(eq=False)
@@ -81,16 +83,19 @@ def _set_label(ob: FiniteObject, mask: int) -> str:
     return "{" + ",".join(ob.labels_of(mask)) + "}"
 
 
-def subobject_semilattice(sys: FactorizationSystem,
+def _masks(lattice_of: LatticeOf, ob: FiniteObject) -> tuple[int, ...]:
+    return tuple(s.mask for s in lattice_of(ob))
+
+
+def subobject_semilattice(lattice_of: LatticeOf,
                           ob: FiniteObject) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """The full admissible-subobject lattice as a join-semilattice.
 
-    Admissible joins coincide with carrier unions for the stock systems;
-    the subobject module property-tests that coincidence, so the mask-level
-    table uses unions directly.
+    Every factorization system factorizes through the image, so the join of
+    two admissible subobjects is the union of their carriers by
+    construction, and the mask-level table joins by union.
     """
-    subs = enumerate_subobjects(sys, ob)
-    masks = tuple(s.mask for s in subs)
+    masks = _masks(lattice_of, ob)
     labels = tuple(_set_label(ob, m) for m in masks)
     lat, _ = lattice_from_masks(masks, labels, lambda a, b: a | b, 0)
     return lat, masks
@@ -253,16 +258,16 @@ def verify_biproduct(inj_l: SemilatticeHom, inj_r: SemilatticeHom,
     return Report("biproduct", tuple(checks))
 
 
-def subobject_biproduct(sys: FactorizationSystem, x: FiniteObject,
+def subobject_biproduct(lattice_of: LatticeOf, x: FiniteObject,
                         y: FiniteObject, cp: Coproduct) -> Biproduct:
     """Sub(X+Y) as the biproduct of Sub(X) and Sub(Y).
 
     With sorted tagged carriers the left summand occupies the low mask bits,
     so injections place masks and projections split them.
     """
-    kx, masks_x = subobject_semilattice(sys, x)
-    ky, masks_y = subobject_semilattice(sys, y)
-    kxy, masks_xy = subobject_semilattice(sys, cp.ob)
+    kx, masks_x = subobject_semilattice(lattice_of, x)
+    ky, masks_y = subobject_semilattice(lattice_of, y)
+    kxy, masks_xy = subobject_semilattice(lattice_of, cp.ob)
     nx = x.size
     low = (1 << nx) - 1
     idx_xy = {m: i for i, m in enumerate(masks_xy)}
@@ -276,17 +281,14 @@ def subobject_biproduct(sys: FactorizationSystem, x: FiniteObject,
     return Biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r, report)
 
 
-def closed_biproduct(sys: FactorizationSystem, family: ClosureFamily,
+def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
                      x: FiniteObject, y: FiniteObject, cp: Coproduct) -> Biproduct:
     """Closed lattices of a sum: inject by closing the placed mask, project
     by splitting; zero is the closure of empty."""
     sx, sy, sxy = family.space(x), family.space(y), family.space(cp.ob)
-    all_x = [s.mask for s in enumerate_subobjects(sys, x)]
-    all_y = [s.mask for s in enumerate_subobjects(sys, y)]
-    all_xy = [s.mask for s in enumerate_subobjects(sys, cp.ob)]
-    kx, masks_x = closed_semilattice(sx, all_x)
-    ky, masks_y = closed_semilattice(sy, all_y)
-    kxy, masks_xy = closed_semilattice(sxy, all_xy)
+    kx, masks_x = closed_semilattice(sx, _masks(lattice_of, x))
+    ky, masks_y = closed_semilattice(sy, _masks(lattice_of, y))
+    kxy, masks_xy = closed_semilattice(sxy, _masks(lattice_of, cp.ob))
     nx = x.size
     low = (1 << nx) - 1
     idx_xy = {m: i for i, m in enumerate(masks_xy)}

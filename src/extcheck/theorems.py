@@ -170,16 +170,28 @@ def _witness(x: FiniteObject, y: FiniteObject, a=None, b=None, **more) -> dict:
 
 # ---------------------------------------------------------------- checker A
 
+def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
+    """The admissible masks of the plain constructed sum x + y.  Under the
+    image factorization, the sum a + b of admissible a of x and b of y is
+    admissible exactly when its mask a.mask | b.mask << |x| is one of them,
+    whatever coproduct the context builds."""
+    return {s.mask for s in ctx.sub_lattice(coproduct(x, y).ob)}
+
+
+def _sum_witness(a, b) -> dict:
+    return serialize_subobject(sum_subobjects(a, b).sub)
+
+
 def _sums_admissible_outcomes(ctx: Context, pool, every: bool = False):
     """Per admissible a of x and b of y: None when a + b is admissible, else
     the witness; with `every`, the witness of every pair."""
-    sys = ctx.system
     for x, y in _object_pairs(pool):
+        sums = _sum_masks(ctx, x, y)
+        nx = x.size
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
-                res = sum_subobjects(sys, a, b)
-                yield (None if res.admissible and not every
-                       else _witness(x, y, a, b, sum=serialize_subobject(res.sub)))
+                yield (None if (a.mask | (b.mask << nx)) in sums and not every
+                       else _witness(x, y, a, b, sum=_sum_witness(a, b)))
 
 
 def _e_monos_between_sums(ctx: Context, pool, cls_of=None):
@@ -272,20 +284,20 @@ def _closed_masks(lattice, fn):
 
 def _closed_sum_outcomes(ctx: Context, pool, cls_of, every: bool = False):
     """Condition (a), per closed admissible a of x and b of y: None when
-    a + b is admissible and closed, else (x, y, a, b, sum, closure labels);
-    with `every`, that tuple for every pair."""
-    sys = ctx.system
+    a + b is admissible and closed, else (x, y, a, b, sum admissible,
+    closure labels); with `every`, that tuple for every pair."""
     for x, y in _object_pairs(pool):
         ob = ctx.coproduct(x, y).ob
         fsum = cls_of(ob)
+        sums = _sum_masks(ctx, x, y)
         nx = x.size
         for a in _closed_masks(ctx.sub_lattice(x), cls_of(x)):
             for b in _closed_masks(ctx.sub_lattice(y), cls_of(y)):
-                res = sum_subobjects(sys, a, b)
                 mask = a.mask | (b.mask << nx)
+                adm = mask in sums
                 closure = fsum(mask)
-                yield (None if res.admissible and closure == mask and not every
-                       else (x, y, a, b, res, ob.labels_of(closure)))
+                yield (None if adm and closure == mask and not every
+                       else (x, y, a, b, adm, ob.labels_of(closure)))
 
 
 def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
@@ -296,13 +308,15 @@ def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
     for x, y in _object_pairs(pool):
         cp = ctx.coproduct(x, y)
         fsum = cls_of(cp.ob)
-        low = (1 << x.size) - 1
+        sums = _sum_masks(ctx, x, y)
+        nx = x.size
+        low = (1 << nx) - 1
         high = ((1 << cp.ob.size) - 1) & ~low
         inj_ok = (sys.in_m(cp.inl) and sys.in_m(cp.inr)
                   and fsum(low) == low and fsum(high) == high)
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
-                adm = sum_subobjects(sys, a, b).admissible
+                adm = (a.mask | (b.mask << nx)) in sums
                 yield None if adm and inj_ok else (x, y, a, b, adm, inj_ok)
 
 
@@ -338,9 +352,9 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     for name, cond, outcomes, describe in (
             ("sums_of_closed_embeddings_closed", "a",
              _closed_sum_outcomes(ctx, pool, cls_of),
-             lambda x, y, a, b, res, closure: _witness(
-                 x, y, a, b, sum=serialize_subobject(res.sub),
-                 sum_admissible=res.admissible, closure_of_sum=list(closure))),
+             lambda x, y, a, b, adm, closure: _witness(
+                 x, y, a, b, sum=_sum_witness(a, b),
+                 sum_admissible=adm, closure_of_sum=list(closure))),
             ("sums_admissible_and_injections_closed", "b",
              _admissible_sum_outcomes(ctx, pool, cls_of),
              lambda x, y, a, b, adm, inj_ok: _witness(
@@ -500,11 +514,11 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     Tagged carriers make the sum equations split into independent pieces:
     equality of the two candidate middle objects (one check per
     image-carrier combination), and per-summand structure of each single
-    factorization.  With the stock image factorizer those pieces determine
+    factorization.  Under the image factorization those pieces determine
     the whole morphism-pair sweep, so at bound >= 3 the pair loop for the
-    factorization match is replaced by them; at bound <= 2, or under a
-    nonstandard factorizer, every pair is checked directly, and a direct
-    sweep over all subobject quadruples is run as well.
+    factorization match is replaced by them; at bound <= 2 every pair is
+    checked directly, and a direct sweep over all subobject quadruples is
+    run as well.
     """
     from .factorization import image_factorization
     from .core import coproduct as core_coproduct
@@ -519,7 +533,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             ff = fac[f]
             for g in homs:
                 s = sum_morphisms(f, g)
-                fac_s = sys.factorize_fn(s)
+                fac_s = image_factorization(s)
                 cand_e = sum_morphisms(ff.e_part, fac[g].e_part)
                 cand_m = sum_morphisms(ff.m_part, fac[g].m_part)
                 yield (None if _factorizations_agree(fac_s, cand_e, cand_m)
@@ -567,13 +581,13 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
                 s = sum_morphisms(f, g)
                 for ma in ctx.sub_lattice(f.source):
                     for mb in ctx.sub_lattice(g.source):
-                        res = sum_subobjects(sys, ma, mb)
+                        res = sum_subobjects(ma, mb)
                         lhs_comp = compose(s, res.morphism)
                         rhs_comp = sum_morphisms(compose(f, ma.rep),
                                                  compose(g, mb.rep))
                         img_s = sub_image(sys, s, res.sub)
                         img_parts = sum_subobjects(
-                            sys, sub_image(sys, f, ma), sub_image(sys, g, mb))
+                            sub_image(sys, f, ma), sub_image(sys, g, mb))
                         rest_s = sub_restriction(sys, s, res.sub)
                         rest_parts = sum_morphisms(
                             sub_restriction(sys, f, ma),
@@ -584,7 +598,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
                                else _maps_witness(f, g, m_a=serialize_subobject(ma),
                                                   m_b=serialize_subobject(mb)))
 
-    if bound <= 2 or sys.factorize_fn is not image_factorization:
+    if bound <= 2:
         pairs = first_counterexample(pair_outcomes())
     else:
         # Each canonical factorization keeps source mappings and includes
@@ -794,11 +808,10 @@ def _lattice_hypothesis_outcomes(ctx: Context, pool):
 
 
 def _lattice_biproduct_outcomes(ctx: Context, pool, build):
-    """Per object pair: None when `build(sys, x, y, cp)` splits as a
-    biproduct, else the pair with the failed equations."""
-    sys = ctx.system
+    """Per object pair: None when `build(ctx.sub_lattice, x, y, cp)` splits
+    as a biproduct, else the pair with the failed equations."""
     for x, y in _object_pairs(pool):
-        bp = build(sys, x, y, ctx.coproduct(x, y))
+        bp = build(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
         yield None if bp.passed else _witness(
             x, y, failed=[c.id for c in bp.report.failed()])
 
@@ -806,9 +819,8 @@ def _lattice_biproduct_outcomes(ctx: Context, pool, build):
 def _roundtrip_outcomes(ctx: Context, pool):
     """Per hom between sum lattices of objects of size at most 2: None when
     its 2x2 matrix joins back to the same table."""
-    sys = ctx.system
     small = [x for x in pool if x.size <= 2]
-    bps = {(x, y): subobject_biproduct(sys, x, y, ctx.coproduct(x, y))
+    bps = {(x, y): subobject_biproduct(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
            for x, y in _object_pairs(small)}
     for src_key, bp_s in bps.items():
         irr = len(join_irreducibles(bp_s.total))
@@ -847,7 +859,8 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
     sub = _memoized(memo, ("subobject_biproduct", bound), lambda: first_counterexample(
         _lattice_biproduct_outcomes(ctx, pool, subobject_biproduct)))
     closed = first_counterexample(_lattice_biproduct_outcomes(
-        ctx, pool, lambda sys, x, y, cp: closed_biproduct(sys, family, x, y, cp)))
+        ctx, pool, lambda lattice_of, x, y, cp: closed_biproduct(
+            lattice_of, family, x, y, cp)))
     roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),
                           lambda: first_counterexample(_roundtrip_outcomes(ctx, pool)))
     return _verdict("biproduct", ctx, family, bound, (

@@ -15,11 +15,9 @@ from extcheck.core import (
     find_iso,
     identity,
     initial,
-    is_epi,
     is_injective,
     is_iso,
     is_isomorphic,
-    is_mono,
     is_order_reflecting,
     is_surjective,
     inverse,
@@ -98,14 +96,6 @@ def test_compose_and_identity():
     g = Morphism(y, x, (("u", "b"), ("v", "a")))
     gf = compose(g, f)
     assert gf.table == {"a": "b", "b": "a"}
-
-
-def test_mono_epi_match_injective_surjective():
-    x, y = plain("a", "b"), plain("u", "v", "w")
-    for f in enumerate_morphisms(x, y):
-        assert is_mono(f) == is_injective(f)
-    for g in enumerate_morphisms(y, x):
-        assert is_epi(g) == is_surjective(g)
 
 
 def test_iso_needs_order_reflection():

@@ -85,7 +85,7 @@ def test_subobject_semilattice_matches_lattice_join():
     for name in ("finset", "finpre"):
         ctx = builtin(name)
         for x in ctx.objects(2):
-            lat, masks = subobject_semilattice(ctx.system, x)
+            lat, masks = subobject_semilattice(ctx.sub_lattice, x)
             full_lat = ctx.sub_lattice(x)
             assert lat.n == len(full_lat)
             # join table agrees with the factorization-system join
@@ -111,7 +111,7 @@ def test_closed_semilattice_of_indiscrete_pair():
 def test_subobject_biproduct_passes(name):
     ctx = builtin(name)
     one = terminal(ctx.ordered)
-    bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
     assert bp.passed, [c.id for c in bp.report.failed()]
     assert bp.total.n == 4
     assert bp.left.n == bp.right.n == 2
@@ -122,7 +122,7 @@ def test_biproduct_with_empty_summand():
     from extcheck.core import initial
     zero = initial(False)
     one = terminal(False)
-    bp = subobject_biproduct(ctx.system, zero, one, ctx.coproduct(zero, one))
+    bp = subobject_biproduct(ctx.sub_lattice, zero, one, ctx.coproduct(zero, one))
     assert bp.passed
     assert bp.left.n == 1
 
@@ -144,7 +144,7 @@ def test_broken_projection_fails_verification():
 def test_hom_matrix_of_identity_is_identity_matrix():
     ctx = builtin("finset")
     one = terminal(False)
-    bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
     mat = hom_matrix(bp, bp, identity_hom(bp.total).table)
     assert mat[0][0] == identity_hom(bp.left).table
     assert mat[1][1] == identity_hom(bp.right).table
@@ -155,7 +155,7 @@ def test_hom_matrix_of_identity_is_identity_matrix():
 def test_matrix_round_trip_exhaustive_on_two_point_sum():
     ctx = builtin("finpre")
     one = terminal(True)
-    bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
     homs = enumerate_homs(bp.total, bp.total)
     assert len(homs) == 16
     for h in homs:
@@ -202,7 +202,7 @@ def test_table_hom_algebra_matches_object_composites(pool):
         objs = ctx.objects(2)
     else:
         ctx, objs = _lattice_algebra_pool()
-    bps = [subobject_biproduct(ctx.system, x, y, ctx.coproduct(x, y))
+    bps = [subobject_biproduct(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
            for x, y in itertools.product(objs, repeat=2)]
     total = 0
     for s, t in itertools.product(bps, repeat=2):
@@ -236,7 +236,7 @@ def test_table_hom_algebra_matches_object_composites(pool):
 def test_matrix_to_hom_of_zero_matrix():
     ctx = builtin("finset")
     one = terminal(False)
-    bp = subobject_biproduct(ctx.system, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
 
     def z(src, tgt):
         return zero_hom(src, tgt).table
@@ -251,7 +251,7 @@ def test_closed_biproduct_alexandrov_and_identity(name):
     ctx = builtin(name)
     one = terminal(ctx.ordered)
     for fam in ctx.families:
-        bp = closed_biproduct(ctx.system, fam, one, one, ctx.coproduct(one, one))
+        bp = closed_biproduct(ctx.sub_lattice, fam, one, one, ctx.coproduct(one, one))
         if fam.name == "indiscrete":
             assert not bp.passed
         else:

@@ -1,9 +1,26 @@
 """Admissible subobject lattices and the tagged-sum calculus on them."""
 
+import itertools
+
 import pytest
 
-from extcheck.contexts import builtin
-from extcheck.core import FiniteObject, Morphism, compose, coproduct, make_preorder
+from extcheck import theorems
+from extcheck.contexts import (
+    Context,
+    builtin,
+    crossed_coproduct_context,
+    split_mono_context,
+    swapped_system_context,
+)
+from extcheck.core import (
+    FiniteObject,
+    Morphism,
+    compose,
+    copair,
+    coproduct,
+    make_preorder,
+)
+from extcheck.factorization import FactorizationSystem
 from extcheck.subobjects import (
     L_map,
     R_map,
@@ -125,14 +142,13 @@ def test_tagged_extension_maps_round_trip(ctx):
 
 
 def test_iota_of_sum_recovers_components(ctx):
-    sys = ctx.system
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
             for a in ctx.sub_lattice(x):
                 for b in ctx.sub_lattice(y):
-                    res = sum_subobjects(sys, a, b)
-                    assert res.admissible
+                    res = sum_subobjects(a, b)
+                    assert res.sub in ctx.sub_lattice(res.sub.ambient)
                     la, rb = iota_map(res.sub)
                     assert la == a and rb == b
 
@@ -146,7 +162,7 @@ def test_sum_subobject_is_join_of_extensions(ctx):
             lat = enumerate_subobjects(sys, cp.ob)
             for a in ctx.sub_lattice(x):
                 for b in ctx.sub_lattice(y):
-                    res = sum_subobjects(sys, a, b)
+                    res = sum_subobjects(a, b)
                     joined = lat.join(L_map(a, y), R_map(x, b))
                     assert res.sub == joined
 
@@ -156,9 +172,80 @@ def test_sum_subobject_morphism_is_sum_of_reps(ctx):
     x = ctx.objects(2)[-1]
     for a in ctx.sub_lattice(x):
         for b in ctx.sub_lattice(x):
-            res = sum_subobjects(sys, a, b)
+            res = sum_subobjects(a, b)
             assert res.morphism.source == coproduct(a.ob, b.ob).ob
             assert sys.in_m(res.morphism)
+
+
+def _join_raw(sys, p: Subobject, q: Subobject) -> Subobject:
+    """The join of two subobjects as the literal M-part of the factorization
+    of the copairing of their inclusions."""
+    cp = copair(p.rep, q.rep)
+    fac = sys.factorize(cp)
+    carrier = tuple(sorted(set(v for (_, v) in fac.m_part.mapping)))
+    return Subobject(p.ambient, carrier)
+
+
+def _no_two_point_sources(base: Context) -> Context:
+    """The base context with M narrowed to morphisms whose source does not
+    have two points, so that some sums of admissibles are not admissible."""
+    sys = base.system
+    narrowed = FactorizationSystem(
+        f"{sys.name}|no-2", sys.e_member,
+        lambda f: sys.in_m(f) and f.source.size != 2)
+    return Context(f"{base.name}!no-2", base.ordered, narrowed, base.families,
+                   base.enumerate_objects)
+
+
+def _with_workload_extras(base: Context) -> Context:
+    from test_golden_reports import WORKLOAD_EXTRAS
+    return base.with_extra_objects(WORKLOAD_EXTRAS)
+
+
+SUM_CASES = {
+    "finset": ("finset", None),
+    "finset!swapped": ("finset", swapped_system_context),
+    "finset!split": ("finset", split_mono_context),
+    "finset!no-2": ("finset", _no_two_point_sources),
+    "finpre": ("finpre", None),
+    "finpre!swapped": ("finpre", swapped_system_context),
+    "finpre!split": ("finpre", split_mono_context),
+    "finpre!crossed": ("finpre", crossed_coproduct_context),
+    "finpre!no-2": ("finpre", _no_two_point_sources),
+    "finpre+extras": ("finpre", _with_workload_extras),
+}
+
+
+@pytest.mark.parametrize("case", SUM_CASES)
+def test_sum_admissibility_by_mask_matches_literal_definition(case):
+    """For every admissible a of x and b of y at bound 2, the checkers' mask
+    test (a.mask | b.mask << |x| admissible in the plain sum X + Y, and
+    checker A's outcome) agrees with the literal definition: the sum of the
+    two inclusions is in M, and the image of the copairing of the tagged
+    images of a and b is the tagged carrier.  The join of the tagged images
+    is always their union."""
+    base, variant = SUM_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    sys = ctx.system
+    pool = ctx.objects(2)
+    outcomes = theorems._sums_admissible_outcomes(ctx, pool)
+    seen = set()
+    for x, y in itertools.product(pool, repeat=2):
+        sum_masks = theorems._sum_masks(ctx, x, y)
+        for a in ctx.sub_lattice(x):
+            for b in ctx.sub_lattice(y):
+                cp = coproduct(a.ambient, b.ambient)
+                img_l, img_r = image(sys, cp.inl, a), image(sys, cp.inr, b)
+                joined = _join_raw(sys, img_l, img_r)
+                assert joined.mask == img_l.mask | img_r.mask
+                res = sum_subobjects(a, b)
+                literal = (sys.in_m(res.morphism)
+                           and joined.elements == res.sub.elements)
+                assert ((a.mask | (b.mask << x.size)) in sum_masks) == literal
+                assert (next(outcomes) is None) == literal
+                seen.add(literal)
+    assert next(outcomes, "exhausted") == "exhausted"
+    assert seen == ({True, False} if case.endswith("no-2") else {True})
 
 
 def test_admissible_adjunction_reports_pass(ctx):

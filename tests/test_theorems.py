@@ -233,9 +233,9 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
     built = Counter()
     real = theorems.subobject_biproduct
 
-    def counted(sys, x, y, cp):
+    def counted(lattice_of, x, y, cp):
         built[x, y] += 1
-        return real(sys, x, y, cp)
+        return real(lattice_of, x, y, cp)
 
     monkeypatch.setattr(theorems, "subobject_biproduct", counted)
     memo = {}
@@ -318,15 +318,15 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
     real_sub, real_closed = theorems.subobject_biproduct, theorems.closed_biproduct
     closed_pairs = []
 
-    def failing_on_first_pair(sys, x, y, cp):
-        bp = real_sub(sys, x, y, cp)
+    def failing_on_first_pair(lattice_of, x, y, cp):
+        bp = real_sub(lattice_of, x, y, cp)
         if (x, y) == pairs[0]:
             bp.report = Report("biproduct", (CheckResult("forced", False, 1),))
         return bp
 
-    def recording(sys, family, x, y, cp):
+    def recording(lattice_of, family, x, y, cp):
         closed_pairs.append((x, y))
-        return real_closed(sys, family, x, y, cp)
+        return real_closed(lattice_of, family, x, y, cp)
 
     monkeypatch.setattr(theorems, "subobject_biproduct", failing_on_first_pair)
     monkeypatch.setattr(theorems, "closed_biproduct", recording)
