@@ -16,6 +16,7 @@ keeps the quantifier sweeps allocation-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .core import (
@@ -327,27 +328,20 @@ def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
             if not _continuous_fast(w_idx, cls_w, cls_t, w_src.size):
                 continue
             pairs, down = _apex(w_idx, f_idx, w_src, a_ob)
-            k = len(pairs)
-            cls_apex = family.fn_for(k, down)
+            cls_apex = family.fn_for(len(pairs), down)
             proj_bits = tuple(i for (i, _) in pairs)
-            good = True
-            if _image_bits(cls_apex(0), proj_bits) != cls_w(0):
-                good = False
-            bad_singleton = None
-            if good:
-                for t in range(k):
-                    if _image_bits(cls_apex(1 << t), proj_bits) != cls_w(1 << proj_bits[t]):
-                        good = False
-                        bad_singleton = pairs[t]
-                        break
-            if not good:
-                wit = {"w": serialize_morphism(w),
-                       "apex": [[w_src.elements[i], a_ob.elements[j]]
-                                for (i, j) in pairs]}
-                if bad_singleton is not None:
-                    i, j = bad_singleton
-                    wit["apex_point"] = [w_src.elements[i], a_ob.elements[j]]
-                return False, wit
+            # The closure of the empty set, then of each apex point, must
+            # project onto the closure of its projection.
+            ok, point, _ = first_counterexample(chain(
+                [None if _image_bits(cls_apex(0), proj_bits) == cls_w(0) else {}],
+                (None if _image_bits(cls_apex(1 << t), proj_bits) == cls_w(1 << i)
+                 else {"apex_point": [w_src.elements[i], a_ob.elements[j]]}
+                 for t, (i, j) in enumerate(pairs))))
+            if not ok:
+                return False, {"w": serialize_morphism(w),
+                               "apex": [[w_src.elements[i], a_ob.elements[j]]
+                                        for (i, j) in pairs],
+                               **point}
     return True, None
 
 

@@ -62,9 +62,6 @@ class FactorizationSystem:
     def in_m(self, f: Morphism) -> bool:
         return self.m_member(f)
 
-    def factorize(self, f: Morphism) -> Factorization:
-        return image_factorization(f)
-
 
 def image_factorization(f: Morphism) -> Factorization:
     """Corestriction onto the set image followed by the literal inclusion."""
@@ -202,7 +199,7 @@ def validate_system(sys: FactorizationSystem,
 
     def factorizations_valid():
         for f in homs:
-            fac = sys.factorize(f)
+            fac = image_factorization(f)
             yield (None if sys.in_e(fac.e_part) and sys.in_m(fac.m_part)
                    else {"morphism": serialize_morphism(f),
                          "e_part_in_e": sys.in_e(fac.e_part),
@@ -229,7 +226,7 @@ def validate_system(sys: FactorizationSystem,
             if f in e_set:
                 continue
             found = any(not down_arrow_witness(f, m)[0]
-                        for m in [sys.factorize(f).m_part] + m_list)
+                        for m in [image_factorization(f).m_part] + m_list)
             yield None if found else {
                 "morphism": serialize_morphism(f),
                 "reason": "left-orthogonal to all of M but not in E"}
@@ -240,7 +237,7 @@ def validate_system(sys: FactorizationSystem,
             if g in m_set:
                 continue
             found = any(not down_arrow_witness(e, g)[0]
-                        for e in [sys.factorize(g).e_part] + small_first)
+                        for e in [image_factorization(g).e_part] + small_first)
             yield None if found else {
                 "morphism": serialize_morphism(g),
                 "reason": "right-orthogonal to all of E but not in M"}

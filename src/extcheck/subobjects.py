@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .core import (
     CheckResult,
@@ -25,11 +24,10 @@ from .core import (
     coproduct,
     inclusion,
     split_coproduct,
-    sum_morphisms,
     LEFT_TAG,
     RIGHT_TAG,
 )
-from .factorization import FactorizationSystem
+from .factorization import FactorizationSystem, image_factorization
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,10 @@ def serialize_subobject(sub: Subobject) -> dict:
     return {"ambient": sub.ambient.label, "elements": list(sub.elements)}
 
 
-def image(sys: FactorizationSystem, f: Morphism, sub: Subobject) -> Subobject:
+def image(f: Morphism, sub: Subobject) -> Subobject:
     """Direct image of a subobject of f's source, via the image factorization."""
     assert sub.ambient == f.source
-    fac = sys.factorize(compose(f, sub.rep))
+    fac = image_factorization(compose(f, sub.rep))
     carrier = tuple(sorted(set(v for (_, v) in fac.m_part.mapping)))
     return Subobject(f.target, carrier)
 
@@ -88,9 +86,9 @@ def preimage(f: Morphism, sub: Subobject) -> Subobject:
     return Subobject(f.source, tuple(e for (e, v) in f.mapping if v in keep))
 
 
-def restriction(sys: FactorizationSystem, f: Morphism, sub: Subobject) -> Morphism:
+def restriction(f: Morphism, sub: Subobject) -> Morphism:
     """f cut down to a source subobject, landing on its image."""
-    img = image(sys, f, sub)
+    img = image(f, sub)
     return Morphism(sub.ob, img.ob,
                     tuple((e, f.table[e]) for e in sub.elements))
 
@@ -106,7 +104,6 @@ def corestriction(f: Morphism, sub: Subobject) -> Morphism:
 class SubobjectLattice:
     """All admissible subobjects of one object, in a fixed enumeration order."""
 
-    sys: FactorizationSystem
     ambient: FiniteObject
     subs: tuple[Subobject, ...]
 
@@ -142,7 +139,7 @@ class SubobjectLattice:
     def join(self, p: Subobject, q: Subobject) -> Subobject:
         """Image of the copairing of the two inclusions."""
         cp = copair(p.rep, q.rep)
-        fac = self.sys.factorize(cp)
+        fac = image_factorization(cp)
         carrier = set(v for (_, v) in fac.m_part.mapping)
         return self._by_mask[self.ambient.mask_of(carrier)]
 
@@ -168,7 +165,7 @@ def enumerate_subobjects(sys: FactorizationSystem, x: FiniteObject) -> Subobject
         if sys.in_m(inclusion(x.restrict(labels), x)):
             subs.append(Subobject(x, labels))
     subs.sort(key=lambda s: (s.size, s.elements))
-    return SubobjectLattice(sys, x, tuple(subs))
+    return SubobjectLattice(x, tuple(subs))
 
 
 def iota_map(sum_sub: Subobject) -> tuple[Subobject, Subobject]:
@@ -191,23 +188,16 @@ def R_map(x: FiniteObject, sub: Subobject) -> Subobject:
     return Subobject(amb, tuple(RIGHT_TAG + e for e in sub.elements))
 
 
-class SubobjectSum(NamedTuple):
-    sub: Subobject
-    morphism: Morphism
-
-
-def sum_subobjects(a: Subobject, b: Subobject) -> SubobjectSum:
-    """The sum a + b inside X + Y, with the sum of the two inclusions.
+def sum_subobjects(a: Subobject, b: Subobject) -> Subobject:
+    """The sum a + b inside X + Y.
 
     Under the image factorization a + b is admissible exactly when its mask
     `a.mask | b.mask << |X|` is admissible in the constructed sum X + Y; the
-    checkers decide it that way, without building this.
+    checkers decide it that way, and build this only for a witness.
     """
-    cp = coproduct(a.ambient, b.ambient)
-    s = sum_morphisms(a.rep, b.rep, None, cp.ob)
     carrier = tuple(LEFT_TAG + e for e in a.elements) + tuple(
         RIGHT_TAG + e for e in b.elements)
-    return SubobjectSum(Subobject(cp.ob, carrier), s)
+    return Subobject(coproduct(a.ambient, b.ambient).ob, carrier)
 
 
 def check_adjunction_admissible(lat_x: SubobjectLattice, lat_y: SubobjectLattice,

@@ -37,15 +37,12 @@ from .core import (
     Morphism,
     LEFT_TAG,
     RIGHT_TAG,
-    compose,
     copair,
     coproduct,
     first_counterexample,
     identity,
     initial,
-    inclusion,
     is_injective,
-    is_iso,
     monotone_bijections,
     serialize_morphism,
     serialize_object,
@@ -53,7 +50,6 @@ from .core import (
     terminal,
 )
 from .contexts import Context
-from .factorization import Factorization
 from .semilattice import (
     closed_biproduct,
     enumerate_homs,
@@ -67,7 +63,6 @@ from .semilattice import (
 from .subobjects import (
     check_adjunction_admissible,
     serialize_subobject,
-    subobject_from_mask,
     sum_subobjects,
 )
 
@@ -179,7 +174,7 @@ def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
 
 
 def _sum_witness(a, b) -> dict:
-    return serialize_subobject(sum_subobjects(a, b).sub)
+    return serialize_subobject(sum_subobjects(a, b))
 
 
 def _sums_admissible_outcomes(ctx: Context, pool, every: bool = False):
@@ -491,132 +486,153 @@ def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
 
 
 # ---------------------------------------------------------------- checker E
+#
+# E works on index tables, masks and down-masks.  A constructed sum lists
+# its left summand's points first, so the sum of two tables, masks or orders
+# is the left one followed by the right one shifted past it.
 
-def _factorizations_agree(fac: Factorization, cand_e: Morphism,
-                          cand_m: Morphism) -> bool:
-    if fac.e_part == cand_e and fac.m_part == cand_m:
-        return True
-    if fac.mid.size != cand_e.target.size:
-        return False
-    for h in monotone_bijections(fac.mid, cand_e.target):
-        if not is_iso(h):
-            continue
-        if (compose(h, fac.e_part) == cand_e
-                and compose(cand_m, h) == fac.m_part):
-            return True
-    return False
+def _down(ob: FiniteObject) -> tuple[int, ...]:
+    """Down-masks of ob's order; of the discrete order when it has none."""
+    return ob.down_masks if ob.has_order else tuple(1 << i for i in range(ob.size))
+
+
+def _points(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _sub_order(down: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The order `down` restricted to the points of `mask`, renumbered."""
+    pts = _points(mask)
+    return tuple(sum(1 << r for r, j in enumerate(pts) if down[i] >> j & 1)
+                 for i in pts)
+
+
+def _image_parts(idx) -> tuple[int, tuple[int, ...]]:
+    """Image factorization of an index table: the image mask, and the
+    corestriction onto the image as a table into its points."""
+    mask = 0
+    for t in idx:
+        mask |= 1 << t
+    return mask, tuple((mask & ((1 << t) - 1)).bit_count() for t in idx)
+
+
+def _sum_table(left, right, shift: int) -> tuple[int, ...]:
+    return left + tuple(t + shift for t in right)
+
+
+def _sum_order(left, right) -> tuple[int, ...]:
+    return left + tuple(d << len(left) for d in right)
 
 
 def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
-    """factorize(f+g) agrees with e_f+e_g followed by m_f+m_g, and image,
-    restriction, and composition with admissible sums all work summandwise.
+    """The image factorization of f + g is the sum of those of f and g, and
+    image, restriction and composition with sums of admissibles work
+    summandwise.  Each side computes the same tables two ways, per:
 
-    Tagged carriers make the sum equations split into independent pieces:
-    equality of the two candidate middle objects (one check per
-    image-carrier combination), and per-summand structure of each single
-    factorization.  Under the image factorization those pieces determine
-    the whole morphism-pair sweep, so at bound >= 3 the pair loop for the
-    factorization match is replaced by them; at bound <= 2 every pair is
-    checked directly, and a direct sweep over all subobject quadruples is
-    run as well.
+    - morphism pair: image mask, corestriction and middle order of f + g,
+      against the sums of f's and g's;
+    - object pair (x, y), image carrier a of x (a hom image or admissible)
+      and admissible b of y: the order the context's x + y induces on
+      a + b, against the sum of those x and y induce on a and b;
+    - morphism f and admissible m of its source: the image of f after m
+      against f's direct image of m, and the restriction, included back,
+      against f after m;
+    - morphism pair and admissible m_a, m_b of their sources (at bound
+      <= 2 only; above, 0 instances): composite, image, restriction and
+      its source and target orders of f + g at m_a + m_b, against the sums
+      of those of f at m_a and g at m_b.
     """
-    from .factorization import image_factorization
-    from .core import coproduct as core_coproduct
-    from .subobjects import image as sub_image, restriction as sub_restriction
-    sys = ctx.system
     pool = ctx.objects(bound)
-    homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
-    fac: dict[Morphism, Factorization] = {f: sys.factorize(f) for f in homs}
+    homs = [(f, i, j) for i, x in enumerate(pool) for j, y in enumerate(pool)
+            for f in ctx.hom(x, y)]
+    down = [_down(x) for x in pool]
+    sum_down = [[_down(coproduct(x, y).ob) for y in pool] for x in pool]
+    order_on = cache(_sub_order)
 
     def pair_outcomes():
-        for f in homs:
-            ff = fac[f]
-            for g in homs:
-                s = sum_morphisms(f, g)
-                fac_s = image_factorization(s)
-                cand_e = sum_morphisms(ff.e_part, fac[g].e_part)
-                cand_m = sum_morphisms(ff.m_part, fac[g].m_part)
-                yield (None if _factorizations_agree(fac_s, cand_e, cand_m)
+        parts = []
+        for f, _, t in homs:
+            im, cor = _image_parts(f.idx)
+            parts.append((f, t, im, cor, order_on(down[t], im)))
+
+        @cache  # g's parts right of a summand with n target, k image points
+        def as_right(n: int, k: int):
+            return [(g, tuple(i + n for i in g.idx), t, im << n,
+                     tuple(c + k for c in cor), tuple(d << k for d in mid))
+                    for g, t, im, cor, mid in parts]
+
+        for f, tf, im_f, cor_f, mid_f in parts:
+            f_idx = f.idx
+            sums = sum_down[tf]
+            for g, g_idx, tg, im_g, cor_g, mid_g in as_right(f.target.size, len(mid_f)):
+                im, cor = _image_parts(f_idx + g_idx)
+                yield (None if im == im_f | im_g and cor == cor_f + cor_g
+                       and order_on(sums[tg], im) == mid_f + mid_g
                        else _maps_witness(f, g))
 
     def middle_outcomes():
-        # Middle-object agreement per image combination: the only coupled
-        # part of the summand equations.
-        for x, y in _object_pairs(pool):
-            imgs_x = sorted(set(f.image_mask((1 << f.source.size) - 1)
-                                for f in homs if f.target == x)
-                            | set(s.mask for s in ctx.sub_lattice(x)))
-            imgs_y = sorted(set(s.mask for s in ctx.sub_lattice(y)))
-            cp = ctx.coproduct(x, y)
-            for ma in imgs_x:
-                sub_a = subobject_from_mask(x, ma)
-                for mb in imgs_y:
-                    sub_b = subobject_from_mask(y, mb)
-                    direct = cp.ob.restrict(
-                        tuple(LEFT_TAG + e for e in sub_a.elements)
-                        + tuple(RIGHT_TAG + e for e in sub_b.elements))
-                    summed = core_coproduct(sub_a.ob, sub_b.ob).ob
-                    yield (None if direct == summed else _witness(
-                        x, y, left_carrier=list(sub_a.elements),
-                        right_carrier=list(sub_b.elements)))
+        images = [set() for _ in pool]
+        for f, _, t in homs:
+            images[t].add(f.image_mask((1 << f.source.size) - 1))
+        for (i, x), (j, y) in _object_pairs(list(enumerate(pool))):
+            masks_y = sorted({s.mask for s in ctx.sub_lattice(y)})
+            cp_down = _down(ctx.coproduct(x, y).ob)
+            for ma in sorted(images[i] | {s.mask for s in ctx.sub_lattice(x)}):
+                for mb in masks_y:
+                    summed = _sum_order(order_on(down[i], ma), order_on(down[j], mb))
+                    yield (None if order_on(cp_down, ma | mb << x.size) == summed
+                           else _witness(x, y, left_carrier=list(x.labels_of(ma)),
+                                         right_carrier=list(y.labels_of(mb))))
 
     def piece_outcomes():
-        # Single-summand pieces: restriction and composite of every
-        # morphism with every admissible subobject of its source are
-        # well-formed and match the direct-image data.
-        for f in homs:
+        for f, _, _ in homs:
             for ma in ctx.sub_lattice(f.source):
-                good = sub_image(sys, f, ma).mask == f.image_mask(ma.mask)
-                if good:
-                    rest = sub_restriction(sys, f, ma)
-                    comp = compose(f, ma.rep)
-                    good = (rest.mapping == tuple((e, f.table[e]) for e in ma.elements)
-                            and comp.mapping == rest.mapping)
-                yield None if good else {"f": serialize_morphism(f),
-                                         "m": serialize_subobject(ma)}
+                comp = tuple(f.idx[p] for p in _points(ma.mask))
+                im, cor = _image_parts(comp)
+                pts = _points(im)
+                yield (None if im == f.image_mask(ma.mask)
+                       and tuple(pts[c] for c in cor) == comp
+                       else {"f": serialize_morphism(f), "m": serialize_subobject(ma)})
 
     def quadruple_outcomes():
-        for f in homs:
-            for g in homs:
-                s = sum_morphisms(f, g)
-                for ma in ctx.sub_lattice(f.source):
-                    for mb in ctx.sub_lattice(g.source):
-                        res = sum_subobjects(ma, mb)
-                        lhs_comp = compose(s, res.morphism)
-                        rhs_comp = sum_morphisms(compose(f, ma.rep),
-                                                 compose(g, mb.rep))
-                        img_s = sub_image(sys, s, res.sub)
-                        img_parts = sum_subobjects(
-                            sub_image(sys, f, ma), sub_image(sys, g, mb))
-                        rest_s = sub_restriction(sys, s, res.sub)
-                        rest_parts = sum_morphisms(
-                            sub_restriction(sys, f, ma),
-                            sub_restriction(sys, g, mb))
-                        yield (None if lhs_comp == rhs_comp
-                               and img_s.elements == img_parts.sub.elements
-                               and rest_s == rest_parts
+        def at(idx, mask, src_down, tgt_down):
+            """A map at a subobject of its source: its composite with the
+            inclusion, image, restriction, and the restriction's source and
+            target orders."""
+            comp = tuple(idx[p] for p in _points(mask))
+            im, cor = _image_parts(comp)
+            return comp, im, cor, order_on(src_down, mask), order_on(tgt_down, im)
+
+        def summed(a, b, nt: int):
+            comp_a, im_a, cor_a, src_a, tgt_a = a
+            comp_b, im_b, cor_b, src_b, tgt_b = b
+            return (_sum_table(comp_a, comp_b, nt), im_a | im_b << nt,
+                    _sum_table(cor_a, cor_b, len(tgt_a)),
+                    _sum_order(src_a, src_b), _sum_order(tgt_a, tgt_b))
+
+        parts = [[(ma, at(f.idx, ma.mask, down[s], down[t]))
+                  for ma in ctx.sub_lattice(f.source)] for f, s, t in homs]
+        for (f, sf, tf), f_parts in zip(homs, parts):
+            nt, ns = f.target.size, f.source.size
+            for (g, sg, tg), g_parts in zip(homs, parts):
+                s_idx = _sum_table(f.idx, g.idx, nt)
+                src_down, tgt_down = sum_down[sf][sg], sum_down[tf][tg]
+                for ma, a in f_parts:
+                    for mb, b in g_parts:
+                        yield (None if at(s_idx, ma.mask | mb.mask << ns, src_down,
+                                          tgt_down) == summed(a, b, nt)
                                else _maps_witness(f, g, m_a=serialize_subobject(ma),
                                                   m_b=serialize_subobject(mb)))
 
-    if bound <= 2:
-        pairs = first_counterexample(pair_outcomes())
-    else:
-        # Each canonical factorization keeps source mappings and includes
-        # the image carrier, so the pair equation reduces to the
-        # middle-object agreement swept below.
-        ok, wit, _ = first_counterexample(
-            None if (fac[f].e_part.mapping == f.mapping
-                     and fac[f].m_part == inclusion(fac[f].mid, f.target))
-            else {"f": serialize_morphism(f)} for f in homs)
-        pairs = (ok, wit, len(homs) ** 2 if ok else 0)
-    middles = first_counterexample(middle_outcomes())
-    pieces = first_counterexample(piece_outcomes())
     quadruples = (first_counterexample(quadruple_outcomes()) if bound <= 2
                   else (True, None, 0))
     return _verdict("E", ctx, None, bound, (
-        ("factorization_of_sum_is_sum_of_factorizations", "morphism_pairs", pairs),
-        ("sum_middle_objects_agree", "image_combinations", middles),
-        ("single_summand_pieces_consistent", "summand_pieces", pieces),
+        ("factorization_of_sum_is_sum_of_factorizations", "morphism_pairs",
+         first_counterexample(pair_outcomes())),
+        ("sum_middle_objects_agree", "image_combinations",
+         first_counterexample(middle_outcomes())),
+        ("single_summand_pieces_consistent", "summand_pieces",
+         first_counterexample(piece_outcomes())),
         ("direct_summand_sweep", "direct_quadruples", quadruples)))
 
 

@@ -1,0 +1,128 @@
+"""Label-level reference implementations that the index-native checkers are
+compared against.
+
+`factorization_of_sums` is checker E as it was written on `Morphism`,
+`FiniteObject` and `Subobject` values: every sum, image, restriction and
+composite is built as an object and compared by equality.
+"""
+
+from extcheck.core import (
+    compose,
+    coproduct,
+    first_counterexample,
+    is_iso,
+    monotone_bijections,
+    serialize_morphism,
+    sum_morphisms,
+    LEFT_TAG,
+    RIGHT_TAG,
+)
+from extcheck.factorization import image_factorization
+from extcheck.subobjects import (
+    image,
+    restriction,
+    serialize_subobject,
+    subobject_from_mask,
+    sum_subobjects,
+)
+from extcheck.theorems import _maps_witness, _object_pairs, _verdict, _witness
+
+
+def _factorizations_agree(fac, cand_e, cand_m) -> bool:
+    if fac.e_part == cand_e and fac.m_part == cand_m:
+        return True
+    if fac.mid.size != cand_e.target.size:
+        return False
+    for h in monotone_bijections(fac.mid, cand_e.target):
+        if not is_iso(h):
+            continue
+        if (compose(h, fac.e_part) == cand_e
+                and compose(cand_m, h) == fac.m_part):
+            return True
+    return False
+
+
+def _sum_of_inclusions(a, b):
+    return sum_morphisms(a.rep, b.rep, None, coproduct(a.ambient, b.ambient).ob)
+
+
+def factorization_of_sums(ctx, bound: int):
+    """Checker E's verdict, every side swept on label-level objects; the
+    quadruple side only at bound <= 2."""
+    pool = ctx.objects(bound)
+    homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    fac = {f: image_factorization(f) for f in homs}
+
+    def pair_outcomes():
+        for f in homs:
+            ff = fac[f]
+            for g in homs:
+                s = sum_morphisms(f, g)
+                fac_s = image_factorization(s)
+                cand_e = sum_morphisms(ff.e_part, fac[g].e_part)
+                cand_m = sum_morphisms(ff.m_part, fac[g].m_part)
+                yield (None if _factorizations_agree(fac_s, cand_e, cand_m)
+                       else _maps_witness(f, g))
+
+    def middle_outcomes():
+        for x, y in _object_pairs(pool):
+            imgs_x = sorted(set(f.image_mask((1 << f.source.size) - 1)
+                                for f in homs if f.target == x)
+                            | set(s.mask for s in ctx.sub_lattice(x)))
+            imgs_y = sorted(set(s.mask for s in ctx.sub_lattice(y)))
+            cp = ctx.coproduct(x, y)
+            for ma in imgs_x:
+                sub_a = subobject_from_mask(x, ma)
+                for mb in imgs_y:
+                    sub_b = subobject_from_mask(y, mb)
+                    direct = cp.ob.restrict(
+                        tuple(LEFT_TAG + e for e in sub_a.elements)
+                        + tuple(RIGHT_TAG + e for e in sub_b.elements))
+                    summed = coproduct(sub_a.ob, sub_b.ob).ob
+                    yield (None if direct == summed else _witness(
+                        x, y, left_carrier=list(sub_a.elements),
+                        right_carrier=list(sub_b.elements)))
+
+    def piece_outcomes():
+        for f in homs:
+            for ma in ctx.sub_lattice(f.source):
+                good = image(f, ma).mask == f.image_mask(ma.mask)
+                if good:
+                    rest = restriction(f, ma)
+                    comp = compose(f, ma.rep)
+                    good = (rest.mapping == tuple((e, f.table[e]) for e in ma.elements)
+                            and comp.mapping == rest.mapping)
+                yield None if good else {"f": serialize_morphism(f),
+                                         "m": serialize_subobject(ma)}
+
+    def quadruple_outcomes():
+        for f in homs:
+            for g in homs:
+                s = sum_morphisms(f, g)
+                for ma in ctx.sub_lattice(f.source):
+                    for mb in ctx.sub_lattice(g.source):
+                        sub = sum_subobjects(ma, mb)
+                        lhs_comp = compose(s, _sum_of_inclusions(ma, mb))
+                        rhs_comp = sum_morphisms(compose(f, ma.rep),
+                                                 compose(g, mb.rep))
+                        img_s = image(s, sub)
+                        img_parts = sum_subobjects(image(f, ma), image(g, mb))
+                        rest_s = restriction(s, sub)
+                        rest_parts = sum_morphisms(restriction(f, ma),
+                                                   restriction(g, mb))
+                        yield (None if lhs_comp == rhs_comp
+                               and img_s.elements == img_parts.elements
+                               and rest_s == rest_parts
+                               else _maps_witness(f, g, m_a=serialize_subobject(ma),
+                                                  m_b=serialize_subobject(mb)))
+
+    quadruples = (first_counterexample(quadruple_outcomes()) if bound <= 2
+                  else (True, None, 0))
+    return _verdict("E", ctx, None, bound, (
+        ("factorization_of_sum_is_sum_of_factorizations", "morphism_pairs",
+         first_counterexample(pair_outcomes())),
+        ("sum_middle_objects_agree", "image_combinations",
+         first_counterexample(middle_outcomes())),
+        ("single_summand_pieces_consistent", "summand_pieces",
+         first_counterexample(piece_outcomes())),
+        ("direct_summand_sweep", "direct_quadruples", quadruples)))

@@ -124,6 +124,77 @@ def test_checker_e_skips_direct_sweep_at_bound_3(finset):
     assert dict(v.counts)["morphism_pairs"] == 3600
 
 
+def _sum_idx(f, g):
+    return f.idx + tuple(t + f.target.size for t in g.idx)
+
+
+def test_checker_e_sweeps_every_pair_at_bound_3(finset, monkeypatch):
+    """At bound 3 every morphism pair is swept: a failure forced on one
+    pair's sum is reported with the first pair of that sum as witness and
+    its 1-based index as `morphism_pairs`."""
+    from itertools import product
+
+    from extcheck import theorems
+    from extcheck.core import serialize_morphism
+
+    pool = finset.objects(3)
+    homs = [f for x in pool for y in pool for f in finset.hom(x, y)]
+    pairs = list(product(homs, repeat=2))
+    # Two 3-point sources: no single hom's table has the sum's length.
+    f = next(h for h in homs[len(homs) // 2:] if h.source.size == 3)
+    bad = _sum_idx(f, homs[-1])
+    n, (p, q) = next((n, pq) for n, pq in enumerate(pairs, 1)
+                     if _sum_idx(*pq) == bad)
+    assert n < len(pairs)
+    real = theorems._image_parts
+    monkeypatch.setattr(theorems, "_image_parts",
+                        lambda idx: (0, ()) if idx == bad else real(idx))
+    v = run_checker("E", finset, None, 3, {})
+    assert not v.passed
+    assert dict(v.sides) == {"factorization_of_sum_is_sum_of_factorizations": False,
+                             "sum_middle_objects_agree": True,
+                             "single_summand_pieces_consistent": True,
+                             "direct_summand_sweep": True}
+    assert dict(v.counts)["morphism_pairs"] == n
+    assert v.witnesses == ({"f": serialize_morphism(p), "g": serialize_morphism(q),
+                            "side": "factorization_of_sum_is_sum_of_factorizations",
+                            "kind": "counterexample"},)
+
+
+def _with_fork3(base):
+    from test_golden_reports import WORKLOAD_EXTRAS
+    return base.with_extra_objects(WORKLOAD_EXTRAS[:1])
+
+
+E_ORACLE_CASES = {
+    "finset-b2": ("finset", None, 2),
+    "finset!swapped-b2": ("finset", swapped_system_context, 2),
+    "finset!split-b2": ("finset", split_mono_context, 2),
+    "finpre-b1": ("finpre", None, 1),
+    "finpre!swapped-b1": ("finpre", swapped_system_context, 1),
+    "finpre!split-b1": ("finpre", split_mono_context, 1),
+    "finpre!crossed-b1": ("finpre", crossed_coproduct_context, 1),
+    # The first workload preorder, a 3-point fork, beside the empty one:
+    # 8,100 quadruples.  With all three at bound 1 there are 1,168,561,
+    # which the reference sweeps in minutes.
+    "finpre+fork3-b0": ("finpre", _with_fork3, 0),
+    "finpre-b2": ("finpre", None, 2),
+}
+
+
+@pytest.mark.parametrize("case", E_ORACLE_CASES)
+def test_checker_e_matches_label_level_oracle(case):
+    """Checker E on index tables reports exactly what the label-level
+    reference reports, which builds every sum, image, restriction and
+    composite as an object."""
+    from oracles import factorization_of_sums
+
+    base, variant, bound = E_ORACLE_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    assert (run_checker("E", ctx, None, bound, {}).to_dict()
+            == factorization_of_sums(ctx, bound).to_dict())
+
+
 def test_verdict_serialization_shape(finset):
     v = run_checker("A", finset, None, 1, {})
     doc = v.to_dict()
