@@ -33,8 +33,7 @@ from .core import (
     serialize_object,
     terminal,
 )
-from .factorization import FactorizationSystem
-from .subobjects import Subobject, enumerate_subobjects, subobject_from_mask
+from .subobjects import Subobject, SubobjectLattice, subobject_from_mask
 
 MaskFn = Callable[[int], int]
 
@@ -156,17 +155,18 @@ def _continuous_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     return True
 
 
-def validate_closure(family: ClosureFamily, sys: FactorizationSystem,
+def validate_closure(family: ClosureFamily,
+                     lattice_of: Callable[[FiniteObject], SubobjectLattice],
                      objects: Sequence[FiniteObject]) -> Report:
-    """Extensive, monotone, idempotent, additive on every admissible lattice.
+    """Extensive, monotone, idempotent, additive on every admissible lattice,
+    as `lattice_of` (a context's `sub_lattice`) gives it.
 
     Each law is a generator of outcomes, one per instance: None when it
     holds, the witness when it fails.  Every instance is counted, past the
     first failure too.  Groundedness (empty goes to empty) is reported but
     never fails the run.
     """
-    lattices = [(x, family.component(x),
-                 [s.mask for s in enumerate_subobjects(sys, x)]) for x in objects]
+    lattices = [(x, family.component(x), lattice_of(x)) for x in objects]
 
     def witness(x: FiniteObject, *masks: int) -> dict:
         return {"object": serialize_object(x),
@@ -229,12 +229,6 @@ def sum_space(s: Space, t: Space) -> Space:
     return Space(cp.ob, fn, f"({s.family}+{t.family})")
 
 
-def closed_lattice(sys: FactorizationSystem, space: Space) -> tuple[Subobject, ...]:
-    """Closed admissible subobjects, in lattice enumeration order."""
-    lat = enumerate_subobjects(sys, space.ob)
-    return tuple(s for s in lat if space.is_closed_mask(s.mask))
-
-
 def is_closed_morphism(sf: SpaceMorphism) -> bool:
     """Image commutes with closure on every subobject (literal sweep)."""
     f = sf.f
@@ -263,8 +257,7 @@ def is_dense(sf: SpaceMorphism) -> bool:
     return sf.target.fn(sf.f.image_mask(full_src)) == sf.target.full_mask
 
 
-def dense_closed_factorize(sys: FactorizationSystem,
-                           sf: SpaceMorphism) -> tuple[SpaceMorphism, SpaceMorphism]:
+def dense_closed_factorize(sf: SpaceMorphism) -> tuple[SpaceMorphism, SpaceMorphism]:
     """Split a space morphism as (dense) then (closed embedding).
 
     The middle object is the closure of the image, carrying the subspace

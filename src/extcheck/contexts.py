@@ -41,7 +41,7 @@ from .core import (
 )
 from .closure import ALEXANDROV, IDENTITY, INDISCRETE, ClosureFamily
 from .factorization import FactorizationSystem, is_embedding, validate_system
-from .subobjects import SubobjectLattice, enumerate_subobjects
+from .subobjects import SubobjectLattice, subobject_lattice
 
 
 def surjections_injections() -> FactorizationSystem:
@@ -157,7 +157,7 @@ class Context:
 
     def sub_lattice(self, x: FiniteObject) -> SubobjectLattice:
         if x not in self._lattices:
-            self._lattices[x] = enumerate_subobjects(self.system, x)
+            self._lattices[x] = subobject_lattice(self.system, x)
         return self._lattices[x]
 
     def family(self, name: str) -> ClosureFamily:

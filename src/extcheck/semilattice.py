@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
-from .closure import ClosureFamily, Space
+from .closure import IDENTITY, ClosureFamily, Space
 
-# The admissible subobjects of an object, in lattice order, as anything
-# with a `.mask` (a context's `sub_lattice`).
-LatticeOf = Callable[[FiniteObject], Iterable]
+# The admissible masks of an object, in lattice order (a context's
+# `sub_lattice`).
+LatticeOf = Callable[[FiniteObject], Iterable[int]]
 
 
 @dataclass(eq=False)
@@ -83,26 +83,8 @@ def _set_label(ob: FiniteObject, mask: int) -> str:
     return "{" + ",".join(ob.labels_of(mask)) + "}"
 
 
-def _masks(lattice_of: LatticeOf, ob: FiniteObject) -> tuple[int, ...]:
-    return tuple(s.mask for s in lattice_of(ob))
-
-
-def subobject_semilattice(lattice_of: LatticeOf,
-                          ob: FiniteObject) -> tuple[JoinSemilattice, tuple[int, ...]]:
-    """The full admissible-subobject lattice as a join-semilattice.
-
-    Every factorization system factorizes through the image, so the join of
-    two admissible subobjects is the union of their carriers by
-    construction, and the mask-level table joins by union.
-    """
-    masks = _masks(lattice_of, ob)
-    labels = tuple(_set_label(ob, m) for m in masks)
-    lat, _ = lattice_from_masks(masks, labels, lambda a, b: a | b, 0)
-    return lat, masks
-
-
 def closed_semilattice(space: Space,
-                       all_masks: Sequence[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
+                       all_masks: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Closed subobjects under join = closure of union, zero = closure of empty."""
     masks = tuple(m for m in all_masks if space.fn(m) == m)
     labels = tuple(_set_label(space.ob, m) for m in masks)
@@ -260,25 +242,10 @@ def verify_biproduct(inj_l: SemilatticeHom, inj_r: SemilatticeHom,
 
 def subobject_biproduct(lattice_of: LatticeOf, x: FiniteObject,
                         y: FiniteObject, cp: Coproduct) -> Biproduct:
-    """Sub(X+Y) as the biproduct of Sub(X) and Sub(Y).
-
-    With sorted tagged carriers the left summand occupies the low mask bits,
-    so injections place masks and projections split them.
-    """
-    kx, masks_x = subobject_semilattice(lattice_of, x)
-    ky, masks_y = subobject_semilattice(lattice_of, y)
-    kxy, masks_xy = subobject_semilattice(lattice_of, cp.ob)
-    nx = x.size
-    low = (1 << nx) - 1
-    idx_xy = {m: i for i, m in enumerate(masks_xy)}
-    idx_x = {m: i for i, m in enumerate(masks_x)}
-    idx_y = {m: i for i, m in enumerate(masks_y)}
-    inj_l = SemilatticeHom(kx, kxy, tuple(idx_xy[m] for m in masks_x))
-    inj_r = SemilatticeHom(ky, kxy, tuple(idx_xy[m << nx] for m in masks_y))
-    proj_l = SemilatticeHom(kxy, kx, tuple(idx_x[m & low] for m in masks_xy))
-    proj_r = SemilatticeHom(kxy, ky, tuple(idx_y[m >> nx] for m in masks_xy))
-    report = verify_biproduct(inj_l, inj_r, proj_l, proj_r)
-    return Biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r, report)
+    """Sub(X+Y) as the biproduct of Sub(X) and Sub(Y): the closed lattices
+    of the identity closure, under which every admissible subobject is
+    closed and the join is the union."""
+    return closed_biproduct(lattice_of, IDENTITY, x, y, cp)
 
 
 def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
@@ -286,9 +253,9 @@ def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
     """Closed lattices of a sum: inject by closing the placed mask, project
     by splitting; zero is the closure of empty."""
     sx, sy, sxy = family.space(x), family.space(y), family.space(cp.ob)
-    kx, masks_x = closed_semilattice(sx, _masks(lattice_of, x))
-    ky, masks_y = closed_semilattice(sy, _masks(lattice_of, y))
-    kxy, masks_xy = closed_semilattice(sxy, _masks(lattice_of, cp.ob))
+    kx, masks_x = closed_semilattice(sx, lattice_of(x))
+    ky, masks_y = closed_semilattice(sy, lattice_of(y))
+    kxy, masks_xy = closed_semilattice(sxy, lattice_of(cp.ob))
     nx = x.size
     low = (1 << nx) - 1
     idx_xy = {m: i for i, m in enumerate(masks_xy)}

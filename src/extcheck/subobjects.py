@@ -1,12 +1,13 @@
-"""Admissible subobjects, their lattices, and direct image/preimage.
+"""Admissible subobjects: their lattices as masks, and direct image/preimage.
 
-Subobjects are kept in canonical inclusion form: a subobject of X is just a
-subset of X's carrier, its representative the literal inclusion of the full
-subobject on that subset.  Meet is intersection; join is the image of the
-copairing of the two inclusions, which under the image factorization of
-every system is the union.  The checkers therefore work on masks: a sum
-a + b is admissible when its mask is admissible in X + Y.  `image` and
-`SubobjectLattice.join` stay as the label-level references.
+A subobject of X is kept in canonical inclusion form, as a subset of X's
+carrier.  A `SubobjectLattice` is X together with the masks of its
+admissible subsets.  Under the image factorization of every system, meet is
+intersection and join is union, so the checkers compute on masks alone: a
+sum a + b is admissible when its mask `a | b << |X|` is admissible in the
+constructed sum X + Y.  A label-level `Subobject` is built only to
+serialize a witness; `image`, `preimage`, `restriction`, `sum_subobjects`
+and `iota_map` are its label-level operations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     Morphism,
     Report,
     compose,
-    copair,
     coproduct,
     inclusion,
     split_coproduct,
@@ -58,10 +58,6 @@ class Subobject:
     def size(self) -> int:
         return len(self.elements)
 
-    def leq(self, other: "Subobject") -> bool:
-        assert self.ambient == other.ambient
-        return set(self.elements) <= set(other.elements)
-
 
 def subobject_from_mask(ambient: FiniteObject, mask: int) -> Subobject:
     return Subobject(ambient, ambient.labels_of(mask))
@@ -93,79 +89,25 @@ def restriction(f: Morphism, sub: Subobject) -> Morphism:
                     tuple((e, f.table[e]) for e in sub.elements))
 
 
-def corestriction(f: Morphism, sub: Subobject) -> Morphism:
-    """f cut down to the preimage of a target subobject."""
-    pre = preimage(f, sub)
-    return Morphism(pre.ob, sub.ob,
-                    tuple((e, f.table[e]) for e in pre.elements))
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SubobjectLattice:
-    """All admissible subobjects of one object, in a fixed enumeration order."""
+    """The admissible subobjects of one object, as masks over its carrier,
+    smallest first, then by labels.  A witness builds its `Subobject` from
+    `ambient`, which names it."""
 
     ambient: FiniteObject
-    subs: tuple[Subobject, ...]
-
-    def __post_init__(self):
-        self._by_mask = {s.mask: s for s in self.subs}
+    masks: tuple[int, ...]
 
     def __iter__(self):
-        return iter(self.subs)
-
-    def __len__(self):
-        return len(self.subs)
-
-    def __contains__(self, sub: Subobject) -> bool:
-        return sub.mask in self._by_mask and self._by_mask[sub.mask] == sub
-
-    def from_mask(self, mask: int) -> Subobject:
-        return self._by_mask[mask]
-
-    def bottom(self) -> Subobject:
-        return self._by_mask[0]
-
-    def top(self) -> Subobject:
-        full = (1 << self.ambient.size) - 1
-        return self._by_mask[full]
-
-    def leq(self, p: Subobject, q: Subobject) -> bool:
-        return p.mask & ~q.mask == 0
-
-    def meet(self, p: Subobject, q: Subobject) -> Subobject:
-        """Intersection, the pullback of the two inclusions."""
-        return self._by_mask[p.mask & q.mask]
-
-    def join(self, p: Subobject, q: Subobject) -> Subobject:
-        """Image of the copairing of the two inclusions."""
-        cp = copair(p.rep, q.rep)
-        fac = image_factorization(cp)
-        carrier = set(v for (_, v) in fac.m_part.mapping)
-        return self._by_mask[self.ambient.mask_of(carrier)]
-
-    def is_distributive(self) -> bool:
-        for p in self.subs:
-            for q in self.subs:
-                for r in self.subs:
-                    lhs = self.meet(p, self.join(q, r))
-                    rhs = self.join(self.meet(p, q), self.meet(p, r))
-                    if lhs != rhs:
-                        return False
-        return True
+        return iter(self.masks)
 
 
-def enumerate_subobjects(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
-    """All subsets whose canonical inclusion lies in M, smallest first.
-
-    The inclusion built for the membership test is not kept on the
-    subobject, so a cached lattice holds labels only."""
-    subs = []
-    for mask in range(1 << x.size):
-        labels = x.labels_of(mask)
-        if sys.in_m(inclusion(x.restrict(labels), x)):
-            subs.append(Subobject(x, labels))
-    subs.sort(key=lambda s: (s.size, s.elements))
-    return SubobjectLattice(x, tuple(subs))
+def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
+    """Every subset of x whose canonical inclusion lies in M."""
+    masks = [m for m in range(1 << x.size)
+             if sys.in_m(inclusion(x.restrict(x.labels_of(m)), x))]
+    masks.sort(key=lambda m: (m.bit_count(), x.labels_of(m)))
+    return SubobjectLattice(x, tuple(masks))
 
 
 def iota_map(sum_sub: Subobject) -> tuple[Subobject, Subobject]:
@@ -174,18 +116,6 @@ def iota_map(sum_sub: Subobject) -> tuple[Subobject, Subobject]:
     left = tuple(e[len(LEFT_TAG):] for e in sum_sub.elements if e.startswith(LEFT_TAG))
     right = tuple(e[len(RIGHT_TAG):] for e in sum_sub.elements if e.startswith(RIGHT_TAG))
     return Subobject(x, left), Subobject(y, right)
-
-
-def L_map(sub: Subobject, y: FiniteObject) -> Subobject:
-    """Left extension: a subobject of X viewed inside X+Y (bottom on Y)."""
-    amb = coproduct(sub.ambient, y).ob
-    return Subobject(amb, tuple(LEFT_TAG + e for e in sub.elements))
-
-
-def R_map(x: FiniteObject, sub: Subobject) -> Subobject:
-    """Right extension: a subobject of Y viewed inside X+Y (bottom on X)."""
-    amb = coproduct(x, sub.ambient).ob
-    return Subobject(amb, tuple(RIGHT_TAG + e for e in sub.elements))
 
 
 def sum_subobjects(a: Subobject, b: Subobject) -> Subobject:
@@ -221,18 +151,20 @@ def check_adjunction_admissible(lat_x: SubobjectLattice, lat_y: SubobjectLattice
                          f"of {x.label} and {y.label}")
     nx = x.size
     low = (1 << nx) - 1
-    preimages = [(p, p.mask & low, p.mask >> nx) for p in lat_xy]
+    preimages = [(p, p & low, p >> nx) for p in lat_xy]
 
     def outcomes():
         for m in lat_x:
             for n in lat_y:
-                join_mask = m.mask | (n.mask << nx)
+                join_mask = m | (n << nx)
                 for p, pl, pr in preimages:
-                    lhs = join_mask & ~p.mask == 0
-                    rhs = m.mask & ~pl == 0 and n.mask & ~pr == 0
+                    lhs = join_mask & ~p == 0
+                    rhs = m & ~pl == 0 and n & ~pr == 0
                     yield None if lhs == rhs else {
-                        "m": serialize_subobject(m), "n": serialize_subobject(n),
-                        "p": serialize_subobject(p), "lhs": lhs, "rhs": rhs}
+                        "m": serialize_subobject(subobject_from_mask(x, m)),
+                        "n": serialize_subobject(subobject_from_mask(y, n)),
+                        "p": serialize_subobject(subobject_from_mask(amb, p)),
+                        "lhs": lhs, "rhs": rhs}
 
     return Report(f"adjunction[{x.label},{y.label}]", (
         CheckResult.of("extension_preimage_adjunction", outcomes()),))

@@ -12,14 +12,17 @@ Each side is a generator of outcomes, one per instance in enumeration
 order: None when the instance holds, a witness when it fails.
 `core.first_counterexample`, the kernel the validators share, runs a side
 to its first witness, so a side's count is the number of instances
-enumerated up to and including its first counterexample.
+enumerated up to and including its first counterexample.  A side whose
+first instance is also its confirming witness yields every instance as
+(holds, *values) instead; `_failures` turns those into outcomes.
+Subobjects are masks throughout, built as labels only for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from .closure import (
@@ -63,6 +66,7 @@ from .semilattice import (
 from .subobjects import (
     check_adjunction_admissible,
     serialize_subobject,
+    subobject_from_mask,
     sum_subobjects,
 )
 
@@ -139,10 +143,26 @@ def _memoized(memo, key, compute):
     return memo[key]
 
 
-def _confirmed(result, described):
-    """`result`, with the first item of `described` as witness if it holds."""
-    ok, wit, n = result
-    return ok, next(described, None) if ok else wit, n
+def _peek(instances):
+    """The first of `instances` (None if there is none), and an iterator
+    over all of them."""
+    first = next(instances, None)
+    return first, chain((first,) if first else (), instances)
+
+
+def _failures(instances):
+    """Outcomes of instances given as (holds, *values): None for one that
+    holds, its values for one that fails."""
+    return (None if inst[0] else inst[1:] for inst in instances)
+
+
+def _confirmed(instances):
+    """`first_counterexample` over instances given as (holds, *values), with
+    the values of the first instance that fails or, when every one holds,
+    of the first instance."""
+    first, instances = _peek(instances)
+    ok, failed, n = first_counterexample(_failures(instances))
+    return ok, failed or (first and first[1:]), n
 
 
 def _object_pairs(pool: Sequence[FiniteObject]):
@@ -163,30 +183,45 @@ def _witness(x: FiniteObject, y: FiniteObject, a=None, b=None, **more) -> dict:
     return wit
 
 
+def _subobject(ctx: Context, x: FiniteObject, mask: int):
+    """An admissible mask of x as a subobject of its lattice's ambient.  The
+    lattice cache ignores names, so the ambient may carry the name of
+    another, equal object; a witness shows that name."""
+    return subobject_from_mask(ctx.sub_lattice(x).ambient, mask)
+
+
+def _pair_witness(ctx: Context, x, y, a: int, b: int, **more) -> dict:
+    """`_witness` of admissible masks a of x and b of y."""
+    return _witness(x, y, _subobject(ctx, x, a), _subobject(ctx, y, b), **more)
+
+
+def _sum_described(ctx: Context, x, y, a: int, b: int, **more) -> dict:
+    """`_pair_witness` of a and b with their sum a + b, then `more`."""
+    sa, sb = _subobject(ctx, x, a), _subobject(ctx, y, b)
+    return _witness(x, y, sa, sb, sum=serialize_subobject(sum_subobjects(sa, sb)),
+                    **more)
+
+
 # ---------------------------------------------------------------- checker A
 
 def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
     """The admissible masks of the plain constructed sum x + y.  Under the
-    image factorization, the sum a + b of admissible a of x and b of y is
-    admissible exactly when its mask a.mask | b.mask << |x| is one of them,
+    image factorization, the sum a + b of admissible masks a of x and b of
+    y is admissible exactly when its mask a | b << |x| is one of them,
     whatever coproduct the context builds."""
-    return {s.mask for s in ctx.sub_lattice(coproduct(x, y).ob)}
+    return set(ctx.sub_lattice(coproduct(x, y).ob))
 
 
-def _sum_witness(a, b) -> dict:
-    return serialize_subobject(sum_subobjects(a, b))
-
-
-def _sums_admissible_outcomes(ctx: Context, pool, every: bool = False):
-    """Per admissible a of x and b of y: None when a + b is admissible, else
-    the witness; with `every`, the witness of every pair."""
+def _sums_admissible_outcomes(ctx: Context, pool):
+    """Per admissible a of x and b of y, as masks: (whether a + b is
+    admissible, x, y, a, b)."""
     for x, y in _object_pairs(pool):
         sums = _sum_masks(ctx, x, y)
         nx = x.size
+        lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
-            for b in ctx.sub_lattice(y):
-                yield (None if (a.mask | (b.mask << nx)) in sums and not every
-                       else _witness(x, y, a, b, sum=_sum_witness(a, b)))
+            for b in lat_y:
+                yield (a | b << nx) in sums, x, y, a, b
 
 
 def _e_monos_between_sums(ctx: Context, pool, cls_of=None):
@@ -238,23 +273,32 @@ def _injection_pullback_side(ctx: Context, pool, family: ClosureFamily | None):
     sys = ctx.system
     cls_of = cache(family.component) if family else None
 
-    def outcomes():
+    def instances():
         for e, (x, y) in _e_monos_between_sums(ctx, pool, cls_of):
             bad = _failed_pullback(sys, e, x, y, cls_of)
-            yield None if bad is None else {"e": serialize_morphism(e),
-                                            "pulled_back": serialize_morphism(bad)}
+            yield bad is None, e, bad
 
-    return _confirmed(first_counterexample(outcomes()),
-                      ({"e": serialize_morphism(e)}
-                       for e, _ in _e_monos_between_sums(ctx, pool, cls_of)))
+    def describe(e, bad):
+        wit = {"e": serialize_morphism(e)}
+        return wit if bad is None else dict(wit, pulled_back=serialize_morphism(bad))
+
+    ok, values, n = _confirmed(instances())
+    return ok, values and describe(*values), n
+
+
+def _sums_side(ctx: Context, bound: int, memo):
+    """A's first side as `_confirmed` gives it, memoized: C, G and H gate
+    on it."""
+    return _memoized(memo, ("sums_admissible", bound), lambda: _confirmed(
+        _sums_admissible_outcomes(ctx, ctx.objects(bound))))
 
 
 def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
     """Sums of admissible subobjects are admissible, and members of E cap
     Mono between binary sums pull back along the injections into E cap Mono."""
     pool = ctx.objects(bound)
-    sums = _confirmed(first_counterexample(_sums_admissible_outcomes(ctx, pool)),
-                      _sums_admissible_outcomes(ctx, pool, every=True))
+    ok, values, n = _sums_side(ctx, bound, memo)
+    sums = ok, values and _sum_described(ctx, *values), n
     pullbacks = _injection_pullback_side(ctx, pool, None)
     return _verdict("A", ctx, None, bound, (
         ("sums_of_admissibles_admissible", "subobject_pairs", sums),
@@ -263,8 +307,8 @@ def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
 
 
 def _gate_sums_admissible(ctx: Context, bound: int, memo):
-    return _memoized(memo, ("sums_admissible", bound), lambda: first_counterexample(
-        _sums_admissible_outcomes(ctx, ctx.objects(bound)))[:2])
+    ok, values, _ = _sums_side(ctx, bound, memo)
+    return ok, None if ok else _sum_described(ctx, *values)
 
 
 # ---------------------------------------------------------------- checker B
@@ -273,26 +317,23 @@ def _gate_sums_admissible(ctx: Context, bound: int, memo):
 # its first failure; the sides yield the values a witness shows, and only
 # the first failure is described.
 
-def _closed_masks(lattice, fn):
-    return [s for s in lattice if fn(s.mask) == s.mask]
-
-
-def _closed_sum_outcomes(ctx: Context, pool, cls_of, every: bool = False):
-    """Condition (a), per closed admissible a of x and b of y: None when
-    a + b is admissible and closed, else (x, y, a, b, sum admissible,
-    closure labels); with `every`, that tuple for every pair."""
+def _closed_sum_outcomes(ctx: Context, pool, cls_of):
+    """Condition (a), per closed admissible a of x and b of y, as masks:
+    (whether a + b is admissible and closed, x, y, a, b, whether it is
+    admissible, its closure in the context's x + y)."""
     for x, y in _object_pairs(pool):
-        ob = ctx.coproduct(x, y).ob
-        fsum = cls_of(ob)
+        fsum = cls_of(ctx.coproduct(x, y).ob)
         sums = _sum_masks(ctx, x, y)
+        fx, fy = cls_of(x), cls_of(y)
         nx = x.size
-        for a in _closed_masks(ctx.sub_lattice(x), cls_of(x)):
-            for b in _closed_masks(ctx.sub_lattice(y), cls_of(y)):
-                mask = a.mask | (b.mask << nx)
+        closed_x = [a for a in ctx.sub_lattice(x) if fx(a) == a]
+        closed_y = [b for b in ctx.sub_lattice(y) if fy(b) == b]
+        for a in closed_x:
+            for b in closed_y:
+                mask = a | b << nx
                 adm = mask in sums
                 closure = fsum(mask)
-                yield (None if adm and closure == mask and not every
-                       else (x, y, a, b, adm, ob.labels_of(closure)))
+                yield adm and closure == mask, x, y, a, b, adm, closure
 
 
 def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
@@ -309,9 +350,10 @@ def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
         high = ((1 << cp.ob.size) - 1) & ~low
         inj_ok = (sys.in_m(cp.inl) and sys.in_m(cp.inr)
                   and fsum(low) == low and fsum(high) == high)
+        lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
-            for b in ctx.sub_lattice(y):
-                adm = (a.mask | (b.mask << nx)) in sums
+            for b in lat_y:
+                adm = (a | b << nx) in sums
                 yield None if adm and inj_ok else (x, y, a, b, adm, inj_ok)
 
 
@@ -343,17 +385,17 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     injections (quantified over image subobjects, which is the same)."""
     pool = ctx.objects(bound)
     cls_of = cache(family.component)
-    sides = []
+    first, closed_sums = _peek(_closed_sum_outcomes(ctx, pool, cls_of))
+    sides, failures = [], []
     for name, cond, outcomes, describe in (
-            ("sums_of_closed_embeddings_closed", "a",
-             _closed_sum_outcomes(ctx, pool, cls_of),
-             lambda x, y, a, b, adm, closure: _witness(
-                 x, y, a, b, sum=_sum_witness(a, b),
-                 sum_admissible=adm, closure_of_sum=list(closure))),
+            ("sums_of_closed_embeddings_closed", "a", _failures(closed_sums),
+             lambda x, y, a, b, adm, closure: _sum_described(
+                 ctx, x, y, a, b, sum_admissible=adm,
+                 closure_of_sum=list(ctx.coproduct(x, y).ob.labels_of(closure)))),
             ("sums_admissible_and_injections_closed", "b",
              _admissible_sum_outcomes(ctx, pool, cls_of),
-             lambda x, y, a, b, adm, inj_ok: _witness(
-                 x, y, a, b, sum_admissible=adm,
+             lambda x, y, a, b, adm, inj_ok: _pair_witness(
+                 ctx, x, y, a, b, sum_admissible=adm,
                  injections_closed_embeddings=inj_ok)),
             ("dense_between_sums_splits_dense", "c",
              _dense_split_outcomes(ctx, pool, cls_of),
@@ -362,12 +404,15 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
                  right_component_closure=list(right)))):
         ok, failed, n = first_counterexample(outcomes)
         n += sum(1 for _ in outcomes)
+        failures.append(failed)
         sides.append((name, f"condition_{cond}",
                       (ok, failed and describe(*failed), n)))
-    first = next(_closed_sum_outcomes(ctx, pool, cls_of, every=True), None)
+    closed_ok = sides[0][2][0]
+    _memoized(memo, ("closed_sums", family.name, bound), lambda: (
+        closed_ok, failures[0] and _pair_witness(ctx, *failures[0][:4])))
     return _verdict("B", ctx, family, bound, sides,
-                    equivalence_ok=sides[0][2][0] == sides[1][2][0] == sides[2][2][0],
-                    confirming=first and _witness(*first[:4]))
+                    equivalence_ok=closed_ok == sides[1][2][0] == sides[2][2][0],
+                    confirming=first and _pair_witness(ctx, *first[1:5]))
 
 
 CLOSED_SUMS = "sums of closed embeddings are closed embeddings"
@@ -375,11 +420,11 @@ CLOSED_SUMS = "sums of closed embeddings are closed embeddings"
 
 def _gate_closed_sums(ctx: Context, family: ClosureFamily, bound: int, memo):
     """Condition (a) of the closed-embedding checker, used as the
-    hypothesis CLOSED_SUMS."""
+    hypothesis CLOSED_SUMS; B stores it when it runs first."""
     def compute():
-        ok, failed, _ = first_counterexample(_closed_sum_outcomes(
-            ctx, ctx.objects(bound), cache(family.component)))
-        return ok, failed and _witness(*failed[:4])
+        ok, failed, _ = first_counterexample(_failures(_closed_sum_outcomes(
+            ctx, ctx.objects(bound), cache(family.component))))
+        return ok, failed and _pair_witness(ctx, *failed[:4])
     return _memoized(memo, ("closed_sums", family.name, bound), compute)
 
 
@@ -440,6 +485,8 @@ def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
         return _gated("C", ctx, family, bound,
                       "sums of admissible subobjects are admissible", gate_wit)
     sums, injections = _c_sides(ctx, family, bound)
+    _memoized(memo, ("c_both", family.name, bound), lambda: (
+        sums[0] and injections[0], sums[1] or injections[1]))
     return _verdict("C", ctx, family, bound, (
         ("sums_of_closed_morphisms_closed", "closed_morphism_pairs", sums),
         ("injections_closed", "object_pairs", injections)),
@@ -464,12 +511,13 @@ def _componentwise_closure_outcomes(ctx: Context, pool, cls_of):
         cp = ctx.coproduct(x, y)
         fsum = cls_of(cp.ob)
         nx = x.size
+        lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
-            for b in ctx.sub_lattice(y):
-                lhs = fsum(a.mask | (b.mask << nx))
-                rhs = fx(a.mask) | (fy(b.mask) << nx)
-                yield (None if lhs == rhs else _witness(
-                    x, y, a, b, closure_of_sum=list(cp.ob.labels_of(lhs)),
+            for b in lat_y:
+                lhs = fsum(a | b << nx)
+                rhs = fx(a) | fy(b) << nx
+                yield (None if lhs == rhs else _pair_witness(
+                    ctx, x, y, a, b, closure_of_sum=list(cp.ob.labels_of(lhs)),
                     sum_of_closures=list(cp.ob.labels_of(rhs))))
 
 
@@ -575,24 +623,27 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
         for f, _, t in homs:
             images[t].add(f.image_mask((1 << f.source.size) - 1))
         for (i, x), (j, y) in _object_pairs(list(enumerate(pool))):
-            masks_y = sorted({s.mask for s in ctx.sub_lattice(y)})
+            masks_y = sorted(ctx.sub_lattice(y))
             cp_down = _down(ctx.coproduct(x, y).ob)
-            for ma in sorted(images[i] | {s.mask for s in ctx.sub_lattice(x)}):
+            for ma in sorted(images[i].union(ctx.sub_lattice(x))):
                 for mb in masks_y:
                     summed = _sum_order(order_on(down[i], ma), order_on(down[j], mb))
                     yield (None if order_on(cp_down, ma | mb << x.size) == summed
                            else _witness(x, y, left_carrier=list(x.labels_of(ma)),
                                          right_carrier=list(y.labels_of(mb))))
 
+    def serialized(ob: FiniteObject, mask: int) -> dict:
+        return serialize_subobject(_subobject(ctx, ob, mask))
+
     def piece_outcomes():
         for f, _, _ in homs:
             for ma in ctx.sub_lattice(f.source):
-                comp = tuple(f.idx[p] for p in _points(ma.mask))
+                comp = tuple(f.idx[p] for p in _points(ma))
                 im, cor = _image_parts(comp)
                 pts = _points(im)
-                yield (None if im == f.image_mask(ma.mask)
+                yield (None if im == f.image_mask(ma)
                        and tuple(pts[c] for c in cor) == comp
-                       else {"f": serialize_morphism(f), "m": serialize_subobject(ma)})
+                       else {"f": serialize_morphism(f), "m": serialized(f.source, ma)})
 
     def quadruple_outcomes():
         def at(idx, mask, src_down, tgt_down):
@@ -610,7 +661,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
                     _sum_table(cor_a, cor_b, len(tgt_a)),
                     _sum_order(src_a, src_b), _sum_order(tgt_a, tgt_b))
 
-        parts = [[(ma, at(f.idx, ma.mask, down[s], down[t]))
+        parts = [[(ma, at(f.idx, ma, down[s], down[t]))
                   for ma in ctx.sub_lattice(f.source)] for f, s, t in homs]
         for (f, sf, tf), f_parts in zip(homs, parts):
             nt, ns = f.target.size, f.source.size
@@ -619,10 +670,10 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
                 src_down, tgt_down = sum_down[sf][sg], sum_down[tf][tg]
                 for ma, a in f_parts:
                     for mb, b in g_parts:
-                        yield (None if at(s_idx, ma.mask | mb.mask << ns, src_down,
+                        yield (None if at(s_idx, ma | mb << ns, src_down,
                                           tgt_down) == summed(a, b, nt)
-                               else _maps_witness(f, g, m_a=serialize_subobject(ma),
-                                                  m_b=serialize_subobject(mb)))
+                               else _maps_witness(f, g, m_a=serialized(f.source, ma),
+                                                  m_b=serialized(g.source, mb)))
 
     quadruples = (first_counterexample(quadruple_outcomes()) if bound <= 2
                   else (True, None, 0))
@@ -777,10 +828,9 @@ def _closed_adjunction_outcomes(ctx: Context, pool, cls_of):
         fsum = cls_of(cp.ob)
         nx = x.size
         low = (1 << nx) - 1
-        closed_x = [s.mask for s in ctx.sub_lattice(x) if fx(s.mask) == s.mask]
-        closed_y = [s.mask for s in ctx.sub_lattice(y) if fy(s.mask) == s.mask]
-        closed_sum = [s.mask for s in ctx.sub_lattice(cp.ob)
-                      if fsum(s.mask) == s.mask]
+        closed_x = [u for u in ctx.sub_lattice(x) if fx(u) == u]
+        closed_y = [v for v in ctx.sub_lattice(y) if fy(v) == v]
+        closed_sum = [w for w in ctx.sub_lattice(cp.ob) if fsum(w) == w]
         for u in closed_x:
             for v in closed_y:
                 lhs_val = fsum(u | (v << nx))
@@ -817,7 +867,7 @@ def _lattice_hypothesis_outcomes(ctx: Context, pool):
     semilattice tables assume; else the object."""
     sums = (ctx.coproduct(x, y).ob for x, y in _object_pairs(pool))
     for ob in (*pool, *sums):
-        masks = {s.mask for s in ctx.sub_lattice(ob)}
+        masks = set(ctx.sub_lattice(ob))
         yield (None if 0 in masks and all(a | b in masks
                                           for a in masks for b in masks)
                else {"object": serialize_object(ob)})
@@ -897,7 +947,7 @@ def check_validate(ctx: Context, family: ClosureFamily | None,
     reports = [ext.to_dict(), fac.to_dict()]
     fams = (family,) if family is not None else ctx.families
     for fam in fams:
-        rep = validate_closure(fam, ctx.system, ctx.objects(bound))
+        rep = validate_closure(fam, ctx.sub_lattice, ctx.objects(bound))
         sides.append((f"closure_{fam.name}", rep.passed))
         reports.append(rep.to_dict())
     passed = all(v for _, v in sides)

@@ -7,7 +7,6 @@ from extcheck.closure import (
     IDENTITY,
     INDISCRETE,
     SpaceMorphism,
-    closed_lattice,
     dense_closed_factorize,
     diagonal_morphism,
     get_family,
@@ -32,6 +31,7 @@ from extcheck.core import (
     make_preorder,
 )
 from extcheck.subobjects import Subobject
+from oracles import closed_lattice
 
 
 SIERPINSKI = FiniteObject(("s0", "s1"),
@@ -68,7 +68,7 @@ def test_indiscrete_closure_grounded_and_total():
 def test_families_validate_on_builtin_pools(ctx_name):
     ctx = builtin(ctx_name)
     for fam in ctx.families:
-        report = validate_closure(fam, ctx.system, ctx.objects(3))
+        report = validate_closure(fam, ctx.sub_lattice, ctx.objects(3))
         assert report.passed, (fam.name, [c.id for c in report.failed()])
 
 
@@ -123,13 +123,11 @@ def test_closed_morphism_down_set_oracle():
 
 
 def test_dense_morphism_and_dense_closed_factorization():
-    ctx = builtin("finpre")
-    sys = ctx.system
     top = CHAIN3.restrict(("c2",))
     inc = Morphism(top, CHAIN3, (("c2", "c2"),))
     sf = SpaceMorphism(inc, ALEXANDROV.space(top), ALEXANDROV.space(CHAIN3))
     assert is_dense(sf)
-    d, c = dense_closed_factorize(sys, sf)
+    d, c = dense_closed_factorize(sf)
     assert is_dense(d)
     assert is_closed_morphism(c)
     assert c.f.source == d.f.target
@@ -138,13 +136,11 @@ def test_dense_morphism_and_dense_closed_factorization():
 
 
 def test_dense_closed_factorization_nontrivial_middle():
-    ctx = builtin("finpre")
-    sys = ctx.system
     mid_pt = CHAIN3.restrict(("c1",))
     inc = Morphism(mid_pt, CHAIN3, (("c1", "c1"),))
     sf = SpaceMorphism(inc, ALEXANDROV.space(mid_pt), ALEXANDROV.space(CHAIN3))
     assert not is_dense(sf)
-    d, c = dense_closed_factorize(sys, sf)
+    d, c = dense_closed_factorize(sf)
     assert d.f.target.elements == ("c0", "c1")
     assert is_dense(d)
     assert is_closed_morphism(c)

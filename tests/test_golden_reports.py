@@ -110,7 +110,7 @@ def validator_reports(base: str, variant: str | None, extras=(),
     ctx = _context(base, variant, extras)
     pool = ctx.objects(bound)
     reports = [ctx.validate_extensive(bound), ctx.validate_factorization(bound)]
-    reports += [validate_closure(fam, ctx.system, pool) for fam in ctx.families]
+    reports += [validate_closure(fam, ctx.sub_lattice, pool) for fam in ctx.families]
     return json.dumps([r.to_dict() for r in reports], indent=2,
                       sort_keys=True) + "\n"
 

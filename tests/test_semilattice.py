@@ -20,7 +20,6 @@ from extcheck.semilattice import (
     lattice_from_masks,
     matrix_to_hom,
     subobject_biproduct,
-    subobject_semilattice,
     verify_biproduct,
     zero_hom,
 )
@@ -81,19 +80,24 @@ def test_hom_composition_and_join():
     assert join_homs(ih, zh) == ih
 
 
-def test_subobject_semilattice_matches_lattice_join():
+def test_identity_closed_semilattice_matches_oracle_join():
+    """The subobject biproduct's lattices, the closed lattices of the
+    identity closure, join as the label-level oracle does."""
+    from extcheck.closure import IDENTITY
+    from extcheck.subobjects import subobject_from_mask
+    from oracles import join_subobjects
+
     for name in ("finset", "finpre"):
         ctx = builtin(name)
         for x in ctx.objects(2):
-            lat, masks = subobject_semilattice(ctx.sub_lattice, x)
-            full_lat = ctx.sub_lattice(x)
-            assert lat.n == len(full_lat)
+            lat, masks = closed_semilattice(IDENTITY.space(x), ctx.sub_lattice(x))
+            assert masks == ctx.sub_lattice(x).masks
             # join table agrees with the factorization-system join
             for i, mi in enumerate(masks):
                 for j, mj in enumerate(masks):
-                    si = full_lat.from_mask(mi)
-                    sj = full_lat.from_mask(mj)
-                    assert masks[lat.join[i][j]] == full_lat.join(si, sj).mask
+                    joined = join_subobjects(subobject_from_mask(x, mi),
+                                             subobject_from_mask(x, mj))
+                    assert masks[lat.join[i][j]] == joined.mask
 
 
 def test_closed_semilattice_of_indiscrete_pair():
@@ -101,8 +105,7 @@ def test_closed_semilattice_of_indiscrete_pair():
     two = ctx.objects(2)[2]
     from extcheck.closure import INDISCRETE
     sp = INDISCRETE.space(two)
-    all_masks = [s.mask for s in ctx.sub_lattice(two)]
-    lat, masks = closed_semilattice(sp, all_masks)
+    lat, masks = closed_semilattice(sp, ctx.sub_lattice(two))
     assert lat.n == 2
     assert masks == (0, (1 << two.size) - 1)
 

@@ -16,25 +16,27 @@ from extcheck.core import (
     FiniteObject,
     Morphism,
     compose,
-    copair,
     coproduct,
     make_preorder,
     sum_morphisms,
 )
-from extcheck.factorization import FactorizationSystem, image_factorization
+from extcheck.factorization import FactorizationSystem
 from extcheck.subobjects import (
-    L_map,
-    R_map,
     Subobject,
     check_adjunction_admissible,
-    corestriction,
-    enumerate_subobjects,
     image,
     iota_map,
     preimage,
     restriction,
     subobject_from_mask,
     sum_subobjects,
+)
+from oracles import (
+    L_map,
+    R_map,
+    corestriction,
+    enumerate_subobjects,
+    join_subobjects,
 )
 
 
@@ -50,15 +52,21 @@ SIERPINSKI = FiniteObject(("s0", "s1"),
 def test_every_subset_is_admissible_in_builtins(ctx):
     for x in ctx.objects(3):
         lat = ctx.sub_lattice(x)
-        assert len(lat) == 2 ** x.size
+        assert len(lat.masks) == 2 ** x.size
+
+
+def _join(x: FiniteObject, a: int, b: int) -> int:
+    """The oracle join of two masks of x, as a mask."""
+    return join_subobjects(subobject_from_mask(x, a), subobject_from_mask(x, b)).mask
 
 
 def test_lattice_order_and_bounds(ctx):
     x = ctx.objects(3)[-1]
+    full = (1 << x.size) - 1
     lat = ctx.sub_lattice(x)
-    bot, top = lat.bottom(), lat.top()
+    assert lat.masks[0] == 0 and lat.masks[-1] == full
     for s in lat:
-        assert lat.leq(bot, s) and lat.leq(s, top)
+        assert s & ~full == 0
 
 
 def test_meet_is_intersection_join_is_union(ctx):
@@ -66,21 +74,24 @@ def test_meet_is_intersection_join_is_union(ctx):
     lat = ctx.sub_lattice(x)
     for a in lat:
         for b in lat:
-            meet = lat.meet(a, b)
-            join = lat.join(a, b)
-            assert meet.mask == a.mask & b.mask
-            assert join.mask == a.mask | b.mask
+            assert a & b in lat.masks
+            assert _join(x, a, b) == a | b
 
 
 def test_lattice_distributivity(ctx):
     x = ctx.objects(2)[-1]
-    assert ctx.sub_lattice(x).is_distributive()
+    lat = ctx.sub_lattice(x)
+    for p in lat:
+        for q in lat:
+            for r in lat:
+                assert p & _join(x, q, r) == _join(x, p & q, p & r)
 
 
 def test_subobject_rep_is_admissible_inclusion(ctx):
     sys = ctx.system
     for x in ctx.objects(2):
-        for s in ctx.sub_lattice(x):
+        for m in ctx.sub_lattice(x):
+            s = subobject_from_mask(x, m)
             assert sys.in_m(s.rep)
             assert s.rep.source == s.ob
 
@@ -92,8 +103,8 @@ def test_image_and_preimage_are_adjoint(ctx):
             for f in ctx.hom(x, y):
                 for s in ctx.sub_lattice(x):
                     for t in ctx.sub_lattice(y):
-                        lhs = image(f, s).leq(t)
-                        rhs = s.leq(preimage(f, t))
+                        lhs = image(f, subobject_from_mask(x, s)).mask & ~t == 0
+                        rhs = s & ~preimage(f, subobject_from_mask(y, t)).mask == 0
                         assert lhs == rhs
 
 
@@ -116,7 +127,8 @@ def test_restriction_commutes_with_inclusion(ctx):
     for x in pool:
         for y in pool:
             for f in ctx.hom(x, y):
-                for s in ctx.sub_lattice(x):
+                for m in ctx.sub_lattice(x):
+                    s = subobject_from_mask(x, m)
                     img = image(f, s)
                     r = restriction(f, s)
                     assert compose(img.rep, r) == compose(f, s.rep)
@@ -127,15 +139,11 @@ def test_tagged_extension_maps_round_trip(ctx):
     for x in pool:
         for y in pool:
             for a in ctx.sub_lattice(x):
-                ext = L_map(a, y)
-                back_l, back_r = iota_map(ext)
-                assert back_l == a
-                assert back_r.mask == 0
+                back_l, back_r = iota_map(L_map(subobject_from_mask(x, a), y))
+                assert (back_l.mask, back_r.mask) == (a, 0)
             for b in ctx.sub_lattice(y):
-                ext = R_map(x, b)
-                back_l, back_r = iota_map(ext)
-                assert back_l.mask == 0
-                assert back_r == b
+                back_l, back_r = iota_map(R_map(x, subobject_from_mask(y, b)))
+                assert (back_l.mask, back_r.mask) == (0, b)
 
 
 def test_iota_of_sum_recovers_components(ctx):
@@ -144,33 +152,24 @@ def test_iota_of_sum_recovers_components(ctx):
         for y in pool:
             for a in ctx.sub_lattice(x):
                 for b in ctx.sub_lattice(y):
-                    res = sum_subobjects(a, b)
-                    assert res in ctx.sub_lattice(res.ambient)
+                    sa, sb = subobject_from_mask(x, a), subobject_from_mask(y, b)
+                    res = sum_subobjects(sa, sb)
+                    assert res.mask in ctx.sub_lattice(res.ambient).masks
                     la, rb = iota_map(res)
-                    assert la == a and rb == b
+                    assert la == sa and rb == sb
 
 
 def test_sum_subobject_is_join_of_extensions(ctx):
-    sys = ctx.system
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
-            cp = coproduct(x, y)
-            lat = enumerate_subobjects(sys, cp.ob)
+            admissible = ctx.sub_lattice(coproduct(x, y).ob).masks
             for a in ctx.sub_lattice(x):
                 for b in ctx.sub_lattice(y):
-                    res = sum_subobjects(a, b)
-                    joined = lat.join(L_map(a, y), R_map(x, b))
-                    assert res == joined
-
-
-def _join_raw(p: Subobject, q: Subobject) -> Subobject:
-    """The join of two subobjects as the literal M-part of the factorization
-    of the copairing of their inclusions."""
-    cp = copair(p.rep, q.rep)
-    fac = image_factorization(cp)
-    carrier = tuple(sorted(set(v for (_, v) in fac.m_part.mapping)))
-    return Subobject(p.ambient, carrier)
+                    sa, sb = subobject_from_mask(x, a), subobject_from_mask(y, b)
+                    joined = join_subobjects(L_map(sa, y), R_map(x, sb))
+                    assert joined == sum_subobjects(sa, sb)
+                    assert joined.mask in admissible
 
 
 def _no_two_point_sources(base: Context) -> Context:
@@ -204,6 +203,23 @@ SUM_CASES = {
 
 
 @pytest.mark.parametrize("case", SUM_CASES)
+def test_lattice_masks_match_label_level_enumeration(case):
+    """`ctx.sub_lattice(x)` lists the masks of the oracle's label-level
+    enumeration, in its order (size first, then labels): on every pool
+    object and every constructed sum of two, plain and the context's own,
+    at bound 2, and on every pool object at bound 3."""
+    base, variant = SUM_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(2)
+    sums = [cp(x, y).ob for x in pool for y in pool
+            for cp in (coproduct, ctx.coproduct)]
+    for x in (*ctx.objects(3), *sums):
+        lat = ctx.sub_lattice(x)
+        assert lat.ambient == x
+        assert lat.masks == tuple(s.mask for s in enumerate_subobjects(ctx.system, x))
+
+
+@pytest.mark.parametrize("case", SUM_CASES)
 def test_sum_admissibility_by_mask_matches_literal_definition(case):
     """For every admissible a of x and b of y at bound 2, the checkers' mask
     test (a.mask | b.mask << |x| admissible in the plain sum X + Y, and
@@ -215,22 +231,23 @@ def test_sum_admissibility_by_mask_matches_literal_definition(case):
     ctx = builtin(base) if variant is None else variant(builtin(base))
     sys = ctx.system
     pool = ctx.objects(2)
-    outcomes = theorems._sums_admissible_outcomes(ctx, pool)
+    instances = theorems._sums_admissible_outcomes(ctx, pool)
     seen = set()
     for x, y in itertools.product(pool, repeat=2):
         sum_masks = theorems._sum_masks(ctx, x, y)
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
-                cp = coproduct(a.ambient, b.ambient)
-                img_l, img_r = image(cp.inl, a), image(cp.inr, b)
-                joined = _join_raw(img_l, img_r)
+                sa, sb = subobject_from_mask(x, a), subobject_from_mask(y, b)
+                cp = coproduct(x, y)
+                img_l, img_r = image(cp.inl, sa), image(cp.inr, sb)
+                joined = join_subobjects(img_l, img_r)
                 assert joined.mask == img_l.mask | img_r.mask
-                literal = (sys.in_m(sum_morphisms(a.rep, b.rep, None, cp.ob))
-                           and joined.elements == sum_subobjects(a, b).elements)
-                assert ((a.mask | (b.mask << x.size)) in sum_masks) == literal
-                assert (next(outcomes) is None) == literal
+                literal = (sys.in_m(sum_morphisms(sa.rep, sb.rep, None, cp.ob))
+                           and joined.elements == sum_subobjects(sa, sb).elements)
+                assert ((a | (b << x.size)) in sum_masks) == literal
+                assert next(instances) == (literal, x, y, a, b)
                 seen.add(literal)
-    assert next(outcomes, "exhausted") == "exhausted"
+    assert next(instances, "exhausted") == "exhausted"
     assert seen == ({True, False} if case.endswith("no-2") else {True})
 
 
@@ -261,12 +278,14 @@ def test_mask_preimages_and_extensions_match_labels(ctx):
             nx = x.size
             low = (1 << nx) - 1
             for p in ctx.sub_lattice(amb):
-                pl, pr = iota_map(p)
-                assert (p.mask & low, p.mask >> nx) == (pl.mask, pr.mask)
+                pl, pr = iota_map(subobject_from_mask(amb, p))
+                assert (p & low, p >> nx) == (pl.mask, pr.mask)
             for m in ctx.sub_lattice(x):
-                assert subobject_from_mask(amb, m.mask) == L_map(m, y)
+                assert (subobject_from_mask(amb, m)
+                        == L_map(subobject_from_mask(x, m), y))
             for n in ctx.sub_lattice(y):
-                assert subobject_from_mask(amb, n.mask << nx) == R_map(x, n)
+                assert (subobject_from_mask(amb, n << nx)
+                        == R_map(x, subobject_from_mask(y, n)))
 
 
 def test_subobject_from_mask_round_trip(ctx):

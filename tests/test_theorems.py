@@ -256,6 +256,38 @@ def test_memo_reuses_gate_results(finset):
     assert all(memo[k] == before[k] for k in before)
 
 
+@pytest.mark.parametrize("first, then, sweep, bound", [
+    ("A", "C", "_sums_admissible_outcomes", 2),
+    ("B", "D", "_closed_sum_outcomes", 2),
+    ("C", "G", "_c_sides", 1),
+])
+def test_gate_reads_the_side_its_checker_stored(first, then, sweep, bound,
+                                                monkeypatch):
+    """Run on one memo after the checker whose side its gate reads, a gated
+    checker sweeps that side no further; both verdicts equal memo-less
+    runs."""
+    from extcheck import theorems
+
+    ctx = builtin("finpre")
+    fam = ctx.family("alexandrov")
+    calls = []
+    real = getattr(theorems, sweep)
+
+    def counted(*args):
+        calls.append(sweep)
+        return real(*args)
+
+    monkeypatch.setattr(theorems, sweep, counted)
+    memo = {}
+    verdicts = [run_checker(first, ctx, fam, bound, memo)]
+    swept = len(calls)
+    verdicts.append(run_checker(then, ctx, fam, bound, memo))
+    assert swept == len(calls) == 1
+    monkeypatch.undo()
+    for thm, v in zip((first, then), verdicts):
+        assert run_checker(thm, builtin("finpre"), fam, bound, None) == v
+
+
 def test_checker_dispatch_table_is_total():
     assert set(THEOREM_IDS) == set(CHECKERS)
 
