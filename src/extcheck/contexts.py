@@ -24,6 +24,7 @@ from .core import (
     RIGHT_TAG,
     compose,
     copair,
+    coproduct,
     enumerate_morphisms,
     find_iso,
     identity,
@@ -133,7 +134,7 @@ class Context:
     families: tuple[ClosureFamily, ...]
     enumerate_objects: Callable[[int], tuple[FiniteObject, ...]]
     extra_objects: tuple[FiniteObject, ...] = ()
-    coproduct_fn: Callable[[FiniteObject, FiniteObject], Coproduct] = core.coproduct
+    coproduct_fn: Callable[[FiniteObject, FiniteObject], Coproduct] = coproduct
     _coproducts: dict = field(default_factory=dict, repr=False)
     _lattices: dict = field(default_factory=dict, repr=False)
 
@@ -234,14 +235,63 @@ def split_mono_context(base: Context) -> Context:
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 
 
+def _pullback_stability_literal(ctx: Context, cp: Coproduct, f: Morphism):
+    """One instance of pullback stability, built label-level: the comparison
+    out of the coproduct of the two injection pullbacks of `f` must be an
+    isomorphism commuting with everything.  None when it is, the witness
+    when it is not."""
+    pb_l = pullback(f, cp.inl)
+    pb_r = pullback(f, cp.inr)
+    mid = ctx.coproduct(pb_l.ob, pb_r.ob)
+    try:
+        comparison = copair(pb_l.p1, pb_r.p1, mid.ob)
+        into_sum = copair(compose(cp.inl, pb_l.p2),
+                          compose(cp.inr, pb_r.p2), mid.ob)
+    except ValueError as err:
+        return {"f": serialize_morphism(f), "error": str(err)}
+    return (None if is_iso(comparison) and compose(f, comparison) == into_sum
+            else {"f": serialize_morphism(f),
+                  "comparison": serialize_morphism(comparison)})
+
+
+def _comparison_is_iso(f_idx, legs, z_up, z_pairs: int) -> bool:
+    """Index certificate of one pullback-stability instance.
+
+    `legs` holds, per injection, its index table and its source's up-masks
+    (None unordered).  The two pullbacks of `f_idx` are the pairs (a, b)
+    with f_idx[a] == leg[b].  Their plain disjoint sum maps onto z by a, and
+    that comparison is an isomorphism iff every a occurs exactly once and,
+    ordered, the componentwise order pairs number len(z.order) (`z_pairs`).
+    """
+    pbs = [[(a, b) for a, t in enumerate(f_idx) for b, s in enumerate(leg)
+            if s == t] for leg, _ in legs]
+    if sorted(a for pb in pbs for a, _ in pb) != list(range(len(f_idx))):
+        return False
+    if z_up is None:
+        return True
+    pairs = 0
+    for pb, (_, up) in zip(pbs, legs):
+        for a1, b1 in pb:
+            for a2, b2 in pb:
+                if (z_up[a1] >> a2) & 1 and (up[b1] >> b2) & 1:
+                    pairs += 1
+    return pairs == z_pairs
+
+
 def validate_extensive(ctx: Context, bound: int) -> Report:
     """Brute-force the extensivity laws over the object pool.
 
-    Pullback stability is checked by constructing, for every map into a
-    constructed coproduct, the canonical comparison out of the coproduct of
-    the two injection pullbacks, and testing it is an isomorphism commuting
-    with everything.  Each swept law is a generator of outcomes, one per
-    instance: None when it holds, the witness when it fails.
+    Pullback stability takes, for every map f into a constructed coproduct,
+    the comparison out of the coproduct of the two injection pullbacks.
+    Each instance is first decided on index tables (`_comparison_is_iso`),
+    which is sound only when that middle coproduct is the plain disjoint sum,
+    so it is guarded on `ctx.coproduct_fn` being `core.coproduct`.  An
+    instance whose certificate fails, or any instance when the guard is off
+    (the crossed mutant), runs the literal label-level construction, which
+    also builds the witness.  Coproduct disjointness compares the image
+    masks of the two injections.  Each swept law is a generator of
+    outcomes, one per instance: None when it holds, the witness when it
+    fails.
     """
     pool = ctx.objects(bound)
     pairs = [(x, y) for x in pool for y in pool]
@@ -271,28 +321,22 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
     def coproduct_disjoint():
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
-            yield (None if pullback(cp.inl, cp.inr).ob.size == 0
+            overlap = (cp.inl.image_mask((1 << x.size) - 1)
+                       & cp.inr.image_mask((1 << y.size) - 1))
+            yield (None if not overlap
                    else {"x": serialize_object(x), "y": serialize_object(y)})
 
     def coproducts_pullback_stable():
+        indexed = ctx.coproduct_fn is coproduct
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
+            legs = ((cp.inl.idx, x.up_masks if x.has_order else None),
+                    (cp.inr.idx, y.up_masks if y.has_order else None))
             for z in pool:
+                z_up, z_pairs = (z.up_masks, len(z.order)) if z.has_order else (None, 0)
                 for f in ctx.hom(z, cp.ob):
-                    pb_l = pullback(f, cp.inl)
-                    pb_r = pullback(f, cp.inr)
-                    mid = ctx.coproduct(pb_l.ob, pb_r.ob)
-                    try:
-                        comparison = copair(pb_l.p1, pb_r.p1, mid.ob)
-                        into_sum = copair(compose(cp.inl, pb_l.p2),
-                                          compose(cp.inr, pb_r.p2), mid.ob)
-                    except ValueError as err:
-                        yield {"f": serialize_morphism(f), "error": str(err)}
-                        continue
-                    yield (None if is_iso(comparison)
-                           and compose(f, comparison) == into_sum
-                           else {"f": serialize_morphism(f),
-                                 "comparison": serialize_morphism(comparison)})
+                    held = indexed and _comparison_is_iso(f.idx, legs, z_up, z_pairs)
+                    yield None if held else _pullback_stability_literal(ctx, cp, f)
 
     def distributivity_two_by_x():
         two = ctx.coproduct(one, one)

@@ -150,10 +150,15 @@ class Morphism:
                 raise ValueError(f"table value {v} outside target carrier")
         if self.source.has_order and self.target.has_order:
             tab = dict(mapping)
-            for (a, b) in self.source.order:
-                if (tab[a], tab[b]) not in self.target.order:
-                    raise ValueError(
-                        f"not monotone: {a}<={b} but {tab[a]}<={tab[b]} fails")
+            order = self.target.order
+            bad = [(a, b) for (a, b) in self.source.order
+                   if (tab[a], tab[b]) not in order]
+            if bad:
+                # The least failing pair, so the message does not depend on
+                # the iteration order of a frozenset (the hash seed).
+                a, b = min(bad)
+                raise ValueError(
+                    f"not monotone: {a}<={b} but {tab[a]}<={tab[b]} fails")
 
     @cached_property
     def table(self) -> dict[str, str]:

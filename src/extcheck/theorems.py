@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Sequence
 
 from .closure import (
@@ -446,17 +446,26 @@ def _continuous_morphisms(ctx: Context, pool, cls_of, closed: bool = False):
 
 
 def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
+    """Every pair (f, g) of closed morphisms, f + g closed.  `closed` comes
+    in contiguous (source, target) blocks, so the closures of the two sums
+    are looked up once per f and block of g's; each g's table, shifted past
+    f's target, is built once per target size."""
+    blocks = [list(block) for _, block in groupby(
+        closed, key=lambda f: (f.source, f.target))]
+    shifted: dict[int, list] = {}
     for f in closed:
         nt = f.target.size
-        ns = f.source.size
+        if nt not in shifted:
+            shifted[nt] = [[tuple(t + nt for t in g.idx) for g in block]
+                           for block in blocks]
         f_idx = f.idx
-        for g in closed:
-            src_sum = ctx.coproduct(f.source, g.source).ob
-            tgt_sum = ctx.coproduct(f.target, g.target).ob
-            idx = f_idx + tuple(t + nt for t in g.idx)
-            yield (None if _closed_fast(idx, cls_of(src_sum), cls_of(tgt_sum),
-                                        ns + g.source.size)
-                   else _maps_witness(f, g))
+        for block, tails in zip(blocks, shifted[nt]):
+            src_fn = cls_of(ctx.coproduct(f.source, block[0].source).ob)
+            tgt_fn = cls_of(ctx.coproduct(f.target, block[0].target).ob)
+            n_src = f.source.size + block[0].source.size
+            for g, tail in zip(block, tails):
+                yield (None if _closed_fast(f_idx + tail, src_fn, tgt_fn, n_src)
+                       else _maps_witness(f, g))
 
 
 def _injections_closed_outcomes(ctx: Context, pool, cls_of):

@@ -6,12 +6,14 @@ lattice on `Subobject` values: the admissible subsets, and the join as the
 image of the copairing of two inclusions.  `factorization_of_sums` is
 checker E as it was written on `Morphism`, `FiniteObject` and `Subobject`
 values: every sum, image, restriction and composite is built as an object
-and compared by equality.
+and compared by equality.  `pullback_stability` and `coproduct_disjoint`
+are the two extensivity laws as they were written on label-level pullbacks.
 """
 
 from functools import cache
 
 from extcheck.core import (
+    CheckResult,
     Morphism,
     compose,
     copair,
@@ -20,7 +22,9 @@ from extcheck.core import (
     inclusion,
     is_iso,
     monotone_bijections,
+    pullback,
     serialize_morphism,
+    serialize_object,
     sum_morphisms,
     LEFT_TAG,
     RIGHT_TAG,
@@ -183,3 +187,50 @@ def factorization_of_sums(ctx, bound: int):
         ("single_summand_pieces_consistent", "summand_pieces",
          first_counterexample(piece_outcomes())),
         ("direct_summand_sweep", "direct_quadruples", quadruples)))
+
+
+def pullback_stability_instance(ctx, cp, f):
+    """One instance of coproduct pullback stability: the comparison out of
+    the context's coproduct of the two injection pullbacks of f is an
+    isomorphism commuting with everything.  None, or the witness."""
+    pb_l = pullback(f, cp.inl)
+    pb_r = pullback(f, cp.inr)
+    mid = ctx.coproduct(pb_l.ob, pb_r.ob)
+    try:
+        comparison = copair(pb_l.p1, pb_r.p1, mid.ob)
+        into_sum = copair(compose(cp.inl, pb_l.p2),
+                          compose(cp.inr, pb_r.p2), mid.ob)
+    except ValueError as err:
+        return {"f": serialize_morphism(f), "error": str(err)}
+    return (None if is_iso(comparison) and compose(f, comparison) == into_sum
+            else {"f": serialize_morphism(f),
+                  "comparison": serialize_morphism(comparison)})
+
+
+def pullback_stability_instances(ctx, bound: int):
+    """(x, y, z, f) for every map f: z -> x+y, in the validator's order."""
+    pool = ctx.objects(bound)
+    for x in pool:
+        for y in pool:
+            cp = ctx.coproduct(x, y)
+            for z in pool:
+                for f in ctx.hom(z, cp.ob):
+                    yield x, y, z, f
+
+
+def pullback_stability(ctx, bound: int) -> CheckResult:
+    return CheckResult.of("coproducts_pullback_stable", (
+        pullback_stability_instance(ctx, ctx.coproduct(x, y), f)
+        for x, y, _, f in pullback_stability_instances(ctx, bound)))
+
+
+def coproduct_disjoint(ctx, bound: int) -> CheckResult:
+    pool = ctx.objects(bound)
+
+    def outcomes():
+        for x in pool:
+            for y in pool:
+                cp = ctx.coproduct(x, y)
+                yield (None if pullback(cp.inl, cp.inr).ob.size == 0
+                       else {"x": serialize_object(x), "y": serialize_object(y)})
+    return CheckResult.of("coproduct_disjoint", outcomes())

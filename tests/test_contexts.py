@@ -2,9 +2,13 @@
 variants used to prove the validators can fail."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+import oracles
+from extcheck import contexts
+from extcheck.cli import load_objects
 from extcheck.contexts import (
     builtin,
     crossed_coproduct_context,
@@ -15,7 +19,18 @@ from extcheck.contexts import (
     swapped_system_context,
     validate_extensive,
 )
-from extcheck.core import enumerate_morphisms, is_isomorphic, make_preorder, FiniteObject
+from extcheck.core import (
+    Coproduct,
+    FiniteObject,
+    coproduct,
+    enumerate_morphisms,
+    is_isomorphic,
+    make_preorder,
+)
+
+# The 3-point preorders the validators benchmark adds to the finpre pool.
+VALIDATOR_EXTRAS = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "inputs" / "validators.json")
 
 
 def test_finset_pool_sizes():
@@ -139,3 +154,109 @@ def test_split_mono_context_is_also_proper_on_finset():
     failed = {c.id for c in report.failed()}
     assert "m_complete" in failed or "m_stable_under_pullback" in failed \
         or "factorizations_valid" in failed
+
+
+def _finpre_extra():
+    return builtin("finpre").with_extra_objects(
+        load_objects(str(VALIDATOR_EXTRAS), True))
+
+
+# case -> (context maker, bound, whether the index certificate is guarded on)
+PULLBACK_CASES = {
+    "finset-b3": (lambda: builtin("finset"), 3, True),
+    "finpre-b2": (lambda: builtin("finpre"), 2, True),
+    "finpre-extra-b2": (_finpre_extra, 2, True),
+    "finpre-extra-swapped-b2": (
+        lambda: swapped_system_context(_finpre_extra()), 2, True),
+    "finpre-extra-split-b2": (
+        lambda: split_mono_context(_finpre_extra()), 2, True),
+    "finpre-extra-crossed-b2": (
+        lambda: crossed_coproduct_context(_finpre_extra()), 2, False),
+}
+
+
+@pytest.mark.parametrize("case", PULLBACK_CASES)
+def test_extensivity_laws_match_literal_pullbacks(case):
+    make, bound, guarded = PULLBACK_CASES[case]
+    assert (make().coproduct_fn is coproduct) == guarded
+    report = validate_extensive(make(), bound)
+    ctx = make()
+    assert report.check("coproducts_pullback_stable") == \
+        oracles.pullback_stability(ctx, bound)
+    assert report.check("coproduct_disjoint") == oracles.coproduct_disjoint(ctx, bound)
+
+
+@pytest.mark.parametrize("case", ["finset-b3", "finpre-b2", "finpre-extra-b2"])
+def test_index_certificate_holds_only_where_literal_instance_does(case):
+    make, bound, _ = PULLBACK_CASES[case]
+    ctx = make()
+    held = 0
+    for x, y, z, f in oracles.pullback_stability_instances(ctx, bound):
+        cp = ctx.coproduct(x, y)
+        if contexts._comparison_is_iso(f.idx, _legs(cp, x, y), *_z_order(z)):
+            held += 1
+            assert oracles.pullback_stability_instance(ctx, cp, f) is None
+    assert held
+
+
+def _legs(cp, x, y):
+    return ((cp.inl.idx, x.up_masks if x.has_order else None),
+            (cp.inr.idx, y.up_masks if y.has_order else None))
+
+
+def _z_order(z):
+    return (z.up_masks, len(z.order)) if z.has_order else (None, 0)
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_index_certificate_decides_comparison_over_any_cospan(name):
+    # Legs l: x -> w and r: y -> w that need not be coproduct injections,
+    # so the certificate also meets overlapping, non-covering and
+    # non-reflecting legs.  With the plain sum in the middle, the literal
+    # comparison is an isomorphism exactly when the certificate holds.
+    ctx = builtin(name)
+    pool = ctx.objects(2)
+    outcomes = set()
+    for w in pool:
+        for x in pool:
+            for y in pool:
+                for l in ctx.hom(x, w):
+                    for r in ctx.hom(y, w):
+                        cospan = Coproduct(w, l, r)
+                        legs = _legs(cospan, x, y)
+                        for z in pool:
+                            for f in ctx.hom(z, w):
+                                certified = contexts._comparison_is_iso(
+                                    f.idx, legs, *_z_order(z))
+                                literal = oracles.pullback_stability_instance(
+                                    ctx, cospan, f)
+                                assert certified == (literal is None)
+                                outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+def _count_pullbacks(monkeypatch) -> list:
+    calls = []
+    real = contexts.pullback
+    monkeypatch.setattr(contexts, "pullback",
+                        lambda f, g: calls.append((f, g)) or real(f, g))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_guarded_pullback_stability_builds_no_pullback(monkeypatch, name):
+    calls = _count_pullbacks(monkeypatch)
+    result = validate_extensive(builtin(name), 2).check("coproducts_pullback_stable")
+    assert result.passed and result.checked > 0
+    assert calls == []
+
+
+def test_crossed_mutant_takes_the_literal_route(monkeypatch):
+    calls = _count_pullbacks(monkeypatch)
+    ctx = crossed_coproduct_context(builtin("finpre"))
+    result = validate_extensive(ctx, 2).check("coproducts_pullback_stable")
+    # two label-level pullbacks per instance, up to the first witness
+    assert (result.passed, result.checked, len(calls)) == (False, 54, 108)
+    assert result.witness["error"] == \
+        "not monotone: L:(p1,p1)<=R:(p2,p1) but p1<=p2 fails"
+    assert result.witness["f"]["map"] == {"p1": "L:p1", "p2": "R:p1"}

@@ -1,5 +1,10 @@
 """Construction-level laws for finite objects and morphisms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from extcheck.core import (
@@ -281,3 +286,27 @@ def test_up_and_down_masks():
     i0, i1 = x.index["s0"], x.index["s1"]
     assert x.down_masks[i1] == (1 << i0) | (1 << i1)
     assert x.up_masks[i0] == (1 << i0) | (1 << i1)
+
+
+NOT_MONOTONE = """
+from extcheck.core import FiniteObject, Morphism, make_preorder
+fork = FiniteObject(tuple("abc"), make_preorder("abc", [("a", "b"), ("a", "c")]))
+discrete = FiniteObject(tuple("abc"), make_preorder("abc"))
+try:
+    Morphism(fork, discrete, tuple((e, e) for e in "abc"))
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_not_monotone_message_is_independent_of_hash_seed():
+    # Both a<=b and a<=c fail; the least one is reported, whatever order
+    # the source order's frozenset iterates in.
+    src = Path(__file__).resolve().parent.parent / "src"
+    messages = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", NOT_MONOTONE], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(out.stdout)
+    assert messages == {"not monotone: a<=b but a<=b fails\n"}
