@@ -242,7 +242,9 @@ def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     """Singleton form of the closed-morphism equation.
 
     Equivalent to the full sweep because direct image and every registered
-    closure formula preserve joins.
+    closure formula preserve joins; `tests/test_closure.py::
+    test_registered_closures_preserve_binary_joins` checks the closures on
+    the built-in pools and their sums.
     """
     if tgt_fn(0) != _image_bits(src_fn(0), f_idx):
         return False

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, product
+from itertools import chain, groupby, product, repeat
 from typing import Sequence
 
 from .closure import (
@@ -31,6 +31,7 @@ from .closure import (
     SpaceMorphism,
     _closed_fast,
     _continuous_fast,
+    _image_bits,
     is_proper_witness,
     is_separated_witness,
     terminal_space_morphism,
@@ -445,27 +446,94 @@ def _continuous_morphisms(ctx: Context, pool, cls_of, closed: bool = False):
     return out
 
 
+def _sum_halves(fn, n_left: int, n: int):
+    """The closure table of a sum of n points, the first n_left of them the
+    left summand's, cut at n_left: (lows, highs, crossed, diagonal).
+    `lows` holds the left parts of the left points' closures, then of
+    c(empty); `highs` the right parts, shifted down, of the right points'
+    closures, then of c(empty); `crossed` the right parts of the left
+    points' closures and the left parts of the right points';
+    `diagonal` says the crossed parts are all empty."""
+    low = (1 << n_left) - 1
+    rows, empty = [fn(1 << i) for i in range(n)], fn(0)
+    left, right = rows[:n_left], rows[n_left:]
+    crossed = [r >> n_left for r in left], [r & low for r in right]
+    return ((*[r & low for r in left], empty & low),
+            (*[r >> n_left for r in right], empty >> n_left),
+            crossed, not any(chain(*crossed)))
+
+
+def _carries(idx, masks, tgt, points) -> bool:
+    """The map `idx` sends each of `masks` onto the entry of `tgt` that the
+    matching entry of `points` names."""
+    return all(_image_bits(m, idx) == tgt[j] for m, j in zip(masks, points))
+
+
 def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
-    """Every pair (f, g) of closed morphisms, f + g closed.  `closed` comes
-    in contiguous (source, target) blocks, so the closures of the two sums
-    are looked up once per f and block of g's; each g's table, shifted past
-    f's target, is built once per target size."""
+    """Every pair (f, g) of closed morphisms, f + g closed, decided per
+    block of f's and block of g's on the sums' closure tables.
+
+    The sums lay the left summand's points out first, so f + g sends a mask
+    M to f(M_low) | g(M_high) << |f.target|, and its singleton equation
+    (`_closed_fast`) splits exactly into the AND of
+    - L[f]: f carries the low halves of the source sum's table (the left
+      points and c(empty)) onto the target sum's;
+    - R[g]: g carries the high halves (the right points and c(empty));
+    - the cross terms: g carries the high parts of the left points'
+      closures, and f the low parts of the right points', onto those of
+      their images.  They hold when both tables are block-diagonal, and
+      are decided per pair otherwise.
+    L is computed once per f-block and distinct low halves, R once per
+    g-block and distinct high halves.  Pairs are yielded f-major, then by
+    g-block, then g, in the order `closed` lists them, so counts and first
+    witnesses are those of the per-pair sweep.
+    """
     blocks = [list(block) for _, block in groupby(
         closed, key=lambda f: (f.source, f.target))]
-    shifted: dict[int, list] = {}
-    for f in closed:
-        nt = f.target.size
-        if nt not in shifted:
-            shifted[nt] = [[tuple(t + nt for t in g.idx) for g in block]
-                           for block in blocks]
-        f_idx = f.idx
-        for block, tails in zip(blocks, shifted[nt]):
-            src_fn = cls_of(ctx.coproduct(f.source, block[0].source).ob)
-            tgt_fn = cls_of(ctx.coproduct(f.target, block[0].target).ob)
-            n_src = f.source.size + block[0].source.size
-            for g, tail in zip(block, tails):
-                yield (None if _closed_fast(f_idx + tail, src_fn, tgt_fn, n_src)
-                       else _maps_witness(f, g))
+    ids: dict[FiniteObject, int] = {}
+    ends = [(ids.setdefault(block[0].source, len(ids)),
+             ids.setdefault(block[0].target, len(ids))) for block in blocks]
+    obs, tables = list(ids), {}
+
+    def table(i: int, j: int):
+        if (i, j) not in tables:
+            x, y = obs[i], obs[j]
+            tables[i, j] = _sum_halves(cls_of(ctx.coproduct(x, y).ob),
+                                       x.size, x.size + y.size)
+        return tables[i, j]
+
+    def half_bits(block, src, tgt) -> int:
+        # c(empty) comes last in both halves, so point -1 names it.
+        return sum(1 << k for k, h in enumerate(block)
+                   if _carries(h.idx, src, tgt, h.idx + (-1,)))
+
+    r_memo = {}
+    for f_block, (a, b) in zip(blocks, ends):
+        l_memo, row = {}, []
+        for n, (g_block, (c, d)) in enumerate(zip(blocks, ends)):
+            s_lows, s_highs, s_crossed, s_diag = table(a, c)
+            t_lows, t_highs, t_crossed, t_diag = table(b, d)
+            if (s_lows, t_lows) not in l_memo:
+                l_memo[s_lows, t_lows] = half_bits(f_block, s_lows, t_lows)
+            if (n, s_highs, t_highs) not in r_memo:
+                r_memo[n, s_highs, t_highs] = half_bits(g_block, s_highs, t_highs)
+            row.append((g_block, (1 << len(g_block)) - 1,
+                        l_memo[s_lows, t_lows], r_memo[n, s_highs, t_highs],
+                        not (s_diag and t_diag) and (*s_crossed, *t_crossed)))
+        for k, f in enumerate(f_block):
+            for g_block, full, l_bits, r_bits, crossed in row:
+                ok = r_bits if l_bits >> k & 1 else 0
+                if ok and crossed:
+                    s_left, s_right, t_left, t_right = crossed
+                    ok = sum(1 << j for j, g in enumerate(g_block)
+                             if ok >> j & 1
+                             and _carries(g.idx, s_left, t_left, f.idx)
+                             and _carries(f.idx, s_right, t_right, g.idx))
+                if ok == full:
+                    yield from repeat(None, len(g_block))
+                else:
+                    for j, g in enumerate(g_block):
+                        yield None if ok >> j & 1 else _maps_witness(f, g)
 
 
 def _injections_closed_outcomes(ctx: Context, pool, cls_of):

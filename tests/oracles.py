@@ -8,9 +8,12 @@ checker E as it was written on `Morphism`, `FiniteObject` and `Subobject`
 values: every sum, image, restriction and composite is built as an object
 and compared by equality.  `pullback_stability` and `coproduct_disjoint`
 are the two extensivity laws as they were written on label-level pullbacks.
+`closed_sum_of_closed_outcomes` is checker C's sum side decided per pair:
+the singleton closed-morphism equation of each f + g on its sum tables.
 """
 
 from functools import cache
+from itertools import groupby
 
 from extcheck.core import (
     CheckResult,
@@ -29,6 +32,7 @@ from extcheck.core import (
     LEFT_TAG,
     RIGHT_TAG,
 )
+from extcheck.closure import _closed_fast
 from extcheck.factorization import image_factorization
 from extcheck.subobjects import (
     Subobject,
@@ -234,3 +238,21 @@ def coproduct_disjoint(ctx, bound: int) -> CheckResult:
                 yield (None if pullback(cp.inl, cp.inr).ob.size == 0
                        else {"x": serialize_object(x), "y": serialize_object(y)})
     return CheckResult.of("coproduct_disjoint", outcomes())
+
+
+def closed_sum_of_closed_outcomes(ctx, closed, cls_of):
+    """Every pair (f, g) of closed morphisms, f + g closed, each decided by
+    `_closed_fast` on the table of f + g: f's table followed by g's,
+    shifted past f's target."""
+    blocks = [list(block) for _, block in groupby(
+        closed, key=lambda f: (f.source, f.target))]
+    for f in closed:
+        nt = f.target.size
+        for block in blocks:
+            src_fn = cls_of(ctx.coproduct(f.source, block[0].source).ob)
+            tgt_fn = cls_of(ctx.coproduct(f.target, block[0].target).ob)
+            n_src = f.source.size + block[0].source.size
+            for g in block:
+                tail = tuple(t + nt for t in g.idx)
+                yield (None if _closed_fast(f.idx + tail, src_fn, tgt_fn, n_src)
+                       else _maps_witness(f, g))

@@ -23,7 +23,7 @@ from extcheck.closure import (
     _closed_fast,
     _continuous_fast,
 )
-from extcheck.contexts import builtin
+from extcheck.contexts import builtin, crossed_coproduct_context
 from extcheck.core import (
     FiniteObject,
     Morphism,
@@ -106,6 +106,30 @@ def test_fast_paths_agree_with_literal_definitions():
                         sf = SpaceMorphism(f, sx, sy)
                         assert is_closed_morphism(sf) == _closed_fast(
                             f.idx, sx.fn, sy.fn, x.size)
+
+
+def _join_test_objects(name):
+    """Every object of the context's pool at bound 3, and every sum object
+    of its bound-2 pool, the crossed mutant's too when it is ordered."""
+    ctx = builtin(name)
+    sums = [ctx] + ([crossed_coproduct_context(ctx)] if ctx.ordered else [])
+    pool = ctx.objects(2)
+    return ctx, list(ctx.objects(3)) + [c.coproduct(x, y).ob for c in sums
+                                         for x in pool for y in pool]
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_registered_closures_preserve_binary_joins(name):
+    """The hypothesis of the singleton forms (`_closed_fast`,
+    `_continuous_fast`, checker C's per-block sum side): c(u | v) is
+    c(u) | c(v) for every pair of masks."""
+    ctx, objects = _join_test_objects(name)
+    for fam in ctx.families:
+        for ob in objects:
+            fn = fam.component(ob)
+            masks = range(1 << ob.size)
+            assert all(fn(u | v) == fn(u) | fn(v) for u in masks for v in masks), (
+                fam.name, ob.label)
 
 
 def test_closed_morphism_down_set_oracle():

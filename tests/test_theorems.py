@@ -195,6 +195,53 @@ def test_checker_e_matches_label_level_oracle(case):
             == factorization_of_sums(ctx, bound).to_dict())
 
 
+def _with_closed_maps_objects(base):
+    from pathlib import Path
+
+    from extcheck.cli import load_objects
+    path = Path(__file__).resolve().parents[1] / "perfbench/inputs/closed-maps.json"
+    return base.with_extra_objects(load_objects(str(path), base.ordered))
+
+
+# case -> (base context, variant, bound, {family: failing pairs}).  The
+# crossed mutant's alexandrov sums and every indiscrete sum have closure
+# tables that are not block-diagonal, so their cross terms are decided per
+# pair, on passing and on failing pairs.
+C_SUM_ORACLE_CASES = {
+    "finset-b3": ("finset", None, 3, {"identity": 0, "indiscrete": 102}),
+    "finpre+closed-maps-b2": ("finpre", _with_closed_maps_objects, 2,
+                              {"alexandrov": 0, "identity": 0,
+                               "indiscrete": 1344}),
+    "finpre+closed-maps!crossed-b2": (
+        "finpre", lambda ctx: crossed_coproduct_context(
+            _with_closed_maps_objects(ctx)), 2,
+        {"alexandrov": 6337, "identity": 0, "indiscrete": 1344}),
+}
+
+
+@pytest.mark.parametrize("case", C_SUM_ORACLE_CASES)
+def test_checker_c_sum_side_matches_per_pair_oracle(case):
+    """Checker C's sum side, decided per block on closure tables, yields
+    the outcome of every pair that the per-pair `_closed_fast` sweep
+    yields, witnesses included, in the same order."""
+    from functools import cache
+
+    from oracles import closed_sum_of_closed_outcomes
+    from extcheck import theorems
+
+    base, variant, bound, failing = C_SUM_ORACLE_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(bound)
+    for fam in ctx.families:
+        cls_of = cache(fam.component)
+        closed = theorems._continuous_morphisms(ctx, pool, cls_of, closed=True)
+        blocked = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
+        per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cls_of))
+        assert blocked == per_pair, fam.name
+        assert len(blocked) == len(closed) ** 2
+        assert sum(o is not None for o in blocked) == failing[fam.name]
+
+
 def test_verdict_serialization_shape(finset):
     v = run_checker("A", finset, None, 1, {})
     doc = v.to_dict()
