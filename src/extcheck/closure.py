@@ -24,7 +24,6 @@ from .core import (
     FiniteObject,
     Morphism,
     Report,
-    coproduct,
     enumerate_morphisms,
     equalizer,
     first_counterexample,
@@ -210,23 +209,6 @@ def subspace(space: Space, sub: Subobject) -> Space:
         return out
 
     return Space(sub.ob, fn, f"{space.family}|{','.join(sub.elements)}")
-
-
-def sum_space(s: Space, t: Space) -> Space:
-    """Componentwise closure on the constructed coproduct.
-
-    Left-tagged labels sort before right-tagged ones, so the two summands
-    occupy contiguous bit blocks and the masks split by shifting.
-    """
-    cp = coproduct(s.ob, t.ob)
-    nx = s.ob.size
-    low = (1 << nx) - 1
-    s_fn, t_fn = s.fn, t.fn
-
-    def fn(mask: int) -> int:
-        return s_fn(mask & low) | (t_fn(mask >> nx) << nx)
-
-    return Space(cp.ob, fn, f"({s.family}+{t.family})")
 
 
 def is_closed_morphism(sf: SpaceMorphism) -> bool:

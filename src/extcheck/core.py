@@ -241,11 +241,6 @@ def is_iso(f: Morphism) -> bool:
     return True
 
 
-def inverse(f: Morphism) -> Morphism:
-    assert is_iso(f), "only isomorphisms invert"
-    return Morphism(f.target, f.source, tuple((v, k) for (k, v) in f.mapping))
-
-
 def initial(ordered: bool) -> FiniteObject:
     return FiniteObject((), frozenset() if ordered else None, name="0")
 

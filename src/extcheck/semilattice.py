@@ -29,13 +29,12 @@ LatticeOf = Callable[[FiniteObject], Iterable[int]]
 class JoinSemilattice:
     """Finite join-semilattice with least element, as an explicit join table."""
 
-    labels: tuple[str, ...]
     join: tuple[tuple[int, ...], ...]
     zero: int
 
     def __post_init__(self):
-        n = len(self.labels)
-        assert len(self.join) == n and all(len(row) == n for row in self.join)
+        n = self.n
+        assert all(len(row) == n for row in self.join)
         for i in range(n):
             if self.join[i][self.zero] != i or self.join[i][i] != i:
                 raise ValueError("zero not neutral or join not idempotent")
@@ -45,20 +44,10 @@ class JoinSemilattice:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.join)
 
     def leq(self, i: int, j: int) -> bool:
         return self.join[i][j] == j
-
-    def is_associative(self) -> bool:
-        n = self.n
-        for a in range(n):
-            for b in range(n):
-                ab = self.join[a][b]
-                for c in range(n):
-                    if self.join[ab][c] != self.join[a][self.join[b][c]]:
-                        return False
-        return True
 
     def join_of(self, indices) -> int:
         out = self.zero
@@ -67,30 +56,23 @@ class JoinSemilattice:
         return out
 
 
-def lattice_from_masks(masks: Sequence[int], labels: Sequence[str],
-                       join_mask, zero_mask: int) -> tuple[JoinSemilattice, dict]:
+def lattice_from_masks(masks: Sequence[int], join_mask,
+                       zero_mask: int) -> JoinSemilattice:
     """Build a semilattice from distinct masks and a mask-level join."""
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
     table = tuple(
         tuple(index[join_mask(masks[i], masks[j])] for j in range(n))
         for i in range(n))
-    lat = JoinSemilattice(tuple(labels), table, index[zero_mask])
-    return lat, index
-
-
-def _set_label(ob: FiniteObject, mask: int) -> str:
-    return "{" + ",".join(ob.labels_of(mask)) + "}"
+    return JoinSemilattice(table, index[zero_mask])
 
 
 def closed_semilattice(space: Space,
                        all_masks: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Closed subobjects under join = closure of union, zero = closure of empty."""
     masks = tuple(m for m in all_masks if space.fn(m) == m)
-    labels = tuple(_set_label(space.ob, m) for m in masks)
-    lat, _ = lattice_from_masks(masks, labels,
-                                lambda a, b: space.fn(a | b), space.fn(0))
-    return lat, masks
+    return lattice_from_masks(masks, lambda a, b: space.fn(a | b),
+                              space.fn(0)), masks
 
 
 # A hom between two given lattices: the image of each source index.

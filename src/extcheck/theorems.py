@@ -26,6 +26,7 @@ from itertools import chain, groupby, product, repeat
 from typing import Sequence
 
 from .closure import (
+    IDENTITY,
     ClosureFamily,
     Space,
     SpaceMorphism,
@@ -204,6 +205,10 @@ def _sum_described(ctx: Context, x, y, a: int, b: int, **more) -> dict:
 
 
 # ---------------------------------------------------------------- checker A
+#
+# Under the identity closure every admissible subobject is closed and every
+# map is continuous and closed, so A's sides are the identity instances of
+# B's condition (a) and of F's side; both are memoized per family.
 
 def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
     """The admissible masks of the plain constructed sum x + y.  Under the
@@ -213,23 +218,10 @@ def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
     return set(ctx.sub_lattice(coproduct(x, y).ob))
 
 
-def _sums_admissible_outcomes(ctx: Context, pool):
-    """Per admissible a of x and b of y, as masks: (whether a + b is
-    admissible, x, y, a, b)."""
-    for x, y in _object_pairs(pool):
-        sums = _sum_masks(ctx, x, y)
-        nx = x.size
-        lat_y = ctx.sub_lattice(y)
-        for a in ctx.sub_lattice(x):
-            for b in lat_y:
-                yield (a | b << nx) in sums, x, y, a, b
-
-
-def _e_monos_between_sums(ctx: Context, pool, cls_of=None):
-    """Yield (e, sum sources) for every member of E cap Mono between
-    constructed binary sums at the bound, closed and continuous ones only
-    when `cls_of` gives a closure.  Since E-members are epi, only
-    carrier-size-matched sums can carry one."""
+def _e_monos_between_sums(ctx: Context, pool, cls_of):
+    """Yield (e, sum sources) for every continuous and closed member of
+    E cap Mono between constructed binary sums at the bound.  Since
+    E-members are epi, only carrier-size-matched sums can carry one."""
     sys = ctx.system
     by_total: dict[int, list] = {}
     for x, y in _object_pairs(pool):
@@ -237,70 +229,63 @@ def _e_monos_between_sums(ctx: Context, pool, cls_of=None):
     for total in sorted(by_total):
         pairs = by_total[total]
         for (a, b) in pairs:
-            src = ctx.coproduct(a, b)
+            src = ctx.coproduct(a, b).ob
+            f_src = cls_of(src)
             for (x, y) in pairs:
-                tgt = ctx.coproduct(x, y)
-                for e in monotone_bijections(src.ob, tgt.ob):
-                    if not (sys.in_e(e) and is_injective(e)):
-                        continue
-                    if cls_of is not None:
-                        f_src, f_tgt = cls_of(e.source), cls_of(e.target)
-                        n = e.source.size
-                        if not (_continuous_fast(e.idx, f_src, f_tgt, n)
-                                and _closed_fast(e.idx, f_src, f_tgt, n)):
-                            continue
-                    yield e, (x, y)
+                tgt = ctx.coproduct(x, y).ob
+                f_tgt = cls_of(tgt)
+                for e in monotone_bijections(src, tgt):
+                    if (sys.in_e(e) and is_injective(e)
+                            and _continuous_fast(e.idx, f_src, f_tgt, total)
+                            and _closed_fast(e.idx, f_src, f_tgt, total)):
+                        yield e, (x, y)
 
 
 def _failed_pullback(sys, e: Morphism, x, y, cls_of):
     """The first pullback of e along an injection, taken concretely as the
-    corestriction of e to the tagged block, that is not an E-mono (closed,
-    under `cls_of`); or None."""
+    corestriction of e to the tagged block, that is not a closed E-mono
+    under `cls_of`; or None."""
     for component, tag in ((x, LEFT_TAG), (y, RIGHT_TAG)):
         keep = [z for z in e.source.elements if e.table[z].startswith(tag)]
         sub_ob = e.source.restrict(keep)
         pulled = Morphism(sub_ob, component,
                           tuple((z, e.table[z][len(tag):]) for z in keep))
-        ok = sys.in_e(pulled) and is_injective(pulled)
-        if ok and cls_of is not None:
-            ok = _closed_fast(pulled.idx, cls_of(sub_ob),
-                              cls_of(component), sub_ob.size)
-        if not ok:
+        if not (sys.in_e(pulled) and is_injective(pulled)
+                and _closed_fast(pulled.idx, cls_of(sub_ob),
+                                 cls_of(component), sub_ob.size)):
             return pulled
     return None
 
 
-def _injection_pullback_side(ctx: Context, pool, family: ClosureFamily | None):
-    sys = ctx.system
-    cls_of = cache(family.component) if family else None
+def _injection_pullback_side(ctx: Context, family: ClosureFamily, bound: int,
+                             memo):
+    """F's side, with its witness, memoized per family: A's second side is
+    the identity entry."""
+    def compute():
+        sys = ctx.system
+        cls_of = cache(family.component)
 
-    def instances():
-        for e, (x, y) in _e_monos_between_sums(ctx, pool, cls_of):
-            bad = _failed_pullback(sys, e, x, y, cls_of)
-            yield bad is None, e, bad
+        def instances():
+            for e, (x, y) in _e_monos_between_sums(ctx, ctx.objects(bound), cls_of):
+                bad = _failed_pullback(sys, e, x, y, cls_of)
+                yield bad is None, e, bad
 
-    def describe(e, bad):
-        wit = {"e": serialize_morphism(e)}
-        return wit if bad is None else dict(wit, pulled_back=serialize_morphism(bad))
+        def describe(e, bad):
+            wit = {"e": serialize_morphism(e)}
+            return (wit if bad is None
+                    else dict(wit, pulled_back=serialize_morphism(bad)))
 
-    ok, values, n = _confirmed(instances())
-    return ok, values and describe(*values), n
-
-
-def _sums_side(ctx: Context, bound: int, memo):
-    """A's first side as `_confirmed` gives it, memoized: C, G and H gate
-    on it."""
-    return _memoized(memo, ("sums_admissible", bound), lambda: _confirmed(
-        _sums_admissible_outcomes(ctx, ctx.objects(bound))))
+        ok, values, n = _confirmed(instances())
+        return ok, values and describe(*values), n
+    return _memoized(memo, ("pullback_side", family.name, bound), compute)
 
 
 def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
     """Sums of admissible subobjects are admissible, and members of E cap
     Mono between binary sums pull back along the injections into E cap Mono."""
-    pool = ctx.objects(bound)
-    ok, values, n = _sums_side(ctx, bound, memo)
-    sums = ok, values and _sum_described(ctx, *values), n
-    pullbacks = _injection_pullback_side(ctx, pool, None)
+    ok, values, n = _closed_sum_side(ctx, IDENTITY, bound, memo)
+    sums = ok, values and _sum_described(ctx, *values[:4]), n
+    pullbacks = _injection_pullback_side(ctx, IDENTITY, bound, memo)
     return _verdict("A", ctx, None, bound, (
         ("sums_of_admissibles_admissible", "subobject_pairs", sums),
         ("e_monos_pull_back_along_injections", "e_monos", pullbacks)),
@@ -308,8 +293,8 @@ def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
 
 
 def _gate_sums_admissible(ctx: Context, bound: int, memo):
-    ok, values, _ = _sums_side(ctx, bound, memo)
-    return ok, None if ok else _sum_described(ctx, *values)
+    ok, values, _ = _closed_sum_side(ctx, IDENTITY, bound, memo)
+    return ok, None if ok else _sum_described(ctx, *values[:4])
 
 
 # ---------------------------------------------------------------- checker B
@@ -335,6 +320,14 @@ def _closed_sum_outcomes(ctx: Context, pool, cls_of):
                 adm = mask in sums
                 closure = fsum(mask)
                 yield adm and closure == mask, x, y, a, b, adm, closure
+
+
+def _closed_sum_side(ctx: Context, family: ClosureFamily, bound: int, memo):
+    """Condition (a) as `_confirmed` gives it, memoized per family; B stores
+    the same triple when it runs first.  A's first side is the identity entry, and the
+    checkers that assume CLOSED_SUMS or A's first side gate on an entry."""
+    return _memoized(memo, ("closed_sums", family.name, bound), lambda: _confirmed(
+        _closed_sum_outcomes(ctx, ctx.objects(bound), cache(family.component))))
 
 
 def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
@@ -387,7 +380,7 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     pool = ctx.objects(bound)
     cls_of = cache(family.component)
     first, closed_sums = _peek(_closed_sum_outcomes(ctx, pool, cls_of))
-    sides, failures = [], []
+    sides = []
     for name, cond, outcomes, describe in (
             ("sums_of_closed_embeddings_closed", "a", _failures(closed_sums),
              lambda x, y, a, b, adm, closure: _sum_described(
@@ -404,13 +397,13 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
                  x, y, dense_image=list(dense), left_component_closure=list(left),
                  right_component_closure=list(right)))):
         ok, failed, n = first_counterexample(outcomes)
+        if cond == "a":
+            _memoized(memo, ("closed_sums", family.name, bound),
+                      lambda: (ok, failed or (first and first[1:]), n))
         n += sum(1 for _ in outcomes)
-        failures.append(failed)
         sides.append((name, f"condition_{cond}",
                       (ok, failed and describe(*failed), n)))
     closed_ok = sides[0][2][0]
-    _memoized(memo, ("closed_sums", family.name, bound), lambda: (
-        closed_ok, failures[0] and _pair_witness(ctx, *failures[0][:4])))
     return _verdict("B", ctx, family, bound, sides,
                     equivalence_ok=closed_ok == sides[1][2][0] == sides[2][2][0],
                     confirming=first and _pair_witness(ctx, *first[1:5]))
@@ -421,12 +414,9 @@ CLOSED_SUMS = "sums of closed embeddings are closed embeddings"
 
 def _gate_closed_sums(ctx: Context, family: ClosureFamily, bound: int, memo):
     """Condition (a) of the closed-embedding checker, used as the
-    hypothesis CLOSED_SUMS; B stores it when it runs first."""
-    def compute():
-        ok, failed, _ = first_counterexample(_failures(_closed_sum_outcomes(
-            ctx, ctx.objects(bound), cache(family.component))))
-        return ok, failed and _pair_witness(ctx, *failed[:4])
-    return _memoized(memo, ("closed_sums", family.name, bound), compute)
+    hypothesis CLOSED_SUMS."""
+    ok, values, _ = _closed_sum_side(ctx, family, bound, memo)
+    return ok, None if ok else _pair_witness(ctx, *values[:4])
 
 
 # ---------------------------------------------------------------- checker C
@@ -773,7 +763,7 @@ def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
     gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
     if not gate:
         return _gated("F", ctx, family, bound, CLOSED_SUMS, gate_wit)
-    side = _injection_pullback_side(ctx, ctx.objects(bound), family)
+    side = _injection_pullback_side(ctx, family, bound, memo)
     return _verdict("F", ctx, family, bound, (
         ("closed_e_monos_pull_back_closed", "closed_e_monos", side),))
 
@@ -886,7 +876,9 @@ def check_sum_separated(ctx: Context, family: ClosureFamily,
 
 def _admissible_adjunction_side(ctx: Context, pool):
     """Family-independent side: the sum lattice is that of the plain
-    constructed coproduct, whatever coproduct the context builds."""
+    constructed coproduct, whatever coproduct the context builds.  It is not
+    the closed side under the identity, which reads `ctx.coproduct`'s
+    lattice: the two differ on the crossed mutant."""
     n_adm = 0
     for x, y in _object_pairs(pool):
         rep = check_adjunction_admissible(
@@ -950,13 +942,21 @@ def _lattice_hypothesis_outcomes(ctx: Context, pool):
                else {"object": serialize_object(ob)})
 
 
-def _lattice_biproduct_outcomes(ctx: Context, pool, build):
-    """Per object pair: None when `build(ctx.sub_lattice, x, y, cp)` splits
-    as a biproduct, else the pair with the failed equations."""
+def _lattice_biproduct_outcomes(ctx: Context, pool, family: ClosureFamily):
+    """Per object pair: None when the closed lattices of x, y and x + y under
+    `family` split as a biproduct, else the pair with the failed equations."""
     for x, y in _object_pairs(pool):
-        bp = build(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
+        bp = closed_biproduct(ctx.sub_lattice, family, x, y, ctx.coproduct(x, y))
         yield None if bp.passed else _witness(
             x, y, failed=[c.id for c in bp.report.failed()])
+
+
+def _lattice_biproduct_side(ctx: Context, family: ClosureFamily, bound: int, memo):
+    """`_lattice_biproduct_outcomes` to its first failure, memoized per
+    family: the subobject side is the identity entry."""
+    return _memoized(memo, ("closed_biproduct", family.name, bound),
+                     lambda: first_counterexample(_lattice_biproduct_outcomes(
+                         ctx, ctx.objects(bound), family)))
 
 
 def _roundtrip_outcomes(ctx: Context, pool):
@@ -999,11 +999,8 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
         return _gated("biproduct", ctx, family, bound,
                       "admissible subobjects contain the empty one and are "
                       "closed under unions", lattice_wit)
-    sub = _memoized(memo, ("subobject_biproduct", bound), lambda: first_counterexample(
-        _lattice_biproduct_outcomes(ctx, pool, subobject_biproduct)))
-    closed = first_counterexample(_lattice_biproduct_outcomes(
-        ctx, pool, lambda lattice_of, x, y, cp: closed_biproduct(
-            lattice_of, family, x, y, cp)))
+    sub = _lattice_biproduct_side(ctx, IDENTITY, bound, memo)
+    closed = _lattice_biproduct_side(ctx, family, bound, memo)
     roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),
                           lambda: first_counterexample(_roundtrip_outcomes(ctx, pool)))
     return _verdict("biproduct", ctx, family, bound, (

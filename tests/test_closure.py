@@ -18,7 +18,6 @@ from extcheck.closure import (
     is_proper,
     is_separated,
     subspace,
-    sum_space,
     validate_closure,
     _closed_fast,
     _continuous_fast,
@@ -185,18 +184,6 @@ def test_subspace_of_subspace_composes():
     s2 = subspace(s1, Subobject(s1.ob, ("c1",)))
     m = 1 << s2.ob.index["c1"]
     assert s2.cls_mask(m) == m
-
-
-def test_sum_space_is_componentwise():
-    sx = ALEXANDROV.space(SIERPINSKI)
-    sy = IDENTITY.space(SIERPINSKI)
-    ss = sum_space(sx, sy)
-    n = SIERPINSKI.size
-    i1 = SIERPINSKI.index["s1"]
-    left = ss.cls_mask(1 << i1)
-    assert left == SIERPINSKI.down_masks[i1]
-    right = ss.cls_mask((1 << i1) << n)
-    assert right == (1 << i1) << n
 
 
 def test_closed_lattice_of_sierpinski():

@@ -25,7 +25,6 @@ from extcheck.core import (
     is_isomorphic,
     is_order_reflecting,
     is_surjective,
-    inverse,
     kernel_pair,
     make_preorder,
     monotone_bijections,
@@ -111,7 +110,6 @@ def test_iso_needs_order_reflection():
     assert not is_iso(f)
     auto = identity(SIERPINSKI)
     assert is_iso(auto)
-    assert inverse(auto) == auto
 
 
 def test_initial_and_terminal():

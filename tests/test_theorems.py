@@ -296,27 +296,35 @@ def test_memo_reuses_gate_results(finset):
     memo = {}
     fam = finset.family("identity")
     run_checker("C", finset, fam, 2, memo)
-    assert any(k[0] == "sums_admissible" for k in memo)
+    assert ("closed_sums", "identity", 2) in memo
     before = dict(memo)
     run_checker("D", finset, fam, 2, memo)
-    # D's gate key is new, A's gate result was reused untouched
+    # D's gate reads the entry C's gate stored, untouched
     assert all(memo[k] == before[k] for k in before)
 
 
-@pytest.mark.parametrize("first, then, sweep, bound", [
-    ("A", "C", "_sums_admissible_outcomes", 2),
-    ("B", "D", "_closed_sum_outcomes", 2),
-    ("C", "G", "_c_sides", 1),
+@pytest.mark.parametrize("runs, sweep, bound, sweeps", [
+    pytest.param(("A", "C"), "_closed_sum_outcomes", 2, [1, 0],
+                 id="A-C-_closed_sum_outcomes-2"),
+    pytest.param(("B", "D"), "_closed_sum_outcomes", 2, [1, 0],
+                 id="B-D-_closed_sum_outcomes-2"),
+    pytest.param(("C", "G"), "_c_sides", 1, [1, 0], id="C-G-_c_sides-1"),
+    # A's pullback side is F's under the identity closure.
+    pytest.param(("A", "F", "F/identity"), "_e_monos_between_sums", 2,
+                 [1, 1, 0], id="A-F-F(identity)-_e_monos_between_sums-2"),
+    # The subobject side is the closed side under the identity closure.
+    pytest.param(("biproduct", "biproduct/identity"),
+                 "_lattice_biproduct_outcomes", 1, [2, 0],
+                 id="biproduct-biproduct(identity)-_lattice_biproduct_outcomes-1"),
 ])
-def test_gate_reads_the_side_its_checker_stored(first, then, sweep, bound,
+def test_gate_reads_the_side_its_checker_stored(runs, sweep, bound, sweeps,
                                                 monkeypatch):
-    """Run on one memo after the checker whose side its gate reads, a gated
-    checker sweeps that side no further; both verdicts equal memo-less
-    runs."""
+    """Run on one memo after the checker whose side it reads, a checker
+    sweeps that side no further; every verdict equals a memo-less run.  A
+    run is a theorem, on alexandrov unless it names another family."""
     from extcheck import theorems
 
     ctx = builtin("finpre")
-    fam = ctx.family("alexandrov")
     calls = []
     real = getattr(theorems, sweep)
 
@@ -325,14 +333,17 @@ def test_gate_reads_the_side_its_checker_stored(first, then, sweep, bound,
         return real(*args)
 
     monkeypatch.setattr(theorems, sweep, counted)
-    memo = {}
-    verdicts = [run_checker(first, ctx, fam, bound, memo)]
-    swept = len(calls)
-    verdicts.append(run_checker(then, ctx, fam, bound, memo))
-    assert swept == len(calls) == 1
+    memo, verdicts, swept = {}, [], []
+    runs = [(*run.split("/"), "alexandrov")[:2] for run in runs]
+    for thm, fam in runs:
+        before = len(calls)
+        verdicts.append(run_checker(thm, ctx, ctx.family(fam), bound, memo))
+        swept.append(len(calls) - before)
+    assert swept == sweeps
     monkeypatch.undo()
-    for thm, v in zip((first, then), verdicts):
-        assert run_checker(thm, builtin("finpre"), fam, bound, None) == v
+    for (thm, fam), v in zip(runs, verdicts):
+        fresh = builtin("finpre")
+        assert run_checker(thm, fresh, fresh.family(fam), bound, None) == v
 
 
 def test_checker_dispatch_table_is_total():
@@ -371,30 +382,39 @@ def test_adjunctions_finpre_bound_3_counts_and_memo(monkeypatch):
 
 
 def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
-    """The family-independent `subobject_lattice_biproduct` side is built
-    once per run and served from the memo for the other families, with the
-    same verdicts as unmemoized runs."""
+    """The family-independent `subobject_lattice_biproduct` side, the closed
+    side under the identity closure, is built once per run and served from
+    the memo for the other families, with the same verdicts as unmemoized
+    runs."""
     from collections import Counter
     from itertools import product
 
     from extcheck import theorems
+    from extcheck.closure import IDENTITY
 
     ctx = builtin("finpre")
-    built = Counter()
-    real = theorems.subobject_biproduct
+    built, roundtrip = Counter(), Counter()
+    real_closed, real_sub = theorems.closed_biproduct, theorems.subobject_biproduct
 
-    def counted(lattice_of, x, y, cp):
-        built[x, y] += 1
-        return real(lattice_of, x, y, cp)
+    def counted(lattice_of, family, x, y, cp):
+        if family is IDENTITY:
+            built[x, y] += 1
+        return real_closed(lattice_of, family, x, y, cp)
 
-    monkeypatch.setattr(theorems, "subobject_biproduct", counted)
+    def counted_roundtrip(lattice_of, x, y, cp):
+        roundtrip[x, y] += 1
+        return real_sub(lattice_of, x, y, cp)
+
+    monkeypatch.setattr(theorems, "closed_biproduct", counted)
+    monkeypatch.setattr(theorems, "subobject_biproduct", counted_roundtrip)
     memo = {}
     verdicts = [run_checker("biproduct", ctx, fam, 1, memo) for fam in ctx.families]
     assert [v.status for v in verdicts] == ["ok", "ok", "hypothesis-failed"]
-    # Once for the side and once for the hom round trip, which builds every
-    # pair of objects of size at most 2: at bound 1, all of them.
+    # Once for the side, also serving identity's closed side, and once for
+    # the hom round trip, which builds every pair of objects of size at most
+    # 2: at bound 1, all of them.
     pairs = list(product(ctx.objects(1), repeat=2))
-    assert built == {pair: 2 for pair in pairs}
+    assert built == roundtrip == {pair: 1 for pair in pairs}
     monkeypatch.undo()
     for fam, v in zip(ctx.families, verdicts):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
@@ -449,8 +469,9 @@ def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
         assert ("biproduct_roundtrip", bound) not in memo
 
 
-@pytest.mark.parametrize("name, fam_name", [("finset", "identity"),
-                                            ("finpre", "alexandrov")])
+# Under identity the two sides are one memo entry, so only another family
+# can fail one and not the other.
+@pytest.mark.parametrize("name, fam_name", [("finpre", "alexandrov")])
 def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
                                                              monkeypatch):
     """A forced `subobject_lattice_biproduct` failure on the first pair
@@ -459,27 +480,25 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
     from itertools import product
 
     from extcheck import theorems
+    from extcheck.closure import IDENTITY
     from extcheck.core import CheckResult, Report
 
     ctx = builtin(name)
     fam = ctx.family(fam_name)
     unforced = dict(run_checker("biproduct", ctx, fam, 1, {}).sides)
     pairs = list(product(ctx.objects(1), repeat=2))
-    real_sub, real_closed = theorems.subobject_biproduct, theorems.closed_biproduct
+    real_closed = theorems.closed_biproduct
     closed_pairs = []
 
-    def failing_on_first_pair(lattice_of, x, y, cp):
-        bp = real_sub(lattice_of, x, y, cp)
-        if (x, y) == pairs[0]:
+    def failing_on_first_pair(lattice_of, family, x, y, cp):
+        bp = real_closed(lattice_of, family, x, y, cp)
+        if family is IDENTITY and (x, y) == pairs[0]:
             bp.report = Report("biproduct", (CheckResult("forced", False, 1),))
+        elif family is fam:
+            closed_pairs.append((x, y))
         return bp
 
-    def recording(lattice_of, family, x, y, cp):
-        closed_pairs.append((x, y))
-        return real_closed(lattice_of, family, x, y, cp)
-
-    monkeypatch.setattr(theorems, "subobject_biproduct", failing_on_first_pair)
-    monkeypatch.setattr(theorems, "closed_biproduct", recording)
+    monkeypatch.setattr(theorems, "closed_biproduct", failing_on_first_pair)
     v = run_checker("biproduct", ctx, fam, 1, {})
     sides = dict(v.sides)
     assert sides["subobject_lattice_biproduct"] is False
