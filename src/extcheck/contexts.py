@@ -25,10 +25,12 @@ from .core import (
     compose,
     copair,
     coproduct,
+    embedding_table,
     enumerate_morphisms,
     find_iso,
     identity,
     initial,
+    injective_table,
     is_injective,
     is_iso,
     is_isomorphic,
@@ -37,6 +39,7 @@ from .core import (
     pullback,
     serialize_morphism,
     serialize_object,
+    surjective_table,
     terminal,
     transitive_closure,
 )
@@ -47,12 +50,14 @@ from .subobjects import SubobjectLattice, subobject_lattice
 
 def surjections_injections() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/injections", is_surjective, is_injective)
+        "surjections/injections", is_surjective, is_injective,
+        surjective_table, injective_table)
 
 
 def surjections_embeddings() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/embeddings", is_surjective, is_embedding)
+        "surjections/embeddings", is_surjective, is_embedding,
+        surjective_table, embedding_table)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +200,8 @@ def swapped_system_context(base: Context) -> Context:
     """Self-test mutant: the two classes exchanged."""
     sys = base.system
     swapped = FactorizationSystem(
-        f"{sys.name}|swapped", sys.m_member, sys.e_member)
+        f"{sys.name}|swapped", sys.m_member, sys.e_member,
+        sys.m_table, sys.e_table)
     return Context(f"{base.name}!swapped", base.ordered, swapped, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 
@@ -220,7 +226,8 @@ def crossed_coproduct_context(base: Context) -> Context:
 
 
 def split_mono_context(base: Context) -> Context:
-    """Self-test mutant: admissibles narrowed to split monomorphisms."""
+    """Self-test mutant: admissibles narrowed to split monomorphisms, which
+    have no table-level predicate, so validators take the label-level path."""
 
     def has_retraction(f: Morphism) -> bool:
         if not is_injective(f):
@@ -230,7 +237,8 @@ def split_mono_context(base: Context) -> Context:
                    for r in enumerate_morphisms(f.target, f.source))
 
     sys = FactorizationSystem(
-        f"{base.system.name}|split", base.system.e_member, has_retraction)
+        f"{base.system.name}|split", base.system.e_member, has_retraction,
+        base.system.e_table)
     return Context(f"{base.name}!split", base.ordered, sys, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 
@@ -254,27 +262,39 @@ def _pullback_stability_literal(ctx: Context, cp: Coproduct, f: Morphism):
                   "comparison": serialize_morphism(comparison)})
 
 
-def _comparison_is_iso(f_idx, legs, z_up, z_pairs: int) -> bool:
+def _legs_over(legs, n: int) -> list[list[tuple[int, int]]]:
+    """Per point of the legs' common n-point target, the (leg number, b)
+    of every leg point b over it.  `legs` holds, per injection, its index
+    table and its source's up-masks (None unordered)."""
+    over: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (leg, _) in enumerate(legs):
+        for b, t in enumerate(leg):
+            over[t].append((k, b))
+    return over
+
+
+def _comparison_is_iso(f_idx, legs, over, z_up, z_pairs: int) -> bool:
     """Index certificate of one pullback-stability instance.
 
-    `legs` holds, per injection, its index table and its source's up-masks
-    (None unordered).  The two pullbacks of `f_idx` are the pairs (a, b)
-    with f_idx[a] == leg[b].  Their plain disjoint sum maps onto z by a, and
-    that comparison is an isomorphism iff every a occurs exactly once and,
-    ordered, the componentwise order pairs number len(z.order) (`z_pairs`).
+    The two pullbacks of `f_idx` along `legs` are the pairs (a, b) with
+    f_idx[a] == leg[b], read off `over = _legs_over(legs, ...)`.  Their
+    plain disjoint sum maps onto z by a, and that comparison is an
+    isomorphism iff every a occurs exactly once and, ordered, the
+    componentwise order pairs number len(z.order) (`z_pairs`).
     """
-    pbs = [[(a, b) for a, t in enumerate(f_idx) for b, s in enumerate(leg)
-            if s == t] for leg, _ in legs]
-    if sorted(a for pb in pbs for a, _ in pb) != list(range(len(f_idx))):
-        return False
+    hits = []
+    for t in f_idx:
+        if len(over[t]) != 1:
+            return False
+        hits.append(over[t][0])
     if z_up is None:
         return True
     pairs = 0
-    for pb, (_, up) in zip(pbs, legs):
-        for a1, b1 in pb:
-            for a2, b2 in pb:
-                if (z_up[a1] >> a2) & 1 and (up[b1] >> b2) & 1:
-                    pairs += 1
+    for a1, (k1, b1) in enumerate(hits):
+        up = legs[k1][1]
+        for a2, (k2, b2) in enumerate(hits):
+            if k1 == k2 and (z_up[a1] >> a2) & 1 and (up[b1] >> b2) & 1:
+                pairs += 1
     return pairs == z_pairs
 
 
@@ -332,10 +352,12 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
             cp = ctx.coproduct(x, y)
             legs = ((cp.inl.idx, x.up_masks if x.has_order else None),
                     (cp.inr.idx, y.up_masks if y.has_order else None))
+            over = _legs_over(legs, cp.ob.size)
             for z in pool:
                 z_up, z_pairs = (z.up_masks, len(z.order)) if z.has_order else (None, 0)
                 for f in ctx.hom(z, cp.ob):
-                    held = indexed and _comparison_is_iso(f.idx, legs, z_up, z_pairs)
+                    held = indexed and _comparison_is_iso(
+                        f.idx, legs, over, z_up, z_pairs)
                     yield None if held else _pullback_stability_literal(ctx, cp, f)
 
     def distributivity_two_by_x():

@@ -10,7 +10,6 @@ same thing twice yields equal values and every enumeration is reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -211,23 +210,60 @@ def compose_idx(g: Morphism, f: Morphism) -> tuple[int, ...]:
     return tuple(gi[t] for t in f.idx)
 
 
+def up_masks_or_none(x: FiniteObject) -> tuple[int, ...] | None:
+    return x.up_masks if x.has_order else None
+
+
+def table_of(f: Morphism) -> tuple:
+    """(index table, source up-masks, target size, target up-masks) of f,
+    the arguments of the table-level class predicates below; the up-masks
+    are None for the unordered flavor."""
+    return (f.idx, up_masks_or_none(f.source), f.target.size,
+            up_masks_or_none(f.target))
+
+
+def injective_table(idx, src_up, n, tgt_up) -> bool:
+    return len(set(idx)) == len(idx)
+
+
+def surjective_table(idx, src_up, n, tgt_up) -> bool:
+    return len(set(idx)) == n
+
+
+def order_reflecting_table(idx, src_up, tgt_up) -> bool:
+    """i <= j in the source whenever idx[i] <= idx[j] in the target;
+    vacuous unless both ends are ordered."""
+    if src_up is None or tgt_up is None:
+        return True
+    for i, t in enumerate(idx):
+        up = tgt_up[t]
+        above = 0
+        for j, s in enumerate(idx):
+            if (up >> s) & 1:
+                above |= 1 << j
+        if above & ~src_up[i]:
+            return False
+    return True
+
+
+def embedding_table(idx, src_up, n, tgt_up) -> bool:
+    """Injective and order-reflecting; plain injectivity when unordered."""
+    return (injective_table(idx, src_up, n, tgt_up)
+            and order_reflecting_table(idx, src_up, tgt_up))
+
+
+# Neither reads the orders, so neither builds (and caches) up-masks.
 def is_injective(f: Morphism) -> bool:
-    vals = [v for (_, v) in f.mapping]
-    return len(set(vals)) == len(vals)
+    return injective_table(f.idx, None, f.target.size, None)
 
 
 def is_surjective(f: Morphism) -> bool:
-    return len(set(v for (_, v) in f.mapping)) == f.target.size
+    return surjective_table(f.idx, None, f.target.size, None)
 
 
 def is_order_reflecting(f: Morphism) -> bool:
-    if not (f.source.has_order and f.target.has_order):
-        return True
-    tab = f.table
-    for (a, b) in itertools.product(f.source.elements, repeat=2):
-        if (tab[a], tab[b]) in f.target.order and (a, b) not in f.source.order:
-            return False
-    return True
+    return order_reflecting_table(f.idx, up_masks_or_none(f.source),
+                                  up_masks_or_none(f.target))
 
 
 def is_iso(f: Morphism) -> bool:

@@ -7,6 +7,8 @@ a supplied object pool: class properness,
 composition closure, iso behaviour, factorization validity, stability of M
 under pullback, the full orthogonality square sweep, and both completeness
 directions (E is exactly the class left-orthogonal to M and dually).
+A system may also give its classes as table-level predicates; the
+validator then decides M-stability on index pullbacks.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from .core import (
     Report,
     compose,
     compose_idx,
+    embedding_table,
     enumerate_morphisms,
     inclusion,
     is_injective,
     is_iso,
-    is_order_reflecting,
     is_surjective,
     pullback,
     serialize_morphism,
+    table_of,
+    up_masks_or_none,
 )
 
 
@@ -50,11 +54,18 @@ class Factorization:
 class FactorizationSystem:
     """Membership predicates for the two classes.  The factorization of
     every system is the image factorization; the join of two admissible
-    subobjects is then the union of their carriers."""
+    subobjects is then the union of their carriers.
+
+    `e_table`/`m_table`, when given, decide the same classes on
+    `core.table_of(f)`: index table, source up-masks, target size and
+    target up-masks (None unordered), so a map need not be built to be
+    classified."""
 
     name: str
     e_member: Callable[[Morphism], bool]
     m_member: Callable[[Morphism], bool]
+    e_table: Callable[..., bool] | None = None
+    m_table: Callable[..., bool] | None = None
 
     def in_e(self, f: Morphism) -> bool:
         return self.e_member(f)
@@ -73,7 +84,7 @@ def image_factorization(f: Morphism) -> Factorization:
 
 def is_embedding(f: Morphism) -> bool:
     """Injective and order-reflecting; plain injectivity when unordered."""
-    return is_injective(f) and is_order_reflecting(f)
+    return embedding_table(*table_of(f))
 
 
 def down_arrow(e: Morphism, m: Morphism) -> bool:
@@ -85,7 +96,8 @@ def down_arrow(e: Morphism, m: Morphism) -> bool:
 def down_arrow_witness(e: Morphism, m: Morphism):
     """down_arrow plus, on failure, the offending square (and diagonal count)."""
     if is_surjective(e) and is_injective(m):
-        return _down_arrow_fiberwise(e, m)
+        witness = _first_unfilled_square(e, m, _unmonotone_fills(e, m.source))
+        return witness is None, witness
     return _down_arrow_exhaustive(e, m)
 
 
@@ -99,44 +111,68 @@ def _square_witness(e, m, u_mapping, v_mapping, count):
     }
 
 
-def _down_arrow_fiberwise(e: Morphism, m: Morphism):
-    """Fast path for e surjective, m injective.
+def _unmonotone_fills(e: Morphism, c: FiniteObject) -> list:
+    """Fast path for e surjective against an injective m out of c.
 
-    A square with top u exists iff u is constant on e-fibers and the induced
-    bottom map is monotone; the diagonal is then the induced map itself, so
-    orthogonality fails exactly when that induced map is not monotone.
-    Uniqueness is automatic because e is epi.
-    """
-    a, b = e.source, e.target
-    c, d = m.source, m.target
-    ordered = b.has_order and c.has_order
-    e_idx, m_idx = e.idx, m.idx
-    b_ord = b.order_idx if ordered else ()
-    c_up = c.up_masks if ordered else ()
-    d_up = d.up_masks if d.has_order else ()
-    for u in enumerate_morphisms(a, c):
+    A square v.e = m.u with top u exists iff u is constant on the fibres of
+    e and m.w is monotone for the induced w (w.e = u).  The only possible
+    diagonal is w, unique because e is epi, so the square fails exactly
+    when w is not monotone.  This lists (u, w) for every u: e.source -> c
+    constant on the fibres of e whose w is not monotone, in enumeration
+    order.  It depends on e and c only, not on m."""
+    b = e.target
+    if not (b.has_order and c.has_order):
+        return []
+    b_ord, c_up, e_idx = b.order_idx, c.up_masks, e.idx
+    fills = []
+    for u in enumerate_morphisms(e.source, c):
         u_idx = u.idx
-        w_tab: list[int | None] = [None] * b.size
-        constant = True
+        w_tab: list = [None] * b.size
         for i, bi in enumerate(e_idx):
             if w_tab[bi] is None:
                 w_tab[bi] = u_idx[i]
             elif w_tab[bi] != u_idx[i]:
-                constant = False
                 break
-        if not constant:
-            continue
-        if ordered:
-            v_tab = [m_idx[ci] for ci in w_tab]
-            v_monotone = all((d_up[v_tab[i]] >> v_tab[j]) & 1 for (i, j) in b_ord)
-            if not v_monotone:
-                continue
-            w_monotone = all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord)
-            if not w_monotone:
-                v_mapping = tuple(
-                    (b.elements[i], d.elements[v_tab[i]]) for i in range(b.size))
-                return False, _square_witness(e, m, u.mapping, v_mapping, 0)
-    return True, None
+        else:
+            if not all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord):
+                fills.append((u, w_tab))
+    return fills
+
+
+def _first_unfilled_square(e: Morphism, m: Morphism, fills: list):
+    """The witness of the first of `fills` (`_unmonotone_fills(e,
+    m.source)`) whose bottom m.w is monotone, or None: the first square of
+    e against m with no diagonal."""
+    if not fills:
+        return None
+    b, d = e.target, m.target
+    m_idx, b_ord, d_up = m.idx, b.order_idx, d.up_masks
+    for u, w_tab in fills:
+        v_tab = [m_idx[ci] for ci in w_tab]
+        if all((d_up[v_tab[i]] >> v_tab[j]) & 1 for (i, j) in b_ord):
+            v_mapping = tuple(
+                (b.elements[i], d.elements[v_tab[i]]) for i in range(b.size))
+            return _square_witness(e, m, u.mapping, v_mapping, 0)
+    return None
+
+
+def _pullback_table(g: Morphism, m: Morphism) -> tuple:
+    """`table_of` the first projection of the pullback of g and m, on the
+    pairs (a, b) with g(a) = m(b), a-major, ordered componentwise: the
+    same map as `pullback(g, m).p1` up to the order of its source points."""
+    x, y = g.source, m.source
+    over: list[list[int]] = [[] for _ in range(m.target.size)]
+    for b, t in enumerate(m.idx):
+        over[t].append(b)
+    pairs = [(a, b) for a, t in enumerate(g.idx) for b in over[t]]
+    up = None
+    if x.has_order and y.has_order:
+        x_up, y_up = x.up_masks, y.up_masks
+        up = tuple(
+            sum(1 << k for k, (a2, b2) in enumerate(pairs)
+                if (x_up[a1] >> a2) & 1 and (y_up[b1] >> b2) & 1)
+            for a1, b1 in pairs)
+    return tuple(a for a, _ in pairs), up, x.size, up_masks_or_none(x)
 
 
 def _down_arrow_exhaustive(e: Morphism, m: Morphism):
@@ -206,17 +242,33 @@ def validate_system(sys: FactorizationSystem,
                          "m_part_in_m": sys.in_m(fac.m_part)})
 
     def m_stable_under_pullback():
+        """On index pullbacks under `sys.m_table`; the label-level pullback
+        is built for a witness, or for every instance without one."""
+        m_table = sys.m_table
         for m in m_list:
             for g in by_target.get(m.target, ()):
-                pb = pullback(g, m)
-                yield (None if sys.in_m(pb.p1)
+                if m_table is not None and m_table(*_pullback_table(g, m)):
+                    yield None
+                    continue
+                p1 = pullback(g, m).p1
+                yield (None if m_table is None and sys.in_m(p1)
                        else {"m": serialize_morphism(m), "along": serialize_morphism(g),
-                             "pulled_back": serialize_morphism(pb.p1)})
+                             "pulled_back": serialize_morphism(p1)})
 
     def orthogonality():
+        """Per pair as `down_arrow_witness`, with the fast path's fills
+        built once per e and source of m, not once per pair."""
+        injective = [is_injective(m) for m in m_list]
         for e in e_list:
-            for m in m_list:
-                yield down_arrow_witness(e, m)[1]
+            surjective = is_surjective(e)
+            fills: dict[FiniteObject, list] = {}
+            for m, m_injective in zip(m_list, injective):
+                if not (surjective and m_injective):
+                    yield down_arrow_witness(e, m)[1]
+                    continue
+                if m.source not in fills:
+                    fills[m.source] = _unmonotone_fills(e, m.source)
+                yield _first_unfilled_square(e, m, fills[m.source])
 
     # Completeness: anything outside E must fail orthogonality against some
     # M-member, and dually.  The own factorization parts are tried first

@@ -10,17 +10,25 @@ and compared by equality.  `pullback_stability` and `coproduct_disjoint`
 are the two extensivity laws as they were written on label-level pullbacks.
 `closed_sum_of_closed_outcomes` is checker C's sum side decided per pair:
 the singleton closed-morphism equation of each f + g on its sum tables.
+`surjective`, `injective` and `order_reflecting` are the class predicates
+on label tables.  `down_arrow_witness` is orthogonality of one pair, its
+fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
+and `validate_system` is the factorization validator with M-stability
+decided on label-level pullbacks and orthogonality per pair.
 """
 
 from functools import cache
 from itertools import groupby
 
+from extcheck import factorization
 from extcheck.core import (
     CheckResult,
     Morphism,
+    Report,
     compose,
     copair,
     coproduct,
+    enumerate_morphisms,
     first_counterexample,
     inclusion,
     is_iso,
@@ -33,7 +41,11 @@ from extcheck.core import (
     RIGHT_TAG,
 )
 from extcheck.closure import _closed_fast
-from extcheck.factorization import image_factorization
+from extcheck.factorization import (
+    _down_arrow_exhaustive,
+    _square_witness,
+    image_factorization,
+)
 from extcheck.subobjects import (
     Subobject,
     image,
@@ -256,3 +268,91 @@ def closed_sum_of_closed_outcomes(ctx, closed, cls_of):
                 tail = tuple(t + nt for t in g.idx)
                 yield (None if _closed_fast(f.idx + tail, src_fn, tgt_fn, n_src)
                        else _maps_witness(f, g))
+
+
+def surjective(f) -> bool:
+    return len(set(v for (_, v) in f.mapping)) == f.target.size
+
+
+def injective(f) -> bool:
+    vals = [v for (_, v) in f.mapping]
+    return len(set(vals)) == len(vals)
+
+
+def order_reflecting(f) -> bool:
+    if not (f.source.has_order and f.target.has_order):
+        return True
+    tab = f.table
+    return all((a, b) in f.source.order
+               for a in f.source.elements for b in f.source.elements
+               if (tab[a], tab[b]) in f.target.order)
+
+
+def down_arrow_fiberwise(e, m):
+    """Orthogonality of e surjective against m injective, per pair: a
+    square with top u exists iff u is constant on the fibres of e and the
+    induced bottom map is monotone; the diagonal is then the induced map
+    itself, so orthogonality fails exactly when it is not monotone."""
+    a, b = e.source, e.target
+    c, d = m.source, m.target
+    ordered = b.has_order and c.has_order
+    e_idx, m_idx = e.idx, m.idx
+    b_ord = b.order_idx if ordered else ()
+    c_up = c.up_masks if ordered else ()
+    d_up = d.up_masks if d.has_order else ()
+    for u in enumerate_morphisms(a, c):
+        u_idx = u.idx
+        w_tab = [None] * b.size
+        constant = True
+        for i, bi in enumerate(e_idx):
+            if w_tab[bi] is None:
+                w_tab[bi] = u_idx[i]
+            elif w_tab[bi] != u_idx[i]:
+                constant = False
+                break
+        if not constant:
+            continue
+        if ordered:
+            v_tab = [m_idx[ci] for ci in w_tab]
+            v_monotone = all((d_up[v_tab[i]] >> v_tab[j]) & 1 for (i, j) in b_ord)
+            if not v_monotone:
+                continue
+            w_monotone = all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord)
+            if not w_monotone:
+                v_mapping = tuple(
+                    (b.elements[i], d.elements[v_tab[i]]) for i in range(b.size))
+                return False, _square_witness(e, m, u.mapping, v_mapping, 0)
+    return True, None
+
+
+def down_arrow_witness(e, m):
+    if surjective(e) and injective(m):
+        return down_arrow_fiberwise(e, m)
+    return _down_arrow_exhaustive(e, m)
+
+
+def validate_system(sys, objects) -> Report:
+    """`factorization.validate_system`, with its M-stability law swept on
+    label-level pullbacks under `sys.in_m` and its orthogonality law per
+    (e, m) pair through this module's `down_arrow_witness`."""
+    report = factorization.validate_system(sys, objects)
+    homs = [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
+    e_list = [f for f in homs if sys.in_e(f)]
+    m_list = [f for f in homs if sys.in_m(f)]
+
+    def m_stable_under_pullback():
+        for m in m_list:
+            for g in homs:
+                if g.target != m.target:
+                    continue
+                pb = pullback(g, m)
+                yield (None if sys.in_m(pb.p1)
+                       else {"m": serialize_morphism(m), "along": serialize_morphism(g),
+                             "pulled_back": serialize_morphism(pb.p1)})
+
+    laws = {"m_stable_under_pullback": m_stable_under_pullback(),
+            "orthogonality": (down_arrow_witness(e, m)[1]
+                              for e in e_list for m in m_list)}
+    return Report(report.name, tuple(
+        CheckResult.of(c.id, laws[c.id]) if c.id in laws else c
+        for c in report.checks))

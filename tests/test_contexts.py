@@ -193,19 +193,18 @@ def test_index_certificate_holds_only_where_literal_instance_does(case):
     held = 0
     for x, y, z, f in oracles.pullback_stability_instances(ctx, bound):
         cp = ctx.coproduct(x, y)
-        if contexts._comparison_is_iso(f.idx, _legs(cp, x, y), *_z_order(z)):
+        if _certified(f, cp, x, y, z):
             held += 1
             assert oracles.pullback_stability_instance(ctx, cp, f) is None
     assert held
 
 
-def _legs(cp, x, y):
-    return ((cp.inl.idx, x.up_masks if x.has_order else None),
+def _certified(f, cp, x, y, z) -> bool:
+    legs = ((cp.inl.idx, x.up_masks if x.has_order else None),
             (cp.inr.idx, y.up_masks if y.has_order else None))
-
-
-def _z_order(z):
-    return (z.up_masks, len(z.order)) if z.has_order else (None, 0)
+    z_order = (z.up_masks, len(z.order)) if z.has_order else (None, 0)
+    return contexts._comparison_is_iso(
+        f.idx, legs, contexts._legs_over(legs, cp.ob.size), *z_order)
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
@@ -223,11 +222,9 @@ def test_index_certificate_decides_comparison_over_any_cospan(name):
                 for l in ctx.hom(x, w):
                     for r in ctx.hom(y, w):
                         cospan = Coproduct(w, l, r)
-                        legs = _legs(cospan, x, y)
                         for z in pool:
                             for f in ctx.hom(z, w):
-                                certified = contexts._comparison_is_iso(
-                                    f.idx, legs, *_z_order(z))
+                                certified = _certified(f, cospan, x, y, z)
                                 literal = oracles.pullback_stability_instance(
                                     ctx, cospan, f)
                                 assert certified == (literal is None)

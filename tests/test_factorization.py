@@ -1,22 +1,47 @@
 """Orthogonality, factorization, and whole-system validation."""
 
+from pathlib import Path
+
 import pytest
 
-from extcheck.contexts import builtin, swapped_system_context
+import oracles
+from extcheck.cli import load_objects
+from extcheck.contexts import (
+    builtin,
+    crossed_coproduct_context,
+    finpre_objects,
+    finset_objects,
+    split_mono_context,
+    swapped_system_context,
+)
 from extcheck.core import (
     FiniteObject,
     Morphism,
     compose,
+    enumerate_morphisms,
     identity,
     make_preorder,
+    pair_label,
+    pullback,
+    table_of,
 )
 from extcheck.factorization import (
+    FactorizationSystem,
+    _down_arrow_exhaustive,
+    _first_unfilled_square,
+    _pullback_table,
+    _unmonotone_fills,
     down_arrow,
     down_arrow_witness,
     image_factorization,
     is_embedding,
     validate_system,
 )
+from test_golden_reports import WORKLOAD_EXTRAS
+from test_subobjects import _no_two_point_sources
+
+VALIDATOR_EXTRAS = (Path(__file__).resolve().parent.parent
+                    / "perfbench" / "inputs" / "validators.json")
 
 
 def plain(*labels):
@@ -85,19 +110,131 @@ def test_orthogonality_failure_for_order_reasons():
 
 
 def test_down_arrow_fiberwise_matches_exhaustive():
-    from extcheck.factorization import (_down_arrow_exhaustive,
-                                        _down_arrow_fiberwise)
+    # Every (E, M) pair of finpre at bound 2: the per-pair fibrewise sweep
+    # agrees with the exhaustive square search, and the validator's sweep,
+    # which builds the fills once per e and source of m, finds the same
+    # witness.
     ctx = builtin("finpre")
     pool = ctx.objects(2)
     sys = ctx.system
     homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
-    es = [f for f in homs if sys.in_e(f)][:12]
-    ms = [f for f in homs if sys.in_m(f)][:12]
+    es = [f for f in homs if sys.in_e(f)]
+    ms = [f for f in homs if sys.in_m(f)]
+    failed = 0
+    for e in es:
+        fills = {}
+        for m in ms:
+            ok, witness = oracles.down_arrow_fiberwise(e, m)
+            assert ok == _down_arrow_exhaustive(e, m)[0], (e.mapping, m.mapping)
+            if m.source not in fills:
+                fills[m.source] = _unmonotone_fills(e, m.source)
+            assert _first_unfilled_square(e, m, fills[m.source]) == witness
+            failed += not ok
+    assert es and ms and failed == 0
+
+
+def test_hoisted_squares_find_the_per_pair_witness():
+    # Surjections against injections that are not embeddings, on finpre at
+    # bound 2 plus three 3-point preorders: squares do fail here, so the
+    # hoisted sweep must return the per-pair witness, not merely agree
+    # that one exists.
+    pool = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS).objects(2)
+    homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
+    es = [f for f in homs if oracles.surjective(f)]
+    ms = [f for f in homs if oracles.injective(f) and not is_embedding(f)]
+    witnesses = 0
     for e in es:
         for m in ms:
-            left = _down_arrow_fiberwise(e, m)[0]
-            right = _down_arrow_exhaustive(e, m)[0]
-            assert left == right, (e.mapping, m.mapping)
+            witness = oracles.down_arrow_fiberwise(e, m)[1]
+            assert _first_unfilled_square(
+                e, m, _unmonotone_fills(e, m.source)) == witness
+            witnesses += witness is not None
+    assert witnesses
+
+
+def test_pullback_table_is_the_label_level_projection():
+    # Every cospan (g, m) of finpre at bound 2, m in any class: the index
+    # pullback is pullback(g, m).p1 with its points in (a, b) order.
+    pool = builtin("finpre").objects(2)
+    homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
+    for m in homs:
+        for g in homs:
+            if g.target != m.target:
+                continue
+            pb = pullback(g, m)
+            pos = [pb.ob.index[pair_label(a, b)] for a in g.source.elements
+                   for b in m.source.elements if g(a) == m(b)]
+            p_idx, p_up, n, tgt_up = table_of(pb.p1)
+            assert _pullback_table(g, m) == (
+                tuple(p_idx[k] for k in pos),
+                tuple(sum(1 << j for j, q in enumerate(pos) if (p_up[k] >> q) & 1)
+                      for k in pos),
+                n, tgt_up)
+
+
+def _finpre_extra():
+    return builtin("finpre").with_extra_objects(
+        load_objects(str(VALIDATOR_EXTRAS), True))
+
+
+def _no_two_point_tables(base):
+    """`_no_two_point_sources` with its classes also given as table
+    predicates, so that M-stability fails on the index path."""
+    ctx = _no_two_point_sources(base)
+    sys, tables = ctx.system, base.system
+    ctx.system = FactorizationSystem(
+        sys.name, sys.e_member, sys.m_member, tables.e_table,
+        lambda idx, *rest: tables.m_table(idx, *rest) and len(idx) != 2)
+    return ctx
+
+
+# case -> (context maker, bound)
+VALIDATE_CASES = {
+    "finset-b3": (lambda: builtin("finset"), 3),
+    "finpre-b2": (lambda: builtin("finpre"), 2),
+    "finpre-extra-b2": (_finpre_extra, 2),
+    "finpre-extra-swapped-b2": (lambda: swapped_system_context(_finpre_extra()), 2),
+    "finpre-extra-crossed-b2": (lambda: crossed_coproduct_context(_finpre_extra()), 2),
+    "finpre-extra-split-b2": (lambda: split_mono_context(_finpre_extra()), 2),
+    "finpre-no-2-b2": (lambda: _no_two_point_sources(builtin("finpre")), 2),
+    "finpre-no-2-tables-b2": (lambda: _no_two_point_tables(builtin("finpre")), 2),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validate_system_matches_label_level_oracle(case):
+    make, bound = VALIDATE_CASES[case]
+    ctx = make()
+    pool = ctx.objects(bound)
+    report = validate_system(ctx.system, pool)
+    assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
+    if case.startswith("finpre-no-2"):
+        assert report.check("m_stable_under_pullback").witness is not None
+
+
+def test_systems_without_tables_take_the_label_level_path():
+    assert split_mono_context(builtin("finpre")).system.m_table is None
+    narrowed = _no_two_point_sources(builtin("finpre")).system
+    assert narrowed.e_table is None and narrowed.m_table is None
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_table_predicates_agree_with_label_level(name):
+    ctx = builtin(name)
+    objects = finset_objects(3) if name == "finset" else (
+        finpre_objects(3) + WORKLOAD_EXTRAS)
+    homs = [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
+    literal_m = (oracles.injective if name == "finset" else
+                 lambda f: oracles.injective(f) and oracles.order_reflecting(f))
+    swapped = swapped_system_context(ctx).system
+    for f in homs:
+        args = table_of(f)
+        in_e, in_m = oracles.surjective(f), literal_m(f)
+        assert ctx.system.e_table(*args) == ctx.system.in_e(f) == in_e
+        assert ctx.system.m_table(*args) == ctx.system.in_m(f) == in_m
+        assert swapped.e_table(*args) == swapped.in_e(f) == in_m
+        assert swapped.m_table(*args) == swapped.in_m(f) == in_e
+    assert homs
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])

@@ -18,11 +18,14 @@ from extcheck.core import (
     Morphism,
     compose,
     coproduct,
+    inclusion,
     make_preorder,
     sum_morphisms,
+    table_of,
 )
 from extcheck.factorization import FactorizationSystem
 from extcheck.subobjects import (
+    _inclusion_table,
     Subobject,
     check_adjunction_admissible,
     image,
@@ -218,6 +221,16 @@ def test_lattice_masks_match_label_level_enumeration(case):
         lat = ctx.sub_lattice(x)
         assert lat.ambient == x
         assert lat.masks == tuple(s.mask for s in enumerate_subobjects(ctx.system, x))
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_inclusion_table_is_the_label_level_inclusion(name):
+    """A lattice whose system has `m_table` decides each subset on this
+    table: the `table_of` the label-level inclusion with the induced order."""
+    for x in builtin(name).objects(3):
+        for m in range(1 << x.size):
+            assert _inclusion_table(x, m) == table_of(
+                inclusion(x.restrict(x.labels_of(m)), x))
 
 
 @pytest.mark.parametrize("case", SUM_CASES)
