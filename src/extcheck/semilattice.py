@@ -8,14 +8,17 @@ and provides the 2x2 matrix calculus for homs between binary sums.
 
 Homs between two lattices the caller already holds are plain index tables
 (`Table`); `SemilatticeHom` carries its endpoints and serves the biproduct
-structure maps.
+structure maps.  `enumerate_homs` assigns the join-irreducibles depth-first
+and checks join-preservation on generator equations only;
+`matrix_roundtrip` decides `matrix_to_hom(hom_matrix(t)) == t` for many
+tables through the round trip precomposed once per pair of biproducts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
 from .closure import IDENTITY, ClosureFamily, Space
@@ -49,11 +52,28 @@ class JoinSemilattice:
     def leq(self, i: int, j: int) -> bool:
         return self.join[i][j] == j
 
-    def join_of(self, indices) -> int:
-        out = self.zero
-        for i in indices:
-            out = self.join[out][i]
-        return out
+    @cached_property
+    def associative(self) -> bool:
+        """Checked on demand, not on construction: it costs n**3, and most
+        lattices are never enumerated over."""
+        join, rng = self.join, range(self.n)
+        return all(join[join[a][b]][c] == join[a][join[b][c]]
+                   for a in rng for b in rng for c in rng)
+
+    @cached_property
+    def irreducibles(self) -> tuple[int, ...]:
+        """The join-irreducible elements, ascending: not the zero and not
+        the join of two elements strictly below."""
+        out = []
+        for j in range(self.n):
+            if j == self.zero:
+                continue
+            strictly_below = [a for a in range(self.n)
+                              if a != j and self.leq(a, j)]
+            if not any(self.join[a][b] == j
+                       for a in strictly_below for b in strictly_below):
+                out.append(j)
+        return tuple(out)
 
 
 def lattice_from_masks(masks: Sequence[int], join_mask,
@@ -126,56 +146,79 @@ def join_homs(h1: SemilatticeHom, h2: SemilatticeHom) -> SemilatticeHom:
                           tuple(tgt.join[a][b] for a, b in zip(h1.table, h2.table)))
 
 
-def join_irreducibles(lat: JoinSemilattice) -> tuple[int, ...]:
-    out = []
-    for j in range(lat.n):
-        if j == lat.zero:
-            continue
-        strictly_below = [a for a in range(lat.n) if a != j and lat.leq(a, j)]
-        reducible = any(lat.join[a][b] == j
-                        for a in strictly_below for b in strictly_below)
-        if not reducible:
-            out.append(j)
-    return tuple(out)
-
-
 def enumerate_homs(src: JoinSemilattice,
                    tgt: JoinSemilattice) -> tuple[Table, ...]:
-    """All join-zero homomorphisms as index tables, via assignments on
-    join-irreducibles.
+    """All join-zero homomorphisms as index tables, in lexicographic order
+    of their values on the join-irreducibles of `src`.
 
-    Every hom is determined by its (monotone) values on the irreducibles;
-    conversely each monotone assignment extends by joins.  Each candidate
-    is rechecked against the full hom equations, so the result is sound
-    even without leaning on distributivity.
+    A hom is determined by its values on the irreducibles, which it maps
+    monotonically, and its table is t[x] = join of the values of the
+    irreducibles below x.  The irreducibles are assigned depth-first in
+    ascending order, each value ascending, with t kept as a running table:
+    assigning irreducible q joins its value into t[x] for the x above q.
+    The order constraints of q are tested when q is assigned.
+
+    Join-preservation is tested on the generator equations
+    t[x | p] == t[x] | t[p] alone, for x a point and p an irreducible not
+    below x, each at the first depth where every irreducible below x | p
+    has its value (t is final there), so a failure cuts the whole subtree.
+    They imply every join equation: each y is the join of the irreducibles
+    p1..pm below it, and by induction on k, t[x | p1 | .. | pk] ==
+    t[x] | t[p1] | .. | t[pk], by a generator equation when p(k+1) is not
+    below x | p1 | .. | pk and by monotonicity of the running table (t[z]
+    is a join over the irreducibles below z, p(k+1) among them) when it
+    is; as t[y] is the join of t[p1] .. t[pm], t[x | y] == t[x] | t[y].
+    An equation holds by construction, and is not tested, when the
+    irreducibles below x | p are those below x or below p (always so in a
+    distributive lattice, and for x the zero).  The argument needs both
+    joins associative, so a non-associative table is refused; t[zero] is
+    zero by construction.
     """
-    irr = join_irreducibles(src)
-    below = [tuple(p for p, i in enumerate(irr) if src.leq(i, x))
-             for x in range(src.n)]
-    order_pairs = [(p, q) for p in range(len(irr)) for q in range(len(irr))
-                   if p != q and src.leq(irr[p], irr[q])]
-    joins = [(i, j, src.join[i][j])
-             for i in range(src.n) for j in range(i + 1, src.n)]
-    tj, s_zero, t_zero = tgt.join, src.zero, tgt.zero
-    out = []
-    for assign in itertools.product(range(tgt.n), repeat=len(irr)):
-        if any(tj[assign[p]][assign[q]] != assign[q] for p, q in order_pairs):
-            continue
-        # t[x] = join of the values assigned to the irreducibles below x
-        t = []
-        for ps in below:
-            v = t_zero
-            for p in ps:
-                v = tj[v][assign[p]]
-            t.append(v)
-        if t[s_zero] != t_zero:
-            continue
-        for i, j, k in joins:
-            if t[k] != tj[t[i]][t[j]]:
-                break
-        else:
-            out.append(tuple(t))
+    if not (src.associative and tgt.associative):
+        raise ValueError("join not associative")
+    irr, sj, n = src.irreducibles, src.join, src.n
+    below = [frozenset(d for d, q in enumerate(irr) if src.leq(q, y))
+             for y in range(n)]
+    steps = []
+    for d, q in enumerate(irr):
+        above = tuple(x for x in range(n) if d in below[x])
+        lower = tuple(p for p in range(d) if src.leq(irr[p], q))
+        upper = tuple(p for p in range(d) if src.leq(q, irr[p]))
+        # t[y] is final once the last irreducible below y has its value
+        equations = tuple(
+            (sj[x][p], x, p) for x in range(n) for e, p in enumerate(irr)
+            if e not in below[x] and max(below[sj[x][p]]) == d
+            and below[sj[x][p]] != below[x] | below[p])
+        steps.append((above, lower, upper, equations))
+    if not steps:
+        return ((tgt.zero,) * n,)
+    out: list[Table] = []
+    _assign(0, [tgt.zero] * n, [0] * len(irr), steps, tgt.join, out)
     return tuple(out)
+
+
+def _assign(d: int, t: list[int], values: list[int], steps, tj, out) -> None:
+    """Give irreducible d each target value in turn, extend the running
+    table `t` and recurse; complete tables go to `out`.  A module-level
+    function, not a closure that calls itself, so no reference cycle keeps
+    a finished enumeration alive."""
+    above, lower, upper, equations = steps[d]
+    last = d + 1 == len(steps)
+    for v in range(len(tj)):
+        if (lower or upper) and (
+                any(tj[values[p]][v] != v for p in lower)
+                or any(tj[v][values[p]] != values[p] for p in upper)):
+            continue
+        u = t.copy()
+        for x in above:
+            u[x] = tj[u[x]][v]
+        if equations and any(u[y] != tj[u[x]][u[p]] for y, x, p in equations):
+            continue
+        if last:
+            out.append(tuple(u))
+        else:
+            values[d] = v
+            _assign(d + 1, u, values, steps, tj, out)
 
 
 @dataclass(eq=False)
@@ -276,3 +319,24 @@ def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> Table
     return tuple(
         join[join[join[inj_l[m_ll[a]]][inj_l[m_lr[b]]]][inj_r[m_rl[a]]]][inj_r[m_rr[b]]]
         for a, b in zip(bp_src.proj_l.table, bp_src.proj_r.table))
+
+
+def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
+                     homs: Iterable[Table]) -> Iterator[bool]:
+    """For each table t, whether matrix_to_hom(hom_matrix(t)) == t.
+
+    Precomposed once: the target's inj_l . proj_l and inj_r . proj_r, joined
+    for every pair of values in `matrix_to_hom`'s association order, and
+    each source point's pair (inj_l[proj_l[k]], inj_r[proj_r[k]]).  Entry
+    k of the round trip of t is then that join at (t[l], t[r]) of point
+    k's pair, so each value equals `matrix_to_hom`'s by construction."""
+    join = bp_tgt.total.join
+    left = [bp_tgt.inj_l.table[m] for m in bp_tgt.proj_l.table]
+    right = [bp_tgt.inj_r.table[m] for m in bp_tgt.proj_r.table]
+    joint = [[join[join[join[left[u]][left[w]]][right[u]]][right[w]]
+              for w in range(len(join))] for u in range(len(join))]
+    inj_l, inj_r = bp_src.inj_l.table, bp_src.inj_r.table
+    pairs = [(inj_l[a], inj_r[b])
+             for a, b in zip(bp_src.proj_l.table, bp_src.proj_r.table)]
+    for t in homs:
+        yield [joint[t[a]][t[b]] for a, b in pairs] == list(t)

@@ -14,7 +14,9 @@ the singleton closed-morphism equation of each f + g on its sum tables.
 on label tables.  `down_arrow_witness` is orthogonality of one pair, its
 fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
 and `validate_system` is the factorization validator with M-stability
-decided on label-level pullbacks and orthogonality per pair.
+decided on label-level pullbacks and orthogonality per pair.  `join_of` is
+the join of a sequence of elements of a `JoinSemilattice`, folded from its
+zero.
 """
 
 from functools import cache
@@ -356,3 +358,10 @@ def validate_system(sys, objects) -> Report:
     return Report(report.name, tuple(
         CheckResult.of(c.id, laws[c.id]) if c.id in laws else c
         for c in report.checks))
+
+
+def join_of(lat, indices) -> int:
+    out = lat.zero
+    for i in indices:
+        out = lat.join[out][i]
+    return out

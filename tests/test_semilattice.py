@@ -7,6 +7,7 @@ import pytest
 from extcheck.contexts import builtin
 from extcheck.core import FiniteObject, terminal
 from extcheck.semilattice import (
+    Biproduct,
     JoinSemilattice,
     SemilatticeHom,
     closed_biproduct,
@@ -16,13 +17,14 @@ from extcheck.semilattice import (
     hom_matrix,
     identity_hom,
     join_homs,
-    join_irreducibles,
     lattice_from_masks,
+    matrix_roundtrip,
     matrix_to_hom,
     subobject_biproduct,
     verify_biproduct,
     zero_hom,
 )
+from oracles import join_of
 
 
 def powerset_lattice(n: int) -> JoinSemilattice:
@@ -30,11 +32,24 @@ def powerset_lattice(n: int) -> JoinSemilattice:
     return lattice_from_masks(masks, lambda a, b: a | b, 0)
 
 
+def lattice_of_masks(masks) -> JoinSemilattice:
+    """The lattice of ascending masks, closed under intersection, with the
+    least mask above a union as the join."""
+    return lattice_from_masks(
+        masks, lambda a, b: next(m for m in masks if a | b | m == m), masks[0])
+
+
+# The two non-distributive lattices: the diamond (three atoms, each pair
+# joining to the top) and the pentagon (a < b, c beside both).
+M3 = (0b000, 0b001, 0b010, 0b100, 0b111)
+N5 = (0b000, 0b001, 0b011, 0b100, 0b111)
+
+
 def test_lattice_laws_validated_on_construction():
     lat = powerset_lattice(2)
     assert lat.n == 4
     assert lat.leq(0, 3) and not lat.leq(3, 0)
-    assert lat.join_of([1, 2]) == 3
+    assert join_of(lat, [1, 2]) == 3
 
 
 def test_bad_zero_is_rejected():
@@ -47,11 +62,25 @@ def test_non_commutative_table_is_rejected():
         JoinSemilattice(((0, 1), (0, 1)), zero=0)
 
 
+def test_non_associative_join_is_refused_by_hom_enumeration():
+    # commutative, idempotent, zero-neutral, but (1 v 2) v 3 = 3 while
+    # 1 v (2 v 3) = 1; construction does not check associativity
+    lat = JoinSemilattice(((0, 1, 2, 3),
+                           (1, 1, 3, 1),
+                           (2, 3, 2, 3),
+                           (3, 1, 3, 3)), zero=0)
+    assert not lat.associative
+    assert powerset_lattice(2).associative
+    for src, tgt in ((lat, powerset_lattice(1)), (powerset_lattice(1), lat)):
+        with pytest.raises(ValueError, match="join not associative"):
+            enumerate_homs(src, tgt)
+
+
 def test_join_irreducibles_of_powerset():
     lat = powerset_lattice(3)
-    irr = join_irreducibles(lat)
     # exactly the singletons; each element's index is its mask
-    assert irr == (1, 2, 4)
+    assert lat.irreducibles == (1, 2, 4)
+    assert lattice_of_masks(N5).irreducibles == (1, 2, 3)
 
 
 def test_hom_enumeration_matches_brute_force_on_small_lattices():
@@ -64,6 +93,22 @@ def test_hom_enumeration_matches_brute_force_on_small_lattices():
             if cand.is_valid():
                 slow.add(cand.table)
         assert fast == slow
+
+
+def test_hom_enumeration_on_non_distributive_lattices():
+    """On M3 and N5 the generator equations reject candidates, so the
+    staged rejection path runs; the tables, in order, are those of the
+    reference enumeration and of the brute-force filter."""
+    lats = [lattice_of_masks(M3), lattice_of_masks(N5), powerset_lattice(2)]
+    counts = []
+    for src, tgt in itertools.product(lats, repeat=2):
+        homs = enumerate_homs(src, tgt)
+        assert homs == _homs_by_is_valid(src, tgt)
+        assert homs == tuple(
+            table for table in itertools.product(range(tgt.n), repeat=src.n)
+            if SemilatticeHom(src, tgt, table).is_valid())
+        counts.append(len(homs))
+    assert counts == [50, 41, 25, 41, 43, 25, 25, 25, 16]
 
 
 def test_hom_composition_and_join():
@@ -174,7 +219,7 @@ def _lattice_algebra_pool():
 def _homs_by_is_valid(src, tgt):
     """Reference enumeration: the join-extension of every monotone
     assignment on the join-irreducibles, kept when `SemilatticeHom.is_valid`."""
-    irr = join_irreducibles(src)
+    irr = src.irreducibles
     order = [(p, q) for p, i in enumerate(irr) for q, j in enumerate(irr)
              if src.leq(i, j)]
     out = []
@@ -182,7 +227,7 @@ def _homs_by_is_valid(src, tgt):
         if not all(tgt.leq(assign[p], assign[q]) for p, q in order):
             continue
         hom = SemilatticeHom(src, tgt, tuple(
-            tgt.join_of(a for i, a in zip(irr, assign) if src.leq(i, x))
+            join_of(tgt, (a for i, a in zip(irr, assign) if src.leq(i, x)))
             for x in range(src.n)))
         if hom.is_valid():
             out.append(hom.table)
@@ -193,8 +238,9 @@ def _homs_by_is_valid(src, tgt):
 def test_table_hom_algebra_matches_object_composites(pool):
     """Every hom between sum lattices, the capped pairs included: the table
     enumeration equals the reference one (and, where all tables can be
-    tried, the brute-force filter), and the table matrix calculus equals
-    the literal `compose_homs`/`join_homs` composites."""
+    tried, the brute-force filter), the table matrix calculus equals the
+    literal `compose_homs`/`join_homs` composites, and `matrix_roundtrip`
+    decides each round trip as the matrix calculus does."""
     if pool == "finset-b2":
         ctx = builtin("finset")
         objs = ctx.objects(2)
@@ -211,6 +257,7 @@ def test_table_hom_algebra_matches_object_composites(pool):
             assert set(homs) == {
                 table for table in itertools.product(range(tgt.n), repeat=src.n)
                 if SemilatticeHom(src, tgt, table).is_valid()}
+        roundtrips = []
         for h in homs:
             hom = SemilatticeHom(src, tgt, h)
             lit = [[compose_homs(p, compose_homs(hom, i)) for i in (s.inj_l, s.inj_r)]
@@ -224,11 +271,33 @@ def test_table_hom_algebra_matches_object_composites(pool):
             for part in parts[1:]:
                 joined = join_homs(joined, part)
             assert matrix_to_hom(s, t, mat) == joined.table
+            roundtrips.append(matrix_to_hom(s, t, mat) == h)
+        assert list(matrix_roundtrip(s, t, homs)) == roundtrips
         total += len(homs)
     # 21,081 below the round-trip cap (the checker's 21,083 adds the
     # identity and zero of the capped pair) and the 65,536 endo-homs of the
     # 16-element lattice above it
     assert total == 21081 + 65536
+
+
+def test_matrix_roundtrip_with_broken_projection():
+    """With the broken projection of `test_broken_projection_fails_verification`
+    some homs do not round-trip: `matrix_roundtrip` fails exactly those the
+    matrix calculus fails, the first of them first."""
+    lat1, lat2 = powerset_lattice(1), powerset_lattice(2)
+    inj_l = SemilatticeHom(lat1, lat2, (0, 1))
+    inj_r = SemilatticeHom(lat1, lat2, (0, 2))
+    proj_l = SemilatticeHom(lat2, lat1, (0, 1, 0, 1))
+    bad_proj_r = SemilatticeHom(lat2, lat1, (0, 1, 1, 1))
+    report = verify_biproduct(inj_l, inj_r, proj_l, bad_proj_r)
+    bp = Biproduct(lat1, lat1, lat2, inj_l, inj_r, proj_l, bad_proj_r, report)
+    homs = enumerate_homs(lat2, lat2)
+    literal = [matrix_to_hom(bp, bp, hom_matrix(bp, bp, h)) == h for h in homs]
+    assert list(matrix_roundtrip(bp, bp, homs)) == literal
+    assert True in literal and False in literal
+    first = next(h for h, ok in zip(homs, matrix_roundtrip(bp, bp, homs))
+                 if not ok)
+    assert first == homs[literal.index(False)] == (0, 0, 1, 1)
 
 
 def test_matrix_to_hom_of_zero_matrix():

@@ -510,3 +510,46 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
                               "failed": ["forced"],
                               "side": "subobject_lattice_biproduct",
                               "kind": "counterexample"}
+
+
+def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
+    """With every sum lattice's right projection broken to zero, the
+    round-trip side fails, and its witness and count are those of the first
+    hom, over the (source, target) pairs in order, whose 2x2 matrix does not
+    join back on the literal matrix calculus."""
+    from extcheck import theorems
+    from extcheck.semilattice import (
+        SemilatticeHom,
+        enumerate_homs,
+        hom_matrix,
+        matrix_to_hom,
+    )
+
+    real = theorems.subobject_biproduct
+
+    def broken(lattice_of, x, y, cp):
+        bp = real(lattice_of, x, y, cp)
+        bp.proj_r = SemilatticeHom(bp.total, bp.right,
+                                   (bp.right.zero,) * bp.total.n)
+        return bp
+
+    monkeypatch.setattr(theorems, "subobject_biproduct", broken)
+    ctx = builtin("finset")
+    pool = ctx.objects(1)
+    ok, witness, count = first_counterexample(
+        theorems._roundtrip_outcomes(ctx, pool))
+    assert not ok
+
+    bps = [(key, broken(ctx.sub_lattice, *key, ctx.coproduct(*key)))
+           for key in theorems._object_pairs(pool)]
+
+    def literal():
+        for s_key, s in bps:
+            for t_key, t in bps:
+                for h in enumerate_homs(s.total, t.total):
+                    yield (None if matrix_to_hom(s, t, hom_matrix(s, t, h)) == h
+                           else {"source_pair": [o.label for o in s_key],
+                                 "target_pair": [o.label for o in t_key],
+                                 "hom_table": list(h)})
+
+    assert (witness, count) == first_counterexample(literal())[1:]
