@@ -9,6 +9,7 @@ factorization classes, split-mono admissibles) feed the self-tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -28,13 +29,11 @@ from .core import (
     embedding_table,
     enumerate_morphisms,
     find_iso,
-    identity,
     initial,
     injective_table,
     is_injective,
     is_iso,
     is_isomorphic,
-    is_surjective,
     product,
     pullback,
     serialize_morphism,
@@ -44,20 +43,18 @@ from .core import (
     transitive_closure,
 )
 from .closure import ALEXANDROV, IDENTITY, INDISCRETE, ClosureFamily
-from .factorization import FactorizationSystem, is_embedding, validate_system
+from .factorization import FactorizationSystem, validate_system
 from .subobjects import SubobjectLattice, subobject_lattice
 
 
 def surjections_injections() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/injections", is_surjective, is_injective,
-        surjective_table, injective_table)
+        "surjections/injections", surjective_table, injective_table)
 
 
 def surjections_embeddings() -> FactorizationSystem:
     return FactorizationSystem(
-        "surjections/embeddings", is_surjective, is_embedding,
-        surjective_table, embedding_table)
+        "surjections/embeddings", surjective_table, embedding_table)
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +196,7 @@ BUILTIN_CONTEXTS = ("finset", "finpre")
 def swapped_system_context(base: Context) -> Context:
     """Self-test mutant: the two classes exchanged."""
     sys = base.system
-    swapped = FactorizationSystem(
-        f"{sys.name}|swapped", sys.m_member, sys.e_member,
-        sys.m_table, sys.e_table)
+    swapped = FactorizationSystem(f"{sys.name}|swapped", sys.m_table, sys.e_table)
     return Context(f"{base.name}!swapped", base.ordered, swapped, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 
@@ -226,19 +221,25 @@ def crossed_coproduct_context(base: Context) -> Context:
 
 
 def split_mono_context(base: Context) -> Context:
-    """Self-test mutant: admissibles narrowed to split monomorphisms, which
-    have no table-level predicate, so validators take the label-level path."""
+    """Self-test mutant: admissibles narrowed to split monomorphisms."""
 
-    def has_retraction(f: Morphism) -> bool:
-        if not is_injective(f):
+    def has_retraction(idx, src_up, n, tgt_up) -> bool:
+        """Injective, with a monotone r on the target such that r[idx[i]]
+        is i; none lands in an empty source from a non-empty target."""
+        if not injective_table(idx, src_up, n, tgt_up):
             return False
-        want = identity(f.source)
-        return any(compose(r, f) == want
-                   for r in enumerate_morphisms(f.target, f.source))
+        free = [t for t in range(n) if t not in idx]
+        below = [] if tgt_up is None else [
+            (t, u) for t in range(n) for u in range(n) if tgt_up[t] >> u & 1]
+        r = dict(zip(idx, range(len(idx))))
+        for values in itertools.product(range(len(idx)), repeat=len(free)):
+            r.update(zip(free, values))
+            if all(src_up[r[t]] >> r[u] & 1 for t, u in below):
+                return True
+        return False
 
     sys = FactorizationSystem(
-        f"{base.system.name}|split", base.system.e_member, has_retraction,
-        base.system.e_table)
+        f"{base.system.name}|split", base.system.e_table, has_retraction)
     return Context(f"{base.name}!split", base.ordered, sys, base.families,
                    base.enumerate_objects, base.extra_objects, base.coproduct_fn)
 

@@ -214,6 +214,13 @@ def up_masks_or_none(x: FiniteObject) -> tuple[int, ...] | None:
     return x.up_masks if x.has_order else None
 
 
+def restrict_masks(masks, pts) -> tuple[int, ...]:
+    """The rows of `masks` (an order's up- or down-masks) at the points
+    `pts`, in increasing order, renumbered over those points."""
+    return tuple(sum(1 << r for r, j in enumerate(pts) if masks[i] >> j & 1)
+                 for i in pts)
+
+
 def table_of(f: Morphism) -> tuple:
     """(index table, source up-masks, target size, target up-masks) of f,
     the arguments of the table-level class predicates below; the up-masks
@@ -259,11 +266,6 @@ def is_injective(f: Morphism) -> bool:
 
 def is_surjective(f: Morphism) -> bool:
     return surjective_table(f.idx, None, f.target.size, None)
-
-
-def is_order_reflecting(f: Morphism) -> bool:
-    return order_reflecting_table(f.idx, up_masks_or_none(f.source),
-                                  up_masks_or_none(f.target))
 
 
 def is_iso(f: Morphism) -> bool:

@@ -1,14 +1,13 @@
 """Orthogonal factorization systems over the finite toolkit.
 
-A system is a pair of morphism classes (E, M) given by membership
-predicates.  Every system factorizes a morphism through its set image
+A system is a pair of morphism classes (E, M), each a predicate on index
+tables.  Every system factorizes a morphism through its set image
 (corestriction, then inclusion).  The validator brute-forces every law on
 a supplied object pool: class properness,
 composition closure, iso behaviour, factorization validity, stability of M
-under pullback, the full orthogonality square sweep, and both completeness
-directions (E is exactly the class left-orthogonal to M and dually).
-A system may also give its classes as table-level predicates; the
-validator then decides M-stability on index pullbacks.
+under pullback (decided on index pullbacks), the full orthogonality square
+sweep, and both completeness directions (E is exactly the class
+left-orthogonal to M and dually).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .core import (
     Report,
     compose,
     compose_idx,
-    embedding_table,
     enumerate_morphisms,
     inclusion,
     is_injective,
@@ -52,26 +50,21 @@ class Factorization:
 
 @dataclass(eq=False)
 class FactorizationSystem:
-    """Membership predicates for the two classes.  The factorization of
-    every system is the image factorization; the join of two admissible
-    subobjects is then the union of their carriers.
-
-    `e_table`/`m_table`, when given, decide the same classes on
-    `core.table_of(f)`: index table, source up-masks, target size and
-    target up-masks (None unordered), so a map need not be built to be
-    classified."""
+    """The two classes, each a predicate on `core.table_of(f)`: index
+    table, source up-masks, target size and target up-masks (None
+    unordered), so a map need not be built to be classified.  The
+    factorization of every system is the image factorization; the join of
+    two admissible subobjects is then the union of their carriers."""
 
     name: str
-    e_member: Callable[[Morphism], bool]
-    m_member: Callable[[Morphism], bool]
-    e_table: Callable[..., bool] | None = None
-    m_table: Callable[..., bool] | None = None
+    e_table: Callable[..., bool]
+    m_table: Callable[..., bool]
 
     def in_e(self, f: Morphism) -> bool:
-        return self.e_member(f)
+        return self.e_table(*table_of(f))
 
     def in_m(self, f: Morphism) -> bool:
-        return self.m_member(f)
+        return self.m_table(*table_of(f))
 
 
 def image_factorization(f: Morphism) -> Factorization:
@@ -80,11 +73,6 @@ def image_factorization(f: Morphism) -> Factorization:
     e = Morphism(f.source, mid, f.mapping)
     m = inclusion(mid, f.target)
     return Factorization(e, m)
-
-
-def is_embedding(f: Morphism) -> bool:
-    """Injective and order-reflecting; plain injectivity when unordered."""
-    return embedding_table(*table_of(f))
 
 
 def down_arrow(e: Morphism, m: Morphism) -> bool:
@@ -242,18 +230,13 @@ def validate_system(sys: FactorizationSystem,
                          "m_part_in_m": sys.in_m(fac.m_part)})
 
     def m_stable_under_pullback():
-        """On index pullbacks under `sys.m_table`; the label-level pullback
-        is built for a witness, or for every instance without one."""
-        m_table = sys.m_table
+        """On index pullbacks; the label-level pullback is built only for
+        a witness."""
         for m in m_list:
             for g in by_target.get(m.target, ()):
-                if m_table is not None and m_table(*_pullback_table(g, m)):
-                    yield None
-                    continue
-                p1 = pullback(g, m).p1
-                yield (None if m_table is None and sys.in_m(p1)
-                       else {"m": serialize_morphism(m), "along": serialize_morphism(g),
-                             "pulled_back": serialize_morphism(p1)})
+                yield (None if sys.m_table(*_pullback_table(g, m)) else {
+                    "m": serialize_morphism(m), "along": serialize_morphism(g),
+                    "pulled_back": serialize_morphism(pullback(g, m).p1)})
 
     def orthogonality():
         """Per pair as `down_arrow_witness`, with the fast path's fills

@@ -23,6 +23,7 @@ from .core import (
     compose,
     coproduct,
     inclusion,
+    restrict_masks,
     split_coproduct,
     up_masks_or_none,
     LEFT_TAG,
@@ -107,20 +108,15 @@ def _inclusion_table(x: FiniteObject, mask: int) -> tuple:
     """`table_of` the inclusion of the subset `mask` of x into x."""
     idx = tuple(i for i in range(x.size) if (mask >> i) & 1)
     up = up_masks_or_none(x)
-    sub_up = None if up is None else tuple(
-        sum(1 << k for k, j in enumerate(idx) if (up[i] >> j) & 1) for i in idx)
+    sub_up = None if up is None else restrict_masks(up, idx)
     return idx, sub_up, x.size, up
 
 
 def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
     """Every subset of x whose canonical inclusion lies in M, decided on
-    its table under `sys.m_table`, else on the label-level inclusion."""
-    if sys.m_table is not None:
-        masks = [m for m in range(1 << x.size)
-                 if sys.m_table(*_inclusion_table(x, m))]
-    else:
-        masks = [m for m in range(1 << x.size)
-                 if sys.in_m(inclusion(x.restrict(x.labels_of(m)), x))]
+    its table under `sys.m_table`."""
+    masks = [m for m in range(1 << x.size)
+             if sys.m_table(*_inclusion_table(x, m))]
     masks.sort(key=lambda m: (m.bit_count(), x.labels_of(m)))
     return SubobjectLattice(x, tuple(masks))
 

@@ -40,19 +40,18 @@ from .closure import (
 from .core import (
     FiniteObject,
     Morphism,
-    LEFT_TAG,
-    RIGHT_TAG,
     copair,
     coproduct,
     first_counterexample,
     identity,
     initial,
-    is_injective,
     monotone_bijections,
+    restrict_masks,
     serialize_morphism,
     serialize_object,
     sum_morphisms,
     terminal,
+    up_masks_or_none,
 )
 from .contexts import Context
 from .semilattice import (
@@ -220,8 +219,9 @@ def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
 
 def _e_monos_between_sums(ctx: Context, pool, cls_of):
     """Yield (e, sum sources) for every continuous and closed member of
-    E cap Mono between constructed binary sums at the bound.  Since
-    E-members are epi, only carrier-size-matched sums can carry one."""
+    E cap Mono between constructed binary sums at the bound: the monotone
+    bijections in E, since E-members are epi and only carrier-size-matched
+    sums can carry one."""
     sys = ctx.system
     by_total: dict[int, list] = {}
     for x, y in _object_pairs(pool):
@@ -235,25 +235,30 @@ def _e_monos_between_sums(ctx: Context, pool, cls_of):
                 tgt = ctx.coproduct(x, y).ob
                 f_tgt = cls_of(tgt)
                 for e in monotone_bijections(src, tgt):
-                    if (sys.in_e(e) and is_injective(e)
+                    if (sys.in_e(e)
                             and _continuous_fast(e.idx, f_src, f_tgt, total)
                             and _closed_fast(e.idx, f_src, f_tgt, total)):
                         yield e, (x, y)
 
 
-def _failed_pullback(sys, e: Morphism, x, y, cls_of):
-    """The first pullback of e along an injection, taken concretely as the
-    corestriction of e to the tagged block, that is not a closed E-mono
-    under `cls_of`; or None."""
-    for component, tag in ((x, LEFT_TAG), (y, RIGHT_TAG)):
-        keep = [z for z in e.source.elements if e.table[z].startswith(tag)]
-        sub_ob = e.source.restrict(keep)
-        pulled = Morphism(sub_ob, component,
-                          tuple((z, e.table[z][len(tag):]) for z in keep))
-        if not (sys.in_e(pulled) and is_injective(pulled)
-                and _closed_fast(pulled.idx, cls_of(sub_ob),
-                                 cls_of(component), sub_ob.size)):
-            return pulled
+def _failed_pullback(sys, family: ClosureFamily, e: Morphism, x, y, cls_of):
+    """The first pullback of the bijection e along an injection that is not
+    a closed E-member under `family`, built as a map into its summand; or
+    None.  The pullback along a summand's injection is the slice of e over
+    that summand's block of the target sum, with the order e's source
+    induces on it, decided on index tables."""
+    src, ordered = e.source, e.source.has_order
+    for component, low in ((x, 0), (y, x.size)):
+        pts = [i for i, t in enumerate(e.idx) if low <= t < low + component.size]
+        idx = tuple(e.idx[i] - low for i in pts)
+        up = restrict_masks(src.up_masks, pts) if ordered else None
+        down = restrict_masks(src.down_masks, pts) if ordered else ()
+        if not (sys.e_table(idx, up, component.size, up_masks_or_none(component))
+                and _closed_fast(idx, family.fn_for(len(idx), down),
+                                 cls_of(component), len(idx))):
+            keep = [src.elements[i] for i in pts]
+            return Morphism(src.restrict(keep), component, tuple(
+                zip(keep, (component.elements[t] for t in idx))))
     return None
 
 
@@ -267,7 +272,7 @@ def _injection_pullback_side(ctx: Context, family: ClosureFamily, bound: int,
 
         def instances():
             for e, (x, y) in _e_monos_between_sums(ctx, ctx.objects(bound), cls_of):
-                bad = _failed_pullback(sys, e, x, y, cls_of)
+                bad = _failed_pullback(sys, family, e, x, y, cls_of)
                 yield bad is None, e, bad
 
         def describe(e, bad):
@@ -615,13 +620,6 @@ def _points(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _sub_order(down: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """The order `down` restricted to the points of `mask`, renumbered."""
-    pts = _points(mask)
-    return tuple(sum(1 << r for r, j in enumerate(pts) if down[i] >> j & 1)
-                 for i in pts)
-
-
 def _image_parts(idx) -> tuple[int, tuple[int, ...]]:
     """Image factorization of an index table: the image mask, and the
     corestriction onto the image as a table into its points."""
@@ -662,7 +660,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             for f in ctx.hom(x, y)]
     down = [_down(x) for x in pool]
     sum_down = [[_down(coproduct(x, y).ob) for y in pool] for x in pool]
-    order_on = cache(_sub_order)
+    order_on = cache(lambda down, mask: restrict_masks(down, _points(mask)))
 
     def pair_outcomes():
         parts = []

@@ -11,7 +11,10 @@ are the two extensivity laws as they were written on label-level pullbacks.
 `closed_sum_of_closed_outcomes` is checker C's sum side decided per pair:
 the singleton closed-morphism equation of each f + g on its sum tables.
 `surjective`, `injective` and `order_reflecting` are the class predicates
-on label tables.  `down_arrow_witness` is orthogonality of one pair, its
+on label tables, and `has_retraction` the split mutant's M on them.
+`failed_pullback` and `injection_pullback_side` are checkers A and F's
+pullback side with each injection pullback built as a `Morphism`.
+`down_arrow_witness` is orthogonality of one pair, its
 fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
 and `validate_system` is the factorization validator with M-stability
 decided on label-level pullbacks and orthogonality per pair.  `join_of` is
@@ -32,6 +35,7 @@ from extcheck.core import (
     coproduct,
     enumerate_morphisms,
     first_counterexample,
+    identity,
     inclusion,
     is_iso,
     monotone_bijections,
@@ -42,7 +46,7 @@ from extcheck.core import (
     LEFT_TAG,
     RIGHT_TAG,
 )
-from extcheck.closure import _closed_fast
+from extcheck.closure import _closed_fast, _continuous_fast
 from extcheck.factorization import (
     _down_arrow_exhaustive,
     _square_witness,
@@ -57,7 +61,13 @@ from extcheck.subobjects import (
     subobject_from_mask,
     sum_subobjects,
 )
-from extcheck.theorems import _maps_witness, _object_pairs, _verdict, _witness
+from extcheck.theorems import (
+    _confirmed,
+    _maps_witness,
+    _object_pairs,
+    _verdict,
+    _witness,
+)
 
 
 def enumerate_subobjects(sys, x) -> tuple[Subobject, ...]:
@@ -288,6 +298,65 @@ def order_reflecting(f) -> bool:
     return all((a, b) in f.source.order
                for a in f.source.elements for b in f.source.elements
                if (tab[a], tab[b]) in f.target.order)
+
+
+def has_retraction(f) -> bool:
+    """Injective, and some morphism r back has r after f the identity."""
+    if not injective(f):
+        return False
+    want = identity(f.source)
+    return any(compose(r, f) == want
+               for r in enumerate_morphisms(f.target, f.source))
+
+
+def failed_pullback(sys, e, x, y, cls_of):
+    """The first pullback of e along an injection, taken concretely as the
+    corestriction of e to the tagged block, that is not a closed E-mono
+    under `cls_of`; or None."""
+    for component, tag in ((x, LEFT_TAG), (y, RIGHT_TAG)):
+        keep = [z for z in e.source.elements if e.table[z].startswith(tag)]
+        sub_ob = e.source.restrict(keep)
+        pulled = Morphism(sub_ob, component,
+                          tuple((z, e.table[z][len(tag):]) for z in keep))
+        if not (sys.in_e(pulled) and injective(pulled)
+                and _closed_fast(pulled.idx, cls_of(sub_ob),
+                                 cls_of(component), sub_ob.size)):
+            return pulled
+    return None
+
+
+def injection_pullback_side(ctx, family, bound: int):
+    """Checker F's side (A's under the identity closure) as (ok, witness,
+    count): every continuous and closed E-mono between constructed binary
+    sums of equal size, sums taken by total size, pulls back along both
+    injections, built label-level, to closed E-monos."""
+    sys = ctx.system
+    cls_of = cache(family.component)
+    pairs = sorted(_object_pairs(ctx.objects(bound)),
+                   key=lambda p: p[0].size + p[1].size)
+
+    def instances():
+        for _, group in groupby(pairs, key=lambda p: p[0].size + p[1].size):
+            group = list(group)
+            for a, b in group:
+                src = ctx.coproduct(a, b).ob
+                for x, y in group:
+                    tgt = ctx.coproduct(x, y).ob
+                    for e in monotone_bijections(src, tgt):
+                        if (sys.in_e(e) and injective(e)
+                                and _continuous_fast(e.idx, cls_of(src), cls_of(tgt),
+                                                     src.size)
+                                and _closed_fast(e.idx, cls_of(src), cls_of(tgt),
+                                                 src.size)):
+                            bad = failed_pullback(sys, e, x, y, cls_of)
+                            yield bad is None, e, bad
+
+    def describe(e, bad):
+        wit = {"e": serialize_morphism(e)}
+        return wit if bad is None else dict(wit, pulled_back=serialize_morphism(bad))
+
+    ok, values, n = _confirmed(instances())
+    return ok, values and describe(*values), n
 
 
 def down_arrow_fiberwise(e, m):

@@ -18,6 +18,7 @@ from extcheck.core import (
     FiniteObject,
     Morphism,
     compose,
+    embedding_table,
     enumerate_morphisms,
     identity,
     make_preorder,
@@ -26,7 +27,6 @@ from extcheck.core import (
     table_of,
 )
 from extcheck.factorization import (
-    FactorizationSystem,
     _down_arrow_exhaustive,
     _first_unfilled_square,
     _pullback_table,
@@ -34,7 +34,6 @@ from extcheck.factorization import (
     down_arrow,
     down_arrow_witness,
     image_factorization,
-    is_embedding,
     validate_system,
 )
 from test_golden_reports import WORKLOAD_EXTRAS
@@ -65,10 +64,10 @@ def test_image_factorization_splits_through_image():
 def test_is_embedding_requires_order_reflection():
     dis = FiniteObject(("d0", "d1"), make_preorder(("d0", "d1")))
     skew = Morphism(dis, SIERPINSKI, (("d0", "s0"), ("d1", "s1")))
-    assert not is_embedding(skew)
+    assert not embedding_table(*table_of(skew))
     sub = SIERPINSKI.restrict(("s1",))
     inc = Morphism(sub, SIERPINSKI, (("s1", "s1"),))
-    assert is_embedding(inc)
+    assert embedding_table(*table_of(inc))
 
 
 def test_surjection_is_orthogonal_to_injection():
@@ -141,7 +140,8 @@ def test_hoisted_squares_find_the_per_pair_witness():
     pool = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS).objects(2)
     homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
     es = [f for f in homs if oracles.surjective(f)]
-    ms = [f for f in homs if oracles.injective(f) and not is_embedding(f)]
+    ms = [f for f in homs if oracles.injective(f)
+          and not embedding_table(*table_of(f))]
     witnesses = 0
     for e in es:
         for m in ms:
@@ -177,17 +177,6 @@ def _finpre_extra():
         load_objects(str(VALIDATOR_EXTRAS), True))
 
 
-def _no_two_point_tables(base):
-    """`_no_two_point_sources` with its classes also given as table
-    predicates, so that M-stability fails on the index path."""
-    ctx = _no_two_point_sources(base)
-    sys, tables = ctx.system, base.system
-    ctx.system = FactorizationSystem(
-        sys.name, sys.e_member, sys.m_member, tables.e_table,
-        lambda idx, *rest: tables.m_table(idx, *rest) and len(idx) != 2)
-    return ctx
-
-
 # case -> (context maker, bound)
 VALIDATE_CASES = {
     "finset-b3": (lambda: builtin("finset"), 3),
@@ -197,7 +186,6 @@ VALIDATE_CASES = {
     "finpre-extra-crossed-b2": (lambda: crossed_coproduct_context(_finpre_extra()), 2),
     "finpre-extra-split-b2": (lambda: split_mono_context(_finpre_extra()), 2),
     "finpre-no-2-b2": (lambda: _no_two_point_sources(builtin("finpre")), 2),
-    "finpre-no-2-tables-b2": (lambda: _no_two_point_tables(builtin("finpre")), 2),
 }
 
 
@@ -208,22 +196,23 @@ def test_validate_system_matches_label_level_oracle(case):
     pool = ctx.objects(bound)
     report = validate_system(ctx.system, pool)
     assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
-    if case.startswith("finpre-no-2"):
+    if case == "finpre-no-2-b2":
         assert report.check("m_stable_under_pullback").witness is not None
 
 
-def test_systems_without_tables_take_the_label_level_path():
-    assert split_mono_context(builtin("finpre")).system.m_table is None
-    narrowed = _no_two_point_sources(builtin("finpre")).system
-    assert narrowed.e_table is None and narrowed.m_table is None
+def _homs_up_to_3(name):
+    """Every hom between the objects of at most three points: the
+    `finset` pool at bound 3, or the `finpre` one plus the workload's
+    three 3-point preorders."""
+    objects = finset_objects(3) if name == "finset" else (
+        finpre_objects(3) + WORKLOAD_EXTRAS)
+    return [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_table_predicates_agree_with_label_level(name):
     ctx = builtin(name)
-    objects = finset_objects(3) if name == "finset" else (
-        finpre_objects(3) + WORKLOAD_EXTRAS)
-    homs = [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
+    homs = _homs_up_to_3(name)
     literal_m = (oracles.injective if name == "finset" else
                  lambda f: oracles.injective(f) and oracles.order_reflecting(f))
     swapped = swapped_system_context(ctx).system
@@ -235,6 +224,20 @@ def test_table_predicates_agree_with_label_level(name):
         assert swapped.e_table(*args) == swapped.in_e(f) == in_m
         assert swapped.m_table(*args) == swapped.in_m(f) == in_e
     assert homs
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_split_predicate_matches_label_level_retraction(name):
+    """The split mutant's M, decided on tables, holds exactly for the maps
+    with a label-level retraction; both ways occur among injective maps."""
+    split = split_mono_context(builtin(name)).system
+    outcomes = set()
+    for f in _homs_up_to_3(name):
+        split_mono = oracles.has_retraction(f)
+        assert split.m_table(*table_of(f)) == split_mono, f.mapping
+        if oracles.injective(f):
+            outcomes.add(split_mono)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])

@@ -178,11 +178,12 @@ def test_sum_subobject_is_join_of_extensions(ctx):
 
 def _no_two_point_sources(base: Context) -> Context:
     """The base context with M narrowed to morphisms whose source does not
-    have two points, so that some sums of admissibles are not admissible."""
+    have two points, so that some sums of admissibles are not admissible
+    and M is not stable under pullback."""
     sys = base.system
     narrowed = FactorizationSystem(
-        f"{sys.name}|no-2", sys.e_member,
-        lambda f: sys.in_m(f) and f.source.size != 2)
+        f"{sys.name}|no-2", sys.e_table,
+        lambda idx, *rest: sys.m_table(idx, *rest) and len(idx) != 2)
     return Context(f"{base.name}!no-2", base.ordered, narrowed, base.families,
                    base.enumerate_objects)
 
@@ -225,8 +226,8 @@ def test_lattice_masks_match_label_level_enumeration(case):
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_inclusion_table_is_the_label_level_inclusion(name):
-    """A lattice whose system has `m_table` decides each subset on this
-    table: the `table_of` the label-level inclusion with the induced order."""
+    """A lattice decides each subset on this table under `m_table`: the
+    `table_of` the label-level inclusion with the induced order."""
     for x in builtin(name).objects(3):
         for m in range(1 << x.size):
             assert _inclusion_table(x, m) == table_of(

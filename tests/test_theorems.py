@@ -242,6 +242,54 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
         assert sum(o is not None for o in blocked) == failing[fam.name]
 
 
+def _no_two_point_e(base):
+    """The base context with E narrowed to maps whose source does not have
+    two points, so that some E-mono between sums pulls back along an
+    injection to a map outside E."""
+    from extcheck.factorization import FactorizationSystem
+
+    sys = base.system
+    base.system = FactorizationSystem(
+        f"{sys.name}|e-no-2",
+        lambda idx, *rest: sys.e_table(idx, *rest) and len(idx) != 2, sys.m_table)
+    return base
+
+
+def _with_workload_extras(base):
+    from test_golden_reports import WORKLOAD_EXTRAS
+    return base.with_extra_objects(WORKLOAD_EXTRAS)
+
+
+# case -> (base context, variant, bound, whether the side holds)
+PULLBACK_SIDE_CASES = {
+    "finset-b2": ("finset", None, 2, True),
+    "finpre+extras-b2": ("finpre", _with_workload_extras, 2, True),
+    "finset!swapped-b2": ("finset", swapped_system_context, 2, True),
+    "finpre!swapped-b2": ("finpre", swapped_system_context, 2, True),
+    "finpre!crossed-b2": ("finpre", crossed_coproduct_context, 2, True),
+    "finset!split-b2": ("finset", split_mono_context, 2, True),
+    "finpre!split-b2": ("finpre", split_mono_context, 2, True),
+    "finset!e-no-2-b2": ("finset", _no_two_point_e, 2, False),
+    "finpre!e-no-2-b2": ("finpre", _no_two_point_e, 2, False),
+}
+
+
+@pytest.mark.parametrize("case", PULLBACK_SIDE_CASES)
+def test_injection_pullback_side_matches_label_level_oracle(case):
+    """Checkers A and F's pullback side, decided on index slices of each
+    E-mono, gives the (ok, witness, count) of the side that builds every
+    injection pullback as a `Morphism`, for every registered family."""
+    from oracles import injection_pullback_side
+    from extcheck import theorems
+
+    base, variant, bound, holds = PULLBACK_SIDE_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    for fam in ctx.families:
+        side = theorems._injection_pullback_side(ctx, fam, bound, {})
+        assert side == injection_pullback_side(ctx, fam, bound), fam.name
+        assert side[0] == holds and ("pulled_back" in side[1]) != holds
+
+
 def test_verdict_serialization_shape(finset):
     v = run_checker("A", finset, None, 1, {})
     doc = v.to_dict()
