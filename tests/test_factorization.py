@@ -27,6 +27,7 @@ from extcheck.core import (
     table_of,
 )
 from extcheck.factorization import (
+    FactorizationSystem,
     _down_arrow_exhaustive,
     _first_unfilled_square,
     _pullback_table,
@@ -177,6 +178,19 @@ def _finpre_extra():
         load_objects(str(VALIDATOR_EXTRAS), True))
 
 
+def _no_two_point_tables(base):
+    """`_no_two_point_sources` with E narrowed the same way, so that both
+    table predicates differ from the base and isomorphisms of 2-point
+    objects fall outside E."""
+    ctx = _no_two_point_sources(base)
+    sys = ctx.system
+    ctx.system = FactorizationSystem(
+        f"{sys.name}-tables",
+        lambda idx, *rest: base.system.e_table(idx, *rest) and len(idx) != 2,
+        sys.m_table)
+    return ctx
+
+
 # case -> (context maker, bound)
 VALIDATE_CASES = {
     "finset-b3": (lambda: builtin("finset"), 3),
@@ -186,6 +200,7 @@ VALIDATE_CASES = {
     "finpre-extra-crossed-b2": (lambda: crossed_coproduct_context(_finpre_extra()), 2),
     "finpre-extra-split-b2": (lambda: split_mono_context(_finpre_extra()), 2),
     "finpre-no-2-b2": (lambda: _no_two_point_sources(builtin("finpre")), 2),
+    "finpre-no-2-tables-b2": (lambda: _no_two_point_tables(builtin("finpre")), 2),
 }
 
 
@@ -196,7 +211,7 @@ def test_validate_system_matches_label_level_oracle(case):
     pool = ctx.objects(bound)
     report = validate_system(ctx.system, pool)
     assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
-    if case == "finpre-no-2-b2":
+    if case.startswith("finpre-no-2"):
         assert report.check("m_stable_under_pullback").witness is not None
 
 
