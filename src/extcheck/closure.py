@@ -8,9 +8,9 @@ over: closed subobjects and morphisms, dense morphisms, the dense/closed
 factorization, and the bounded semi-decisions for proper, separated,
 compact, and Hausdorff.
 
-The bounded predicates run mask-level: pullback apexes are represented as
-index pairs with componentwise down-masks instead of fresh objects, which
-keeps the quantifier sweeps allocation-free.
+The bounded predicates run mask-level: a pullback apex is the index pairs
+of `core.pullback_pairs` with `core.componentwise` down-masks, not a fresh
+object, which keeps the quantifier sweeps allocation-free.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ from .core import (
     FiniteObject,
     Morphism,
     Report,
+    componentwise,
+    down_or_discrete,
     enumerate_morphisms,
     equalizer,
     first_counterexample,
+    image_bits,
     kernel_pair,
+    pullback_pairs,
     serialize_morphism,
     serialize_object,
     terminal,
@@ -35,15 +39,6 @@ from .core import (
 from .subobjects import Subobject, SubobjectLattice, subobject_from_mask
 
 MaskFn = Callable[[int], int]
-
-
-def _image_bits(mask: int, bits) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << bits[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 @dataclass(eq=False)
@@ -149,7 +144,7 @@ def is_continuous(f: Morphism, source: Space, target: Space) -> bool:
 
 def _continuous_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     for i in range(n_src):
-        if _image_bits(src_fn(1 << i), f_idx) & ~tgt_fn(1 << f_idx[i]):
+        if image_bits(src_fn(1 << i), f_idx) & ~tgt_fn(1 << f_idx[i]):
             return False
     return True
 
@@ -200,7 +195,7 @@ def subspace(space: Space, sub: Subobject) -> Space:
     sub_mask = sub.mask
 
     def fn(mask: int) -> int:
-        ambient_mask = _image_bits(mask, bits)
+        ambient_mask = image_bits(mask, bits)
         closed = space.fn(ambient_mask) & sub_mask
         out = 0
         for i, b in enumerate(bits):
@@ -228,10 +223,10 @@ def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     test_registered_closures_preserve_binary_joins` checks the closures on
     the built-in pools and their sums.
     """
-    if tgt_fn(0) != _image_bits(src_fn(0), f_idx):
+    if tgt_fn(0) != image_bits(src_fn(0), f_idx):
         return False
     for i in range(n_src):
-        if _image_bits(src_fn(1 << i), f_idx) != tgt_fn(1 << f_idx[i]):
+        if image_bits(src_fn(1 << i), f_idx) != tgt_fn(1 << f_idx[i]):
             return False
     return True
 
@@ -258,28 +253,6 @@ def dense_closed_factorize(sf: SpaceMorphism) -> tuple[SpaceMorphism, SpaceMorph
     return dense_part, closed_part
 
 
-def _apex(w_idx, f_idx, w_ob: FiniteObject, a_ob: FiniteObject):
-    """Pullback apex of f along w as index pairs plus componentwise down-masks."""
-    pairs = [(i, j) for i in range(len(w_idx)) for j in range(len(f_idx))
-             if w_idx[i] == f_idx[j]]
-    k = len(pairs)
-    ordered = w_ob.has_order
-    down = [0] * k
-    if ordered:
-        w_up = w_ob.up_masks
-        a_up = a_ob.up_masks
-        for t, (i2, j2) in enumerate(pairs):
-            m = 0
-            for s, (i1, j1) in enumerate(pairs):
-                if ((w_up[i1] >> i2) & 1) and ((a_up[j1] >> j2) & 1):
-                    m |= 1 << s
-            down[t] = m
-    else:
-        for t in range(k):
-            down[t] = 1 << t
-    return pairs, tuple(down)
-
-
 def is_proper(family: ClosureFamily, pool: Sequence[FiniteObject],
               sf: SpaceMorphism, bound: int) -> bool:
     ok, _ = is_proper_witness(family, pool, sf, bound)
@@ -294,24 +267,27 @@ def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
     f = sf.f
     t_ob = f.target
     a_ob = f.source
+    a_down = down_or_discrete(a_ob)
     f_idx = f.idx
     cls_t = sf.target.fn
     for w_src in pool:
         if w_src.size > bound:
             continue
         cls_w = family.component(w_src)
+        w_down = down_or_discrete(w_src)
         for w in enumerate_morphisms(w_src, t_ob):
             w_idx = w.idx
             if not _continuous_fast(w_idx, cls_w, cls_t, w_src.size):
                 continue
-            pairs, down = _apex(w_idx, f_idx, w_src, a_ob)
+            pairs = pullback_pairs(w_idx, f_idx)
+            down = componentwise(pairs, w_down, a_down)
             cls_apex = family.fn_for(len(pairs), down)
             proj_bits = tuple(i for (i, _) in pairs)
             # The closure of the empty set, then of each apex point, must
             # project onto the closure of its projection.
             ok, point, _ = first_counterexample(chain(
-                [None if _image_bits(cls_apex(0), proj_bits) == cls_w(0) else {}],
-                (None if _image_bits(cls_apex(1 << t), proj_bits) == cls_w(1 << i)
+                [None if image_bits(cls_apex(0), proj_bits) == cls_w(0) else {}],
+                (None if image_bits(cls_apex(1 << t), proj_bits) == cls_w(1 << i)
                  else {"apex_point": [w_src.elements[i], a_ob.elements[j]]}
                  for t, (i, j) in enumerate(pairs))))
             if not ok:

@@ -59,18 +59,22 @@ class FiniteObject:
             return
         order = frozenset(tuple(p) for p in self.order)
         object.__setattr__(self, "order", order)
+        # Errors name the least offending pair, so that no message depends
+        # on the iteration order of a frozenset (the hash seed).
         universe = set(elements)
-        for (a, b) in order:
-            if a not in universe or b not in universe:
-                raise ValueError(f"order pair ({a},{b}) outside carrier")
+        outside = [(a, b) for (a, b) in order
+                   if a not in universe or b not in universe]
+        if outside:
+            a, b = min(outside)
+            raise ValueError(f"order pair ({a},{b}) outside carrier")
         for e in elements:
             if (e, e) not in order:
                 raise ValueError(f"order not reflexive: missing ({e},{e})")
-        rel = order
-        for (a, b) in rel:
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError(f"order not transitive: missing ({a},{d}) via {b}")
+        missing = [(a, d, b) for (a, b) in order for (c, d) in order
+                   if b == c and (a, d) not in order]
+        if missing:
+            a, d, b = min(missing)
+            raise ValueError(f"order not transitive: missing ({a},{d}) via {b}")
 
     @property
     def has_order(self) -> bool:
@@ -173,13 +177,7 @@ class Morphism:
         return self.table[label]
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        idx = self.idx
-        while mask:
-            low = mask & -mask
-            out |= 1 << idx[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return image_bits(mask, self.idx)
 
     def preimage_mask(self, mask: int) -> int:
         out = 0
@@ -191,6 +189,21 @@ class Morphism:
     @cached_property
     def image_labels(self) -> tuple[str, ...]:
         return tuple(sorted(set(v for (_, v) in self.mapping)))
+
+
+def image_bits(mask: int, idx) -> int:
+    """The direct image of `mask` under the index table `idx`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << idx[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def points(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of `mask`, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def identity(x: FiniteObject) -> Morphism:
@@ -212,6 +225,11 @@ def compose_idx(g: Morphism, f: Morphism) -> tuple[int, ...]:
 
 def up_masks_or_none(x: FiniteObject) -> tuple[int, ...] | None:
     return x.up_masks if x.has_order else None
+
+
+def down_or_discrete(x: FiniteObject) -> tuple[int, ...]:
+    """Down-masks of x's order; of the discrete order when it has none."""
+    return x.down_masks if x.has_order else tuple(1 << i for i in range(x.size))
 
 
 def restrict_masks(masks, pts) -> tuple[int, ...]:
@@ -369,48 +387,52 @@ def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def product(x: FiniteObject, y: FiniteObject) -> Product:
-    if x.has_order != y.has_order:
-        raise ValueError("cannot mix ordered and unordered objects")
-    pairs = [(a, b) for a in x.elements for b in y.elements]
-    elements = tuple(pair_label(a, b) for (a, b) in pairs)
+def pullback_pairs(f_idx, g_idx) -> list[tuple[int, int]]:
+    """The points (a, b) of the pullback of two index tables into one
+    target, f_idx[a] == g_idx[b]: a-major, then b ascending."""
+    return [(a, b) for a, s in enumerate(f_idx) for b, t in enumerate(g_idx)
+            if s == t]
+
+
+def componentwise(pairs, rows_x, rows_y) -> tuple[int, ...]:
+    """Row masks of the componentwise relation on the index pairs `pairs`:
+    row k has bit l set when row a_k of `rows_x` has bit a_l and row b_k
+    of `rows_y` has bit b_l.  Up-masks in give up-masks out, down-masks
+    give down-masks."""
+    return tuple(sum(1 << l for l, (a2, b2) in enumerate(pairs)
+                     if rows_x[a1] >> a2 & 1 and rows_y[b1] >> b2 & 1)
+                 for a1, b1 in pairs)
+
+
+def _pair_object(x: FiniteObject, y: FiniteObject, pairs, name: str) -> Product:
+    """The object on the index pairs `pairs` of x and y, labelled "(a,b)"
+    and ordered componentwise, with its two projections."""
+    labels = [pair_label(x.elements[a], y.elements[b]) for a, b in pairs]
     order = None
-    if x.has_order:
-        order = frozenset(
-            (pair_label(a1, b1), pair_label(a2, b2))
-            for (a1, b1) in pairs for (a2, b2) in pairs
-            if (a1, a2) in x.order and (b1, b2) in y.order)
-    ob = FiniteObject(elements, order, name=f"({x.label}x{y.label})")
-    p1 = Morphism(ob, x, tuple((pair_label(a, b), a) for (a, b) in pairs))
-    p2 = Morphism(ob, y, tuple((pair_label(a, b), b) for (a, b) in pairs))
+    if x.has_order and y.has_order:
+        up = componentwise(pairs, x.up_masks, y.up_masks)
+        order = frozenset((labels[k], labels[l]) for k, row in enumerate(up)
+                          for l in points(row))
+    ob = FiniteObject(tuple(labels), order, name=name)
+    p1 = Morphism(ob, x, tuple(zip(labels, (x.elements[a] for a, _ in pairs))))
+    p2 = Morphism(ob, y, tuple(zip(labels, (y.elements[b] for _, b in pairs))))
     return Product(ob, p1, p2)
 
 
-class Pullback(NamedTuple):
-    ob: FiniteObject
-    p1: Morphism
-    p2: Morphism
+def product(x: FiniteObject, y: FiniteObject) -> Product:
+    if x.has_order != y.has_order:
+        raise ValueError("cannot mix ordered and unordered objects")
+    pairs = [(a, b) for a in range(x.size) for b in range(y.size)]
+    return _pair_object(x, y, pairs, f"({x.label}x{y.label})")
 
 
-def pullback(f: Morphism, g: Morphism) -> Pullback:
+def pullback(f: Morphism, g: Morphism) -> Product:
     """Apex of f and g over their common target, as pairs (a,b) with
     f(a) = g(b), ordered componentwise."""
     if f.target != g.target:
         raise ValueError("cospan legs must share their target")
-    x, y = f.source, g.source
-    pairs = [(a, b) for a in x.elements for b in y.elements
-             if f.table[a] == g.table[b]]
-    elements = tuple(pair_label(a, b) for (a, b) in pairs)
-    order = None
-    if x.has_order and y.has_order:
-        order = frozenset(
-            (pair_label(a1, b1), pair_label(a2, b2))
-            for (a1, b1) in pairs for (a2, b2) in pairs
-            if (a1, a2) in x.order and (b1, b2) in y.order)
-    ob = FiniteObject(elements, order, name=f"pb({x.label},{y.label})")
-    p1 = Morphism(ob, x, tuple((pair_label(a, b), a) for (a, b) in pairs))
-    p2 = Morphism(ob, y, tuple((pair_label(a, b), b) for (a, b) in pairs))
-    return Pullback(ob, p1, p2)
+    return _pair_object(f.source, g.source, pullback_pairs(f.idx, g.idx),
+                        f"pb({f.source.label},{g.source.label})")
 
 
 def equalizer(f: Morphism, g: Morphism) -> Morphism:
@@ -421,7 +443,7 @@ def equalizer(f: Morphism, g: Morphism) -> Morphism:
     return inclusion(f.source.restrict(keep), f.source)
 
 
-def kernel_pair(f: Morphism) -> Pullback:
+def kernel_pair(f: Morphism) -> Product:
     return pullback(f, f)
 
 

@@ -22,12 +22,14 @@ from .core import (
     Report,
     compose,
     compose_idx,
+    componentwise,
     enumerate_morphisms,
     inclusion,
     is_injective,
     is_iso,
     is_surjective,
     pullback,
+    pullback_pairs,
     serialize_morphism,
     table_of,
     up_masks_or_none,
@@ -77,24 +79,30 @@ def image_factorization(f: Morphism) -> Factorization:
 
 def down_arrow(e: Morphism, m: Morphism) -> bool:
     """Whether every commuting square v.e = m.u has exactly one diagonal."""
-    ok, _ = down_arrow_witness(e, m)
-    return ok
+    return _first_bad_square(e, m) is None
 
 
 def down_arrow_witness(e: Morphism, m: Morphism):
     """down_arrow plus, on failure, the offending square (and diagonal count)."""
+    square = _first_bad_square(e, m)
+    return square is None, square and _square_witness(e, m, *square)
+
+
+def _first_bad_square(e: Morphism, m: Morphism):
+    """The first square of e against m without exactly one diagonal, as
+    (u, v, diagonal count) with u and v index tables, or None."""
     if is_surjective(e) and is_injective(m):
-        witness = _first_unfilled_square(e, m, _unmonotone_fills(e, m.source))
-        return witness is None, witness
+        return _first_unfilled_square(e, m, _unmonotone_fills(e, m.source))
     return _down_arrow_exhaustive(e, m)
 
 
-def _square_witness(e, m, u_mapping, v_mapping, count):
+def _square_witness(e, m, u_idx, v_idx, count):
+    c, d = m.source.elements, m.target.elements
     return {
         "e": serialize_morphism(e),
         "m": serialize_morphism(m),
-        "square_u": dict(u_mapping),
-        "square_v": dict(v_mapping),
+        "square_u": {k: c[t] for k, t in zip(e.source.elements, u_idx)},
+        "square_v": {k: d[t] for k, t in zip(e.target.elements, v_idx)},
         "diagonals": count,
     }
 
@@ -105,9 +113,9 @@ def _unmonotone_fills(e: Morphism, c: FiniteObject) -> list:
     A square v.e = m.u with top u exists iff u is constant on the fibres of
     e and m.w is monotone for the induced w (w.e = u).  The only possible
     diagonal is w, unique because e is epi, so the square fails exactly
-    when w is not monotone.  This lists (u, w) for every u: e.source -> c
-    constant on the fibres of e whose w is not monotone, in enumeration
-    order.  It depends on e and c only, not on m."""
+    when w is not monotone.  This lists the index tables (u, w) for every
+    u: e.source -> c constant on the fibres of e whose w is not monotone,
+    in enumeration order.  It depends on e and c only, not on m."""
     b = e.target
     if not (b.has_order and c.has_order):
         return []
@@ -123,47 +131,37 @@ def _unmonotone_fills(e: Morphism, c: FiniteObject) -> list:
                 break
         else:
             if not all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord):
-                fills.append((u, w_tab))
+                fills.append((u_idx, w_tab))
     return fills
 
 
 def _first_unfilled_square(e: Morphism, m: Morphism, fills: list):
-    """The witness of the first of `fills` (`_unmonotone_fills(e,
-    m.source)`) whose bottom m.w is monotone, or None: the first square of
+    """The first of `fills` (`_unmonotone_fills(e, m.source)`) whose bottom
+    m.w is monotone, as the square (u, v, 0), or None: the first square of
     e against m with no diagonal."""
     if not fills:
         return None
-    b, d = e.target, m.target
-    m_idx, b_ord, d_up = m.idx, b.order_idx, d.up_masks
-    for u, w_tab in fills:
+    m_idx, b_ord, d_up = m.idx, e.target.order_idx, m.target.up_masks
+    for u_idx, w_tab in fills:
         v_tab = [m_idx[ci] for ci in w_tab]
         if all((d_up[v_tab[i]] >> v_tab[j]) & 1 for (i, j) in b_ord):
-            v_mapping = tuple(
-                (b.elements[i], d.elements[v_tab[i]]) for i in range(b.size))
-            return _square_witness(e, m, u.mapping, v_mapping, 0)
+            return u_idx, v_tab, 0
     return None
 
 
 def _pullback_table(g: Morphism, m: Morphism) -> tuple:
-    """`table_of` the first projection of the pullback of g and m, on the
-    pairs (a, b) with g(a) = m(b), a-major, ordered componentwise: the
-    same map as `pullback(g, m).p1` up to the order of its source points."""
+    """`table_of` the first projection of the pullback of g and m, on
+    `pullback_pairs` ordered `componentwise`: the same map as
+    `pullback(g, m).p1` up to the order of its source points."""
     x, y = g.source, m.source
-    over: list[list[int]] = [[] for _ in range(m.target.size)]
-    for b, t in enumerate(m.idx):
-        over[t].append(b)
-    pairs = [(a, b) for a, t in enumerate(g.idx) for b in over[t]]
-    up = None
-    if x.has_order and y.has_order:
-        x_up, y_up = x.up_masks, y.up_masks
-        up = tuple(
-            sum(1 << k for k, (a2, b2) in enumerate(pairs)
-                if (x_up[a1] >> a2) & 1 and (y_up[b1] >> b2) & 1)
-            for a1, b1 in pairs)
+    pairs = pullback_pairs(g.idx, m.idx)
+    up = (componentwise(pairs, x.up_masks, y.up_masks)
+          if x.has_order and y.has_order else None)
     return tuple(a for a, _ in pairs), up, x.size, up_masks_or_none(x)
 
 
 def _down_arrow_exhaustive(e: Morphism, m: Morphism):
+    """`_first_bad_square` by the literal sweep over every square."""
     a, b = e.source, e.target
     c, d = m.source, m.target
     homs_bc = enumerate_morphisms(b, c)
@@ -181,8 +179,8 @@ def _down_arrow_exhaustive(e: Morphism, m: Morphism):
                     if count > 1:
                         break
             if count != 1:
-                return False, _square_witness(e, m, u.mapping, v.mapping, count)
-    return True, None
+                return u_idx, v_idx, count
+    return None
 
 
 def _all_homs(objects: Sequence[FiniteObject]):
@@ -251,7 +249,8 @@ def validate_system(sys: FactorizationSystem,
                     continue
                 if m.source not in fills:
                     fills[m.source] = _unmonotone_fills(e, m.source)
-                yield _first_unfilled_square(e, m, fills[m.source])
+                square = _first_unfilled_square(e, m, fills[m.source])
+                yield square and _square_witness(e, m, *square)
 
     # Completeness: anything outside E must fail orthogonality against some
     # M-member, and dually.  The own factorization parts are tried first
@@ -260,7 +259,7 @@ def validate_system(sys: FactorizationSystem,
         for f in homs:
             if f in e_set:
                 continue
-            found = any(not down_arrow_witness(f, m)[0]
+            found = any(not down_arrow(f, m)
                         for m in [image_factorization(f).m_part] + m_list)
             yield None if found else {
                 "morphism": serialize_morphism(f),
@@ -271,7 +270,7 @@ def validate_system(sys: FactorizationSystem,
         for g in homs:
             if g in m_set:
                 continue
-            found = any(not down_arrow_witness(e, g)[0]
+            found = any(not down_arrow(e, g)
                         for e in [image_factorization(g).e_part] + small_first)
             yield None if found else {
                 "morphism": serialize_morphism(g),

@@ -6,12 +6,12 @@ of the tagged embedding, projections by component restriction.  This module
 materializes those lattices over bitmasks, verifies the biproduct equations,
 and provides the 2x2 matrix calculus for homs between binary sums.
 
-Homs between two lattices the caller already holds are plain index tables
-(`Table`); `SemilatticeHom` carries its endpoints and serves the biproduct
-structure maps.  `enumerate_homs` assigns the join-irreducibles depth-first
-and checks join-preservation on generator equations only;
-`matrix_roundtrip` decides `matrix_to_hom(hom_matrix(t)) == t` for many
-tables through the round trip precomposed once per pair of biproducts.
+A hom is a plain index table (`Table`) between two lattices the caller
+holds, the biproduct structure maps included.  `enumerate_homs` assigns the
+join-irreducibles depth-first and checks join-preservation on generator
+equations only; `matrix_roundtrip` decides `matrix_to_hom(hom_matrix(t))
+== t` for many tables through the round trip precomposed once per pair of
+biproducts.
 """
 
 from __future__ import annotations
@@ -99,51 +99,29 @@ def closed_semilattice(space: Space,
 Table = tuple[int, ...]
 
 
-@dataclass(eq=False)
-class SemilatticeHom:
-    source: JoinSemilattice
-    target: JoinSemilattice
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.table) == self.source.n
-
-    def __eq__(self, other):
-        return (self.source is other.source and self.target is other.target
-                and self.table == other.table)
-
-    def is_valid(self) -> bool:
-        src, tgt = self.source, self.target
-        if self.table[src.zero] != tgt.zero:
-            return False
-        for i in range(src.n):
-            for j in range(i + 1, src.n):
-                if self.table[src.join[i][j]] != tgt.join[self.table[i]][self.table[j]]:
-                    return False
-        return True
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
+def is_hom(src: JoinSemilattice, tgt: JoinSemilattice, t: Table) -> bool:
+    """Whether t preserves the zero and every binary join."""
+    return t[src.zero] == tgt.zero and all(
+        t[src.join[i][j]] == tgt.join[t[i]][t[j]]
+        for i in range(src.n) for j in range(i + 1, src.n))
 
 
-def identity_hom(lat: JoinSemilattice) -> SemilatticeHom:
-    return SemilatticeHom(lat, lat, tuple(range(lat.n)))
+def identity_hom(lat: JoinSemilattice) -> Table:
+    return tuple(range(lat.n))
 
 
-def zero_hom(src: JoinSemilattice, tgt: JoinSemilattice) -> SemilatticeHom:
-    return SemilatticeHom(src, tgt, tuple(tgt.zero for _ in range(src.n)))
+def zero_hom(src: JoinSemilattice, tgt: JoinSemilattice) -> Table:
+    return (tgt.zero,) * src.n
 
 
-def compose_homs(g: SemilatticeHom, h: SemilatticeHom) -> SemilatticeHom:
-    assert h.target is g.source
-    return SemilatticeHom(h.source, g.target, tuple(g.table[t] for t in h.table))
+def compose_homs(g: Table, h: Table) -> Table:
+    """g after h."""
+    return tuple(g[t] for t in h)
 
 
-def join_homs(h1: SemilatticeHom, h2: SemilatticeHom) -> SemilatticeHom:
-    assert h1.source is h2.source and h1.target is h2.target
-    tgt = h1.target
-    return SemilatticeHom(h1.source, tgt,
-                          tuple(tgt.join[a][b] for a, b in zip(h1.table, h2.table)))
+def join_homs(tgt: JoinSemilattice, h1: Table, h2: Table) -> Table:
+    """The pointwise join, in `tgt`, of two homs into it."""
+    return tuple(tgt.join[a][b] for a, b in zip(h1, h2))
 
 
 def enumerate_homs(src: JoinSemilattice,
@@ -226,10 +204,10 @@ class Biproduct:
     left: JoinSemilattice
     right: JoinSemilattice
     total: JoinSemilattice
-    inj_l: SemilatticeHom
-    inj_r: SemilatticeHom
-    proj_l: SemilatticeHom
-    proj_r: SemilatticeHom
+    inj_l: Table
+    inj_r: Table
+    proj_l: Table
+    proj_r: Table
     report: Report
 
     @property
@@ -237,18 +215,17 @@ class Biproduct:
         return self.report.passed
 
 
-def verify_biproduct(inj_l: SemilatticeHom, inj_r: SemilatticeHom,
-                     proj_l: SemilatticeHom, proj_r: SemilatticeHom) -> Report:
+def verify_biproduct(left: JoinSemilattice, right: JoinSemilattice,
+                     total: JoinSemilattice, inj_l: Table, inj_r: Table,
+                     proj_l: Table, proj_r: Table) -> Report:
     """The four retraction/vanishing equations plus the joint identity."""
-    total = inj_l.target
-    left = inj_l.source
-    right = inj_r.source
     checks = []
-    endpoints_ok = (inj_r.target is total and proj_l.source is total
-                    and proj_r.source is total and proj_l.target is left
-                    and proj_r.target is right)
+    endpoints_ok = (len(inj_l) == left.n and len(inj_r) == right.n
+                    and len(proj_l) == len(proj_r) == total.n)
     checks.append(CheckResult("endpoints_consistent", endpoints_ok, 1, None))
-    valid = all(h.is_valid() for h in (inj_l, inj_r, proj_l, proj_r))
+    valid = endpoints_ok and (
+        is_hom(left, total, inj_l) and is_hom(right, total, inj_r)
+        and is_hom(total, left, proj_l) and is_hom(total, right, proj_r))
     checks.append(CheckResult("maps_are_homs", valid, 4, None))
     if endpoints_ok:
         checks.append(CheckResult(
@@ -259,7 +236,8 @@ def verify_biproduct(inj_l: SemilatticeHom, inj_r: SemilatticeHom,
             "projection_kills_other_injection",
             compose_homs(proj_l, inj_r) == zero_hom(right, left)
             and compose_homs(proj_r, inj_l) == zero_hom(left, right), 2, None))
-        joint = join_homs(compose_homs(inj_l, proj_l), compose_homs(inj_r, proj_r))
+        joint = join_homs(total, compose_homs(inj_l, proj_l),
+                          compose_homs(inj_r, proj_r))
         checks.append(CheckResult(
             "joint_identity", joint == identity_hom(total), 1, None))
     return Report("biproduct", tuple(checks))
@@ -286,11 +264,11 @@ def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
     idx_xy = {m: i for i, m in enumerate(masks_xy)}
     idx_x = {m: i for i, m in enumerate(masks_x)}
     idx_y = {m: i for i, m in enumerate(masks_y)}
-    inj_l = SemilatticeHom(kx, kxy, tuple(idx_xy[sxy.fn(m)] for m in masks_x))
-    inj_r = SemilatticeHom(ky, kxy, tuple(idx_xy[sxy.fn(m << nx)] for m in masks_y))
-    proj_l = SemilatticeHom(kxy, kx, tuple(idx_x[m & low] for m in masks_xy))
-    proj_r = SemilatticeHom(kxy, ky, tuple(idx_y[m >> nx] for m in masks_xy))
-    report = verify_biproduct(inj_l, inj_r, proj_l, proj_r)
+    inj_l = tuple(idx_xy[sxy.fn(m)] for m in masks_x)
+    inj_r = tuple(idx_xy[sxy.fn(m << nx)] for m in masks_y)
+    proj_l = tuple(idx_x[m & low] for m in masks_xy)
+    proj_r = tuple(idx_y[m >> nx] for m in masks_xy)
+    report = verify_biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r)
     return Biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r, report)
 
 
@@ -302,8 +280,8 @@ def hom_matrix(bp_src: Biproduct, bp_tgt: Biproduct, t: Table) -> Matrix:
     is the table of proj_i . t . inj_j, from source component j to target
     component i."""
     assert len(t) == bp_src.total.n
-    inj_l, inj_r = bp_src.inj_l.table, bp_src.inj_r.table
-    proj_l, proj_r = bp_tgt.proj_l.table, bp_tgt.proj_r.table
+    inj_l, inj_r = bp_src.inj_l, bp_src.inj_r
+    proj_l, proj_r = bp_tgt.proj_l, bp_tgt.proj_r
     return (
         (tuple(proj_l[t[k]] for k in inj_l), tuple(proj_l[t[k]] for k in inj_r)),
         (tuple(proj_r[t[k]] for k in inj_l), tuple(proj_r[t[k]] for k in inj_r)),
@@ -314,11 +292,11 @@ def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> Table
     """Table of the joint extension of a 2x2 matrix of component tables:
     the join of inj_i . m[i][j] . proj_j over the four entries."""
     (m_ll, m_lr), (m_rl, m_rr) = matrix
-    inj_l, inj_r = bp_tgt.inj_l.table, bp_tgt.inj_r.table
+    inj_l, inj_r = bp_tgt.inj_l, bp_tgt.inj_r
     join = bp_tgt.total.join
     return tuple(
         join[join[join[inj_l[m_ll[a]]][inj_l[m_lr[b]]]][inj_r[m_rl[a]]]][inj_r[m_rr[b]]]
-        for a, b in zip(bp_src.proj_l.table, bp_src.proj_r.table))
+        for a, b in zip(bp_src.proj_l, bp_src.proj_r))
 
 
 def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
@@ -331,12 +309,12 @@ def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
     k of the round trip of t is then that join at (t[l], t[r]) of point
     k's pair, so each value equals `matrix_to_hom`'s by construction."""
     join = bp_tgt.total.join
-    left = [bp_tgt.inj_l.table[m] for m in bp_tgt.proj_l.table]
-    right = [bp_tgt.inj_r.table[m] for m in bp_tgt.proj_r.table]
+    left = [bp_tgt.inj_l[m] for m in bp_tgt.proj_l]
+    right = [bp_tgt.inj_r[m] for m in bp_tgt.proj_r]
     joint = [[join[join[join[left[u]][left[w]]][right[u]]][right[w]]
               for w in range(len(join))] for u in range(len(join))]
-    inj_l, inj_r = bp_src.inj_l.table, bp_src.inj_r.table
+    inj_l, inj_r = bp_src.inj_l, bp_src.inj_r
     pairs = [(inj_l[a], inj_r[b])
-             for a, b in zip(bp_src.proj_l.table, bp_src.proj_r.table)]
+             for a, b in zip(bp_src.proj_l, bp_src.proj_r)]
     for t in homs:
         yield [joint[t[a]][t[b]] for a, b in pairs] == list(t)

@@ -23,6 +23,7 @@ from .core import (
     compose,
     coproduct,
     inclusion,
+    points,
     restrict_masks,
     split_coproduct,
     up_masks_or_none,
@@ -106,7 +107,7 @@ class SubobjectLattice:
 
 def _inclusion_table(x: FiniteObject, mask: int) -> tuple:
     """`table_of` the inclusion of the subset `mask` of x into x."""
-    idx = tuple(i for i in range(x.size) if (mask >> i) & 1)
+    idx = points(mask)
     up = up_masks_or_none(x)
     sub_up = None if up is None else restrict_masks(up, idx)
     return idx, sub_up, x.size, up

@@ -32,7 +32,6 @@ from .closure import (
     SpaceMorphism,
     _closed_fast,
     _continuous_fast,
-    _image_bits,
     is_proper_witness,
     is_separated_witness,
     terminal_space_morphism,
@@ -42,10 +41,13 @@ from .core import (
     Morphism,
     copair,
     coproduct,
+    down_or_discrete,
     first_counterexample,
     identity,
+    image_bits,
     initial,
     monotone_bijections,
+    points,
     restrict_masks,
     serialize_morphism,
     serialize_object,
@@ -458,10 +460,10 @@ def _sum_halves(fn, n_left: int, n: int):
             crossed, not any(chain(*crossed)))
 
 
-def _carries(idx, masks, tgt, points) -> bool:
-    """The map `idx` sends each of `masks` onto the entry of `tgt` that the
-    matching entry of `points` names."""
-    return all(_image_bits(m, idx) == tgt[j] for m, j in zip(masks, points))
+def _carries(idx, masks, tgt, keys) -> bool:
+    """The map `idx` sends each of `masks` onto the entry of `tgt` at the
+    matching entry of `keys`."""
+    return all(image_bits(m, idx) == tgt[j] for m, j in zip(masks, keys))
 
 
 def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
@@ -611,15 +613,6 @@ def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
 # its left summand's points first, so the sum of two tables, masks or orders
 # is the left one followed by the right one shifted past it.
 
-def _down(ob: FiniteObject) -> tuple[int, ...]:
-    """Down-masks of ob's order; of the discrete order when it has none."""
-    return ob.down_masks if ob.has_order else tuple(1 << i for i in range(ob.size))
-
-
-def _points(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _image_parts(idx) -> tuple[int, tuple[int, ...]]:
     """Image factorization of an index table: the image mask, and the
     corestriction onto the image as a table into its points."""
@@ -658,9 +651,9 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     pool = ctx.objects(bound)
     homs = [(f, i, j) for i, x in enumerate(pool) for j, y in enumerate(pool)
             for f in ctx.hom(x, y)]
-    down = [_down(x) for x in pool]
-    sum_down = [[_down(coproduct(x, y).ob) for y in pool] for x in pool]
-    order_on = cache(lambda down, mask: restrict_masks(down, _points(mask)))
+    down = [down_or_discrete(x) for x in pool]
+    sum_down = [[down_or_discrete(coproduct(x, y).ob) for y in pool] for x in pool]
+    order_on = cache(lambda down, mask: restrict_masks(down, points(mask)))
 
     def pair_outcomes():
         parts = []
@@ -689,7 +682,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             images[t].add(f.image_mask((1 << f.source.size) - 1))
         for (i, x), (j, y) in _object_pairs(list(enumerate(pool))):
             masks_y = sorted(ctx.sub_lattice(y))
-            cp_down = _down(ctx.coproduct(x, y).ob)
+            cp_down = down_or_discrete(ctx.coproduct(x, y).ob)
             for ma in sorted(images[i].union(ctx.sub_lattice(x))):
                 for mb in masks_y:
                     summed = _sum_order(order_on(down[i], ma), order_on(down[j], mb))
@@ -703,9 +696,9 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     def piece_outcomes():
         for f, _, _ in homs:
             for ma in ctx.sub_lattice(f.source):
-                comp = tuple(f.idx[p] for p in _points(ma))
+                comp = tuple(f.idx[p] for p in points(ma))
                 im, cor = _image_parts(comp)
-                pts = _points(im)
+                pts = points(im)
                 yield (None if im == f.image_mask(ma)
                        and tuple(pts[c] for c in cor) == comp
                        else {"f": serialize_morphism(f), "m": serialized(f.source, ma)})
@@ -715,7 +708,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             """A map at a subobject of its source: its composite with the
             inclusion, image, restriction, and the restriction's source and
             target orders."""
-            comp = tuple(idx[p] for p in _points(mask))
+            comp = tuple(idx[p] for p in points(mask))
             im, cor = _image_parts(comp)
             return comp, im, cor, order_on(src_down, mask), order_on(tgt_down, im)
 
@@ -970,9 +963,9 @@ def _roundtrip_outcomes(ctx: Context, pool):
             if expected <= HOM_ENUMERATION_CAP:
                 homs = enumerate_homs(bp_s.total, bp_t.total)
             else:
-                homs = ([identity_hom(bp_s.total).table]
+                homs = ([identity_hom(bp_s.total)]
                         if bp_s.total is bp_t.total else [])
-                homs.append(zero_hom(bp_s.total, bp_t.total).table)
+                homs.append(zero_hom(bp_s.total, bp_t.total))
             for h, ok in zip(homs, matrix_roundtrip(bp_s, bp_t, homs)):
                 # A failure is confirmed on the literal matrix calculus, the
                 # definition the side states; passing homs never reach it.

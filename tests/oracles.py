@@ -19,7 +19,8 @@ fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
 and `validate_system` is the factorization validator with M-stability
 decided on label-level pullbacks and orthogonality per pair.  `join_of` is
 the join of a sequence of elements of a `JoinSemilattice`, folded from its
-zero.
+zero, and `SemilatticeHom` a hom that carries its endpoints, with literal
+`is_valid`, composite and join: the reference for the table homs.
 """
 
 from functools import cache
@@ -390,16 +391,17 @@ def down_arrow_fiberwise(e, m):
                 continue
             w_monotone = all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord)
             if not w_monotone:
-                v_mapping = tuple(
-                    (b.elements[i], d.elements[v_tab[i]]) for i in range(b.size))
-                return False, _square_witness(e, m, u.mapping, v_mapping, 0)
+                return False, _square_witness(e, m, u_idx, v_tab, 0)
     return True, None
 
 
 def down_arrow_witness(e, m):
+    """Orthogonality of one pair: `down_arrow_fiberwise` for e surjective
+    against m injective, else the literal sweep over every square."""
     if surjective(e) and injective(m):
         return down_arrow_fiberwise(e, m)
-    return _down_arrow_exhaustive(e, m)
+    square = _down_arrow_exhaustive(e, m)
+    return square is None, square and _square_witness(e, m, *square)
 
 
 def validate_system(sys, objects) -> Report:
@@ -434,3 +436,38 @@ def join_of(lat, indices) -> int:
     for i in indices:
         out = lat.join[out][i]
     return out
+
+
+class SemilatticeHom:
+    """A hom that carries its two lattices: the reference for the table
+    arithmetic of `extcheck.semilattice`.  Composites and joins check that
+    the endpoints meet, and equality compares endpoints by identity."""
+
+    def __init__(self, source, target, table):
+        assert len(table) == source.n
+        self.source, self.target, self.table = source, target, tuple(table)
+
+    def __eq__(self, other):
+        return (self.source is other.source and self.target is other.target
+                and self.table == other.table)
+
+    def is_valid(self) -> bool:
+        src, tgt = self.source, self.target
+        if self.table[src.zero] != tgt.zero:
+            return False
+        for i in range(src.n):
+            for j in range(i + 1, src.n):
+                if self.table[src.join[i][j]] != tgt.join[self.table[i]][self.table[j]]:
+                    return False
+        return True
+
+    def after(self, h: "SemilatticeHom") -> "SemilatticeHom":
+        assert h.target is self.source
+        return SemilatticeHom(h.source, self.target,
+                              tuple(self.table[t] for t in h.table))
+
+    def join(self, other: "SemilatticeHom") -> "SemilatticeHom":
+        assert self.source is other.source and self.target is other.target
+        tgt = self.target
+        return SemilatticeHom(self.source, tgt, tuple(
+            tgt.join[a][b] for a, b in zip(self.table, other.table)))

@@ -1,6 +1,10 @@
 """End-to-end behavior of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,24 @@ def test_parser_help_mentions_all_flags():
     for flag in ("--context", "--closure", "--theorem", "--bound",
                  "--objects", "--report", "--format"):
         assert flag in text
+
+
+def test_order_error_does_not_depend_on_hash_seed(tmp_path):
+    # The chain a<=b<=c<=d given without its transitive pairs misses (a,c)
+    # via b, (b,d) via c and (a,d); the least missing pair is named, in
+    # whatever order the order's frozenset iterates.
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps([{"name": "chain4", "carrier": list("abcd"),
+                              "order": [["a", "b"], ["b", "c"], ["c", "d"]]}]))
+    src = Path(__file__).resolve().parent.parent / "src"
+    errors = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "extcheck.cli", "--context", "finpre",
+             "--objects", str(p), "--theorem", "validate", "--bound", "1"],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        errors.append(out.stderr)
+    assert errors[0] == errors[1]
+    assert "order not transitive: missing (a,c) via b" in errors[0]

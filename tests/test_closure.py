@@ -16,6 +16,7 @@ from extcheck.closure import (
     is_dense,
     is_hausdorff,
     is_proper,
+    is_proper_witness,
     is_separated,
     subspace,
     validate_closure,
@@ -270,3 +271,32 @@ def test_sierpinski_hausdorff_verdict_is_stable_at_bound_3():
     pool = ctx.objects(3)
     fam = ALEXANDROV
     assert not is_hausdorff(fam, pool, fam.space(SIERPINSKI), 3)
+
+
+def test_failing_proper_witness_is_pinned():
+    # The constant map from the 3-point fork p1 <= p2, p1 <= p3 onto p1 of
+    # the 2-point indiscrete preorder is not proper under alexandrov.  The
+    # first test map w, the chain collapsed onto p1, passes only because
+    # its 6-point apex is ordered componentwise by down-masks: with the
+    # apex's up-masks, or its discrete order, that w fails instead, at
+    # (p1, p1) and at (p2, p1).  So this witness pins the apex's points,
+    # their order and the order relation on them.
+    from test_golden_reports import WORKLOAD_EXTRAS
+
+    ctx = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS)
+    pool = ctx.objects(2)
+    fork = next(x for x in pool if x.name == "fork3")
+    pair = next(x for x in pool if x.name == "pre2_2")
+    f = Morphism(fork, pair, (("p1", "p1"), ("p2", "p1"), ("p3", "p1")))
+    sf = SpaceMorphism(f, ALEXANDROV.space(fork), ALEXANDROV.space(pair))
+    ok, witness = is_proper_witness(ALEXANDROV, pool, sf, 3)
+    assert not ok
+    assert witness == {
+        "w": {"source": {"name": "pre2_1", "elements": ["p1", "p2"],
+                         "order": [["p1", "p1"], ["p1", "p2"], ["p2", "p2"]]},
+              "target": {"name": "pre2_2", "elements": ["p1", "p2"],
+                         "order": [["p1", "p1"], ["p1", "p2"], ["p2", "p1"],
+                                   ["p2", "p2"]]},
+              "map": {"p1": "p2", "p2": "p1"}},
+        "apex": [["p2", "p1"], ["p2", "p2"], ["p2", "p3"]],
+        "apex_point": ["p2", "p1"]}

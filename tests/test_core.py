@@ -14,7 +14,9 @@ from extcheck.core import (
     RIGHT_TAG,
     compose,
     copair,
+    componentwise,
     coproduct,
+    down_or_discrete,
     enumerate_morphisms,
     equalizer,
     find_iso,
@@ -28,8 +30,10 @@ from extcheck.core import (
     make_preorder,
     monotone_bijections,
     order_reflecting_table,
+    pair_label,
     product,
     pullback,
+    pullback_pairs,
     split_coproduct,
     sum_morphisms,
     terminal,
@@ -187,6 +191,65 @@ def test_pullback_carves_matching_pairs():
     assert len(mediators) == 1
 
 
+def _cospans(pool):
+    homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
+    for f in homs:
+        for g in homs:
+            if f.target == g.target:
+                yield f, g
+
+
+def _assert_pair_object(x, y, pairs, ob, p1, p2):
+    """`ob` is the object on the index pairs `pairs` of x and y, ordered
+    componentwise as `componentwise` gives it on up- and on down-masks,
+    and p1, p2 are its projections; every relation is checked on labels."""
+    labels = [pair_label(x.elements[a], y.elements[b]) for a, b in pairs]
+    assert sorted(labels) == list(ob.elements)
+    assert [p1(s) for s in labels] == [x.elements[a] for a, _ in pairs]
+    assert [p2(s) for s in labels] == [y.elements[b] for _, b in pairs]
+    if not (x.has_order and y.has_order):
+        assert ob.order is None
+        discrete = componentwise(pairs, down_or_discrete(x), down_or_discrete(y))
+        assert discrete == tuple(1 << k for k in range(len(pairs)))
+        return
+    up = componentwise(pairs, x.up_masks, y.up_masks)
+    down = componentwise(pairs, x.down_masks, y.down_masks)
+    assert down == componentwise(pairs, down_or_discrete(x), down_or_discrete(y))
+    for k, (a1, b1) in enumerate(pairs):
+        for j, (a2, b2) in enumerate(pairs):
+            below = (x.elements[a1], x.elements[a2]) in x.order and (
+                y.elements[b1], y.elements[b2]) in y.order
+            assert ((labels[k], labels[j]) in ob.order) == below
+            assert bool(up[k] >> j & 1) == below
+            assert bool(down[j] >> k & 1) == below
+
+
+@pytest.mark.parametrize("flavour", ["finset-3", "finpre-2-extras"])
+def test_pullback_primitives_match_the_label_level_pullback(flavour):
+    # Every cospan of the pool: `pullback_pairs` lists the pairs (a, b) of
+    # labels with f(a) = g(b), a-major, and `core.pullback` is the object
+    # on them, ordered componentwise, with its projections.  The product
+    # of every two pool objects is the object on all pairs.
+    from extcheck.contexts import finpre_objects, finset_objects
+    from test_golden_reports import WORKLOAD_EXTRAS
+
+    pool = (finset_objects(3) if flavour == "finset-3"
+            else finpre_objects(2) + WORKLOAD_EXTRAS)
+    cospans = 0
+    for f, g in _cospans(pool):
+        x, y = f.source, g.source
+        pairs = pullback_pairs(f.idx, g.idx)
+        assert [(x.elements[a], y.elements[b]) for a, b in pairs] == [
+            (a, b) for a in x.elements for b in y.elements if f(a) == g(b)]
+        _assert_pair_object(x, y, pairs, *pullback(f, g))
+        cospans += 1
+    for x in pool:
+        for y in pool:
+            pairs = [(a, b) for a in range(x.size) for b in range(y.size)]
+            _assert_pair_object(x, y, pairs, *product(x, y))
+    assert cospans > 1000
+
+
 def test_equalizer_picks_agreement_set():
     x = plain("a", "b", "c")
     y = plain("u", "v")
@@ -308,3 +371,27 @@ def test_not_monotone_message_is_independent_of_hash_seed():
                              capture_output=True, text=True, check=True)
         messages.add(out.stdout)
     assert messages == {"not monotone: a<=b but a<=b fails\n"}
+
+
+ORDER_ERRORS = """
+from extcheck.core import FiniteObject
+for order in ({("a", "a"), ("b", "b"), ("b", "z"), ("a", "y")},
+              {(e, e) for e in "abcd"} | {("a", "b"), ("b", "c"), ("c", "d")}):
+    try:
+        FiniteObject(tuple("abcd"), frozenset(order))
+    except ValueError as err:
+        print(err)
+"""
+
+
+def test_order_errors_are_independent_of_hash_seed():
+    # Each order error names the least offending pair.
+    src = Path(__file__).resolve().parent.parent / "src"
+    messages = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", ORDER_ERRORS], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(out.stdout)
+    assert messages == {"order pair (a,y) outside carrier\n"
+                        "order not transitive: missing (a,c) via b\n"}

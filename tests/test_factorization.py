@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from extcheck import factorization
 from extcheck.cli import load_objects
 from extcheck.contexts import (
     builtin,
@@ -31,6 +32,7 @@ from extcheck.factorization import (
     _down_arrow_exhaustive,
     _first_unfilled_square,
     _pullback_table,
+    _square_witness,
     _unmonotone_fills,
     down_arrow,
     down_arrow_witness,
@@ -109,6 +111,35 @@ def test_orthogonality_failure_for_order_reasons():
     assert down_arrow(e, m)
 
 
+def _unfilled_witness(e, m, fills):
+    """The witness of `_first_unfilled_square`, as the validator serializes
+    it."""
+    square = _first_unfilled_square(e, m, fills)
+    return square and _square_witness(e, m, *square)
+
+
+def test_down_arrow_builds_no_witness(monkeypatch):
+    # The completeness laws call down_arrow on every map outside E or M and
+    # keep only its truth value, so it must not serialize a square: with
+    # the serializer broken, down_arrow still decides failing pairs of
+    # both paths, the fibrewise one (surjective against injective) and the
+    # exhaustive one, as down_arrow_witness did before.
+    pool = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS).objects(2)
+    homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
+    sample = homs[::7]
+    expected = [down_arrow_witness(e, m)[0] for e in sample for m in sample]
+    fast = [not down_arrow_witness(e, m)[0] for e in sample for m in sample
+            if oracles.surjective(e) and oracles.injective(m)]
+    assert any(fast) and expected.count(False) > sum(fast)
+
+    def refuse(*args):
+        raise AssertionError("down_arrow serialized a square")
+
+    monkeypatch.setattr(factorization, "_square_witness", refuse)
+    monkeypatch.setattr(factorization, "serialize_morphism", refuse)
+    assert [down_arrow(e, m) for e in sample for m in sample] == expected
+
+
 def test_down_arrow_fiberwise_matches_exhaustive():
     # Every (E, M) pair of finpre at bound 2: the per-pair fibrewise sweep
     # agrees with the exhaustive square search, and the validator's sweep,
@@ -125,10 +156,10 @@ def test_down_arrow_fiberwise_matches_exhaustive():
         fills = {}
         for m in ms:
             ok, witness = oracles.down_arrow_fiberwise(e, m)
-            assert ok == _down_arrow_exhaustive(e, m)[0], (e.mapping, m.mapping)
+            assert ok == (_down_arrow_exhaustive(e, m) is None), (e.mapping, m.mapping)
             if m.source not in fills:
                 fills[m.source] = _unmonotone_fills(e, m.source)
-            assert _first_unfilled_square(e, m, fills[m.source]) == witness
+            assert _unfilled_witness(e, m, fills[m.source]) == witness
             failed += not ok
     assert es and ms and failed == 0
 
@@ -147,8 +178,7 @@ def test_hoisted_squares_find_the_per_pair_witness():
     for e in es:
         for m in ms:
             witness = oracles.down_arrow_fiberwise(e, m)[1]
-            assert _first_unfilled_square(
-                e, m, _unmonotone_fills(e, m.source)) == witness
+            assert _unfilled_witness(e, m, _unmonotone_fills(e, m.source)) == witness
             witnesses += witness is not None
     assert witnesses
 

@@ -9,6 +9,12 @@ structured report leaves out.  Regenerate them, only when a report is meant
 to change, with
 
     PYTHONPATH=src python3 tests/test_golden_reports.py
+
+and compare one of them, rendered alone in a fresh process, with
+
+    PYTHONPATH=src python3 tests/test_golden_reports.py --check STEM
+
+which exits 1 when the report differs from its file.
 """
 
 from __future__ import annotations
@@ -134,6 +140,13 @@ def test_validator_reports_match_golden(stem):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--check"]:
+        for name in sys.argv[2:]:
+            path = GOLDEN / f"{name}.json"
+            if render(name) != path.read_text(encoding="utf-8"):
+                sys.exit(f"tests/golden/{name}.json: report differs")
+            print(f"tests/golden/{name}.json: matches")
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     for name in sys.argv[1:] or sorted(CASES | VALIDATOR_CASES):
         (GOLDEN / f"{name}.json").write_text(render(name), encoding="utf-8")

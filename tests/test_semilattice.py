@@ -9,13 +9,13 @@ from extcheck.core import FiniteObject, terminal
 from extcheck.semilattice import (
     Biproduct,
     JoinSemilattice,
-    SemilatticeHom,
     closed_biproduct,
     closed_semilattice,
     compose_homs,
     enumerate_homs,
     hom_matrix,
     identity_hom,
+    is_hom,
     join_homs,
     lattice_from_masks,
     matrix_roundtrip,
@@ -24,7 +24,7 @@ from extcheck.semilattice import (
     verify_biproduct,
     zero_hom,
 )
-from oracles import join_of
+from oracles import SemilatticeHom, join_of
 
 
 def powerset_lattice(n: int) -> JoinSemilattice:
@@ -90,6 +90,7 @@ def test_hom_enumeration_matches_brute_force_on_small_lattices():
         slow = set()
         for values in itertools.product(range(tgt.n), repeat=src.n):
             cand = SemilatticeHom(src, tgt, tuple(values))
+            assert is_hom(src, tgt, values) == cand.is_valid()
             if cand.is_valid():
                 slow.add(cand.table)
         assert fast == slow
@@ -117,7 +118,13 @@ def test_hom_composition_and_join():
     zh = zero_hom(lat, lat)
     assert compose_homs(ih, ih) == ih
     assert compose_homs(zh, ih) == zh
-    assert join_homs(ih, zh) == ih
+    assert join_homs(lat, ih, zh) == ih
+    # against the reference homs, on every pair of endo-homs
+    homs = enumerate_homs(lat, lat)
+    for g, h in itertools.product(homs, repeat=2):
+        ref_g, ref_h = SemilatticeHom(lat, lat, g), SemilatticeHom(lat, lat, h)
+        assert compose_homs(g, h) == ref_g.after(ref_h).table
+        assert join_homs(lat, g, h) == ref_g.join(ref_h).table
 
 
 def test_identity_closed_semilattice_matches_oracle_join():
@@ -173,26 +180,31 @@ def test_biproduct_with_empty_summand():
 def test_broken_projection_fails_verification():
     lat1 = powerset_lattice(1)
     lat2 = powerset_lattice(2)
-    inj_l = SemilatticeHom(lat1, lat2, (0, 1))
-    inj_r = SemilatticeHom(lat1, lat2, (0, 2))
-    proj_l = SemilatticeHom(lat2, lat1, (0, 1, 0, 1))
     # wrong: sends the right atom to the top of the left factor
-    bad_proj_r = SemilatticeHom(lat2, lat1, (0, 1, 1, 1))
-    report = verify_biproduct(inj_l, inj_r, proj_l, bad_proj_r)
+    report = verify_biproduct(lat1, lat1, lat2, (0, 1), (0, 2), (0, 1, 0, 1),
+                              (0, 1, 1, 1))
     assert not report.passed
     failed = {c.id for c in report.failed()}
     assert "projection_kills_other_injection" in failed
+    good = verify_biproduct(lat1, lat1, lat2, (0, 1), (0, 2), (0, 1, 0, 1),
+                            (0, 0, 1, 1))
+    assert good.passed and [c.checked for c in good.checks] == [1, 4, 2, 2, 1]
+    # a table of the wrong length fails the endpoint check alone
+    short = verify_biproduct(lat1, lat1, lat2, (0, 1), (0, 2), (0, 1, 0),
+                             (0, 0, 1, 1))
+    assert [(c.id, c.passed) for c in short.checks] == [
+        ("endpoints_consistent", False), ("maps_are_homs", False)]
 
 
 def test_hom_matrix_of_identity_is_identity_matrix():
     ctx = builtin("finset")
     one = terminal(False)
     bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
-    mat = hom_matrix(bp, bp, identity_hom(bp.total).table)
-    assert mat[0][0] == identity_hom(bp.left).table
-    assert mat[1][1] == identity_hom(bp.right).table
-    assert mat[0][1] == zero_hom(bp.right, bp.left).table
-    assert mat[1][0] == zero_hom(bp.left, bp.right).table
+    mat = hom_matrix(bp, bp, identity_hom(bp.total))
+    assert mat[0][0] == identity_hom(bp.left)
+    assert mat[1][1] == identity_hom(bp.right)
+    assert mat[0][1] == zero_hom(bp.right, bp.left)
+    assert mat[1][0] == zero_hom(bp.left, bp.right)
 
 
 def test_matrix_round_trip_exhaustive_on_two_point_sum():
@@ -234,6 +246,15 @@ def _homs_by_is_valid(src, tgt):
     return tuple(out)
 
 
+def _structure_maps(bp):
+    """The injections and the projections of a biproduct as reference
+    homs."""
+    return ((SemilatticeHom(bp.left, bp.total, bp.inj_l),
+             SemilatticeHom(bp.right, bp.total, bp.inj_r)),
+            (SemilatticeHom(bp.total, bp.left, bp.proj_l),
+             SemilatticeHom(bp.total, bp.right, bp.proj_r)))
+
+
 @pytest.mark.parametrize("pool", ["finset-b2", "lattice-algebra"])
 def test_table_hom_algebra_matches_object_composites(pool):
     """Every hom between sum lattices, the capped pairs included: the table
@@ -258,18 +279,19 @@ def test_table_hom_algebra_matches_object_composites(pool):
                 table for table in itertools.product(range(tgt.n), repeat=src.n)
                 if SemilatticeHom(src, tgt, table).is_valid()}
         roundtrips = []
+        s_inj, s_proj = _structure_maps(s)
+        t_inj, t_proj = _structure_maps(t)
         for h in homs:
             hom = SemilatticeHom(src, tgt, h)
-            lit = [[compose_homs(p, compose_homs(hom, i)) for i in (s.inj_l, s.inj_r)]
-                   for p in (t.proj_l, t.proj_r)]
+            lit = [[p.after(hom.after(i)) for i in s_inj] for p in t_proj]
             mat = hom_matrix(s, t, h)
             assert mat == tuple(tuple(e.table for e in row) for row in lit)
-            parts = [compose_homs(inj, compose_homs(lit[r][c], proj))
-                     for r, inj in enumerate((t.inj_l, t.inj_r))
-                     for c, proj in enumerate((s.proj_l, s.proj_r))]
+            parts = [inj.after(lit[r][c].after(proj))
+                     for r, inj in enumerate(t_inj)
+                     for c, proj in enumerate(s_proj)]
             joined = parts[0]
             for part in parts[1:]:
-                joined = join_homs(joined, part)
+                joined = joined.join(part)
             assert matrix_to_hom(s, t, mat) == joined.table
             roundtrips.append(matrix_to_hom(s, t, mat) == h)
         assert list(matrix_roundtrip(s, t, homs)) == roundtrips
@@ -285,12 +307,9 @@ def test_matrix_roundtrip_with_broken_projection():
     some homs do not round-trip: `matrix_roundtrip` fails exactly those the
     matrix calculus fails, the first of them first."""
     lat1, lat2 = powerset_lattice(1), powerset_lattice(2)
-    inj_l = SemilatticeHom(lat1, lat2, (0, 1))
-    inj_r = SemilatticeHom(lat1, lat2, (0, 2))
-    proj_l = SemilatticeHom(lat2, lat1, (0, 1, 0, 1))
-    bad_proj_r = SemilatticeHom(lat2, lat1, (0, 1, 1, 1))
-    report = verify_biproduct(inj_l, inj_r, proj_l, bad_proj_r)
-    bp = Biproduct(lat1, lat1, lat2, inj_l, inj_r, proj_l, bad_proj_r, report)
+    maps = (0, 1), (0, 2), (0, 1, 0, 1), (0, 1, 1, 1)
+    report = verify_biproduct(lat1, lat1, lat2, *maps)
+    bp = Biproduct(lat1, lat1, lat2, *maps, report)
     homs = enumerate_homs(lat2, lat2)
     literal = [matrix_to_hom(bp, bp, hom_matrix(bp, bp, h)) == h for h in homs]
     assert list(matrix_roundtrip(bp, bp, homs)) == literal
@@ -305,9 +324,7 @@ def test_matrix_to_hom_of_zero_matrix():
     one = terminal(False)
     bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
 
-    def z(src, tgt):
-        return zero_hom(src, tgt).table
-
+    z = zero_hom
     mat = ((z(bp.left, bp.left), z(bp.right, bp.left)),
            (z(bp.left, bp.right), z(bp.right, bp.right)))
     assert matrix_to_hom(bp, bp, mat) == z(bp.total, bp.total)

@@ -566,19 +566,13 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
     hom, over the (source, target) pairs in order, whose 2x2 matrix does not
     join back on the literal matrix calculus."""
     from extcheck import theorems
-    from extcheck.semilattice import (
-        SemilatticeHom,
-        enumerate_homs,
-        hom_matrix,
-        matrix_to_hom,
-    )
+    from extcheck.semilattice import enumerate_homs, hom_matrix, matrix_to_hom
 
     real = theorems.subobject_biproduct
 
     def broken(lattice_of, x, y, cp):
         bp = real(lattice_of, x, y, cp)
-        bp.proj_r = SemilatticeHom(bp.total, bp.right,
-                                   (bp.right.zero,) * bp.total.n)
+        bp.proj_r = (bp.right.zero,) * bp.total.n
         return bp
 
     monkeypatch.setattr(theorems, "subobject_biproduct", broken)
