@@ -8,7 +8,7 @@ from extcheck.contexts import (
     split_mono_context,
     swapped_system_context,
 )
-from extcheck.core import serialize_object
+from extcheck.core import LEFT_TAG, RIGHT_TAG, serialize_object
 from extcheck.theorems import (
     CHECKERS,
     FAMILY_FREE,
@@ -595,3 +595,107 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
                                  "hom_table": list(h)})
 
     assert (witness, count) == first_counterexample(literal())[1:]
+
+
+# G and H: every side fails where the class's test fails on the maps that
+# side alone hands it.
+
+def _summands(ob) -> set:
+    return {e[:2] for e in ob.elements} & {LEFT_TAG, RIGHT_TAG}
+
+
+# For each side of G/H, the test maps that it, and no other side, hands the
+# class's witness function at finpre bound 2.
+_G_H_BREAKS = {
+    # f + g with both summands non-empty, into a 3-point sum
+    "morphism_sums": lambda f: len(_summands(f.source)) == 2 and f.target.size == 3,
+    # a 3-point sum of spaces, to the point
+    "space_sums": lambda f: (bool(_summands(f.source)) and f.source.size == 3
+                             and f.target.elements == ("*",)),
+    # the codiagonal of a 2-point space
+    "codiagonal": lambda f: (f.source.size == 4 and not _summands(f.target)
+                             and f.target.elements != ("*",)),
+    # the sum of two terminals, to the point
+    "two_point_sum": lambda f: f.source.elements == (LEFT_TAG + "*", RIGHT_TAG + "*"),
+}
+
+_P1 = {"name": "pre1_0", "elements": ["p1"], "order": [["p1", "p1"]]}
+_D2 = {"name": "pre2_0", "elements": ["p1", "p2"], "order": [["p1", "p1"], ["p2", "p2"]]}
+_INJECTED = {"injected": True}
+
+
+def _maps_failure(side):
+    return {"f": {"source": _P1, "target": _P1, "map": {"p1": "p1"}},
+            "g": {"source": _P1, "target": _D2, "map": {"p1": "p1"}},
+            "failure": _INJECTED, "side": side, "kind": "counterexample"}
+
+
+@pytest.mark.parametrize("thm, breaks, sides, counts, witness", [
+    pytest.param(
+        "G", "morphism_sums",
+        (("sums_of_proper_proper", False), ("sums_of_compact_compact", True),
+         ("empty_inclusion_and_codiagonal_proper", True)),
+        (("proper_pairs", 137), ("compact_pairs", 25), ("spaces", 5)),
+        _maps_failure("sums_of_proper_proper"), id="G-morphism-sums"),
+    pytest.param(
+        "H", "morphism_sums",
+        (("sums_of_separated_separated", False), ("sums_of_hausdorff_hausdorff", True),
+         ("two_point_sum_hausdorff", True)),
+        (("separated_pairs", 157), ("hausdorff_pairs", 9), ("hausdorff_spaces", 3)),
+        _maps_failure("sums_of_separated_separated"), id="H-morphism-sums"),
+    pytest.param(
+        "G", "space_sums",
+        (("sums_of_proper_proper", True), ("sums_of_compact_compact", False),
+         ("empty_inclusion_and_codiagonal_proper", True)),
+        (("proper_pairs", 676), ("compact_pairs", 8), ("spaces", 5)),
+        {"x": _P1, "y": _D2, "failure": _INJECTED,
+         "side": "sums_of_compact_compact", "kind": "counterexample"},
+        id="G-space-sums"),
+    pytest.param(
+        "H", "space_sums",
+        (("sums_of_separated_separated", True), ("sums_of_hausdorff_hausdorff", False),
+         ("two_point_sum_hausdorff", True)),
+        (("separated_pairs", 900), ("hausdorff_pairs", 6), ("hausdorff_spaces", 3)),
+        {"x": _P1, "y": _D2, "failure": _INJECTED,
+         "side": "sums_of_hausdorff_hausdorff", "kind": "counterexample"},
+        id="H-space-sums"),
+    pytest.param(
+        "G", "codiagonal",
+        (("sums_of_proper_proper", True), ("sums_of_compact_compact", True),
+         ("empty_inclusion_and_codiagonal_proper", False)),
+        (("proper_pairs", 676), ("compact_pairs", 25), ("spaces", 3)),
+        {"x": _D2, "failure": _INJECTED,
+         "side": "empty_inclusion_and_codiagonal_proper", "kind": "counterexample"},
+        id="G-criterion"),
+    pytest.param(
+        "H", "two_point_sum",
+        (("sums_of_separated_separated", True), ("sums_of_hausdorff_hausdorff", True),
+         ("two_point_sum_hausdorff", False)),
+        (("separated_pairs", 900), ("hausdorff_pairs", 9), ("hausdorff_spaces", 3)),
+        {"injected": True, "side": "two_point_sum_hausdorff", "kind": "counterexample"},
+        id="H-criterion"),
+])
+def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
+                                             counts, witness):
+    """The class's witness function, forced to fail on the maps one side of
+    G or H alone tests, fails that side: every side's value and count and
+    the first witness are pinned.  A side that assumed its instances hold
+    would report true."""
+    from extcheck import theorems
+
+    name = {"G": "is_proper_witness", "H": "is_separated_witness"}[thm]
+    real = getattr(theorems, name)
+    injected = _G_H_BREAKS[breaks]
+
+    def witness_fn(family, pool, sm, bound):
+        if injected(sm.f):
+            return False, _INJECTED
+        return real(family, pool, sm, bound)
+
+    monkeypatch.setattr(theorems, name, witness_fn)
+    ctx = builtin("finpre")
+    v = run_checker(thm, ctx, ctx.family("alexandrov"), 2, {})
+    assert v.status == "ok" and not v.passed
+    assert v.sides == sides
+    assert v.counts == counts
+    assert v.witnesses[0] == witness
