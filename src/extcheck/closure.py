@@ -2,11 +2,11 @@
 
 A closure family assigns, by a single formula, a closure operator to every
 object (identity, indiscrete, and down-closure for the ordered flavor).  A
-Space is an object together with one closure component; SpaceMorphisms are
-continuous.  On top of that sit the predicates the theorem suite quantifies
-over: closed subobjects and morphisms, dense morphisms, the dense/closed
-factorization, and the bounded semi-decisions for proper, separated,
-compact, and Hausdorff.
+space is an object under a family, with closure `family.component(ob)`;
+maps between spaces are plain `Morphism`s.  The literal sweeps (continuous,
+closed, dense, the dense/closed factorization) take closures as functions
+on masks; the bounded semi-decisions for proper, separated, compact and
+Hausdorff take the family, and first decide the map's continuity.
 
 The bounded predicates run mask-level: a pullback apex is the index pairs
 of `core.pullback_pairs` with `core.componentwise` down-masks, not a fresh
@@ -58,9 +58,6 @@ class ClosureFamily:
         down = ob.down_masks if ob.has_order else ()
         return self._fn_for(ob.size, down)
 
-    def space(self, ob: FiniteObject) -> "Space":
-        return Space(ob, self.component(ob), self.name)
-
 
 def _identity_fn(size: int, down: tuple[int, ...]) -> MaskFn:
     return lambda mask: mask
@@ -96,48 +93,10 @@ def get_family(name: str) -> ClosureFamily:
     return FAMILY_REGISTRY[name]
 
 
-@dataclass(eq=False)
-class Space:
-    """A finite object carrying one closure operator, mask-level."""
-
-    ob: FiniteObject
-    fn: MaskFn
-    family: str
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.ob.size) - 1
-
-    def cls_mask(self, mask: int) -> int:
-        return self.fn(mask)
-
-    def cls(self, sub: Subobject) -> Subobject:
-        assert sub.ambient == self.ob
-        return subobject_from_mask(self.ob, self.fn(sub.mask))
-
-    def is_closed_mask(self, mask: int) -> bool:
-        return self.fn(mask) == mask
-
-
-@dataclass(eq=False)
-class SpaceMorphism:
-    """A continuous morphism between spaces."""
-
-    f: Morphism
-    source: Space
-    target: Space
-
-    def __post_init__(self):
-        if self.f.source != self.source.ob or self.f.target != self.target.ob:
-            raise ValueError("underlying morphism does not match the spaces")
-        if not is_continuous(self.f, self.source, self.target):
-            raise ValueError("underlying morphism is not continuous")
-
-
-def is_continuous(f: Morphism, source: Space, target: Space) -> bool:
+def is_continuous(f: Morphism, src_fn: MaskFn, tgt_fn: MaskFn) -> bool:
     """image(cls u) <= cls(image u) for every subobject u of the source."""
-    for mask in range(1 << source.ob.size):
-        if f.image_mask(source.fn(mask)) & ~target.fn(f.image_mask(mask)):
+    for mask in range(1 << f.source.size):
+        if f.image_mask(src_fn(mask)) & ~tgt_fn(f.image_mask(mask)):
             return False
     return True
 
@@ -188,29 +147,27 @@ def validate_closure(family: ClosureFamily,
     return Report(f"closure[{family.name}]", tuple(checks))
 
 
-def subspace(space: Space, sub: Subobject) -> Space:
-    """The closure a subobject inherits: close in the ambient, intersect."""
-    assert sub.ambient == space.ob
-    bits = tuple(space.ob.index[e] for e in sub.elements)
+def subspace(fn: MaskFn, sub: Subobject) -> MaskFn:
+    """The closure a subobject inherits from its ambient's closure `fn`:
+    close in the ambient, intersect."""
+    bits = tuple(sub.ambient.index[e] for e in sub.elements)
     sub_mask = sub.mask
 
-    def fn(mask: int) -> int:
-        ambient_mask = image_bits(mask, bits)
-        closed = space.fn(ambient_mask) & sub_mask
+    def restricted(mask: int) -> int:
+        closed = fn(image_bits(mask, bits)) & sub_mask
         out = 0
         for i, b in enumerate(bits):
             if (closed >> b) & 1:
                 out |= 1 << i
         return out
 
-    return Space(sub.ob, fn, f"{space.family}|{','.join(sub.elements)}")
+    return restricted
 
 
-def is_closed_morphism(sf: SpaceMorphism) -> bool:
+def is_closed_morphism(f: Morphism, src_fn: MaskFn, tgt_fn: MaskFn) -> bool:
     """Image commutes with closure on every subobject (literal sweep)."""
-    f = sf.f
-    for mask in range(1 << sf.source.ob.size):
-        if f.image_mask(sf.source.fn(mask)) != sf.target.fn(f.image_mask(mask)):
+    for mask in range(1 << f.source.size):
+        if f.image_mask(src_fn(mask)) != tgt_fn(f.image_mask(mask)):
             return False
     return True
 
@@ -231,45 +188,33 @@ def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     return True
 
 
-def is_dense(sf: SpaceMorphism) -> bool:
-    full_src = (1 << sf.source.ob.size) - 1
-    return sf.target.fn(sf.f.image_mask(full_src)) == sf.target.full_mask
+def is_dense(f: Morphism, tgt_fn: MaskFn) -> bool:
+    full_src = (1 << f.source.size) - 1
+    return tgt_fn(f.image_mask(full_src)) == (1 << f.target.size) - 1
 
 
-def dense_closed_factorize(sf: SpaceMorphism) -> tuple[SpaceMorphism, SpaceMorphism]:
-    """Split a space morphism as (dense) then (closed embedding).
-
-    The middle object is the closure of the image, carrying the subspace
-    closure restricted from the target.
-    """
-    f = sf.f
+def dense_closed_factorize(f: Morphism,
+                           tgt_fn: MaskFn) -> tuple[Morphism, Morphism, MaskFn]:
+    """Split f as (dense) then (closed embedding) through the closure of
+    its image; returns both parts and the middle object's subspace closure."""
     img_mask = f.image_mask((1 << f.source.size) - 1)
-    closed_mask = sf.target.fn(img_mask)
-    mid_sub = subobject_from_mask(f.target, closed_mask)
-    mid_space = subspace(sf.target, mid_sub)
-    dense_part = SpaceMorphism(
-        Morphism(f.source, mid_sub.ob, f.mapping), sf.source, mid_space)
-    closed_part = SpaceMorphism(mid_sub.rep, mid_space, sf.target)
-    return dense_part, closed_part
-
-
-def is_proper(family: ClosureFamily, pool: Sequence[FiniteObject],
-              sf: SpaceMorphism, bound: int) -> bool:
-    ok, _ = is_proper_witness(family, pool, sf, bound)
-    return ok
+    mid_sub = subobject_from_mask(f.target, tgt_fn(img_mask))
+    return (Morphism(f.source, mid_sub.ob, f.mapping), mid_sub.rep,
+            subspace(tgt_fn, mid_sub))
 
 
 def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
-                      sf: SpaceMorphism, bound: int):
-    """Stably closed against every continuous test morphism with source
-    size at most the bound, the test source and the pullback apex carrying
-    the same family's closure."""
-    f = sf.f
+                      f: Morphism, bound: int):
+    """Continuous, and stably closed against every continuous test
+    morphism with source size at most the bound, the test source and the
+    pullback apex carrying the same family's closure."""
     t_ob = f.target
     a_ob = f.source
-    a_down = down_or_discrete(a_ob)
     f_idx = f.idx
-    cls_t = sf.target.fn
+    cls_t = family.component(t_ob)
+    if not _continuous_fast(f_idx, family.component(a_ob), cls_t, a_ob.size):
+        return False, {"continuous": False}
+    a_down = down_or_discrete(a_ob)
     for w_src in pool:
         if w_src.size > bound:
             continue
@@ -305,32 +250,28 @@ def diagonal_morphism(f: Morphism) -> Morphism:
     return equalizer(kp.p1, kp.p2)
 
 
-def is_separated(family: ClosureFamily, pool: Sequence[FiniteObject],
-                 sf: SpaceMorphism, bound: int) -> bool:
-    ok, _ = is_separated_witness(family, pool, sf, bound)
-    return ok
-
-
 def is_separated_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
-                         sf: SpaceMorphism, bound: int):
-    d = diagonal_morphism(sf.f)
-    d_space = SpaceMorphism(d, family.space(d.source), family.space(d.target))
-    return is_proper_witness(family, pool, d_space, bound)
+                         f: Morphism, bound: int):
+    """Continuous, with a proper diagonal.  Continuity is decided on f
+    itself: the diagonal of a map that is not continuous can be."""
+    if not _continuous_fast(f.idx, family.component(f.source),
+                            family.component(f.target), f.source.size):
+        return False, {"continuous": False}
+    return is_proper_witness(family, pool, diagonal_morphism(f), bound)
 
 
-def terminal_space_morphism(family: ClosureFamily, space: Space) -> SpaceMorphism:
-    one = terminal(space.ob.has_order)
-    t = Morphism(space.ob, one, tuple((e, "*") for e in space.ob.elements))
-    return SpaceMorphism(t, space, family.space(one))
+def to_point(ob: FiniteObject) -> Morphism:
+    """The map from ob to the terminal object of its flavor."""
+    return Morphism(ob, terminal(ob.has_order), tuple((e, "*") for e in ob.elements))
 
 
 def is_compact(family: ClosureFamily, pool: Sequence[FiniteObject],
-               space: Space, bound: int) -> bool:
+               x: FiniteObject, bound: int) -> bool:
     """The map to the point is proper at the bound."""
-    return is_proper(family, pool, terminal_space_morphism(family, space), bound)
+    return is_proper_witness(family, pool, to_point(x), bound)[0]
 
 
 def is_hausdorff(family: ClosureFamily, pool: Sequence[FiniteObject],
-                 space: Space, bound: int) -> bool:
+                 x: FiniteObject, bound: int) -> bool:
     """The map to the point is separated at the bound."""
-    return is_separated(family, pool, terminal_space_morphism(family, space), bound)
+    return is_separated_witness(family, pool, to_point(x), bound)[0]

@@ -3,8 +3,9 @@
 Subobject lattices and closed-subobject lattices of a binary sum split as a
 biproduct in the category of join-semilattices: injections given by closure
 of the tagged embedding, projections by component restriction.  This module
-materializes those lattices over bitmasks, verifies the biproduct equations,
-and provides the 2x2 matrix calculus for homs between binary sums.
+materializes those lattices over bitmasks, each read off a closure function
+on masks (`family.component`), verifies the biproduct equations, and
+provides the 2x2 matrix calculus for homs between binary sums.
 
 A hom is a plain index table (`Table`) between two lattices the caller
 holds, the biproduct structure maps included.  `enumerate_homs` assigns the
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
-from .closure import IDENTITY, ClosureFamily, Space
+from .closure import IDENTITY, ClosureFamily, MaskFn
 
 # The admissible masks of an object, in lattice order (a context's
 # `sub_lattice`).
@@ -87,12 +88,11 @@ def lattice_from_masks(masks: Sequence[int], join_mask,
     return JoinSemilattice(table, index[zero_mask])
 
 
-def closed_semilattice(space: Space,
+def closed_semilattice(fn: MaskFn,
                        all_masks: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
-    """Closed subobjects under join = closure of union, zero = closure of empty."""
-    masks = tuple(m for m in all_masks if space.fn(m) == m)
-    return lattice_from_masks(masks, lambda a, b: space.fn(a | b),
-                              space.fn(0)), masks
+    """`fn`-closed masks: join = closure of union, zero = closure of empty."""
+    masks = tuple(m for m in all_masks if fn(m) == m)
+    return lattice_from_masks(masks, lambda a, b: fn(a | b), fn(0)), masks
 
 
 # A hom between two given lattices: the image of each source index.
@@ -255,17 +255,17 @@ def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
                      x: FiniteObject, y: FiniteObject, cp: Coproduct) -> Biproduct:
     """Closed lattices of a sum: inject by closing the placed mask, project
     by splitting; zero is the closure of empty."""
-    sx, sy, sxy = family.space(x), family.space(y), family.space(cp.ob)
-    kx, masks_x = closed_semilattice(sx, lattice_of(x))
-    ky, masks_y = closed_semilattice(sy, lattice_of(y))
-    kxy, masks_xy = closed_semilattice(sxy, lattice_of(cp.ob))
+    fx, fy, fxy = family.component(x), family.component(y), family.component(cp.ob)
+    kx, masks_x = closed_semilattice(fx, lattice_of(x))
+    ky, masks_y = closed_semilattice(fy, lattice_of(y))
+    kxy, masks_xy = closed_semilattice(fxy, lattice_of(cp.ob))
     nx = x.size
     low = (1 << nx) - 1
     idx_xy = {m: i for i, m in enumerate(masks_xy)}
     idx_x = {m: i for i, m in enumerate(masks_x)}
     idx_y = {m: i for i, m in enumerate(masks_y)}
-    inj_l = tuple(idx_xy[sxy.fn(m)] for m in masks_x)
-    inj_r = tuple(idx_xy[sxy.fn(m << nx)] for m in masks_y)
+    inj_l = tuple(idx_xy[fxy(m)] for m in masks_x)
+    inj_r = tuple(idx_xy[fxy(m << nx)] for m in masks_y)
     proj_l = tuple(idx_x[m & low] for m in masks_xy)
     proj_r = tuple(idx_y[m >> nx] for m in masks_xy)
     report = verify_biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r)

@@ -28,13 +28,11 @@ from typing import Sequence
 from .closure import (
     IDENTITY,
     ClosureFamily,
-    Space,
-    SpaceMorphism,
     _closed_fast,
     _continuous_fast,
     is_proper_witness,
     is_separated_witness,
-    terminal_space_morphism,
+    to_point,
 )
 from .core import (
     FiniteObject,
@@ -761,30 +759,27 @@ def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
 
 # ------------------------------------------------------------- checkers G/H
 
-def _empty_inclusion_and_codiagonal(ctx, family, pool, test, space_of, compact):
+def _empty_inclusion_and_codiagonal(ctx, pool, test, compact):
     """G's criterion, per space x: the empty inclusion into x and the
     codiagonal x + x -> x are proper."""
     zero = initial(ctx.ordered)
 
     def outcomes():
         for x in pool:
-            good, bad = test(SpaceMorphism(Morphism(zero, x, ()),
-                                           space_of(zero), space_of(x)))
+            good, bad = test(Morphism(zero, x, ()))
             if good:
                 cp = ctx.coproduct(x, x)
-                fold = copair(identity(x), identity(x), cp.ob)
-                good, bad = test(SpaceMorphism(fold, space_of(cp.ob), space_of(x)))
+                good, bad = test(copair(identity(x), identity(x), cp.ob))
             yield None if good else {"x": serialize_object(x), "failure": bad}
 
     return first_counterexample(outcomes())
 
 
-def _two_point_sum(ctx, family, pool, test, space_of, hausdorff):
+def _two_point_sum(ctx, pool, test, hausdorff):
     """H's criterion: the sum of two terminals is Hausdorff; counted as the
     number of Hausdorff spaces."""
     one = terminal(ctx.ordered)
-    two = ctx.coproduct(one, one).ob
-    ok, wit = test(terminal_space_morphism(family, space_of(two)))
+    ok, wit = test(to_point(ctx.coproduct(one, one).ob))
     return ok, wit, len(hausdorff)
 
 
@@ -793,43 +788,37 @@ def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
     """A class of morphisms, tested by `witness_fn`, is closed under binary
     sums, and its spaces (those whose map to the point is in the class) are
     closed under binary sums iff `criterion` holds.  `names` are the three
-    (side name, count name) pairs."""
+    (side name, count name) pairs.  `witness_fn` decides each map's
+    continuity itself, so every map is handed to it as is."""
     gate, gate_wit = _gate_c_both(ctx, family, bound, memo)
     if not gate:
         return _gated(theorem, ctx, family, bound,
                       "sums of closed morphisms are closed", gate_wit)
     pool = ctx.objects(bound)
-    cls_of = cache(family.component)
-    space_of = cache(lambda ob: Space(ob, cls_of(ob), family.name))
 
-    def test(sm: SpaceMorphism):
-        return witness_fn(family, pool, sm, bound)
-
-    def to_point(ob: FiniteObject):
-        return test(terminal_space_morphism(family, space_of(ob)))
+    def test(f: Morphism):
+        return witness_fn(family, pool, f, bound)
 
     def morphism_sums():
-        for sf in members:
-            for sg in members:
-                src = ctx.coproduct(sf.f.source, sg.f.source).ob
-                tgt = ctx.coproduct(sf.f.target, sg.f.target).ob
-                s = sum_morphisms(sf.f, sg.f, src, tgt)
-                good, bad = test(SpaceMorphism(s, space_of(src), space_of(tgt)))
-                yield None if good else _maps_witness(sf.f, sg.f, failure=bad)
+        for f in members:
+            for g in members:
+                src = ctx.coproduct(f.source, g.source).ob
+                tgt = ctx.coproduct(f.target, g.target).ob
+                good, bad = test(sum_morphisms(f, g, src, tgt))
+                yield None if good else _maps_witness(f, g, failure=bad)
 
     def space_sums():
         for x in spaces:
             for y in spaces:
-                good, bad = to_point(ctx.coproduct(x, y).ob)
+                good, bad = test(to_point(ctx.coproduct(x, y).ob))
                 yield None if good else _witness(x, y, failure=bad)
 
-    members = [sm for sm in (SpaceMorphism(f, space_of(f.source), space_of(f.target))
-                             for f in _continuous_morphisms(ctx, pool, cls_of))
-               if test(sm)[0]]
+    members = [f for f in _continuous_morphisms(ctx, pool, cache(family.component))
+               if test(f)[0]]
     morphism_side = first_counterexample(morphism_sums())
-    spaces = [x for x in pool if to_point(x)[0]]
+    spaces = [x for x in pool if test(to_point(x))[0]]
     space_side = first_counterexample(space_sums())
-    criterion_side = criterion(ctx, family, pool, test, space_of, spaces)
+    criterion_side = criterion(ctx, pool, test, spaces)
     agree = space_side[0] == criterion_side[0]
     return _verdict(theorem, ctx, family, bound, [
         (*name, side) for name, side in

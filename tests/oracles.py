@@ -13,7 +13,9 @@ the singleton closed-morphism equation of each f + g on its sum tables.
 `surjective`, `injective` and `order_reflecting` are the class predicates
 on label tables, and `has_retraction` the split mutant's M on them.
 `failed_pullback` and `injection_pullback_side` are checkers A and F's
-pullback side with each injection pullback built as a `Morphism`.
+pullback side with each injection pullback built as a `Morphism`, and
+`proper_literal` is the proper test as its definition reads, on label-level
+pullbacks and the literal continuity and closedness sweeps.
 `down_arrow_witness` is orthogonality of one pair, its
 fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
 and `validate_system` is the factorization validator with M-stability
@@ -47,7 +49,12 @@ from extcheck.core import (
     LEFT_TAG,
     RIGHT_TAG,
 )
-from extcheck.closure import _closed_fast, _continuous_fast
+from extcheck.closure import (
+    _closed_fast,
+    _continuous_fast,
+    is_closed_morphism,
+    is_continuous,
+)
 from extcheck.factorization import (
     _down_arrow_exhaustive,
     _square_witness,
@@ -90,10 +97,30 @@ def join_subobjects(p: Subobject, q: Subobject) -> Subobject:
     return Subobject(p.ambient, tuple(set(v for (_, v) in fac.m_part.mapping)))
 
 
-def closed_lattice(sys, space) -> tuple[Subobject, ...]:
-    """Closed admissible subobjects, in lattice enumeration order."""
-    return tuple(s for s in enumerate_subobjects(sys, space.ob)
-                 if space.is_closed_mask(s.mask))
+def closed_lattice(sys, x, fn) -> tuple[Subobject, ...]:
+    """Admissible subobjects of x closed under its closure `fn`, in
+    lattice enumeration order."""
+    return tuple(s for s in enumerate_subobjects(sys, x) if fn(s.mask) == s.mask)
+
+
+def proper_literal(family, pool, f, bound: int):
+    """(ok, first failing test map or None): f is continuous, and for every
+    continuous w into f's target from a pool object of at most `bound`
+    points, in enumeration order, the projection of the pullback of w
+    along f onto w's source is closed, every space under `family`."""
+    cls = family.component
+    if not is_continuous(f, cls(f.source), cls(f.target)):
+        return False, None
+    for w_src in pool:
+        if w_src.size > bound:
+            continue
+        for w in enumerate_morphisms(w_src, f.target):
+            if not is_continuous(w, cls(w_src), cls(f.target)):
+                continue
+            pb = pullback(w, f)
+            if not is_closed_morphism(pb.p1, cls(pb.ob), cls(w_src)):
+                return False, w
+    return True, None
 
 
 def L_map(sub: Subobject, y) -> Subobject:

@@ -8,7 +8,7 @@ just hoped for.
 import json
 import time
 
-from extcheck.closure import ALEXANDROV, SpaceMorphism, is_closed_morphism
+from extcheck.closure import ALEXANDROV, is_closed_morphism
 from extcheck.cli import main
 from extcheck.contexts import (
     builtin,
@@ -150,13 +150,13 @@ def test_08_proper_and_separated_sums_with_compactness_facts():
     from extcheck.closure import is_compact, is_hausdorff
     pool = ctx.objects(2)
     for x in pool:
-        assert is_compact(fam, pool, fam.space(x), 2), x.label
+        assert is_compact(fam, pool, x, 2), x.label
     one = terminal(True)
     two_points = ctx.coproduct(one, one).ob
-    assert is_hausdorff(fam, pool, fam.space(two_points), 2)
+    assert is_hausdorff(fam, pool, two_points, 2)
     sierpinski = next(x for x in pool
                       if x.size == 2 and sum(1 for _ in x.order) == 3)
-    assert not is_hausdorff(fam, pool, fam.space(sierpinski), 2)
+    assert not is_hausdorff(fam, pool, sierpinski, 2)
     _line("08", f"sums preserve proper and separated at bound 2 "
           f"({elapsed:.1f}s); compactness and Hausdorff calls come out right")
 
@@ -166,19 +166,17 @@ def test_09_closed_morphisms_match_down_set_oracle_at_depth_3():
     pool = ctx.objects(3)
     checked = 0
     for x in pool:
-        sx = ALEXANDROV.space(x)
-        down_x = x.down_masks
+        fx = ALEXANDROV.component(x)
         for y in pool:
-            sy = ALEXANDROV.space(y)
-            down_y = y.down_masks
+            fy = ALEXANDROV.component(y)
             for f in ctx.hom(x, y):
-                module_says = is_closed_morphism(SpaceMorphism(f, sx, sy))
+                module_says = is_closed_morphism(f, fx, fy)
                 oracle = True
                 for mask in range(1 << x.size):
-                    if sx.fn(mask) != mask:
+                    if fx(mask) != mask:
                         continue  # not a down-set
                     img = f.image_mask(mask)
-                    if sy.fn(img) != img:
+                    if fy(img) != img:
                         oracle = False
                         break
                 assert module_says == oracle, f.mapping

@@ -1,4 +1,4 @@
-"""Closure families, spaces, and the derived topological notions."""
+"""Closure families, and the derived topological notions on plain maps."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from extcheck.closure import (
     ALEXANDROV,
     IDENTITY,
     INDISCRETE,
-    SpaceMorphism,
+    ClosureFamily,
     dense_closed_factorize,
     diagonal_morphism,
     get_family,
@@ -15,9 +15,8 @@ from extcheck.closure import (
     is_continuous,
     is_dense,
     is_hausdorff,
-    is_proper,
     is_proper_witness,
-    is_separated,
+    is_separated_witness,
     subspace,
     validate_closure,
     _closed_fast,
@@ -27,11 +26,14 @@ from extcheck.contexts import builtin, crossed_coproduct_context
 from extcheck.core import (
     FiniteObject,
     Morphism,
+    enumerate_morphisms,
     identity as id_map,
     make_preorder,
+    serialize_morphism,
+    sum_morphisms,
 )
 from extcheck.subobjects import Subobject
-from oracles import closed_lattice
+from oracles import closed_lattice, proper_literal
 
 
 SIERPINSKI = FiniteObject(("s0", "s1"),
@@ -50,18 +52,18 @@ def test_get_family_knows_all_three():
 
 
 def test_alexandrov_closure_is_down_closure():
-    sp = ALEXANDROV.space(CHAIN3)
+    fn = ALEXANDROV.component(CHAIN3)
     i2 = CHAIN3.index["c2"]
-    assert sp.cls_mask(1 << i2) == (1 << CHAIN3.size) - 1
+    assert fn(1 << i2) == (1 << CHAIN3.size) - 1
     i0 = CHAIN3.index["c0"]
-    assert sp.cls_mask(1 << i0) == 1 << i0
-    assert sp.cls(Subobject(CHAIN3, ("c1",))).elements == ("c0", "c1")
+    assert fn(1 << i0) == 1 << i0
+    assert CHAIN3.labels_of(fn(Subobject(CHAIN3, ("c1",)).mask)) == ("c0", "c1")
 
 
 def test_indiscrete_closure_grounded_and_total():
-    sp = INDISCRETE.space(CHAIN3)
-    assert sp.cls_mask(0) == 0
-    assert sp.cls_mask(1) == (1 << CHAIN3.size) - 1
+    fn = INDISCRETE.component(CHAIN3)
+    assert fn(0) == 0
+    assert fn(1) == (1 << CHAIN3.size) - 1
 
 
 @pytest.mark.parametrize("ctx_name", ["finset", "finpre"])
@@ -81,8 +83,8 @@ def test_alexandrov_needs_order():
 def test_continuity_identity_to_alexandrov():
     # the identity carrier map from the identity-closure space to the
     # alexandrov space is continuous, the reverse direction is not
-    src = IDENTITY.space(SIERPINSKI)
-    tgt = ALEXANDROV.space(SIERPINSKI)
+    src = IDENTITY.component(SIERPINSKI)
+    tgt = ALEXANDROV.component(SIERPINSKI)
     f = id_map(SIERPINSKI)
     assert is_continuous(f, tgt, tgt)
     assert is_continuous(f, src, src)
@@ -95,17 +97,15 @@ def test_fast_paths_agree_with_literal_definitions():
     pool = ctx.objects(2)
     for fam in ctx.families:
         for x in pool:
-            sx = fam.space(x)
+            fx = fam.component(x)
             for y in pool:
-                sy = fam.space(y)
+                fy = fam.component(y)
                 for f in ctx.hom(x, y):
-                    lit = is_continuous(f, sx, sy)
-                    fast = _continuous_fast(f.idx, sx.fn, sy.fn, x.size)
-                    assert lit == fast
+                    lit = is_continuous(f, fx, fy)
+                    assert lit == _continuous_fast(f.idx, fx, fy, x.size)
                     if lit:
-                        sf = SpaceMorphism(f, sx, sy)
-                        assert is_closed_morphism(sf) == _closed_fast(
-                            f.idx, sx.fn, sy.fn, x.size)
+                        assert is_closed_morphism(f, fx, fy) == _closed_fast(
+                            f.idx, fx, fy, x.size)
 
 
 def _join_test_objects(name):
@@ -140,57 +140,57 @@ def test_closed_morphism_down_set_oracle():
     bot = CHAIN3.restrict(("c0",))
     inc_top = Morphism(top, CHAIN3, (("c2", "c2"),))
     inc_bot = Morphism(bot, CHAIN3, (("c0", "c0"),))
-    sf_top = SpaceMorphism(inc_top, ALEXANDROV.space(top), ALEXANDROV.space(CHAIN3))
-    sf_bot = SpaceMorphism(inc_bot, ALEXANDROV.space(bot), ALEXANDROV.space(CHAIN3))
-    assert not is_closed_morphism(sf_top)
-    assert is_closed_morphism(sf_bot)
+    fc = ALEXANDROV.component(CHAIN3)
+    assert not is_closed_morphism(inc_top, ALEXANDROV.component(top), fc)
+    assert is_closed_morphism(inc_bot, ALEXANDROV.component(bot), fc)
 
 
 def test_dense_morphism_and_dense_closed_factorization():
     top = CHAIN3.restrict(("c2",))
     inc = Morphism(top, CHAIN3, (("c2", "c2"),))
-    sf = SpaceMorphism(inc, ALEXANDROV.space(top), ALEXANDROV.space(CHAIN3))
-    assert is_dense(sf)
-    d, c = dense_closed_factorize(sf)
-    assert is_dense(d)
-    assert is_closed_morphism(c)
-    assert c.f.source == d.f.target
+    fc = ALEXANDROV.component(CHAIN3)
+    assert is_dense(inc, fc)
+    d, c, mid = dense_closed_factorize(inc, fc)
+    assert is_dense(d, mid)
+    assert is_closed_morphism(c, mid, fc)
+    assert c.source == d.target
     # middle is the closure of the image: everything below c2
-    assert d.f.target.elements == ("c0", "c1", "c2")
+    assert d.target.elements == ("c0", "c1", "c2")
 
 
 def test_dense_closed_factorization_nontrivial_middle():
     mid_pt = CHAIN3.restrict(("c1",))
     inc = Morphism(mid_pt, CHAIN3, (("c1", "c1"),))
-    sf = SpaceMorphism(inc, ALEXANDROV.space(mid_pt), ALEXANDROV.space(CHAIN3))
-    assert not is_dense(sf)
-    d, c = dense_closed_factorize(sf)
-    assert d.f.target.elements == ("c0", "c1")
-    assert is_dense(d)
-    assert is_closed_morphism(c)
+    fc = ALEXANDROV.component(CHAIN3)
+    assert not is_dense(inc, fc)
+    d, c, mid = dense_closed_factorize(inc, fc)
+    assert d.target.elements == ("c0", "c1")
+    assert is_dense(d, mid)
+    assert is_closed_morphism(c, mid, fc)
+    # the middle closure is the subspace closure: down-closure in {c0, c1}
+    assert [mid(m) for m in range(4)] == [0, 1, 3, 3]
 
 
 def test_subspace_closure_is_trace():
-    amb = ALEXANDROV.space(CHAIN3)
     sub = Subobject(CHAIN3, ("c1", "c2"))
-    sp = subspace(amb, sub)
+    fn = subspace(ALEXANDROV.component(CHAIN3), sub)
     # closing {c2} inside the subspace traces the ambient closure
-    m2 = 1 << sp.ob.index["c2"]
-    assert sp.ob.labels_of(sp.cls_mask(m2)) == ("c1", "c2")
+    m2 = 1 << sub.ob.index["c2"]
+    assert sub.ob.labels_of(fn(m2)) == ("c1", "c2")
 
 
 def test_subspace_of_subspace_composes():
-    amb = ALEXANDROV.space(CHAIN3)
-    s1 = subspace(amb, Subobject(CHAIN3, ("c0", "c1")))
-    s2 = subspace(s1, Subobject(s1.ob, ("c1",)))
-    m = 1 << s2.ob.index["c1"]
-    assert s2.cls_mask(m) == m
+    sub1 = Subobject(CHAIN3, ("c0", "c1"))
+    s1 = subspace(ALEXANDROV.component(CHAIN3), sub1)
+    sub2 = Subobject(sub1.ob, ("c1",))
+    s2 = subspace(s1, sub2)
+    m = 1 << sub2.ob.index["c1"]
+    assert s2(m) == m
 
 
 def test_closed_lattice_of_sierpinski():
     ctx = builtin("finpre")
-    sp = ALEXANDROV.space(SIERPINSKI)
-    closed = closed_lattice(ctx.system, sp)
+    closed = closed_lattice(ctx.system, SIERPINSKI, ALEXANDROV.component(SIERPINSKI))
     carriers = sorted(tuple(c.elements) for c in closed)
     assert carriers == [(), ("s0",), ("s0", "s1")]
 
@@ -201,11 +201,10 @@ def test_proper_and_compact_examples():
     fam = ALEXANDROV
     # identity on the point is proper
     one = pool[1]
-    sf = SpaceMorphism(id_map(one), fam.space(one), fam.space(one))
-    assert is_proper(fam, pool, sf, 2)
+    assert is_proper_witness(fam, pool, id_map(one), 2) == (True, None)
     # every finite alexandrov space is compact
     for x in pool:
-        assert is_compact(fam, pool, fam.space(x), 2)
+        assert is_compact(fam, pool, x, 2)
 
 
 def test_indiscrete_non_proper_inclusion():
@@ -216,9 +215,10 @@ def test_indiscrete_non_proper_inclusion():
     two = pool[2]
     pt = two.restrict((two.elements[0],))
     inc = Morphism(pt, two, ((two.elements[0], two.elements[0]),))
-    sf = SpaceMorphism(inc, INDISCRETE.space(pt), INDISCRETE.space(two))
-    assert not is_closed_morphism(sf)
-    assert not is_proper(INDISCRETE, pool, sf, 2)
+    fp, f2 = INDISCRETE.component(pt), INDISCRETE.component(two)
+    assert is_continuous(inc, fp, f2)
+    assert not is_closed_morphism(inc, fp, f2)
+    assert not is_proper_witness(INDISCRETE, pool, inc, 2)[0]
 
 
 def test_diagonal_morphism_shape():
@@ -238,9 +238,9 @@ def test_sierpinski_is_not_hausdorff_but_discrete_is():
     ctx = builtin("finpre")
     pool = ctx.objects(2)
     fam = ALEXANDROV
-    assert not is_hausdorff(fam, pool, fam.space(SIERPINSKI), 2)
+    assert not is_hausdorff(fam, pool, SIERPINSKI, 2)
     disc = FiniteObject(("d0", "d1"), make_preorder(("d0", "d1")))
-    assert is_hausdorff(fam, pool, fam.space(disc), 2)
+    assert is_hausdorff(fam, pool, disc, 2)
 
 
 def test_separated_morphisms_examples():
@@ -251,26 +251,24 @@ def test_separated_morphisms_examples():
     one = pool[1]
     to_pt = Morphism(disc, one, tuple((e, one.elements[0])
                                       for e in disc.elements))
-    sf = SpaceMorphism(to_pt, fam.space(disc), fam.space(one))
-    assert is_separated(fam, pool, sf, 2)
+    assert is_separated_witness(fam, pool, to_pt, 2) == (True, None)
     collapse = Morphism(SIERPINSKI, one,
                         tuple((e, one.elements[0]) for e in SIERPINSKI.elements))
-    sf2 = SpaceMorphism(collapse, fam.space(SIERPINSKI), fam.space(one))
-    assert not is_separated(fam, pool, sf2, 2)
+    assert not is_separated_witness(fam, pool, collapse, 2)[0]
 
 
 def test_hausdorff_for_identity_family_is_universal():
     ctx = builtin("finset")
     pool = ctx.objects(2)
     for x in pool:
-        assert is_hausdorff(IDENTITY, pool, IDENTITY.space(x), 2)
+        assert is_hausdorff(IDENTITY, pool, x, 2)
 
 
 def test_sierpinski_hausdorff_verdict_is_stable_at_bound_3():
     ctx = builtin("finpre")
     pool = ctx.objects(3)
     fam = ALEXANDROV
-    assert not is_hausdorff(fam, pool, fam.space(SIERPINSKI), 3)
+    assert not is_hausdorff(fam, pool, SIERPINSKI, 3)
 
 
 def test_failing_proper_witness_is_pinned():
@@ -288,8 +286,7 @@ def test_failing_proper_witness_is_pinned():
     fork = next(x for x in pool if x.name == "fork3")
     pair = next(x for x in pool if x.name == "pre2_2")
     f = Morphism(fork, pair, (("p1", "p1"), ("p2", "p1"), ("p3", "p1")))
-    sf = SpaceMorphism(f, ALEXANDROV.space(fork), ALEXANDROV.space(pair))
-    ok, witness = is_proper_witness(ALEXANDROV, pool, sf, 3)
+    ok, witness = is_proper_witness(ALEXANDROV, pool, f, 3)
     assert not ok
     assert witness == {
         "w": {"source": {"name": "pre2_1", "elements": ["p1", "p2"],
@@ -300,3 +297,58 @@ def test_failing_proper_witness_is_pinned():
               "map": {"p1": "p2", "p2": "p1"}},
         "apex": [["p2", "p1"], ["p2", "p2"], ["p2", "p3"]],
         "apex_point": ["p2", "p1"]}
+
+
+def _proper_test_maps():
+    """Every map with an end in the finpre bound-2 pool and the other in
+    the pool or among its sums, the crossed mutant's sums included, and
+    every sum of two maps of the pool."""
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    sums = [c.coproduct(x, y).ob for c in (ctx, crossed_coproduct_context(ctx))
+            for x in pool for y in pool]
+    ends = [(x, y) for x in pool for y in [*pool, *sums]] + [
+        (x, y) for x in sums for y in pool]
+    maps = [f for x, y in ends for f in enumerate_morphisms(x, y)]
+    homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    maps += [sum_morphisms(f, g, ctx.coproduct(f.source, g.source).ob,
+                           ctx.coproduct(f.target, g.target).ob)
+             for f in homs for g in homs]
+    return ctx, pool, maps
+
+
+@pytest.mark.parametrize("fam_name", ["alexandrov", "identity", "indiscrete"])
+def test_proper_test_matches_label_level_pullbacks(fam_name):
+    """`is_proper_witness`'s apex tables and singleton equations decide each
+    map as the literal definition does, with the same first failing w."""
+    ctx, pool, maps = _proper_test_maps()
+    fam = ctx.family(fam_name)
+    failures = 0
+    for f in maps:
+        ok, witness = is_proper_witness(fam, pool, f, 2)
+        lit_ok, lit_w = proper_literal(fam, pool, f, 2)
+        assert ok == lit_ok, (f.mapping, witness)
+        if not ok:
+            failures += 1
+            assert witness.get("w") == (lit_w and serialize_morphism(lit_w))
+    # the comparison is not vacuous where the family can fail a map
+    assert (failures == 0) == (fam_name == "identity")
+
+
+def _indiscrete_on_two(size, down):
+    full = (1 << size) - 1
+    return (lambda mask: full if mask else 0) if size == 2 else (lambda mask: mask)
+
+
+def test_map_that_is_not_continuous_is_reported():
+    """Under a family indiscrete on 2 points and the identity elsewhere, the
+    inclusion of 2 into 3 is not continuous: both tests report that, the
+    separated one although the map's diagonal is continuous and proper."""
+    fam = ClosureFamily("indiscrete-on-2", False, _indiscrete_on_two)
+    pool = builtin("finset").objects(3)
+    two, three = pool[2], pool[3]
+    inc = Morphism(two, three, tuple((e, e) for e in two.elements))
+    assert not is_continuous(inc, fam.component(two), fam.component(three))
+    assert is_proper_witness(fam, pool, inc, 2) == (False, {"continuous": False})
+    assert is_separated_witness(fam, pool, inc, 2) == (False, {"continuous": False})
+    assert is_proper_witness(fam, pool, diagonal_morphism(inc), 2) == (True, None)

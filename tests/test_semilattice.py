@@ -137,7 +137,7 @@ def test_identity_closed_semilattice_matches_oracle_join():
     for name in ("finset", "finpre"):
         ctx = builtin(name)
         for x in ctx.objects(2):
-            lat, masks = closed_semilattice(IDENTITY.space(x), ctx.sub_lattice(x))
+            lat, masks = closed_semilattice(IDENTITY.component(x), ctx.sub_lattice(x))
             assert masks == ctx.sub_lattice(x).masks
             # join table agrees with the factorization-system join
             for i, mi in enumerate(masks):
@@ -151,8 +151,7 @@ def test_closed_semilattice_of_indiscrete_pair():
     ctx = builtin("finset")
     two = ctx.objects(2)[2]
     from extcheck.closure import INDISCRETE
-    sp = INDISCRETE.space(two)
-    lat, masks = closed_semilattice(sp, ctx.sub_lattice(two))
+    lat, masks = closed_semilattice(INDISCRETE.component(two), ctx.sub_lattice(two))
     assert lat.n == 2
     assert masks == (0, (1 << two.size) - 1)
 

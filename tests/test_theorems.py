@@ -687,10 +687,10 @@ def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
     real = getattr(theorems, name)
     injected = _G_H_BREAKS[breaks]
 
-    def witness_fn(family, pool, sm, bound):
-        if injected(sm.f):
+    def witness_fn(family, pool, f, bound):
+        if injected(f):
             return False, _INJECTED
-        return real(family, pool, sm, bound)
+        return real(family, pool, f, bound)
 
     monkeypatch.setattr(theorems, name, witness_fn)
     ctx = builtin("finpre")
