@@ -813,8 +813,7 @@ def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
                 good, bad = test(to_point(ctx.coproduct(x, y).ob))
                 yield None if good else _witness(x, y, failure=bad)
 
-    members = [f for f in _continuous_morphisms(ctx, pool, cache(family.component))
-               if test(f)[0]]
+    members = [f for x in pool for y in pool for f in ctx.hom(x, y) if test(f)[0]]
     morphism_side = first_counterexample(morphism_sums())
     spaces = [x for x in pool if test(to_point(x))[0]]
     space_side = first_counterexample(space_sums())

@@ -8,8 +8,10 @@ caught when those tests fail, and survives when they pass.
 
 Usage, from the repository root:
 
-    python3 tests/audit_sides.py          # run every mutation
-    python3 tests/audit_sides.py --list   # print the table only
+    python3 tests/audit_sides.py
+
+It prints the table of mutations, then each one's outcome.  Pytest's
+output is shown whenever its exit status is not the expected one.
 
 Exit status: 0 when every mutation is caught, 1 when one survives, 2 when
 the unmutated tests fail, a decision no longer appears exactly once in its
@@ -101,14 +103,18 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(cwd: Path, tests) -> int:
+def _pytest(cwd: Path, tests, expected) -> int:
     """Pytest's exit status: 0 all passed, 1 some test failed, other values
-    an error before any test could decide (collection, usage)."""
+    an error before any test could decide (collection, usage).  Its output
+    is printed when the status is not in `expected`."""
     env = dict(os.environ, PYTHONPATH="src")
-    return subprocess.run(
+    run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    if run.returncode not in expected:
+        print(run.stdout)
+    return run.returncode
 
 
 def _apply(root: Path, m: Mutation) -> None:
@@ -121,14 +127,12 @@ def _apply(root: Path, m: Mutation) -> None:
     path.write_text(text.replace(m.decision, m.holds))
 
 
-def main(argv) -> int:
+def main() -> int:
     for m in MUTATIONS:
         print(f"{m.side}\n    {m.file}: {m.decision!r} -> {m.holds!r}\n"
               f"    caught by: {', '.join(m.tests)}")
-    if "--list" in argv:
-        return 0
     every_test = sorted({t for m in MUTATIONS for t in m.tests})
-    status = _pytest(ROOT, every_test)
+    status = _pytest(ROOT, every_test, (0,))
     if status != 0:
         print(f"audit_sides: the unmutated tests exit {status}")
         return 2
@@ -137,7 +141,7 @@ def main(argv) -> int:
         with tempfile.TemporaryDirectory(prefix="audit-sides-") as tmp:
             _copy_tree(Path(tmp))
             _apply(Path(tmp), m)
-            status = _pytest(Path(tmp), m.tests)
+            status = _pytest(Path(tmp), m.tests, (0, 1))
         verdict = {0: "SURVIVED", 1: "caught"}.get(status, f"error (exit {status})")
         print(f"{verdict:>9}  {m.side}")
         outcomes.append(status)
@@ -148,4 +152,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
