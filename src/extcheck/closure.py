@@ -25,6 +25,7 @@ from .core import (
     Morphism,
     Report,
     componentwise,
+    count_instances,
     down_or_discrete,
     enumerate_morphisms,
     equalizer,
@@ -138,7 +139,7 @@ def validate_closure(family: ClosureFamily,
             ("additive", (witness(x, u, v) if fn(u | v) != fn(u) | fn(v) else None
                           for x, fn, u, v in pairs))):
         ok, failed, count = first_counterexample(outcomes)
-        count += sum(1 for _ in outcomes)
+        count += count_instances(outcomes)
         checks.append(CheckResult(check_id, ok, count, failed))
     ungrounded = [x.label for x, fn, _ in lattices if fn(0) != 0]
     checks.append(CheckResult(

@@ -523,15 +523,27 @@ def is_isomorphic(x: FiniteObject, y: FiniteObject) -> bool:
 
 def first_counterexample(outcomes: Iterable) -> tuple[bool, object, int]:
     """(ok, witness, count) of a check written as a generator of outcomes,
-    one per instance in enumeration order: None when the instance holds, a
-    witness when it fails.  Consumes `outcomes` up to the first witness and
-    never past it, so `count` is the number of instances enumerated up to
-    and including the first counterexample."""
-    count = 0
+    in enumeration order: None for one instance that holds, an `int` k for
+    a run of k instances that all hold, anything else (a `bool` included)
+    for the witness of one instance that fails.  Consumes `outcomes` up to
+    the first witness and never past it, so `count` is the number of
+    instances enumerated up to and including the first counterexample."""
+    # `count` counts outcomes; `runs` adds what runs hold beyond one each,
+    # so that a None costs one test, as without runs.
+    count = runs = 0
     for count, outcome in enumerate(outcomes, 1):
         if outcome is not None:
-            return False, outcome, count
-    return True, None, count
+            if outcome.__class__ is not int:
+                return False, outcome, count + runs
+            runs += outcome - 1
+    return True, None, count + runs
+
+
+def count_instances(outcomes: Iterable) -> int:
+    """The number of instances `outcomes` holds, as `first_counterexample`
+    counts them: k for a run of k, one for any other outcome.  Finishes the
+    count of a side past its first witness."""
+    return sum(o if o.__class__ is int else 1 for o in outcomes)
 
 
 @dataclass(frozen=True)

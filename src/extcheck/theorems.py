@@ -8,13 +8,14 @@ agrees), and instance counts.  Checkers whose statement assumes an earlier
 one gate on it and report hypothesis-failed instead of a verdict when the
 hypothesis does not hold in the given universe.
 
-Each side is a generator of outcomes, one per instance in enumeration
-order: None when the instance holds, a witness when it fails.
-`core.first_counterexample`, the kernel the validators share, runs a side
-to its first witness, so a side's count is the number of instances
-enumerated up to and including its first counterexample.  A side whose
-first instance is also its confirming witness yields every instance as
-(holds, *values) instead; `_failures` turns those into outcomes.
+Each side is a generator of outcomes in enumeration order: None for one
+instance that holds, an `int` k for a run of k instances that all hold, a
+witness for one instance that fails.  `core.first_counterexample`, the
+kernel the validators share, runs a side to its first witness, so a side's
+count is the number of instances enumerated up to and including its first
+counterexample, a run of k counting k.  A side whose first instance is
+also its confirming witness yields every instance as (holds, *values)
+instead; `_failures` turns those into outcomes.
 Subobjects are masks throughout, built as labels only for a witness.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, product, repeat
+from itertools import chain, groupby, product
 from typing import Sequence
 
 from .closure import (
@@ -39,6 +40,7 @@ from .core import (
     Morphism,
     copair,
     coproduct,
+    count_instances,
     down_or_discrete,
     first_counterexample,
     identity,
@@ -405,7 +407,7 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
         if cond == "a":
             _memoized(memo, ("closed_sums", family.name, bound),
                       lambda: (ok, failed or (first and first[1:]), n))
-        n += sum(1 for _ in outcomes)
+        n += count_instances(outcomes)
         sides.append((name, f"condition_{cond}",
                       (ok, failed and describe(*failed), n)))
     closed_ok = sides[0][2][0]
@@ -481,7 +483,9 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
     L is computed once per f-block and distinct low halves, R once per
     g-block and distinct high halves.  Pairs are yielded f-major, then by
     g-block, then g, in the order `closed` lists them, so counts and first
-    witnesses are those of the per-pair sweep.
+    witnesses are those of the per-pair sweep.  Pairs that all hold are
+    yielded as one run: a whole f-block's when every entry of its row is
+    full with no cross terms, else an (f, g-block) product's.
     """
     blocks = [list(block) for _, block in groupby(
         closed, key=lambda f: (f.source, f.target))]
@@ -515,6 +519,11 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
             row.append((g_block, (1 << len(g_block)) - 1,
                         l_memo[s_lows, t_lows], r_memo[n, s_highs, t_highs],
                         not (s_diag and t_diag) and (*s_crossed, *t_crossed)))
+        f_full = (1 << len(f_block)) - 1
+        if all(l_bits == f_full and r_bits == full and not crossed
+               for _, full, l_bits, r_bits, crossed in row):
+            yield len(f_block) * sum(len(g_block) for g_block, *_ in row)
+            continue
         for k, f in enumerate(f_block):
             for g_block, full, l_bits, r_bits, crossed in row:
                 ok = r_bits if l_bits >> k & 1 else 0
@@ -525,7 +534,7 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
                              and _carries(g.idx, s_left, t_left, f.idx)
                              and _carries(f.idx, s_right, t_right, g.idx))
                 if ok == full:
-                    yield from repeat(None, len(g_block))
+                    yield len(g_block)
                 else:
                     for j, g in enumerate(g_block):
                         yield None if ok >> j & 1 else _maps_witness(f, g)

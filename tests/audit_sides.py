@@ -2,9 +2,10 @@
 
 A golden report cannot tell a side that decided every instance from one
 that assumed them: both report the same counts.  So each mutation below
-replaces one side's decision by "holds", in a temporary copy of `src/` and
-`tests/`, and runs there the tests that must catch it.  The mutation is
-caught when those tests fail, and survives when they pass.
+replaces one side's decision by "holds", in a temporary copy of `src/`,
+`tests/` and `perfbench/inputs/`, and runs there the tests that must catch
+it.  The mutation is caught when those tests fail, and survives when they
+pass.
 
 Usage, from the repository root:
 
@@ -34,6 +35,7 @@ THEOREMS = "src/extcheck/theorems.py"
 CLOSURE = "src/extcheck/closure.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
+C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
 
 
 class Mutation(NamedTuple):
@@ -79,6 +81,12 @@ MUTATIONS = (
              "yield None if ok >> j & 1 else _maps_witness(f, g)",
              "yield None",
              ("tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false",)),
+    Mutation("C: a whole f-block of sums holds", THEOREMS,
+             "if all(l_bits == f_full and r_bits == full and not crossed\n"
+             "               for _, full, l_bits, r_bits, crossed in row):",
+             "if True:",
+             (C_ORACLE,
+              "tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false")),
     Mutation("C: injections closed", THEOREMS,
              "yield (None if _closed_fast(inl_idx,",
              "yield (None if True or _closed_fast(inl_idx,",
@@ -98,7 +106,8 @@ MUTATIONS = (
 
 def _copy_tree(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
-    for part in ("src", "tests"):
+    # C's oracle test reads the closed-maps objects from perfbench/inputs.
+    for part in ("src", "tests", "perfbench/inputs"):
         shutil.copytree(ROOT / part, dest / part, ignore=skip)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

@@ -8,7 +8,7 @@ from extcheck.contexts import (
     split_mono_context,
     swapped_system_context,
 )
-from extcheck.core import LEFT_TAG, RIGHT_TAG, serialize_object
+from extcheck.core import LEFT_TAG, RIGHT_TAG, count_instances, serialize_object
 from extcheck.theorems import (
     CHECKERS,
     FAMILY_FREE,
@@ -223,8 +223,10 @@ C_SUM_ORACLE_CASES = {
 def test_checker_c_sum_side_matches_per_pair_oracle(case):
     """Checker C's sum side, decided per block on closure tables, yields
     the outcome of every pair that the per-pair `_closed_fast` sweep
-    yields, witnesses included, in the same order."""
+    yields, witnesses included, in the same order, once each run of k
+    pairs that hold is expanded into k Nones."""
     from functools import cache
+    from itertools import chain, repeat
 
     from oracles import closed_sum_of_closed_outcomes
     from extcheck import theorems
@@ -235,7 +237,9 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     for fam in ctx.families:
         cls_of = cache(fam.component)
         closed = theorems._continuous_morphisms(ctx, pool, cls_of, closed=True)
-        blocked = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
+        blocked = list(chain.from_iterable(
+            repeat(None, o) if o.__class__ is int else (o,)
+            for o in theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of)))
         per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cls_of))
         assert blocked == per_pair, fam.name
         assert len(blocked) == len(closed) ** 2
@@ -487,6 +491,45 @@ def test_first_counterexample_never_resumes_past_the_failure():
 def test_first_counterexample_on_an_exhausted_side():
     assert first_counterexample(None for _ in range(4)) == (True, None, 4)
     assert first_counterexample(iter(())) == (True, None, 0)
+
+
+def test_first_counterexample_counts_runs():
+    assert first_counterexample(iter([3, None, 5])) == (True, None, 9)
+    assert first_counterexample(iter([7])) == (True, None, 7)
+
+
+def test_first_counterexample_counts_a_run_before_the_witness():
+    outcomes = iter([4, None, 2, {"w": 1}, 6])
+    assert first_counterexample(outcomes) == (False, {"w": 1}, 8)
+    assert list(outcomes) == [6]
+
+
+def test_first_counterexample_counts_a_zero_run_as_nothing():
+    assert first_counterexample(iter([0, None, 0])) == (True, None, 1)
+    assert first_counterexample(iter([0, {"w": 1}])) == (False, {"w": 1}, 1)
+
+
+def test_first_counterexample_never_consumes_a_run_past_the_failure():
+    def outcomes():
+        yield 5
+        yield {"w": 2}
+        yield 10
+        raise AssertionError("resumed past the first counterexample")
+
+    assert first_counterexample(outcomes()) == (False, {"w": 2}, 6)
+
+
+@pytest.mark.parametrize("witness", [True, False])
+def test_first_counterexample_reads_a_bool_as_a_witness(witness):
+    assert first_counterexample(iter([2, witness, 3])) == (False, witness, 3)
+
+
+def test_count_instances_finishes_the_count_past_the_first_failure():
+    outcomes = iter([None, 3, {"w": 1}, 4, None, {"w": 2}, 0, False])
+    ok, witness, count = first_counterexample(outcomes)
+    assert (ok, witness, count) == (False, {"w": 1}, 5)
+    assert count + count_instances(outcomes) == 12
+    assert count_instances(iter(())) == 0
 
 
 @pytest.mark.parametrize("base", ["finset", "finpre"])
