@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Sequence
 
 from . import core
@@ -23,24 +24,30 @@ from .core import (
     Report,
     LEFT_TAG,
     RIGHT_TAG,
+    clopen_splits,
     compose,
     copair,
     coproduct,
+    count_monotone,
     embedding_table,
     enumerate_morphisms,
     find_iso,
+    image_bits,
     initial,
     injective_table,
     is_injective,
     is_iso,
     is_isomorphic,
+    points,
     product,
     pullback,
+    restrict_masks,
     serialize_morphism,
     serialize_object,
     surjective_table,
     terminal,
     transitive_closure,
+    up_masks_or_none,
 )
 from .closure import ALEXANDROV, IDENTITY, INDISCRETE, ClosureFamily
 from .factorization import FactorizationSystem, validate_system
@@ -263,56 +270,59 @@ def _pullback_stability_literal(ctx: Context, cp: Coproduct, f: Morphism):
                   "comparison": serialize_morphism(comparison)})
 
 
-def _legs_over(legs, n: int) -> list[list[tuple[int, int]]]:
-    """Per point of the legs' common n-point target, the (leg number, b)
-    of every leg point b over it.  `legs` holds, per injection, its index
-    table and its source's up-masks (None unordered)."""
-    over: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (leg, _) in enumerate(legs):
-        for b, t in enumerate(leg):
-            over[t].append((k, b))
-    return over
+def _is_block_sum(cp: Coproduct) -> bool:
+    """Whether the two legs of `cp` cover each point of the sum exactly once
+    and, ordered, the sum's up-mask at leg[b] is the image of the summand's
+    at b: the sum's order is the block sum of its summands' orders."""
+    up = up_masks_or_none(cp.ob)
+    return (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))
+            and (up is None or all(
+                up[t] == image_bits(leg.source.up_masks[b], leg.idx)
+                for leg in (cp.inl, cp.inr) for b, t in enumerate(leg.idx))))
 
 
-def _comparison_is_iso(f_idx, legs, over, z_up, z_pairs: int) -> bool:
-    """Index certificate of one pullback-stability instance.
+@lru_cache(maxsize=None)
+def _split_counts(z_up: tuple[int, ...], tgt_up: tuple[int, ...]) -> tuple[int, ...]:
+    """Per clopen split P of the preorder with up-masks `z_up`, in
+    `core.clopen_splits`' order, the number of monotone maps z|P -> t,
+    where t has the up-masks `tgt_up`."""
+    return tuple(count_monotone(restrict_masks(z_up, points(p)), len(tgt_up), tgt_up)
+                 for p in clopen_splits(z_up))
 
-    The two pullbacks of `f_idx` along `legs` are the pairs (a, b) with
-    f_idx[a] == leg[b], read off `over = _legs_over(legs, ...)`.  Their
-    plain disjoint sum maps onto z by a, and that comparison is an
-    isomorphism iff every a occurs exactly once and, ordered, the
-    componentwise order pairs number len(z.order) (`z_pairs`).
-    """
-    hits = []
-    for t in f_idx:
-        if len(over[t]) != 1:
-            return False
-        hits.append(over[t][0])
-    if z_up is None:
-        return True
-    pairs = 0
-    for a1, (k1, b1) in enumerate(hits):
-        up = legs[k1][1]
-        for a2, (k2, b2) in enumerate(hits):
-            if k1 == k2 and (z_up[a1] >> a2) & 1 and (up[b1] >> b2) & 1:
-                pairs += 1
-    return pairs == z_pairs
+
+def _sum_hom_count(z: FiniteObject, x: FiniteObject, y: FiniteObject) -> int:
+    """|hom(z, x + y)| into the block sum: the sum over the clopen splits P
+    of z of |hom(z|P, x)| * |hom(z|P^c, y)|, or (|x| + |y|)^|z| unordered,
+    where every subset of z is a split."""
+    if not z.has_order:
+        return (x.size + y.size) ** z.size
+    # The splits are ascending and closed under complement, so the
+    # complement of the i-th split is the i-th from the end.
+    return sum(map(mul, _split_counts(z.up_masks, x.up_masks),
+                   reversed(_split_counts(z.up_masks, y.up_masks))))
 
 
 def validate_extensive(ctx: Context, bound: int) -> Report:
     """Brute-force the extensivity laws over the object pool.
 
-    Pullback stability takes, for every map f into a constructed coproduct,
-    the comparison out of the coproduct of the two injection pullbacks.
-    Each instance is first decided on index tables (`_comparison_is_iso`),
-    which is sound only when that middle coproduct is the plain disjoint sum,
-    so it is guarded on `ctx.coproduct_fn` being `core.coproduct`.  An
-    instance whose certificate fails, or any instance when the guard is off
-    (the crossed mutant), runs the literal label-level construction, which
-    also builds the witness.  Coproduct disjointness compares the image
-    masks of the two injections.  Each swept law is a generator of
-    outcomes, one per instance: None when it holds, the witness when it
-    fails.
+    Pullback stability takes, for every map f: z -> x + y into a constructed
+    coproduct, the comparison out of the coproduct of the two injection
+    pullbacks of f, which must be an isomorphism commuting with everything.
+    It is decided once per sum, under two guards.  The context's coproduct
+    must be `core.coproduct`, since the literal law builds the middle sum
+    with it too; and the sum must be a block sum (`_is_block_sum`): its legs
+    cover each of its points once and nothing orders one block against the
+    other.  Then every f passes: each point of the sum has a single leg
+    point over it, and each order pair of z maps into one block, onto an
+    order pair of that block's summand.  So the pair (x, y) yields, per z,
+    one run of |hom(z, x + y)| instances, counted without enumerating them:
+    a map into the block sum is a clopen split P of z with one map
+    z|P -> x and one z|P^c -> y (`_sum_hom_count`).  A sum that fails
+    either guard (the crossed mutant's) runs the literal label-level
+    construction per f, which also builds the witness.  Coproduct
+    disjointness compares the image masks of the two injections.  Each
+    swept law is a generator of outcomes: None when one instance holds, an
+    `int` k for a run of k that hold, the witness when one fails.
     """
     pool = ctx.objects(bound)
     pairs = [(x, y) for x in pool for y in pool]
@@ -348,18 +358,16 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
                    else {"x": serialize_object(x), "y": serialize_object(y)})
 
     def coproducts_pullback_stable():
-        indexed = ctx.coproduct_fn is coproduct
+        plain = ctx.coproduct_fn is coproduct
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
-            legs = ((cp.inl.idx, x.up_masks if x.has_order else None),
-                    (cp.inr.idx, y.up_masks if y.has_order else None))
-            over = _legs_over(legs, cp.ob.size)
-            for z in pool:
-                z_up, z_pairs = (z.up_masks, len(z.order)) if z.has_order else (None, 0)
-                for f in ctx.hom(z, cp.ob):
-                    held = indexed and _comparison_is_iso(
-                        f.idx, legs, over, z_up, z_pairs)
-                    yield None if held else _pullback_stability_literal(ctx, cp, f)
+            if plain and _is_block_sum(cp):
+                for z in pool:
+                    yield _sum_hom_count(z, x, y)
+            else:
+                for z in pool:
+                    for f in ctx.hom(z, cp.ob):
+                        yield _pullback_stability_literal(ctx, cp, f)
 
     def distributivity_two_by_x():
         two = ctx.coproduct(one, one)

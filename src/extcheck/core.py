@@ -447,50 +447,107 @@ def kernel_pair(f: Morphism) -> Product:
     return pullback(f, f)
 
 
+def _monotone_constraints(k: int, src_up, tgt_up) -> list[list[tuple]]:
+    """Per point i of a k-point source, a pair (j, rows) for each earlier
+    point j comparable with i: wherever j goes, at t, a monotone map sends i
+    into the mask rows[t] of the target.  From the up-masks of both ends;
+    no constraints when either end is unordered (None)."""
+    constraints: list[list[tuple]] = [[] for _ in range(k)]
+    if src_up is None or tgt_up is None:
+        return constraints
+    n = len(tgt_up)
+    tgt_down = tuple(sum(1 << s for s in range(n) if tgt_up[s] >> t & 1)
+                     for t in range(n))
+    both = tuple(u & d for u, d in zip(tgt_up, tgt_down))
+    for i in range(k):
+        for j in range(i):
+            below, above = src_up[j] >> i & 1, src_up[i] >> j & 1
+            if below or above:
+                rows = both if below and above else tgt_up if below else tgt_down
+                constraints[i].append((j, rows))
+    return constraints
+
+
 def _monotone_maps(x: FiniteObject, y: FiniteObject,
                    injective: bool) -> list[Morphism]:
     """The monotone maps x -> y, only the injective ones if `injective`, in
     lexicographic order over lookup tables."""
     n, m = x.size, y.size
-    ordered = x.has_order and y.has_order
-    y_up = y.up_masks if ordered else ()
-    constraints: list[list[tuple[int, bool, bool]]] = [[] for _ in range(n)]
-    if ordered:
-        for i in range(n):
-            for j in range(i):
-                fw = (j, i) in x.order_idx
-                bw = (i, j) in x.order_idx
-                if fw or bw:
-                    constraints[i].append((j, fw, bw))
+    constraints = _monotone_constraints(n, up_masks_or_none(x), up_masks_or_none(y))
     assign = [0] * n
-    used = [False] * m
     out: list[Morphism] = []
 
-    def extend(i: int):
+    def extend(i: int, free: int):
         if i == n:
             mapping = tuple((x.elements[k], y.elements[assign[k]]) for k in range(n))
             out.append(Morphism(x, y, mapping))
             return
-        for t in range(m):
-            if used[t]:
-                continue
-            ok = True
-            for (j, fw, bw) in constraints[i]:
-                tj = assign[j]
-                if fw and not ((y_up[tj] >> t) & 1):
-                    ok = False
-                    break
-                if bw and not ((y_up[t] >> tj) & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = t
-                used[t] = injective
-                extend(i + 1)
-                used[t] = False
+        allowed = free
+        for j, rows in constraints[i]:
+            allowed &= rows[assign[j]]
+        while allowed:
+            low = allowed & -allowed
+            assign[i] = low.bit_length() - 1
+            extend(i + 1, free ^ low if injective else free)
+            allowed ^= low
 
-    extend(0)
+    extend(0, (1 << m) - 1)
     return out
+
+
+@lru_cache(maxsize=None)
+def count_monotone(src_up: tuple[int, ...], n: int, tgt_up: tuple[int, ...]) -> int:
+    """The number of monotone maps from the preorder with up-masks `src_up`
+    into the n-point preorder with up-masks `tgt_up`, by the depth-first
+    search of `_monotone_maps` on index masks, counting the choices for the
+    last point instead of visiting them."""
+    k = len(src_up)
+    if k == 0:
+        return 1
+    constraints = _monotone_constraints(k, src_up, tgt_up)
+    assign = [0] * k
+
+    def count(i: int) -> int:
+        allowed = (1 << n) - 1
+        for j, rows in constraints[i]:
+            allowed &= rows[assign[j]]
+        if i == k - 1:
+            return allowed.bit_count()
+        total = 0
+        while allowed:
+            low = allowed & -allowed
+            assign[i] = low.bit_length() - 1
+            total += count(i + 1)
+            allowed ^= low
+        return total
+
+    return count(0)
+
+
+@lru_cache(maxsize=None)
+def clopen_splits(up_masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of the subsets of a preorder, given by its up-masks, that
+    are both up- and down-closed, ascending.  These are the unions of the
+    components of its comparability graph, so the empty object has the one
+    split 0.  A monotone map into a sum X + Y, with no order between the
+    blocks, is exactly such a split P with maps P -> X and its complement
+    -> Y."""
+    n = len(up_masks)
+    linked = [up | sum(1 << i for i in range(n) if up_masks[i] >> j & 1)
+              for j, up in enumerate(up_masks)]
+    splits = [0]
+    seen = 0
+    for i in range(n):
+        if seen >> i & 1:
+            continue
+        comp, grown = 0, 1 << i
+        while grown != comp:
+            comp = grown
+            for j in points(comp):
+                grown |= linked[j]
+        seen |= comp
+        splits += [p | comp for p in splits]
+    return tuple(sorted(splits))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 A golden report cannot tell a side that decided every instance from one
 that assumed them: both report the same counts.  So each mutation below
-replaces one side's decision by "holds", in a temporary copy of `src/`,
+replaces one side's decision by "holds" (or, for a side that counts runs
+of instances, miscounts them), in a temporary copy of `src/`,
 `tests/` and `perfbench/inputs/`, and runs there the tests that must catch
 it.  The mutation is caught when those tests fail, and survives when they
 pass.
@@ -33,9 +34,11 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 THEOREMS = "src/extcheck/theorems.py"
 CLOSURE = "src/extcheck/closure.py"
+CONTEXTS = "src/extcheck/contexts.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
+BLOCK_SUM = "tests/test_contexts.py::test_index_certificate_decides_comparison_over_any_cospan"
 
 
 class Mutation(NamedTuple):
@@ -91,6 +94,16 @@ MUTATIONS = (
              "yield (None if _closed_fast(inl_idx,",
              "yield (None if True or _closed_fast(inl_idx,",
              ("tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false",)),
+    Mutation("extensivity: the sum is a block sum", CONTEXTS,
+             "return (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))",
+             "return True or (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))",
+             (f"{BLOCK_SUM}[finset]", f"{BLOCK_SUM}[finpre]")),
+    Mutation("extensivity: maps into a block sum counted by clopen splits", CONTEXTS,
+             "return sum(map(mul, _split_counts(z.up_masks, x.up_masks),",
+             "return 1 + sum(map(mul, _split_counts(z.up_masks, x.up_masks),",
+             ("tests/test_contexts.py::test_split_count_matches_enumeration[finpre-b3]",
+              "tests/test_contexts.py::"
+              "test_extensivity_laws_match_literal_pullbacks[finpre-b2]")),
     Mutation("biproduct: lattices split as biproducts", THEOREMS,
              "yield None if bp.passed else _witness(",
              "yield None if True else _witness(",

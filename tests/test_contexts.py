@@ -22,6 +22,7 @@ from extcheck.contexts import (
 from extcheck.core import (
     Coproduct,
     FiniteObject,
+    clopen_splits,
     coproduct,
     enumerate_morphisms,
     is_isomorphic,
@@ -188,31 +189,25 @@ def test_extensivity_laws_match_literal_pullbacks(case):
 
 @pytest.mark.parametrize("case", ["finset-b3", "finpre-b2", "finpre-extra-b2"])
 def test_index_certificate_holds_only_where_literal_instance_does(case):
+    # The index certificate is the per-sum check `_is_block_sum`.
     make, bound, _ = PULLBACK_CASES[case]
     ctx = make()
     held = 0
     for x, y, z, f in oracles.pullback_stability_instances(ctx, bound):
         cp = ctx.coproduct(x, y)
-        if _certified(f, cp, x, y, z):
+        if contexts._is_block_sum(cp):
             held += 1
             assert oracles.pullback_stability_instance(ctx, cp, f) is None
     assert held
 
 
-def _certified(f, cp, x, y, z) -> bool:
-    legs = ((cp.inl.idx, x.up_masks if x.has_order else None),
-            (cp.inr.idx, y.up_masks if y.has_order else None))
-    z_order = (z.up_masks, len(z.order)) if z.has_order else (None, 0)
-    return contexts._comparison_is_iso(
-        f.idx, legs, contexts._legs_over(legs, cp.ob.size), *z_order)
-
-
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_index_certificate_decides_comparison_over_any_cospan(name):
     # Legs l: x -> w and r: y -> w that need not be coproduct injections,
-    # so the certificate also meets overlapping, non-covering and
-    # non-reflecting legs.  With the plain sum in the middle, the literal
-    # comparison is an isomorphism exactly when the certificate holds.
+    # so the per-sum check also meets overlapping, non-covering and
+    # non-reflecting legs.  With the plain sum in the middle, it holds
+    # exactly on the cospans where every literal instance holds, and there
+    # the split count is |hom(z, w)|.
     ctx = builtin(name)
     pool = ctx.objects(2)
     outcomes = set()
@@ -222,14 +217,53 @@ def test_index_certificate_decides_comparison_over_any_cospan(name):
                 for l in ctx.hom(x, w):
                     for r in ctx.hom(y, w):
                         cospan = Coproduct(w, l, r)
-                        for z in pool:
-                            for f in ctx.hom(z, w):
-                                certified = _certified(f, cospan, x, y, z)
-                                literal = oracles.pullback_stability_instance(
-                                    ctx, cospan, f)
-                                assert certified == (literal is None)
-                                outcomes.add(certified)
+                        certified = contexts._is_block_sum(cospan)
+                        literal = all(
+                            oracles.pullback_stability_instance(ctx, cospan, f) is None
+                            for z in pool for f in ctx.hom(z, w))
+                        assert certified == literal
+                        if certified:
+                            for z in pool:
+                                assert contexts._sum_hom_count(z, x, y) == \
+                                    len(ctx.hom(z, w))
+                        outcomes.add(certified)
     assert outcomes == {True, False}
+
+
+# case -> (context maker, bound) of the split count's differential test
+SPLIT_COUNT_CASES = {
+    "finset-b3": (lambda: builtin("finset"), 3),
+    "finpre-b3": (lambda: builtin("finpre"), 3),
+    "finpre-extra-b2": (_finpre_extra, 2),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_COUNT_CASES)
+def test_split_count_matches_enumeration(case):
+    make, bound = SPLIT_COUNT_CASES[case]
+    ctx = make()
+    pool = ctx.objects(bound)
+    for x in pool:
+        for y in pool:
+            sum_ob = ctx.coproduct(x, y).ob
+            for z in pool:
+                # Uncached: the cache is keyed by object equality, which
+                # ignores names, so filling it here would rename later
+                # witnesses.
+                maps = enumerate_morphisms.__wrapped__(z, sum_ob)
+                assert contexts._sum_hom_count(z, x, y) == len(maps)
+
+
+def test_clopen_splits_match_brute_force():
+    # P is clopen when it holds everything above and below its points.
+    def clopen(ob, p):
+        return all((ob.up_masks[i] | ob.down_masks[i]) & ~p == 0
+                   for i in range(ob.size) if p >> i & 1)
+
+    assert clopen_splits(()) == (0,)
+    for ob in finpre_objects(3):
+        assert clopen_splits(ob.up_masks) == tuple(
+            p for p in range(1 << ob.size) if clopen(ob, p))
 
 
 def _count_pullbacks(monkeypatch) -> list:

@@ -16,6 +16,7 @@ from extcheck.core import (
     copair,
     componentwise,
     coproduct,
+    count_monotone,
     down_or_discrete,
     enumerate_morphisms,
     equalizer,
@@ -305,6 +306,19 @@ def test_enumerators_match_a_literal_table_sweep():
             bijective = [f for f in literal
                          if x.size == y.size and is_injective(f)]
             assert list(monotone_bijections(x, y)) == bijective
+
+
+def test_count_monotone_matches_enumeration():
+    """The counting search against the length of the enumeration, on every
+    pair of bound-3 preorders."""
+    import itertools
+
+    from extcheck.contexts import finpre_objects
+
+    for x, y in itertools.product(finpre_objects(3), repeat=2):
+        # Uncached, as above.
+        assert count_monotone(x.up_masks, y.size, y.up_masks) == \
+            len(enumerate_morphisms.__wrapped__(x, y))
 
 
 def test_monotone_bijections_and_find_iso():
