@@ -247,6 +247,23 @@ def table_of(f: Morphism) -> tuple:
             up_masks_or_none(f.target))
 
 
+def image_parts(idx) -> tuple[int, tuple[int, ...]]:
+    """Image factorization of an index table: the image mask, and the
+    corestriction onto the image as a table into its points."""
+    mask = 0
+    for t in idx:
+        mask |= 1 << t
+    return mask, tuple((mask & ((1 << t) - 1)).bit_count() for t in idx)
+
+
+def inclusion_table(x: FiniteObject, mask: int) -> tuple:
+    """`table_of` the inclusion of the subset `mask` of x into x."""
+    idx = points(mask)
+    up = up_masks_or_none(x)
+    sub_up = None if up is None else restrict_masks(up, idx)
+    return idx, sub_up, x.size, up
+
+
 def injective_table(idx, src_up, n, tgt_up) -> bool:
     return len(set(idx)) == len(idx)
 
@@ -469,18 +486,17 @@ def _monotone_constraints(k: int, src_up, tgt_up) -> list[list[tuple]]:
 
 
 def _monotone_maps(x: FiniteObject, y: FiniteObject,
-                   injective: bool) -> list[Morphism]:
+                   injective: bool) -> Iterator[Morphism]:
     """The monotone maps x -> y, only the injective ones if `injective`, in
-    lexicographic order over lookup tables."""
-    n, m = x.size, y.size
+    lexicographic order over lookup tables, each yielded when reached."""
+    n = x.size
     constraints = _monotone_constraints(n, up_masks_or_none(x), up_masks_or_none(y))
     assign = [0] * n
-    out: list[Morphism] = []
 
     def extend(i: int, free: int):
         if i == n:
             mapping = tuple((x.elements[k], y.elements[assign[k]]) for k in range(n))
-            out.append(Morphism(x, y, mapping))
+            yield Morphism(x, y, mapping)
             return
         allowed = free
         for j, rows in constraints[i]:
@@ -488,11 +504,10 @@ def _monotone_maps(x: FiniteObject, y: FiniteObject,
         while allowed:
             low = allowed & -allowed
             assign[i] = low.bit_length() - 1
-            extend(i + 1, free ^ low if injective else free)
+            yield from extend(i + 1, free ^ low if injective else free)
             allowed ^= low
 
-    extend(0, (1 << m) - 1)
-    return out
+    return extend(0, (1 << y.size) - 1)
 
 
 @lru_cache(maxsize=None)

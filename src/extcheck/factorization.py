@@ -3,16 +3,18 @@
 A system is a pair of morphism classes (E, M), each a predicate on index
 tables.  Every system factorizes a morphism through its set image
 (corestriction, then inclusion).  The validator brute-forces every law on
-a supplied object pool: class properness,
+a supplied object pool, each decided on index tables: class properness,
 composition closure, iso behaviour, factorization validity, stability of M
-under pullback (decided on index pullbacks), the full orthogonality square
-sweep, and both completeness directions (E is exactly the class
-left-orthogonal to M and dually).
+under pullback, the full orthogonality square sweep, and both completeness
+directions (E is exactly the class left-orthogonal to M and dually,
+searched over the members of the other class only).  Every orthogonality
+test goes through one dispatch, `_first_bad_square`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .core import (
@@ -20,11 +22,12 @@ from .core import (
     FiniteObject,
     Morphism,
     Report,
-    compose,
     compose_idx,
     componentwise,
     enumerate_morphisms,
+    image_parts,
     inclusion,
+    inclusion_table,
     is_injective,
     is_iso,
     is_surjective,
@@ -82,17 +85,20 @@ def down_arrow(e: Morphism, m: Morphism) -> bool:
     return _first_bad_square(e, m) is None
 
 
-def down_arrow_witness(e: Morphism, m: Morphism):
-    """down_arrow plus, on failure, the offending square (and diagonal count)."""
-    square = _first_bad_square(e, m)
+def down_arrow_witness(e: Morphism, m: Morphism, fills=None):
+    """down_arrow plus, on failure, the offending square (and diagonal count).
+    `fills`, when given, maps the source c of m to `_unmonotone_fills(e, c)`,
+    so that a caller can memoize it per e."""
+    square = _first_bad_square(e, m, fills)
     return square is None, square and _square_witness(e, m, *square)
 
 
-def _first_bad_square(e: Morphism, m: Morphism):
+def _first_bad_square(e: Morphism, m: Morphism, fills=None):
     """The first square of e against m without exactly one diagonal, as
     (u, v, diagonal count) with u and v index tables, or None."""
     if is_surjective(e) and is_injective(m):
-        return _first_unfilled_square(e, m, _unmonotone_fills(e, m.source))
+        return _first_unfilled_square(
+            e, m, _unmonotone_fills(e, m.source) if fills is None else fills(m.source))
     return _down_arrow_exhaustive(e, m)
 
 
@@ -194,12 +200,13 @@ def validate_system(sys: FactorizationSystem,
     """Brute-force every factorization-system law over the object pool.
 
     Each law is a generator of outcomes, one per instance: None when it
-    holds, the witness when it fails."""
+    holds, the witness when it fails.  Every law decides on index tables
+    and the cached homs of the pool; a label-level map is built only for a
+    witness."""
     homs = list(_all_homs(objects))
-    e_list = [f for f in homs if sys.in_e(f)]
-    m_list = [f for f in homs if sys.in_m(f)]
-    e_set = set(e_list)
-    m_set = set(m_list)
+    classes = [(f, sys.in_e(f), sys.in_m(f)) for f in homs]
+    e_list = [f for f, in_e, _ in classes if in_e]
+    m_list = [f for f, _, in_m in classes if in_m]
     by_target: dict[FiniteObject, list[Morphism]] = {}
     for f in homs:
         by_target.setdefault(f.target, []).append(f)
@@ -209,23 +216,31 @@ def validate_system(sys: FactorizationSystem,
         return (None if predicate(f) else {"morphism": serialize_morphism(f)}
                 for f in morphisms)
 
-    def closed_under_composition(pool, members):
+    def closed_under_composition(members, in_class):
+        """Per composable pair of members, `in_class` on the composite's
+        table."""
         by_source: dict[FiniteObject, list[Morphism]] = {}
-        for f in pool:
+        for f in members:
             by_source.setdefault(f.source, []).append(f)
-        for f in pool:
+        for f in members:
+            src_up = up_masks_or_none(f.source)
             for g in by_source.get(f.target, ()):
-                yield (None if compose(g, f) in members
+                yield (None if in_class(compose_idx(g, f), src_up, g.target.size,
+                                        up_masks_or_none(g.target))
                        else {"first": serialize_morphism(f),
                              "second": serialize_morphism(g)})
 
     def factorizations_valid():
+        """The e-part is the corestriction onto the image mask, with the
+        order the target induces there; the m-part its inclusion."""
         for f in homs:
-            fac = image_factorization(f)
-            yield (None if sys.in_e(fac.e_part) and sys.in_m(fac.m_part)
+            mask, cor = image_parts(f.idx)
+            pts, mid_up, n, up = inclusion_table(f.target, mask)
+            e_in = sys.e_table(cor, up_masks_or_none(f.source), len(pts), mid_up)
+            m_in = sys.m_table(pts, mid_up, n, up)
+            yield (None if e_in and m_in
                    else {"morphism": serialize_morphism(f),
-                         "e_part_in_e": sys.in_e(fac.e_part),
-                         "m_part_in_m": sys.in_m(fac.m_part)})
+                         "e_part_in_e": e_in, "m_part_in_m": m_in})
 
     def m_stable_under_pullback():
         """On index pullbacks; the label-level pullback is built only for
@@ -237,58 +252,38 @@ def validate_system(sys: FactorizationSystem,
                     "pulled_back": serialize_morphism(pullback(g, m).p1)})
 
     def orthogonality():
-        """Per pair as `down_arrow_witness`, with the fast path's fills
-        built once per e and source of m, not once per pair."""
-        injective = [is_injective(m) for m in m_list]
+        """Per pair by `down_arrow_witness`, its fills memoized per e."""
         for e in e_list:
-            surjective = is_surjective(e)
-            fills: dict[FiniteObject, list] = {}
-            for m, m_injective in zip(m_list, injective):
-                if not (surjective and m_injective):
-                    yield down_arrow_witness(e, m)[1]
-                    continue
-                if m.source not in fills:
-                    fills[m.source] = _unmonotone_fills(e, m.source)
-                square = _first_unfilled_square(e, m, fills[m.source])
-                yield square and _square_witness(e, m, *square)
+            fills = cache(partial(_unmonotone_fills, e))
+            for m in m_list:
+                yield down_arrow_witness(e, m, fills)[1]
 
-    # Completeness: anything outside E must fail orthogonality against some
-    # M-member, and dually.  The own factorization parts are tried first
-    # because they falsify immediately for the stock systems.
-    def e_complete():
-        for f in homs:
-            if f in e_set:
-                continue
-            found = any(not down_arrow(f, m)
-                        for m in [image_factorization(f).m_part] + m_list)
-            yield None if found else {
-                "morphism": serialize_morphism(f),
-                "reason": "left-orthogonal to all of M but not in E"}
-
-    def m_complete():
-        small_first = sorted(e_list, key=lambda e: (e.source.size, e.target.size))
-        for g in homs:
-            if g in m_set:
-                continue
-            found = any(not down_arrow(e, g)
-                        for e in [image_factorization(g).e_part] + small_first)
-            yield None if found else {
-                "morphism": serialize_morphism(g),
-                "reason": "right-orthogonal to all of E but not in M"}
+    def complete(outside, members, orthogonal, reason):
+        """Completeness: each map outside one class fails orthogonality
+        against some member of the other; only members are searched."""
+        for f in outside:
+            yield None if any(not orthogonal(f, g) for g in members) else {
+                "morphism": serialize_morphism(f), "reason": reason}
 
     return Report(f"factorization[{sys.name}]", (
         CheckResult.of("e_members_are_epi", each(e_list, is_surjective)),
         CheckResult.of("m_members_are_mono", each(m_list, is_injective)),
         CheckResult.of("isos_belong_to_both", each(
             [f for f in homs if is_iso(f)], lambda f: sys.in_e(f) and sys.in_m(f))),
-        CheckResult.of("e_cap_m_is_iso",
-                       each([f for f in e_list if f in m_set], is_iso)),
+        CheckResult.of("e_cap_m_is_iso", each(
+            [f for f, in_e, in_m in classes if in_e and in_m], is_iso)),
         CheckResult.of("e_closed_under_composition",
-                       closed_under_composition(e_list, e_set)),
+                       closed_under_composition(e_list, sys.e_table)),
         CheckResult.of("m_closed_under_composition",
-                       closed_under_composition(m_list, m_set)),
+                       closed_under_composition(m_list, sys.m_table)),
         CheckResult.of("factorizations_valid", factorizations_valid()),
         CheckResult.of("m_stable_under_pullback", m_stable_under_pullback()),
         CheckResult.of("orthogonality", orthogonality()),
-        CheckResult.of("e_complete", e_complete()),
-        CheckResult.of("m_complete", m_complete())))
+        CheckResult.of("e_complete", complete(
+            [f for f, in_e, _ in classes if not in_e], m_list, down_arrow,
+            "left-orthogonal to all of M but not in E")),
+        CheckResult.of("m_complete", complete(
+            [g for g, _, in_m in classes if not in_m],
+            sorted(e_list, key=lambda e: (e.source.size, e.target.size)),
+            lambda g, e: down_arrow(e, g),
+            "right-orthogonal to all of E but not in M"))))

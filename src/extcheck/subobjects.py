@@ -23,10 +23,8 @@ from .core import (
     compose,
     coproduct,
     inclusion,
-    points,
-    restrict_masks,
+    inclusion_table,
     split_coproduct,
-    up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
@@ -105,19 +103,11 @@ class SubobjectLattice:
         return iter(self.masks)
 
 
-def _inclusion_table(x: FiniteObject, mask: int) -> tuple:
-    """`table_of` the inclusion of the subset `mask` of x into x."""
-    idx = points(mask)
-    up = up_masks_or_none(x)
-    sub_up = None if up is None else restrict_masks(up, idx)
-    return idx, sub_up, x.size, up
-
-
 def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
     """Every subset of x whose canonical inclusion lies in M, decided on
     its table under `sys.m_table`."""
     masks = [m for m in range(1 << x.size)
-             if sys.m_table(*_inclusion_table(x, m))]
+             if sys.m_table(*inclusion_table(x, m))]
     masks.sort(key=lambda m: (m.bit_count(), x.labels_of(m)))
     return SubobjectLattice(x, tuple(masks))
 

@@ -45,6 +45,7 @@ from .core import (
     first_counterexample,
     identity,
     image_bits,
+    image_parts,
     initial,
     monotone_bijections,
     points,
@@ -428,9 +429,8 @@ def _gate_closed_sums(ctx: Context, family: ClosureFamily, bound: int, memo):
 
 # ---------------------------------------------------------------- checker C
 
-def _continuous_morphisms(ctx: Context, pool, cls_of, closed: bool = False):
-    """Every continuous morphism between pool objects; closed ones only
-    when `closed`."""
+def _continuous_morphisms(ctx: Context, pool, cls_of):
+    """Every continuous and closed morphism between pool objects."""
     out = []
     for src in pool:
         fs = cls_of(src)
@@ -438,7 +438,7 @@ def _continuous_morphisms(ctx: Context, pool, cls_of, closed: bool = False):
             ft = cls_of(tgt)
             for f in ctx.hom(src, tgt):
                 if (_continuous_fast(f.idx, fs, ft, src.size)
-                        and (not closed or _closed_fast(f.idx, fs, ft, src.size))):
+                        and _closed_fast(f.idx, fs, ft, src.size)):
                     out.append(f)
     return out
 
@@ -553,7 +553,7 @@ def _injections_closed_outcomes(ctx: Context, pool, cls_of):
 def _c_sides(ctx: Context, family: ClosureFamily, bound: int):
     pool = ctx.objects(bound)
     cls_of = cache(family.component)
-    closed = _continuous_morphisms(ctx, pool, cls_of, closed=True)
+    closed = _continuous_morphisms(ctx, pool, cls_of)
     return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, cls_of)),
             first_counterexample(_injections_closed_outcomes(ctx, pool, cls_of)))
 
@@ -620,15 +620,6 @@ def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
 # its left summand's points first, so the sum of two tables, masks or orders
 # is the left one followed by the right one shifted past it.
 
-def _image_parts(idx) -> tuple[int, tuple[int, ...]]:
-    """Image factorization of an index table: the image mask, and the
-    corestriction onto the image as a table into its points."""
-    mask = 0
-    for t in idx:
-        mask |= 1 << t
-    return mask, tuple((mask & ((1 << t) - 1)).bit_count() for t in idx)
-
-
 def _sum_table(left, right, shift: int) -> tuple[int, ...]:
     return left + tuple(t + shift for t in right)
 
@@ -665,7 +656,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     def pair_outcomes():
         parts = []
         for f, _, t in homs:
-            im, cor = _image_parts(f.idx)
+            im, cor = image_parts(f.idx)
             parts.append((f, t, im, cor, order_on(down[t], im)))
 
         @cache  # g's parts right of a summand with n target, k image points
@@ -678,7 +669,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             f_idx = f.idx
             sums = sum_down[tf]
             for g, g_idx, tg, im_g, cor_g, mid_g in as_right(f.target.size, len(mid_f)):
-                im, cor = _image_parts(f_idx + g_idx)
+                im, cor = image_parts(f_idx + g_idx)
                 yield (None if im == im_f | im_g and cor == cor_f + cor_g
                        and order_on(sums[tg], im) == mid_f + mid_g
                        else _maps_witness(f, g))
@@ -704,7 +695,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
         for f, _, _ in homs:
             for ma in ctx.sub_lattice(f.source):
                 comp = tuple(f.idx[p] for p in points(ma))
-                im, cor = _image_parts(comp)
+                im, cor = image_parts(comp)
                 pts = points(im)
                 yield (None if im == f.image_mask(ma)
                        and tuple(pts[c] for c in cor) == comp
@@ -716,7 +707,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
             inclusion, image, restriction, and the restriction's source and
             target orders."""
             comp = tuple(idx[p] for p in points(mask))
-            im, cor = _image_parts(comp)
+            im, cor = image_parts(comp)
             return comp, im, cor, order_on(src_down, mask), order_on(tgt_down, im)
 
         def summed(a, b, nt: int):

@@ -35,10 +35,12 @@ ROOT = Path(__file__).resolve().parent.parent
 THEOREMS = "src/extcheck/theorems.py"
 CLOSURE = "src/extcheck/closure.py"
 CONTEXTS = "src/extcheck/contexts.py"
+FACTORIZATION = "src/extcheck/factorization.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
 BLOCK_SUM = "tests/test_contexts.py::test_index_certificate_decides_comparison_over_any_cospan"
+VALIDATE = "tests/test_factorization.py::test_validate_system_matches_label_level_oracle"
 
 
 class Mutation(NamedTuple):
@@ -104,6 +106,16 @@ MUTATIONS = (
              ("tests/test_contexts.py::test_split_count_matches_enumeration[finpre-b3]",
               "tests/test_contexts.py::"
               "test_extensivity_laws_match_literal_pullbacks[finpre-b2]")),
+    Mutation("factorization: a map outside a class fails against a member",
+             FACTORIZATION,
+             "yield None if any(not orthogonal(f, g) for g in members) else {",
+             "yield None if True else {",
+             (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]")),
+    Mutation("factorization: composites of members are members", FACTORIZATION,
+             "yield (None if in_class(compose_idx(g, f), src_up, g.target.size,",
+             "yield (None if True or in_class(compose_idx(g, f), src_up, g.target.size,",
+             (f"{VALIDATE}[finpre-extra-m-not-closed-b2]",
+              f"{VALIDATE}[finpre-extra-e-not-closed-b2]")),
     Mutation("biproduct: lattices split as biproducts", THEOREMS,
              "yield None if bp.passed else _witness(",
              "yield None if True else _witness(",

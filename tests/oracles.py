@@ -18,8 +18,9 @@ pullback side with each injection pullback built as a `Morphism`, and
 pullbacks and the literal continuity and closedness sweeps.
 `down_arrow_witness` is orthogonality of one pair, its
 fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
-and `validate_system` is the factorization validator with M-stability
-decided on label-level pullbacks and orthogonality per pair.  `join_of` is
+and `validate_system` is the factorization validator with composites,
+image factorizations and M-stability decided on label-level maps, and
+orthogonality and completeness per pair.  `join_of` is
 the join of a sequence of elements of a `JoinSemilattice`, folded from its
 zero, and `SemilatticeHom` a hom that carries its endpoints, with literal
 `is_valid`, composite and join: the reference for the table homs.
@@ -432,13 +433,33 @@ def down_arrow_witness(e, m):
 
 
 def validate_system(sys, objects) -> Report:
-    """`factorization.validate_system`, with its M-stability law swept on
-    label-level pullbacks under `sys.in_m` and its orthogonality law per
-    (e, m) pair through this module's `down_arrow_witness`."""
+    """`factorization.validate_system`, with its composition, factorization,
+    M-stability, orthogonality and completeness laws swept label-level:
+    composites and image factorizations built as `Morphism`s and classified
+    by `sys.in_e`/`sys.in_m`, pullbacks built label-level, and every square
+    search per (e, m) pair through this module's `down_arrow_witness`, the
+    completeness laws against the members of the other class only."""
     report = factorization.validate_system(sys, objects)
     homs = [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
     e_list = [f for f in homs if sys.in_e(f)]
     m_list = [f for f in homs if sys.in_m(f)]
+
+    def closed_under_composition(members):
+        member_set = set(members)
+        for f in members:
+            for g in members:
+                if g.source == f.target:
+                    yield (None if compose(g, f) in member_set
+                           else {"first": serialize_morphism(f),
+                                 "second": serialize_morphism(g)})
+
+    def factorizations_valid():
+        for f in homs:
+            fac = image_factorization(f)
+            e_in, m_in = sys.in_e(fac.e_part), sys.in_m(fac.m_part)
+            yield (None if e_in and m_in
+                   else {"morphism": serialize_morphism(f),
+                         "e_part_in_e": e_in, "m_part_in_m": m_in})
 
     def m_stable_under_pullback():
         for m in m_list:
@@ -450,9 +471,27 @@ def validate_system(sys, objects) -> Report:
                        else {"m": serialize_morphism(m), "along": serialize_morphism(g),
                              "pulled_back": serialize_morphism(pb.p1)})
 
-    laws = {"m_stable_under_pullback": m_stable_under_pullback(),
-            "orthogonality": (down_arrow_witness(e, m)[1]
-                              for e in e_list for m in m_list)}
+    def complete(outside, others, orthogonal, reason):
+        for f in outside:
+            yield (None if any(not orthogonal(f, g)[0] for g in others)
+                   else {"morphism": serialize_morphism(f), "reason": reason})
+
+    small_first = sorted(e_list, key=lambda e: (e.source.size, e.target.size))
+    laws = {
+        "e_closed_under_composition": closed_under_composition(e_list),
+        "m_closed_under_composition": closed_under_composition(m_list),
+        "factorizations_valid": factorizations_valid(),
+        "m_stable_under_pullback": m_stable_under_pullback(),
+        "orthogonality": (down_arrow_witness(e, m)[1]
+                          for e in e_list for m in m_list),
+        "e_complete": complete(
+            [f for f in homs if not sys.in_e(f)], m_list, down_arrow_witness,
+            "left-orthogonal to all of M but not in E"),
+        "m_complete": complete(
+            [g for g in homs if not sys.in_m(g)], small_first,
+            lambda g, e: down_arrow_witness(e, g),
+            "right-orthogonal to all of E but not in M"),
+    }
     return Report(report.name, tuple(
         CheckResult.of(c.id, laws[c.id]) if c.id in laws else c
         for c in report.checks))

@@ -333,6 +333,24 @@ def test_monotone_bijections_and_find_iso():
     assert len(bijs) == 2
 
 
+def test_find_iso_builds_bijections_only_up_to_the_first_iso(monkeypatch):
+    # The search builds each bijection when it reaches it: of the six of a
+    # discrete 3-point object onto itself, the first, the identity, is an
+    # isomorphism, so it is the only map built.
+    x = discrete("a", "b", "c")
+    expected = identity(x)
+    built = []
+    real = Morphism.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Morphism, "__post_init__", counted)
+    assert find_iso(x, x) == expected
+    assert built == [expected]
+
+
 def test_restrict_induces_order():
     sub = CHAIN3.restrict(("c0", "c2"))
     assert sub.elements == ("c0", "c2")

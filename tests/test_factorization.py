@@ -13,6 +13,7 @@ from extcheck.contexts import (
     finpre_objects,
     finset_objects,
     split_mono_context,
+    surjections_injections,
     swapped_system_context,
 )
 from extcheck.core import (
@@ -22,9 +23,11 @@ from extcheck.core import (
     embedding_table,
     enumerate_morphisms,
     identity,
+    injective_table,
     make_preorder,
     pair_label,
     pullback,
+    surjective_table,
     table_of,
 )
 from extcheck.factorization import (
@@ -221,16 +224,63 @@ def _no_two_point_tables(base):
     return ctx
 
 
+def _with_system(base, system):
+    """The base context validated under another system."""
+    base.system = system
+    return base
+
+
+def _m_not_closed():
+    """M: the injective tables except a 1-point source into a 3-point
+    target, so that a member 1 -> 2 followed by a member 2 -> 3 is not."""
+    ctx = _finpre_extra()
+    return _with_system(ctx, FactorizationSystem(
+        "m-not-closed", ctx.system.e_table,
+        lambda idx, src_up, n, tgt_up: (
+            injective_table(idx, src_up, n, tgt_up) and (len(idx), n) != (1, 3))))
+
+
+def _e_not_closed():
+    """E: the surjective tables except a 3-point source onto a 1-point
+    target, so that a member 3 -> 2 followed by a member 2 -> 1 is not."""
+    ctx = _finpre_extra()
+    return _with_system(ctx, FactorizationSystem(
+        "e-not-closed",
+        lambda idx, src_up, n, tgt_up: (
+            surjective_table(idx, src_up, n, tgt_up) and (len(idx), n) != (3, 1)),
+        ctx.system.m_table))
+
+
 # case -> (context maker, bound)
 VALIDATE_CASES = {
     "finset-b3": (lambda: builtin("finset"), 3),
+    "finset-split-b1": (lambda: split_mono_context(builtin("finset")), 1),
     "finpre-b2": (lambda: builtin("finpre"), 2),
+    "finpre-split-b1": (lambda: split_mono_context(builtin("finpre")), 1),
+    "finpre-surj-inj-b2": (
+        lambda: _with_system(builtin("finpre"), surjections_injections()), 2),
     "finpre-extra-b2": (_finpre_extra, 2),
     "finpre-extra-swapped-b2": (lambda: swapped_system_context(_finpre_extra()), 2),
     "finpre-extra-crossed-b2": (lambda: crossed_coproduct_context(_finpre_extra()), 2),
     "finpre-extra-split-b2": (lambda: split_mono_context(_finpre_extra()), 2),
+    "finpre-extra-m-not-closed-b2": (_m_not_closed, 2),
+    "finpre-extra-e-not-closed-b2": (_e_not_closed, 2),
     "finpre-no-2-b2": (lambda: _no_two_point_sources(builtin("finpre")), 2),
     "finpre-no-2-tables-b2": (lambda: _no_two_point_tables(builtin("finpre")), 2),
+}
+
+# case -> the law it is there to fail
+FAILING_LAW = {
+    # The map 0 -> 1 is outside E and orthogonal to both members of M,
+    # the two identities.
+    "finset-split-b1": "e_complete",
+    "finpre-split-b1": "e_complete",
+    # The discrete 2-point object onto the Sierpinski space is in both.
+    "finpre-surj-inj-b2": "e_cap_m_is_iso",
+    "finpre-extra-m-not-closed-b2": "m_closed_under_composition",
+    "finpre-extra-e-not-closed-b2": "e_closed_under_composition",
+    "finpre-no-2-b2": "m_stable_under_pullback",
+    "finpre-no-2-tables-b2": "m_stable_under_pullback",
 }
 
 
@@ -241,8 +291,23 @@ def test_validate_system_matches_label_level_oracle(case):
     pool = ctx.objects(bound)
     report = validate_system(ctx.system, pool)
     assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
-    if case.startswith("finpre-no-2"):
-        assert report.check("m_stable_under_pullback").witness is not None
+    if case in FAILING_LAW:
+        assert not report.check(FAILING_LAW[case]).passed
+
+
+def test_passing_validation_builds_no_map_or_object(monkeypatch):
+    # Once the pool's homs are enumerated, every law decides on index
+    # tables: a passing run constructs no Morphism and no FiniteObject.
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    assert validate_system(ctx.system, pool).passed
+
+    def refuse(self):
+        raise AssertionError(f"validate_system built a {type(self).__name__}")
+
+    monkeypatch.setattr(Morphism, "__post_init__", refuse)
+    monkeypatch.setattr(FiniteObject, "__post_init__", refuse)
+    assert validate_system(ctx.system, pool).passed
 
 
 def _homs_up_to_3(name):

@@ -19,13 +19,13 @@ from extcheck.core import (
     compose,
     coproduct,
     inclusion,
+    inclusion_table,
     make_preorder,
     sum_morphisms,
     table_of,
 )
 from extcheck.factorization import FactorizationSystem
 from extcheck.subobjects import (
-    _inclusion_table,
     Subobject,
     check_adjunction_admissible,
     image,
@@ -230,7 +230,7 @@ def test_inclusion_table_is_the_label_level_inclusion(name):
     `table_of` the label-level inclusion with the induced order."""
     for x in builtin(name).objects(3):
         for m in range(1 << x.size):
-            assert _inclusion_table(x, m) == table_of(
+            assert inclusion_table(x, m) == table_of(
                 inclusion(x.restrict(x.labels_of(m)), x))
 
 

@@ -146,8 +146,8 @@ def test_checker_e_sweeps_every_pair_at_bound_3(finset, monkeypatch):
     n, (p, q) = next((n, pq) for n, pq in enumerate(pairs, 1)
                      if _sum_idx(*pq) == bad)
     assert n < len(pairs)
-    real = theorems._image_parts
-    monkeypatch.setattr(theorems, "_image_parts",
+    real = theorems.image_parts
+    monkeypatch.setattr(theorems, "image_parts",
                         lambda idx: (0, ()) if idx == bad else real(idx))
     v = run_checker("E", finset, None, 3, {})
     assert not v.passed
@@ -236,7 +236,7 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     pool = ctx.objects(bound)
     for fam in ctx.families:
         cls_of = cache(fam.component)
-        closed = theorems._continuous_morphisms(ctx, pool, cls_of, closed=True)
+        closed = theorems._continuous_morphisms(ctx, pool, cls_of)
         blocked = list(chain.from_iterable(
             repeat(None, o) if o.__class__ is int else (o,)
             for o in theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of)))
