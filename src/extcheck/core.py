@@ -217,12 +217,6 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return Morphism(f.source, g.target, tuple((k, g.table[v]) for (k, v) in f.mapping))
 
 
-def compose_idx(g: Morphism, f: Morphism) -> tuple[int, ...]:
-    """Index table of g after f, without building the Morphism."""
-    gi = g.idx
-    return tuple(gi[t] for t in f.idx)
-
-
 def up_masks_or_none(x: FiniteObject) -> tuple[int, ...] | None:
     return x.up_masks if x.has_order else None
 
@@ -416,9 +410,14 @@ def componentwise(pairs, rows_x, rows_y) -> tuple[int, ...]:
     row k has bit l set when row a_k of `rows_x` has bit a_l and row b_k
     of `rows_y` has bit b_l.  Up-masks in give up-masks out, down-masks
     give down-masks."""
-    return tuple(sum(1 << l for l, (a2, b2) in enumerate(pairs)
-                     if rows_x[a1] >> a2 & 1 and rows_y[b1] >> b2 & 1)
-                 for a1, b1 in pairs)
+    rows = []
+    for a1, b1 in pairs:
+        row_x, row_y, row = rows_x[a1], rows_y[b1], 0
+        for l, (a2, b2) in enumerate(pairs):
+            if row_x >> a2 & 1 and row_y >> b2 & 1:
+                row |= 1 << l
+        rows.append(row)
+    return tuple(rows)
 
 
 def _pair_object(x: FiniteObject, y: FiniteObject, pairs, name: str) -> Product:

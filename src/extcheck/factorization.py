@@ -7,32 +7,31 @@ a supplied object pool, each decided on index tables: class properness,
 composition closure, iso behaviour, factorization validity, stability of M
 under pullback, the full orthogonality square sweep, and both completeness
 directions (E is exactly the class left-orthogonal to M and dually,
-searched over the members of the other class only).  Every orthogonality
-test goes through one dispatch, `_first_bad_square`.
+searched over the members of the other class only).  It numbers the pool
+once (`_Pool`), and every orthogonality test, the label-level
+`down_arrow` included, goes through one square search,
+`_Pool.bad_square`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     CheckResult,
     FiniteObject,
     Morphism,
     Report,
-    compose_idx,
     componentwise,
     enumerate_morphisms,
     image_parts,
     inclusion,
-    inclusion_table,
-    is_injective,
-    is_iso,
-    is_surjective,
+    order_reflecting_table,
+    points,
     pullback,
-    pullback_pairs,
+    restrict_masks,
     serialize_morphism,
     table_of,
     up_masks_or_none,
@@ -80,26 +79,162 @@ def image_factorization(f: Morphism) -> Factorization:
     return Factorization(e, m)
 
 
+class _Map(NamedTuple):
+    """A map of a numbered pool: the `Morphism` (serialized only for a
+    witness), the ids of its source and target, its index table, and
+    whether it is surjective and injective."""
+
+    f: Morphism
+    s: int
+    t: int
+    idx: tuple[int, ...]
+    surj: bool
+    inj: bool
+
+
+class _Pool:
+    """The objects of a pool, each given an int id in pool order, the first
+    of equal objects winning.  Per id: its size, its up-masks (None
+    unordered) and the pairs (i, j), i != j, of its order (none unordered);
+    per pair of ids read so far, `hom[i, j]`, the index tables of its hom
+    set in enumeration order."""
+
+    def __init__(self, objects: Sequence[FiniteObject]):
+        ids: dict[FiniteObject, int] = {}
+        self.objects = objects
+        self.ids = [ids.setdefault(x, len(ids)) for x in objects]
+        self.size = [x.size for x in ids]
+        self.up = [up_masks_or_none(x) for x in ids]
+        self.order = [tuple(sorted((i, j) for i, j in x.order_idx if i != j))
+                      if x.has_order else () for x in ids]
+        self.hom: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def read(self, p: int, q: int) -> tuple[Morphism, ...]:
+        """The maps from the object at position p of the pool to the one
+        at q, by one `enumerate_morphisms` call; records their tables as
+        `hom` of the two ids."""
+        fs = enumerate_morphisms(self.objects[p], self.objects[q])
+        key = self.ids[p], self.ids[q]
+        if key not in self.hom:
+            self.hom[key] = [f.idx for f in fs]
+        return fs
+
+    def map(self, f: Morphism, p: int, q: int) -> _Map:
+        """f, from the object at position p to the one at q, numbered."""
+        idx = f.idx
+        image_size = len(set(idx))
+        t = self.ids[q]
+        return _Map(f, self.ids[p], t, idx, image_size == self.size[t],
+                    image_size == len(idx))
+
+    def reflects(self, m: _Map) -> bool:
+        """Whether m reflects the order of its source."""
+        return order_reflecting_table(m.idx, self.up[m.s], self.up[m.t])
+
+    def bad_square(self, e: _Map, m: _Map, reflects: bool, fills: dict):
+        """The first square v.e = m.u without exactly one diagonal, as (u,
+        v, diagonal count) with u and v index tables, or None.  `reflects`
+        says whether m reflects its source's order.
+
+        For e surjective against m injective, the only possible diagonal
+        of a square is the w with w.e = u, unique because e is epi, so a
+        square fails exactly when w is not monotone while m.w is.  When m
+        reflects, m.w is monotone exactly when w is, and no square fails.
+        Otherwise the first of e's fills out of m's source
+        (`_unmonotone_fills`, memoized in `fills` per source id) whose
+        bottom m.w is monotone is the first failing square.  Any other
+        pair is swept square by square."""
+        _, a, b, e_idx, e_surj, _ = e
+        _, c, d, m_idx, _, m_inj = m
+        if e_surj and m_inj:
+            if reflects:
+                return None
+            b_order = self.order[b]
+            cands = fills.get(c)
+            if cands is None:
+                cands = fills[c] = _unmonotone_fills(
+                    e_idx, self.size[b], b_order, self.up[c], self.hom[a, c])
+            return _first_unfilled_square(m_idx, b_order, self.up[d], cands)
+        return _exhaustive_square(e_idx, m_idx, self.hom[a, c], self.hom[b, d],
+                                  self.hom[b, c])
+
+
+def _unmonotone_fills(e_idx, nb: int, b_order, c_up, homs_ac) -> list:
+    """For e surjective onto an nb-point object whose order has the pairs
+    `b_order` (i != j): the pairs (u, w) of index tables, u in `homs_ac`
+    (into an object c with up-masks `c_up`) constant on the fibres of e
+    and w the map with w.e = u, whose w is not monotone, in enumeration
+    order.  They depend on e and c only, not on the m out of c."""
+    fills: list = []
+    if not b_order:
+        return fills
+    for u in homs_ac:
+        w: list = [None] * nb
+        for i, bi in enumerate(e_idx):
+            if w[bi] is None:
+                w[bi] = u[i]
+            elif w[bi] != u[i]:
+                break
+        else:
+            if not all(c_up[w[i]] >> w[j] & 1 for i, j in b_order):
+                fills.append((u, w))
+    return fills
+
+
+def _first_unfilled_square(m_idx, b_order, d_up, fills: list):
+    """The first of `fills` whose bottom m.w is monotone into the object
+    with up-masks `d_up`, as the square (u, m.w, 0), or None."""
+    for u, w in fills:
+        v = [m_idx[x] for x in w]
+        if all(d_up[v[i]] >> v[j] & 1 for i, j in b_order):
+            return u, v, 0
+    return None
+
+
+def _exhaustive_square(e_idx, m_idx, homs_ac, homs_bd, homs_bc):
+    """The literal sweep: per top u (in `homs_ac`), per bottom v (in
+    `homs_bd`) with v.e = m.u, the diagonals w (in `homs_bc`) with m.w = v
+    and w.e = u, counted up to two."""
+    if not homs_ac:
+        return None
+    bottoms = [(v, tuple(v[t] for t in e_idx)) for v in homs_bd]
+    for u in homs_ac:
+        mu = tuple(m_idx[t] for t in u)
+        for v, ve in bottoms:
+            if ve != mu:
+                continue
+            count = 0
+            for w in homs_bc:
+                if (tuple(m_idx[t] for t in w) == v
+                        and tuple(w[t] for t in e_idx) == u):
+                    count += 1
+                    if count > 1:
+                        break
+            if count != 1:
+                return u, v, count
+    return None
+
+
+def _first_bad_square(e: Morphism, m: Morphism):
+    """`_Pool.bad_square` of two label-level maps, on the pool of their
+    four endpoints."""
+    pool = _Pool((e.source, e.target, m.source, m.target))
+    for p, q in ((0, 2), (1, 3), (1, 2)):
+        pool.read(p, q)
+    m_map = pool.map(m, 2, 3)
+    return pool.bad_square(pool.map(e, 0, 1), m_map, pool.reflects(m_map), {})
+
+
 def down_arrow(e: Morphism, m: Morphism) -> bool:
     """Whether every commuting square v.e = m.u has exactly one diagonal."""
     return _first_bad_square(e, m) is None
 
 
-def down_arrow_witness(e: Morphism, m: Morphism, fills=None):
-    """down_arrow plus, on failure, the offending square (and diagonal count).
-    `fills`, when given, maps the source c of m to `_unmonotone_fills(e, c)`,
-    so that a caller can memoize it per e."""
-    square = _first_bad_square(e, m, fills)
+def down_arrow_witness(e: Morphism, m: Morphism):
+    """down_arrow plus, on failure, the offending square (and diagonal
+    count)."""
+    square = _first_bad_square(e, m)
     return square is None, square and _square_witness(e, m, *square)
-
-
-def _first_bad_square(e: Morphism, m: Morphism, fills=None):
-    """The first square of e against m without exactly one diagonal, as
-    (u, v, diagonal count) with u and v index tables, or None."""
-    if is_surjective(e) and is_injective(m):
-        return _first_unfilled_square(
-            e, m, _unmonotone_fills(e, m.source) if fills is None else fills(m.source))
-    return _down_arrow_exhaustive(e, m)
 
 
 def _square_witness(e, m, u_idx, v_idx, count):
@@ -113,86 +248,25 @@ def _square_witness(e, m, u_idx, v_idx, count):
     }
 
 
-def _unmonotone_fills(e: Morphism, c: FiniteObject) -> list:
-    """Fast path for e surjective against an injective m out of c.
-
-    A square v.e = m.u with top u exists iff u is constant on the fibres of
-    e and m.w is monotone for the induced w (w.e = u).  The only possible
-    diagonal is w, unique because e is epi, so the square fails exactly
-    when w is not monotone.  This lists the index tables (u, w) for every
-    u: e.source -> c constant on the fibres of e whose w is not monotone,
-    in enumeration order.  It depends on e and c only, not on m."""
-    b = e.target
-    if not (b.has_order and c.has_order):
-        return []
-    b_ord, c_up, e_idx = b.order_idx, c.up_masks, e.idx
-    fills = []
-    for u in enumerate_morphisms(e.source, c):
-        u_idx = u.idx
-        w_tab: list = [None] * b.size
-        for i, bi in enumerate(e_idx):
-            if w_tab[bi] is None:
-                w_tab[bi] = u_idx[i]
-            elif w_tab[bi] != u_idx[i]:
-                break
-        else:
-            if not all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord):
-                fills.append((u_idx, w_tab))
-    return fills
+def _fibres(idx, n: int) -> list[list[int]]:
+    """Per point of an n-point target, the source points the index table
+    `idx` sends there, ascending."""
+    fibres: list[list[int]] = [[] for _ in range(n)]
+    for b, t in enumerate(idx):
+        fibres[t].append(b)
+    return fibres
 
 
-def _first_unfilled_square(e: Morphism, m: Morphism, fills: list):
-    """The first of `fills` (`_unmonotone_fills(e, m.source)`) whose bottom
-    m.w is monotone, as the square (u, v, 0), or None: the first square of
-    e against m with no diagonal."""
-    if not fills:
-        return None
-    m_idx, b_ord, d_up = m.idx, e.target.order_idx, m.target.up_masks
-    for u_idx, w_tab in fills:
-        v_tab = [m_idx[ci] for ci in w_tab]
-        if all((d_up[v_tab[i]] >> v_tab[j]) & 1 for (i, j) in b_ord):
-            return u_idx, v_tab, 0
-    return None
-
-
-def _pullback_table(g: Morphism, m: Morphism) -> tuple:
-    """`table_of` the first projection of the pullback of g and m, on
-    `pullback_pairs` ordered `componentwise`: the same map as
-    `pullback(g, m).p1` up to the order of its source points."""
-    x, y = g.source, m.source
-    pairs = pullback_pairs(g.idx, m.idx)
-    up = (componentwise(pairs, x.up_masks, y.up_masks)
-          if x.has_order and y.has_order else None)
-    return tuple(a for a, _ in pairs), up, x.size, up_masks_or_none(x)
-
-
-def _down_arrow_exhaustive(e: Morphism, m: Morphism):
-    """`_first_bad_square` by the literal sweep over every square."""
-    a, b = e.source, e.target
-    c, d = m.source, m.target
-    homs_bc = enumerate_morphisms(b, c)
-    for u in enumerate_morphisms(a, c):
-        mu = compose_idx(m, u)
-        u_idx = u.idx
-        for v in enumerate_morphisms(b, d):
-            if compose_idx(v, e) != mu:
-                continue
-            v_idx = tuple(v.idx)
-            count = 0
-            for w in homs_bc:
-                if compose_idx(m, w) == v_idx and compose_idx(w, e) == u_idx:
-                    count += 1
-                    if count > 1:
-                        break
-            if count != 1:
-                return u_idx, v_idx, count
-    return None
-
-
-def _all_homs(objects: Sequence[FiniteObject]):
-    for x in objects:
-        for y in objects:
-            yield from enumerate_morphisms(x, y)
+def _pullback_table(g_idx, x_up, fibres, y_up) -> tuple:
+    """`table_of` the first projection of the pullback of g: x -> d (index
+    table `g_idx`, source up-masks `x_up`) and m: y -> d (`_fibres` of m,
+    source up-masks `y_up`): on the points (a, b) with g(a) = m(b),
+    a-major, then b ascending, as `core.pullback_pairs` lists them, ordered
+    `componentwise`.  The same map as `pullback(g, m).p1` up to the order
+    of its source points."""
+    pairs = [(a, b) for a, t in enumerate(g_idx) for b in fibres[t]]
+    up = None if x_up is None else componentwise(pairs, x_up, y_up)
+    return tuple(a for a, _ in pairs), up, len(g_idx), x_up
 
 
 def validate_system(sys: FactorizationSystem,
@@ -200,78 +274,113 @@ def validate_system(sys: FactorizationSystem,
     """Brute-force every factorization-system law over the object pool.
 
     Each law is a generator of outcomes, one per instance: None when it
-    holds, the witness when it fails.  Every law decides on index tables
-    and the cached homs of the pool; a label-level map is built only for a
-    witness."""
-    homs = list(_all_homs(objects))
-    classes = [(f, sys.in_e(f), sys.in_m(f)) for f in homs]
-    e_list = [f for f, in_e, _ in classes if in_e]
-    m_list = [f for f, _, in_m in classes if in_m]
-    by_target: dict[FiniteObject, list[Morphism]] = {}
-    for f in homs:
-        by_target.setdefault(f.target, []).append(f)
+    holds, the witness when it fails.  The pool is numbered once and each
+    of its hom sets read once; every law decides on ids and index tables,
+    and a label-level map is built only for a witness."""
+    pool = _Pool(objects)
+    size, up, order = pool.size, pool.up, pool.order
+    maps = [pool.map(f, p, q) for p in range(len(objects))
+            for q in range(len(objects)) for f in pool.read(p, q)]
+    classes = [(g, sys.e_table(g.idx, up[g.s], size[g.t], up[g.t]),
+                sys.m_table(g.idx, up[g.s], size[g.t], up[g.t])) for g in maps]
+    e_list = [g for g, in_e, _ in classes if in_e]
+    m_list = [g for g, _, in_m in classes if in_m]
+    by_target: dict[int, list[_Map]] = defaultdict(list)
+    for g in maps:
+        by_target[g.t].append(g)
 
-    def each(morphisms, predicate):
-        """Per morphism: None if it satisfies `predicate`, else the morphism."""
-        return (None if predicate(f) else {"morphism": serialize_morphism(f)}
-                for f in morphisms)
+    def is_iso(g: _Map) -> bool:
+        # A monotone bijection reflects the order as soon as the two orders
+        # have the same number of pairs.
+        return g.surj and g.inj and len(order[g.s]) == len(order[g.t])
+
+    def each(members, holds):
+        """Per map: None if `holds` of it, else the map."""
+        return (None if holds(g) else {"morphism": serialize_morphism(g.f)}
+                for g in members)
 
     def closed_under_composition(members, in_class):
         """Per composable pair of members, `in_class` on the composite's
         table."""
-        by_source: dict[FiniteObject, list[Morphism]] = {}
+        by_source: dict[int, list[_Map]] = defaultdict(list)
+        for g in members:
+            by_source[g.s].append(g)
         for f in members:
-            by_source.setdefault(f.source, []).append(f)
-        for f in members:
-            src_up = up_masks_or_none(f.source)
-            for g in by_source.get(f.target, ()):
-                yield (None if in_class(compose_idx(g, f), src_up, g.target.size,
-                                        up_masks_or_none(g.target))
-                       else {"first": serialize_morphism(f),
-                             "second": serialize_morphism(g)})
+            f_idx, src_up = f.idx, up[f.s]
+            for g in by_source.get(f.t, ()):
+                g_idx = g.idx
+                yield (None if in_class(tuple(g_idx[t] for t in f_idx), src_up,
+                                        size[g.t], up[g.t])
+                       else {"first": serialize_morphism(f.f),
+                             "second": serialize_morphism(g.f)})
 
     def factorizations_valid():
         """The e-part is the corestriction onto the image mask, with the
         order the target induces there; the m-part its inclusion."""
-        for f in homs:
-            mask, cor = image_parts(f.idx)
-            pts, mid_up, n, up = inclusion_table(f.target, mask)
-            e_in = sys.e_table(cor, up_masks_or_none(f.source), len(pts), mid_up)
-            m_in = sys.m_table(pts, mid_up, n, up)
+        for g in maps:
+            mask, cor = image_parts(g.idx)
+            pts, t_up = points(mask), up[g.t]
+            mid_up = None if t_up is None else restrict_masks(t_up, pts)
+            e_in = sys.e_table(cor, up[g.s], len(pts), mid_up)
+            m_in = sys.m_table(pts, mid_up, size[g.t], t_up)
             yield (None if e_in and m_in
-                   else {"morphism": serialize_morphism(f),
+                   else {"morphism": serialize_morphism(g.f),
                          "e_part_in_e": e_in, "m_part_in_m": m_in})
 
     def m_stable_under_pullback():
-        """On index pullbacks; the label-level pullback is built only for
-        a witness."""
+        """On index pullbacks, from m's fibres, computed once per m; the
+        label-level pullback is built only for a witness."""
         for m in m_list:
-            for g in by_target.get(m.target, ()):
-                yield (None if sys.m_table(*_pullback_table(g, m)) else {
-                    "m": serialize_morphism(m), "along": serialize_morphism(g),
-                    "pulled_back": serialize_morphism(pullback(g, m).p1)})
+            fibres, m_up = _fibres(m.idx, size[m.t]), up[m.s]
+            for g in by_target[m.t]:
+                table = _pullback_table(g.idx, up[g.s], fibres, m_up)
+                yield (None if sys.m_table(*table)
+                       else {"m": serialize_morphism(m.f),
+                             "along": serialize_morphism(g.f),
+                             "pulled_back": serialize_morphism(pullback(g.f, m.f).p1)})
+
+    # Whether each member of M reflects its source's order, decided once.
+    m_reflects = [(m, pool.reflects(m)) for m in m_list]
 
     def orthogonality():
-        """Per pair by `down_arrow_witness`, its fills memoized per e."""
+        """Per pair, e's fills memoized per source id of m."""
         for e in e_list:
-            fills = cache(partial(_unmonotone_fills, e))
-            for m in m_list:
-                yield down_arrow_witness(e, m, fills)[1]
+            fills: dict = {}
+            for m, reflects in m_reflects:
+                square = pool.bad_square(e, m, reflects, fills)
+                yield square and _square_witness(e.f, m.f, *square)
 
-    def complete(outside, members, orthogonal, reason):
-        """Completeness: each map outside one class fails orthogonality
-        against some member of the other; only members are searched."""
-        for f in outside:
-            yield None if any(not orthogonal(f, g) for g in members) else {
-                "morphism": serialize_morphism(f), "reason": reason}
+    def outside(g, reason):
+        return {"morphism": serialize_morphism(g.f), "reason": reason}
+
+    def e_complete():
+        """Each map outside E fails orthogonality against some member of M;
+        only members are searched."""
+        for f in (g for g, in_e, _ in classes if not in_e):
+            fills: dict = {}
+            yield None if any(pool.bad_square(f, m, reflects, fills)
+                              for m, reflects in m_reflects) else outside(
+                f, "left-orthogonal to all of M but not in E")
+
+    def m_complete():
+        """Dually, against the members of E, smallest first; each member's
+        fills memoized per source id across the maps."""
+        small_first = sorted(e_list, key=lambda e: (size[e.s], size[e.t]))
+        fills: dict = defaultdict(dict)
+        for g in (g for g, _, in_m in classes if not in_m):
+            reflects = pool.reflects(g)
+            yield None if any(pool.bad_square(e, g, reflects, fills[k])
+                              for k, e in enumerate(small_first)) else outside(
+                g, "right-orthogonal to all of E but not in M")
 
     return Report(f"factorization[{sys.name}]", (
-        CheckResult.of("e_members_are_epi", each(e_list, is_surjective)),
-        CheckResult.of("m_members_are_mono", each(m_list, is_injective)),
-        CheckResult.of("isos_belong_to_both", each(
-            [f for f in homs if is_iso(f)], lambda f: sys.in_e(f) and sys.in_m(f))),
+        CheckResult.of("e_members_are_epi", each(e_list, lambda g: g.surj)),
+        CheckResult.of("m_members_are_mono", each(m_list, lambda g: g.inj)),
+        CheckResult.of("isos_belong_to_both", (
+            None if in_e and in_m else {"morphism": serialize_morphism(g.f)}
+            for g, in_e, in_m in classes if is_iso(g))),
         CheckResult.of("e_cap_m_is_iso", each(
-            [f for f, in_e, in_m in classes if in_e and in_m], is_iso)),
+            [g for g, in_e, in_m in classes if in_e and in_m], is_iso)),
         CheckResult.of("e_closed_under_composition",
                        closed_under_composition(e_list, sys.e_table)),
         CheckResult.of("m_closed_under_composition",
@@ -279,11 +388,5 @@ def validate_system(sys: FactorizationSystem,
         CheckResult.of("factorizations_valid", factorizations_valid()),
         CheckResult.of("m_stable_under_pullback", m_stable_under_pullback()),
         CheckResult.of("orthogonality", orthogonality()),
-        CheckResult.of("e_complete", complete(
-            [f for f, in_e, _ in classes if not in_e], m_list, down_arrow,
-            "left-orthogonal to all of M but not in E")),
-        CheckResult.of("m_complete", complete(
-            [g for g, _, in_m in classes if not in_m],
-            sorted(e_list, key=lambda e: (e.source.size, e.target.size)),
-            lambda g, e: down_arrow(e, g),
-            "right-orthogonal to all of E but not in M"))))
+        CheckResult.of("e_complete", e_complete()),
+        CheckResult.of("m_complete", m_complete())))

@@ -106,16 +106,25 @@ MUTATIONS = (
              ("tests/test_contexts.py::test_split_count_matches_enumeration[finpre-b3]",
               "tests/test_contexts.py::"
               "test_extensivity_laws_match_literal_pullbacks[finpre-b2]")),
-    Mutation("factorization: a map outside a class fails against a member",
+    Mutation("factorization: a map outside E fails against a member of M",
              FACTORIZATION,
-             "yield None if any(not orthogonal(f, g) for g in members) else {",
-             "yield None if True else {",
+             "yield None if any(pool.bad_square(f, m, reflects, fills)",
+             "yield None if True or any(pool.bad_square(f, m, reflects, fills)",
              (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]")),
     Mutation("factorization: composites of members are members", FACTORIZATION,
-             "yield (None if in_class(compose_idx(g, f), src_up, g.target.size,",
-             "yield (None if True or in_class(compose_idx(g, f), src_up, g.target.size,",
+             "yield (None if in_class(tuple(g_idx[t] for t in f_idx), src_up,",
+             "yield (None if True or in_class(tuple(g_idx[t] for t in f_idx), src_up,",
              (f"{VALIDATE}[finpre-extra-m-not-closed-b2]",
               f"{VALIDATE}[finpre-extra-e-not-closed-b2]")),
+    Mutation("factorization: an order-reflecting member of M settles its squares",
+             FACTORIZATION,
+             "return order_reflecting_table(m.idx, self.up[m.s], self.up[m.t])",
+             "return True",
+             (f"{VALIDATE}[finpre-surj-inj-b2]",)),
+    Mutation("factorization: M is stable under pullback", FACTORIZATION,
+             "yield (None if sys.m_table(*table)",
+             "yield (None if True",
+             (f"{VALIDATE}[finpre-no-2-b2]",)),
     Mutation("biproduct: lattices split as biproducts", THEOREMS,
              "yield None if bp.passed else _witness(",
              "yield None if True else _witness(",

@@ -17,7 +17,9 @@ pullback side with each injection pullback built as a `Morphism`, and
 `proper_literal` is the proper test as its definition reads, on label-level
 pullbacks and the literal continuity and closedness sweeps.
 `down_arrow_witness` is orthogonality of one pair, its
-fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone,
+fast path (`down_arrow_fiberwise`) sweeping the tops u of that pair alone
+and its other pairs every square of label-level composites
+(`exhaustive_square`),
 and `validate_system` is the factorization validator with composites,
 image factorizations and M-stability decided on label-level maps, and
 orthogonality and completeness per pair.  `join_of` is
@@ -56,11 +58,7 @@ from extcheck.closure import (
     is_closed_morphism,
     is_continuous,
 )
-from extcheck.factorization import (
-    _down_arrow_exhaustive,
-    _square_witness,
-    image_factorization,
-)
+from extcheck.factorization import image_factorization
 from extcheck.subobjects import (
     Subobject,
     image,
@@ -388,6 +386,13 @@ def injection_pullback_side(ctx, family, bound: int):
     return ok, values and describe(*values), n
 
 
+def _square(e, m, u, v, count):
+    """The witness of a failing square, from the label tables of its top
+    u and bottom v."""
+    return {"e": serialize_morphism(e), "m": serialize_morphism(m),
+            "square_u": u, "square_v": v, "diagonals": count}
+
+
 def down_arrow_fiberwise(e, m):
     """Orthogonality of e surjective against m injective, per pair: a
     square with top u exists iff u is constant on the fibres of e and the
@@ -419,17 +424,39 @@ def down_arrow_fiberwise(e, m):
                 continue
             w_monotone = all((c_up[w_tab[i]] >> w_tab[j]) & 1 for (i, j) in b_ord)
             if not w_monotone:
-                return False, _square_witness(e, m, u_idx, v_tab, 0)
+                v = {k: d.elements[t] for k, t in zip(b.elements, v_tab)}
+                return False, _square(e, m, u.table, v, 0)
     return True, None
+
+
+def exhaustive_square(e, m):
+    """The literal square sweep on label-level composites: per top u and
+    bottom v with v.e = m.u, the diagonals w with m.w = v and w.e = u.  The
+    first square without exactly one, as (u, v, count) with the count cut
+    at two, or None."""
+    bottoms = [(v, compose(v, e)) for v in enumerate_morphisms(e.target, m.target)]
+    diagonals = [(compose(m, w), compose(w, e))
+                 for w in enumerate_morphisms(e.target, m.source)]
+    for u in enumerate_morphisms(e.source, m.source):
+        mu = compose(m, u)
+        for v, ve in bottoms:
+            if ve == mu:
+                count = diagonals.count((v, u))
+                if count != 1:
+                    return u, v, min(count, 2)
+    return None
 
 
 def down_arrow_witness(e, m):
     """Orthogonality of one pair: `down_arrow_fiberwise` for e surjective
-    against m injective, else the literal sweep over every square."""
+    against m injective, else `exhaustive_square`."""
     if surjective(e) and injective(m):
         return down_arrow_fiberwise(e, m)
-    square = _down_arrow_exhaustive(e, m)
-    return square is None, square and _square_witness(e, m, *square)
+    square = exhaustive_square(e, m)
+    if square is None:
+        return True, None
+    u, v, count = square
+    return False, _square(e, m, u.table, v.table, count)
 
 
 def validate_system(sys, objects) -> Report:
