@@ -38,9 +38,12 @@ from .core import (
     is_injective,
     is_iso,
     is_isomorphic,
+    order_reflecting_table,
+    pair_label,
     points,
     product,
     pullback,
+    pullback_object,
     restrict_masks,
     serialize_morphism,
     serialize_object,
@@ -270,6 +273,66 @@ def _pullback_stability_literal(ctx: Context, cp: Coproduct, f: Morphism):
                   "comparison": serialize_morphism(comparison)})
 
 
+def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
+    """Per map f: z -> x + y, in `ctx.hom` order, the outcome of
+    `_pullback_stability_literal`, decided on index tables (the legs of
+    every context's coproduct land in its object).  The pullback of f along
+    a leg is the object on the pairs (a, b) with f(a) = leg(b), which
+    depend on f only through the leg's fibre over each f(a); it is built
+    once per such key, as the object `pullback(f, leg).ob` is, name
+    included, since the middle sum comes from the context's coproduct.
+    The instance holds when the middle sum's points are exactly the tagged
+    labels of the two pullbacks (each block in label order, as "L:" sorts
+    before "R:"), and, over them, the comparison (a tagged (a, b) to a) is
+    monotone, bijective and order-reflecting and the into-sum table (to
+    leg(b)) is monotone and equals f after the comparison.  A failing f is
+    re-run label-level, which builds its witness."""
+    sum_ob = cp.ob
+    z_up, sum_up = up_masks_or_none(z), up_masks_or_none(sum_ob)
+    everything = list(range(z.size))
+    legs = []
+    for tag, leg in ((LEFT_TAG, cp.inl), (RIGHT_TAG, cp.inr)):
+        fibres = [0] * sum_ob.size
+        for b, t in enumerate(leg.idx):
+            fibres[t] |= 1 << b
+        legs.append((tag, leg.source, leg.idx, fibres, {}))
+
+    def along(tag, src, leg_idx, fibres, built, f_idx):
+        """The pullback along one leg: its object, its tagged labels, and
+        per point, in label order, a and leg(b)."""
+        key = tuple(map(fibres.__getitem__, f_idx))
+        part = built.get(key)
+        if part is None:
+            pairs = [(a, b) for a, mask in enumerate(key) for b in points(mask)]
+            ob = pullback_object(z, src, pairs)
+            at = {pair_label(z.elements[a], src.elements[b]): (a, leg_idx[b])
+                  for a, b in pairs}
+            over = [at[label] for label in ob.elements]
+            part = built[key] = (ob, tuple(tag + label for label in ob.elements),
+                                 [a for a, _ in over], [t for _, t in over])
+        return part
+
+    def monotone(table, mid_up, tgt_up) -> bool:
+        return mid_up is None or tgt_up is None or all(
+            not image_bits(row, table) & ~tgt_up[table[i]]
+            for i, row in enumerate(mid_up))
+
+    for f in ctx.hom(z, sum_ob):
+        f_idx = f.idx
+        ob_l, tags_l, comp_l, into_l = along(*legs[0], f_idx)
+        ob_r, tags_r, comp_r, into_r = along(*legs[1], f_idx)
+        mid = ctx.coproduct(ob_l, ob_r).ob
+        mid_up = up_masks_or_none(mid)
+        comparison, into_sum = comp_l + comp_r, into_l + into_r
+        holds = (mid.elements == tags_l + tags_r
+                 and sorted(comparison) == everything
+                 and monotone(comparison, mid_up, z_up)
+                 and order_reflecting_table(comparison, mid_up, z_up)
+                 and monotone(into_sum, mid_up, sum_up)
+                 and all(f_idx[a] == t for a, t in zip(comparison, into_sum)))
+        yield None if holds else _pullback_stability_literal(ctx, cp, f)
+
+
 def _is_block_sum(cp: Coproduct) -> bool:
     """Whether the two legs of `cp` cover each point of the sum exactly once
     and, ordered, the sum's up-mask at leg[b] is the image of the summand's
@@ -318,8 +381,9 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
     one run of |hom(z, x + y)| instances, counted without enumerating them:
     a map into the block sum is a clopen split P of z with one map
     z|P -> x and one z|P^c -> y (`_sum_hom_count`).  A sum that fails
-    either guard (the crossed mutant's) runs the literal label-level
-    construction per f, which also builds the witness.  Coproduct
+    either guard (the crossed mutant's) decides each f on index tables
+    (`_pullback_stability_tables`), and runs the literal label-level
+    construction only for a failing f, which builds the witness.  Coproduct
     disjointness compares the image masks of the two injections.  Each
     swept law is a generator of outcomes: None when one instance holds, an
     `int` k for a run of k that hold, the witness when one fails.
@@ -366,8 +430,7 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
                     yield _sum_hom_count(z, x, y)
             else:
                 for z in pool:
-                    for f in ctx.hom(z, cp.ob):
-                        yield _pullback_stability_literal(ctx, cp, f)
+                    yield from _pullback_stability_tables(ctx, cp, z)
 
     def distributivity_two_by_x():
         two = ctx.coproduct(one, one)

@@ -420,15 +420,23 @@ def componentwise(pairs, rows_x, rows_y) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _pair_object(x: FiniteObject, y: FiniteObject, pairs, name: str) -> Product:
-    """The object on the index pairs `pairs` of x and y, labelled "(a,b)"
-    and ordered componentwise, with its two projections."""
+def _pair_carrier(x: FiniteObject, y: FiniteObject,
+                  pairs) -> tuple[list[str], frozenset | None]:
+    """The labels "(a,b)" of the index pairs `pairs` of x and y, in pair
+    order, and their componentwise order (None unless both are ordered)."""
     labels = [pair_label(x.elements[a], y.elements[b]) for a, b in pairs]
     order = None
     if x.has_order and y.has_order:
         up = componentwise(pairs, x.up_masks, y.up_masks)
         order = frozenset((labels[k], labels[l]) for k, row in enumerate(up)
                           for l in points(row))
+    return labels, order
+
+
+def _pair_object(x: FiniteObject, y: FiniteObject, pairs, name: str) -> Product:
+    """The object on the index pairs `pairs` of x and y, labelled "(a,b)"
+    and ordered componentwise, with its two projections."""
+    labels, order = _pair_carrier(x, y, pairs)
     ob = FiniteObject(tuple(labels), order, name=name)
     p1 = Morphism(ob, x, tuple(zip(labels, (x.elements[a] for a, _ in pairs))))
     p2 = Morphism(ob, y, tuple(zip(labels, (y.elements[b] for _, b in pairs))))
@@ -449,6 +457,13 @@ def pullback(f: Morphism, g: Morphism) -> Product:
         raise ValueError("cospan legs must share their target")
     return _pair_object(f.source, g.source, pullback_pairs(f.idx, g.idx),
                         f"pb({f.source.label},{g.source.label})")
+
+
+def pullback_object(x: FiniteObject, y: FiniteObject, pairs) -> FiniteObject:
+    """`pullback(f, g).ob` for f out of x and g out of y, from its index
+    pairs (`pullback_pairs(f.idx, g.idx)`), with no map built."""
+    labels, order = _pair_carrier(x, y, pairs)
+    return FiniteObject(tuple(labels), order, name=f"pb({x.label},{y.label})")
 
 
 def equalizer(f: Morphism, g: Morphism) -> Morphism:

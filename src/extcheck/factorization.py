@@ -8,9 +8,13 @@ composition closure, iso behaviour, factorization validity, stability of M
 under pullback, the full orthogonality square sweep, and both completeness
 directions (E is exactly the class left-orthogonal to M and dually,
 searched over the members of the other class only).  It numbers the pool
-once (`_Pool`), and every orthogonality test, the label-level
+once (`_Pool`).  Stability of M is decided once per pullback key (the two
+source ids and m's fibre over each point's image), since the pullback's
+table depends on nothing else.  Every orthogonality test, the label-level
 `down_arrow` included, goes through one square search,
-`_Pool.bad_square`.
+`_Pool.bad_square`, whose literal sweep is a join on hom tables grouped
+by their composite with e (`_by_precomposite`), built once per e and end
+of m.
 """
 
 from __future__ import annotations
@@ -131,32 +135,43 @@ class _Pool:
         """Whether m reflects the order of its source."""
         return order_reflecting_table(m.idx, self.up[m.s], self.up[m.t])
 
-    def bad_square(self, e: _Map, m: _Map, reflects: bool, fills: dict):
+    def bad_square(self, e: _Map, m: _Map, reflects: bool, per_e: dict):
         """The first square v.e = m.u without exactly one diagonal, as (u,
         v, diagonal count) with u and v index tables, or None.  `reflects`
-        says whether m reflects its source's order.
+        says whether m reflects its source's order; `per_e` memoizes what
+        depends on e and one end of m only, across the m of one e.
 
         For e surjective against m injective, the only possible diagonal
         of a square is the w with w.e = u, unique because e is epi, so a
         square fails exactly when w is not monotone while m.w is.  When m
         reflects, m.w is monotone exactly when w is, and no square fails.
         Otherwise the first of e's fills out of m's source
-        (`_unmonotone_fills`, memoized in `fills` per source id) whose
-        bottom m.w is monotone is the first failing square.  Any other
-        pair is swept square by square."""
+        (`_unmonotone_fills`, per source id) whose bottom m.w is monotone
+        is the first failing square.  Any other pair is swept as a join
+        (`_exhaustive_square`), on the bottoms grouped by v.e per target id
+        of m and the diagonals grouped by w.e per source id."""
         _, a, b, e_idx, e_surj, _ = e
         _, c, d, m_idx, _, m_inj = m
         if e_surj and m_inj:
             if reflects:
                 return None
             b_order = self.order[b]
-            cands = fills.get(c)
+            cands = per_e.get(("fills", c))
             if cands is None:
-                cands = fills[c] = _unmonotone_fills(
+                cands = per_e["fills", c] = _unmonotone_fills(
                     e_idx, self.size[b], b_order, self.up[c], self.hom[a, c])
             return _first_unfilled_square(m_idx, b_order, self.up[d], cands)
-        return _exhaustive_square(e_idx, m_idx, self.hom[a, c], self.hom[b, d],
-                                  self.hom[b, c])
+        tops = self.hom[a, c]
+        if not tops:
+            return None
+        bottoms = per_e.get(("bottoms", d))
+        if bottoms is None:
+            bottoms = per_e["bottoms", d] = _by_precomposite(e_idx, self.hom[b, d])
+        diagonals = per_e.get(("diagonals", c))
+        if diagonals is None:
+            diagonals = per_e["diagonals", c] = _by_precomposite(
+                e_idx, self.hom[b, c])
+        return _exhaustive_square(m_idx, tops, bottoms, diagonals)
 
 
 def _unmonotone_fills(e_idx, nb: int, b_order, c_up, homs_ac) -> list:
@@ -191,25 +206,28 @@ def _first_unfilled_square(m_idx, b_order, d_up, fills: list):
     return None
 
 
-def _exhaustive_square(e_idx, m_idx, homs_ac, homs_bd, homs_bc):
-    """The literal sweep: per top u (in `homs_ac`), per bottom v (in
-    `homs_bd`) with v.e = m.u, the diagonals w (in `homs_bc`) with m.w = v
-    and w.e = u, counted up to two."""
-    if not homs_ac:
-        return None
-    bottoms = [(v, tuple(v[t] for t in e_idx)) for v in homs_bd]
-    for u in homs_ac:
-        mu = tuple(m_idx[t] for t in u)
-        for v, ve in bottoms:
-            if ve != mu:
-                continue
-            count = 0
-            for w in homs_bc:
-                if (tuple(m_idx[t] for t in w) == v
-                        and tuple(w[t] for t in e_idx) == u):
-                    count += 1
-                    if count > 1:
-                        break
+def _by_precomposite(e_idx, homs) -> dict:
+    """The index tables of `homs` grouped by their composite with e (index
+    table `e_idx`), each group in enumeration order."""
+    groups: dict = {}
+    for h in homs:
+        groups.setdefault(tuple([h[t] for t in e_idx]), []).append(h)
+    return groups
+
+
+def _exhaustive_square(m_idx, tops, bottoms, diagonals):
+    """The literal sweep as a join: per top u (in `tops`, hom(a, c) in
+    enumeration order), per bottom v with v.e = m.u (the group of m.u in
+    `bottoms`, hom(b, d) by `_by_precomposite`), the diagonals w with m.w
+    = v among those with w.e = u (the group of u in `diagonals`, hom(b, c)
+    by `_by_precomposite`), counted up to two."""
+    for u in tops:
+        vs = bottoms.get(tuple([m_idx[t] for t in u]))
+        if vs is None:
+            continue
+        mws = [tuple([m_idx[t] for t in w]) for w in diagonals.get(u, ())]
+        for v in vs:
+            count = min(mws.count(v), 2)
             if count != 1:
                 return u, v, count
     return None
@@ -328,13 +346,22 @@ def validate_system(sys: FactorizationSystem,
                          "e_part_in_e": e_in, "m_part_in_m": m_in})
 
     def m_stable_under_pullback():
-        """On index pullbacks, from m's fibres, computed once per m; the
-        label-level pullback is built only for a witness."""
+        """On index pullbacks.  The table of g's pullback along m depends on
+        g's source, m's source and, per point a of g's source, the fibre of
+        m over g(a) only, so it is decided once per such key, on ids and
+        fibre masks; the label-level pullback is built only for a
+        witness."""
+        decided: dict[tuple, bool] = {}
         for m in m_list:
             fibres, m_up = _fibres(m.idx, size[m.t]), up[m.s]
+            masks = [sum(1 << b for b in fibre) for fibre in fibres]
             for g in by_target[m.t]:
-                table = _pullback_table(g.idx, up[g.s], fibres, m_up)
-                yield (None if sys.m_table(*table)
+                key = g.s, m.s, *map(masks.__getitem__, g.idx)
+                holds = decided.get(key)
+                if holds is None:
+                    holds = decided[key] = sys.m_table(
+                        *_pullback_table(g.idx, up[g.s], fibres, m_up))
+                yield (None if holds
                        else {"m": serialize_morphism(m.f),
                              "along": serialize_morphism(g.f),
                              "pulled_back": serialize_morphism(pullback(g.f, m.f).p1)})
@@ -343,11 +370,11 @@ def validate_system(sys: FactorizationSystem,
     m_reflects = [(m, pool.reflects(m)) for m in m_list]
 
     def orthogonality():
-        """Per pair, e's fills memoized per source id of m."""
+        """Per pair, what depends on e and one end of m memoized per e."""
         for e in e_list:
-            fills: dict = {}
+            per_e: dict = {}
             for m, reflects in m_reflects:
-                square = pool.bad_square(e, m, reflects, fills)
+                square = pool.bad_square(e, m, reflects, per_e)
                 yield square and _square_witness(e.f, m.f, *square)
 
     def outside(g, reason):
@@ -357,19 +384,19 @@ def validate_system(sys: FactorizationSystem,
         """Each map outside E fails orthogonality against some member of M;
         only members are searched."""
         for f in (g for g, in_e, _ in classes if not in_e):
-            fills: dict = {}
-            yield None if any(pool.bad_square(f, m, reflects, fills)
+            per_e: dict = {}
+            yield None if any(pool.bad_square(f, m, reflects, per_e)
                               for m, reflects in m_reflects) else outside(
                 f, "left-orthogonal to all of M but not in E")
 
     def m_complete():
-        """Dually, against the members of E, smallest first; each member's
-        fills memoized per source id across the maps."""
+        """Dually, against the members of E, smallest first; what depends on
+        each member and one end of the map memoized across the maps."""
         small_first = sorted(e_list, key=lambda e: (size[e.s], size[e.t]))
-        fills: dict = defaultdict(dict)
+        per_e: dict = defaultdict(dict)
         for g in (g for g, _, in_m in classes if not in_m):
             reflects = pool.reflects(g)
-            yield None if any(pool.bad_square(e, g, reflects, fills[k])
+            yield None if any(pool.bad_square(e, g, reflects, per_e[k])
                               for k, e in enumerate(small_first)) else outside(
                 g, "right-orthogonal to all of E but not in M")
 

@@ -41,6 +41,9 @@ PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
 BLOCK_SUM = "tests/test_contexts.py::test_index_certificate_decides_comparison_over_any_cospan"
 VALIDATE = "tests/test_factorization.py::test_validate_system_matches_label_level_oracle"
+PULLBACK_KEY = "tests/test_factorization.py::test_m_stability_decides_each_pullback_key_once"
+SWEEP = "tests/test_factorization.py::test_indexed_sweep_matches_literal_sweep"
+CROSSED = "tests/test_contexts.py::test_crossed_instances_on_tables_match_literal_instances"
 
 
 class Mutation(NamedTuple):
@@ -106,10 +109,16 @@ MUTATIONS = (
              ("tests/test_contexts.py::test_split_count_matches_enumeration[finpre-b3]",
               "tests/test_contexts.py::"
               "test_extensivity_laws_match_literal_pullbacks[finpre-b2]")),
+    Mutation("extensivity: a sum that is not a block sum decided on tables", CONTEXTS,
+             "holds = (mid.elements == tags_l + tags_r",
+             "holds = True or (mid.elements == tags_l + tags_r",
+             (f"{CROSSED}[1]", f"{CROSSED}[2]",
+              "tests/test_contexts.py::"
+              "test_extensivity_laws_match_literal_pullbacks[finpre-extra-crossed-b2]")),
     Mutation("factorization: a map outside E fails against a member of M",
              FACTORIZATION,
-             "yield None if any(pool.bad_square(f, m, reflects, fills)",
-             "yield None if True or any(pool.bad_square(f, m, reflects, fills)",
+             "yield None if any(pool.bad_square(f, m, reflects, per_e)",
+             "yield None if True or any(pool.bad_square(f, m, reflects, per_e)",
              (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]")),
     Mutation("factorization: composites of members are members", FACTORIZATION,
              "yield (None if in_class(tuple(g_idx[t] for t in f_idx), src_up,",
@@ -121,10 +130,18 @@ MUTATIONS = (
              "return order_reflecting_table(m.idx, self.up[m.s], self.up[m.t])",
              "return True",
              (f"{VALIDATE}[finpre-surj-inj-b2]",)),
+    Mutation("factorization: a square has exactly one diagonal", FACTORIZATION,
+             "if count != 1:",
+             "if count > 1:",
+             (f"{SWEEP}[swapped]", f"{VALIDATE}[finpre-extra-swapped-b2]")),
     Mutation("factorization: M is stable under pullback", FACTORIZATION,
-             "yield (None if sys.m_table(*table)",
-             "yield (None if True",
+             "holds = decided[key] = sys.m_table(",
+             "holds = decided[key] = True or sys.m_table(",
              (f"{VALIDATE}[finpre-no-2-b2]",)),
+    Mutation("factorization: a pullback key names m's source", FACTORIZATION,
+             "key = g.s, m.s, *map(masks.__getitem__, g.idx)",
+             "key = g.s, *map(masks.__getitem__, g.idx)",
+             (f"{PULLBACK_KEY}[plain]", f"{PULLBACK_KEY}[swapped]")),
     Mutation("biproduct: lattices split as biproducts", THEOREMS,
              "yield None if bp.passed else _witness(",
              "yield None if True else _witness(",

@@ -187,6 +187,35 @@ def test_extensivity_laws_match_literal_pullbacks(case):
     assert report.check("coproduct_disjoint") == oracles.coproduct_disjoint(ctx, bound)
 
 
+@pytest.mark.parametrize("bound", [1, 2])
+def test_crossed_instances_on_tables_match_literal_instances(monkeypatch, bound):
+    # Every instance of the crossed mutant with the validators' extras, not
+    # only those up to the first witness.  The decision on index tables
+    # holds exactly where the literal instance does, and with its
+    # label-level re-run for a failing f each outcome is the literal one,
+    # witness included.
+    ctx = crossed_coproduct_context(_finpre_extra())
+    pool = ctx.objects(bound)
+    real = contexts._pullback_stability_literal
+    kinds = set()
+    for x in pool:
+        for y in pool:
+            cp = ctx.coproduct(x, y)
+            for z in pool:
+                literal = [oracles.pullback_stability_instance(ctx, cp, f)
+                           for f in ctx.hom(z, cp.ob)]
+                monkeypatch.setattr(contexts, "_pullback_stability_literal",
+                                    lambda *args: "fails")
+                decided = list(contexts._pullback_stability_tables(ctx, cp, z))
+                assert decided == [None if o is None else "fails" for o in literal]
+                monkeypatch.setattr(contexts, "_pullback_stability_literal", real)
+                assert list(contexts._pullback_stability_tables(ctx, cp, z)) == literal
+                kinds.update("holds" if o is None else min(o.keys() - {"f"})
+                             for o in literal)
+    assert kinds == ({"holds", "comparison"} if bound == 1
+                     else {"holds", "comparison", "error"})
+
+
 @pytest.mark.parametrize("case", ["finset-b3", "finpre-b2", "finpre-extra-b2"])
 def test_index_certificate_holds_only_where_literal_instance_does(case):
     # The index certificate is the per-sum check `_is_block_sum`.
@@ -286,8 +315,10 @@ def test_crossed_mutant_takes_the_literal_route(monkeypatch):
     calls = _count_pullbacks(monkeypatch)
     ctx = crossed_coproduct_context(builtin("finpre"))
     result = validate_extensive(ctx, 2).check("coproducts_pullback_stable")
-    # two label-level pullbacks per instance, up to the first witness
-    assert (result.passed, result.checked, len(calls)) == (False, 54, 108)
+    # Its sums are not block sums.  Each instance is decided on index
+    # tables, and only the failing one is re-run label-level, with two
+    # pullbacks, for its witness.
+    assert (result.passed, result.checked, len(calls)) == (False, 54, 2)
     assert result.witness["error"] == \
         "not monotone: L:(p1,p1)<=R:(p2,p1) but p1<=p2 fails"
     assert result.witness["f"]["map"] == {"p1": "L:p1", "p2": "R:p1"}

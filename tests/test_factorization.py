@@ -32,6 +32,7 @@ from extcheck.core import (
 )
 from extcheck.factorization import (
     FactorizationSystem,
+    _by_precomposite,
     _exhaustive_square,
     _fibres,
     _Pool,
@@ -123,6 +124,16 @@ def _numbered(objects):
                   for f in pool.read(p, q)]
 
 
+def _join_sweep(pool, e, m, groups):
+    """`_exhaustive_square` of the pair, with the bottoms and diagonals
+    grouped by their composite with e memoized in `groups`, per e."""
+    for key in (e.t, m.t), (e.t, m.s):
+        if key not in groups:
+            groups[key] = _by_precomposite(e.idx, pool.hom[key])
+    return _exhaustive_square(m.idx, pool.hom[e.s, m.s], groups[e.t, m.t],
+                              groups[e.t, m.s])
+
+
 def _kernel_witness(pool, e, m, fills):
     """The witness of `_Pool.bad_square`, as the validator serializes it."""
     square = pool.bad_square(e, m, pool.reflects(m), fills)
@@ -203,10 +214,84 @@ def test_order_reflecting_members_fill_every_square():
     ms = [g for g in maps if oracles.injective(g.f) and oracles.order_reflecting(g.f)]
     assert len(es) * len(ms) == 72846
     for e in es:
+        groups = {}
         for m in ms:
             assert pool.bad_square(e, m, True, {}) is None
-            assert _exhaustive_square(e.idx, m.idx, pool.hom[e.s, m.s],
-                                      pool.hom[e.t, m.t], pool.hom[e.t, m.s]) is None
+            assert _join_sweep(pool, e, m, groups) is None
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
+def test_m_stability_decides_each_pullback_key_once(monkeypatch, swapped):
+    # The table of g's pullback along m depends only on the ids of the two
+    # sources and on m's fibre over each g(a).  On finpre at bound 2 plus
+    # the validators' extras, M-stability builds a table and calls m_table
+    # on it once per such key, far fewer times than it has instances, and
+    # the report is still the label-level oracle's.
+    ctx = _finpre_extra()
+    if swapped:
+        ctx = swapped_system_context(ctx)
+    base = ctx.system
+    objects = ctx.objects(2)
+    pool, maps = _numbered(objects)
+    keys, instances = set(), 0
+    for m in maps:
+        if base.m_table(*table_of(m.f)):
+            fibres = _fibres(m.idx, pool.size[m.t])
+            for g in maps:
+                if g.t == m.t:
+                    instances += 1
+                    keys.add((g.s, m.s, tuple(tuple(fibres[t]) for t in g.idx)))
+    tables, decided = [], []
+    real_table = factorization._pullback_table
+
+    def pullback_table(*args):
+        tables.append(real_table(*args))
+        return tables[-1]
+
+    def m_table(*args):
+        # The validator calls m_table on each table as soon as it is built.
+        if len(decided) < len(tables):
+            assert args == tables[len(decided)]
+            decided.append(args)
+        return base.m_table(*args)
+
+    monkeypatch.setattr(factorization, "_pullback_table", pullback_table)
+    report = validate_system(FactorizationSystem(base.name, base.e_table, m_table),
+                             objects)
+    stable = report.check("m_stable_under_pullback")
+    assert stable.passed and stable.checked == instances
+    assert len(decided) == len(tables) == len(keys) < instances
+    assert report.to_dict() == oracles.validate_system(base, objects).to_dict()
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
+def test_indexed_sweep_matches_literal_sweep(swapped):
+    # Every (e, m) pair of finpre at bound 2 plus the validators' extras,
+    # under the plain classes and the swapped ones, so that e not
+    # surjective and m not injective both occur: the join over bottoms and
+    # diagonals grouped by their composite with e finds the oracle's
+    # first square without exactly one diagonal, with its count.
+    ctx = _finpre_extra()
+    if swapped:
+        ctx = swapped_system_context(ctx)
+    pool, maps = _numbered(ctx.objects(2))
+    sys = ctx.system
+    es = [g for g in maps if sys.in_e(g.f)]
+    ms = [g for g in maps if sys.in_m(g.f)]
+    seen = set()
+    for e in es:
+        groups = {}
+        for m in ms:
+            square = _join_sweep(pool, e, m, groups)
+            literal = oracles.exhaustive_square(e.f, m.f)
+            assert square == (literal and (literal[0].idx, literal[1].idx, literal[2]))
+            seen.add((oracles.surjective(e.f), oracles.injective(m.f),
+                      square and square[2]))
+    # (e surjective, m injective, diagonals of the first bad square)
+    if swapped:
+        assert {(False, True, 0), (False, False, 0), (False, False, 2)} <= seen
+    else:
+        assert seen == {(True, True, None)}
 
 
 def test_pullback_table_is_the_label_level_projection():
