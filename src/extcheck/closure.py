@@ -3,10 +3,12 @@
 A closure family assigns, by a single formula, a closure operator to every
 object (identity, indiscrete, and down-closure for the ordered flavor).  A
 space is an object under a family, with closure `family.component(ob)`;
-maps between spaces are plain `Morphism`s.  The literal sweeps (continuous,
-closed, dense, the dense/closed factorization) take closures as functions
-on masks; the bounded semi-decisions for proper, separated, compact and
-Hausdorff take the family, and first decide the map's continuity.
+maps between spaces are plain `Morphism`s.  Continuity and closedness are
+decided in singleton form on index tables (`_continuous_fast`,
+`_closed_fast`); `tests/oracles.py` keeps the literal sweeps over every
+mask.  The bounded semi-decisions for proper and separated maps take the
+family, and first decide the map's continuity; a space is compact or
+Hausdorff when its map to the point (`to_point`) is proper or separated.
 
 The bounded predicates run mask-level: a pullback apex is the index pairs
 of `core.pullback_pairs` with `core.componentwise` down-masks, not a fresh
@@ -28,16 +30,17 @@ from .core import (
     count_instances,
     down_or_discrete,
     enumerate_morphisms,
-    equalizer,
     first_counterexample,
     image_bits,
-    kernel_pair,
+    inclusion,
+    pair_label,
+    pullback_object,
     pullback_pairs,
     serialize_morphism,
     serialize_object,
     terminal,
 )
-from .subobjects import Subobject, SubobjectLattice, subobject_from_mask
+from .subobjects import SubobjectLattice
 
 MaskFn = Callable[[int], int]
 
@@ -94,14 +97,6 @@ def get_family(name: str) -> ClosureFamily:
     return FAMILY_REGISTRY[name]
 
 
-def is_continuous(f: Morphism, src_fn: MaskFn, tgt_fn: MaskFn) -> bool:
-    """image(cls u) <= cls(image u) for every subobject u of the source."""
-    for mask in range(1 << f.source.size):
-        if f.image_mask(src_fn(mask)) & ~tgt_fn(f.image_mask(mask)):
-            return False
-    return True
-
-
 def _continuous_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     for i in range(n_src):
         if image_bits(src_fn(1 << i), f_idx) & ~tgt_fn(1 << f_idx[i]):
@@ -148,35 +143,11 @@ def validate_closure(family: ClosureFamily,
     return Report(f"closure[{family.name}]", tuple(checks))
 
 
-def subspace(fn: MaskFn, sub: Subobject) -> MaskFn:
-    """The closure a subobject inherits from its ambient's closure `fn`:
-    close in the ambient, intersect."""
-    bits = tuple(sub.ambient.index[e] for e in sub.elements)
-    sub_mask = sub.mask
-
-    def restricted(mask: int) -> int:
-        closed = fn(image_bits(mask, bits)) & sub_mask
-        out = 0
-        for i, b in enumerate(bits):
-            if (closed >> b) & 1:
-                out |= 1 << i
-        return out
-
-    return restricted
-
-
-def is_closed_morphism(f: Morphism, src_fn: MaskFn, tgt_fn: MaskFn) -> bool:
-    """Image commutes with closure on every subobject (literal sweep)."""
-    for mask in range(1 << f.source.size):
-        if f.image_mask(src_fn(mask)) != tgt_fn(f.image_mask(mask)):
-            return False
-    return True
-
-
 def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     """Singleton form of the closed-morphism equation.
 
-    Equivalent to the full sweep because direct image and every registered
+    Equivalent to the sweep over every mask (`tests/oracles.py::
+    is_closed_morphism`) because direct image and every registered
     closure formula preserve joins; `tests/test_closure.py::
     test_registered_closures_preserve_binary_joins` checks the closures on
     the built-in pools and their sums.
@@ -187,21 +158,6 @@ def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
         if image_bits(src_fn(1 << i), f_idx) != tgt_fn(1 << f_idx[i]):
             return False
     return True
-
-
-def is_dense(f: Morphism, tgt_fn: MaskFn) -> bool:
-    full_src = (1 << f.source.size) - 1
-    return tgt_fn(f.image_mask(full_src)) == (1 << f.target.size) - 1
-
-
-def dense_closed_factorize(f: Morphism,
-                           tgt_fn: MaskFn) -> tuple[Morphism, Morphism, MaskFn]:
-    """Split f as (dense) then (closed embedding) through the closure of
-    its image; returns both parts and the middle object's subspace closure."""
-    img_mask = f.image_mask((1 << f.source.size) - 1)
-    mid_sub = subobject_from_mask(f.target, tgt_fn(img_mask))
-    return (Morphism(f.source, mid_sub.ob, f.mapping), mid_sub.rep,
-            subspace(tgt_fn, mid_sub))
 
 
 def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
@@ -245,10 +201,11 @@ def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
 
 
 def diagonal_morphism(f: Morphism) -> Morphism:
-    """The equalizer inclusion of the kernel pair projections: the diagonal
-    copy of the source inside the kernel-pair object."""
-    kp = kernel_pair(f)
-    return equalizer(kp.p1, kp.p2)
+    """The diagonal copy of f's source inside its kernel pair, the pullback
+    of f along itself: the inclusion of the pairs "(a,a)"."""
+    src = f.source
+    kernel = pullback_object(src, src, pullback_pairs(f.idx, f.idx))
+    return inclusion(kernel.restrict(pair_label(a, a) for a in src.elements), kernel)
 
 
 def is_separated_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
@@ -265,14 +222,3 @@ def to_point(ob: FiniteObject) -> Morphism:
     """The map from ob to the terminal object of its flavor."""
     return Morphism(ob, terminal(ob.has_order), tuple((e, "*") for e in ob.elements))
 
-
-def is_compact(family: ClosureFamily, pool: Sequence[FiniteObject],
-               x: FiniteObject, bound: int) -> bool:
-    """The map to the point is proper at the bound."""
-    return is_proper_witness(family, pool, to_point(x), bound)[0]
-
-
-def is_hausdorff(family: ClosureFamily, pool: Sequence[FiniteObject],
-                 x: FiniteObject, bound: int) -> bool:
-    """The map to the point is separated at the bound."""
-    return is_separated_witness(family, pool, to_point(x), bound)[0]

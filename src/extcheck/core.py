@@ -31,12 +31,6 @@ def transitive_closure(pairs: set[tuple[str, str]]) -> frozenset[tuple[str, str]
     return frozenset(closed)
 
 
-def make_preorder(elements, pairs=()) -> frozenset[tuple[str, str]]:
-    """Smallest preorder on `elements` containing `pairs`."""
-    base = {(e, e) for e in elements} | set(tuple(p) for p in pairs)
-    return transitive_closure(base)
-
-
 @dataclass(frozen=True)
 class FiniteObject:
     """A finite set of distinct string labels, optionally preordered.
@@ -172,9 +166,6 @@ class Morphism:
         """idx[i] = target index of the image of source element i."""
         tix = self.target.index
         return tuple(tix[v] for (_, v) in self.mapping)
-
-    def __call__(self, label: str) -> str:
-        return self.table[label]
 
     def image_mask(self, mask: int) -> int:
         return image_bits(mask, self.idx)
@@ -464,18 +455,6 @@ def pullback_object(x: FiniteObject, y: FiniteObject, pairs) -> FiniteObject:
     pairs (`pullback_pairs(f.idx, g.idx)`), with no map built."""
     labels, order = _pair_carrier(x, y, pairs)
     return FiniteObject(tuple(labels), order, name=f"pb({x.label},{y.label})")
-
-
-def equalizer(f: Morphism, g: Morphism) -> Morphism:
-    """Inclusion of the agreement subobject of two parallel morphisms."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("equalizer needs parallel morphisms")
-    keep = [e for e in f.source.elements if f.table[e] == g.table[e]]
-    return inclusion(f.source.restrict(keep), f.source)
-
-
-def kernel_pair(f: Morphism) -> Product:
-    return pullback(f, f)
 
 
 def _monotone_constraints(k: int, src_up, tgt_up) -> list[list[tuple]]:

@@ -11,7 +11,7 @@ searched over the members of the other class only).  It numbers the pool
 once (`_Pool`).  Stability of M is decided once per pullback key (the two
 source ids and m's fibre over each point's image), since the pullback's
 table depends on nothing else.  Every orthogonality test, the label-level
-`down_arrow` included, goes through one square search,
+`down_arrow_witness` included, goes through one square search,
 `_Pool.bad_square`, whose literal sweep is a join on hom tables grouped
 by their composite with e (`_by_precomposite`), built once per e and end
 of m.
@@ -243,14 +243,9 @@ def _first_bad_square(e: Morphism, m: Morphism):
     return pool.bad_square(pool.map(e, 0, 1), m_map, pool.reflects(m_map), {})
 
 
-def down_arrow(e: Morphism, m: Morphism) -> bool:
-    """Whether every commuting square v.e = m.u has exactly one diagonal."""
-    return _first_bad_square(e, m) is None
-
-
 def down_arrow_witness(e: Morphism, m: Morphism):
-    """down_arrow plus, on failure, the offending square (and diagonal
-    count)."""
+    """Whether every commuting square v.e = m.u has exactly one diagonal,
+    and, on failure, the offending square (and diagonal count)."""
     square = _first_bad_square(e, m)
     return square is None, square and _square_witness(e, m, *square)
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
-from .closure import IDENTITY, ClosureFamily, MaskFn
+from .closure import ClosureFamily, MaskFn
 
 # The admissible masks of an object, in lattice order (a context's
 # `sub_lattice`).
@@ -243,18 +243,12 @@ def verify_biproduct(left: JoinSemilattice, right: JoinSemilattice,
     return Report("biproduct", tuple(checks))
 
 
-def subobject_biproduct(lattice_of: LatticeOf, x: FiniteObject,
-                        y: FiniteObject, cp: Coproduct) -> Biproduct:
-    """Sub(X+Y) as the biproduct of Sub(X) and Sub(Y): the closed lattices
-    of the identity closure, under which every admissible subobject is
-    closed and the join is the union."""
-    return closed_biproduct(lattice_of, IDENTITY, x, y, cp)
-
-
 def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
                      x: FiniteObject, y: FiniteObject, cp: Coproduct) -> Biproduct:
     """Closed lattices of a sum: inject by closing the placed mask, project
-    by splitting; zero is the closure of empty."""
+    by splitting; zero is the closure of empty.  Under `IDENTITY` every
+    admissible subobject is closed, so that entry is Sub(X+Y) as the
+    biproduct of Sub(X) and Sub(Y)."""
     fx, fy, fxy = family.component(x), family.component(y), family.component(cp.ob)
     kx, masks_x = closed_semilattice(fx, lattice_of(x))
     ky, masks_y = closed_semilattice(fy, lattice_of(y))

@@ -1,4 +1,4 @@
-"""Admissible subobjects: their lattices as masks, and direct image/preimage.
+"""Admissible subobjects: their lattices as masks, and their label form.
 
 A subobject of X is kept in canonical inclusion form, as a subset of X's
 carrier.  A `SubobjectLattice` is X together with the masks of its
@@ -6,8 +6,9 @@ admissible subsets.  Under the image factorization of every system, meet is
 intersection and join is union, so the checkers compute on masks alone: a
 sum a + b is admissible when its mask `a | b << |X|` is admissible in the
 constructed sum X + Y.  A label-level `Subobject` is built only to
-serialize a witness; `image`, `preimage`, `restriction`, `sum_subobjects`
-and `iota_map` are its label-level operations.
+serialize a witness; `image`, `sum_subobjects` and `iota_map` are its
+label-level operations, and `tests/oracles.py` keeps `preimage` and
+`restriction`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     coproduct,
     inclusion,
     inclusion_table,
+    points,
     split_coproduct,
     LEFT_TAG,
     RIGHT_TAG,
@@ -76,20 +78,6 @@ def image(f: Morphism, sub: Subobject) -> Subobject:
     return Subobject(f.target, carrier)
 
 
-def preimage(f: Morphism, sub: Subobject) -> Subobject:
-    """Inverse image, the canonical pullback of the inclusion along f."""
-    assert sub.ambient == f.target
-    keep = set(sub.elements)
-    return Subobject(f.source, tuple(e for (e, v) in f.mapping if v in keep))
-
-
-def restriction(f: Morphism, sub: Subobject) -> Morphism:
-    """f cut down to a source subobject, landing on its image."""
-    img = image(f, sub)
-    return Morphism(sub.ob, img.ob,
-                    tuple((e, f.table[e]) for e in sub.elements))
-
-
 @dataclass(frozen=True, eq=False)
 class SubobjectLattice:
     """The admissible subobjects of one object, as masks over its carrier,
@@ -108,7 +96,8 @@ def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLat
     its table under `sys.m_table`."""
     masks = [m for m in range(1 << x.size)
              if sys.m_table(*inclusion_table(x, m))]
-    masks.sort(key=lambda m: (m.bit_count(), x.labels_of(m)))
+    # By points, as by labels: a carrier's labels are sorted and distinct.
+    masks.sort(key=lambda m: (m.bit_count(), points(m)))
     return SubobjectLattice(x, tuple(masks))
 
 

@@ -64,7 +64,6 @@ from .semilattice import (
     identity_hom,
     matrix_roundtrip,
     matrix_to_hom,
-    subobject_biproduct,
     zero_hom,
 )
 from .subobjects import (
@@ -650,7 +649,7 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
     homs = [(f, i, j) for i, x in enumerate(pool) for j, y in enumerate(pool)
             for f in ctx.hom(x, y)]
     down = [down_or_discrete(x) for x in pool]
-    sum_down = [[down_or_discrete(coproduct(x, y).ob) for y in pool] for x in pool]
+    sum_down = [[_sum_order(dx, dy) for dy in down] for dx in down]
     order_on = cache(lambda down, mask: restrict_masks(down, points(mask)))
 
     def pair_outcomes():
@@ -942,7 +941,8 @@ def _roundtrip_outcomes(ctx: Context, pool):
     """Per hom between sum lattices of objects of size at most 2: None when
     its 2x2 matrix joins back to the same table."""
     small = [x for x in pool if x.size <= 2]
-    bps = {(x, y): subobject_biproduct(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
+    bps = {(x, y): closed_biproduct(ctx.sub_lattice, IDENTITY, x, y,
+                                    ctx.coproduct(x, y))
            for x, y in _object_pairs(small)}
     for src_key, bp_s in bps.items():
         irr = len(bp_s.total.irreducibles)

@@ -85,6 +85,12 @@ MUTATIONS = (
              "(None if True",
              (f"{PROPER}[alexandrov]", f"{PROPER}[indiscrete]",
               "tests/test_closure.py::test_failing_proper_witness_is_pinned")),
+    Mutation("separated: the diagonal is the pairs (a,a) of the kernel pair", CLOSURE,
+             "kernel.restrict(pair_label(a, a) for a in src.elements)",
+             "kernel.restrict(kernel.elements)",
+             ("tests/test_closure.py::test_diagonal_is_the_kernel_pair_equalizer",
+              "tests/test_closure.py::"
+              "test_separated_test_is_the_proper_test_of_the_literal_diagonal[alexandrov]")),
     Mutation("C: sums of closed morphisms closed", THEOREMS,
              "yield None if ok >> j & 1 else _maps_witness(f, g)",
              "yield None",

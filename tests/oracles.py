@@ -1,6 +1,14 @@
 """Label-level reference implementations that the index-native checkers are
 compared against.
 
+`make_preorder` is the smallest preorder containing some pairs, which the
+tests build objects with.  `is_continuous` and `is_closed_morphism` are
+the literal sweeps over every mask that `closure._continuous_fast` and
+`_closed_fast` decide in singleton form, and `diagonal_literal` is H's
+diagonal as the equalizer of the kernel pair's two projections.
+`preimage` and `restriction` are the label-level inverse image and
+restriction of a `Subobject` along a `Morphism`.
+
 `enumerate_subobjects` and `join_subobjects` are the admissible subobject
 lattice on `Subobject` values: the admissible subsets, and the join as the
 image of the copairing of two inclusions.  `factorization_of_sums` is
@@ -49,21 +57,15 @@ from extcheck.core import (
     serialize_morphism,
     serialize_object,
     sum_morphisms,
+    transitive_closure,
     LEFT_TAG,
     RIGHT_TAG,
 )
-from extcheck.closure import (
-    _closed_fast,
-    _continuous_fast,
-    is_closed_morphism,
-    is_continuous,
-)
+from extcheck.closure import _closed_fast, _continuous_fast
 from extcheck.factorization import image_factorization
 from extcheck.subobjects import (
     Subobject,
     image,
-    preimage,
-    restriction,
     serialize_subobject,
     subobject_from_mask,
     sum_subobjects,
@@ -75,6 +77,50 @@ from extcheck.theorems import (
     _verdict,
     _witness,
 )
+
+
+def make_preorder(elements, pairs=()) -> frozenset[tuple[str, str]]:
+    """Smallest preorder on `elements` containing `pairs`."""
+    base = {(e, e) for e in elements} | set(tuple(p) for p in pairs)
+    return transitive_closure(base)
+
+
+def is_continuous(f: Morphism, src_fn, tgt_fn) -> bool:
+    """image(cls u) <= cls(image u) for every subobject u of the source."""
+    for mask in range(1 << f.source.size):
+        if f.image_mask(src_fn(mask)) & ~tgt_fn(f.image_mask(mask)):
+            return False
+    return True
+
+
+def is_closed_morphism(f: Morphism, src_fn, tgt_fn) -> bool:
+    """Image commutes with closure on every subobject (literal sweep)."""
+    for mask in range(1 << f.source.size):
+        if f.image_mask(src_fn(mask)) != tgt_fn(f.image_mask(mask)):
+            return False
+    return True
+
+
+def diagonal_literal(f: Morphism) -> Morphism:
+    """The diagonal of f as built from its kernel pair, the pullback of f
+    along itself: the inclusion of the pairs whose two projections agree."""
+    kp = pullback(f, f)
+    keep = [e for e in kp.ob.elements if kp.p1.table[e] == kp.p2.table[e]]
+    return inclusion(kp.ob.restrict(keep), kp.ob)
+
+
+def preimage(f: Morphism, sub: Subobject) -> Subobject:
+    """Inverse image, the canonical pullback of the inclusion along f."""
+    assert sub.ambient == f.target
+    keep = set(sub.elements)
+    return Subobject(f.source, tuple(e for (e, v) in f.mapping if v in keep))
+
+
+def restriction(f: Morphism, sub: Subobject) -> Morphism:
+    """f cut down to a source subobject, landing on its image."""
+    img = image(f, sub)
+    return Morphism(sub.ob, img.ob,
+                    tuple((e, f.table[e]) for e in sub.elements))
 
 
 def enumerate_subobjects(sys, x) -> tuple[Subobject, ...]:

@@ -8,7 +8,13 @@ just hoped for.
 import json
 import time
 
-from extcheck.closure import ALEXANDROV, is_closed_morphism
+from extcheck.closure import (
+    ALEXANDROV,
+    IDENTITY,
+    is_proper_witness,
+    is_separated_witness,
+    to_point,
+)
 from extcheck.cli import main
 from extcheck.contexts import (
     builtin,
@@ -18,12 +24,13 @@ from extcheck.contexts import (
 from extcheck.core import terminal
 from extcheck.factorization import validate_system
 from extcheck.semilattice import (
+    closed_biproduct,
     enumerate_homs,
     hom_matrix,
     matrix_to_hom,
-    subobject_biproduct,
 )
 from extcheck.theorems import run_checker
+from oracles import is_closed_morphism
 
 
 def _line(tag: str, text: str):
@@ -125,7 +132,8 @@ def test_07_biproducts_at_depth_3_and_matrix_round_trips():
     # between the 16-element sum lattices
     ctx = builtin("finset")
     two = ctx.objects(2)[2]
-    bp = subobject_biproduct(ctx.sub_lattice, two, two, ctx.coproduct(two, two))
+    bp = closed_biproduct(ctx.sub_lattice, IDENTITY, two, two,
+                          ctx.coproduct(two, two))
     homs = enumerate_homs(bp.total, bp.total)
     assert len(homs) == len(set(homs)) == 65536
     for h in homs:
@@ -147,16 +155,15 @@ def test_08_proper_and_separated_sums_with_compactness_facts():
     assert elapsed < 600, elapsed
     # every finite space is compact here, and the two-point discrete sum
     # of terminals is Hausdorff while the Sierpinski space is not
-    from extcheck.closure import is_compact, is_hausdorff
     pool = ctx.objects(2)
     for x in pool:
-        assert is_compact(fam, pool, x, 2), x.label
+        assert is_proper_witness(fam, pool, to_point(x), 2)[0], x.label
     one = terminal(True)
     two_points = ctx.coproduct(one, one).ob
-    assert is_hausdorff(fam, pool, two_points, 2)
+    assert is_separated_witness(fam, pool, to_point(two_points), 2)[0]
     sierpinski = next(x for x in pool
                       if x.size == 2 and sum(1 for _ in x.order) == 3)
-    assert not is_hausdorff(fam, pool, sierpinski, 2)
+    assert not is_separated_witness(fam, pool, to_point(sierpinski), 2)[0]
     _line("08", f"sums preserve proper and separated at bound 2 "
           f"({elapsed:.1f}s); compactness and Hausdorff calls come out right")
 

@@ -7,17 +7,11 @@ from extcheck.closure import (
     IDENTITY,
     INDISCRETE,
     ClosureFamily,
-    dense_closed_factorize,
     diagonal_morphism,
     get_family,
-    is_closed_morphism,
-    is_compact,
-    is_continuous,
-    is_dense,
-    is_hausdorff,
     is_proper_witness,
     is_separated_witness,
-    subspace,
+    to_point,
     validate_closure,
     _closed_fast,
     _continuous_fast,
@@ -28,12 +22,18 @@ from extcheck.core import (
     Morphism,
     enumerate_morphisms,
     identity as id_map,
-    make_preorder,
     serialize_morphism,
     sum_morphisms,
 )
 from extcheck.subobjects import Subobject
-from oracles import closed_lattice, proper_literal
+from oracles import (
+    closed_lattice,
+    diagonal_literal,
+    is_closed_morphism,
+    is_continuous,
+    make_preorder,
+    proper_literal,
+)
 
 
 SIERPINSKI = FiniteObject(("s0", "s1"),
@@ -145,49 +145,6 @@ def test_closed_morphism_down_set_oracle():
     assert is_closed_morphism(inc_bot, ALEXANDROV.component(bot), fc)
 
 
-def test_dense_morphism_and_dense_closed_factorization():
-    top = CHAIN3.restrict(("c2",))
-    inc = Morphism(top, CHAIN3, (("c2", "c2"),))
-    fc = ALEXANDROV.component(CHAIN3)
-    assert is_dense(inc, fc)
-    d, c, mid = dense_closed_factorize(inc, fc)
-    assert is_dense(d, mid)
-    assert is_closed_morphism(c, mid, fc)
-    assert c.source == d.target
-    # middle is the closure of the image: everything below c2
-    assert d.target.elements == ("c0", "c1", "c2")
-
-
-def test_dense_closed_factorization_nontrivial_middle():
-    mid_pt = CHAIN3.restrict(("c1",))
-    inc = Morphism(mid_pt, CHAIN3, (("c1", "c1"),))
-    fc = ALEXANDROV.component(CHAIN3)
-    assert not is_dense(inc, fc)
-    d, c, mid = dense_closed_factorize(inc, fc)
-    assert d.target.elements == ("c0", "c1")
-    assert is_dense(d, mid)
-    assert is_closed_morphism(c, mid, fc)
-    # the middle closure is the subspace closure: down-closure in {c0, c1}
-    assert [mid(m) for m in range(4)] == [0, 1, 3, 3]
-
-
-def test_subspace_closure_is_trace():
-    sub = Subobject(CHAIN3, ("c1", "c2"))
-    fn = subspace(ALEXANDROV.component(CHAIN3), sub)
-    # closing {c2} inside the subspace traces the ambient closure
-    m2 = 1 << sub.ob.index["c2"]
-    assert sub.ob.labels_of(fn(m2)) == ("c1", "c2")
-
-
-def test_subspace_of_subspace_composes():
-    sub1 = Subobject(CHAIN3, ("c0", "c1"))
-    s1 = subspace(ALEXANDROV.component(CHAIN3), sub1)
-    sub2 = Subobject(sub1.ob, ("c1",))
-    s2 = subspace(s1, sub2)
-    m = 1 << sub2.ob.index["c1"]
-    assert s2(m) == m
-
-
 def test_closed_lattice_of_sierpinski():
     ctx = builtin("finpre")
     closed = closed_lattice(ctx.system, SIERPINSKI, ALEXANDROV.component(SIERPINSKI))
@@ -204,7 +161,7 @@ def test_proper_and_compact_examples():
     assert is_proper_witness(fam, pool, id_map(one), 2) == (True, None)
     # every finite alexandrov space is compact
     for x in pool:
-        assert is_compact(fam, pool, x, 2)
+        assert is_proper_witness(fam, pool, to_point(x), 2)[0]
 
 
 def test_indiscrete_non_proper_inclusion():
@@ -234,13 +191,66 @@ def test_diagonal_morphism_shape():
     assert diagonal_morphism(inj).target.size == 2
 
 
+# Labels that sort below the comma of "(a,b)", so that the kernel pair's
+# labels do not sort as its index pairs do.
+ODD_LABELS = ("a", "a ", "a!")
+
+
+def _diagonal_test_maps():
+    """Every map of the finset and finpre bound-2 pools, and every map
+    among objects with labels that sort below the comma."""
+    maps = []
+    for name in ("finset", "finpre"):
+        ctx = builtin(name)
+        pool = ctx.objects(2)
+        maps += [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    chain = make_preorder(ODD_LABELS, [("a", "a "), ("a ", "a!")])
+    for x in (FiniteObject(ODD_LABELS), FiniteObject(ODD_LABELS, chain)):
+        ends = (x, x.restrict(ODD_LABELS[1:]))
+        maps += [f for s in ends for t in ends for f in enumerate_morphisms(s, t)]
+    return maps
+
+
+def test_diagonal_is_the_kernel_pair_equalizer():
+    """`diagonal_morphism` serializes as the equalizer of the kernel pair's
+    projections does: the same objects, names, labels and orders."""
+    maps = _diagonal_test_maps()
+    assert len(maps) > 100
+    for f in maps:
+        assert serialize_morphism(diagonal_morphism(f)) == serialize_morphism(
+            diagonal_literal(f)), f.mapping
+
+
+@pytest.mark.parametrize("fam_name", ["alexandrov", "identity", "indiscrete"])
+def test_separated_test_is_the_proper_test_of_the_literal_diagonal(fam_name):
+    """At finpre bound 2, on every map of the pool and every map from a sum
+    of two to the point, a continuous map's separated test gives the
+    (ok, witness) of the proper test of its kernel-pair diagonal."""
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    fam = ctx.family(fam_name)
+    maps = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    maps += [to_point(ctx.coproduct(x, y).ob) for x in pool for y in pool]
+    failures = 0
+    for f in maps:
+        got = is_separated_witness(fam, pool, f, 2)
+        if is_continuous(f, fam.component(f.source), fam.component(f.target)):
+            assert got == is_proper_witness(fam, pool, diagonal_literal(f), 2), (
+                f.mapping)
+            failures += not got[0]
+        else:
+            assert got == (False, {"continuous": False})
+    # the comparison is not vacuous where the family can fail a map
+    assert (failures == 0) == (fam_name == "identity")
+
+
 def test_sierpinski_is_not_hausdorff_but_discrete_is():
     ctx = builtin("finpre")
     pool = ctx.objects(2)
     fam = ALEXANDROV
-    assert not is_hausdorff(fam, pool, SIERPINSKI, 2)
+    assert not is_separated_witness(fam, pool, to_point(SIERPINSKI), 2)[0]
     disc = FiniteObject(("d0", "d1"), make_preorder(("d0", "d1")))
-    assert is_hausdorff(fam, pool, disc, 2)
+    assert is_separated_witness(fam, pool, to_point(disc), 2)[0]
 
 
 def test_separated_morphisms_examples():
@@ -261,14 +271,14 @@ def test_hausdorff_for_identity_family_is_universal():
     ctx = builtin("finset")
     pool = ctx.objects(2)
     for x in pool:
-        assert is_hausdorff(IDENTITY, pool, x, 2)
+        assert is_separated_witness(IDENTITY, pool, to_point(x), 2)[0]
 
 
 def test_sierpinski_hausdorff_verdict_is_stable_at_bound_3():
     ctx = builtin("finpre")
     pool = ctx.objects(3)
     fam = ALEXANDROV
-    assert not is_hausdorff(fam, pool, SIERPINSKI, 3)
+    assert not is_separated_witness(fam, pool, to_point(SIERPINSKI), 3)[0]
 
 
 def test_failing_proper_witness_is_pinned():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import make_preorder
 from extcheck import contexts
 from extcheck.cli import load_objects
 from extcheck.contexts import (
@@ -26,7 +27,6 @@ from extcheck.core import (
     coproduct,
     enumerate_morphisms,
     is_isomorphic,
-    make_preorder,
 )
 
 # The 3-point preorders the validators benchmark adds to the finpre pool.

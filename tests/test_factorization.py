@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import make_preorder
 from extcheck import factorization
 from extcheck.cli import load_objects
 from extcheck.contexts import (
@@ -24,7 +25,6 @@ from extcheck.core import (
     enumerate_morphisms,
     identity,
     injective_table,
-    make_preorder,
     pair_label,
     pullback,
     surjective_table,
@@ -37,8 +37,8 @@ from extcheck.factorization import (
     _fibres,
     _Pool,
     _pullback_table,
+    _first_bad_square,
     _square_witness,
-    down_arrow,
     down_arrow_witness,
     image_factorization,
     validate_system,
@@ -82,7 +82,6 @@ def test_surjection_is_orthogonal_to_injection():
     e = Morphism(x, y, (("a", "u"), ("b", "u")))
     z, w = plain("p"), plain("p", "q")
     m = Morphism(z, w, (("p", "p"),))
-    assert down_arrow(e, m)
     ok, wit = down_arrow_witness(e, m)
     assert ok and wit is None
 
@@ -112,7 +111,7 @@ def test_orthogonality_failure_for_order_reasons():
     sys = builtin("finpre").system
     assert sys.in_e(e)
     assert sys.in_m(m)
-    assert down_arrow(e, m)
+    assert down_arrow_witness(e, m)[0]
 
 
 def _numbered(objects):
@@ -141,11 +140,11 @@ def _kernel_witness(pool, e, m, fills):
 
 
 def test_down_arrow_builds_no_witness(monkeypatch):
-    # The completeness laws call down_arrow on every map outside E or M and
-    # keep only its truth value, so it must not serialize a square: with
-    # the serializer broken, down_arrow still decides failing pairs of
-    # both paths, the fibrewise one (surjective against injective) and the
-    # exhaustive one, as down_arrow_witness did before.
+    # The square search decides orthogonality without serializing a
+    # square: with the serializer broken, `_first_bad_square` still
+    # decides failing pairs of both paths, the fibrewise one (surjective
+    # against injective) and the exhaustive one, as down_arrow_witness
+    # does.
     pool = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS).objects(2)
     homs = [f for x in pool for y in pool for f in enumerate_morphisms(x, y)]
     sample = homs[::7]
@@ -155,11 +154,12 @@ def test_down_arrow_builds_no_witness(monkeypatch):
     assert any(fast) and expected.count(False) > sum(fast)
 
     def refuse(*args):
-        raise AssertionError("down_arrow serialized a square")
+        raise AssertionError("the square search serialized a square")
 
     monkeypatch.setattr(factorization, "_square_witness", refuse)
     monkeypatch.setattr(factorization, "serialize_morphism", refuse)
-    assert [down_arrow(e, m) for e in sample for m in sample] == expected
+    assert [_first_bad_square(e, m) is None
+            for e in sample for m in sample] == expected
 
 
 def test_down_arrow_fiberwise_matches_exhaustive():
@@ -307,7 +307,7 @@ def test_pullback_table_is_the_label_level_projection():
                 continue
             pb = pullback(g, m)
             pos = [pb.ob.index[pair_label(a, b)] for a in g.source.elements
-                   for b in m.source.elements if g(a) == m(b)]
+                   for b in m.source.elements if g.table[a] == m.table[b]]
             p_idx, p_up, n, tgt_up = table_of(pb.p1)
             assert _pullback_table(g.idx, g.source.up_masks, fibres,
                                    m.source.up_masks) == (

@@ -27,8 +27,9 @@ import pytest
 
 from extcheck import cli, contexts
 from extcheck.closure import validate_closure
-from extcheck.core import FiniteObject, make_preorder
+from extcheck.core import FiniteObject
 from extcheck.theorems import FAMILY_FREE, run_checker
+from oracles import make_preorder
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from extcheck.closure import IDENTITY
 from extcheck.contexts import builtin
 from extcheck.core import FiniteObject, terminal
 from extcheck.semilattice import (
@@ -20,11 +21,16 @@ from extcheck.semilattice import (
     lattice_from_masks,
     matrix_roundtrip,
     matrix_to_hom,
-    subobject_biproduct,
     verify_biproduct,
     zero_hom,
 )
 from oracles import SemilatticeHom, join_of
+
+
+def subobject_biproduct(ctx, x, y):
+    """Sub(x + y) as the biproduct of Sub(x) and Sub(y): the identity
+    closure's closed lattices."""
+    return closed_biproduct(ctx.sub_lattice, IDENTITY, x, y, ctx.coproduct(x, y))
 
 
 def powerset_lattice(n: int) -> JoinSemilattice:
@@ -160,7 +166,7 @@ def test_closed_semilattice_of_indiscrete_pair():
 def test_subobject_biproduct_passes(name):
     ctx = builtin(name)
     one = terminal(ctx.ordered)
-    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx, one, one)
     assert bp.passed, [c.id for c in bp.report.failed()]
     assert bp.total.n == 4
     assert bp.left.n == bp.right.n == 2
@@ -171,7 +177,7 @@ def test_biproduct_with_empty_summand():
     from extcheck.core import initial
     zero = initial(False)
     one = terminal(False)
-    bp = subobject_biproduct(ctx.sub_lattice, zero, one, ctx.coproduct(zero, one))
+    bp = subobject_biproduct(ctx, zero, one)
     assert bp.passed
     assert bp.left.n == 1
 
@@ -198,7 +204,7 @@ def test_broken_projection_fails_verification():
 def test_hom_matrix_of_identity_is_identity_matrix():
     ctx = builtin("finset")
     one = terminal(False)
-    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx, one, one)
     mat = hom_matrix(bp, bp, identity_hom(bp.total))
     assert mat[0][0] == identity_hom(bp.left)
     assert mat[1][1] == identity_hom(bp.right)
@@ -209,7 +215,7 @@ def test_hom_matrix_of_identity_is_identity_matrix():
 def test_matrix_round_trip_exhaustive_on_two_point_sum():
     ctx = builtin("finpre")
     one = terminal(True)
-    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx, one, one)
     homs = enumerate_homs(bp.total, bp.total)
     assert len(homs) == 16
     for h in homs:
@@ -266,7 +272,7 @@ def test_table_hom_algebra_matches_object_composites(pool):
         objs = ctx.objects(2)
     else:
         ctx, objs = _lattice_algebra_pool()
-    bps = [subobject_biproduct(ctx.sub_lattice, x, y, ctx.coproduct(x, y))
+    bps = [subobject_biproduct(ctx, x, y)
            for x, y in itertools.product(objs, repeat=2)]
     total = 0
     for s, t in itertools.product(bps, repeat=2):
@@ -321,7 +327,7 @@ def test_matrix_roundtrip_with_broken_projection():
 def test_matrix_to_hom_of_zero_matrix():
     ctx = builtin("finset")
     one = terminal(False)
-    bp = subobject_biproduct(ctx.sub_lattice, one, one, ctx.coproduct(one, one))
+    bp = subobject_biproduct(ctx, one, one)
 
     z = zero_hom
     mat = ((z(bp.left, bp.left), z(bp.right, bp.left)),

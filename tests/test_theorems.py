@@ -445,20 +445,15 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
     from extcheck.closure import IDENTITY
 
     ctx = builtin("finpre")
-    built, roundtrip = Counter(), Counter()
-    real_closed, real_sub = theorems.closed_biproduct, theorems.subobject_biproduct
+    built = Counter()
+    real_closed = theorems.closed_biproduct
 
     def counted(lattice_of, family, x, y, cp):
         if family is IDENTITY:
             built[x, y] += 1
         return real_closed(lattice_of, family, x, y, cp)
 
-    def counted_roundtrip(lattice_of, x, y, cp):
-        roundtrip[x, y] += 1
-        return real_sub(lattice_of, x, y, cp)
-
     monkeypatch.setattr(theorems, "closed_biproduct", counted)
-    monkeypatch.setattr(theorems, "subobject_biproduct", counted_roundtrip)
     memo = {}
     verdicts = [run_checker("biproduct", ctx, fam, 1, memo) for fam in ctx.families]
     assert [v.status for v in verdicts] == ["ok", "ok", "hypothesis-failed"]
@@ -466,7 +461,7 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
     # the hom round trip, which builds every pair of objects of size at most
     # 2: at bound 1, all of them.
     pairs = list(product(ctx.objects(1), repeat=2))
-    assert built == roundtrip == {pair: 1 for pair in pairs}
+    assert built == {pair: 2 for pair in pairs}
     monkeypatch.undo()
     for fam, v in zip(ctx.families, verdicts):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
@@ -544,7 +539,6 @@ def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
     def unguarded(*args):
         raise AssertionError("semilattice biproduct built without its hypothesis")
 
-    monkeypatch.setattr(theorems, "subobject_biproduct", unguarded)
     monkeypatch.setattr(theorems, "closed_biproduct", unguarded)
     ctx = variant(builtin(base))
     point = ctx.objects(1)[1]
@@ -609,23 +603,24 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
     hom, over the (source, target) pairs in order, whose 2x2 matrix does not
     join back on the literal matrix calculus."""
     from extcheck import theorems
+    from extcheck.closure import IDENTITY
     from extcheck.semilattice import enumerate_homs, hom_matrix, matrix_to_hom
 
-    real = theorems.subobject_biproduct
+    real = theorems.closed_biproduct
 
-    def broken(lattice_of, x, y, cp):
-        bp = real(lattice_of, x, y, cp)
+    def broken(lattice_of, family, x, y, cp):
+        bp = real(lattice_of, family, x, y, cp)
         bp.proj_r = (bp.right.zero,) * bp.total.n
         return bp
 
-    monkeypatch.setattr(theorems, "subobject_biproduct", broken)
+    monkeypatch.setattr(theorems, "closed_biproduct", broken)
     ctx = builtin("finset")
     pool = ctx.objects(1)
     ok, witness, count = first_counterexample(
         theorems._roundtrip_outcomes(ctx, pool))
     assert not ok
 
-    bps = [(key, broken(ctx.sub_lattice, *key, ctx.coproduct(*key)))
+    bps = [(key, broken(ctx.sub_lattice, IDENTITY, *key, ctx.coproduct(*key)))
            for key in theorems._object_pairs(pool)]
 
     def literal():
