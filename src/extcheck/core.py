@@ -241,14 +241,6 @@ def image_parts(idx) -> tuple[int, tuple[int, ...]]:
     return mask, tuple((mask & ((1 << t) - 1)).bit_count() for t in idx)
 
 
-def inclusion_table(x: FiniteObject, mask: int) -> tuple:
-    """`table_of` the inclusion of the subset `mask` of x into x."""
-    idx = points(mask)
-    up = up_masks_or_none(x)
-    sub_up = None if up is None else restrict_masks(up, idx)
-    return idx, sub_up, x.size, up
-
-
 def injective_table(idx, src_up, n, tgt_up) -> bool:
     return len(set(idx)) == len(idx)
 

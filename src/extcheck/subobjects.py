@@ -2,7 +2,8 @@
 
 A subobject of X is kept in canonical inclusion form, as a subset of X's
 carrier.  A `SubobjectLattice` is X together with the masks of its
-admissible subsets.  Under the image factorization of every system, meet is
+admissible subsets, each decided on its inclusion table, grown from its
+parent's.  Under the image factorization of every system, meet is
 intersection and join is union, so the checkers compute on masks alone: a
 sum a + b is admissible when its mask `a | b << |X|` is admissible in the
 constructed sum X + Y.  A label-level `Subobject` is built only to
@@ -24,9 +25,8 @@ from .core import (
     compose,
     coproduct,
     inclusion,
-    inclusion_table,
-    points,
     split_coproduct,
+    up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
@@ -92,12 +92,23 @@ class SubobjectLattice:
 
 
 def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
-    """Every subset of x whose canonical inclusion lies in M, decided on
-    its table under `sys.m_table`."""
-    masks = [m for m in range(1 << x.size)
-             if sys.m_table(*inclusion_table(x, m))]
-    # By points, as by labels: a carrier's labels are sorted and distinct.
-    masks.sort(key=lambda m: (m.bit_count(), points(m)))
+    """The subsets of x whose inclusion tables (points, induced up-masks,
+    |x|, x's up-masks) `sys.m_table` accepts, each table grown from its
+    parent's in O(k), a size at a time, so each size is in points order."""
+    n, up = x.size, up_masks_or_none(x)
+    level, masks = [((), 0, None if up is None else ())], []
+    while level:
+        level, parents = [], level
+        for pts, mask, rows in parents:
+            if sys.m_table(pts, rows, n, up):
+                masks.append(mask)
+            k = len(pts)
+            for p in range(mask.bit_length(), n):
+                child = rows if rows is None else (
+                    *(r | (up[q] >> p & 1) << k for r, q in zip(rows, pts)),
+                    sum(1 << i for i, q in enumerate(pts) if up[p] >> q & 1)
+                    | (up[p] >> p & 1) << k)
+                level.append(((*pts, p), mask | 1 << p, child))
     return SubobjectLattice(x, tuple(masks))
 
 

@@ -211,12 +211,17 @@ def _sum_described(ctx: Context, x, y, a: int, b: int, **more) -> dict:
 # map is continuous and closed, so A's sides are the identity instances of
 # B's condition (a) and of F's side; both are memoized per family.
 
+def _plain_sum(ctx: Context, x: FiniteObject, y: FiniteObject) -> FiniteObject:
+    """The plain constructed sum x + y, the context's own if it is plain."""
+    return (ctx.coproduct if ctx.coproduct_fn is coproduct else coproduct)(x, y).ob
+
+
 def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
     """The admissible masks of the plain constructed sum x + y.  Under the
     image factorization, the sum a + b of admissible masks a of x and b of
     y is admissible exactly when its mask a | b << |x| is one of them,
     whatever coproduct the context builds."""
-    return set(ctx.sub_lattice(coproduct(x, y).ob))
+    return set(ctx.sub_lattice(_plain_sum(ctx, x, y)))
 
 
 def _e_monos_between_sums(ctx: Context, pool, cls_of):
@@ -479,7 +484,8 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
       closures, and f the low parts of the right points', onto those of
       their images.  They hold when both tables are block-diagonal, and
       are decided per pair otherwise.
-    L is computed once per f-block and distinct low halves, R once per
+    Each end pair's table is built once, its distinct halves numbered; L
+    is computed once per f-block and distinct low halves, R once per
     g-block and distinct high halves.  Pairs are yielded f-major, then by
     g-block, then g, in the order `closed` lists them, so counts and first
     witnesses are those of the per-pair sweep.  Pairs that all hold are
@@ -491,37 +497,38 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
     ids: dict[FiniteObject, int] = {}
     ends = [(ids.setdefault(block[0].source, len(ids)),
              ids.setdefault(block[0].target, len(ids))) for block in blocks]
-    obs, tables = list(ids), {}
+    obs, lows, highs, tables = list(ids), {}, {}, [[None] * len(ids) for _ in ids]
 
     def table(i: int, j: int):
-        if (i, j) not in tables:
-            x, y = obs[i], obs[j]
-            tables[i, j] = _sum_halves(cls_of(ctx.coproduct(x, y).ob),
+        x, y = obs[i], obs[j]
+        low, high, *rest = _sum_halves(cls_of(ctx.coproduct(x, y).ob),
                                        x.size, x.size + y.size)
-        return tables[i, j]
+        tables[i][j] = (lows.setdefault(low, len(lows)), low,
+                        highs.setdefault(high, len(highs)), high, *rest)
+        return tables[i][j]
 
     def half_bits(block, src, tgt) -> int:
         # c(empty) comes last in both halves, so point -1 names it.
         return sum(1 << k for k, h in enumerate(block)
                    if _carries(h.idx, src, tgt, h.idx + (-1,)))
 
-    r_memo = {}
+    r_memo, run = {}, sum(map(len, blocks))
     for f_block, (a, b) in zip(blocks, ends):
-        l_memo, row = {}, []
+        l_memo, row, s_row, t_row = {}, [], tables[a], tables[b]
         for n, (g_block, (c, d)) in enumerate(zip(blocks, ends)):
-            s_lows, s_highs, s_crossed, s_diag = table(a, c)
-            t_lows, t_highs, t_crossed, t_diag = table(b, d)
-            if (s_lows, t_lows) not in l_memo:
-                l_memo[s_lows, t_lows] = half_bits(f_block, s_lows, t_lows)
-            if (n, s_highs, t_highs) not in r_memo:
-                r_memo[n, s_highs, t_highs] = half_bits(g_block, s_highs, t_highs)
+            s_low, s_lows, s_high, s_highs, s_crossed, s_diag = s_row[c] or table(a, c)
+            t_low, t_lows, t_high, t_highs, t_crossed, t_diag = t_row[d] or table(b, d)
+            if (s_low, t_low) not in l_memo:
+                l_memo[s_low, t_low] = half_bits(f_block, s_lows, t_lows)
+            if (n, s_high, t_high) not in r_memo:
+                r_memo[n, s_high, t_high] = half_bits(g_block, s_highs, t_highs)
             row.append((g_block, (1 << len(g_block)) - 1,
-                        l_memo[s_lows, t_lows], r_memo[n, s_highs, t_highs],
+                        l_memo[s_low, t_low], r_memo[n, s_high, t_high],
                         not (s_diag and t_diag) and (*s_crossed, *t_crossed)))
         f_full = (1 << len(f_block)) - 1
         if all(l_bits == f_full and r_bits == full and not crossed
                for _, full, l_bits, r_bits, crossed in row):
-            yield len(f_block) * sum(len(g_block) for g_block, *_ in row)
+            yield len(f_block) * run
             continue
         for k, f in enumerate(f_block):
             for g_block, full, l_bits, r_bits, crossed in row:
@@ -861,7 +868,7 @@ def _admissible_adjunction_side(ctx: Context, pool):
     for x, y in _object_pairs(pool):
         rep = check_adjunction_admissible(
             ctx.sub_lattice(x), ctx.sub_lattice(y),
-            ctx.sub_lattice(coproduct(x, y).ob))
+            ctx.sub_lattice(_plain_sum(ctx, x, y)))
         n_adm += rep.checks[0].checked
         if not rep.passed:
             return False, rep.checks[0].witness, n_adm

@@ -11,7 +11,8 @@ restriction of a `Subobject` along a `Morphism`.
 
 `enumerate_subobjects` and `join_subobjects` are the admissible subobject
 lattice on `Subobject` values: the admissible subsets, and the join as the
-image of the copairing of two inclusions.  `factorization_of_sums` is
+image of the copairing of two inclusions; `inclusion_table` is the table
+of one subset's inclusion, built from scratch.  `factorization_of_sums` is
 checker E as it was written on `Morphism`, `FiniteObject` and `Subobject`
 values: every sum, image, restriction and composite is built as an object
 and compared by equality.  `pullback_stability` and `coproduct_disjoint`
@@ -53,11 +54,14 @@ from extcheck.core import (
     inclusion,
     is_iso,
     monotone_bijections,
+    points,
     pullback,
+    restrict_masks,
     serialize_morphism,
     serialize_object,
     sum_morphisms,
     transitive_closure,
+    up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
@@ -133,6 +137,15 @@ def enumerate_subobjects(sys, x) -> tuple[Subobject, ...]:
             subs.append(Subobject(x, labels))
     subs.sort(key=lambda s: (s.size, s.elements))
     return tuple(subs)
+
+
+def inclusion_table(x, mask: int) -> tuple:
+    """`table_of` the inclusion of the subset `mask` of x into x, built
+    from scratch: the table a lattice decides that subset on."""
+    idx = points(mask)
+    up = up_masks_or_none(x)
+    sub_up = None if up is None else restrict_masks(up, idx)
+    return idx, sub_up, x.size, up
 
 
 def join_subobjects(p: Subobject, q: Subobject) -> Subobject:

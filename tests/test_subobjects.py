@@ -19,7 +19,7 @@ from extcheck.core import (
     compose,
     coproduct,
     inclusion,
-    inclusion_table,
+    points,
     sum_morphisms,
     table_of,
 )
@@ -30,6 +30,7 @@ from extcheck.subobjects import (
     image,
     iota_map,
     subobject_from_mask,
+    subobject_lattice,
     sum_subobjects,
 )
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     R_map,
     corestriction,
     enumerate_subobjects,
+    inclusion_table,
     join_subobjects,
     make_preorder,
     preimage,
@@ -232,12 +234,31 @@ def test_lattice_masks_match_label_level_enumeration(case):
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_inclusion_table_is_the_label_level_inclusion(name):
-    """A lattice decides each subset on this table under `m_table`: the
-    `table_of` the label-level inclusion with the induced order."""
-    for x in builtin(name).objects(3):
-        for m in range(1 << x.size):
-            assert inclusion_table(x, m) == table_of(
-                inclusion(x.restrict(x.labels_of(m)), x))
+    """A lattice calls `m_table` once per subset of its object, in the
+    lattice's (size, points) order, each time on `inclusion_table`: the
+    `table_of` the label-level inclusion with the induced order, built
+    from scratch.  On every pool object at bound 3 and every plain sum of
+    two of them, under the plain, swapped and split systems."""
+    for variant in (None, swapped_system_context, split_mono_context):
+        ctx = builtin(name) if variant is None else variant(builtin(name))
+        pool = ctx.objects(3)
+        for x in (*pool, *(coproduct(a, b).ob for a in pool for b in pool)):
+            calls = []
+
+            def m_table(*table):
+                calls.append(table)
+                return ctx.system.m_table(*table)
+
+            lat = subobject_lattice(
+                FactorizationSystem("recorded", ctx.system.e_table, m_table), x)
+            order = sorted(range(1 << x.size), key=lambda m: (m.bit_count(), points(m)))
+            assert calls == [inclusion_table(x, m) for m in order]
+            assert lat.masks == tuple(m for m, table in zip(order, calls)
+                                      if ctx.system.m_table(*table))
+        for x in pool:
+            for m in range(1 << x.size):
+                assert inclusion_table(x, m) == table_of(
+                    inclusion(x.restrict(x.labels_of(m)), x))
 
 
 @pytest.mark.parametrize("case", SUM_CASES)
@@ -287,6 +308,20 @@ def test_admissible_adjunction_rejects_a_lattice_not_of_the_sum(ctx):
     with pytest.raises(ValueError, match="not the constructed sum"):
         check_adjunction_admissible(ctx.sub_lattice(x), ctx.sub_lattice(y),
                                     ctx.sub_lattice(coproduct(y, x).ob))
+
+
+def test_adjunction_sides_agree_on_every_mask_triple():
+    """The two sides `check_adjunction_admissible` compares, (m | n << nx)
+    & ~p == 0 and m & ~(p & low) == 0 and n & ~(p >> nx) == 0, agree on
+    every triple of masks of an nx-point and an ny-point carrier, nx, ny
+    <= 3, admissible or not: whatever lattices it is handed, that check
+    cannot fail."""
+    for nx, ny in itertools.product(range(4), repeat=2):
+        low = (1 << nx) - 1
+        for m, n, p in itertools.product(range(1 << nx), range(1 << ny),
+                                         range(1 << nx + ny)):
+            assert ((m | n << nx) & ~p == 0) == (
+                m & ~(p & low) == 0 and n & ~(p >> nx) == 0)
 
 
 def test_mask_preimages_and_extensions_match_labels(ctx):

@@ -467,6 +467,77 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
 
 
+def test_c_sum_side_builds_each_sum_table_once(monkeypatch):
+    """On finpre at bound 2, C's sum side calls `_sum_halves` once per
+    distinct (i, j) end pair it reads: the sources of every two blocks of
+    closed maps, and their targets."""
+    from functools import cache
+
+    from extcheck import theorems
+
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    halves = []
+    real = theorems._sum_halves
+
+    def counted(fn, n_left, n):
+        halves.append((n_left, n))
+        return real(fn, n_left, n)
+
+    monkeypatch.setattr(theorems, "_sum_halves", counted)
+    for fam in ctx.families:
+        halves.clear()
+        cls_of = cache(fam.component)
+        closed = theorems._continuous_morphisms(ctx, pool, cls_of)
+        outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
+        sources = {f.source for f in closed}
+        targets = {f.target for f in closed}
+        read = {(a, c) for a in sources for c in sources} | {
+            (b, d) for b in targets for d in targets}
+        assert len(halves) == len(read), fam.name
+        ends = {(f.source, f.target) for f in closed}
+        assert len(halves) < 2 * len(ends) ** 2
+        assert sorted(halves) == sorted((x.size, x.size + y.size) for x, y in read)
+        assert sum(o if o.__class__ is int else 1 for o in outcomes) == len(closed) ** 2
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
+    """A `cli.run` of adjunctions, A, B and C at bound 2 builds
+    `core.coproduct` once per (x, y), though the plain sums' lattices
+    (`_sum_masks`) are read more often than that.  A witness's label-level
+    sum (`subobjects.sum_subobjects`, named after its lattices' ambients)
+    is built apart and not counted."""
+    import dataclasses
+    from collections import Counter
+
+    from extcheck import cli, core, theorems
+    from extcheck.core import coproduct
+
+    built, reads = Counter(), []
+
+    def counted(x, y):
+        built[x, y] += 1
+        return coproduct(x, y)
+
+    real_sum_masks = theorems._sum_masks
+
+    def sum_masks(ctx, x, y):
+        reads.append((x, y))
+        return real_sum_masks(ctx, x, y)
+
+    for module in (core, theorems):
+        monkeypatch.setattr(module, "coproduct", counted)
+    monkeypatch.setattr(theorems, "_sum_masks", sum_masks)
+    monkeypatch.setattr(cli, "builtin", lambda context: dataclasses.replace(
+        builtin(context), coproduct_fn=counted))
+    result = cli.run(cli.RunConfig(context=name, bound=2,
+                                   theorems=("adjunctions", "A", "B", "C")))
+    assert all(v.passed for v in result.verdicts)
+    assert built and set(built.values()) == {1}
+    assert len(reads) > len(set(reads))
+
+
 def test_first_counterexample_counts_through_the_first_failure():
     outcomes = iter([None, None, {"w": 1}, None, {"w": 2}])
     assert first_counterexample(outcomes) == (False, {"w": 1}, 3)
