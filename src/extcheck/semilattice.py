@@ -10,16 +10,16 @@ provides the 2x2 matrix calculus for homs between binary sums.
 A hom is a plain index table (`Table`) between two lattices the caller
 holds, the biproduct structure maps included.  `enumerate_homs` assigns the
 join-irreducibles depth-first and checks join-preservation on generator
-equations only; `matrix_roundtrip` decides `matrix_to_hom(hom_matrix(t))
-== t` for many tables through the round trip precomposed once per pair of
-biproducts.
+equations only; `matrix_roundtrip` returns the positions of the tables t
+for which `matrix_to_hom(hom_matrix(t)) != t`, through the round trip
+precomposed once per biproduct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import CheckResult, Coproduct, FiniteObject, Report
 from .closure import ClosureFamily, MaskFn
@@ -214,6 +214,23 @@ class Biproduct:
     def passed(self) -> bool:
         return self.report.passed
 
+    # What a round trip reads of a biproduct, precomposed on first use.
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """As source: each point k's (inj_l[proj_l[k]], inj_r[proj_r[k]])."""
+        return tuple((self.inj_l[a], self.inj_r[b])
+                     for a, b in zip(self.proj_l, self.proj_r))
+
+    @cached_property
+    def joint(self) -> tuple[Table, ...]:
+        """As target: inj_l . proj_l and inj_r . proj_r joined for every
+        pair of values (u, w), in `matrix_to_hom`'s association order."""
+        join = self.total.join
+        left = [self.inj_l[m] for m in self.proj_l]
+        right = [self.inj_r[m] for m in self.proj_r]
+        return tuple(tuple(join[join[join[left[u]][left[w]]][right[u]]][right[w]]
+                           for w in range(len(join))) for u in range(len(join)))
+
 
 def verify_biproduct(left: JoinSemilattice, right: JoinSemilattice,
                      total: JoinSemilattice, inj_l: Table, inj_r: Table,
@@ -294,21 +311,14 @@ def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> Table
 
 
 def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
-                     homs: Iterable[Table]) -> Iterator[bool]:
-    """For each table t, whether matrix_to_hom(hom_matrix(t)) == t.
+                     homs: Sequence[Table]) -> list[int]:
+    """The ascending positions of the tables t in `homs` for which
+    matrix_to_hom(hom_matrix(t)) != t.
 
-    Precomposed once: the target's inj_l . proj_l and inj_r . proj_r, joined
-    for every pair of values in `matrix_to_hom`'s association order, and
-    each source point's pair (inj_l[proj_l[k]], inj_r[proj_r[k]]).  Entry
-    k of the round trip of t is then that join at (t[l], t[r]) of point
-    k's pair, so each value equals `matrix_to_hom`'s by construction."""
-    join = bp_tgt.total.join
-    left = [bp_tgt.inj_l[m] for m in bp_tgt.proj_l]
-    right = [bp_tgt.inj_r[m] for m in bp_tgt.proj_r]
-    joint = [[join[join[join[left[u]][left[w]]][right[u]]][right[w]]
-              for w in range(len(join))] for u in range(len(join))]
-    inj_l, inj_r = bp_src.inj_l, bp_src.inj_r
-    pairs = [(inj_l[a], inj_r[b])
-             for a, b in zip(bp_src.proj_l, bp_src.proj_r)]
-    for t in homs:
-        yield [joint[t[a]][t[b]] for a, b in pairs] == list(t)
+    Entry k of the round trip of t is the target's `joint` at (t[l], t[r])
+    for the source's pair (l, r) of point k, so each value equals
+    `matrix_to_hom`'s by construction, and the answer depends only on the
+    tables, `bp_src.pairs` and `bp_tgt.joint`."""
+    joint, pairs = bp_tgt.joint, bp_src.pairs
+    return [k for k, t in enumerate(homs)
+            if [joint[t[a]][t[b]] for a, b in pairs] != list(t)]

@@ -21,6 +21,7 @@ Subobjects are masks throughout, built as labels only for a witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, groupby, product
@@ -946,30 +947,52 @@ def _lattice_biproduct_side(ctx: Context, family: ClosureFamily, bound: int, mem
 
 def _roundtrip_outcomes(ctx: Context, pool):
     """Per hom between sum lattices of objects of size at most 2: None when
-    its 2x2 matrix joins back to the same table."""
+    its 2x2 matrix joins back to the same table.
+
+    A block's homs depend only on the two total lattices, and which of
+    them fail the round trip only on those, the source's `pairs` and the
+    target's `joint`, so each is decided once per key in one run (capped
+    blocks are not memoized).  The homs that hold are yielded as runs; a
+    hom that fails is confirmed on the literal matrix calculus, with its
+    block's own structure maps."""
     small = [x for x in pool if x.size <= 2]
     bps = {(x, y): closed_biproduct(ctx.sub_lattice, IDENTITY, x, y,
                                     ctx.coproduct(x, y))
            for x, y in _object_pairs(small)}
+    # A key's homs are held from its first block to its last, no longer.
+    tables = {bp: (bp.total.join, bp.total.zero) for bp in bps.values()}
+    uses = Counter(tables[s] + tables[t] for s, t in product(bps.values(), repeat=2))
+    homs_of, failed_of = {}, {}
     for src_key, bp_s in bps.items():
-        irr = len(bp_s.total.irreducibles)
+        src = bp_s.total
+        irr = len(src.irreducibles)
         for tgt_key, bp_t in bps.items():
-            expected = bp_t.total.n ** irr if irr else 1
-            if expected <= HOM_ENUMERATION_CAP:
-                homs = enumerate_homs(bp_s.total, bp_t.total)
+            tgt = bp_t.total
+            if tgt.n ** irr <= HOM_ENUMERATION_CAP:
+                lattices = tables[bp_s] + tables[bp_t]
+                if lattices not in homs_of:
+                    homs_of[lattices] = enumerate_homs(src, tgt)
+                uses[lattices] -= 1
+                homs = homs_of[lattices] if uses[lattices] else homs_of.pop(lattices)
+                key = lattices, bp_s.pairs, bp_t.joint
+                if key not in failed_of:
+                    failed_of[key] = matrix_roundtrip(bp_s, bp_t, homs)
+                failed = failed_of[key]
             else:
-                homs = ([identity_hom(bp_s.total)]
-                        if bp_s.total is bp_t.total else [])
-                homs.append(zero_hom(bp_s.total, bp_t.total))
-            for h, ok in zip(homs, matrix_roundtrip(bp_s, bp_t, homs)):
-                # A failure is confirmed on the literal matrix calculus, the
-                # definition the side states; passing homs never reach it.
-                if ok or matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h:
-                    yield None
-                else:
-                    yield {"source_pair": [o.label for o in src_key],
-                           "target_pair": [o.label for o in tgt_key],
-                           "hom_table": list(h)}
+                homs = [identity_hom(src)] if src is tgt else []
+                homs.append(zero_hom(src, tgt))
+                failed = matrix_roundtrip(bp_s, bp_t, homs)
+            start = 0
+            for k in failed:
+                if k > start:
+                    yield k - start
+                h, start = homs[k], k + 1
+                yield (None if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h
+                       else {"source_pair": [o.label for o in src_key],
+                             "target_pair": [o.label for o in tgt_key],
+                             "hom_table": list(h)})
+            if len(homs) > start:
+                yield len(homs) - start
 
 
 def check_biproduct(ctx: Context, family: ClosureFamily,

@@ -154,10 +154,15 @@ MUTATIONS = (
              ("tests/test_theorems.py::"
               "test_closed_biproduct_side_runs_past_a_subobject_failure",)),
     Mutation("biproduct: homs round-trip through matrices", THEOREMS,
-             "if ok or matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h:",
-             "if True:",
+             "yield (None if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h",
+             "yield (None if True",
              ("tests/test_theorems.py::"
               "test_roundtrip_side_names_the_first_hom_that_fails",)),
+    Mutation("biproduct: a round trip is keyed on the structure maps", THEOREMS,
+             "key = lattices, bp_s.pairs, bp_t.joint",
+             "key = lattices",
+             ("tests/test_theorems.py::"
+              "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
 )
 
 

@@ -706,6 +706,105 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
     assert (witness, count) == first_counterexample(literal())[1:]
 
 
+def test_roundtrip_side_decides_each_key_once(monkeypatch):
+    """On finpre at bound 2 the round-trip side enumerates homs once per
+    distinct (source, target) pair of total lattice tables among the
+    uncapped blocks, and decides round trips once per distinct (tables,
+    source pairs, target joint) key plus once per capped block, with both
+    key sets built here from the structure maps; it still counts every
+    hom it round-trips."""
+    from functools import reduce
+    from itertools import product
+
+    from extcheck import theorems
+    from extcheck.closure import IDENTITY
+
+    calls = {"enumerate_homs": 0, "matrix_roundtrip": 0}
+    for name in calls:
+        def counted(*args, real=getattr(theorems, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(theorems, name, counted)
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    assert first_counterexample(theorems._roundtrip_outcomes(ctx, pool)) == (
+        True, None, 500243)
+
+    def tables(bp):
+        return bp.total.join, bp.total.zero
+
+    def pairs(bp):
+        return tuple((bp.inj_l[a], bp.inj_r[b])
+                     for a, b in zip(bp.proj_l, bp.proj_r))
+
+    def joint(bp):
+        join, rng = bp.total.join, range(bp.total.n)
+        left = [bp.inj_l[m] for m in bp.proj_l]
+        right = [bp.inj_r[m] for m in bp.proj_r]
+        return tuple(tuple(reduce(lambda a, b: join[a][b],
+                                  (left[u], left[w], right[u], right[w]))
+                           for w in rng) for u in rng)
+
+    bps = [theorems.closed_biproduct(ctx.sub_lattice, IDENTITY, x, y,
+                                     ctx.coproduct(x, y))
+           for x, y in product([x for x in pool if x.size <= 2], repeat=2)]
+    hom_keys, roundtrip_keys, capped = set(), set(), 0
+    for s, t in product(bps, repeat=2):
+        if t.total.n ** len(s.total.irreducibles) > theorems.HOM_ENUMERATION_CAP:
+            capped += 1
+        else:
+            hom_keys.add((tables(s), tables(t)))
+            roundtrip_keys.add((tables(s), tables(t), pairs(s), joint(t)))
+    assert (len(bps), capped) == (25, 81)
+    assert calls == {"enumerate_homs": len(hom_keys),
+                     "matrix_roundtrip": len(roundtrip_keys) + capped}
+
+
+def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
+    """With the right projection of one sum lattice broken to zero, the
+    round-trip side's witness and count are those of the literal per-block
+    sweep, although an earlier pair has the same lattice tables: which homs
+    round-trip is not decided by the tables alone."""
+    from extcheck import theorems
+    from extcheck.closure import IDENTITY
+    from extcheck.semilattice import enumerate_homs, hom_matrix, matrix_to_hom
+
+    ctx = builtin("finset")
+    pool = ctx.objects(2)
+    keys = list(theorems._object_pairs(pool))
+    two, one = pool[2], pool[1]
+    real = theorems.closed_biproduct
+
+    def broken(lattice_of, family, x, y, cp):
+        bp = real(lattice_of, family, x, y, cp)
+        if (x, y) == (two, one):
+            bp.proj_r = (bp.right.zero,) * bp.total.n
+        return bp
+
+    bps = [(key, broken(ctx.sub_lattice, IDENTITY, *key, ctx.coproduct(*key)))
+           for key in keys]
+    tables = [(bp.total.join, bp.total.zero) for _, bp in bps]
+    assert (two.size, one.size) == (2, 1)
+    assert keys.index((one, two)) < keys.index((two, one))
+    assert tables[keys.index((one, two))] == tables[keys.index((two, one))]
+
+    monkeypatch.setattr(theorems, "closed_biproduct", broken)
+    ok, witness, count = first_counterexample(
+        theorems._roundtrip_outcomes(ctx, pool))
+    assert not ok and witness["target_pair"] == [two.label, one.label]
+
+    def literal():
+        for s_key, s in bps:
+            for t_key, t in bps:
+                for h in enumerate_homs(s.total, t.total):
+                    yield (None if matrix_to_hom(s, t, hom_matrix(s, t, h)) == h
+                           else {"source_pair": [o.label for o in s_key],
+                                 "target_pair": [o.label for o in t_key],
+                                 "hom_table": list(h)})
+
+    assert (witness, count) == first_counterexample(literal())[1:]
+
+
 # G and H: every side fails where the class's test fails on the maps that
 # side alone hands it.
 
