@@ -603,6 +603,42 @@ def count_instances(outcomes: Iterable) -> int:
     return sum(o if o.__class__ is int else 1 for o in outcomes)
 
 
+def supersets(masks, n: int):
+    """The map from a mask j over n points to the bitset of the positions k
+    with j inside masks[k]: `masks` bit-transposed into per-point columns,
+    bit k of column i set when masks[k] contains point i, ANDed over j's
+    points."""
+    # Column i reads every n-th binary digit of the masks, last mask first.
+    spec = f"0{n}b"
+    digits = "".join([format(mask, spec) for mask in reversed(masks)])
+    cols = [int("0" + digits[n - 1 - i::n], 2) for i in range(n)]
+    full = (1 << len(masks)) - 1
+
+    def meet(j: int) -> int:
+        out = full
+        while j:
+            low = j & -j
+            out &= cols[low.bit_length() - 1]
+            j ^= low
+        return out
+    return meet
+
+
+def runs_around(marked: int, size: int, instance) -> Iterator:
+    """Outcomes of a row of `size` instances of which only the positions set
+    in `marked` may fail: a run for each stretch between them, and at each
+    marked position k `instance(k)`, that instance decided literally."""
+    start = 0
+    while marked:
+        k = (marked & -marked).bit_length() - 1
+        if k > start:
+            yield k - start
+        yield instance(k)
+        start, marked = k + 1, marked & marked - 1
+    if size > start:
+        yield size - start
+
+
 @dataclass(frozen=True)
 class CheckResult:
     id: str

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
 from itertools import chain, groupby, product
+from operator import or_
 from typing import Sequence
 
 from .closure import (
@@ -51,9 +52,11 @@ from .core import (
     monotone_bijections,
     points,
     restrict_masks,
+    runs_around,
     serialize_morphism,
     serialize_object,
     sum_morphisms,
+    supersets,
     terminal,
     up_masks_or_none,
 )
@@ -877,6 +880,10 @@ def _admissible_adjunction_side(ctx: Context, pool):
 
 
 def _closed_adjunction_outcomes(ctx: Context, pool, cls_of):
+    """Per (u, v) row of closed masks of x and y, every closed w of the sum
+    at once, as `check_adjunction_admissible` decides its rows: the left
+    side's set of w is the bitset of those above fsum(u | v << nx), the
+    right side's the AND of one bitset per u and one per v."""
     for x, y in _object_pairs(pool):
         fx, fy = cls_of(x), cls_of(y)
         cp = ctx.coproduct(x, y)
@@ -886,15 +893,26 @@ def _closed_adjunction_outcomes(ctx: Context, pool, cls_of):
         closed_x = [u for u in ctx.sub_lattice(x) if fx(u) == u]
         closed_y = [v for v in ctx.sub_lattice(y) if fy(v) == v]
         closed_sum = [w for w in ctx.sub_lattice(cp.ob) if fsum(w) == w]
+        above = supersets(closed_sum, cp.ob.size)
+        lefts = supersets([w & low for w in closed_sum], nx)
+        rights = supersets([w >> nx for w in closed_sum], cp.ob.size - nx)
+        rows_y = [(v, rights(v)) for v in closed_y]
+
+        def instance(u, v, lhs_val, k):
+            w = closed_sum[k]
+            lhs = lhs_val & ~w == 0
+            rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
+            return (None if lhs == rhs else _witness(
+                x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
+                w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs))
+
         for u in closed_x:
-            for v in closed_y:
+            left_u = lefts(u)
+            for v, right_v in rows_y:
                 lhs_val = fsum(u | (v << nx))
-                for w in closed_sum:
-                    lhs = lhs_val & ~w == 0
-                    rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
-                    yield (None if lhs == rhs else _witness(
-                        x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
-                        w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs))
+                yield from runs_around(above(lhs_val) ^ left_u & right_v,
+                                       len(closed_sum),
+                                       partial(instance, u, v, lhs_val))
 
 
 def check_adjunctions(ctx: Context, family: ClosureFamily,
@@ -922,10 +940,22 @@ def _lattice_hypothesis_outcomes(ctx: Context, pool):
     semilattice tables assume; else the object."""
     sums = (ctx.coproduct(x, y).ob for x, y in _object_pairs(pool))
     for ob in (*pool, *sums):
-        masks = set(ctx.sub_lattice(ob))
-        yield (None if 0 in masks and all(a | b in masks
-                                          for a in masks for b in masks)
+        yield (None if _union_closed(ctx.sub_lattice(ob).masks, ob.size)
                else {"object": serialize_object(ob)})
+
+
+def _union_closed(masks, n: int) -> bool:
+    """Whether `masks`, over n points, contain 0 and are closed under
+    unions, in O(2^n * n): exactly when D(s) is one of them for every mask
+    s, where D(s), the union of those inside s, is s itself when s is one,
+    else the union of D(s - i) over the points i of s."""
+    member, down = set(masks), []
+    for s in range(1 << n):
+        down.append(s if s in member else
+                    reduce(or_, (down[s ^ 1 << i] for i in points(s)), 0))
+        if down[s] not in member:
+            return False
+    return True
 
 
 def _lattice_biproduct_outcomes(ctx: Context, pool, family: ClosureFamily):

@@ -44,6 +44,7 @@ VALIDATE = "tests/test_factorization.py::test_validate_system_matches_label_leve
 PULLBACK_KEY = "tests/test_factorization.py::test_m_stability_decides_each_pullback_key_once"
 SWEEP = "tests/test_factorization.py::test_indexed_sweep_matches_literal_sweep"
 CROSSED = "tests/test_contexts.py::test_crossed_instances_on_tables_match_literal_instances"
+LEAKY_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_fails_where_a_sum_closure_leaks"
 
 
 class Mutation(NamedTuple):
@@ -163,6 +164,10 @@ MUTATIONS = (
              "key = lattices",
              ("tests/test_theorems.py::"
               "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
+    Mutation("adjunctions: a closed row holds", THEOREMS,
+             "yield from runs_around(above(lhs_val) ^ left_u & right_v,",
+             "yield from runs_around(0,",
+             (f"{LEAKY_ADJ}[finpre]", f"{LEAKY_ADJ}[finset]")),
 )
 
 

@@ -19,6 +19,9 @@ and compared by equality.  `pullback_stability` and `coproduct_disjoint`
 are the two extensivity laws as they were written on label-level pullbacks.
 `closed_sum_of_closed_outcomes` is checker C's sum side decided per pair:
 the singleton closed-morphism equation of each f + g on its sum tables.
+`admissible_adjunction_outcomes` and `closed_adjunction_outcomes` are the
+two adjunction sides decided per (m, n, p) triple, and `union_closed` the
+biproduct's lattice hypothesis as a sweep over every pair of masks.
 `surjective`, `injective` and `order_reflecting` are the class predicates
 on label tables, and `has_retraction` the split mutant's M on them.
 `failed_pullback` and `injection_pullback_side` are checkers A and F's
@@ -366,6 +369,58 @@ def closed_sum_of_closed_outcomes(ctx, closed, cls_of):
                 tail = tuple(t + nt for t in g.idx)
                 yield (None if _closed_fast(f.idx + tail, src_fn, tgt_fn, n_src)
                        else _maps_witness(f, g))
+
+
+def admissible_adjunction_outcomes(lat_x, lat_y, lat_xy):
+    """`subobjects.check_adjunction_admissible`'s instances per triple: for
+    admissible m of x, n of y and p of their constructed sum, the join of
+    the extensions m | n << nx is below p iff m and n are below p's
+    preimages p & low and p >> nx."""
+    x, y, amb = lat_x.ambient, lat_y.ambient, lat_xy.ambient
+    nx = x.size
+    low = (1 << nx) - 1
+    preimages = [(p, p & low, p >> nx) for p in lat_xy]
+    for m in lat_x:
+        for n in lat_y:
+            join_mask = m | (n << nx)
+            for p, pl, pr in preimages:
+                lhs = join_mask & ~p == 0
+                rhs = m & ~pl == 0 and n & ~pr == 0
+                yield None if lhs == rhs else {
+                    "m": serialize_subobject(subobject_from_mask(x, m)),
+                    "n": serialize_subobject(subobject_from_mask(y, n)),
+                    "p": serialize_subobject(subobject_from_mask(amb, p)),
+                    "lhs": lhs, "rhs": rhs}
+
+
+def closed_adjunction_outcomes(ctx, pool, cls_of):
+    """The closed adjunction side per triple: for every object pair and
+    closed u of x, v of y and w of their sum, the closure of u | v << nx
+    below w iff u and v are below w's preimages."""
+    for x, y in _object_pairs(pool):
+        fx, fy = cls_of(x), cls_of(y)
+        cp = ctx.coproduct(x, y)
+        fsum = cls_of(cp.ob)
+        nx = x.size
+        low = (1 << nx) - 1
+        closed_x = [u for u in ctx.sub_lattice(x) if fx(u) == u]
+        closed_y = [v for v in ctx.sub_lattice(y) if fy(v) == v]
+        closed_sum = [w for w in ctx.sub_lattice(cp.ob) if fsum(w) == w]
+        for u in closed_x:
+            for v in closed_y:
+                lhs_val = fsum(u | (v << nx))
+                for w in closed_sum:
+                    lhs = lhs_val & ~w == 0
+                    rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
+                    yield (None if lhs == rhs else _witness(
+                        x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
+                        w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs))
+
+
+def union_closed(masks) -> bool:
+    """`masks` contain 0 and the union of every two of them."""
+    masks = set(masks)
+    return 0 in masks and all(a | b in masks for a in masks for b in masks)
 
 
 def surjective(f) -> bool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from extcheck.closure import ClosureFamily
 from extcheck.contexts import (
     builtin,
     crossed_coproduct_context,
@@ -195,12 +196,19 @@ def test_checker_e_matches_label_level_oracle(case):
             == factorization_of_sums(ctx, bound).to_dict())
 
 
-def _with_closed_maps_objects(base):
+def _with_bench_objects(base, name="closed-maps"):
     from pathlib import Path
 
     from extcheck.cli import load_objects
-    path = Path(__file__).resolve().parents[1] / "perfbench/inputs/closed-maps.json"
+    path = Path(__file__).resolve().parents[1] / f"perfbench/inputs/{name}.json"
     return base.with_extra_objects(load_objects(str(path), base.ordered))
+
+
+def _expanded(outcomes) -> list:
+    """`outcomes` with each run of k instances that hold as k Nones."""
+    from itertools import chain, repeat
+    return list(chain.from_iterable(
+        repeat(None, o) if o.__class__ is int else (o,) for o in outcomes))
 
 
 # case -> (base context, variant, bound, {family: failing pairs}).  The
@@ -209,12 +217,12 @@ def _with_closed_maps_objects(base):
 # pair, on passing and on failing pairs.
 C_SUM_ORACLE_CASES = {
     "finset-b3": ("finset", None, 3, {"identity": 0, "indiscrete": 102}),
-    "finpre+closed-maps-b2": ("finpre", _with_closed_maps_objects, 2,
+    "finpre+closed-maps-b2": ("finpre", _with_bench_objects, 2,
                               {"alexandrov": 0, "identity": 0,
                                "indiscrete": 1344}),
     "finpre+closed-maps!crossed-b2": (
         "finpre", lambda ctx: crossed_coproduct_context(
-            _with_closed_maps_objects(ctx)), 2,
+            _with_bench_objects(ctx)), 2,
         {"alexandrov": 6337, "identity": 0, "indiscrete": 1344}),
 }
 
@@ -226,7 +234,6 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     yields, witnesses included, in the same order, once each run of k
     pairs that hold is expanded into k Nones."""
     from functools import cache
-    from itertools import chain, repeat
 
     from oracles import closed_sum_of_closed_outcomes
     from extcheck import theorems
@@ -237,9 +244,8 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     for fam in ctx.families:
         cls_of = cache(fam.component)
         closed = theorems._continuous_morphisms(ctx, pool, cls_of)
-        blocked = list(chain.from_iterable(
-            repeat(None, o) if o.__class__ is int else (o,)
-            for o in theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of)))
+        blocked = _expanded(
+            theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
         per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cls_of))
         assert blocked == per_pair, fam.name
         assert len(blocked) == len(closed) ** 2
@@ -433,6 +439,76 @@ def test_adjunctions_finpre_bound_3_counts_and_memo(monkeypatch):
                            3, None) == v
 
 
+# Not extensive on objects of 3+ points, which at bound 2 are sums only: the
+# closure of such a sum drops its point 1.
+LEAKY = ClosureFamily("leaky", False, lambda size, down: (
+    (lambda m: m & ~2) if size >= 3 else (lambda m: m)))
+
+
+@pytest.mark.parametrize("base, variant", [
+    pytest.param("finset", None, id="finset-b2"),
+    pytest.param("finpre", None, id="finpre-b2"),
+    pytest.param("finpre", lambda ctx: _with_bench_objects(ctx, "sum-extensions"),
+                 id="finpre+sum-extensions-b2")])
+def test_adjunction_sides_match_per_triple_oracle(base, variant):
+    """Both adjunction sides, decided a row at a time on bitsets, yield the
+    outcome of every triple that the per-triple sweep yields, witnesses
+    included, in the same order, once runs are expanded; so their (ok,
+    witness, count) agree, under every registered family and under one
+    whose closure of a sum drops a point, where the closed side fails."""
+    from functools import cache
+    from itertools import chain
+
+    from oracles import admissible_adjunction_outcomes, closed_adjunction_outcomes
+    from extcheck import theorems
+    from extcheck.core import CheckResult
+    from extcheck.subobjects import check_adjunction_admissible
+
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(2)
+    lattices = [(ctx.sub_lattice(x), ctx.sub_lattice(y),
+                 ctx.sub_lattice(theorems._plain_sum(ctx, x, y)))
+                for x, y in theorems._object_pairs(pool)]
+    for lats in lattices:
+        assert check_adjunction_admissible(*lats).checks == (CheckResult.of(
+            "extension_preimage_adjunction", admissible_adjunction_outcomes(*lats)),)
+    assert theorems._admissible_adjunction_side(ctx, pool) == first_counterexample(
+        chain.from_iterable(admissible_adjunction_outcomes(*lats) for lats in lattices))
+    failing = 0
+    for fam in (*ctx.families, LEAKY):
+        cls_of = cache(fam.component)
+        rows = list(theorems._closed_adjunction_outcomes(ctx, pool, cls_of))
+        triples = list(closed_adjunction_outcomes(ctx, pool, cls_of))
+        assert _expanded(rows) == triples, fam.name
+        assert first_counterexample(rows) == first_counterexample(triples)
+        failing += any(triples)
+    assert failing == 1
+
+
+@pytest.mark.parametrize("name, counts, v_labels", [
+    ("finpre", (("admissible_triples", 2809), ("closed_triples", 78)), ["p1"]),
+    ("finset", (("admissible_triples", 441), ("closed_triples", 46)), ["x1"])],
+    ids=["finpre", "finset"])
+def test_closed_adjunction_side_fails_where_a_sum_closure_leaks(name, counts,
+                                                                v_labels):
+    """Under `LEAKY`, whose closure of a 3-point sum drops point 1, the
+    closure of the extension of v, y's first point, is empty, so below the
+    empty w, while v is not below w's preimage: the closed side fails
+    there, with each side's value and count and the witness pinned.  A
+    side that assumed its rows hold would report true."""
+    ctx = builtin(name)
+    pool = ctx.objects(2)
+    v = run_checker("adjunctions", ctx, LEAKY, 2, {})
+    assert v.status == "ok" and not v.passed
+    assert v.sides == (("admissible_extension_adjunction", True),
+                       ("closed_extension_adjunction", False))
+    assert v.counts == counts
+    assert v.witnesses == ({
+        "x": serialize_object(pool[1]), "y": serialize_object(pool[2]),
+        "u": [], "v": v_labels, "w": [], "lhs": True, "rhs": False,
+        "side": "closed_extension_adjunction", "kind": "counterexample"},)
+
+
 def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
     """The family-independent `subobject_lattice_biproduct` side, the closed
     side under the identity closure, is built once per run and served from
@@ -596,6 +672,31 @@ def test_count_instances_finishes_the_count_past_the_first_failure():
     assert (ok, witness, count) == (False, {"w": 1}, 5)
     assert count + count_instances(outcomes) == 12
     assert count_instances(iter(())) == 0
+
+
+@pytest.mark.parametrize("base", ["finset", "finpre"])
+@pytest.mark.parametrize("variant, bound", [(None, 2), (None, 3),
+                                            (split_mono_context, 2)])
+def test_union_closure_matches_all_pairs_sweep(base, variant, bound):
+    """The biproduct's lattice hypothesis, decided per object by the unions
+    D(s) of the members inside each mask s, against the sweep over every
+    pair of members: on every pool object and every sum of two (the split
+    mutant's miss 0 but for the empty object's), and on two mask lists
+    that break it, one without 0 and one not closed under unions."""
+    from oracles import union_closed
+    from extcheck.theorems import _object_pairs, _union_closed
+
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(bound)
+    sums = [ctx.coproduct(x, y).ob for x, y in _object_pairs(pool)]
+    seen = set()
+    for ob in (*pool, *sums):
+        masks = ctx.sub_lattice(ob).masks
+        seen.add(union_closed(masks))
+        assert _union_closed(masks, ob.size) == union_closed(masks), ob.label
+    assert seen == ({True} if variant is None else {True, False})
+    for masks in ((1, 2, 3), (0, 1, 2, 4, 7)):
+        assert not union_closed(masks) and not _union_closed(masks, 3), masks
 
 
 @pytest.mark.parametrize("base", ["finset", "finpre"])
