@@ -175,7 +175,7 @@ def run(config: RunConfig) -> RunResult:
     memo: dict = {}
     for thm in theorems:
         bound = config.bound if config.bound is not None else DEFAULT_BOUNDS[thm]
-        if thm in FAMILY_FREE or thm == "validate":
+        if thm in FAMILY_FREE:
             fams: list[ClosureFamily | None] = [None]
         else:
             fams = list(families)

@@ -134,6 +134,39 @@ def sum_subobjects(a: Subobject, b: Subobject) -> Subobject:
     return Subobject(coproduct(a.ambient, b.ambient).ob, carrier)
 
 
+def adjunction_outcomes(us, vs, ws, nx: int, n: int, close, describe):
+    """Outcomes of the adjunction close(u | v << nx) <= w  iff  u <= w & low
+    and v <= w >> nx, for every u of `us`, v of `vs` and w of `ws`, masks
+    over the first nx, the last n - nx and all n points of a sum: u-major,
+    then v, then w, `describe(u, v, w, lhs, rhs)` giving a failure.
+
+    Each (u, v) row is decided against every w at once: each side's set of
+    w is an AND of bitsets (`supersets`), the left side's that of the w
+    above u and of those above v << nx when `close` fixes the join, else
+    that of those above its closure.  Only where the sets differ is a
+    triple decided literally."""
+    low = (1 << nx) - 1
+    above = supersets(ws, n)
+    lefts = supersets([w & low for w in ws], nx)
+    rights = supersets([w >> nx for w in ws], n - nx)
+    rows_v = [(v, above(v << nx), rights(v)) for v in vs]
+
+    def instance(u, v, closed, k):
+        w = ws[k]
+        lhs = closed & ~w == 0
+        rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
+        return None if lhs == rhs else describe(u, v, w, lhs, rhs)
+
+    for u in us:
+        above_u, left_u = above(u), lefts(u)
+        for v, above_v, right_v in rows_v:
+            join = u | v << nx
+            closed = close(join)
+            lhs = above_u & above_v if closed == join else above(closed)
+            yield from runs_around(lhs ^ left_u & right_v, len(ws),
+                                   partial(instance, u, v, closed))
+
+
 def check_adjunction_admissible(lat_x: SubobjectLattice, lat_y: SubobjectLattice,
                                 lat_xy: SubobjectLattice) -> Report:
     """Join of extensions is left adjoint to the pair of injection preimages.
@@ -146,41 +179,22 @@ def check_adjunction_admissible(lat_x: SubobjectLattice, lat_y: SubobjectLattice
     order.  On masks L(m) is then m, R(n) is n << |X|, the preimages of p
     along the injections (`iota_map`) are p & low and p >> |X|, and the join
     L(m) v R(n) is the union m | n << |X|, as it is under the image
-    factorization of every system.  Each (m, n) row is decided against
-    every p at once: each side's set of p is the AND of one bitset per m and
-    one per n (`supersets`), and only where the sets differ is a triple
-    decided literally.  Here the two sets are equal for any masks, since
-    the preimages' columns are the sum's own, so the check cannot fail.
+    factorization of every system: `adjunction_outcomes` with no closure.
+    Its two sets of p are equal for any masks, since the preimages' columns
+    are the sum's own, so the check cannot fail.
     """
     x, y, amb = lat_x.ambient, lat_y.ambient, lat_xy.ambient
     if amb.elements != tuple(LEFT_TAG + e for e in x.elements) + tuple(
             RIGHT_TAG + e for e in y.elements):
         raise ValueError(f"{amb.label} is not the constructed sum "
                          f"of {x.label} and {y.label}")
-    nx = x.size
-    low = (1 << nx) - 1
-    ps = lat_xy.masks
-    joins = supersets(ps, amb.size)
-    lefts = supersets([p & low for p in ps], nx)
-    rights = supersets([p >> nx for p in ps], y.size)
-    rows_y = [(n, joins(n << nx), rights(n)) for n in lat_y]
 
-    def instance(m, n, k):
-        p = ps[k]
-        lhs = (m | n << nx) & ~p == 0
-        rhs = m & ~(p & low) == 0 and n & ~(p >> nx) == 0
-        return None if lhs == rhs else {
-            "m": serialize_subobject(subobject_from_mask(x, m)),
-            "n": serialize_subobject(subobject_from_mask(y, n)),
-            "p": serialize_subobject(subobject_from_mask(amb, p)),
-            "lhs": lhs, "rhs": rhs}
-
-    def outcomes():
-        for m in lat_x:
-            join_m, left_m = joins(m), lefts(m)
-            for n, join_n, right_n in rows_y:
-                yield from runs_around(join_m & join_n ^ left_m & right_n,
-                                       len(ps), partial(instance, m, n))
+    def describe(m, n, p, lhs, rhs):
+        return {"m": serialize_subobject(subobject_from_mask(x, m)),
+                "n": serialize_subobject(subobject_from_mask(y, n)),
+                "p": serialize_subobject(subobject_from_mask(amb, p)),
+                "lhs": lhs, "rhs": rhs}
 
     return Report(f"adjunction[{x.label},{y.label}]", (
-        CheckResult.of("extension_preimage_adjunction", outcomes()),))
+        CheckResult.of("extension_preimage_adjunction", adjunction_outcomes(
+            lat_x, lat_y, lat_xy.masks, x.size, amb.size, lambda j: j, describe)),))

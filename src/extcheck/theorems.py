@@ -4,9 +4,9 @@ Every checker quantifies exhaustively over the context's object pool at a
 bound, evaluates each side of its statement separately, and reports a
 Verdict: named condition truth values, whether they all agree, at least one
 witness (the first counterexample, or a confirming instance when everything
-agrees), and instance counts.  Checkers whose statement assumes an earlier
-one gate on it and report hypothesis-failed instead of a verdict when the
-hypothesis does not hold in the given universe.
+agrees), and instance counts.  A checker whose statement assumes an earlier
+one reports hypothesis-failed instead when `run_checker` finds one of its
+`GATES` failing in the given universe.
 
 Each side is a generator of outcomes in enumeration order: None for one
 instance that holds, an `int` k for a run of k instances that all hold, a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import chain, groupby, product
 from operator import or_
 from typing import Sequence
@@ -52,11 +52,9 @@ from .core import (
     monotone_bijections,
     points,
     restrict_masks,
-    runs_around,
     serialize_morphism,
     serialize_object,
     sum_morphisms,
-    supersets,
     terminal,
     up_masks_or_none,
 )
@@ -71,6 +69,7 @@ from .semilattice import (
     zero_hom,
 )
 from .subobjects import (
+    adjunction_outcomes,
     check_adjunction_admissible,
     serialize_subobject,
     subobject_from_mask,
@@ -80,7 +79,7 @@ from .subobjects import (
 THEOREM_IDS = ("A", "B", "C", "D", "E", "F", "G", "H",
                "adjunctions", "biproduct", "validate")
 
-FAMILY_FREE = {"A", "E"}
+FAMILY_FREE = {"A", "E", "validate"}
 
 
 @dataclass(frozen=True)
@@ -136,25 +135,10 @@ def _verdict(theorem: str, ctx: Context, family, bound: int, sides,
                    tuple((cname, n) for _, cname, (_, _, n) in sides if cname))
 
 
-def _gated(theorem: str, ctx: Context, family, bound: int,
-           hypothesis: str, witness: dict | None) -> Verdict:
-    wits = (witness,) if witness else ()
-    return Verdict(theorem, ctx.name, family.name if family else None, bound,
-                   (), None, "hypothesis-failed", hypothesis, True, wits, ())
-
-
 def _memoized(memo, key, compute):
-    memo = {} if memo is None else memo
     if key not in memo:
         memo[key] = compute()
     return memo[key]
-
-
-def _peek(instances):
-    """The first of `instances` (None if there is none), and an iterator
-    over all of them."""
-    first = next(instances, None)
-    return first, chain((first,) if first else (), instances)
 
 
 def _failures(instances):
@@ -164,11 +148,13 @@ def _failures(instances):
 
 
 def _confirmed(instances):
-    """`first_counterexample` over instances given as (holds, *values), with
-    the values of the first instance that fails or, when every one holds,
-    of the first instance."""
-    first, instances = _peek(instances)
-    ok, failed, n = first_counterexample(_failures(instances))
+    """`first_counterexample` over an iterator of instances given as
+    (holds, *values), with the values of the first instance that fails or,
+    when every one holds, of the first instance.  It stops at that failure,
+    leaving the instances after it in `instances`."""
+    first = next(instances, None)
+    ok, failed, n = first_counterexample(_failures(
+        chain((first,) if first else (), instances)))
     return ok, failed or (first and first[1:]), n
 
 
@@ -296,21 +282,16 @@ def _injection_pullback_side(ctx: Context, family: ClosureFamily, bound: int,
     return _memoized(memo, ("pullback_side", family.name, bound), compute)
 
 
-def check_sum_admissible(ctx: Context, bound: int, memo=None) -> Verdict:
+def check_sum_admissible(ctx: Context, family, bound: int, memo) -> Verdict:
     """Sums of admissible subobjects are admissible, and members of E cap
     Mono between binary sums pull back along the injections into E cap Mono."""
-    ok, values, n = _closed_sum_side(ctx, IDENTITY, bound, memo)
+    ok, values, n, _ = _closed_sum_side(ctx, IDENTITY, bound, memo)
     sums = ok, values and _sum_described(ctx, *values[:4]), n
     pullbacks = _injection_pullback_side(ctx, IDENTITY, bound, memo)
     return _verdict("A", ctx, None, bound, (
         ("sums_of_admissibles_admissible", "subobject_pairs", sums),
         ("e_monos_pull_back_along_injections", "e_monos", pullbacks)),
         equivalence_ok=sums[0] == pullbacks[0])
-
-
-def _gate_sums_admissible(ctx: Context, bound: int, memo):
-    ok, values, _ = _closed_sum_side(ctx, IDENTITY, bound, memo)
-    return ok, None if ok else _sum_described(ctx, *values[:4])
 
 
 # ---------------------------------------------------------------- checker B
@@ -339,11 +320,15 @@ def _closed_sum_outcomes(ctx: Context, pool, cls_of):
 
 
 def _closed_sum_side(ctx: Context, family: ClosureFamily, bound: int, memo):
-    """Condition (a) as `_confirmed` gives it, memoized per family; B stores
-    the same triple when it runs first.  A's first side is the identity entry, and the
-    checkers that assume CLOSED_SUMS or A's first side gate on an entry."""
-    return _memoized(memo, ("closed_sums", family.name, bound), lambda: _confirmed(
-        _closed_sum_outcomes(ctx, ctx.objects(bound), cache(family.component))))
+    """Condition (a) as `_confirmed` gives it, then the count of all its
+    instances, memoized per family.  B reads the entry whole; A's first
+    side is the identity entry, and the gates CLOSED_SUMS and
+    SUMS_ADMISSIBLE read an entry's first failure."""
+    def compute():
+        instances = _closed_sum_outcomes(ctx, ctx.objects(bound), cache(family.component))
+        ok, values, n = _confirmed(instances)
+        return ok, values, n, n + count_instances(instances)
+    return _memoized(memo, ("closed_sums", family.name, bound), compute)
 
 
 def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
@@ -387,7 +372,7 @@ def _dense_split_outcomes(ctx: Context, pool, cls_of):
 
 
 def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
-                                bound: int, memo=None) -> Verdict:
+                                bound: int, memo) -> Verdict:
     """Three equivalent properties of a closure family on a context:
     (a) sums of closed embeddings are closed embeddings, (b) sums of
     admissibles are admissible and the injections are closed embeddings,
@@ -395,13 +380,15 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     injections (quantified over image subobjects, which is the same)."""
     pool = ctx.objects(bound)
     cls_of = cache(family.component)
-    first, closed_sums = _peek(_closed_sum_outcomes(ctx, pool, cls_of))
-    sides = []
+    closed_ok, values, _, n_closed = _closed_sum_side(ctx, family, bound, memo)
+
+    def closed_failure(x, y, a, b, adm, closure):
+        return _sum_described(ctx, x, y, a, b, sum_admissible=adm, closure_of_sum=list(
+            ctx.coproduct(x, y).ob.labels_of(closure)))
+
+    sides = [("sums_of_closed_embeddings_closed", "condition_a", (
+        closed_ok, None if closed_ok else closed_failure(*values), n_closed))]
     for name, cond, outcomes, describe in (
-            ("sums_of_closed_embeddings_closed", "a", _failures(closed_sums),
-             lambda x, y, a, b, adm, closure: _sum_described(
-                 ctx, x, y, a, b, sum_admissible=adm,
-                 closure_of_sum=list(ctx.coproduct(x, y).ob.labels_of(closure)))),
             ("sums_admissible_and_injections_closed", "b",
              _admissible_sum_outcomes(ctx, pool, cls_of),
              lambda x, y, a, b, adm, inj_ok: _pair_witness(
@@ -413,26 +400,12 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
                  x, y, dense_image=list(dense), left_component_closure=list(left),
                  right_component_closure=list(right)))):
         ok, failed, n = first_counterexample(outcomes)
-        if cond == "a":
-            _memoized(memo, ("closed_sums", family.name, bound),
-                      lambda: (ok, failed or (first and first[1:]), n))
         n += count_instances(outcomes)
         sides.append((name, f"condition_{cond}",
                       (ok, failed and describe(*failed), n)))
-    closed_ok = sides[0][2][0]
     return _verdict("B", ctx, family, bound, sides,
                     equivalence_ok=closed_ok == sides[1][2][0] == sides[2][2][0],
-                    confirming=first and _pair_witness(ctx, *first[1:5]))
-
-
-CLOSED_SUMS = "sums of closed embeddings are closed embeddings"
-
-
-def _gate_closed_sums(ctx: Context, family: ClosureFamily, bound: int, memo):
-    """Condition (a) of the closed-embedding checker, used as the
-    hypothesis CLOSED_SUMS."""
-    ok, values, _ = _closed_sum_side(ctx, family, bound, memo)
-    return ok, None if ok else _pair_witness(ctx, *values[:4])
+                    confirming=closed_ok and values and _pair_witness(ctx, *values[:4]))
 
 
 # ---------------------------------------------------------------- checker C
@@ -560,38 +533,25 @@ def _injections_closed_outcomes(ctx: Context, pool, cls_of):
                else _witness(x, y))
 
 
-def _c_sides(ctx: Context, family: ClosureFamily, bound: int):
-    pool = ctx.objects(bound)
-    cls_of = cache(family.component)
-    closed = _continuous_morphisms(ctx, pool, cls_of)
-    return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, cls_of)),
-            first_counterexample(_injections_closed_outcomes(ctx, pool, cls_of)))
+def _c_sides(ctx: Context, family: ClosureFamily, bound: int, memo):
+    """C's two sides, memoized per family; the G/H gate reads them."""
+    def compute():
+        pool = ctx.objects(bound)
+        cls_of = cache(family.component)
+        closed = _continuous_morphisms(ctx, pool, cls_of)
+        return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, cls_of)),
+                first_counterexample(_injections_closed_outcomes(ctx, pool, cls_of)))
+    return _memoized(memo, ("c_sides", family.name, bound), compute)
 
 
 def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
-                                   bound: int, memo=None) -> Verdict:
+                                   bound: int, memo) -> Verdict:
     """Sums of closed morphisms are closed iff the injections are closed."""
-    gate, gate_wit = _gate_sums_admissible(ctx, bound, memo)
-    if not gate:
-        return _gated("C", ctx, family, bound,
-                      "sums of admissible subobjects are admissible", gate_wit)
-    sums, injections = _c_sides(ctx, family, bound)
-    _memoized(memo, ("c_both", family.name, bound), lambda: (
-        sums[0] and injections[0], sums[1] or injections[1]))
+    sums, injections = _c_sides(ctx, family, bound, memo)
     return _verdict("C", ctx, family, bound, (
         ("sums_of_closed_morphisms_closed", "closed_morphism_pairs", sums),
         ("injections_closed", "object_pairs", injections)),
         equivalence_ok=sums[0] == injections[0])
-
-
-def _gate_c_both(ctx: Context, family: ClosureFamily, bound: int, memo):
-    def compute():
-        gate, gate_wit = _gate_sums_admissible(ctx, bound, memo)
-        if not gate:
-            return False, gate_wit
-        (ok_l, wit_l, _), (ok_r, wit_r, _) = _c_sides(ctx, family, bound)
-        return ok_l and ok_r, wit_l or wit_r
-    return _memoized(memo, ("c_both", family.name, bound), compute)
 
 
 # ---------------------------------------------------------------- checker D
@@ -613,11 +573,8 @@ def _componentwise_closure_outcomes(ctx: Context, pool, cls_of):
 
 
 def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
-                                      bound: int, memo=None) -> Verdict:
+                                      bound: int, memo) -> Verdict:
     """Closure of a sum of admissibles is the sum of the closures."""
-    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
-    if not gate:
-        return _gated("D", ctx, family, bound, CLOSED_SUMS, gate_wit)
     side = first_counterexample(_componentwise_closure_outcomes(
         ctx, ctx.objects(bound), cache(family.component)))
     return _verdict("D", ctx, family, bound, (
@@ -638,7 +595,7 @@ def _sum_order(left, right) -> tuple[int, ...]:
     return left + tuple(d << len(left) for d in right)
 
 
-def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
+def check_factorization_of_sums(ctx: Context, family, bound: int, memo) -> Verdict:
     """The image factorization of f + g is the sum of those of f and g, and
     image, restriction and composition with sums of admissibles work
     summandwise.  Each side computes the same tables two ways, per:
@@ -756,12 +713,9 @@ def check_factorization_of_sums(ctx: Context, bound: int, memo=None) -> Verdict:
 # ---------------------------------------------------------------- checker F
 
 def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
-                                      bound: int, memo=None) -> Verdict:
+                                      bound: int, memo) -> Verdict:
     """Closed E-monos between binary sums pull back along the injections to
     closed E-monos."""
-    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
-    if not gate:
-        return _gated("F", ctx, family, bound, CLOSED_SUMS, gate_wit)
     side = _injection_pullback_side(ctx, family, bound, memo)
     return _verdict("F", ctx, family, bound, (
         ("closed_e_monos_pull_back_closed", "closed_e_monos", side),))
@@ -794,16 +748,12 @@ def _two_point_sum(ctx, pool, test, hausdorff):
 
 
 def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
-                   bound: int, memo, witness_fn, names, criterion) -> Verdict:
+                   bound: int, witness_fn, names, criterion) -> Verdict:
     """A class of morphisms, tested by `witness_fn`, is closed under binary
     sums, and its spaces (those whose map to the point is in the class) are
     closed under binary sums iff `criterion` holds.  `names` are the three
     (side name, count name) pairs.  `witness_fn` decides each map's
     continuity itself, so every map is handed to it as is."""
-    gate, gate_wit = _gate_c_both(ctx, family, bound, memo)
-    if not gate:
-        return _gated(theorem, ctx, family, bound,
-                      "sums of closed morphisms are closed", gate_wit)
     pool = ctx.objects(bound)
 
     def test(f: Morphism):
@@ -836,12 +786,12 @@ def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
 
 
 def check_sum_proper(ctx: Context, family: ClosureFamily,
-                     bound: int, memo=None) -> Verdict:
+                     bound: int, memo) -> Verdict:
     """Sums of proper morphisms are proper; the compact spaces are closed
     under binary sums iff the empty inclusion and the codiagonal of every
     space are proper."""
     return _sums_of_class(
-        "G", ctx, family, bound, memo, is_proper_witness,
+        "G", ctx, family, bound, is_proper_witness,
         (("sums_of_proper_proper", "proper_pairs"),
          ("sums_of_compact_compact", "compact_pairs"),
          ("empty_inclusion_and_codiagonal_proper", "spaces")),
@@ -849,12 +799,12 @@ def check_sum_proper(ctx: Context, family: ClosureFamily,
 
 
 def check_sum_separated(ctx: Context, family: ClosureFamily,
-                        bound: int, memo=None) -> Verdict:
+                        bound: int, memo) -> Verdict:
     """Sums of separated morphisms are separated; the Hausdorff spaces are
     closed under binary sums iff the two-point sum of terminals is
     Hausdorff."""
     return _sums_of_class(
-        "H", ctx, family, bound, memo, is_separated_witness,
+        "H", ctx, family, bound, is_separated_witness,
         (("sums_of_separated_separated", "separated_pairs"),
          ("sums_of_hausdorff_hausdorff", "hausdorff_pairs"),
          ("two_point_sum_hausdorff", "hausdorff_spaces")),
@@ -879,51 +829,47 @@ def _admissible_adjunction_side(ctx: Context, pool):
     return True, None, n_adm
 
 
-def _closed_adjunction_outcomes(ctx: Context, pool, cls_of):
-    """Per (u, v) row of closed masks of x and y, every closed w of the sum
-    at once, as `check_adjunction_admissible` decides its rows: the left
-    side's set of w is the bitset of those above fsum(u | v << nx), the
-    right side's the AND of one bitset per u and one per v."""
+def _closed_adjunction_outcomes(ctx: Context, pool, cls_of, admissible_ok: bool):
+    """Per pair, `adjunction_outcomes` on the closed masks of x, y and the
+    context's x + y, under the sum's closure.  A pair reads exactly what
+    the admissible side read when no mask is open, the sum's lattice is the
+    plain sum's and the closure fixes every join; its triples then have the
+    admissible side's outcomes, so when that side held they are one run."""
     for x, y in _object_pairs(pool):
         fx, fy = cls_of(x), cls_of(y)
         cp = ctx.coproduct(x, y)
         fsum = cls_of(cp.ob)
         nx = x.size
-        low = (1 << nx) - 1
-        closed_x = [u for u in ctx.sub_lattice(x) if fx(u) == u]
-        closed_y = [v for v in ctx.sub_lattice(y) if fy(v) == v]
-        closed_sum = [w for w in ctx.sub_lattice(cp.ob) if fsum(w) == w]
-        above = supersets(closed_sum, cp.ob.size)
-        lefts = supersets([w & low for w in closed_sum], nx)
-        rights = supersets([w >> nx for w in closed_sum], cp.ob.size - nx)
-        rows_y = [(v, rights(v)) for v in closed_y]
+        lat_x, lat_y, lat_sum = (ctx.sub_lattice(ob) for ob in (x, y, cp.ob))
+        closed_x = [u for u in lat_x if fx(u) == u]
+        closed_y = [v for v in lat_y if fy(v) == v]
+        closed_sum = [w for w in lat_sum if fsum(w) == w]
+        if (admissible_ok and len(closed_x) == len(lat_x.masks)
+                and len(closed_y) == len(lat_y.masks)
+                and len(closed_sum) == len(lat_sum.masks)
+                and lat_sum.masks == ctx.sub_lattice(_plain_sum(ctx, x, y)).masks
+                and all(fsum(u | v << nx) == u | v << nx
+                        for u in closed_x for v in closed_y)):
+            yield len(closed_x) * len(closed_y) * len(closed_sum)
+            continue
 
-        def instance(u, v, lhs_val, k):
-            w = closed_sum[k]
-            lhs = lhs_val & ~w == 0
-            rhs = u & ~(w & low) == 0 and v & ~(w >> nx) == 0
-            return (None if lhs == rhs else _witness(
-                x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
-                w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs))
+        def describe(u, v, w, lhs, rhs):
+            return _witness(x, y, u=list(x.labels_of(u)), v=list(y.labels_of(v)),
+                            w=list(cp.ob.labels_of(w)), lhs=lhs, rhs=rhs)
 
-        for u in closed_x:
-            left_u = lefts(u)
-            for v, right_v in rows_y:
-                lhs_val = fsum(u | (v << nx))
-                yield from runs_around(above(lhs_val) ^ left_u & right_v,
-                                       len(closed_sum),
-                                       partial(instance, u, v, lhs_val))
+        yield from adjunction_outcomes(closed_x, closed_y, closed_sum, nx,
+                                       cp.ob.size, fsum, describe)
 
 
 def check_adjunctions(ctx: Context, family: ClosureFamily,
-                      bound: int, memo=None) -> Verdict:
+                      bound: int, memo) -> Verdict:
     """The join of tagged extensions is left adjoint to componentwise
     preimage, both on admissible and on closed subobject lattices."""
     pool = ctx.objects(bound)
     admissible = _memoized(memo, ("adjunction_admissible", bound),
                            lambda: _admissible_adjunction_side(ctx, pool))
     closed = first_counterexample(_closed_adjunction_outcomes(
-        ctx, pool, cache(family.component)))
+        ctx, pool, cache(family.component), admissible[0]))
     return _verdict("adjunctions", ctx, family, bound, (
         ("admissible_extension_adjunction", "admissible_triples", admissible),
         ("closed_extension_adjunction", "closed_triples", closed)))
@@ -1026,24 +972,14 @@ def _roundtrip_outcomes(ctx: Context, pool):
 
 
 def check_biproduct(ctx: Context, family: ClosureFamily,
-                    bound: int, memo=None) -> Verdict:
+                    bound: int, memo) -> Verdict:
     """Subobject and closed-subobject lattices of binary sums split as
     biproducts, and homs between sum lattices round-trip through their 2x2
     matrices."""
-    gate, gate_wit = _gate_closed_sums(ctx, family, bound, memo)
-    if not gate:
-        return _gated("biproduct", ctx, family, bound, CLOSED_SUMS, gate_wit)
-    pool = ctx.objects(bound)
-    lattices_ok, lattice_wit, _ = first_counterexample(
-        _lattice_hypothesis_outcomes(ctx, pool))
-    if not lattices_ok:
-        return _gated("biproduct", ctx, family, bound,
-                      "admissible subobjects contain the empty one and are "
-                      "closed under unions", lattice_wit)
     sub = _lattice_biproduct_side(ctx, IDENTITY, bound, memo)
     closed = _lattice_biproduct_side(ctx, family, bound, memo)
-    roundtrip = _memoized(memo, ("biproduct_roundtrip", bound),
-                          lambda: first_counterexample(_roundtrip_outcomes(ctx, pool)))
+    roundtrip = _memoized(memo, ("biproduct_roundtrip", bound), lambda: (
+        first_counterexample(_roundtrip_outcomes(ctx, ctx.objects(bound)))))
     return _verdict("biproduct", ctx, family, bound, (
         ("subobject_lattice_biproduct", "object_pairs", sub),
         ("closed_lattice_biproduct", None, closed),
@@ -1053,7 +989,7 @@ def check_biproduct(ctx: Context, family: ClosureFamily,
 # ----------------------------------------------------------------- validate
 
 def check_validate(ctx: Context, family: ClosureFamily | None,
-                   bound: int, memo=None) -> Verdict:
+                   bound: int, memo) -> Verdict:
     """Wrap the extensivity, factorization, and closure validators."""
     from .closure import validate_closure
     ext = ctx.validate_extensive(bound)
@@ -1087,15 +1023,58 @@ CHECKERS = {
 }
 
 
+# ------------------------------------------------------------------- gates
+#
+# A gate reads an earlier statement's side from the run's memo and gives
+# (holds, witness of its first failure).
+
+def _sums_admissible(ctx: Context, family, bound: int, memo):
+    ok, values, _, _ = _closed_sum_side(ctx, IDENTITY, bound, memo)
+    return ok, None if ok else _sum_described(ctx, *values[:4])
+
+
+def _closed_sums(ctx: Context, family, bound: int, memo):
+    ok, values, _, _ = _closed_sum_side(ctx, family, bound, memo)
+    return ok, None if ok else _pair_witness(ctx, *values[:4])
+
+
+def _closed_morphism_sums(ctx: Context, family, bound: int, memo):
+    (ok_l, wit_l, _), (ok_r, wit_r, _) = _c_sides(ctx, family, bound, memo)
+    return ok_l and ok_r, wit_l or wit_r
+
+
+def _unions_admissible(ctx: Context, family, bound: int, memo):
+    return _memoized(memo, ("unions_admissible", bound), lambda: first_counterexample(
+        _lattice_hypothesis_outcomes(ctx, ctx.objects(bound))))[:2]
+
+
+CLOSED_SUMS = (("sums of closed embeddings are closed embeddings", _closed_sums),)
+# G and H assume C's statement, and with it C's own hypothesis.
+CLOSED_MORPHISM_SUMS = tuple(("sums of closed morphisms are closed", gate)
+                             for gate in (_sums_admissible, _closed_morphism_sums))
+# theorem -> its hypotheses in order, as (text, gate)
+GATES = {
+    "C": (("sums of admissible subobjects are admissible", _sums_admissible),),
+    "D": CLOSED_SUMS, "F": CLOSED_SUMS, "G": CLOSED_MORPHISM_SUMS,
+    "H": CLOSED_MORPHISM_SUMS,
+    "biproduct": (*CLOSED_SUMS, ("admissible subobjects contain the empty one and "
+                                 "are closed under unions", _unions_admissible)),
+}
+
+
 def run_checker(theorem: str, ctx: Context, family: ClosureFamily | None,
                 bound: int, memo=None) -> Verdict:
+    """The verdict of `theorem`, or hypothesis-failed at the first of its
+    gates that fails.  Checkers run on one `memo` share their sides."""
     if theorem not in CHECKERS:
         raise KeyError(f"unknown theorem id: {theorem}")
-    fn = CHECKERS[theorem]
-    if theorem in FAMILY_FREE:
-        return fn(ctx, bound, memo)
-    if theorem == "validate":
-        return fn(ctx, family, bound, memo)
-    if family is None:
+    if family is None and theorem not in FAMILY_FREE:
         raise ValueError(f"checker {theorem} needs a closure family")
-    return fn(ctx, family, bound, memo)
+    memo = {} if memo is None else memo
+    for hypothesis, gate in GATES.get(theorem, ()):
+        holds, witness = gate(ctx, family, bound, memo)
+        if not holds:
+            return Verdict(theorem, ctx.name, family and family.name, bound, (), None,
+                           "hypothesis-failed", hypothesis, True,
+                           (witness,) if witness else (), ())
+    return CHECKERS[theorem](ctx, family, bound, memo)

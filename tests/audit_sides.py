@@ -36,6 +36,7 @@ THEOREMS = "src/extcheck/theorems.py"
 CLOSURE = "src/extcheck/closure.py"
 CONTEXTS = "src/extcheck/contexts.py"
 FACTORIZATION = "src/extcheck/factorization.py"
+SUBOBJECTS = "src/extcheck/subobjects.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
@@ -45,6 +46,7 @@ PULLBACK_KEY = "tests/test_factorization.py::test_m_stability_decides_each_pullb
 SWEEP = "tests/test_factorization.py::test_indexed_sweep_matches_literal_sweep"
 CROSSED = "tests/test_contexts.py::test_crossed_instances_on_tables_match_literal_instances"
 LEAKY_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_fails_where_a_sum_closure_leaks"
+SERVED_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_served_from_the_admissible_side"
 
 
 class Mutation(NamedTuple):
@@ -164,10 +166,15 @@ MUTATIONS = (
              "key = lattices",
              ("tests/test_theorems.py::"
               "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
-    Mutation("adjunctions: a closed row holds", THEOREMS,
-             "yield from runs_around(above(lhs_val) ^ left_u & right_v,",
+    Mutation("adjunctions: a closed row holds", SUBOBJECTS,
+             "yield from runs_around(lhs ^ left_u & right_v,",
              "yield from runs_around(0,",
              (f"{LEAKY_ADJ}[finpre]", f"{LEAKY_ADJ}[finset]")),
+    Mutation("adjunctions: a closed pair is served only when it reads the "
+             "admissible side's triples", THEOREMS,
+             "if (admissible_ok and len(closed_x) == len(lat_x.masks)",
+             "if admissible_ok or (len(closed_x) == len(lat_x.masks)",
+             (f"{SERVED_ADJ}[finset-b2]", f"{SERVED_ADJ}[finpre-b2]")),
 )
 
 

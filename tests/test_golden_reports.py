@@ -103,8 +103,7 @@ def structured_report(base: str, variant: str | None, bound: int,
     for thm in cli.RUN_ORDER:
         if theorems != ALL and thm not in theorems:
             continue
-        fams = ([None] if thm in FAMILY_FREE or thm == "validate"
-                else list(ctx.families))
+        fams = [None] if thm in FAMILY_FREE else list(ctx.families)
         for fam in fams:
             result.verdicts.append(run_checker(thm, ctx, fam, bound, memo))
     return cli.format_structured(result)

@@ -40,7 +40,7 @@ def test_every_checker_passes_on_builtin_contexts(name):
     ctx = builtin(name)
     memo = {}
     for thm in THEOREM_IDS:
-        if thm in FAMILY_FREE or thm == "validate":
+        if thm in FAMILY_FREE:
             fams = [None]
         else:
             fams = list(ctx.families)
@@ -366,7 +366,10 @@ def test_memo_reuses_gate_results(finset):
                  id="A-C-_closed_sum_outcomes-2"),
     pytest.param(("B", "D"), "_closed_sum_outcomes", 2, [1, 0],
                  id="B-D-_closed_sum_outcomes-2"),
-    pytest.param(("C", "G"), "_c_sides", 1, [1, 0], id="C-G-_c_sides-1"),
+    pytest.param(("biproduct", "B"), "_closed_sum_outcomes", 2, [1, 0],
+                 id="biproduct-B-_closed_sum_outcomes-2"),
+    pytest.param(("C", "G"), "_closed_sum_of_closed_outcomes", 1, [1, 0],
+                 id="C-G-_closed_sum_of_closed_outcomes-1"),
     # A's pullback side is F's under the identity closure.
     pytest.param(("A", "F", "F/identity"), "_e_monos_between_sums", 2,
                  [1, 1, 0], id="A-F-F(identity)-_e_monos_between_sums-2"),
@@ -477,7 +480,7 @@ def test_adjunction_sides_match_per_triple_oracle(base, variant):
     failing = 0
     for fam in (*ctx.families, LEAKY):
         cls_of = cache(fam.component)
-        rows = list(theorems._closed_adjunction_outcomes(ctx, pool, cls_of))
+        rows = list(theorems._closed_adjunction_outcomes(ctx, pool, cls_of, False))
         triples = list(closed_adjunction_outcomes(ctx, pool, cls_of))
         assert _expanded(rows) == triples, fam.name
         assert first_counterexample(rows) == first_counterexample(triples)
@@ -507,6 +510,70 @@ def test_closed_adjunction_side_fails_where_a_sum_closure_leaks(name, counts,
         "x": serialize_object(pool[1]), "y": serialize_object(pool[2]),
         "u": [], "v": v_labels, "w": [], "lhs": True, "rhs": False,
         "side": "closed_extension_adjunction", "kind": "counterexample"},)
+
+
+@pytest.mark.parametrize("base, mutant, bound", [
+    pytest.param("finset", None, 2, id="finset-b2"),
+    pytest.param("finpre", None, 2, id="finpre-b2"),
+    pytest.param("finpre", crossed_coproduct_context, 1, id="finpre-crossed-b1"),
+    *(pytest.param(base, mutant, 1, id=f"{base}-{mutant.__name__}-b1")
+      for base in ("finset", "finpre")
+      for mutant in (split_mono_context, swapped_system_context))])
+def test_closed_adjunction_side_served_from_the_admissible_side(base, mutant, bound,
+                                                               monkeypatch):
+    """A pair whose closed side reads exactly what the admissible side read
+    is served from that side's decision: the closed side's (ok, witness,
+    count) is the same with that serving and with every pair decided on its
+    rows, under every registered family and `LEAKY`.  The serving happens:
+    under the identity closure it calls the row kernel for fewer pairs."""
+    from functools import cache
+
+    from extcheck import theorems
+
+    ctx = builtin(base) if mutant is None else mutant(builtin(base))
+    pool = ctx.objects(bound)
+    admissible_ok = theorems._admissible_adjunction_side(ctx, pool)[0]
+    assert admissible_ok
+    calls = []
+    kernel = theorems.adjunction_outcomes
+
+    def counted(*args):
+        calls.append(args[:3])
+        return kernel(*args)
+
+    monkeypatch.setattr(theorems, "adjunction_outcomes", counted)
+    for fam in (*ctx.families, LEAKY):
+        sides, rows = [], []
+        for ok in (True, False):
+            calls.clear()
+            sides.append(first_counterexample(theorems._closed_adjunction_outcomes(
+                ctx, pool, cache(fam.component), ok)))
+            rows.append(len(calls))
+        assert sides[0] == sides[1], fam.name
+        if fam.name == "identity":
+            assert rows[0] < rows[1]
+
+
+def test_closed_adjunction_side_under_identity_runs_no_row_of_its_own(monkeypatch):
+    """At finpre bound 4, every pair of the closed side under the identity
+    closure reads what the admissible side read, so the closed side calls
+    the row kernel for none of them and counts the admissible side's
+    82,391,929 triples."""
+    from extcheck import theorems
+
+    calls = []
+    kernel = theorems.adjunction_outcomes
+
+    def counted(*args):
+        calls.append(args[:3])
+        return kernel(*args)
+
+    monkeypatch.setattr(theorems, "adjunction_outcomes", counted)
+    ctx = builtin("finpre")
+    v = run_checker("adjunctions", ctx, ctx.family("identity"), 4, {})
+    assert v.passed and calls == []
+    assert dict(v.counts) == {"admissible_triples": 82391929,
+                              "closed_triples": 82391929}
 
 
 def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
