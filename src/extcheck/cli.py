@@ -71,6 +71,10 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
         raise UsageError(f"cannot read objects file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"objects file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"objects file is not valid UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError("objects file nests JSON too deeply to read") from exc
     if not isinstance(data, list):
         raise UsageError("objects file must contain a JSON list of records")
     out = []

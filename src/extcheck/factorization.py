@@ -13,8 +13,8 @@ source ids and m's fibre over each point's image), since the pullback's
 table depends on nothing else.  Every orthogonality test, the label-level
 `down_arrow_witness` included, goes through one square search,
 `_Pool.bad_square`, whose literal sweep is a join on hom tables grouped
-by their composite with e (`_by_precomposite`), built once per e and end
-of m.
+by their composite with e (`_by_precomposite`), built once per e's table
+and target and end of m.
 """
 
 from __future__ import annotations
@@ -139,7 +139,10 @@ class _Pool:
         """The first square v.e = m.u without exactly one diagonal, as (u,
         v, diagonal count) with u and v index tables, or None.  `reflects`
         says whether m reflects its source's order; `per_e` memoizes what
-        depends on e and one end of m only, across the m of one e.
+        depends on e and one end of m only, across the m of one e: each
+        grouping, keyed on that end's id, reads only e's table and target,
+        so it may be shared by every e with the same two; the fills read
+        hom(a, c) too, so their key adds e's source id.
 
         For e surjective against m injective, the only possible diagonal
         of a square is the w with w.e = u, unique because e is epi, so a
@@ -148,29 +151,29 @@ class _Pool:
         Otherwise the first of e's fills out of m's source
         (`_unmonotone_fills`, per source id) whose bottom m.w is monotone
         is the first failing square.  Any other pair is swept as a join
-        (`_exhaustive_square`), on the bottoms grouped by v.e per target id
-        of m and the diagonals grouped by w.e per source id."""
+        (`_exhaustive_square`), on hom(b, d) grouped by v.e (the bottoms)
+        and hom(b, c) grouped by w.e (the diagonals), one grouping per end
+        id of m."""
         _, a, b, e_idx, e_surj, _ = e
         _, c, d, m_idx, _, m_inj = m
         if e_surj and m_inj:
             if reflects:
                 return None
             b_order = self.order[b]
-            cands = per_e.get(("fills", c))
+            cands = per_e.get(("fills", a, c))
             if cands is None:
-                cands = per_e["fills", c] = _unmonotone_fills(
+                cands = per_e["fills", a, c] = _unmonotone_fills(
                     e_idx, self.size[b], b_order, self.up[c], self.hom[a, c])
             return _first_unfilled_square(m_idx, b_order, self.up[d], cands)
         tops = self.hom[a, c]
         if not tops:
             return None
-        bottoms = per_e.get(("bottoms", d))
+        bottoms = per_e.get(d)
         if bottoms is None:
-            bottoms = per_e["bottoms", d] = _by_precomposite(e_idx, self.hom[b, d])
-        diagonals = per_e.get(("diagonals", c))
+            bottoms = per_e[d] = _by_precomposite(e_idx, self.hom[b, d])
+        diagonals = per_e.get(c)
         if diagonals is None:
-            diagonals = per_e["diagonals", c] = _by_precomposite(
-                e_idx, self.hom[b, c])
+            diagonals = per_e[c] = _by_precomposite(e_idx, self.hom[b, c])
         return _exhaustive_square(m_idx, tops, bottoms, diagonals)
 
 
@@ -377,12 +380,20 @@ def validate_system(sys: FactorizationSystem,
 
     def e_complete():
         """Each map outside E fails orthogonality against some member of M;
-        only members are searched."""
-        for f in (g for g, in_e, _ in classes if not in_e):
-            per_e: dict = {}
+        only members are searched, with what depends on one end of m shared
+        by the maps of one table and target, and dropped after the last of
+        them."""
+        maps = [g for g, in_e, _ in classes if not in_e]
+        keys = [(f.idx, f.t) for f in maps]
+        last = {key: k for k, key in enumerate(keys)}
+        per_table: dict = {}
+        for k, (f, key) in enumerate(zip(maps, keys)):
+            per_e = per_table.setdefault(key, {})
             yield None if any(pool.bad_square(f, m, reflects, per_e)
                               for m, reflects in m_reflects) else outside(
                 f, "left-orthogonal to all of M but not in E")
+            if last[key] == k:
+                del per_table[key]
 
     def m_complete():
         """Dually, against the members of E, smallest first; what depends on

@@ -2,20 +2,22 @@
 
 A subobject of X is kept in canonical inclusion form, as a subset of X's
 carrier.  A `SubobjectLattice` is X together with the masks of its
-admissible subsets, each decided on its inclusion table, grown from its
-parent's.  Under the image factorization of every system, meet is
-intersection and join is union, so the checkers compute on masks alone: a
-sum a + b is admissible when its mask `a | b << |X|` is admissible in the
-constructed sum X + Y.  A label-level `Subobject` is built only to
-serialize a witness; `image`, `sum_subobjects` and `iota_map` are its
-label-level operations, and `tests/oracles.py` keeps `preimage` and
-`restriction`.
+admissible subsets: every subset under the two builtin M classes, which
+admit every inclusion with its induced order, and otherwise those whose
+inclusion table, grown from its parent's, the system accepts.  Under the
+image factorization of every system, meet is intersection and join is
+union, so the checkers compute on masks alone: a sum a + b is admissible
+when its mask `a | b << |X|` is admissible in the constructed sum X + Y.
+A label-level `Subobject` is built only to serialize a witness; `image`,
+`sum_subobjects` and `iota_map` are its label-level operations, and
+`tests/oracles.py` keeps `preimage` and `restriction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from itertools import combinations
 
 from .core import (
     CheckResult,
@@ -24,7 +26,9 @@ from .core import (
     Report,
     compose,
     coproduct,
+    embedding_table,
     inclusion,
+    injective_table,
     runs_around,
     split_coproduct,
     supersets,
@@ -93,10 +97,29 @@ class SubobjectLattice:
         return iter(self.masks)
 
 
+@cache
+def _every_subset(n: int) -> tuple[int, ...]:
+    """Every mask over n points, smallest first, then in points order."""
+    return tuple(sum(1 << p for p in pts) for k in range(n + 1)
+                 for pts in combinations(range(n), k))
+
+
 def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLattice:
     """The subsets of x whose inclusion tables (points, induced up-masks,
-    |x|, x's up-masks) `sys.m_table` accepts, each table grown from its
-    parent's in O(k), a size at a time, so each size is in points order."""
+    |x|, x's up-masks) `sys.m_table` accepts, smallest first, then in
+    points order.
+
+    When `sys.m_table` is one of the builtin M classes, `injective_table`
+    or `embedding_table`, that is every subset, with no table decided: the
+    inclusion of a subset with its induced order is injective, and
+    order-reflecting because the induced order is defined by i <= j in
+    the subset exactly when i <= j in x.  The guard compares by identity with the names `contexts`
+    builds its systems from, so it holds wherever both bindings are
+    rebound to one wrapper (`perfbench/tracer.py`).  Any other system,
+    mutant or wrapped, decides each subset on its table, grown from its
+    parent's in O(k), a size at a time."""
+    if sys.m_table is injective_table or sys.m_table is embedding_table:
+        return SubobjectLattice(x, _every_subset(x.size))
     n, up = x.size, up_masks_or_none(x)
     level, masks = [((), 0, None if up is None else ())], []
     while level:

@@ -44,6 +44,7 @@ BLOCK_SUM = "tests/test_contexts.py::test_index_certificate_decides_comparison_o
 VALIDATE = "tests/test_factorization.py::test_validate_system_matches_label_level_oracle"
 PULLBACK_KEY = "tests/test_factorization.py::test_m_stability_decides_each_pullback_key_once"
 SWEEP = "tests/test_factorization.py::test_indexed_sweep_matches_literal_sweep"
+E_GROUPS = "tests/test_factorization.py::test_e_complete_groups_each_key_once"
 CROSSED = "tests/test_contexts.py::test_crossed_instances_on_tables_match_literal_instances"
 LEAKY_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_fails_where_a_sum_closure_leaks"
 SERVED_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_served_from_the_admissible_side"
@@ -129,6 +130,11 @@ MUTATIONS = (
              "yield None if any(pool.bad_square(f, m, reflects, per_e)",
              "yield None if True or any(pool.bad_square(f, m, reflects, per_e)",
              (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]")),
+    Mutation("factorization: a grouping is shared only by maps of one table and target",
+             FACTORIZATION,
+             "keys = [(f.idx, f.t) for f in maps]",
+             "keys = [f.idx for f in maps]",
+             (f"{E_GROUPS}[plain]",)),
     Mutation("factorization: composites of members are members", FACTORIZATION,
              "yield (None if in_class(tuple(g_idx[t] for t in f_idx), src_up,",
              "yield (None if True or in_class(tuple(g_idx[t] for t in f_idx), src_up,",
@@ -166,6 +172,11 @@ MUTATIONS = (
              "key = lattices",
              ("tests/test_theorems.py::"
               "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
+    Mutation("lattices: a lattice takes every subset under any system", SUBOBJECTS,
+             "if sys.m_table is injective_table or sys.m_table is embedding_table:",
+             "if True:",
+             ("tests/test_subobjects.py::"
+              "test_lattice_masks_match_label_level_enumeration[finpre!split]",)),
     Mutation("adjunctions: a closed row holds", SUBOBJECTS,
              "yield from runs_around(lhs ^ left_u & right_v,",
              "yield from runs_around(0,",

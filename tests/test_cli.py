@@ -149,6 +149,21 @@ def test_objects_file_errors(tmp_path):
         load_objects(str(tmp_path / "absent.json"), ordered=False)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe[", "not valid UTF-8"),
+    (b"[" * 200_000, "nests JSON too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_objects_file_is_a_usage_error(tmp_path, capsys, content, message):
+    p = tmp_path / "objects.json"
+    p.write_bytes(content)
+    code = main(["--context", "finpre", "--theorem", "validate",
+                 "--bound", "0", "--objects", str(p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 def test_objects_flag_rejected_at_cli_level(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps([{"carrier": ["a"], "order": [["a", "a"]]}]))

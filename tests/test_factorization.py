@@ -265,6 +265,59 @@ def test_m_stability_decides_each_pullback_key_once(monkeypatch, swapped):
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
+def test_e_complete_groups_each_key_once(monkeypatch, swapped):
+    # A grouping of hom(b, x) by its composite with e reads only e's table,
+    # e's target id b and the end id x of m, so on finpre at bound 3
+    # e_complete builds it once per distinct such key across all its maps,
+    # not once per map; and every grouping or list of fills a map's sweep
+    # reads from the shared memo is the one that map would build itself.
+    # Only the swapped classes leave surjective maps outside E, whose
+    # sweeps read fills.
+    pools, law, builds, checked, fills = [], [None], [], set(), []
+    real_of = factorization.CheckResult.of.__func__
+    real_by_precomposite = factorization._by_precomposite
+
+    class Pool(_Pool):
+        def __init__(self, objects):
+            super().__init__(objects)
+            pools.append(self)
+
+        def bad_square(self, e, m, reflects, per_e):
+            square = super().bad_square(e, m, reflects, per_e)
+            key = id(per_e), e.idx, e.s, e.t, m.s, m.t
+            if law[0] == "e_complete" and key not in checked:
+                checked.add(key)
+                for x in (m.s, m.t):
+                    if x in per_e:
+                        assert per_e[x] == real_by_precomposite(e.idx, self.hom[e.t, x])
+                if ("fills", e.s, m.s) in per_e:
+                    fills.append(key)
+                    assert per_e["fills", e.s, m.s] == factorization._unmonotone_fills(
+                        e.idx, self.size[e.t], self.order[e.t], self.up[m.s],
+                        self.hom[e.s, m.s])
+            return square
+
+    def of(cls, check_id, outcomes):
+        law[0] = check_id
+        return real_of(cls, check_id, outcomes)
+
+    def by_precomposite(e_idx, homs):
+        if law[0] == "e_complete":
+            (b, x), = (key for key, tables in pools[-1].hom.items() if tables is homs)
+            builds.append((tuple(e_idx), b, x))
+        return real_by_precomposite(e_idx, homs)
+
+    monkeypatch.setattr(factorization, "_Pool", Pool)
+    monkeypatch.setattr(factorization.CheckResult, "of", classmethod(of))
+    monkeypatch.setattr(factorization, "_by_precomposite", by_precomposite)
+    ctx = builtin("finpre")
+    report = (swapped_system_context(ctx) if swapped else ctx).validate_factorization(3)
+    assert report.check("e_complete").passed
+    assert len(builds) == len(set(builds)) > 0
+    assert bool(fills) == swapped
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
 def test_indexed_sweep_matches_literal_sweep(swapped):
     # Every (e, m) pair of finpre at bound 2 plus the validators' extras,
     # under the plain classes and the swapped ones, so that e not

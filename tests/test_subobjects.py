@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
-from extcheck import theorems
+from extcheck import contexts, core, subobjects, theorems
 from extcheck.closure import IDENTITY
 from extcheck.contexts import (
     Context,
     builtin,
     crossed_coproduct_context,
+    finset_objects,
+    preorders_of_size,
     split_mono_context,
     swapped_system_context,
 )
@@ -259,6 +261,58 @@ def test_inclusion_table_is_the_label_level_inclusion(name):
             for m in range(1 << x.size):
                 assert inclusion_table(x, m) == table_of(
                     inclusion(x.restrict(x.labels_of(m)), x))
+
+
+# The M class of each builtin context, by the name `contexts` builds it from.
+BUILTIN_M = {"finset": "injective_table", "finpre": "embedding_table"}
+
+
+@pytest.mark.parametrize("name", BUILTIN_M)
+def test_builtin_lattices_decide_no_table(name, monkeypatch):
+    """Under a builtin system a lattice is every subset and calls `m_table`
+    on none: counted by wrapping the module-level predicate wherever it is
+    bound, as the benchmark's tracer does, before the context is built.
+    A wrapped copy of the same predicate is another system, which decides
+    every subset, so the counter does count."""
+    predicate = getattr(core, BUILTIN_M[name])
+    calls = []
+
+    def counted(*table):
+        calls.append(table)
+        return predicate(*table)
+
+    for module in (core, contexts, subobjects):
+        monkeypatch.setattr(module, BUILTIN_M[name], counted)
+    ctx = builtin(name)
+    assert ctx.system.m_table is counted
+    pool = ctx.objects(3)
+    objects = (*pool, *(coproduct(a, b).ob for a in pool for b in pool))
+    for x in objects:
+        lat = ctx.sub_lattice(x)
+        assert sorted(lat.masks) == list(range(1 << x.size))
+    assert calls == []
+    wrapped = FactorizationSystem("wrapped", ctx.system.e_table,
+                                  lambda *table: counted(*table))
+    for x in objects:
+        subobject_lattice(wrapped, x)
+    assert len(calls) == sum(1 << x.size for x in objects)
+
+
+@pytest.mark.parametrize("name", BUILTIN_M)
+def test_every_subset_lattice_equals_the_decided_lattice(name):
+    """The builtin systems' lattices, taken as every subset, equal the
+    lattices a wrapped copy of the same `m_table` decides subset by subset,
+    masks and order: on every object of 4 points (every preorder of 4
+    points on finpre) and every plain sum of two objects of the bound-2
+    pool."""
+    ctx = builtin(name)
+    sys = ctx.system
+    decided = FactorizationSystem(
+        "decided", sys.e_table, lambda *table: sys.m_table(*table))
+    fours = preorders_of_size(4) if name == "finpre" else finset_objects(4)[-1:]
+    pool = ctx.objects(2)
+    for x in (*fours, *(coproduct(a, b).ob for a in pool for b in pool)):
+        assert subobject_lattice(sys, x).masks == subobject_lattice(decided, x).masks
 
 
 @pytest.mark.parametrize("case", SUM_CASES)
