@@ -78,10 +78,15 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
     if not isinstance(data, list):
         raise UsageError("objects file must contain a JSON list of records")
     out = []
+    # Witnesses name objects, so two records of one name would be ambiguous.
+    first_of: dict[str, int] = {}
     for i, rec in enumerate(data):
         if not isinstance(rec, dict) or "carrier" not in rec:
             raise UsageError(f"objects[{i}]: each record needs a 'carrier'")
-        name = rec.get("name", f"user{i}")
+        name = str(rec.get("name", f"user{i}"))
+        if first_of.setdefault(name, i) != i:
+            raise UsageError(f"objects[{i}]: name {name!r} is already the name "
+                             f"of objects[{first_of[name]}]")
         carrier = rec["carrier"]
         if (not isinstance(carrier, list)
                 or any(not isinstance(e, str) for e in carrier)):
@@ -105,7 +110,7 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
                 f"objects[{i}]: 'order' is not meaningful in an unordered "
                 "context; drop it or use --context finpre")
         if not ordered:
-            out.append(FiniteObject(tuple(carrier), None, name=str(name)))
+            out.append(FiniteObject(tuple(carrier), None, name=name))
             continue
         if order_pairs is not None and not isinstance(order_pairs, list):
             raise UsageError(
@@ -120,8 +125,7 @@ def load_objects(path: str, ordered: bool) -> list[FiniteObject]:
             pairs.add((p[0], p[1]))
         pairs.update((e, e) for e in carrier)
         try:
-            out.append(FiniteObject(tuple(carrier), frozenset(pairs),
-                                    name=str(name)))
+            out.append(FiniteObject(tuple(carrier), frozenset(pairs), name=name))
         except ValueError as exc:
             raise UsageError(f"objects[{i}]: {exc}") from exc
     return out

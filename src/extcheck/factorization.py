@@ -6,21 +6,28 @@ tables.  Every system factorizes a morphism through its set image
 a supplied object pool, each decided on index tables: class properness,
 composition closure, iso behaviour, factorization validity, stability of M
 under pullback, the full orthogonality square sweep, and both completeness
-directions (E is exactly the class left-orthogonal to M and dually,
-searched over the members of the other class only).  It numbers the pool
-once (`_Pool`).  Stability of M is decided once per pullback key (the two
-source ids and m's fibre over each point's image), since the pullback's
-table depends on nothing else.  Every orthogonality test, the label-level
-`down_arrow_witness` included, goes through one square search,
-`_Pool.bad_square`, whose literal sweep is a join on hom tables grouped
-by their composite with e (`_by_precomposite`), built once per e's table
-and target and end of m.
+directions (E is exactly the class left-orthogonal to M and dually).  It
+numbers the pool once (`_Pool`).  Stability of M is decided once per
+pullback key (the two source ids and m's fibre over each point's image),
+since the pullback's table depends on nothing else, and its instances that
+hold are counted in runs, as are the orthogonality pairs of a surjective e
+with the injective, order-reflecting members of M.  A completeness law
+reads each map's own factorization square first: a map outside E against
+an injective member of M with its image (`_Pool.image_square`), a
+surjective member of E with its kernel against a map outside M
+(`_Pool.coimage_square`).  That square fails, and so settles the map,
+unless the member is an iso; only then are the members of the other class
+searched.  Every orthogonality test, the label-level `down_arrow_witness`
+included, goes through one square search, `_Pool.bad_square`, whose
+literal sweep is a join on hom tables grouped by their composite with e
+(`_by_precomposite`), built once per e's table and target and end of m.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -36,6 +43,7 @@ from .core import (
     points,
     pullback,
     restrict_masks,
+    runs_around,
     serialize_morphism,
     table_of,
     up_masks_or_none,
@@ -135,6 +143,40 @@ class _Pool:
         """Whether m reflects the order of its source."""
         return order_reflecting_table(m.idx, self.up[m.s], self.up[m.t])
 
+    def iso(self, g: _Map) -> bool:
+        """Whether g is an iso: a bijection that reflects the order, which
+        a monotone one does as soon as both orders have as many pairs (the
+        image of the source's is then all of the target's), and always when
+        either end is unordered."""
+        return g.surj and g.inj and (
+            self.up[g.s] is None or self.up[g.t] is None
+            or len(self.order[g.s]) == len(self.order[g.t]))
+
+    def image_square(self, f: _Map, m: _Map):
+        """For m injective with f's target and image: the square of f
+        against m with top u = m^-1.f and bottom v the identity, as (u, v)
+        index tables, or None when u is not monotone.  A diagonal w needs
+        m.w = v, so m onto and w = m^-1: the square has one diagonal when
+        m is an iso (`iso`) and none otherwise."""
+        inverse = dict(zip(m.idx, range(len(m.idx))))
+        u = tuple([inverse[t] for t in f.idx])
+        if _monotone(u, self.order[f.s], self.up[m.s]):
+            return u, tuple(range(self.size[f.t]))
+        return None
+
+    def coimage_square(self, e: _Map, g: _Map):
+        """Dually, for e surjective with g's source and kernel: the square
+        of e against g with top u the identity and bottom v = g.e^-1, well
+        defined since the kernels agree, as (u, v), or None when v is not
+        monotone.  A diagonal w needs w.e = u, so e injective and w = e^-1:
+        one diagonal when e is an iso, none otherwise."""
+        v = [0] * self.size[e.t]
+        for x, y in enumerate(e.idx):
+            v[y] = g.idx[x]
+        if _monotone(v, self.order[e.t], self.up[g.t]):
+            return tuple(range(self.size[e.s])), tuple(v)
+        return None
+
     def bad_square(self, e: _Map, m: _Map, reflects: bool, per_e: dict):
         """The first square v.e = m.u without exactly one diagonal, as (u,
         v, diagonal count) with u and v index tables, or None.  `reflects`
@@ -177,6 +219,20 @@ class _Pool:
         return _exhaustive_square(m_idx, tops, bottoms, diagonals)
 
 
+def _monotone(idx, order, up) -> bool:
+    """Whether the index table `idx` sends each pair (i, j) of `order`
+    into the order with up-masks `up`; every map into an unordered object
+    (None) is monotone."""
+    return up is None or all(up[idx[i]] >> idx[j] & 1 for i, j in order)
+
+
+def _kernel(idx) -> tuple[int, ...]:
+    """The partition of the source the index table `idx` induces, as each
+    point's block numbered in order of first appearance."""
+    blocks: dict[int, int] = {}
+    return tuple([blocks.setdefault(t, len(blocks)) for t in idx])
+
+
 def _unmonotone_fills(e_idx, nb: int, b_order, c_up, homs_ac) -> list:
     """For e surjective onto an nb-point object whose order has the pairs
     `b_order` (i != j): the pairs (u, w) of index tables, u in `homs_ac`
@@ -194,7 +250,7 @@ def _unmonotone_fills(e_idx, nb: int, b_order, c_up, homs_ac) -> list:
             elif w[bi] != u[i]:
                 break
         else:
-            if not all(c_up[w[i]] >> w[j] & 1 for i, j in b_order):
+            if not _monotone(w, b_order, c_up):
                 fills.append((u, w))
     return fills
 
@@ -204,7 +260,7 @@ def _first_unfilled_square(m_idx, b_order, d_up, fills: list):
     with up-masks `d_up`, as the square (u, m.w, 0), or None."""
     for u, w in fills:
         v = [m_idx[x] for x in w]
-        if all(d_up[v[i]] >> v[j] & 1 for i, j in b_order):
+        if _monotone(v, b_order, d_up):
             return u, v, 0
     return None
 
@@ -294,7 +350,7 @@ def validate_system(sys: FactorizationSystem,
     of its hom sets read once; every law decides on ids and index tables,
     and a label-level map is built only for a witness."""
     pool = _Pool(objects)
-    size, up, order = pool.size, pool.up, pool.order
+    size, up = pool.size, pool.up
     maps = [pool.map(f, p, q) for p in range(len(objects))
             for q in range(len(objects)) for f in pool.read(p, q)]
     classes = [(g, sys.e_table(g.idx, up[g.s], size[g.t], up[g.t]),
@@ -304,11 +360,6 @@ def validate_system(sys: FactorizationSystem,
     by_target: dict[int, list[_Map]] = defaultdict(list)
     for g in maps:
         by_target[g.t].append(g)
-
-    def is_iso(g: _Map) -> bool:
-        # A monotone bijection reflects the order as soon as the two orders
-        # have the same number of pairs.
-        return g.surj and g.inj and len(order[g.s]) == len(order[g.t])
 
     def each(members, holds):
         """Per map: None if `holds` of it, else the map."""
@@ -348,8 +399,9 @@ def validate_system(sys: FactorizationSystem,
         g's source, m's source and, per point a of g's source, the fibre of
         m over g(a) only, so it is decided once per such key, on ids and
         fibre masks; the label-level pullback is built only for a
-        witness."""
+        witness.  Consecutive instances that hold are yielded as one run."""
         decided: dict[tuple, bool] = {}
+        run = 0
         for m in m_list:
             fibres, m_up = _fibres(m.idx, size[m.t]), up[m.s]
             masks = [sum(1 << b for b in fibre) for fibre in fibres]
@@ -359,48 +411,89 @@ def validate_system(sys: FactorizationSystem,
                 if holds is None:
                     holds = decided[key] = sys.m_table(
                         *_pullback_table(g.idx, up[g.s], fibres, m_up))
-                yield (None if holds
-                       else {"m": serialize_morphism(m.f),
-                             "along": serialize_morphism(g.f),
-                             "pulled_back": serialize_morphism(pullback(g.f, m.f).p1)})
+                if holds:
+                    run += 1
+                    continue
+                if run:
+                    yield run
+                    run = 0
+                yield {"m": serialize_morphism(m.f), "along": serialize_morphism(g.f),
+                       "pulled_back": serialize_morphism(pullback(g.f, m.f).p1)}
+        if run:
+            yield run
 
     # Whether each member of M reflects its source's order, decided once.
     m_reflects = [(m, pool.reflects(m)) for m in m_list]
+    # The positions of M a surjective e is not settled against by
+    # `bad_square`'s first branch: those of the members that are not
+    # injective and order-reflecting.
+    unsettled = sum(1 << k for k, (m, reflects) in enumerate(m_reflects)
+                    if not (m.inj and reflects))
+
+    def pair(e, per_e, k):
+        m, reflects = m_reflects[k]
+        square = pool.bad_square(e, m, reflects, per_e)
+        return square and _square_witness(e.f, m.f, *square)
 
     def orthogonality():
-        """Per pair, what depends on e and one end of m memoized per e."""
+        """Per pair, what depends on e and one end of m memoized per e; the
+        pairs of a surjective e with the injective, order-reflecting members
+        hold, as runs between the others."""
         for e in e_list:
-            per_e: dict = {}
-            for m, reflects in m_reflects:
-                square = pool.bad_square(e, m, reflects, per_e)
-                yield square and _square_witness(e.f, m.f, *square)
+            instance = partial(pair, e, {})
+            if e.surj:
+                yield from runs_around(unsettled, len(m_reflects), instance)
+            else:
+                yield from map(instance, range(len(m_reflects)))
 
     def outside(g, reason):
         return {"morphism": serialize_morphism(g.f), "reason": reason}
 
     def e_complete():
-        """Each map outside E fails orthogonality against some member of M;
-        only members are searched, with what depends on one end of m shared
-        by the maps of one table and target, and dropped after the last of
-        them."""
+        """Each map f outside E fails orthogonality against some member of
+        M.  The square of f against an injective member with f's target and
+        image (`_Pool.image_square`) fails unless that member is an iso, and
+        then settles f; otherwise only members are searched, with what
+        depends on one end of m shared by the maps of one table and target,
+        and dropped after the last of them."""
+        by_image: dict[tuple, list[_Map]] = defaultdict(list)
+        for m in m_list:
+            if m.inj:
+                by_image[m.t, frozenset(m.idx)].append(m)
         maps = [g for g, in_e, _ in classes if not in_e]
         keys = [(f.idx, f.t) for f in maps]
         last = {key: k for k, key in enumerate(keys)}
         per_table: dict = {}
         for k, (f, key) in enumerate(zip(maps, keys)):
-            per_e = per_table.setdefault(key, {})
-            yield None if any(pool.bad_square(f, m, reflects, per_e)
-                              for m, reflects in m_reflects) else outside(
-                f, "left-orthogonal to all of M but not in E")
+            if any(not pool.iso(m) and pool.image_square(f, m)
+                   for m in by_image.get((f.t, frozenset(f.idx)), ())):
+                yield None
+            else:
+                per_e = per_table.setdefault(key, {})
+                yield None if any(pool.bad_square(f, m, reflects, per_e)
+                                  for m, reflects in m_reflects) else outside(
+                    f, "left-orthogonal to all of M but not in E")
             if last[key] == k:
-                del per_table[key]
+                per_table.pop(key, None)
 
     def m_complete():
-        """Dually, against the members of E, smallest first; what depends on
-        each member and one end of the map memoized across the maps."""
+        """Dually, each map g outside M fails against some member of E.  The
+        square of a surjective member with g's source and kernel against g
+        (`_Pool.coimage_square`) settles g unless that member is an iso;
+        otherwise the members are searched smallest first, with what
+        depends on each member and one end of the map memoized across the
+        maps."""
+        by_kernel: dict[tuple, list[_Map]] = defaultdict(list)
+        for e in e_list:
+            if e.surj:
+                by_kernel[e.s, _kernel(e.idx)].append(e)
         small_first = sorted(e_list, key=lambda e: (size[e.s], size[e.t]))
         per_e: dict = defaultdict(dict)
         for g in (g for g, _, in_m in classes if not in_m):
+            if any(not pool.iso(e) and pool.coimage_square(e, g)
+                   for e in by_kernel.get((g.s, _kernel(g.idx)), ())):
+                yield None
+                continue
             reflects = pool.reflects(g)
             yield None if any(pool.bad_square(e, g, reflects, per_e[k])
                               for k, e in enumerate(small_first)) else outside(
@@ -411,9 +504,9 @@ def validate_system(sys: FactorizationSystem,
         CheckResult.of("m_members_are_mono", each(m_list, lambda g: g.inj)),
         CheckResult.of("isos_belong_to_both", (
             None if in_e and in_m else {"morphism": serialize_morphism(g.f)}
-            for g, in_e, in_m in classes if is_iso(g))),
+            for g, in_e, in_m in classes if pool.iso(g))),
         CheckResult.of("e_cap_m_is_iso", each(
-            [g for g, in_e, in_m in classes if in_e and in_m], is_iso)),
+            [g for g, in_e, in_m in classes if in_e and in_m], pool.iso)),
         CheckResult.of("e_closed_under_composition",
                        closed_under_composition(e_list, sys.e_table)),
         CheckResult.of("m_closed_under_composition",

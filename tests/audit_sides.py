@@ -129,7 +129,21 @@ MUTATIONS = (
              FACTORIZATION,
              "yield None if any(pool.bad_square(f, m, reflects, per_e)",
              "yield None if True or any(pool.bad_square(f, m, reflects, per_e)",
-             (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]")),
+             (f"{VALIDATE}[finset-split-b1]", f"{VALIDATE}[finpre-split-b1]",
+              f"{VALIDATE}[finpre-no-point-ids-b2]")),
+    Mutation("factorization: a map outside M fails against a member of E",
+             FACTORIZATION,
+             "yield None if any(pool.bad_square(e, g, reflects, per_e[k])",
+             "yield None if True or any(pool.bad_square(e, g, reflects, per_e[k])",
+             (f"{VALIDATE}[finpre-extra-split-b2]",)),
+    Mutation("factorization: the image square fails", FACTORIZATION,
+             "if any(not pool.iso(m) and pool.image_square(f, m)",
+             "if any(True",
+             (f"{VALIDATE}[finpre-no-point-ids-b2]",)),
+    Mutation("factorization: the coimage square fails", FACTORIZATION,
+             "if any(not pool.iso(e) and pool.coimage_square(e, g)",
+             "if any(True",
+             (f"{VALIDATE}[finpre-extra-split-b2]",)),
     Mutation("factorization: a grouping is shared only by maps of one table and target",
              FACTORIZATION,
              "keys = [(f.idx, f.t) for f in maps]",

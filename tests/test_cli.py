@@ -164,6 +164,21 @@ def test_unreadable_objects_file_is_a_usage_error(tmp_path, capsys, content, mes
     assert message in err
 
 
+def test_duplicate_object_names_are_a_usage_error(tmp_path, capsys):
+    # Witnesses name objects, so two records named "t" would give one name
+    # to two different objects.
+    p = tmp_path / "objects.json"
+    p.write_text(json.dumps([{"name": "t", "carrier": ["a"]},
+                             {"name": "u", "carrier": ["a"]},
+                             {"name": "t", "carrier": ["a", "b"]}]))
+    code = main(["--context", "finpre", "--theorem", "validate",
+                 "--bound", "0", "--objects", str(p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "objects[2]" in err and "objects[0]" in err and "'t'" in err
+
+
 def test_objects_flag_rejected_at_cli_level(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps([{"carrier": ["a"], "order": [["a", "a"]]}]))

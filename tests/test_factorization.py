@@ -267,12 +267,15 @@ def test_m_stability_decides_each_pullback_key_once(monkeypatch, swapped):
 @pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
 def test_e_complete_groups_each_key_once(monkeypatch, swapped):
     # A grouping of hom(b, x) by its composite with e reads only e's table,
-    # e's target id b and the end id x of m, so on finpre at bound 3
-    # e_complete builds it once per distinct such key across all its maps,
-    # not once per map; and every grouping or list of fills a map's sweep
-    # reads from the shared memo is the one that map would build itself.
-    # Only the swapped classes leave surjective maps outside E, whose
-    # sweeps read fills.
+    # e's target id b and the end id x of m, so e_complete builds it once
+    # per distinct such key across all its maps, not once per map; and
+    # every grouping or list of fills a map's sweep reads from the shared
+    # memo is the one that map would build itself.  Under the plain classes
+    # the image square settles every map of a pool that holds its images,
+    # so that case runs on finpre plus the validators' extras at bound 1,
+    # where the 3-point extras' images are missing and the search runs;
+    # the swapped case runs on finpre at bound 3.  Only the swapped classes
+    # leave surjective maps outside E, whose sweeps read fills.
     pools, law, builds, checked, fills = [], [None], [], set(), []
     real_of = factorization.CheckResult.of.__func__
     real_by_precomposite = factorization._by_precomposite
@@ -310,8 +313,8 @@ def test_e_complete_groups_each_key_once(monkeypatch, swapped):
     monkeypatch.setattr(factorization, "_Pool", Pool)
     monkeypatch.setattr(factorization.CheckResult, "of", classmethod(of))
     monkeypatch.setattr(factorization, "_by_precomposite", by_precomposite)
-    ctx = builtin("finpre")
-    report = (swapped_system_context(ctx) if swapped else ctx).validate_factorization(3)
+    report = (swapped_system_context(builtin("finpre")).validate_factorization(3)
+              if swapped else _finpre_extra().validate_factorization(1))
     assert report.check("e_complete").passed
     assert len(builds) == len(set(builds)) > 0
     assert bool(fills) == swapped
@@ -415,6 +418,19 @@ def _e_not_closed():
         ctx.system.m_table))
 
 
+def _no_point_identities():
+    """E without the identities of 1-point objects: each is outside E and
+    orthogonal to all of M, and its image member, itself, is an iso, so its
+    image square has a diagonal and does not settle it."""
+    ctx = builtin("finpre")
+    e_table = ctx.system.e_table
+    return _with_system(ctx, FactorizationSystem(
+        "no-point-identities",
+        lambda idx, src_up, n, tgt_up: (
+            e_table(idx, src_up, n, tgt_up) and (len(idx), n) != (1, 1)),
+        ctx.system.m_table))
+
+
 # case -> (context maker, bound)
 VALIDATE_CASES = {
     "finset-b3": (lambda: builtin("finset"), 3),
@@ -431,6 +447,7 @@ VALIDATE_CASES = {
     "finpre-extra-e-not-closed-b2": (_e_not_closed, 2),
     "finpre-no-2-b2": (lambda: _no_two_point_sources(builtin("finpre")), 2),
     "finpre-no-2-tables-b2": (lambda: _no_two_point_tables(builtin("finpre")), 2),
+    "finpre-no-point-ids-b2": (_no_point_identities, 2),
 }
 
 # case -> the laws it is there to fail
@@ -447,6 +464,11 @@ FAILING_LAWS = {
     "finpre-extra-e-not-closed-b2": ("e_closed_under_composition",),
     "finpre-no-2-b2": ("m_stable_under_pullback",),
     "finpre-no-2-tables-b2": ("m_stable_under_pullback",),
+    # The map 0 -> 1 has no retraction, so it is outside M, and it is
+    # orthogonal to all of E; its coimage member, the identity of 0, is an
+    # iso, so only the search settles it.
+    "finpre-extra-split-b2": ("m_complete",),
+    "finpre-no-point-ids-b2": ("e_complete",),
 }
 
 
@@ -459,6 +481,85 @@ def test_validate_system_matches_label_level_oracle(case):
     assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
     for law in FAILING_LAWS.get(case, ()):
         assert not report.check(law).passed, law
+
+
+def _certificate_squares(ctx, bound):
+    """The numbered pool, and each completeness certificate the validator
+    may read, as (image, e, m, square), `image` telling which: a map
+    outside E against an injective member of M with its target and image
+    (`image_square`), and a surjective member of E with the source and
+    kernel of a map outside M against that map (`coimage_square`)."""
+    pool, maps = _numbered(ctx.objects(bound))
+    sys = ctx.system
+    classes = [(g, sys.e_table(*table_of(g.f)), sys.m_table(*table_of(g.f)))
+               for g in maps]
+    kernel = factorization._kernel
+    out = []
+    for f, in_e, in_m in classes:
+        if not in_e:
+            out += [(True, f, m, pool.image_square(f, m)) for m, _, member in classes
+                    if member and m.inj and m.t == f.t and set(m.idx) == set(f.idx)]
+        if not in_m:
+            out += [(False, e, f, pool.coimage_square(e, f)) for e, member, _ in classes
+                    if member and e.surj and e.s == f.s
+                    and kernel(e.idx) == kernel(f.idx)]
+    return pool, out
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_certificate_squares_count_their_diagonals(case):
+    # A certificate is a square exactly when the literal hom sets hold its
+    # top and bottom: the image square's top is the one u with m.u = e
+    # under the identity, the coimage square's bottom the one v with v.e =
+    # m over the identity.  Its diagonals, counted by enumerating hom(b, c),
+    # number one when the member is an iso (`_Pool.iso`) and none
+    # otherwise; and where there are none, the square search of the pair
+    # fails too.
+    make, bound = VALIDATE_CASES[case]
+    pool, certificates = _certificate_squares(make(), bound)
+    counts = set()
+    for image, e, m, square in certificates:
+        a, b, c, d = e.s, e.t, m.s, m.t
+        if image:
+            found = [u for u in pool.hom[a, c] if tuple(m.idx[t] for t in u) == e.idx]
+            literal = found and (found[0], tuple(range(pool.size[d])))
+        else:
+            found = [v for v in pool.hom[b, d] if tuple(v[t] for t in e.idx) == m.idx]
+            literal = found and (tuple(range(pool.size[a])), found[0])
+        assert len(found) <= 1 and square == (literal or None), (
+            e.f.mapping, m.f.mapping)
+        if square is None:
+            continue
+        u, v = square
+        count = sum(tuple(w[t] for t in e.idx) == u
+                    and tuple(m.idx[t] for t in w) == v for w in pool.hom[b, c])
+        assert count == pool.iso(m if image else e), (e.f.mapping, m.f.mapping)
+        if not count:
+            assert pool.bad_square(e, m, pool.reflects(m), {}) is not None
+        counts.add(count)
+    assert counts
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_builtin_completeness_searches_no_square(monkeypatch, name):
+    # Under the builtin systems at bound 3, every map outside a class has
+    # a certificate whose member is not an iso, and every pair of the
+    # orthogonality sweep is a surjection against an embedding: the three
+    # laws make no `bad_square` call, and the report is the label-level
+    # oracle's.
+    ctx = builtin(name)
+    objects = ctx.objects(3)
+    calls = []
+    real = _Pool.bad_square
+
+    def bad_square(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(_Pool, "bad_square", bad_square)
+    report = validate_system(ctx.system, objects)
+    assert report.passed and not calls
+    assert report.to_dict() == oracles.validate_system(ctx.system, objects).to_dict()
 
 
 def test_validate_system_reads_each_hom_set_once(monkeypatch):
