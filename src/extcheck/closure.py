@@ -6,19 +6,17 @@ space is an object under a family, with closure `family.component(ob)`;
 maps between spaces are plain `Morphism`s.  Continuity and closedness are
 decided in singleton form on index tables (`_continuous_fast`,
 `_closed_fast`); `tests/oracles.py` keeps the literal sweeps over every
-mask.  The bounded semi-decisions for proper and separated maps take the
-family, and first decide the map's continuity; a space is compact or
-Hausdorff when its map to the point (`to_point`) is proper or separated.
-
-The bounded predicates run mask-level: a pullback apex is the index pairs
-of `core.pullback_pairs` with `core.componentwise` down-masks, not a fresh
-object, which keeps the quantifier sweeps allocation-free.
+mask.  The proper test decides "continuous and closed" on a map's table:
+under every registered family that is proper, continuous and stably
+closed (`ClosureFamily` has the proofs).  The separated test decides the
+same of the diagonal into the kernel pair, on index pairs.  A space is
+compact or Hausdorff when its map to the point (`to_point`) is proper or
+separated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 from .core import (
@@ -28,15 +26,9 @@ from .core import (
     Report,
     componentwise,
     count_instances,
-    down_or_discrete,
-    enumerate_morphisms,
     first_counterexample,
     image_bits,
-    inclusion,
-    pair_label,
-    pullback_object,
     pullback_pairs,
-    serialize_morphism,
     serialize_object,
     terminal,
 )
@@ -47,7 +39,30 @@ MaskFn = Callable[[int], int]
 
 @dataclass(eq=False)
 class ClosureFamily:
-    """A uniform closure assignment: one formula, applied to every object."""
+    """A uniform closure assignment: one formula, applied to every object.
+
+    The proper test takes a continuous map to be proper, that is stably
+    closed, exactly when it is closed.  Closed implies proper only when
+    every pullback of a closed map f: A -> T along a continuous w: W -> T
+    is closed, its apex P = {(x, a) | w(x) = f(a)} ordered componentwise
+    and closed by the same family.  (Proper implies closed: pull back
+    along the identity.)  Each registered family meets that obligation:
+
+    - identity: every map is closed.
+    - indiscrete: a map is closed exactly when it is onto or its source is
+      empty.  The pullback of an onto map is onto, and a pullback of a
+      map from the empty object has an empty apex.
+    - alexandrov: the closure is down-closure, and a monotone map is
+      closed exactly when f(down a) = down f(a) for each a.  For (x, a)
+      in P and x' <= x, w(x') <= w(x) = f(a), so w(x') is in
+      down f(a) = f(down a): some a' <= a has f(a') = w(x'), and
+      (x', a') <= (x, a) in P.  So the projection P -> W sends
+      down (x, a) onto down x.
+
+    A new family must meet the same obligation, or take a proper test of
+    its own.  `tests/test_closure.py` checks the proper test against the
+    literal definition, `tests/oracles.py::proper_literal`, on the pools.
+    """
 
     name: str
     needs_order: bool
@@ -160,62 +175,45 @@ def _closed_fast(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int) -> bool:
     return True
 
 
-def is_proper_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
-                      f: Morphism, bound: int):
-    """Continuous, and stably closed against every continuous test
-    morphism with source size at most the bound, the test source and the
-    pullback apex carrying the same family's closure."""
-    t_ob = f.target
-    a_ob = f.source
-    f_idx = f.idx
-    cls_t = family.component(t_ob)
-    if not _continuous_fast(f_idx, family.component(a_ob), cls_t, a_ob.size):
+def _proper_on_tables(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int):
+    """(ok, witness) of "continuous and closed" on an index table: proper,
+    under a family whose closed maps are stable under pullback."""
+    if not _continuous_fast(f_idx, src_fn, tgt_fn, n_src):
         return False, {"continuous": False}
-    a_down = down_or_discrete(a_ob)
-    for w_src in pool:
-        if w_src.size > bound:
-            continue
-        cls_w = family.component(w_src)
-        w_down = down_or_discrete(w_src)
-        for w in enumerate_morphisms(w_src, t_ob):
-            w_idx = w.idx
-            if not _continuous_fast(w_idx, cls_w, cls_t, w_src.size):
-                continue
-            pairs = pullback_pairs(w_idx, f_idx)
-            down = componentwise(pairs, w_down, a_down)
-            cls_apex = family.fn_for(len(pairs), down)
-            proj_bits = tuple(i for (i, _) in pairs)
-            # The closure of the empty set, then of each apex point, must
-            # project onto the closure of its projection.
-            ok, point, _ = first_counterexample(chain(
-                [None if image_bits(cls_apex(0), proj_bits) == cls_w(0) else {}],
-                (None if image_bits(cls_apex(1 << t), proj_bits) == cls_w(1 << i)
-                 else {"apex_point": [w_src.elements[i], a_ob.elements[j]]}
-                 for t, (i, j) in enumerate(pairs))))
-            if not ok:
-                return False, {"w": serialize_morphism(w),
-                               "apex": [[w_src.elements[i], a_ob.elements[j]]
-                                        for (i, j) in pairs],
-                               **point}
+    if not _closed_fast(f_idx, src_fn, tgt_fn, n_src):
+        return False, {"closed": False}
     return True, None
 
 
-def diagonal_morphism(f: Morphism) -> Morphism:
-    """The diagonal copy of f's source inside its kernel pair, the pullback
-    of f along itself: the inclusion of the pairs "(a,a)"."""
+def is_proper_witness(family: ClosureFamily, f: Morphism):
+    """Continuous and stably closed: under every registered family,
+    continuous and closed (see `ClosureFamily`)."""
+    return _proper_on_tables(f.idx, family.component(f.source),
+                             family.component(f.target), f.source.size)
+
+
+def _kernel_diagonal(f: Morphism):
+    """f's kernel pair and diagonal on index tables: the pairs (a, b) of
+    `core.pullback_pairs`, their componentwise down-masks (() when f's
+    source is unordered), and the diagonal, each a's position of (a, a)."""
     src = f.source
-    kernel = pullback_object(src, src, pullback_pairs(f.idx, f.idx))
-    return inclusion(kernel.restrict(pair_label(a, a) for a in src.elements), kernel)
+    pairs = pullback_pairs(f.idx, f.idx)
+    down = componentwise(pairs, src.down_masks, src.down_masks) if src.has_order else ()
+    at = {pair: k for k, pair in enumerate(pairs)}
+    return pairs, down, tuple(at[a, a] for a in range(src.size))
 
 
-def is_separated_witness(family: ClosureFamily, pool: Sequence[FiniteObject],
-                         f: Morphism, bound: int):
-    """Continuous, with a proper diagonal.  Continuity is decided on f
-    itself: the diagonal of a map that is not continuous can be."""
-    if not _continuous_fast(f.idx, family.component(f.source),
-                            family.component(f.target), f.source.size):
+def is_separated_witness(family: ClosureFamily, f: Morphism):
+    """Continuous, with a proper diagonal into the kernel pair.  Continuity
+    is decided on f itself: the diagonal of a map that is not continuous
+    can be."""
+    src = f.source
+    src_fn = family.component(src)
+    if not _continuous_fast(f.idx, src_fn, family.component(f.target), src.size):
         return False, {"continuous": False}
-    return is_proper_witness(family, pool, diagonal_morphism(f), bound)
+    pairs, down, diagonal = _kernel_diagonal(f)
+    return _proper_on_tables(diagonal, src_fn, family.fn_for(len(pairs), down),
+                             src.size)
 
 
 def to_point(ob: FiniteObject) -> Morphism:

@@ -723,27 +723,27 @@ def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
 
 # ------------------------------------------------------------- checkers G/H
 
-def _empty_inclusion_and_codiagonal(ctx, pool, test, compact):
+def _empty_inclusion_and_codiagonal(ctx, pool, family, witness_fn, compact):
     """G's criterion, per space x: the empty inclusion into x and the
     codiagonal x + x -> x are proper."""
     zero = initial(ctx.ordered)
 
     def outcomes():
         for x in pool:
-            good, bad = test(Morphism(zero, x, ()))
+            good, bad = witness_fn(family, Morphism(zero, x, ()))
             if good:
                 cp = ctx.coproduct(x, x)
-                good, bad = test(copair(identity(x), identity(x), cp.ob))
+                good, bad = witness_fn(family, copair(identity(x), identity(x), cp.ob))
             yield None if good else {"x": serialize_object(x), "failure": bad}
 
     return first_counterexample(outcomes())
 
 
-def _two_point_sum(ctx, pool, test, hausdorff):
+def _two_point_sum(ctx, pool, family, witness_fn, hausdorff):
     """H's criterion: the sum of two terminals is Hausdorff; counted as the
     number of Hausdorff spaces."""
     one = terminal(ctx.ordered)
-    ok, wit = test(to_point(ctx.coproduct(one, one).ob))
+    ok, wit = witness_fn(family, to_point(ctx.coproduct(one, one).ob))
     return ok, wit, len(hausdorff)
 
 
@@ -753,31 +753,30 @@ def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
     sums, and its spaces (those whose map to the point is in the class) are
     closed under binary sums iff `criterion` holds.  `names` are the three
     (side name, count name) pairs.  `witness_fn` decides each map's
-    continuity itself, so every map is handed to it as is."""
+    continuity itself, so every map is handed to it as is; the bound only
+    sizes the pool."""
     pool = ctx.objects(bound)
-
-    def test(f: Morphism):
-        return witness_fn(family, pool, f, bound)
 
     def morphism_sums():
         for f in members:
             for g in members:
                 src = ctx.coproduct(f.source, g.source).ob
                 tgt = ctx.coproduct(f.target, g.target).ob
-                good, bad = test(sum_morphisms(f, g, src, tgt))
+                good, bad = witness_fn(family, sum_morphisms(f, g, src, tgt))
                 yield None if good else _maps_witness(f, g, failure=bad)
 
     def space_sums():
         for x in spaces:
             for y in spaces:
-                good, bad = test(to_point(ctx.coproduct(x, y).ob))
+                good, bad = witness_fn(family, to_point(ctx.coproduct(x, y).ob))
                 yield None if good else _witness(x, y, failure=bad)
 
-    members = [f for x in pool for y in pool for f in ctx.hom(x, y) if test(f)[0]]
+    members = [f for x in pool for y in pool for f in ctx.hom(x, y)
+               if witness_fn(family, f)[0]]
     morphism_side = first_counterexample(morphism_sums())
-    spaces = [x for x in pool if test(to_point(x))[0]]
+    spaces = [x for x in pool if witness_fn(family, to_point(x))[0]]
     space_side = first_counterexample(space_sums())
-    criterion_side = criterion(ctx, pool, test, spaces)
+    criterion_side = criterion(ctx, pool, family, witness_fn, spaces)
     agree = space_side[0] == criterion_side[0]
     return _verdict(theorem, ctx, family, bound, [
         (*name, side) for name, side in

@@ -76,22 +76,22 @@ MUTATIONS = (
              "return True, wit, len(hausdorff)",
              (f"{G_H}[H-criterion]",)),
     Mutation("proper: the map is continuous", CLOSURE,
-             "if not _continuous_fast(f_idx, family.component(a_ob), cls_t, a_ob.size):",
+             "if not _continuous_fast(f_idx, src_fn, tgt_fn, n_src):",
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
     Mutation("separated: the map is continuous", CLOSURE,
-             "if not _continuous_fast(f.idx, family.component(f.source),\n"
-             "                            family.component(f.target), f.source.size):",
+             "if not _continuous_fast(f.idx, src_fn, family.component(f.target), src.size):",
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
-    Mutation("proper: each apex point's closure projects", CLOSURE,
-             "(None if image_bits(cls_apex(1 << t), proj_bits) == cls_w(1 << i)",
-             "(None if True",
-             (f"{PROPER}[alexandrov]", f"{PROPER}[indiscrete]",
-              "tests/test_closure.py::test_failing_proper_witness_is_pinned")),
-    Mutation("separated: the diagonal is the pairs (a,a) of the kernel pair", CLOSURE,
-             "kernel.restrict(pair_label(a, a) for a in src.elements)",
-             "kernel.restrict(kernel.elements)",
+    Mutation("proper: the map is closed", CLOSURE,
+             "if not _closed_fast(f_idx, src_fn, tgt_fn, n_src):",
+             "if False:",
+             (f"{PROPER}[alexandrov]", f"{PROPER}[indiscrete]")),
+    Mutation("separated: the diagonal is each a's position of (a,a) in the kernel pair",
+             CLOSURE,
+             "tuple(at[a, a] for a in range(src.size))",
+             "tuple(min(k for k, (x, _) in enumerate(pairs) if x == a)"
+             " for a in range(src.size))",
              ("tests/test_closure.py::test_diagonal_is_the_kernel_pair_equalizer",
               "tests/test_closure.py::"
               "test_separated_test_is_the_proper_test_of_the_literal_diagonal[alexandrov]")),

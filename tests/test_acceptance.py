@@ -157,13 +157,13 @@ def test_08_proper_and_separated_sums_with_compactness_facts():
     # of terminals is Hausdorff while the Sierpinski space is not
     pool = ctx.objects(2)
     for x in pool:
-        assert is_proper_witness(fam, pool, to_point(x), 2)[0], x.label
+        assert is_proper_witness(fam, to_point(x))[0], x.label
     one = terminal(True)
     two_points = ctx.coproduct(one, one).ob
-    assert is_separated_witness(fam, pool, to_point(two_points), 2)[0]
+    assert is_separated_witness(fam, to_point(two_points))[0]
     sierpinski = next(x for x in pool
                       if x.size == 2 and sum(1 for _ in x.order) == 3)
-    assert not is_separated_witness(fam, pool, to_point(sierpinski), 2)[0]
+    assert not is_separated_witness(fam, to_point(sierpinski))[0]
     _line("08", f"sums preserve proper and separated at bound 2 "
           f"({elapsed:.1f}s); compactness and Hausdorff calls come out right")
 

@@ -7,7 +7,6 @@ from extcheck.closure import (
     IDENTITY,
     INDISCRETE,
     ClosureFamily,
-    diagonal_morphism,
     get_family,
     is_proper_witness,
     is_separated_witness,
@@ -15,6 +14,7 @@ from extcheck.closure import (
     validate_closure,
     _closed_fast,
     _continuous_fast,
+    _kernel_diagonal,
 )
 from extcheck.contexts import builtin, crossed_coproduct_context
 from extcheck.core import (
@@ -22,7 +22,9 @@ from extcheck.core import (
     Morphism,
     enumerate_morphisms,
     identity as id_map,
-    serialize_morphism,
+    is_isomorphic,
+    pair_label,
+    points,
     sum_morphisms,
 )
 from extcheck.subobjects import Subobject
@@ -158,10 +160,10 @@ def test_proper_and_compact_examples():
     fam = ALEXANDROV
     # identity on the point is proper
     one = pool[1]
-    assert is_proper_witness(fam, pool, id_map(one), 2) == (True, None)
+    assert is_proper_witness(fam, id_map(one)) == (True, None)
     # every finite alexandrov space is compact
     for x in pool:
-        assert is_proper_witness(fam, pool, to_point(x), 2)[0]
+        assert is_proper_witness(fam, to_point(x))[0]
 
 
 def test_indiscrete_non_proper_inclusion():
@@ -175,20 +177,22 @@ def test_indiscrete_non_proper_inclusion():
     fp, f2 = INDISCRETE.component(pt), INDISCRETE.component(two)
     assert is_continuous(inc, fp, f2)
     assert not is_closed_morphism(inc, fp, f2)
-    assert not is_proper_witness(INDISCRETE, pool, inc, 2)[0]
+    assert is_proper_witness(INDISCRETE, inc) == (False, {"closed": False})
 
 
 def test_diagonal_morphism_shape():
     # everything is collapsed, so the kernel pair is the full square and
-    # the diagonal picks out its two reflexive points
+    # the diagonal picks out its two reflexive points, (0,0) and (1,1)
     f = Morphism(SIERPINSKI, SIERPINSKI, (("s0", "s0"), ("s1", "s0")))
-    d = diagonal_morphism(f)
-    # the source is the reflexive-pair copy of the domain
-    from extcheck.core import is_isomorphic
-    assert is_isomorphic(d.source, SIERPINSKI)
-    assert d.target.size == 4
+    pairs, down, diagonal = _kernel_diagonal(f)
+    assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert diagonal == (0, 3)
+    # ordered componentwise: (0,0) lies below every pair
+    assert [points(d) for d in down] == [(0,), (0, 1), (0, 2), (0, 1, 2, 3)]
     inj = Morphism(SIERPINSKI, SIERPINSKI, (("s0", "s0"), ("s1", "s1")))
-    assert diagonal_morphism(inj).target.size == 2
+    assert _kernel_diagonal(inj)[1:] == ((0b01, 0b11), (0, 1))
+    plain = FiniteObject(("s0", "s1"))
+    assert _kernel_diagonal(id_map(plain))[1:] == ((), (0, 1))
 
 
 # Labels that sort below the comma of "(a,b)", so that the kernel pair's
@@ -212,31 +216,53 @@ def _diagonal_test_maps():
 
 
 def test_diagonal_is_the_kernel_pair_equalizer():
-    """`diagonal_morphism` serializes as the equalizer of the kernel pair's
-    projections does: the same objects, names, labels and orders."""
+    """`_kernel_diagonal`'s index pairs, order and table, labelled "(a,b)",
+    are the equalizer of the kernel pair's projections: the same points,
+    the same order, and the diagonal onto the pairs (a,a)."""
     maps = _diagonal_test_maps()
     assert len(maps) > 100
     for f in maps:
-        assert serialize_morphism(diagonal_morphism(f)) == serialize_morphism(
-            diagonal_literal(f)), f.mapping
+        pairs, down, diagonal = _kernel_diagonal(f)
+        e = f.source.elements
+        labels = [pair_label(e[a], e[b]) for a, b in pairs]
+        lit = diagonal_literal(f)
+        assert sorted(lit.target.elements) == sorted(labels), f.mapping
+        order = None if not f.source.has_order else {
+            (labels[j], labels[k]) for k, row in enumerate(down) for j in points(row)}
+        assert lit.target.order == order, f.mapping
+        assert lit.table == {pair_label(x, x): labels[k] for x, k in zip(e, diagonal)}, (
+            f.mapping)
+
+
+def _literal_proper_verdict(fam, f):
+    """(ok, witness) of "continuous and closed" from the literal sweeps."""
+    src_fn, tgt_fn = fam.component(f.source), fam.component(f.target)
+    if not is_continuous(f, src_fn, tgt_fn):
+        return False, {"continuous": False}
+    if not is_closed_morphism(f, src_fn, tgt_fn):
+        return False, {"closed": False}
+    return True, None
 
 
 @pytest.mark.parametrize("fam_name", ["alexandrov", "identity", "indiscrete"])
 def test_separated_test_is_the_proper_test_of_the_literal_diagonal(fam_name):
-    """At finpre bound 2, on every map of the pool and every map from a sum
-    of two to the point, a continuous map's separated test gives the
-    (ok, witness) of the proper test of its kernel-pair diagonal."""
+    """On every map of `_diagonal_test_maps` the family applies to, and
+    every map from a sum of two finpre bound-2 objects to the point, a
+    continuous map's separated test gives the (ok, witness) of the literal
+    sweeps on its kernel-pair diagonal, and the verdict of the literal
+    proper test of that diagonal."""
     ctx = builtin("finpre")
     pool = ctx.objects(2)
     fam = ctx.family(fam_name)
-    maps = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    maps = [f for f in _diagonal_test_maps() if f.source.has_order or not fam.needs_order]
     maps += [to_point(ctx.coproduct(x, y).ob) for x in pool for y in pool]
     failures = 0
     for f in maps:
-        got = is_separated_witness(fam, pool, f, 2)
+        got = is_separated_witness(fam, f)
         if is_continuous(f, fam.component(f.source), fam.component(f.target)):
-            assert got == is_proper_witness(fam, pool, diagonal_literal(f), 2), (
-                f.mapping)
+            diagonal = diagonal_literal(f)
+            assert got == _literal_proper_verdict(fam, diagonal), f.mapping
+            assert got[0] == proper_literal(fam, pool, diagonal, 2)[0], f.mapping
             failures += not got[0]
         else:
             assert got == (False, {"continuous": False})
@@ -245,12 +271,10 @@ def test_separated_test_is_the_proper_test_of_the_literal_diagonal(fam_name):
 
 
 def test_sierpinski_is_not_hausdorff_but_discrete_is():
-    ctx = builtin("finpre")
-    pool = ctx.objects(2)
     fam = ALEXANDROV
-    assert not is_separated_witness(fam, pool, to_point(SIERPINSKI), 2)[0]
+    assert is_separated_witness(fam, to_point(SIERPINSKI)) == (False, {"closed": False})
     disc = FiniteObject(("d0", "d1"), make_preorder(("d0", "d1")))
-    assert is_separated_witness(fam, pool, to_point(disc), 2)[0]
+    assert is_separated_witness(fam, to_point(disc)) == (True, None)
 
 
 def test_separated_morphisms_examples():
@@ -261,34 +285,36 @@ def test_separated_morphisms_examples():
     one = pool[1]
     to_pt = Morphism(disc, one, tuple((e, one.elements[0])
                                       for e in disc.elements))
-    assert is_separated_witness(fam, pool, to_pt, 2) == (True, None)
+    assert is_separated_witness(fam, to_pt) == (True, None)
     collapse = Morphism(SIERPINSKI, one,
                         tuple((e, one.elements[0]) for e in SIERPINSKI.elements))
-    assert not is_separated_witness(fam, pool, collapse, 2)[0]
+    assert not is_separated_witness(fam, collapse)[0]
 
 
 def test_hausdorff_for_identity_family_is_universal():
     ctx = builtin("finset")
     pool = ctx.objects(2)
     for x in pool:
-        assert is_separated_witness(IDENTITY, pool, to_point(x), 2)[0]
+        assert is_separated_witness(IDENTITY, to_point(x))[0]
 
 
 def test_sierpinski_hausdorff_verdict_is_stable_at_bound_3():
-    ctx = builtin("finpre")
-    pool = ctx.objects(3)
-    fam = ALEXANDROV
-    assert not is_separated_witness(fam, pool, to_point(SIERPINSKI), 3)[0]
+    # Under alexandrov a space is Hausdorff exactly when its order is
+    # discrete: the diagonal's image of the down-set of a is the pairs
+    # (b, b) below a, and the down-set of (a, a) is all of down a x down a.
+    # Sierpinski space is in the bound-3 pool, up to isomorphism.
+    pool = builtin("finpre").objects(3)
+    assert any(is_isomorphic(x, SIERPINSKI) for x in pool)
+    for x in pool:
+        discrete = sum(1 for _ in x.order) == x.size
+        assert is_separated_witness(ALEXANDROV, to_point(x))[0] == discrete, x.label
 
 
 def test_failing_proper_witness_is_pinned():
     # The constant map from the 3-point fork p1 <= p2, p1 <= p3 onto p1 of
-    # the 2-point indiscrete preorder is not proper under alexandrov.  The
-    # first test map w, the chain collapsed onto p1, passes only because
-    # its 6-point apex is ordered componentwise by down-masks: with the
-    # apex's up-masks, or its discrete order, that w fails instead, at
-    # (p1, p1) and at (p2, p1).  So this witness pins the apex's points,
-    # their order and the order relation on them.
+    # the 2-point indiscrete preorder is monotone, and not proper under
+    # alexandrov: the image of the down-set of p1 is {p1}, the down-set of
+    # its image both points.  The witness names the failed condition.
     from test_golden_reports import WORKLOAD_EXTRAS
 
     ctx = builtin("finpre").with_extra_objects(WORKLOAD_EXTRAS)
@@ -296,53 +322,56 @@ def test_failing_proper_witness_is_pinned():
     fork = next(x for x in pool if x.name == "fork3")
     pair = next(x for x in pool if x.name == "pre2_2")
     f = Morphism(fork, pair, (("p1", "p1"), ("p2", "p1"), ("p3", "p1")))
-    ok, witness = is_proper_witness(ALEXANDROV, pool, f, 3)
-    assert not ok
-    assert witness == {
-        "w": {"source": {"name": "pre2_1", "elements": ["p1", "p2"],
-                         "order": [["p1", "p1"], ["p1", "p2"], ["p2", "p2"]]},
-              "target": {"name": "pre2_2", "elements": ["p1", "p2"],
-                         "order": [["p1", "p1"], ["p1", "p2"], ["p2", "p1"],
-                                   ["p2", "p2"]]},
-              "map": {"p1": "p2", "p2": "p1"}},
-        "apex": [["p2", "p1"], ["p2", "p2"], ["p2", "p3"]],
-        "apex_point": ["p2", "p1"]}
+    assert is_proper_witness(ALEXANDROV, f) == (False, {"closed": False})
+    assert not proper_literal(ALEXANDROV, pool, f, 3)[0]
 
 
-def _proper_test_maps():
-    """Every map with an end in the finpre bound-2 pool and the other in
-    the pool or among its sums, the crossed mutant's sums included, and
-    every sum of two maps of the pool."""
-    ctx = builtin("finpre")
-    pool = ctx.objects(2)
-    sums = [c.coproduct(x, y).ob for c in (ctx, crossed_coproduct_context(ctx))
-            for x in pool for y in pool]
+def _proper_test_maps(name="finpre", bound=2):
+    """Every map with an end in the context's pool at `bound` and the other
+    in that pool or among the sums of its bound-2 pool, the crossed
+    mutant's sums included when ordered, and every sum of two maps of the
+    bound-2 pool."""
+    ctx = builtin(name)
+    pool, small = ctx.objects(bound), ctx.objects(2)
+    sums = [c.coproduct(x, y).ob
+            for c in [ctx] + ([crossed_coproduct_context(ctx)] if ctx.ordered else [])
+            for x in small for y in small]
     ends = [(x, y) for x in pool for y in [*pool, *sums]] + [
         (x, y) for x in sums for y in pool]
     maps = [f for x, y in ends for f in enumerate_morphisms(x, y)]
-    homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    homs = [f for x in small for y in small for f in ctx.hom(x, y)]
     maps += [sum_morphisms(f, g, ctx.coproduct(f.source, g.source).ob,
                            ctx.coproduct(f.target, g.target).ob)
              for f in homs for g in homs]
     return ctx, pool, maps
 
 
-@pytest.mark.parametrize("fam_name", ["alexandrov", "identity", "indiscrete"])
-def test_proper_test_matches_label_level_pullbacks(fam_name):
-    """`is_proper_witness`'s apex tables and singleton equations decide each
-    map as the literal definition does, with the same first failing w."""
-    ctx, pool, maps = _proper_test_maps()
+def _check_proper_test_against_literal(ctx, pool, maps, fam_name, bound):
+    """Each map's verdict is that of the literal definition at `bound`, and
+    a failing map's witness names the condition that fails."""
     fam = ctx.family(fam_name)
     failures = 0
     for f in maps:
-        ok, witness = is_proper_witness(fam, pool, f, 2)
-        lit_ok, lit_w = proper_literal(fam, pool, f, 2)
-        assert ok == lit_ok, (f.mapping, witness)
+        ok, witness = is_proper_witness(fam, f)
+        assert ok == proper_literal(fam, pool, f, bound)[0], (f.mapping, witness)
         if not ok:
             failures += 1
-            assert witness.get("w") == (lit_w and serialize_morphism(lit_w))
+            assert witness == _literal_proper_verdict(fam, f)[1], f.mapping
     # the comparison is not vacuous where the family can fail a map
     assert (failures == 0) == (fam_name == "identity")
+
+
+@pytest.mark.parametrize("fam_name", ["alexandrov", "identity", "indiscrete"])
+def test_proper_test_matches_label_level_pullbacks(fam_name):
+    """Continuous and closed decides each map as the literal definition
+    does, on label-level pullbacks from test sources of up to 2 points."""
+    _check_proper_test_against_literal(*_proper_test_maps(), fam_name, 2)
+
+
+@pytest.mark.parametrize("fam_name", ["identity", "indiscrete"])
+def test_proper_test_matches_label_level_pullbacks_on_finset(fam_name):
+    """The same at finset bound 3, from test sources of up to 3 points."""
+    _check_proper_test_against_literal(*_proper_test_maps("finset", 3), fam_name, 3)
 
 
 def _indiscrete_on_two(size, down):
@@ -359,6 +388,6 @@ def test_map_that_is_not_continuous_is_reported():
     two, three = pool[2], pool[3]
     inc = Morphism(two, three, tuple((e, e) for e in two.elements))
     assert not is_continuous(inc, fam.component(two), fam.component(three))
-    assert is_proper_witness(fam, pool, inc, 2) == (False, {"continuous": False})
-    assert is_separated_witness(fam, pool, inc, 2) == (False, {"continuous": False})
-    assert is_proper_witness(fam, pool, diagonal_morphism(inc), 2) == (True, None)
+    assert is_proper_witness(fam, inc) == (False, {"continuous": False})
+    assert is_separated_witness(fam, inc) == (False, {"continuous": False})
+    assert is_proper_witness(fam, diagonal_literal(inc)) == (True, None)

@@ -6,6 +6,7 @@ from extcheck.closure import ClosureFamily
 from extcheck.contexts import (
     builtin,
     crossed_coproduct_context,
+    preorders_of_size,
     split_mono_context,
     swapped_system_context,
 )
@@ -1063,10 +1064,10 @@ def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
     real = getattr(theorems, name)
     injected = _G_H_BREAKS[breaks]
 
-    def witness_fn(family, pool, f, bound):
+    def witness_fn(family, f):
         if injected(f):
             return False, _INJECTED
-        return real(family, pool, f, bound)
+        return real(family, f)
 
     monkeypatch.setattr(theorems, name, witness_fn)
     ctx = builtin("finpre")
@@ -1075,3 +1076,21 @@ def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
     assert v.sides == sides
     assert v.counts == counts
     assert v.witnesses[0] == witness
+
+
+@pytest.mark.parametrize("thm, count, alexandrov", [
+    ("G", "proper_pairs", 676), ("H", "hausdorff_spaces", 3)])
+def test_g_h_depend_on_the_pool_not_the_bound(thm, count, alexandrov):
+    """With the pool fixed, G and H do not depend on the bound: finpre at
+    bound 1 with the 2-point preorders added is the bound-2 pool, and its
+    verdicts equal those at bound 2, sides and counts, under every family."""
+    extended = builtin("finpre").with_extra_objects(preorders_of_size(2))
+    plain = builtin("finpre")
+    assert extended.objects(1) == plain.objects(2)
+    for fam in plain.families:
+        got = run_checker(thm, extended, extended.family(fam.name), 1, {})
+        want = run_checker(thm, plain, fam, 2, {})
+        assert (got.status, got.passed, got.sides, got.counts) == (
+            want.status, want.passed, want.sides, want.counts), fam.name
+        if fam.name == "alexandrov":
+            assert dict(got.counts)[count] == alexandrov
