@@ -12,7 +12,11 @@ holds, the biproduct structure maps included.  `enumerate_homs` assigns the
 join-irreducibles depth-first and checks join-preservation on generator
 equations only; `matrix_roundtrip` returns the positions of the tables t
 for which `matrix_to_hom(hom_matrix(t)) != t`, through the round trip
-precomposed once per biproduct.
+precomposed once per biproduct.  It decides a whole (source, target) pair
+at once when two guards hold: each source point k is the join of its pair
+(l, r), and the target's precomposed round trip is its join table.  Then
+t[k] = t[l] v t[r] for a hom t, which is the round trip's entry k, so every
+hom round-trips; only when a guard fails are the tables compared one by one.
 """
 
 from __future__ import annotations
@@ -222,6 +226,12 @@ class Biproduct:
                      for a, b in zip(self.proj_l, self.proj_r))
 
     @cached_property
+    def pairs_rejoin(self) -> bool:
+        """As source: whether each point k is the join of its `pairs`."""
+        join = self.total.join
+        return all(join[a][b] == k for k, (a, b) in enumerate(self.pairs))
+
+    @cached_property
     def joint(self) -> tuple[Table, ...]:
         """As target: inj_l . proj_l and inj_r . proj_r joined for every
         pair of values (u, w), in `matrix_to_hom`'s association order."""
@@ -318,7 +328,19 @@ def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
     Entry k of the round trip of t is the target's `joint` at (t[l], t[r])
     for the source's pair (l, r) of point k, so each value equals
     `matrix_to_hom`'s by construction, and the answer depends only on the
-    tables, `bp_src.pairs` and `bp_tgt.joint`."""
+    tables, `bp_src.pairs` and `bp_tgt.joint`.
+
+    Two guards decide every table at once, each a finite check that does
+    not assume the biproduct report passed.  When the source's pair of each
+    point k joins back to k (`bp_src.pairs_rejoin`), t[k] is
+    T.join[t[l]][t[r]], as t preserves binary joins; when the target's
+    `joint` is its total's join table as well, that is the round trip's
+    entry, so every t round-trips and the answer is [].  The argument needs
+    each table in `homs` to be a hom: `enumerate_homs` yields only homs, and
+    so do identity and zero tables.  When a guard fails, each table is
+    compared point by point."""
     joint, pairs = bp_tgt.joint, bp_src.pairs
+    if bp_src.pairs_rejoin and joint == bp_tgt.total.join:
+        return []
     return [k for k, t in enumerate(homs)
             if [joint[t[a]][t[b]] for a, b in pairs] != list(t)]

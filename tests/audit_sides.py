@@ -37,6 +37,7 @@ CLOSURE = "src/extcheck/closure.py"
 CONTEXTS = "src/extcheck/contexts.py"
 FACTORIZATION = "src/extcheck/factorization.py"
 SUBOBJECTS = "src/extcheck/subobjects.py"
+SEMILATTICE = "src/extcheck/semilattice.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
@@ -186,6 +187,13 @@ MUTATIONS = (
              "key = lattices",
              ("tests/test_theorems.py::"
               "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
+    Mutation("biproduct: a block's homs all round-trip when both guards hold",
+             SEMILATTICE,
+             "if bp_src.pairs_rejoin and joint == bp_tgt.total.join:",
+             "if True:",
+             ("tests/test_semilattice.py::test_matrix_roundtrip_with_broken_projection",
+              "tests/test_theorems.py::"
+              "test_roundtrip_side_names_the_first_hom_that_fails")),
     Mutation("lattices: a lattice takes every subset under any system", SUBOBJECTS,
              "if sys.m_table is injective_table or sys.m_table is embedding_table:",
              "if True:",

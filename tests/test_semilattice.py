@@ -324,6 +324,39 @@ def test_matrix_roundtrip_with_broken_projection():
     assert homs[failed[0]] == homs[literal.index(False)] == (0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("source, target", [
+    ("good", "broken"), ("broken", "good"), ("good", "good")])
+def test_matrix_roundtrip_guards_agree_with_literal_round_trip(source, target):
+    """Whichever of the source's and the target's guards fails, or neither,
+    `matrix_roundtrip` returns the positions of exactly the homs the literal
+    matrix calculus fails; a broken side fails some homs and keeps others."""
+    lat1, lat2 = powerset_lattice(1), powerset_lattice(2)
+    maps = {"good": ((0, 1), (0, 2), (0, 1, 0, 1), (0, 0, 1, 1)),
+            "broken": ((0, 1), (0, 2), (0, 1, 0, 1), (0, 1, 1, 1))}
+    s, t = (Biproduct(lat1, lat1, lat2, *maps[side],
+                      verify_biproduct(lat1, lat1, lat2, *maps[side]))
+            for side in (source, target))
+    assert (s.pairs_rejoin, t.joint == t.total.join) == (
+        source == "good", target == "good")
+    homs = enumerate_homs(lat2, lat2)
+    literal = [k for k, h in enumerate(homs)
+               if matrix_to_hom(s, t, hom_matrix(s, t, h)) != h]
+    assert matrix_roundtrip(s, t, homs) == literal
+    assert (0 < len(literal) < len(homs)) == ("broken" in (source, target))
+
+
+def test_matrix_roundtrip_guards_hold_on_finpre_bound_2():
+    """Both guards hold on each of the 25 sum lattices the round-trip side
+    builds on finpre at bound 2, so every block pair it decides is decided
+    without comparing a hom."""
+    ctx = builtin("finpre")
+    small = [x for x in ctx.objects(2) if x.size <= 2]
+    bps = [subobject_biproduct(ctx, x, y)
+           for x, y in itertools.product(small, repeat=2)]
+    assert len(bps) == 25
+    assert all(bp.pairs_rejoin and bp.joint == bp.total.join for bp in bps)
+
+
 def test_matrix_to_hom_of_zero_matrix():
     ctx = builtin("finset")
     one = terminal(False)
