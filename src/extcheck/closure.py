@@ -3,15 +3,15 @@
 A closure family assigns, by a single formula, a closure operator to every
 object (identity, indiscrete, and down-closure for the ordered flavor).  A
 space is an object under a family, with closure `family.component(ob)`;
-maps between spaces are plain `Morphism`s.  Continuity and closedness are
-decided in singleton form on index tables (`_continuous_fast`,
-`_closed_fast`); `tests/oracles.py` keeps the literal sweeps over every
-mask.  The proper test decides "continuous and closed" on a map's table:
-under every registered family that is proper, continuous and stably
-closed (`ClosureFamily` has the proofs).  The separated test decides the
-same of the diagonal into the kernel pair, on index pairs.  A space is
-compact or Hausdorff when its map to the point (`to_point`) is proper or
-separated.
+a map between spaces is an index table between their objects.  Continuity
+and closedness are decided in singleton form on index tables
+(`_continuous_fast`, `_closed_fast`); `tests/oracles.py` keeps the literal
+sweeps over every mask.  The proper test decides "continuous and closed"
+on a map's table: under every registered family that is proper,
+continuous and stably closed (`ClosureFamily` has the proofs).  The
+separated test decides the same of the diagonal into the kernel pair, on
+index pairs.  A space is compact or Hausdorff when its map to the point
+is proper or separated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 from .core import (
     CheckResult,
     FiniteObject,
-    Morphism,
     Report,
     componentwise,
     count_instances,
@@ -30,7 +29,6 @@ from .core import (
     image_bits,
     pullback_pairs,
     serialize_object,
-    terminal,
 )
 from .subobjects import SubobjectLattice
 
@@ -185,38 +183,34 @@ def _proper_on_tables(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int):
     return True, None
 
 
-def is_proper_witness(family: ClosureFamily, f: Morphism):
-    """Continuous and stably closed: under every registered family,
+def proper_witness(family: ClosureFamily, idx, src: FiniteObject, tgt):
+    """(ok, witness) of the map src -> tgt with index table `idx` being
+    continuous and stably closed: under every registered family,
     continuous and closed (see `ClosureFamily`)."""
-    return _proper_on_tables(f.idx, family.component(f.source),
-                             family.component(f.target), f.source.size)
+    return _proper_on_tables(idx, family.component(src), family.component(tgt),
+                             src.size)
 
 
-def _kernel_diagonal(f: Morphism):
-    """f's kernel pair and diagonal on index tables: the pairs (a, b) of
-    `core.pullback_pairs`, their componentwise down-masks (() when f's
-    source is unordered), and the diagonal, each a's position of (a, a)."""
-    src = f.source
-    pairs = pullback_pairs(f.idx, f.idx)
+def _kernel_diagonal(idx, src: FiniteObject):
+    """The kernel pair and diagonal of the map out of src with index table
+    `idx`: the pairs (a, b) of `core.pullback_pairs`, their componentwise
+    down-masks (() when src is unordered), and the diagonal, each a's
+    position of (a, a)."""
+    pairs = pullback_pairs(idx, idx)
     down = componentwise(pairs, src.down_masks, src.down_masks) if src.has_order else ()
     at = {pair: k for k, pair in enumerate(pairs)}
     return pairs, down, tuple(at[a, a] for a in range(src.size))
 
 
-def is_separated_witness(family: ClosureFamily, f: Morphism):
-    """Continuous, with a proper diagonal into the kernel pair.  Continuity
-    is decided on f itself: the diagonal of a map that is not continuous
-    can be."""
-    src = f.source
+def separated_witness(family: ClosureFamily, idx, src: FiniteObject, tgt):
+    """(ok, witness) of the map src -> tgt with index table `idx` being
+    continuous, with a proper diagonal into the kernel pair.  Continuity
+    is decided on the map itself: the diagonal of a map that is not
+    continuous can be."""
     src_fn = family.component(src)
-    if not _continuous_fast(f.idx, src_fn, family.component(f.target), src.size):
+    if not _continuous_fast(idx, src_fn, family.component(tgt), src.size):
         return False, {"continuous": False}
-    pairs, down, diagonal = _kernel_diagonal(f)
+    pairs, down, diagonal = _kernel_diagonal(idx, src)
     return _proper_on_tables(diagonal, src_fn, family.fn_for(len(pairs), down),
                              src.size)
-
-
-def to_point(ob: FiniteObject) -> Morphism:
-    """The map from ob to the terminal object of its flavor."""
-    return Morphism(ob, terminal(ob.has_order), tuple((e, "*") for e in ob.elements))
 

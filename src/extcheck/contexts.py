@@ -25,22 +25,23 @@ from .core import (
     LEFT_TAG,
     RIGHT_TAG,
     clopen_splits,
+    _monotone_maps,
     compose,
     copair,
     coproduct,
     count_monotone,
     embedding_table,
-    enumerate_morphisms,
-    find_iso,
     image_bits,
     initial,
     injective_table,
-    is_injective,
     is_iso,
     is_isomorphic,
+    monotone_table,
+    morphism_of,
     order_reflecting_table,
     pair_label,
     points,
+    preimage_bits,
     product,
     pullback,
     pullback_object,
@@ -149,6 +150,7 @@ class Context:
     coproduct_fn: Callable[[FiniteObject, FiniteObject], Coproduct] = coproduct
     _coproducts: dict = field(default_factory=dict, repr=False)
     _lattices: dict = field(default_factory=dict, repr=False)
+    _homs: dict = field(default_factory=dict, repr=False)
 
     def objects(self, bound: int) -> tuple[FiniteObject, ...]:
         pool = list(self.enumerate_objects(bound))
@@ -159,8 +161,17 @@ class Context:
                 pool.append(extra)
         return tuple(pool)
 
-    def hom(self, x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...]:
-        return enumerate_morphisms(x, y)
+    def hom_tables(self, x: FiniteObject, y: FiniteObject) -> tuple[tuple, ...]:
+        """hom(x, y) as index tables in enumeration order, enumerated once
+        per context and kept with the two objects that first asked."""
+        if (x, y) not in self._homs:
+            self._homs[x, y] = (x, y, tuple(_monotone_maps(x, y, False)))
+        return self._homs[x, y][2]
+
+    def morphism(self, x: FiniteObject, y: FiniteObject, idx) -> Morphism:
+        """The map of hom(x, y) with index table `idx`, for a witness:
+        between the objects that first asked for hom(x, y)."""
+        return morphism_of(*self._homs[x, y][:2], idx)
 
     def coproduct(self, x: FiniteObject, y: FiniteObject) -> Coproduct:
         key = (x, y)
@@ -184,7 +195,7 @@ class Context:
                        self.enumerate_objects, tuple(extras), self.coproduct_fn)
 
     def validate_factorization(self, bound: int) -> Report:
-        return validate_system(self.system, self.objects(bound))
+        return validate_system(self.system, self.objects(bound), self)
 
     def validate_extensive(self, bound: int) -> Report:
         return validate_extensive(self, bound)
@@ -222,9 +233,8 @@ def crossed_coproduct_context(base: Context) -> Context:
         extra = (LEFT_TAG + x.elements[0], RIGHT_TAG + y.elements[0])
         order = transitive_closure(set(cp.ob.order) | {extra})
         ob = FiniteObject(cp.ob.elements, order, name=cp.ob.name + "!")
-        inl = Morphism(x, ob, cp.inl.mapping)
-        inr = Morphism(y, ob, cp.inr.mapping)
-        return Coproduct(ob, inl, inr)
+        return Coproduct(ob, Morphism(x, ob, cp.inl.mapping),
+                         Morphism(y, ob, cp.inr.mapping))
 
     return Context(f"{base.name}!crossed", base.ordered, base.system, base.families,
                    base.enumerate_objects, base.extra_objects, crossed)
@@ -274,7 +284,7 @@ def _pullback_stability_literal(ctx: Context, cp: Coproduct, f: Morphism):
 
 
 def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
-    """Per map f: z -> x + y, in `ctx.hom` order, the outcome of
+    """Per map f: z -> x + y, in `ctx.hom_tables` order, the outcome of
     `_pullback_stability_literal`, decided on index tables (the legs of
     every context's coproduct land in its object).  The pullback of f along
     a leg is the object on the pairs (a, b) with f(a) = leg(b), which
@@ -312,13 +322,7 @@ def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
                                  [a for a, _ in over], [t for _, t in over])
         return part
 
-    def monotone(table, mid_up, tgt_up) -> bool:
-        return mid_up is None or tgt_up is None or all(
-            not image_bits(row, table) & ~tgt_up[table[i]]
-            for i, row in enumerate(mid_up))
-
-    for f in ctx.hom(z, sum_ob):
-        f_idx = f.idx
+    for f_idx in ctx.hom_tables(z, sum_ob):
         ob_l, tags_l, comp_l, into_l = along(*legs[0], f_idx)
         ob_r, tags_r, comp_r, into_r = along(*legs[1], f_idx)
         mid = ctx.coproduct(ob_l, ob_r).ob
@@ -326,11 +330,19 @@ def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
         comparison, into_sum = comp_l + comp_r, into_l + into_r
         holds = (mid.elements == tags_l + tags_r
                  and sorted(comparison) == everything
-                 and monotone(comparison, mid_up, z_up)
+                 and monotone_table(comparison, mid_up, z_up)
                  and order_reflecting_table(comparison, mid_up, z_up)
-                 and monotone(into_sum, mid_up, sum_up)
+                 and monotone_table(into_sum, mid_up, sum_up)
                  and all(f_idx[a] == t for a, t in zip(comparison, into_sum)))
-        yield None if holds else _pullback_stability_literal(ctx, cp, f)
+        yield None if holds else _pullback_stability_literal(
+            ctx, cp, ctx.morphism(z, sum_ob, f_idx))
+
+
+def injections_in_m(sys: FactorizationSystem, cp: Coproduct) -> bool:
+    """Whether both legs of `cp` are in M, decided on their index tables."""
+    up = up_masks_or_none(cp.ob)
+    return all(sys.m_table(leg.idx, up_masks_or_none(leg.source), cp.ob.size, up)
+               for leg in (cp.inl, cp.inr))
 
 
 def _is_block_sum(cp: Coproduct) -> bool:
@@ -395,9 +407,9 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
 
     def initial_strict():
         for x in pool:
-            if len(ctx.hom(zero, x)) != 1:
+            if len(ctx.hom_tables(zero, x)) != 1:
                 yield {"object": serialize_object(x), "reason": "no unique map from 0"}
-            elif x.size and len(ctx.hom(x, zero)) != 0:
+            elif x.size and len(ctx.hom_tables(x, zero)) != 0:
                 yield {"object": serialize_object(x), "reason": "map into 0 exists"}
             else:
                 yield None
@@ -405,12 +417,9 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
     def injections_admissible_disjoint_jointly_epic():
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
-            inl_img = set(v for (_, v) in cp.inl.mapping)
-            inr_img = set(v for (_, v) in cp.inr.mapping)
-            good = (is_injective(cp.inl) and is_injective(cp.inr)
-                    and ctx.system.in_m(cp.inl) and ctx.system.in_m(cp.inr)
-                    and not (inl_img & inr_img)
-                    and inl_img | inr_img == set(cp.ob.elements))
+            # Injective, disjoint and jointly onto: each point hit once.
+            good = (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))
+                    and injections_in_m(ctx.system, cp))
             yield None if good else {"x": serialize_object(x), "y": serialize_object(y)}
 
     def coproduct_disjoint():
@@ -437,16 +446,16 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
         for x in pool:
             lhs = product(two.ob, x).ob
             rhs = ctx.coproduct(x, x).ob
-            yield (None if find_iso(lhs, rhs) is not None
+            yield (None if is_isomorphic(lhs, rhs)
                    else {"x": serialize_object(x), "lhs": serialize_object(lhs),
                          "rhs": serialize_object(rhs)})
 
     def morphisms_reflect_zero():
         for x, y in pairs:
-            for f in ctx.hom(x, y):
-                yield None if f.preimage_mask(0) == 0 else {"f": serialize_morphism(f)}
+            for f in ctx.hom_tables(x, y):
+                yield (None if preimage_bits(0, f) == 0
+                       else {"f": serialize_morphism(ctx.morphism(x, y, f))})
 
-    zero_to_one = Morphism(zero, one, ())
     return Report(f"extensive[{ctx.name}]", (
         CheckResult.of("initial_strict", initial_strict()),
         CheckResult.of("injections_admissible_disjoint_jointly_epic",
@@ -454,5 +463,6 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
         CheckResult.of("coproduct_disjoint", coproduct_disjoint()),
         CheckResult.of("coproducts_pullback_stable", coproducts_pullback_stable()),
         CheckResult.of("distributivity_two_by_x", distributivity_two_by_x()),
-        CheckResult("zero_embedding_admissible", ctx.system.in_m(zero_to_one), 1),
+        CheckResult("zero_embedding_admissible", ctx.system.m_table(
+            (), up_masks_or_none(zero), 1, up_masks_or_none(one)), 1),
         CheckResult.of("morphisms_reflect_zero", morphisms_reflect_zero())))

@@ -171,15 +171,7 @@ class Morphism:
         return image_bits(mask, self.idx)
 
     def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i, t in enumerate(self.idx):
-            if (mask >> t) & 1:
-                out |= 1 << i
-        return out
-
-    @cached_property
-    def image_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(set(v for (_, v) in self.mapping)))
+        return preimage_bits(mask, self.idx)
 
 
 def image_bits(mask: int, idx) -> int:
@@ -192,13 +184,26 @@ def image_bits(mask: int, idx) -> int:
     return out
 
 
+def preimage_bits(mask: int, idx) -> int:
+    """The inverse image of `mask` under the index table `idx`."""
+    return sum(1 << i for i, t in enumerate(idx) if mask >> t & 1)
+
+
 def points(mask: int) -> tuple[int, ...]:
     """The indices of the set bits of `mask`, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def identity(x: FiniteObject) -> Morphism:
-    return Morphism(x, x, tuple((e, e) for e in x.elements))
+def morphism_of(x: FiniteObject, y: FiniteObject, idx) -> Morphism:
+    """The map x -> y with the index table `idx`."""
+    return Morphism(x, y, tuple(zip(x.elements, (y.elements[t] for t in idx))))
+
+
+def monotone_table(idx, src_up, tgt_up) -> bool:
+    """Whether the index table `idx` is monotone from up-masks `src_up` to
+    `tgt_up`; vacuous unless both ends are ordered (not None)."""
+    return src_up is None or tgt_up is None or all(
+        not image_bits(row, idx) & ~tgt_up[idx[i]] for i, row in enumerate(src_up))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -222,14 +227,6 @@ def restrict_masks(masks, pts) -> tuple[int, ...]:
     `pts`, in increasing order, renumbered over those points."""
     return tuple(sum(1 << r for r, j in enumerate(pts) if masks[i] >> j & 1)
                  for i in pts)
-
-
-def table_of(f: Morphism) -> tuple:
-    """(index table, source up-masks, target size, target up-masks) of f,
-    the arguments of the table-level class predicates below; the up-masks
-    are None for the unordered flavor."""
-    return (f.idx, up_masks_or_none(f.source), f.target.size,
-            up_masks_or_none(f.target))
 
 
 def image_parts(idx) -> tuple[int, tuple[int, ...]]:
@@ -327,13 +324,9 @@ def coproduct(x: FiniteObject, y: FiniteObject) -> Coproduct:
     return Coproduct(ob, inl, inr)
 
 
-def is_coproduct_carrier(ob: FiniteObject) -> bool:
-    return all(e.startswith(LEFT_TAG) or e.startswith(RIGHT_TAG) for e in ob.elements)
-
-
 def split_coproduct(ob: FiniteObject) -> tuple[FiniteObject, FiniteObject]:
     """Recover the two summands of a constructed coproduct by stripping tags."""
-    if not is_coproduct_carrier(ob):
+    if not all(e.startswith((LEFT_TAG, RIGHT_TAG)) for e in ob.elements):
         raise ValueError(f"{ob.label} is not a constructed coproduct")
     left = [e[len(LEFT_TAG):] for e in ob.elements if e.startswith(LEFT_TAG)]
     right = [e[len(RIGHT_TAG):] for e in ob.elements if e.startswith(RIGHT_TAG)]
@@ -358,17 +351,6 @@ def copair(f: Morphism, g: Morphism, sum_ob: FiniteObject | None = None) -> Morp
     mapping = tuple((LEFT_TAG + k, v) for (k, v) in f.mapping) + tuple(
         (RIGHT_TAG + k, v) for (k, v) in g.mapping)
     return Morphism(src, f.target, mapping)
-
-
-def sum_morphisms(f: Morphism, g: Morphism,
-                  src_sum: FiniteObject | None = None,
-                  tgt_sum: FiniteObject | None = None) -> Morphism:
-    """f + g between the constructed coproducts."""
-    src = coproduct(f.source, g.source).ob if src_sum is None else src_sum
-    tgt = coproduct(f.target, g.target).ob if tgt_sum is None else tgt_sum
-    mapping = tuple((LEFT_TAG + k, LEFT_TAG + v) for (k, v) in f.mapping) + tuple(
-        (RIGHT_TAG + k, RIGHT_TAG + v) for (k, v) in g.mapping)
-    return Morphism(src, tgt, mapping)
 
 
 class Product(NamedTuple):
@@ -471,17 +453,16 @@ def _monotone_constraints(k: int, src_up, tgt_up) -> list[list[tuple]]:
 
 
 def _monotone_maps(x: FiniteObject, y: FiniteObject,
-                   injective: bool) -> Iterator[Morphism]:
-    """The monotone maps x -> y, only the injective ones if `injective`, in
-    lexicographic order over lookup tables, each yielded when reached."""
+                   injective: bool) -> Iterator[tuple[int, ...]]:
+    """The index tables of the monotone maps x -> y, only the injective ones
+    if `injective`, in lexicographic order, each yielded when reached."""
     n = x.size
     constraints = _monotone_constraints(n, up_masks_or_none(x), up_masks_or_none(y))
     assign = [0] * n
 
     def extend(i: int, free: int):
         if i == n:
-            mapping = tuple((x.elements[k], y.elements[assign[k]]) for k in range(n))
-            yield Morphism(x, y, mapping)
+            yield tuple(assign)
             return
         allowed = free
         for j, rows in constraints[i]:
@@ -552,30 +533,24 @@ def clopen_splits(up_masks: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def enumerate_morphisms(x: FiniteObject, y: FiniteObject) -> tuple[Morphism, ...]:
-    """All morphisms x -> y in lexicographic order over lookup tables."""
-    return tuple(_monotone_maps(x, y, False))
+    """All morphisms x -> y in lexicographic order over lookup tables, cached
+    for the process; the program reads `Context.hom_tables` instead."""
+    return tuple(morphism_of(x, y, t) for t in _monotone_maps(x, y, False))
 
 
-def monotone_bijections(x: FiniteObject, y: FiniteObject) -> Iterator[Morphism]:
-    """All bijective morphisms x -> y (monotone, not necessarily iso)."""
+def monotone_bijections(x: FiniteObject, y: FiniteObject) -> Iterator[tuple[int, ...]]:
+    """The index tables of all bijective morphisms x -> y (monotone, not
+    necessarily iso), in lexicographic order."""
     if x.size == y.size:
         yield from _monotone_maps(x, y, True)
 
 
-def find_iso(x: FiniteObject, y: FiniteObject) -> Morphism | None:
-    """First isomorphism x -> y in enumeration order, or None."""
-    if x.size != y.size or x.has_order != y.has_order:
-        return None
-    if x.has_order and len(x.order) != len(y.order):
-        return None
-    for f in monotone_bijections(x, y):
-        if is_iso(f):
-            return f
-    return None
-
-
 def is_isomorphic(x: FiniteObject, y: FiniteObject) -> bool:
-    return find_iso(x, y) is not None
+    """Whether some monotone bijection x -> y exists and both orders have
+    as many pairs, when it reflects the order (see `is_iso`)."""
+    return (x.has_order == y.has_order
+            and (not x.has_order or len(x.order) == len(y.order))
+            and next(monotone_bijections(x, y), None) is not None)
 
 
 def first_counterexample(outcomes: Iterable) -> tuple[bool, object, int]:

@@ -35,8 +35,8 @@ from .core import (
     FiniteObject,
     Morphism,
     Report,
+    _monotone_maps,
     componentwise,
-    enumerate_morphisms,
     image_parts,
     inclusion,
     order_reflecting_table,
@@ -45,7 +45,6 @@ from .core import (
     restrict_masks,
     runs_around,
     serialize_morphism,
-    table_of,
     up_masks_or_none,
 )
 
@@ -66,37 +65,29 @@ class Factorization:
 
 @dataclass(eq=False)
 class FactorizationSystem:
-    """The two classes, each a predicate on `core.table_of(f)`: index
-    table, source up-masks, target size and target up-masks (None
-    unordered), so a map need not be built to be classified.  The
-    factorization of every system is the image factorization; the join of
-    two admissible subobjects is then the union of their carriers."""
+    """The two classes, each a predicate on a map's index table, source
+    up-masks, target size and target up-masks (None unordered), so a map
+    need not be built to be classified.  The factorization of every system
+    is the image factorization; the join of two admissible subobjects is
+    then the union of their carriers."""
 
     name: str
     e_table: Callable[..., bool]
     m_table: Callable[..., bool]
 
-    def in_e(self, f: Morphism) -> bool:
-        return self.e_table(*table_of(f))
-
-    def in_m(self, f: Morphism) -> bool:
-        return self.m_table(*table_of(f))
-
 
 def image_factorization(f: Morphism) -> Factorization:
     """Corestriction onto the set image followed by the literal inclusion."""
-    mid = f.target.restrict(f.image_labels)
+    mid = f.target.restrict(v for _, v in f.mapping)
     e = Morphism(f.source, mid, f.mapping)
     m = inclusion(mid, f.target)
     return Factorization(e, m)
 
 
 class _Map(NamedTuple):
-    """A map of a numbered pool: the `Morphism` (serialized only for a
-    witness), the ids of its source and target, its index table, and
-    whether it is surjective and injective."""
+    """A map of a numbered pool: the ids of its source and target, its
+    index table, and whether it is surjective and injective."""
 
-    f: Morphism
     s: int
     t: int
     idx: tuple[int, ...]
@@ -106,37 +97,37 @@ class _Map(NamedTuple):
 
 class _Pool:
     """The objects of a pool, each given an int id in pool order, the first
-    of equal objects winning.  Per id: its size, its up-masks (None
-    unordered) and the pairs (i, j), i != j, of its order (none unordered);
-    per pair of ids read so far, `hom[i, j]`, the index tables of its hom
-    set in enumeration order."""
+    of equal objects winning.  Per id: the object, its size, its up-masks
+    (None unordered) and the pairs (i, j), i != j, of its order (none
+    unordered); per pair of ids read so far, `hom[i, j]`, the index tables
+    of its hom set in enumeration order, as `hom_tables` gives them."""
 
-    def __init__(self, objects: Sequence[FiniteObject]):
+    def __init__(self, objects: Sequence[FiniteObject], hom_tables):
         ids: dict[FiniteObject, int] = {}
         self.objects = objects
         self.ids = [ids.setdefault(x, len(ids)) for x in objects]
+        self.obs = list(ids)
         self.size = [x.size for x in ids]
         self.up = [up_masks_or_none(x) for x in ids]
         self.order = [tuple(sorted((i, j) for i, j in x.order_idx if i != j))
                       if x.has_order else () for x in ids]
-        self.hom: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.hom: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+        self.hom_tables = hom_tables
 
-    def read(self, p: int, q: int) -> tuple[Morphism, ...]:
+    def read(self, p: int, q: int) -> list[_Map]:
         """The maps from the object at position p of the pool to the one
-        at q, by one `enumerate_morphisms` call; records their tables as
+        at q, numbered, by one `hom_tables` call; records their tables as
         `hom` of the two ids."""
-        fs = enumerate_morphisms(self.objects[p], self.objects[q])
-        key = self.ids[p], self.ids[q]
-        if key not in self.hom:
-            self.hom[key] = [f.idx for f in fs]
-        return fs
+        tables = self.hom.setdefault((self.ids[p], self.ids[q]), self.hom_tables(
+            self.objects[p], self.objects[q]))
+        return [self.map(idx, p, q) for idx in tables]
 
-    def map(self, f: Morphism, p: int, q: int) -> _Map:
-        """f, from the object at position p to the one at q, numbered."""
-        idx = f.idx
+    def map(self, idx, p: int, q: int) -> _Map:
+        """The index table `idx`, from the object at position p to the one
+        at q, numbered."""
         image_size = len(set(idx))
         t = self.ids[q]
-        return _Map(f, self.ids[p], t, idx, image_size == self.size[t],
+        return _Map(self.ids[p], t, idx, image_size == self.size[t],
                     image_size == len(idx))
 
     def reflects(self, m: _Map) -> bool:
@@ -196,8 +187,8 @@ class _Pool:
         (`_exhaustive_square`), on hom(b, d) grouped by v.e (the bottoms)
         and hom(b, c) grouped by w.e (the diagonals), one grouping per end
         id of m."""
-        _, a, b, e_idx, e_surj, _ = e
-        _, c, d, m_idx, _, m_inj = m
+        a, b, e_idx, e_surj, _ = e
+        c, d, m_idx, _, m_inj = m
         if e_surj and m_inj:
             if reflects:
                 return None
@@ -295,11 +286,12 @@ def _exhaustive_square(m_idx, tops, bottoms, diagonals):
 def _first_bad_square(e: Morphism, m: Morphism):
     """`_Pool.bad_square` of two label-level maps, on the pool of their
     four endpoints."""
-    pool = _Pool((e.source, e.target, m.source, m.target))
+    pool = _Pool((e.source, e.target, m.source, m.target),
+                 lambda x, y: tuple(_monotone_maps(x, y, False)))
     for p, q in ((0, 2), (1, 3), (1, 2)):
         pool.read(p, q)
-    m_map = pool.map(m, 2, 3)
-    return pool.bad_square(pool.map(e, 0, 1), m_map, pool.reflects(m_map), {})
+    m_map = pool.map(m.idx, 2, 3)
+    return pool.bad_square(pool.map(e.idx, 0, 1), m_map, pool.reflects(m_map), {})
 
 
 def down_arrow_witness(e: Morphism, m: Morphism):
@@ -330,29 +322,30 @@ def _fibres(idx, n: int) -> list[list[int]]:
 
 
 def _pullback_table(g_idx, x_up, fibres, y_up) -> tuple:
-    """`table_of` the first projection of the pullback of g: x -> d (index
-    table `g_idx`, source up-masks `x_up`) and m: y -> d (`_fibres` of m,
-    source up-masks `y_up`): on the points (a, b) with g(a) = m(b),
-    a-major, then b ascending, as `core.pullback_pairs` lists them, ordered
-    `componentwise`.  The same map as `pullback(g, m).p1` up to the order
-    of its source points."""
+    """The class predicates' arguments of the first projection of the
+    pullback of g: x -> d (index table `g_idx`, source up-masks `x_up`) and
+    m: y -> d (`_fibres` of m, source up-masks `y_up`): on the points (a,
+    b) with g(a) = m(b), a-major, then b ascending, as
+    `core.pullback_pairs` lists them, ordered `componentwise`.  The same
+    map as `pullback(g, m).p1` up to the order of its source points."""
     pairs = [(a, b) for a, t in enumerate(g_idx) for b in fibres[t]]
     up = None if x_up is None else componentwise(pairs, x_up, y_up)
     return tuple(a for a, _ in pairs), up, len(g_idx), x_up
 
 
-def validate_system(sys: FactorizationSystem,
-                    objects: Sequence[FiniteObject]) -> Report:
+def validate_system(sys: FactorizationSystem, objects: Sequence[FiniteObject],
+                    ctx) -> Report:
     """Brute-force every factorization-system law over the object pool.
 
     Each law is a generator of outcomes, one per instance: None when it
     holds, the witness when it fails.  The pool is numbered once and each
-    of its hom sets read once; every law decides on ids and index tables,
-    and a label-level map is built only for a witness."""
-    pool = _Pool(objects)
+    of its hom sets read once from the hom store of the context `ctx`;
+    every law decides on ids and index tables, and a label-level map is
+    built, by `ctx.morphism`, only for a witness."""
+    pool = _Pool(objects, ctx.hom_tables)
     size, up = pool.size, pool.up
-    maps = [pool.map(f, p, q) for p in range(len(objects))
-            for q in range(len(objects)) for f in pool.read(p, q)]
+    maps = [g for p in range(len(objects)) for q in range(len(objects))
+            for g in pool.read(p, q)]
     classes = [(g, sys.e_table(g.idx, up[g.s], size[g.t], up[g.t]),
                 sys.m_table(g.idx, up[g.s], size[g.t], up[g.t])) for g in maps]
     e_list = [g for g, in_e, _ in classes if in_e]
@@ -361,10 +354,15 @@ def validate_system(sys: FactorizationSystem,
     for g in maps:
         by_target[g.t].append(g)
 
+    def label_level(g: _Map) -> Morphism:
+        return ctx.morphism(pool.obs[g.s], pool.obs[g.t], g.idx)
+
+    def serialized(g: _Map) -> dict:
+        return serialize_morphism(label_level(g))
+
     def each(members, holds):
         """Per map: None if `holds` of it, else the map."""
-        return (None if holds(g) else {"morphism": serialize_morphism(g.f)}
-                for g in members)
+        return (None if holds(g) else {"morphism": serialized(g)} for g in members)
 
     def closed_under_composition(members, in_class):
         """Per composable pair of members, `in_class` on the composite's
@@ -378,8 +376,7 @@ def validate_system(sys: FactorizationSystem,
                 g_idx = g.idx
                 yield (None if in_class(tuple(g_idx[t] for t in f_idx), src_up,
                                         size[g.t], up[g.t])
-                       else {"first": serialize_morphism(f.f),
-                             "second": serialize_morphism(g.f)})
+                       else {"first": serialized(f), "second": serialized(g)})
 
     def factorizations_valid():
         """The e-part is the corestriction onto the image mask, with the
@@ -391,7 +388,7 @@ def validate_system(sys: FactorizationSystem,
             e_in = sys.e_table(cor, up[g.s], len(pts), mid_up)
             m_in = sys.m_table(pts, mid_up, size[g.t], t_up)
             yield (None if e_in and m_in
-                   else {"morphism": serialize_morphism(g.f),
+                   else {"morphism": serialized(g),
                          "e_part_in_e": e_in, "m_part_in_m": m_in})
 
     def m_stable_under_pullback():
@@ -417,8 +414,9 @@ def validate_system(sys: FactorizationSystem,
                 if run:
                     yield run
                     run = 0
-                yield {"m": serialize_morphism(m.f), "along": serialize_morphism(g.f),
-                       "pulled_back": serialize_morphism(pullback(g.f, m.f).p1)}
+                yield {"m": serialized(m), "along": serialized(g),
+                       "pulled_back": serialize_morphism(
+                           pullback(label_level(g), label_level(m)).p1)}
         if run:
             yield run
 
@@ -433,7 +431,7 @@ def validate_system(sys: FactorizationSystem,
     def pair(e, per_e, k):
         m, reflects = m_reflects[k]
         square = pool.bad_square(e, m, reflects, per_e)
-        return square and _square_witness(e.f, m.f, *square)
+        return square and _square_witness(label_level(e), label_level(m), *square)
 
     def orthogonality():
         """Per pair, what depends on e and one end of m memoized per e; the
@@ -447,7 +445,7 @@ def validate_system(sys: FactorizationSystem,
                 yield from map(instance, range(len(m_reflects)))
 
     def outside(g, reason):
-        return {"morphism": serialize_morphism(g.f), "reason": reason}
+        return {"morphism": serialized(g), "reason": reason}
 
     def e_complete():
         """Each map f outside E fails orthogonality against some member of
@@ -503,7 +501,7 @@ def validate_system(sys: FactorizationSystem,
         CheckResult.of("e_members_are_epi", each(e_list, lambda g: g.surj)),
         CheckResult.of("m_members_are_mono", each(m_list, lambda g: g.inj)),
         CheckResult.of("isos_belong_to_both", (
-            None if in_e and in_m else {"morphism": serialize_morphism(g.f)}
+            None if in_e and in_m else {"morphism": serialized(g)}
             for g, in_e, in_m in classes if pool.iso(g))),
         CheckResult.of("e_cap_m_is_iso", each(
             [g for g, in_e, in_m in classes if in_e and in_m], pool.iso)),

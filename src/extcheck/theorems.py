@@ -16,7 +16,8 @@ count is the number of instances enumerated up to and including its first
 counterexample, a run of k counting k.  A side whose first instance is
 also its confirming witness yields every instance as (holds, *values)
 instead; `_failures` turns those into outcomes.
-Subobjects are masks throughout, built as labels only for a witness.
+Subobjects are masks and maps are index tables of the context's hom store
+(`Context.hom_tables`), each built with labels only for a witness.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, groupby, product
+from itertools import chain, product
 from operator import or_
 from typing import Sequence
 
@@ -33,32 +34,30 @@ from .closure import (
     ClosureFamily,
     _closed_fast,
     _continuous_fast,
-    is_proper_witness,
-    is_separated_witness,
-    to_point,
+    proper_witness,
+    separated_witness,
 )
 from .core import (
     FiniteObject,
     Morphism,
-    copair,
     coproduct,
     count_instances,
     down_or_discrete,
     first_counterexample,
-    identity,
     image_bits,
     image_parts,
     initial,
     monotone_bijections,
+    monotone_table,
+    morphism_of,
     points,
     restrict_masks,
     serialize_morphism,
     serialize_object,
-    sum_morphisms,
     terminal,
     up_masks_or_none,
 )
-from .contexts import Context
+from .contexts import Context, injections_in_m
 from .semilattice import (
     closed_biproduct,
     enumerate_homs,
@@ -215,10 +214,10 @@ def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
 
 
 def _e_monos_between_sums(ctx: Context, pool, cls_of):
-    """Yield (e, sum sources) for every continuous and closed member of
-    E cap Mono between constructed binary sums at the bound: the monotone
-    bijections in E, since E-members are epi and only carrier-size-matched
-    sums can carry one."""
+    """Yield (e, src, tgt, (x, y)) for every continuous and closed member e
+    of E cap Mono, an index table, from a constructed binary sum src at the
+    bound to tgt = x + y: the monotone bijections in E, since E-members are
+    epi and only carrier-size-matched sums can carry one."""
     sys = ctx.system
     by_total: dict[int, list] = {}
     for x, y in _object_pairs(pool):
@@ -227,35 +226,33 @@ def _e_monos_between_sums(ctx: Context, pool, cls_of):
         pairs = by_total[total]
         for (a, b) in pairs:
             src = ctx.coproduct(a, b).ob
-            f_src = cls_of(src)
+            f_src, src_up = cls_of(src), up_masks_or_none(src)
             for (x, y) in pairs:
                 tgt = ctx.coproduct(x, y).ob
-                f_tgt = cls_of(tgt)
+                f_tgt, tgt_up = cls_of(tgt), up_masks_or_none(tgt)
                 for e in monotone_bijections(src, tgt):
-                    if (sys.in_e(e)
-                            and _continuous_fast(e.idx, f_src, f_tgt, total)
-                            and _closed_fast(e.idx, f_src, f_tgt, total)):
-                        yield e, (x, y)
+                    if (sys.e_table(e, src_up, total, tgt_up)
+                            and _continuous_fast(e, f_src, f_tgt, total)
+                            and _closed_fast(e, f_src, f_tgt, total)):
+                        yield e, src, tgt, (x, y)
 
 
-def _failed_pullback(sys, family: ClosureFamily, e: Morphism, x, y, cls_of):
-    """The first pullback of the bijection e along an injection that is not
-    a closed E-member under `family`, built as a map into its summand; or
-    None.  The pullback along a summand's injection is the slice of e over
-    that summand's block of the target sum, with the order e's source
-    induces on it, decided on index tables."""
-    src, ordered = e.source, e.source.has_order
+def _failed_pullback(sys, family: ClosureFamily, e, src, x, y, cls_of):
+    """The first pullback of the bijection e (an index table out of src)
+    along an injection that is not a closed E-member under `family`, built
+    as a map into its summand; or None.  The pullback along a summand's
+    injection is the slice of e over that summand's block of the target
+    sum, with the order src induces on it, decided on index tables."""
     for component, low in ((x, 0), (y, x.size)):
-        pts = [i for i, t in enumerate(e.idx) if low <= t < low + component.size]
-        idx = tuple(e.idx[i] - low for i in pts)
-        up = restrict_masks(src.up_masks, pts) if ordered else None
-        down = restrict_masks(src.down_masks, pts) if ordered else ()
+        pts = [i for i, t in enumerate(e) if low <= t < low + component.size]
+        idx = tuple(e[i] - low for i in pts)
+        up = restrict_masks(src.up_masks, pts) if src.has_order else None
+        down = restrict_masks(src.down_masks, pts) if src.has_order else ()
         if not (sys.e_table(idx, up, component.size, up_masks_or_none(component))
                 and _closed_fast(idx, family.fn_for(len(idx), down),
                                  cls_of(component), len(idx))):
-            keep = [src.elements[i] for i in pts]
-            return Morphism(src.restrict(keep), component, tuple(
-                zip(keep, (component.elements[t] for t in idx))))
+            return morphism_of(src.restrict([src.elements[i] for i in pts]),
+                               component, idx)
     return None
 
 
@@ -268,12 +265,13 @@ def _injection_pullback_side(ctx: Context, family: ClosureFamily, bound: int,
         cls_of = cache(family.component)
 
         def instances():
-            for e, (x, y) in _e_monos_between_sums(ctx, ctx.objects(bound), cls_of):
-                bad = _failed_pullback(sys, family, e, x, y, cls_of)
-                yield bad is None, e, bad
+            for e, src, tgt, (x, y) in _e_monos_between_sums(
+                    ctx, ctx.objects(bound), cls_of):
+                bad = _failed_pullback(sys, family, e, src, x, y, cls_of)
+                yield bad is None, e, src, tgt, bad
 
-        def describe(e, bad):
-            wit = {"e": serialize_morphism(e)}
+        def describe(e, src, tgt, bad):
+            wit = {"e": serialize_morphism(morphism_of(src, tgt, e))}
             return (wit if bad is None
                     else dict(wit, pulled_back=serialize_morphism(bad)))
 
@@ -343,7 +341,7 @@ def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
         nx = x.size
         low = (1 << nx) - 1
         high = ((1 << cp.ob.size) - 1) & ~low
-        inj_ok = (sys.in_m(cp.inl) and sys.in_m(cp.inr)
+        inj_ok = (injections_in_m(sys, cp)
                   and fsum(low) == low and fsum(high) == high)
         lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
@@ -411,16 +409,18 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
 # ---------------------------------------------------------------- checker C
 
 def _continuous_morphisms(ctx: Context, pool, cls_of):
-    """Every continuous and closed morphism between pool objects."""
+    """The continuous and closed maps between pool objects, as blocks (src,
+    tgt, index tables), one per pair of objects that has one."""
     out = []
     for src in pool:
         fs = cls_of(src)
         for tgt in pool:
             ft = cls_of(tgt)
-            for f in ctx.hom(src, tgt):
-                if (_continuous_fast(f.idx, fs, ft, src.size)
-                        and _closed_fast(f.idx, fs, ft, src.size)):
-                    out.append(f)
+            block = [f for f in ctx.hom_tables(src, tgt)
+                     if _continuous_fast(f, fs, ft, src.size)
+                     and _closed_fast(f, fs, ft, src.size)]
+            if block:
+                out.append((src, tgt, block))
     return out
 
 
@@ -464,16 +464,15 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
     Each end pair's table is built once, its distinct halves numbered; L
     is computed once per f-block and distinct low halves, R once per
     g-block and distinct high halves.  Pairs are yielded f-major, then by
-    g-block, then g, in the order `closed` lists them, so counts and first
-    witnesses are those of the per-pair sweep.  Pairs that all hold are
-    yielded as one run: a whole f-block's when every entry of its row is
-    full with no cross terms, else an (f, g-block) product's.
+    g-block, then g, in the order `closed`'s blocks list them, so counts
+    and first witnesses are those of the per-pair sweep.  Pairs that all
+    hold are yielded as one run: a whole f-block's when every entry of its
+    row is full with no cross terms, else an (f, g-block) product's.
     """
-    blocks = [list(block) for _, block in groupby(
-        closed, key=lambda f: (f.source, f.target))]
+    blocks = [block for _, _, block in closed]
     ids: dict[FiniteObject, int] = {}
-    ends = [(ids.setdefault(block[0].source, len(ids)),
-             ids.setdefault(block[0].target, len(ids))) for block in blocks]
+    ends = [(ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids)))
+            for x, y, _ in closed]
     obs, lows, highs, tables = list(ids), {}, {}, [[None] * len(ids) for _ in ids]
 
     def table(i: int, j: int):
@@ -487,10 +486,10 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
     def half_bits(block, src, tgt) -> int:
         # c(empty) comes last in both halves, so point -1 names it.
         return sum(1 << k for k, h in enumerate(block)
-                   if _carries(h.idx, src, tgt, h.idx + (-1,)))
+                   if _carries(h, src, tgt, h + (-1,)))
 
     r_memo, run = {}, sum(map(len, blocks))
-    for f_block, (a, b) in zip(blocks, ends):
+    for (x, y, f_block), (a, b) in zip(closed, ends):
         l_memo, row, s_row, t_row = {}, [], tables[a], tables[b]
         for n, (g_block, (c, d)) in enumerate(zip(blocks, ends)):
             s_low, s_lows, s_high, s_highs, s_crossed, s_diag = s_row[c] or table(a, c)
@@ -508,19 +507,20 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
             yield len(f_block) * run
             continue
         for k, f in enumerate(f_block):
-            for g_block, full, l_bits, r_bits, crossed in row:
+            for (z, w, _), (g_block, full, l_bits, r_bits, crossed) in zip(closed, row):
                 ok = r_bits if l_bits >> k & 1 else 0
                 if ok and crossed:
                     s_left, s_right, t_left, t_right = crossed
                     ok = sum(1 << j for j, g in enumerate(g_block)
                              if ok >> j & 1
-                             and _carries(g.idx, s_left, t_left, f.idx)
-                             and _carries(f.idx, s_right, t_right, g.idx))
+                             and _carries(g, s_left, t_left, f)
+                             and _carries(f, s_right, t_right, g))
                 if ok == full:
                     yield len(g_block)
                 else:
                     for j, g in enumerate(g_block):
-                        yield None if ok >> j & 1 else _maps_witness(f, g)
+                        yield None if ok >> j & 1 else _maps_witness(
+                            ctx.morphism(x, y, f), ctx.morphism(z, w, g))
 
 
 def _injections_closed_outcomes(ctx: Context, pool, cls_of):
@@ -615,36 +615,37 @@ def check_factorization_of_sums(ctx: Context, family, bound: int, memo) -> Verdi
     """
     pool = ctx.objects(bound)
     homs = [(f, i, j) for i, x in enumerate(pool) for j, y in enumerate(pool)
-            for f in ctx.hom(x, y)]
+            for f in ctx.hom_tables(x, y)]
     down = [down_or_discrete(x) for x in pool]
     sum_down = [[_sum_order(dx, dy) for dy in down] for dx in down]
     order_on = cache(lambda down, mask: restrict_masks(down, points(mask)))
 
     def pair_outcomes():
         parts = []
-        for f, _, t in homs:
-            im, cor = image_parts(f.idx)
-            parts.append((f, t, im, cor, order_on(down[t], im)))
+        for f, s, t in homs:
+            im, cor = image_parts(f)
+            parts.append((f, s, t, im, cor, order_on(down[t], im)))
 
         @cache  # g's parts right of a summand with n target, k image points
         def as_right(n: int, k: int):
-            return [(g, tuple(i + n for i in g.idx), t, im << n,
+            return [(g, s, t, tuple(i + n for i in g), im << n,
                      tuple(c + k for c in cor), tuple(d << k for d in mid))
-                    for g, t, im, cor, mid in parts]
+                    for g, s, t, im, cor, mid in parts]
 
-        for f, tf, im_f, cor_f, mid_f in parts:
-            f_idx = f.idx
+        for f, sf, tf, im_f, cor_f, mid_f in parts:
             sums = sum_down[tf]
-            for g, g_idx, tg, im_g, cor_g, mid_g in as_right(f.target.size, len(mid_f)):
-                im, cor = image_parts(f_idx + g_idx)
+            for g, sg, tg, g_idx, im_g, cor_g, mid_g in as_right(pool[tf].size,
+                                                                 len(mid_f)):
+                im, cor = image_parts(f + g_idx)
                 yield (None if im == im_f | im_g and cor == cor_f + cor_g
                        and order_on(sums[tg], im) == mid_f + mid_g
-                       else _maps_witness(f, g))
+                       else _maps_witness(ctx.morphism(pool[sf], pool[tf], f),
+                                          ctx.morphism(pool[sg], pool[tg], g)))
 
     def middle_outcomes():
         images = [set() for _ in pool]
-        for f, _, t in homs:
-            images[t].add(f.image_mask((1 << f.source.size) - 1))
+        for f, s, t in homs:
+            images[t].add(image_bits((1 << pool[s].size) - 1, f))
         for (i, x), (j, y) in _object_pairs(list(enumerate(pool))):
             masks_y = sorted(ctx.sub_lattice(y))
             cp_down = down_or_discrete(ctx.coproduct(x, y).ob)
@@ -659,14 +660,15 @@ def check_factorization_of_sums(ctx: Context, family, bound: int, memo) -> Verdi
         return serialize_subobject(_subobject(ctx, ob, mask))
 
     def piece_outcomes():
-        for f, _, _ in homs:
-            for ma in ctx.sub_lattice(f.source):
-                comp = tuple(f.idx[p] for p in points(ma))
+        for f, s, t in homs:
+            for ma in ctx.sub_lattice(pool[s]):
+                comp = tuple(f[p] for p in points(ma))
                 im, cor = image_parts(comp)
                 pts = points(im)
-                yield (None if im == f.image_mask(ma)
+                yield (None if im == image_bits(ma, f)
                        and tuple(pts[c] for c in cor) == comp
-                       else {"f": serialize_morphism(f), "m": serialized(f.source, ma)})
+                       else {"f": serialize_morphism(ctx.morphism(pool[s], pool[t], f)),
+                             "m": serialized(pool[s], ma)})
 
     def quadruple_outcomes():
         def at(idx, mask, src_down, tgt_down):
@@ -684,19 +686,22 @@ def check_factorization_of_sums(ctx: Context, family, bound: int, memo) -> Verdi
                     _sum_table(cor_a, cor_b, len(tgt_a)),
                     _sum_order(src_a, src_b), _sum_order(tgt_a, tgt_b))
 
-        parts = [[(ma, at(f.idx, ma, down[s], down[t]))
-                  for ma in ctx.sub_lattice(f.source)] for f, s, t in homs]
+        parts = [[(ma, at(f, ma, down[s], down[t]))
+                  for ma in ctx.sub_lattice(pool[s])] for f, s, t in homs]
         for (f, sf, tf), f_parts in zip(homs, parts):
-            nt, ns = f.target.size, f.source.size
+            nt, ns = pool[tf].size, pool[sf].size
             for (g, sg, tg), g_parts in zip(homs, parts):
-                s_idx = _sum_table(f.idx, g.idx, nt)
+                s_idx = _sum_table(f, g, nt)
                 src_down, tgt_down = sum_down[sf][sg], sum_down[tf][tg]
                 for ma, a in f_parts:
                     for mb, b in g_parts:
                         yield (None if at(s_idx, ma | mb << ns, src_down,
                                           tgt_down) == summed(a, b, nt)
-                               else _maps_witness(f, g, m_a=serialized(f.source, ma),
-                                                  m_b=serialized(g.source, mb)))
+                               else _maps_witness(
+                                   ctx.morphism(pool[sf], pool[tf], f),
+                                   ctx.morphism(pool[sg], pool[tg], g),
+                                   m_a=serialized(pool[sf], ma),
+                                   m_b=serialized(pool[sg], mb)))
 
     quadruples = (first_counterexample(quadruple_outcomes()) if bound <= 2
                   else (True, None, 0))
@@ -723,60 +728,70 @@ def check_pb_stability_closed_e_monos(ctx: Context, family: ClosureFamily,
 
 # ------------------------------------------------------------- checkers G/H
 
-def _empty_inclusion_and_codiagonal(ctx, pool, family, witness_fn, compact):
+def _to_point(test, family: ClosureFamily, x: FiniteObject):
+    """`test` of the map from x to the terminal object of its flavor."""
+    return test(family, (0,) * x.size, x, terminal(x.has_order))
+
+
+def _empty_inclusion_and_codiagonal(ctx, pool, family, test, compact):
     """G's criterion, per space x: the empty inclusion into x and the
     codiagonal x + x -> x are proper."""
     zero = initial(ctx.ordered)
 
     def outcomes():
         for x in pool:
-            good, bad = witness_fn(family, Morphism(zero, x, ()))
+            good, bad = test(family, (), zero, x)
             if good:
-                cp = ctx.coproduct(x, x)
-                good, bad = witness_fn(family, copair(identity(x), identity(x), cp.ob))
+                good, bad = test(family, tuple(range(x.size)) * 2,
+                                 ctx.coproduct(x, x).ob, x)
             yield None if good else {"x": serialize_object(x), "failure": bad}
 
     return first_counterexample(outcomes())
 
 
-def _two_point_sum(ctx, pool, family, witness_fn, hausdorff):
+def _two_point_sum(ctx, pool, family, test, hausdorff):
     """H's criterion: the sum of two terminals is Hausdorff; counted as the
     number of Hausdorff spaces."""
     one = terminal(ctx.ordered)
-    ok, wit = witness_fn(family, to_point(ctx.coproduct(one, one).ob))
+    ok, wit = _to_point(test, family, ctx.coproduct(one, one).ob)
     return ok, wit, len(hausdorff)
 
 
 def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
-                   bound: int, witness_fn, names, criterion) -> Verdict:
-    """A class of morphisms, tested by `witness_fn`, is closed under binary
-    sums, and its spaces (those whose map to the point is in the class) are
-    closed under binary sums iff `criterion` holds.  `names` are the three
-    (side name, count name) pairs.  `witness_fn` decides each map's
-    continuity itself, so every map is handed to it as is; the bound only
-    sizes the pool."""
+                   bound: int, test, names, criterion) -> Verdict:
+    """A class of morphisms, decided on index tables by `test` (family,
+    table, source, target -> ok, failure), is closed under binary sums, and
+    its spaces (those whose map to the point is in the class) are closed
+    under binary sums iff `criterion` holds.  `names` are the three (side
+    name, count name) pairs.  `test` decides each map's continuity itself,
+    so every map is handed to it as is; the bound only sizes the pool.  A
+    sum f + g not monotone between the context's sums (the crossed
+    mutant's) fails with {"monotone": false}."""
     pool = ctx.objects(bound)
 
     def morphism_sums():
-        for f in members:
-            for g in members:
-                src = ctx.coproduct(f.source, g.source).ob
-                tgt = ctx.coproduct(f.target, g.target).ob
-                good, bad = witness_fn(family, sum_morphisms(f, g, src, tgt))
-                yield None if good else _maps_witness(f, g, failure=bad)
+        for x, y, f in members:
+            for z, w, g in members:
+                src, tgt = ctx.coproduct(x, z).ob, ctx.coproduct(y, w).ob
+                table = _sum_table(f, g, y.size)
+                ups = up_masks_or_none(src), up_masks_or_none(tgt)
+                good, bad = (test(family, table, src, tgt) if monotone_table(table, *ups)
+                             else (False, {"monotone": False}))
+                yield None if good else _maps_witness(
+                    ctx.morphism(x, y, f), ctx.morphism(z, w, g), failure=bad)
 
     def space_sums():
         for x in spaces:
             for y in spaces:
-                good, bad = witness_fn(family, to_point(ctx.coproduct(x, y).ob))
+                good, bad = _to_point(test, family, ctx.coproduct(x, y).ob)
                 yield None if good else _witness(x, y, failure=bad)
 
-    members = [f for x in pool for y in pool for f in ctx.hom(x, y)
-               if witness_fn(family, f)[0]]
+    members = [(x, y, f) for x in pool for y in pool for f in ctx.hom_tables(x, y)
+               if test(family, f, x, y)[0]]
     morphism_side = first_counterexample(morphism_sums())
-    spaces = [x for x in pool if witness_fn(family, to_point(x))[0]]
+    spaces = [x for x in pool if _to_point(test, family, x)[0]]
     space_side = first_counterexample(space_sums())
-    criterion_side = criterion(ctx, pool, family, witness_fn, spaces)
+    criterion_side = criterion(ctx, pool, family, test, spaces)
     agree = space_side[0] == criterion_side[0]
     return _verdict(theorem, ctx, family, bound, [
         (*name, side) for name, side in
@@ -790,7 +805,7 @@ def check_sum_proper(ctx: Context, family: ClosureFamily,
     under binary sums iff the empty inclusion and the codiagonal of every
     space are proper."""
     return _sums_of_class(
-        "G", ctx, family, bound, is_proper_witness,
+        "G", ctx, family, bound, proper_witness,
         (("sums_of_proper_proper", "proper_pairs"),
          ("sums_of_compact_compact", "compact_pairs"),
          ("empty_inclusion_and_codiagonal_proper", "spaces")),
@@ -803,7 +818,7 @@ def check_sum_separated(ctx: Context, family: ClosureFamily,
     closed under binary sums iff the two-point sum of terminals is
     Hausdorff."""
     return _sums_of_class(
-        "H", ctx, family, bound, is_separated_witness,
+        "H", ctx, family, bound, separated_witness,
         (("sums_of_separated_separated", "separated_pairs"),
          ("sums_of_hausdorff_hausdorff", "hausdorff_pairs"),
          ("two_point_sum_hausdorff", "hausdorff_spaces")),

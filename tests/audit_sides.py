@@ -61,8 +61,8 @@ class Mutation(NamedTuple):
 
 MUTATIONS = (
     Mutation("G/H: sums of members are members", THEOREMS,
-             "yield None if good else _maps_witness(f, g, failure=bad)",
-             "yield None",
+             "yield None if good else _maps_witness(",
+             "yield None if True else _maps_witness(",
              (f"{G_H}[G-morphism-sums]", f"{G_H}[H-morphism-sums]")),
     Mutation("G/H: sums of spaces are spaces", THEOREMS,
              "yield None if good else _witness(x, y, failure=bad)",
@@ -81,7 +81,7 @@ MUTATIONS = (
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
     Mutation("separated: the map is continuous", CLOSURE,
-             "if not _continuous_fast(f.idx, src_fn, family.component(f.target), src.size):",
+             "if not _continuous_fast(idx, src_fn, family.component(tgt), src.size):",
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
     Mutation("proper: the map is closed", CLOSURE,
@@ -97,8 +97,8 @@ MUTATIONS = (
               "tests/test_closure.py::"
               "test_separated_test_is_the_proper_test_of_the_literal_diagonal[alexandrov]")),
     Mutation("C: sums of closed morphisms closed", THEOREMS,
-             "yield None if ok >> j & 1 else _maps_witness(f, g)",
-             "yield None",
+             "yield None if ok >> j & 1 else _maps_witness(",
+             "yield None if True else _maps_witness(",
              ("tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false",)),
     Mutation("C: a whole f-block of sums holds", THEOREMS,
              "if all(l_bits == f_full and r_bits == full and not crossed\n"

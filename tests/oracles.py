@@ -53,22 +53,27 @@ from extcheck.core import (
     coproduct,
     enumerate_morphisms,
     first_counterexample,
-    identity,
     inclusion,
     is_iso,
     monotone_bijections,
+    morphism_of,
     points,
     pullback,
     restrict_masks,
     serialize_morphism,
     serialize_object,
-    sum_morphisms,
+    terminal,
     transitive_closure,
     up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
-from extcheck.closure import _closed_fast, _continuous_fast
+from extcheck.closure import (
+    _closed_fast,
+    _continuous_fast,
+    proper_witness,
+    separated_witness,
+)
 from extcheck.factorization import image_factorization
 from extcheck.subobjects import (
     Subobject,
@@ -84,6 +89,67 @@ from extcheck.theorems import (
     _verdict,
     _witness,
 )
+
+
+def hom(ctx, x, y) -> tuple[Morphism, ...]:
+    """hom(x, y) of the context's store, every map built label-level."""
+    return tuple(ctx.morphism(x, y, t) for t in ctx.hom_tables(x, y))
+
+
+def identity(x) -> Morphism:
+    return Morphism(x, x, tuple((e, e) for e in x.elements))
+
+
+def table_of(f: Morphism) -> tuple:
+    """(index table, source up-masks, target size, target up-masks) of f,
+    the arguments of a factorization system's class predicates; the
+    up-masks are None for the unordered flavor."""
+    return (f.idx, up_masks_or_none(f.source), f.target.size,
+            up_masks_or_none(f.target))
+
+
+def in_e(sys, f: Morphism) -> bool:
+    return sys.e_table(*table_of(f))
+
+
+def in_m(sys, f: Morphism) -> bool:
+    return sys.m_table(*table_of(f))
+
+
+def sum_morphisms(f: Morphism, g: Morphism, src_sum=None, tgt_sum=None) -> Morphism:
+    """f + g between the constructed coproducts, or between `src_sum` and
+    `tgt_sum`, which carry their tagged labels."""
+    src = coproduct(f.source, g.source).ob if src_sum is None else src_sum
+    tgt = coproduct(f.target, g.target).ob if tgt_sum is None else tgt_sum
+    mapping = tuple((LEFT_TAG + k, LEFT_TAG + v) for (k, v) in f.mapping) + tuple(
+        (RIGHT_TAG + k, RIGHT_TAG + v) for (k, v) in g.mapping)
+    return Morphism(src, tgt, mapping)
+
+
+def bijections(x, y):
+    """The monotone bijections x -> y, each built label-level when reached,
+    in the order of `monotone_bijections`."""
+    return (morphism_of(x, y, t) for t in monotone_bijections(x, y))
+
+
+def find_iso(x, y) -> Morphism | None:
+    """The first monotone bijection x -> y that is an iso, or None."""
+    return next((f for f in bijections(x, y) if is_iso(f)), None)
+
+
+def to_point(ob) -> Morphism:
+    """The map from ob to the terminal object of its flavor."""
+    return Morphism(ob, terminal(ob.has_order), tuple((e, "*") for e in ob.elements))
+
+
+def is_proper_witness(family, f: Morphism):
+    """`closure.proper_witness` of a label-level map."""
+    return proper_witness(family, f.idx, f.source, f.target)
+
+
+def is_separated_witness(family, f: Morphism):
+    """`closure.separated_witness` of a label-level map."""
+    return separated_witness(family, f.idx, f.source, f.target)
 
 
 def make_preorder(elements, pairs=()) -> frozenset[tuple[str, str]]:
@@ -136,7 +202,7 @@ def enumerate_subobjects(sys, x) -> tuple[Subobject, ...]:
     subs = []
     for mask in range(1 << x.size):
         labels = x.labels_of(mask)
-        if sys.in_m(inclusion(x.restrict(labels), x)):
+        if in_m(sys, inclusion(x.restrict(labels), x)):
             subs.append(Subobject(x, labels))
     subs.sort(key=lambda s: (s.size, s.elements))
     return tuple(subs)
@@ -208,7 +274,7 @@ def _factorizations_agree(fac, cand_e, cand_m) -> bool:
         return True
     if fac.mid.size != cand_e.target.size:
         return False
-    for h in monotone_bijections(fac.mid, cand_e.target):
+    for h in bijections(fac.mid, cand_e.target):
         if not is_iso(h):
             continue
         if (compose(h, fac.e_part) == cand_e
@@ -225,7 +291,7 @@ def factorization_of_sums(ctx, bound: int):
     """Checker E's verdict, every side swept on label-level objects; the
     quadruple side only at bound <= 2."""
     pool = ctx.objects(bound)
-    homs = [f for x in pool for y in pool for f in ctx.hom(x, y)]
+    homs = [f for x in pool for y in pool for f in hom(ctx, x, y)]
     fac = {f: image_factorization(f) for f in homs}
     # On the ambient of the context's lattice, whose name a witness shows.
     subs = cache(lambda ob: enumerate_subobjects(ctx.system,
@@ -331,7 +397,7 @@ def pullback_stability_instances(ctx, bound: int):
         for y in pool:
             cp = ctx.coproduct(x, y)
             for z in pool:
-                for f in ctx.hom(z, cp.ob):
+                for f in hom(ctx, z, cp.ob):
                     yield x, y, z, f
 
 
@@ -354,21 +420,19 @@ def coproduct_disjoint(ctx, bound: int) -> CheckResult:
 
 
 def closed_sum_of_closed_outcomes(ctx, closed, cls_of):
-    """Every pair (f, g) of closed morphisms, f + g closed, each decided by
-    `_closed_fast` on the table of f + g: f's table followed by g's,
-    shifted past f's target."""
-    blocks = [list(block) for _, block in groupby(
-        closed, key=lambda f: (f.source, f.target))]
-    for f in closed:
-        nt = f.target.size
-        for block in blocks:
-            src_fn = cls_of(ctx.coproduct(f.source, block[0].source).ob)
-            tgt_fn = cls_of(ctx.coproduct(f.target, block[0].target).ob)
-            n_src = f.source.size + block[0].source.size
-            for g in block:
-                tail = tuple(t + nt for t in g.idx)
-                yield (None if _closed_fast(f.idx + tail, src_fn, tgt_fn, n_src)
-                       else _maps_witness(f, g))
+    """Every pair (f, g) of closed morphisms, given as blocks (source,
+    target, index tables), f + g closed, each decided by `_closed_fast` on
+    the table of f + g: f's table followed by g's, shifted past f's
+    target."""
+    for x, y, f_block in closed:
+        for f in f_block:
+            for z, w, g_block in closed:
+                src_fn = cls_of(ctx.coproduct(x, z).ob)
+                tgt_fn = cls_of(ctx.coproduct(y, w).ob)
+                for g in g_block:
+                    tail = tuple(t + y.size for t in g)
+                    yield (None if _closed_fast(f + tail, src_fn, tgt_fn, x.size + z.size)
+                           else _maps_witness(ctx.morphism(x, y, f), ctx.morphism(z, w, g)))
 
 
 def admissible_adjunction_outcomes(lat_x, lat_y, lat_xy):
@@ -459,7 +523,7 @@ def failed_pullback(sys, e, x, y, cls_of):
         sub_ob = e.source.restrict(keep)
         pulled = Morphism(sub_ob, component,
                           tuple((z, e.table[z][len(tag):]) for z in keep))
-        if not (sys.in_e(pulled) and injective(pulled)
+        if not (in_e(sys, pulled) and injective(pulled)
                 and _closed_fast(pulled.idx, cls_of(sub_ob),
                                  cls_of(component), sub_ob.size)):
             return pulled
@@ -483,8 +547,8 @@ def injection_pullback_side(ctx, family, bound: int):
                 src = ctx.coproduct(a, b).ob
                 for x, y in group:
                     tgt = ctx.coproduct(x, y).ob
-                    for e in monotone_bijections(src, tgt):
-                        if (sys.in_e(e) and injective(e)
+                    for e in bijections(src, tgt):
+                        if (in_e(sys, e) and injective(e)
                                 and _continuous_fast(e.idx, cls_of(src), cls_of(tgt),
                                                      src.size)
                                 and _closed_fast(e.idx, cls_of(src), cls_of(tgt),
@@ -573,17 +637,18 @@ def down_arrow_witness(e, m):
     return False, _square(e, m, u.table, v.table, count)
 
 
-def validate_system(sys, objects) -> Report:
+def validate_system(sys, objects, ctx) -> Report:
     """`factorization.validate_system`, with its composition, factorization,
     M-stability, orthogonality and completeness laws swept label-level:
     composites and image factorizations built as `Morphism`s and classified
-    by `sys.in_e`/`sys.in_m`, pullbacks built label-level, and every square
-    search per (e, m) pair through this module's `down_arrow_witness`, the
-    completeness laws against the members of the other class only."""
-    report = factorization.validate_system(sys, objects)
-    homs = [f for x in objects for y in objects for f in enumerate_morphisms(x, y)]
-    e_list = [f for f in homs if sys.in_e(f)]
-    m_list = [f for f in homs if sys.in_m(f)]
+    by `in_e`/`in_m`, pullbacks built label-level, and every square search
+    per (e, m) pair through this module's `down_arrow_witness`, the
+    completeness laws against the members of the other class only.  The
+    hom sets are the context's, so that witnesses name the same objects."""
+    report = factorization.validate_system(sys, objects, ctx)
+    homs = [f for x in objects for y in objects for f in hom(ctx, x, y)]
+    e_list = [f for f in homs if in_e(sys, f)]
+    m_list = [f for f in homs if in_m(sys, f)]
 
     def closed_under_composition(members):
         member_set = set(members)
@@ -597,7 +662,7 @@ def validate_system(sys, objects) -> Report:
     def factorizations_valid():
         for f in homs:
             fac = image_factorization(f)
-            e_in, m_in = sys.in_e(fac.e_part), sys.in_m(fac.m_part)
+            e_in, m_in = in_e(sys, fac.e_part), in_m(sys, fac.m_part)
             yield (None if e_in and m_in
                    else {"morphism": serialize_morphism(f),
                          "e_part_in_e": e_in, "m_part_in_m": m_in})
@@ -608,7 +673,7 @@ def validate_system(sys, objects) -> Report:
                 if g.target != m.target:
                     continue
                 pb = pullback(g, m)
-                yield (None if sys.in_m(pb.p1)
+                yield (None if in_m(sys, pb.p1)
                        else {"m": serialize_morphism(m), "along": serialize_morphism(g),
                              "pulled_back": serialize_morphism(pb.p1)})
 
@@ -626,10 +691,10 @@ def validate_system(sys, objects) -> Report:
         "orthogonality": (down_arrow_witness(e, m)[1]
                           for e in e_list for m in m_list),
         "e_complete": complete(
-            [f for f in homs if not sys.in_e(f)], m_list, down_arrow_witness,
+            [f for f in homs if not in_e(sys, f)], m_list, down_arrow_witness,
             "left-orthogonal to all of M but not in E"),
         "m_complete": complete(
-            [g for g in homs if not sys.in_m(g)], small_first,
+            [g for g in homs if not in_m(sys, g)], small_first,
             lambda g, e: down_arrow_witness(e, g),
             "right-orthogonal to all of E but not in M"),
     }

@@ -8,9 +8,6 @@ from extcheck.closure import (
     INDISCRETE,
     ClosureFamily,
     get_family,
-    is_proper_witness,
-    is_separated_witness,
-    to_point,
     validate_closure,
     _closed_fast,
     _continuous_fast,
@@ -21,20 +18,24 @@ from extcheck.core import (
     FiniteObject,
     Morphism,
     enumerate_morphisms,
-    identity as id_map,
     is_isomorphic,
     pair_label,
     points,
-    sum_morphisms,
 )
 from extcheck.subobjects import Subobject
 from oracles import (
     closed_lattice,
     diagonal_literal,
+    hom,
+    identity as id_map,
     is_closed_morphism,
     is_continuous,
+    is_proper_witness,
+    is_separated_witness,
     make_preorder,
     proper_literal,
+    sum_morphisms,
+    to_point,
 )
 
 
@@ -102,7 +103,7 @@ def test_fast_paths_agree_with_literal_definitions():
             fx = fam.component(x)
             for y in pool:
                 fy = fam.component(y)
-                for f in ctx.hom(x, y):
+                for f in hom(ctx, x, y):
                     lit = is_continuous(f, fx, fy)
                     assert lit == _continuous_fast(f.idx, fx, fy, x.size)
                     if lit:
@@ -184,15 +185,15 @@ def test_diagonal_morphism_shape():
     # everything is collapsed, so the kernel pair is the full square and
     # the diagonal picks out its two reflexive points, (0,0) and (1,1)
     f = Morphism(SIERPINSKI, SIERPINSKI, (("s0", "s0"), ("s1", "s0")))
-    pairs, down, diagonal = _kernel_diagonal(f)
+    pairs, down, diagonal = _kernel_diagonal(f.idx, f.source)
     assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert diagonal == (0, 3)
     # ordered componentwise: (0,0) lies below every pair
     assert [points(d) for d in down] == [(0,), (0, 1), (0, 2), (0, 1, 2, 3)]
     inj = Morphism(SIERPINSKI, SIERPINSKI, (("s0", "s0"), ("s1", "s1")))
-    assert _kernel_diagonal(inj)[1:] == ((0b01, 0b11), (0, 1))
+    assert _kernel_diagonal(inj.idx, SIERPINSKI)[1:] == ((0b01, 0b11), (0, 1))
     plain = FiniteObject(("s0", "s1"))
-    assert _kernel_diagonal(id_map(plain))[1:] == ((), (0, 1))
+    assert _kernel_diagonal(id_map(plain).idx, plain)[1:] == ((), (0, 1))
 
 
 # Labels that sort below the comma of "(a,b)", so that the kernel pair's
@@ -207,7 +208,7 @@ def _diagonal_test_maps():
     for name in ("finset", "finpre"):
         ctx = builtin(name)
         pool = ctx.objects(2)
-        maps += [f for x in pool for y in pool for f in ctx.hom(x, y)]
+        maps += [f for x in pool for y in pool for f in hom(ctx, x, y)]
     chain = make_preorder(ODD_LABELS, [("a", "a "), ("a ", "a!")])
     for x in (FiniteObject(ODD_LABELS), FiniteObject(ODD_LABELS, chain)):
         ends = (x, x.restrict(ODD_LABELS[1:]))
@@ -222,7 +223,7 @@ def test_diagonal_is_the_kernel_pair_equalizer():
     maps = _diagonal_test_maps()
     assert len(maps) > 100
     for f in maps:
-        pairs, down, diagonal = _kernel_diagonal(f)
+        pairs, down, diagonal = _kernel_diagonal(f.idx, f.source)
         e = f.source.elements
         labels = [pair_label(e[a], e[b]) for a, b in pairs]
         lit = diagonal_literal(f)
@@ -339,7 +340,7 @@ def _proper_test_maps(name="finpre", bound=2):
     ends = [(x, y) for x in pool for y in [*pool, *sums]] + [
         (x, y) for x in sums for y in pool]
     maps = [f for x, y in ends for f in enumerate_morphisms(x, y)]
-    homs = [f for x in small for y in small for f in ctx.hom(x, y)]
+    homs = [f for x in small for y in small for f in hom(ctx, x, y)]
     maps += [sum_morphisms(f, g, ctx.coproduct(f.source, g.source).ob,
                            ctx.coproduct(f.target, g.target).ob)
              for f in homs for g in homs]

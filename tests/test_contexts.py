@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oracles import make_preorder
+from oracles import bijections, hom, make_preorder
 from extcheck import contexts
 from extcheck.cli import load_objects
 from extcheck.contexts import (
@@ -26,7 +26,10 @@ from extcheck.core import (
     clopen_splits,
     coproduct,
     enumerate_morphisms,
+    initial,
+    is_injective,
     is_isomorphic,
+    monotone_bijections,
 )
 
 # The 3-point preorders the validators benchmark adds to the finpre pool.
@@ -66,8 +69,8 @@ def test_labeled_preorder_count_cross_check():
 
 
 def _automorphisms(ob):
-    from extcheck.core import monotone_bijections, is_iso
-    for f in monotone_bijections(ob, ob):
+    from extcheck.core import is_iso
+    for f in bijections(ob, ob):
         if is_iso(f):
             yield f
 
@@ -90,7 +93,44 @@ def test_hom_enumeration_matches_core():
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
-            assert ctx.hom(x, y) == enumerate_morphisms(x, y)
+            assert hom(ctx, x, y) == enumerate_morphisms(x, y)
+
+
+@pytest.mark.parametrize("name", ["finset", "finpre"])
+def test_hom_tables_match_label_level_enumeration(name):
+    """The context's hom store holds, per pair of the bound-3 pool (under
+    finpre, with every 4-point preorder added), the index tables of the
+    label-level enumeration, in order; `monotone_bijections` yields the
+    tables of the injective maps of that enumeration."""
+    ctx = builtin(name)
+    objects = ctx.objects(3) + (preorders_of_size(4) if name == "finpre" else ())
+    bijective = 0
+    for x in objects:
+        for y in objects:
+            literal = enumerate_morphisms.__wrapped__(x, y)
+            assert ctx.hom_tables(x, y) == tuple(f.idx for f in literal), (x, y)
+            tables = list(monotone_bijections(x, y))
+            assert tables == [f.idx for f in literal
+                              if x.size == y.size and is_injective(f)]
+            bijective += len(tables)
+    assert bijective and len(ctx._homs) == len(objects) ** 2
+
+
+def test_witness_names_the_objects_that_first_asked():
+    """A witness map is built between the objects that first asked for its
+    hom set in that context: after `initial(True)`, named "0", asked first,
+    a map out of the equal pool object `pre0_0` names "0"; a new context
+    starts its own store."""
+    ctx = builtin("finpre")
+    empty, point = ctx.objects(1)
+    zero = initial(True)
+    assert zero == empty and (zero.name, empty.name) == ("0", "pre0_0")
+    assert ctx.hom_tables(zero, point) == ((),)
+    assert ctx.hom_tables(empty, point) is ctx.hom_tables(zero, point)
+    assert ctx.morphism(empty, point, ()).source.name == "0"
+    fresh = builtin("finpre")
+    fresh.hom_tables(empty, point)
+    assert fresh.morphism(zero, point, ()).source.name == "pre0_0"
 
 
 def test_coproduct_is_cached_per_context():
@@ -140,7 +180,7 @@ def test_swapped_mutant_keeps_objects_but_breaks_system():
     mut = swapped_system_context(base)
     assert mut.objects(2) == base.objects(2)
     from extcheck.factorization import validate_system
-    assert not validate_system(mut.system, mut.objects(2)).passed
+    assert not validate_system(mut.system, mut.objects(2), mut).passed
 
 
 def test_split_mono_context_is_also_proper_on_finset():
@@ -149,7 +189,7 @@ def test_split_mono_context_is_also_proper_on_finset():
     base = builtin("finset")
     mut = split_mono_context(base)
     from extcheck.factorization import validate_system
-    report = validate_system(mut.system, mut.objects(2))
+    report = validate_system(mut.system, mut.objects(2), mut)
     # 0 -> 1 is mono but has no retraction, so M-completeness must fail
     assert not report.passed
     failed = {c.id for c in report.failed()}
@@ -203,7 +243,7 @@ def test_crossed_instances_on_tables_match_literal_instances(monkeypatch, bound)
             cp = ctx.coproduct(x, y)
             for z in pool:
                 literal = [oracles.pullback_stability_instance(ctx, cp, f)
-                           for f in ctx.hom(z, cp.ob)]
+                           for f in hom(ctx, z, cp.ob)]
                 monkeypatch.setattr(contexts, "_pullback_stability_literal",
                                     lambda *args: "fails")
                 decided = list(contexts._pullback_stability_tables(ctx, cp, z))
@@ -243,18 +283,18 @@ def test_index_certificate_decides_comparison_over_any_cospan(name):
     for w in pool:
         for x in pool:
             for y in pool:
-                for l in ctx.hom(x, w):
-                    for r in ctx.hom(y, w):
+                for l in hom(ctx, x, w):
+                    for r in hom(ctx, y, w):
                         cospan = Coproduct(w, l, r)
                         certified = contexts._is_block_sum(cospan)
                         literal = all(
                             oracles.pullback_stability_instance(ctx, cospan, f) is None
-                            for z in pool for f in ctx.hom(z, w))
+                            for z in pool for f in hom(ctx, z, w))
                         assert certified == literal
                         if certified:
                             for z in pool:
                                 assert contexts._sum_hom_count(z, x, y) == \
-                                    len(ctx.hom(z, w))
+                                    len(hom(ctx, z, w))
                         outcomes.add(certified)
     assert outcomes == {True, False}
 
@@ -276,9 +316,7 @@ def test_split_count_matches_enumeration(case):
         for y in pool:
             sum_ob = ctx.coproduct(x, y).ob
             for z in pool:
-                # Uncached: the cache is keyed by object equality, which
-                # ignores names, so filling it here would rename later
-                # witnesses.
+                # Uncached, since each hom set is read once here.
                 maps = enumerate_morphisms.__wrapped__(z, sum_ob)
                 assert contexts._sum_hom_count(z, x, y) == len(maps)
 

@@ -19,8 +19,6 @@ from extcheck.core import (
     count_monotone,
     down_or_discrete,
     enumerate_morphisms,
-    find_iso,
-    identity,
     initial,
     is_injective,
     is_iso,
@@ -33,11 +31,10 @@ from extcheck.core import (
     pullback,
     pullback_pairs,
     split_coproduct,
-    sum_morphisms,
     terminal,
     transitive_closure,
 )
-from oracles import make_preorder
+from oracles import find_iso, identity, make_preorder, sum_morphisms
 
 
 def discrete(*labels):
@@ -288,12 +285,11 @@ def test_enumerators_match_a_literal_table_sweep():
                     literal.append(Morphism(x, y, tuple(zip(x.elements, values))))
                 except ValueError:
                     pass
-            # Uncached: the cache is keyed by object equality, which ignores
-            # names, so filling it here would rename later witnesses.
+            # Uncached, since each hom set is read once here.
             assert enumerate_morphisms.__wrapped__(x, y) == tuple(literal)
             bijective = [f for f in literal
                          if x.size == y.size and is_injective(f)]
-            assert list(monotone_bijections(x, y)) == bijective
+            assert list(monotone_bijections(x, y)) == [f.idx for f in bijective]
 
 
 def test_count_monotone_matches_enumeration():
@@ -321,6 +317,26 @@ def test_monotone_bijections_and_find_iso():
     assert len(bijs) == 2
 
 
+def test_is_isomorphic_matches_the_literal_iso_search():
+    """The table search against the label-level one (`oracles.find_iso`):
+    on every pair of 3-point preorder representatives, and on each against
+    its images under the permutations of its points."""
+    import itertools
+
+    from extcheck.contexts import preorders_of_size
+
+    reps = preorders_of_size(3)
+    pairs = list(itertools.product(reps, repeat=2))
+    for x in reps:
+        for perm in itertools.permutations(x.elements):
+            rename = dict(zip(x.elements, perm))
+            pairs.append((x, FiniteObject(x.elements, frozenset(
+                (rename[a], rename[b]) for a, b in x.order))))
+    assert sum(is_isomorphic(x, y) for x, y in pairs) == len(reps) * 7
+    for x, y in pairs:
+        assert is_isomorphic(x, y) == (find_iso(x, y) is not None), (x, y)
+
+
 def test_find_iso_builds_bijections_only_up_to_the_first_iso(monkeypatch):
     # The search builds each bijection when it reaches it: of the six of a
     # discrete 3-point object onto itself, the first, the identity, is an
@@ -337,6 +353,8 @@ def test_find_iso_builds_bijections_only_up_to_the_first_iso(monkeypatch):
     monkeypatch.setattr(Morphism, "__post_init__", counted)
     assert find_iso(x, x) == expected
     assert built == [expected]
+    # The program's own test decides on index tables and builds none.
+    assert is_isomorphic(x, x) and built == [expected]
 
 
 def test_restrict_induces_order():

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oracles import make_preorder
-from extcheck import factorization
+from oracles import hom, identity, in_e, in_m, make_preorder, table_of
+from extcheck import contexts, factorization
 from extcheck.cli import load_objects
 from extcheck.contexts import (
     builtin,
@@ -23,12 +23,10 @@ from extcheck.core import (
     compose,
     embedding_table,
     enumerate_morphisms,
-    identity,
     injective_table,
     pair_label,
     pullback,
     surjective_table,
-    table_of,
 )
 from extcheck.factorization import (
     FactorizationSystem,
@@ -109,18 +107,26 @@ def test_orthogonality_failure_for_order_reasons():
     # e is monotone bijective but not order reflecting, hence not iso; it
     # is surjective so the builtin system puts it in E
     sys = builtin("finpre").system
-    assert sys.in_e(e)
-    assert sys.in_m(m)
+    assert in_e(sys, e)
+    assert in_m(sys, m)
     assert down_arrow_witness(e, m)[0]
+
+
+class _Labelled(factorization._Map):
+    """A numbered map that carries its label-level map as `f`."""
 
 
 def _numbered(objects):
     """The pool numbered as `validate_system` numbers it, and its maps in
-    the validator's order."""
-    pool = _Pool(objects)
-    n = len(objects)
-    return pool, [pool.map(f, p, q) for p in range(n) for q in range(n)
-                  for f in pool.read(p, q)]
+    the validator's order, each with its label-level map."""
+    pool = _Pool(objects, lambda x, y: tuple(f.idx for f in enumerate_morphisms(x, y)))
+    maps = []
+    for p, x in enumerate(objects):
+        for q, y in enumerate(objects):
+            for g, f in zip(pool.read(p, q), enumerate_morphisms(x, y)):
+                maps.append(_Labelled(*g))
+                maps[-1].f = f
+    return pool, maps
 
 
 def _join_sweep(pool, e, m, groups):
@@ -170,8 +176,8 @@ def test_down_arrow_fiberwise_matches_exhaustive():
     ctx = builtin("finpre")
     pool, maps = _numbered(ctx.objects(2))
     sys = ctx.system
-    es = [g for g in maps if sys.in_e(g.f)]
-    ms = [g for g in maps if sys.in_m(g.f)]
+    es = [g for g in maps if in_e(sys, g.f)]
+    ms = [g for g in maps if in_m(sys, g.f)]
     failed = 0
     for e in es:
         fills = {}
@@ -257,11 +263,11 @@ def test_m_stability_decides_each_pullback_key_once(monkeypatch, swapped):
 
     monkeypatch.setattr(factorization, "_pullback_table", pullback_table)
     report = validate_system(FactorizationSystem(base.name, base.e_table, m_table),
-                             objects)
+                             objects, ctx)
     stable = report.check("m_stable_under_pullback")
     assert stable.passed and stable.checked == instances
     assert len(decided) == len(tables) == len(keys) < instances
-    assert report.to_dict() == oracles.validate_system(base, objects).to_dict()
+    assert report.to_dict() == oracles.validate_system(base, objects, ctx).to_dict()
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["plain", "swapped"])
@@ -281,8 +287,8 @@ def test_e_complete_groups_each_key_once(monkeypatch, swapped):
     real_by_precomposite = factorization._by_precomposite
 
     class Pool(_Pool):
-        def __init__(self, objects):
-            super().__init__(objects)
+        def __init__(self, objects, hom_tables):
+            super().__init__(objects, hom_tables)
             pools.append(self)
 
         def bad_square(self, e, m, reflects, per_e):
@@ -332,8 +338,8 @@ def test_indexed_sweep_matches_literal_sweep(swapped):
         ctx = swapped_system_context(ctx)
     pool, maps = _numbered(ctx.objects(2))
     sys = ctx.system
-    es = [g for g in maps if sys.in_e(g.f)]
-    ms = [g for g in maps if sys.in_m(g.f)]
+    es = [g for g in maps if in_e(sys, g.f)]
+    ms = [g for g in maps if in_m(sys, g.f)]
     seen = set()
     for e in es:
         groups = {}
@@ -477,8 +483,8 @@ def test_validate_system_matches_label_level_oracle(case):
     make, bound = VALIDATE_CASES[case]
     ctx = make()
     pool = ctx.objects(bound)
-    report = validate_system(ctx.system, pool)
-    assert report.to_dict() == oracles.validate_system(ctx.system, pool).to_dict()
+    report = validate_system(ctx.system, pool, ctx)
+    assert report.to_dict() == oracles.validate_system(ctx.system, pool, ctx).to_dict()
     for law in FAILING_LAWS.get(case, ()):
         assert not report.check(law).passed, law
 
@@ -557,25 +563,33 @@ def test_builtin_completeness_searches_no_square(monkeypatch, name):
         return real(self, *args)
 
     monkeypatch.setattr(_Pool, "bad_square", bad_square)
-    report = validate_system(ctx.system, objects)
+    report = validate_system(ctx.system, objects, ctx)
     assert report.passed and not calls
-    assert report.to_dict() == oracles.validate_system(ctx.system, objects).to_dict()
+    assert report.to_dict() == oracles.validate_system(ctx.system, objects, ctx).to_dict()
 
 
 def test_validate_system_reads_each_hom_set_once(monkeypatch):
-    # The pool is numbered once: |pool|^2 hom sets read, and no other
-    # enumeration by any law.
+    # The pool is numbered once: |pool|^2 hom sets read from the context's
+    # store, each enumerated there once, and no other enumeration by any
+    # law.
     ctx = builtin("finpre")
     pool = ctx.objects(2)
-    reads = []
+    reads, enumerated = [], []
+    real_read, real_maps = ctx.hom_tables, contexts._monotone_maps
 
-    def counted(x, y):
+    def read(x, y):
         reads.append((x, y))
-        return enumerate_morphisms(x, y)
+        return real_read(x, y)
 
-    monkeypatch.setattr(factorization, "enumerate_morphisms", counted)
-    assert validate_system(ctx.system, pool).passed
-    assert len(reads) == len(pool) ** 2
+    def maps(x, y, injective):
+        enumerated.append((x, y, injective))
+        return real_maps(x, y, injective)
+
+    monkeypatch.setattr(ctx, "hom_tables", read)
+    monkeypatch.setattr(contexts, "_monotone_maps", maps)
+    monkeypatch.setattr(factorization, "_monotone_maps", maps)
+    assert validate_system(ctx.system, pool, ctx).passed
+    assert len(reads) == len(enumerated) == len(pool) ** 2
 
 
 def test_passing_validation_builds_no_map_or_object(monkeypatch):
@@ -583,14 +597,14 @@ def test_passing_validation_builds_no_map_or_object(monkeypatch):
     # tables: a passing run constructs no Morphism and no FiniteObject.
     ctx = builtin("finpre")
     pool = ctx.objects(2)
-    assert validate_system(ctx.system, pool).passed
+    assert validate_system(ctx.system, pool, ctx).passed
 
     def refuse(self):
         raise AssertionError(f"validate_system built a {type(self).__name__}")
 
     monkeypatch.setattr(Morphism, "__post_init__", refuse)
     monkeypatch.setattr(FiniteObject, "__post_init__", refuse)
-    assert validate_system(ctx.system, pool).passed
+    assert validate_system(ctx.system, pool, ctx).passed
 
 
 def _homs_up_to_3(name):
@@ -611,11 +625,11 @@ def test_table_predicates_agree_with_label_level(name):
     swapped = swapped_system_context(ctx).system
     for f in homs:
         args = table_of(f)
-        in_e, in_m = oracles.surjective(f), literal_m(f)
-        assert ctx.system.e_table(*args) == ctx.system.in_e(f) == in_e
-        assert ctx.system.m_table(*args) == ctx.system.in_m(f) == in_m
-        assert swapped.e_table(*args) == swapped.in_e(f) == in_m
-        assert swapped.m_table(*args) == swapped.in_m(f) == in_e
+        want_e, want_m = oracles.surjective(f), literal_m(f)
+        assert ctx.system.e_table(*args) == in_e(ctx.system, f) == want_e
+        assert ctx.system.m_table(*args) == in_m(ctx.system, f) == want_m
+        assert swapped.e_table(*args) == in_e(swapped, f) == want_m
+        assert swapped.m_table(*args) == in_m(swapped, f) == want_e
     assert homs
 
 
@@ -636,7 +650,7 @@ def test_split_predicate_matches_label_level_retraction(name):
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_builtin_systems_validate(name):
     ctx = builtin(name)
-    report = validate_system(ctx.system, ctx.objects(2))
+    report = validate_system(ctx.system, ctx.objects(2), ctx)
     assert report.passed, [c.id for c in report.failed()]
 
 
@@ -649,7 +663,7 @@ def test_factorize_rejects_wrong_composite():
 
 def test_swapped_classes_fail_validation():
     ctx = swapped_system_context(builtin("finset"))
-    report = validate_system(ctx.system, ctx.objects(2))
+    report = validate_system(ctx.system, ctx.objects(2), ctx)
     assert not report.passed
     failed = {c.id for c in report.failed()}
     assert failed & {"orthogonality", "e_members_are_epi",
@@ -667,4 +681,4 @@ def test_completeness_checks_detect_interlopers():
     ctx = builtin("finset")
     sys = ctx.system
     x = plain("a", "b")
-    assert sys.in_e(identity(x)) and sys.in_m(identity(x))
+    assert in_e(sys, identity(x)) and in_m(sys, identity(x))

@@ -27,7 +27,7 @@ import pytest
 
 from extcheck import cli, contexts
 from extcheck.closure import validate_closure
-from extcheck.core import FiniteObject
+from extcheck.core import FiniteObject, enumerate_morphisms, initial, terminal
 from extcheck.theorems import FAMILY_FREE, run_checker
 from oracles import make_preorder
 
@@ -137,6 +137,28 @@ def test_structured_report_matches_golden(stem):
 def test_validator_reports_match_golden(stem):
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert validator_reports(*VALIDATOR_CASES[stem]) == expected
+
+
+def test_reports_do_not_depend_on_warmed_process_caches():
+    """Every golden report, rendered after what could fill a process-wide
+    cache has run: the label-level enumeration of every hom set of both
+    bound-3 pools and of initial -> terminal in both flavours, and checker
+    A at bound 1 on every self-test variant.  A report reads only its own
+    context's caches, so each is still byte-identical to its file."""
+    for name in contexts.BUILTIN_CONTEXTS:
+        pool = contexts.builtin(name).objects(3)
+        for x in pool:
+            for y in pool:
+                enumerate_morphisms(x, y)
+    for ordered in (False, True):
+        enumerate_morphisms(initial(ordered), terminal(ordered))
+    for name in contexts.BUILTIN_CONTEXTS:
+        for variant in ("swapped_system_context", "crossed_coproduct_context",
+                        "split_mono_context"):
+            if name == "finpre" or variant != "crossed_coproduct_context":
+                run_checker("A", _context(name, variant), None, 1, {})
+    for stem in sorted(CASES | VALIDATOR_CASES):
+        assert render(stem) == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8"), stem
 
 
 if __name__ == "__main__":

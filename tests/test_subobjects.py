@@ -22,8 +22,6 @@ from extcheck.core import (
     coproduct,
     inclusion,
     points,
-    sum_morphisms,
-    table_of,
 )
 from extcheck.factorization import FactorizationSystem
 from extcheck.subobjects import (
@@ -40,11 +38,15 @@ from oracles import (
     R_map,
     corestriction,
     enumerate_subobjects,
+    hom,
+    in_m,
     inclusion_table,
     join_subobjects,
     make_preorder,
     preimage,
     restriction,
+    sum_morphisms,
+    table_of,
 )
 
 
@@ -100,7 +102,7 @@ def test_subobject_rep_is_admissible_inclusion(ctx):
     for x in ctx.objects(2):
         for m in ctx.sub_lattice(x):
             s = subobject_from_mask(x, m)
-            assert sys.in_m(s.rep)
+            assert in_m(sys, s.rep)
             assert s.rep.source == s.ob
 
 
@@ -108,7 +110,7 @@ def test_image_and_preimage_are_adjoint(ctx):
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
-            for f in ctx.hom(x, y):
+            for f in hom(ctx, x, y):
                 for s in ctx.sub_lattice(x):
                     for t in ctx.sub_lattice(y):
                         lhs = image(f, subobject_from_mask(x, s)).mask & ~t == 0
@@ -134,7 +136,7 @@ def test_restriction_commutes_with_inclusion(ctx):
     pool = ctx.objects(2)
     for x in pool:
         for y in pool:
-            for f in ctx.hom(x, y):
+            for f in hom(ctx, x, y):
                 for m in ctx.sub_lattice(x):
                     s = subobject_from_mask(x, m)
                     img = image(f, s)
@@ -338,7 +340,7 @@ def test_sum_admissibility_by_mask_matches_literal_definition(case):
                 img_l, img_r = image(cp.inl, sa), image(cp.inr, sb)
                 joined = join_subobjects(img_l, img_r)
                 assert joined.mask == img_l.mask | img_r.mask
-                literal = (sys.in_m(sum_morphisms(sa.rep, sb.rep, None, cp.ob))
+                literal = (in_m(sys, sum_morphisms(sa.rep, sb.rep, None, cp.ob))
                            and joined.elements == sum_subobjects(sa, sb).elements)
                 assert ((a | (b << x.size)) in sum_masks) == literal
                 assert next(instances)[:5] == (literal, x, y, a, b)

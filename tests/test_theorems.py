@@ -18,6 +18,7 @@ from extcheck.theorems import (
     first_counterexample,
     run_checker,
 )
+from oracles import hom
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +141,7 @@ def test_checker_e_sweeps_every_pair_at_bound_3(finset, monkeypatch):
     from extcheck.core import serialize_morphism
 
     pool = finset.objects(3)
-    homs = [f for x in pool for y in pool for f in finset.hom(x, y)]
+    homs = [f for x in pool for y in pool for f in hom(finset, x, y)]
     pairs = list(product(homs, repeat=2))
     # Two 3-point sources: no single hom's table has the sum's length.
     f = next(h for h in homs[len(homs) // 2:] if h.source.size == 3)
@@ -249,7 +250,7 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
             theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
         per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cls_of))
         assert blocked == per_pair, fam.name
-        assert len(blocked) == len(closed) ** 2
+        assert len(blocked) == sum(len(block) for _, _, block in closed) ** 2
         assert sum(o is not None for o in blocked) == failing[fam.name]
 
 
@@ -634,15 +635,15 @@ def test_c_sum_side_builds_each_sum_table_once(monkeypatch):
         cls_of = cache(fam.component)
         closed = theorems._continuous_morphisms(ctx, pool, cls_of)
         outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
-        sources = {f.source for f in closed}
-        targets = {f.target for f in closed}
+        sources = {x for x, _, _ in closed}
+        targets = {y for _, y, _ in closed}
         read = {(a, c) for a in sources for c in sources} | {
             (b, d) for b in targets for d in targets}
         assert len(halves) == len(read), fam.name
-        ends = {(f.source, f.target) for f in closed}
-        assert len(halves) < 2 * len(ends) ** 2
+        assert len(halves) < 2 * len(closed) ** 2
         assert sorted(halves) == sorted((x.size, x.size + y.size) for x, y in read)
-        assert sum(o if o.__class__ is int else 1 for o in outcomes) == len(closed) ** 2
+        n_maps = sum(len(block) for _, _, block in closed)
+        assert sum(o if o.__class__ is int else 1 for o in outcomes) == n_maps ** 2
 
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
@@ -981,19 +982,19 @@ def _summands(ob) -> set:
     return {e[:2] for e in ob.elements} & {LEFT_TAG, RIGHT_TAG}
 
 
-# For each side of G/H, the test maps that it, and no other side, hands the
-# class's witness function at finpre bound 2.
+# For each side of G/H, the ends (source, target) of the test maps that it,
+# and no other side, hands the class's test at finpre bound 2.
 _G_H_BREAKS = {
     # f + g with both summands non-empty, into a 3-point sum
-    "morphism_sums": lambda f: len(_summands(f.source)) == 2 and f.target.size == 3,
+    "morphism_sums": lambda src, tgt: len(_summands(src)) == 2 and tgt.size == 3,
     # a 3-point sum of spaces, to the point
-    "space_sums": lambda f: (bool(_summands(f.source)) and f.source.size == 3
-                             and f.target.elements == ("*",)),
+    "space_sums": lambda src, tgt: (bool(_summands(src)) and src.size == 3
+                                    and tgt.elements == ("*",)),
     # the codiagonal of a 2-point space
-    "codiagonal": lambda f: (f.source.size == 4 and not _summands(f.target)
-                             and f.target.elements != ("*",)),
+    "codiagonal": lambda src, tgt: (src.size == 4 and not _summands(tgt)
+                                    and tgt.elements != ("*",)),
     # the sum of two terminals, to the point
-    "two_point_sum": lambda f: f.source.elements == (LEFT_TAG + "*", RIGHT_TAG + "*"),
+    "two_point_sum": lambda src, tgt: src.elements == (LEFT_TAG + "*", RIGHT_TAG + "*"),
 }
 
 _P1 = {"name": "pre1_0", "elements": ["p1"], "order": [["p1", "p1"]]}
@@ -1054,28 +1055,45 @@ def _maps_failure(side):
 ])
 def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
                                              counts, witness):
-    """The class's witness function, forced to fail on the maps one side of
-    G or H alone tests, fails that side: every side's value and count and
-    the first witness are pinned.  A side that assumed its instances hold
+    """The class's test, forced to fail on the maps one side of G or H
+    alone tests, fails that side: every side's value and count and the
+    first witness are pinned.  A side that assumed its instances hold
     would report true."""
     from extcheck import theorems
 
-    name = {"G": "is_proper_witness", "H": "is_separated_witness"}[thm]
+    name = {"G": "proper_witness", "H": "separated_witness"}[thm]
     real = getattr(theorems, name)
     injected = _G_H_BREAKS[breaks]
 
-    def witness_fn(family, f):
-        if injected(f):
+    def test(family, idx, src, tgt):
+        if injected(src, tgt):
             return False, _INJECTED
-        return real(family, f)
+        return real(family, idx, src, tgt)
 
-    monkeypatch.setattr(theorems, name, witness_fn)
+    monkeypatch.setattr(theorems, name, test)
     ctx = builtin("finpre")
     v = run_checker(thm, ctx, ctx.family("alexandrov"), 2, {})
     assert v.status == "ok" and not v.passed
     assert v.sides == sides
     assert v.counts == counts
     assert v.witnesses[0] == witness
+
+
+@pytest.mark.parametrize("thm, count", [("G", "proper_pairs"), ("H", "separated_pairs")])
+def test_g_h_report_a_sum_that_is_not_monotone(thm, count):
+    """On the crossed mutant, whose sum orders L:p1 below R:p1, the sum of
+    the identity of the point and the map onto p2 of the discrete pair is
+    not monotone into the context's sums: G and H report it as the first
+    counterexample of their morphism side, with failure {"monotone":
+    false}, where building it as a map raised."""
+    ctx = crossed_coproduct_context(builtin("finpre"))
+    v = run_checker(thm, ctx, ctx.family("identity"), 2, {})
+    assert v.status == "ok" and not v.passed
+    assert [value for _, value in v.sides] == [False, True, True]
+    assert dict(v.counts)[count] == 228
+    witness = _maps_failure(v.sides[0][0])
+    witness["g"]["map"] = {"p1": "p2"}
+    assert v.witnesses[0] == dict(witness, failure={"monotone": False})
 
 
 @pytest.mark.parametrize("thm, count, alexandrov", [
