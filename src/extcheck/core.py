@@ -49,10 +49,11 @@ class FiniteObject:
         object.__setattr__(self, "elements", elements)
         if len(set(elements)) != len(elements):
             raise ValueError(f"duplicate labels in carrier: {elements}")
-        if self.order is None:
-            return
-        order = frozenset(tuple(p) for p in self.order)
+        order = None if self.order is None else frozenset(tuple(p) for p in self.order)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_hash", hash((elements, order)))  # keys caches
+        if order is None:
+            return
         # Errors name the least offending pair, so that no message depends
         # on the iteration order of a frozenset (the hash seed).
         universe = set(elements)
@@ -69,6 +70,9 @@ class FiniteObject:
         if missing:
             a, d, b = min(missing)
             raise ValueError(f"order not transitive: missing ({a},{d}) via {b}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def has_order(self) -> bool:

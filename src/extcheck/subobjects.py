@@ -96,6 +96,10 @@ class SubobjectLattice:
     def __iter__(self):
         return iter(self.masks)
 
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.masks)
+
 
 @cache
 def _every_subset(n: int) -> tuple[int, ...]:

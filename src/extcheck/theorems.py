@@ -40,7 +40,6 @@ from .closure import (
 from .core import (
     FiniteObject,
     Morphism,
-    coproduct,
     count_instances,
     down_or_discrete,
     first_counterexample,
@@ -200,20 +199,7 @@ def _sum_described(ctx: Context, x, y, a: int, b: int, **more) -> dict:
 # map is continuous and closed, so A's sides are the identity instances of
 # B's condition (a) and of F's side; both are memoized per family.
 
-def _plain_sum(ctx: Context, x: FiniteObject, y: FiniteObject) -> FiniteObject:
-    """The plain constructed sum x + y, the context's own if it is plain."""
-    return (ctx.coproduct if ctx.coproduct_fn is coproduct else coproduct)(x, y).ob
-
-
-def _sum_masks(ctx: Context, x: FiniteObject, y: FiniteObject) -> set[int]:
-    """The admissible masks of the plain constructed sum x + y.  Under the
-    image factorization, the sum a + b of admissible masks a of x and b of
-    y is admissible exactly when its mask a | b << |x| is one of them,
-    whatever coproduct the context builds."""
-    return set(ctx.sub_lattice(_plain_sum(ctx, x, y)))
-
-
-def _e_monos_between_sums(ctx: Context, pool, cls_of):
+def _e_monos_between_sums(ctx: Context, pool, family: ClosureFamily):
     """Yield (e, src, tgt, (x, y)) for every continuous and closed member e
     of E cap Mono, an index table, from a constructed binary sum src at the
     bound to tgt = x + y: the monotone bijections in E, since E-members are
@@ -226,10 +212,10 @@ def _e_monos_between_sums(ctx: Context, pool, cls_of):
         pairs = by_total[total]
         for (a, b) in pairs:
             src = ctx.coproduct(a, b).ob
-            f_src, src_up = cls_of(src), up_masks_or_none(src)
+            f_src, src_up = ctx.closure(family, src), up_masks_or_none(src)
             for (x, y) in pairs:
                 tgt = ctx.coproduct(x, y).ob
-                f_tgt, tgt_up = cls_of(tgt), up_masks_or_none(tgt)
+                f_tgt, tgt_up = ctx.closure(family, tgt), up_masks_or_none(tgt)
                 for e in monotone_bijections(src, tgt):
                     if (sys.e_table(e, src_up, total, tgt_up)
                             and _continuous_fast(e, f_src, f_tgt, total)
@@ -237,7 +223,7 @@ def _e_monos_between_sums(ctx: Context, pool, cls_of):
                         yield e, src, tgt, (x, y)
 
 
-def _failed_pullback(sys, family: ClosureFamily, e, src, x, y, cls_of):
+def _failed_pullback(ctx: Context, family: ClosureFamily, e, src, x, y):
     """The first pullback of the bijection e (an index table out of src)
     along an injection that is not a closed E-member under `family`, built
     as a map into its summand; or None.  The pullback along a summand's
@@ -248,9 +234,9 @@ def _failed_pullback(sys, family: ClosureFamily, e, src, x, y, cls_of):
         idx = tuple(e[i] - low for i in pts)
         up = restrict_masks(src.up_masks, pts) if src.has_order else None
         down = restrict_masks(src.down_masks, pts) if src.has_order else ()
-        if not (sys.e_table(idx, up, component.size, up_masks_or_none(component))
+        if not (ctx.system.e_table(idx, up, component.size, up_masks_or_none(component))
                 and _closed_fast(idx, family.fn_for(len(idx), down),
-                                 cls_of(component), len(idx))):
+                                 ctx.closure(family, component), len(idx))):
             return morphism_of(src.restrict([src.elements[i] for i in pts]),
                                component, idx)
     return None
@@ -261,13 +247,10 @@ def _injection_pullback_side(ctx: Context, family: ClosureFamily, bound: int,
     """F's side, with its witness, memoized per family: A's second side is
     the identity entry."""
     def compute():
-        sys = ctx.system
-        cls_of = cache(family.component)
-
         def instances():
             for e, src, tgt, (x, y) in _e_monos_between_sums(
-                    ctx, ctx.objects(bound), cls_of):
-                bad = _failed_pullback(sys, family, e, src, x, y, cls_of)
+                    ctx, ctx.objects(bound), family):
+                bad = _failed_pullback(ctx, family, e, src, x, y)
                 yield bad is None, e, src, tgt, bad
 
         def describe(e, src, tgt, bad):
@@ -298,14 +281,13 @@ def check_sum_admissible(ctx: Context, family, bound: int, memo) -> Verdict:
 # its first failure; the sides yield the values a witness shows, and only
 # the first failure is described.
 
-def _closed_sum_outcomes(ctx: Context, pool, cls_of):
+def _closed_sum_outcomes(ctx: Context, pool, family: ClosureFamily):
     """Condition (a), per closed admissible a of x and b of y, as masks:
     (whether a + b is admissible and closed, x, y, a, b, whether it is
     admissible, its closure in the context's x + y)."""
     for x, y in _object_pairs(pool):
-        fsum = cls_of(ctx.coproduct(x, y).ob)
-        sums = _sum_masks(ctx, x, y)
-        fx, fy = cls_of(x), cls_of(y)
+        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
+        sums = ctx.plain_sum_lattice(x, y).members
         nx = x.size
         closed_x = [a for a in ctx.sub_lattice(x) if fx(a) == a]
         closed_y = [b for b in ctx.sub_lattice(y) if fy(b) == b]
@@ -323,25 +305,23 @@ def _closed_sum_side(ctx: Context, family: ClosureFamily, bound: int, memo):
     side is the identity entry, and the gates CLOSED_SUMS and
     SUMS_ADMISSIBLE read an entry's first failure."""
     def compute():
-        instances = _closed_sum_outcomes(ctx, ctx.objects(bound), cache(family.component))
+        instances = _closed_sum_outcomes(ctx, ctx.objects(bound), family)
         ok, values, n = _confirmed(instances)
         return ok, values, n, n + count_instances(instances)
     return _memoized(memo, ("closed_sums", family.name, bound), compute)
 
 
-def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
+def _admissible_sum_outcomes(ctx: Context, pool, family: ClosureFamily):
     """Condition (b), per admissible a of x and b of y: None when a + b is
     admissible and both injections are closed embeddings, else
     (x, y, a, b, sum admissible, injections closed embeddings)."""
-    sys = ctx.system
     for x, y in _object_pairs(pool):
         cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
-        sums = _sum_masks(ctx, x, y)
+        fsum = ctx.closure_split(x, y, family).fsum
+        sums = ctx.plain_sum_lattice(x, y).members
         nx = x.size
-        low = (1 << nx) - 1
-        high = ((1 << cp.ob.size) - 1) & ~low
-        inj_ok = (injections_in_m(sys, cp)
+        low, high = (1 << nx) - 1, ((1 << cp.ob.size) - 1) >> nx << nx
+        inj_ok = (injections_in_m(ctx.system, cp)
                   and fsum(low) == low and fsum(high) == high)
         lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
@@ -350,21 +330,17 @@ def _admissible_sum_outcomes(ctx: Context, pool, cls_of):
                 yield None if adm and inj_ok else (x, y, a, b, adm, inj_ok)
 
 
-def _dense_split_outcomes(ctx: Context, pool, cls_of):
+def _dense_split_outcomes(ctx: Context, pool, family: ClosureFamily):
     """Condition (c), per subset s of x + y: None unless s is dense and a
     component is not, else (x, y, labels of s and of component closures)."""
     for x, y in _object_pairs(pool):
-        fx, fy = cls_of(x), cls_of(y)
+        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
         cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
         nx = x.size
-        full_x = (1 << x.size) - 1
-        full_y = (1 << y.size) - 1
-        full_sum = (1 << cp.ob.size) - 1
-        low = (1 << nx) - 1
-        for s in range(1 << cp.ob.size):
+        low, full_y, full_sum = (1 << nx) - 1, (1 << y.size) - 1, (1 << cp.ob.size) - 1
+        for s in range(full_sum + 1):
             yield (None if fsum(s) != full_sum
-                   or (fx(s & low) == full_x and fy(s >> nx) == full_y)
+                   or (fx(s & low) == low and fy(s >> nx) == full_y)
                    else (x, y, cp.ob.labels_of(s), x.labels_of(fx(s & low)),
                          y.labels_of(fy(s >> nx))))
 
@@ -377,7 +353,6 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
     (c) dense morphisms between binary sums restrict densely along the
     injections (quantified over image subobjects, which is the same)."""
     pool = ctx.objects(bound)
-    cls_of = cache(family.component)
     closed_ok, values, _, n_closed = _closed_sum_side(ctx, family, bound, memo)
 
     def closed_failure(x, y, a, b, adm, closure):
@@ -388,12 +363,12 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
         closed_ok, None if closed_ok else closed_failure(*values), n_closed))]
     for name, cond, outcomes, describe in (
             ("sums_admissible_and_injections_closed", "b",
-             _admissible_sum_outcomes(ctx, pool, cls_of),
+             _admissible_sum_outcomes(ctx, pool, family),
              lambda x, y, a, b, adm, inj_ok: _pair_witness(
                  ctx, x, y, a, b, sum_admissible=adm,
                  injections_closed_embeddings=inj_ok)),
             ("dense_between_sums_splits_dense", "c",
-             _dense_split_outcomes(ctx, pool, cls_of),
+             _dense_split_outcomes(ctx, pool, family),
              lambda x, y, dense, left, right: _witness(
                  x, y, dense_image=list(dense), left_component_closure=list(left),
                  right_component_closure=list(right)))):
@@ -408,14 +383,14 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
 
 # ---------------------------------------------------------------- checker C
 
-def _continuous_morphisms(ctx: Context, pool, cls_of):
+def _continuous_morphisms(ctx: Context, pool, family: ClosureFamily):
     """The continuous and closed maps between pool objects, as blocks (src,
     tgt, index tables), one per pair of objects that has one."""
     out = []
     for src in pool:
-        fs = cls_of(src)
+        fs = ctx.closure(family, src)
         for tgt in pool:
-            ft = cls_of(tgt)
+            ft = ctx.closure(family, tgt)
             block = [f for f in ctx.hom_tables(src, tgt)
                      if _continuous_fast(f, fs, ft, src.size)
                      and _closed_fast(f, fs, ft, src.size)]
@@ -424,30 +399,13 @@ def _continuous_morphisms(ctx: Context, pool, cls_of):
     return out
 
 
-def _sum_halves(fn, n_left: int, n: int):
-    """The closure table of a sum of n points, the first n_left of them the
-    left summand's, cut at n_left: (lows, highs, crossed, diagonal).
-    `lows` holds the left parts of the left points' closures, then of
-    c(empty); `highs` the right parts, shifted down, of the right points'
-    closures, then of c(empty); `crossed` the right parts of the left
-    points' closures and the left parts of the right points';
-    `diagonal` says the crossed parts are all empty."""
-    low = (1 << n_left) - 1
-    rows, empty = [fn(1 << i) for i in range(n)], fn(0)
-    left, right = rows[:n_left], rows[n_left:]
-    crossed = [r >> n_left for r in left], [r & low for r in right]
-    return ((*[r & low for r in left], empty & low),
-            (*[r >> n_left for r in right], empty >> n_left),
-            crossed, not any(chain(*crossed)))
-
-
 def _carries(idx, masks, tgt, keys) -> bool:
     """The map `idx` sends each of `masks` onto the entry of `tgt` at the
     matching entry of `keys`."""
     return all(image_bits(m, idx) == tgt[j] for m, j in zip(masks, keys))
 
 
-def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
+def _closed_sum_of_closed_outcomes(ctx: Context, closed, family: ClosureFamily):
     """Every pair (f, g) of closed morphisms, f + g closed, decided per
     block of f's and block of g's on the sums' closure tables.
 
@@ -461,27 +419,24 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
       closures, and f the low parts of the right points', onto those of
       their images.  They hold when both tables are block-diagonal, and
       are decided per pair otherwise.
-    Each end pair's table is built once, its distinct halves numbered; L
-    is computed once per f-block and distinct low halves, R once per
-    g-block and distinct high halves.  Pairs are yielded f-major, then by
-    g-block, then g, in the order `closed`'s blocks list them, so counts
-    and first witnesses are those of the per-pair sweep.  Pairs that all
-    hold are yielded as one run: a whole f-block's when every entry of its
-    row is full with no cross terms, else an (f, g-block) product's.
+    The tables are the context's `ClosureSplit`s, read into one row per
+    object and end of the blocks; L is computed once per f-block and
+    distinct low halves, R once per g-block and distinct high halves.
+    Pairs are yielded f-major, then by g-block, then g, in the order
+    `closed`'s blocks list them, so counts and first witnesses are those
+    of the per-pair sweep.  Pairs that all hold are yielded as one run: a
+    whole f-block's when every entry of its row is full with no cross
+    terms, else an (f, g-block) product's.
     """
     blocks = [block for _, _, block in closed]
-    ids: dict[FiniteObject, int] = {}
-    ends = [(ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids)))
-            for x, y, _ in closed]
-    obs, lows, highs, tables = list(ids), {}, {}, [[None] * len(ids) for _ in ids]
 
-    def table(i: int, j: int):
-        x, y = obs[i], obs[j]
-        low, high, *rest = _sum_halves(cls_of(ctx.coproduct(x, y).ob),
-                                       x.size, x.size + y.size)
-        tables[i][j] = (lows.setdefault(low, len(lows)), low,
-                        highs.setdefault(high, len(highs)), high, *rest)
-        return tables[i][j]
+    @cache
+    def halves(x: FiniteObject, end: int) -> list[tuple]:
+        """Per block, x + z's split from `low` on, z the block's source (end 0)
+        or target (end 1): a plain tuple, which unpacks faster than the record."""
+        ends = [block[end] for block in closed]
+        at = {z: ctx.closure_split(x, z, family)[3:] for z in dict.fromkeys(ends)}
+        return list(map(at.__getitem__, ends))
 
     def half_bits(block, src, tgt) -> int:
         # c(empty) comes last in both halves, so point -1 names it.
@@ -489,11 +444,11 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
                    if _carries(h, src, tgt, h + (-1,)))
 
     r_memo, run = {}, sum(map(len, blocks))
-    for (x, y, f_block), (a, b) in zip(closed, ends):
-        l_memo, row, s_row, t_row = {}, [], tables[a], tables[b]
-        for n, (g_block, (c, d)) in enumerate(zip(blocks, ends)):
-            s_low, s_lows, s_high, s_highs, s_crossed, s_diag = s_row[c] or table(a, c)
-            t_low, t_lows, t_high, t_highs, t_crossed, t_diag = t_row[d] or table(b, d)
+    for x, y, f_block in closed:
+        l_memo, row = {}, []
+        for n, (g_block, s, t) in enumerate(zip(blocks, halves(x, 0), halves(y, 1))):
+            s_low, s_lows, s_high, s_highs, s_crossed, s_diag = s
+            t_low, t_lows, t_high, t_highs, t_crossed, t_diag = t
             if (s_low, t_low) not in l_memo:
                 l_memo[s_low, t_low] = half_bits(f_block, s_lows, t_lows)
             if (n, s_high, t_high) not in r_memo:
@@ -523,13 +478,13 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, cls_of):
                             ctx.morphism(x, y, f), ctx.morphism(z, w, g))
 
 
-def _injections_closed_outcomes(ctx: Context, pool, cls_of):
+def _injections_closed_outcomes(ctx: Context, pool, family: ClosureFamily):
     for x, y in _object_pairs(pool):
-        fsum = cls_of(ctx.coproduct(x, y).ob)
+        split = ctx.closure_split(x, y, family)
         inl_idx = tuple(range(x.size))
         inr_idx = tuple(x.size + j for j in range(y.size))
-        yield (None if _closed_fast(inl_idx, cls_of(x), fsum, x.size)
-               and _closed_fast(inr_idx, cls_of(y), fsum, y.size)
+        yield (None if _closed_fast(inl_idx, split.fx, split.fsum, x.size)
+               and _closed_fast(inr_idx, split.fy, split.fsum, y.size)
                else _witness(x, y))
 
 
@@ -537,10 +492,9 @@ def _c_sides(ctx: Context, family: ClosureFamily, bound: int, memo):
     """C's two sides, memoized per family; the G/H gate reads them."""
     def compute():
         pool = ctx.objects(bound)
-        cls_of = cache(family.component)
-        closed = _continuous_morphisms(ctx, pool, cls_of)
-        return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, cls_of)),
-                first_counterexample(_injections_closed_outcomes(ctx, pool, cls_of)))
+        closed = _continuous_morphisms(ctx, pool, family)
+        return (first_counterexample(_closed_sum_of_closed_outcomes(ctx, closed, family)),
+                first_counterexample(_injections_closed_outcomes(ctx, pool, family)))
     return _memoized(memo, ("c_sides", family.name, bound), compute)
 
 
@@ -556,11 +510,10 @@ def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
 
 # ---------------------------------------------------------------- checker D
 
-def _componentwise_closure_outcomes(ctx: Context, pool, cls_of):
+def _componentwise_closure_outcomes(ctx: Context, pool, family: ClosureFamily):
     for x, y in _object_pairs(pool):
-        fx, fy = cls_of(x), cls_of(y)
+        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
         cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
         nx = x.size
         lat_y = ctx.sub_lattice(y)
         for a in ctx.sub_lattice(x):
@@ -576,7 +529,7 @@ def check_lemma_componentwise_closure(ctx: Context, family: ClosureFamily,
                                       bound: int, memo) -> Verdict:
     """Closure of a sum of admissibles is the sum of the closures."""
     side = first_counterexample(_componentwise_closure_outcomes(
-        ctx, ctx.objects(bound), cache(family.component)))
+        ctx, ctx.objects(bound), family))
     return _verdict("D", ctx, family, bound, (
         ("closure_of_sum_is_sum_of_closures", "subobject_pairs", side),))
 
@@ -828,31 +781,29 @@ def check_sum_separated(ctx: Context, family: ClosureFamily,
 # ------------------------------------------------------- adjunction checker
 
 def _admissible_adjunction_side(ctx: Context, pool):
-    """Family-independent side: the sum lattice is that of the plain
-    constructed coproduct, whatever coproduct the context builds.  It is not
-    the closed side under the identity, which reads `ctx.coproduct`'s
-    lattice: the two differ on the crossed mutant."""
+    """Family-independent side, on `ctx.plain_sum_lattice`.  It is not the
+    closed side under the identity, which reads the lattice of the
+    context's own sum: the two differ on the crossed mutant."""
     n_adm = 0
     for x, y in _object_pairs(pool):
         rep = check_adjunction_admissible(
-            ctx.sub_lattice(x), ctx.sub_lattice(y),
-            ctx.sub_lattice(_plain_sum(ctx, x, y)))
+            ctx.sub_lattice(x), ctx.sub_lattice(y), ctx.plain_sum_lattice(x, y))
         n_adm += rep.checks[0].checked
         if not rep.passed:
             return False, rep.checks[0].witness, n_adm
     return True, None, n_adm
 
 
-def _closed_adjunction_outcomes(ctx: Context, pool, cls_of, admissible_ok: bool):
+def _closed_adjunction_outcomes(ctx: Context, pool, family: ClosureFamily,
+                                admissible_ok: bool):
     """Per pair, `adjunction_outcomes` on the closed masks of x, y and the
     context's x + y, under the sum's closure.  A pair reads exactly what
     the admissible side read when no mask is open, the sum's lattice is the
     plain sum's and the closure fixes every join; its triples then have the
     admissible side's outcomes, so when that side held they are one run."""
     for x, y in _object_pairs(pool):
-        fx, fy = cls_of(x), cls_of(y)
+        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
         cp = ctx.coproduct(x, y)
-        fsum = cls_of(cp.ob)
         nx = x.size
         lat_x, lat_y, lat_sum = (ctx.sub_lattice(ob) for ob in (x, y, cp.ob))
         closed_x = [u for u in lat_x if fx(u) == u]
@@ -861,7 +812,7 @@ def _closed_adjunction_outcomes(ctx: Context, pool, cls_of, admissible_ok: bool)
         if (admissible_ok and len(closed_x) == len(lat_x.masks)
                 and len(closed_y) == len(lat_y.masks)
                 and len(closed_sum) == len(lat_sum.masks)
-                and lat_sum.masks == ctx.sub_lattice(_plain_sum(ctx, x, y)).masks
+                and lat_sum.masks == ctx.plain_sum_lattice(x, y).masks
                 and all(fsum(u | v << nx) == u | v << nx
                         for u in closed_x for v in closed_y)):
             yield len(closed_x) * len(closed_y) * len(closed_sum)
@@ -883,7 +834,7 @@ def check_adjunctions(ctx: Context, family: ClosureFamily,
     admissible = _memoized(memo, ("adjunction_admissible", bound),
                            lambda: _admissible_adjunction_side(ctx, pool))
     closed = first_counterexample(_closed_adjunction_outcomes(
-        ctx, pool, cache(family.component), admissible[0]))
+        ctx, pool, family, admissible[0]))
     return _verdict("adjunctions", ctx, family, bound, (
         ("admissible_extension_adjunction", "admissible_triples", admissible),
         ("closed_extension_adjunction", "closed_triples", closed)))

@@ -41,12 +41,13 @@ SEMILATTICE = "src/extcheck/semilattice.py"
 G_H = "tests/test_theorems.py::test_g_h_side_fails_where_its_test_fails"
 PROPER = "tests/test_closure.py::test_proper_test_matches_label_level_pullbacks"
 C_ORACLE = "tests/test_theorems.py::test_checker_c_sum_side_matches_per_pair_oracle"
-BLOCK_SUM = "tests/test_contexts.py::test_index_certificate_decides_comparison_over_any_cospan"
 VALIDATE = "tests/test_factorization.py::test_validate_system_matches_label_level_oracle"
 PULLBACK_KEY = "tests/test_factorization.py::test_m_stability_decides_each_pullback_key_once"
 SWEEP = "tests/test_factorization.py::test_indexed_sweep_matches_literal_sweep"
 E_GROUPS = "tests/test_factorization.py::test_e_complete_groups_each_key_once"
 CROSSED = "tests/test_contexts.py::test_crossed_instances_on_tables_match_literal_instances"
+GOLDEN_B = tuple(f"tests/test_golden_reports.py::test_structured_report_matches_golden[{stem}]"
+                 for stem in ("finset-b2", "finpre-b1"))
 LEAKY_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_fails_where_a_sum_closure_leaks"
 SERVED_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_served_from_the_admissible_side"
 
@@ -96,6 +97,19 @@ MUTATIONS = (
              ("tests/test_closure.py::test_diagonal_is_the_kernel_pair_equalizer",
               "tests/test_closure.py::"
               "test_separated_test_is_the_proper_test_of_the_literal_diagonal[alexandrov]")),
+    # B/indiscrete reports all three conditions false in both goldens.
+    Mutation("B (a): sums of closed embeddings closed", THEOREMS,
+             "yield adm and closure == mask, x, y, a, b, adm, closure",
+             "yield True, x, y, a, b, adm, closure",
+             GOLDEN_B),
+    Mutation("B (b): sums admissible and injections closed embeddings", THEOREMS,
+             "yield None if adm and inj_ok else (x, y, a, b, adm, inj_ok)",
+             "yield None",
+             GOLDEN_B),
+    Mutation("B (c): dense sums split densely", THEOREMS,
+             "yield (None if fsum(s) != full_sum",
+             "yield (None if True or fsum(s) != full_sum",
+             GOLDEN_B),
     Mutation("C: sums of closed morphisms closed", THEOREMS,
              "yield None if ok >> j & 1 else _maps_witness(",
              "yield None if True else _maps_witness(",
@@ -110,10 +124,6 @@ MUTATIONS = (
              "yield (None if _closed_fast(inl_idx,",
              "yield (None if True or _closed_fast(inl_idx,",
              ("tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false",)),
-    Mutation("extensivity: the sum is a block sum", CONTEXTS,
-             "return (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))",
-             "return True or (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))",
-             (f"{BLOCK_SUM}[finset]", f"{BLOCK_SUM}[finpre]")),
     Mutation("extensivity: maps into a block sum counted by clopen splits", CONTEXTS,
              "return sum(map(mul, _split_counts(z.up_masks, x.up_masks),",
              "return 1 + sum(map(mul, _split_counts(z.up_masks, x.up_masks),",

@@ -16,7 +16,9 @@ of one subset's inclusion, built from scratch.  `factorization_of_sums` is
 checker E as it was written on `Morphism`, `FiniteObject` and `Subobject`
 values: every sum, image, restriction and composite is built as an object
 and compared by equality.  `pullback_stability` and `coproduct_disjoint`
-are the two extensivity laws as they were written on label-level pullbacks.
+are the two extensivity laws as they were written on label-level pullbacks,
+and `is_block_sum` the property of a sum that lets the validator count the
+maps into it instead of pulling each back.
 `closed_sum_of_closed_outcomes` is checker C's sum side decided per pair:
 the singleton closed-morphism equation of each f + g on its sum tables.
 `admissible_adjunction_outcomes` and `closed_adjunction_outcomes` are the
@@ -53,6 +55,7 @@ from extcheck.core import (
     coproduct,
     enumerate_morphisms,
     first_counterexample,
+    image_bits,
     inclusion,
     is_iso,
     monotone_bijections,
@@ -388,6 +391,17 @@ def pullback_stability_instance(ctx, cp, f):
     return (None if is_iso(comparison) and compose(f, comparison) == into_sum
             else {"f": serialize_morphism(f),
                   "comparison": serialize_morphism(comparison)})
+
+
+def is_block_sum(cp) -> bool:
+    """Whether the two legs of `cp` cover each point of the sum exactly once
+    and, ordered, the sum's up-mask at leg[b] is the image of the summand's
+    at b: the sum's order is the block sum of its summands' orders."""
+    up = up_masks_or_none(cp.ob)
+    return (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))
+            and (up is None or all(
+                up[t] == image_bits(leg.source.up_masks[b], leg.idx)
+                for leg in (cp.inl, cp.inr) for b, t in enumerate(leg.idx))))
 
 
 def pullback_stability_instances(ctx, bound: int):

@@ -329,10 +329,10 @@ def test_sum_admissibility_by_mask_matches_literal_definition(case):
     ctx = builtin(base) if variant is None else variant(builtin(base))
     sys = ctx.system
     pool = ctx.objects(2)
-    instances = theorems._closed_sum_outcomes(ctx, pool, IDENTITY.component)
+    instances = theorems._closed_sum_outcomes(ctx, pool, IDENTITY)
     seen = set()
     for x, y in itertools.product(pool, repeat=2):
-        sum_masks = theorems._sum_masks(ctx, x, y)
+        sum_masks = ctx.plain_sum_lattice(x, y)
         for a in ctx.sub_lattice(x):
             for b in ctx.sub_lattice(y):
                 sa, sb = subobject_from_mask(x, a), subobject_from_mask(y, b)

@@ -244,14 +244,66 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     ctx = builtin(base) if variant is None else variant(builtin(base))
     pool = ctx.objects(bound)
     for fam in ctx.families:
-        cls_of = cache(fam.component)
-        closed = theorems._continuous_morphisms(ctx, pool, cls_of)
+        closed = theorems._continuous_morphisms(ctx, pool, fam)
         blocked = _expanded(
-            theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
-        per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cls_of))
+            theorems._closed_sum_of_closed_outcomes(ctx, closed, fam))
+        per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cache(fam.component)))
         assert blocked == per_pair, fam.name
         assert len(blocked) == sum(len(block) for _, _, block in closed) ** 2
         assert sum(o is not None for o in blocked) == failing[fam.name]
+
+
+# case -> (base context, variant, bound)
+SPLIT_CASES = {
+    "finset-b3": ("finset", None, 3),
+    "finpre+closed-maps-b2": ("finpre", _with_bench_objects, 2),
+    **{f"finpre+closed-maps!{mutant.__name__.split('_')[0]}-b2": (
+        "finpre", lambda ctx, mutant=mutant: mutant(_with_bench_objects(ctx)), 2)
+       for mutant in (crossed_coproduct_context, split_mono_context,
+                      swapped_system_context)},
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_closure_split_is_componentwise_exactly_where_every_sum_closes_so(case):
+    """The context's `ClosureSplit` of x + y holds the family's closures of
+    x, y and the context's x + y, and says "block-diagonal, with halves
+    equal to x's and y's own singleton tables, c(empty) rows included"
+    exactly when the closure of a | b << |x| is fx(a) | fy(b) << |x| for
+    every pair of masks, under every registered family and `LEAKY`; both
+    answers occur.  `LEAKY`'s sums are all block-diagonal: what fails there
+    is the own-tables half.  Equal halves, and only those, share a number
+    in the context."""
+    from itertools import product
+
+    base, variant, bound = SPLIT_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(bound)
+
+    def table(fn, n):
+        return (*(fn(1 << i) for i in range(n)), fn(0))
+
+    answers, numbers = set(), {}
+    for fam in (*ctx.families, LEAKY):
+        for x, y in product(pool, repeat=2):
+            split = ctx.closure_split(x, y, fam)
+            nx, ny = x.size, y.size
+            fx, fy = fam.component(x), fam.component(y)
+            fsum = fam.component(ctx.coproduct(x, y).ob)
+            assert all(split.fsum(m) == fsum(m) for m in range(1 << nx + ny))
+            assert table(split.fx, nx) == table(fx, nx)
+            assert table(split.fy, ny) == table(fy, ny)
+            componentwise = (split.diagonal and split.lows == table(fx, nx)
+                             and split.highs == table(fy, ny))
+            literal = all(fsum(a | b << nx) == fx(a) | fy(b) << nx
+                          for a in range(1 << nx) for b in range(1 << ny))
+            assert componentwise == literal, (fam.name, x, y)
+            assert split.diagonal or fam is not LEAKY
+            answers.add(literal)
+            for number, half in ((split.low, split.lows), (split.high, split.highs)):
+                assert numbers.setdefault(number, half) == half
+    assert answers == {True, False}
+    assert len(set(numbers.values())) == len(numbers)
 
 
 def _no_two_point_e(base):
@@ -472,7 +524,7 @@ def test_adjunction_sides_match_per_triple_oracle(base, variant):
     ctx = builtin(base) if variant is None else variant(builtin(base))
     pool = ctx.objects(2)
     lattices = [(ctx.sub_lattice(x), ctx.sub_lattice(y),
-                 ctx.sub_lattice(theorems._plain_sum(ctx, x, y)))
+                 ctx.plain_sum_lattice(x, y))
                 for x, y in theorems._object_pairs(pool)]
     for lats in lattices:
         assert check_adjunction_admissible(*lats).checks == (CheckResult.of(
@@ -481,9 +533,8 @@ def test_adjunction_sides_match_per_triple_oracle(base, variant):
         chain.from_iterable(admissible_adjunction_outcomes(*lats) for lats in lattices))
     failing = 0
     for fam in (*ctx.families, LEAKY):
-        cls_of = cache(fam.component)
-        rows = list(theorems._closed_adjunction_outcomes(ctx, pool, cls_of, False))
-        triples = list(closed_adjunction_outcomes(ctx, pool, cls_of))
+        rows = list(theorems._closed_adjunction_outcomes(ctx, pool, fam, False))
+        triples = list(closed_adjunction_outcomes(ctx, pool, cache(fam.component)))
         assert _expanded(rows) == triples, fam.name
         assert first_counterexample(rows) == first_counterexample(triples)
         failing += any(triples)
@@ -528,8 +579,6 @@ def test_closed_adjunction_side_served_from_the_admissible_side(base, mutant, bo
     count) is the same with that serving and with every pair decided on its
     rows, under every registered family and `LEAKY`.  The serving happens:
     under the identity closure it calls the row kernel for fewer pairs."""
-    from functools import cache
-
     from extcheck import theorems
 
     ctx = builtin(base) if mutant is None else mutant(builtin(base))
@@ -549,7 +598,7 @@ def test_closed_adjunction_side_served_from_the_admissible_side(base, mutant, bo
         for ok in (True, False):
             calls.clear()
             sides.append(first_counterexample(theorems._closed_adjunction_outcomes(
-                ctx, pool, cache(fam.component), ok)))
+                ctx, pool, fam, ok)))
             rows.append(len(calls))
         assert sides[0] == sides[1], fam.name
         if fam.name == "identity":
@@ -612,75 +661,56 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
 
 
-def test_c_sum_side_builds_each_sum_table_once(monkeypatch):
-    """On finpre at bound 2, C's sum side calls `_sum_halves` once per
-    distinct (i, j) end pair it reads: the sources of every two blocks of
-    closed maps, and their targets."""
-    from functools import cache
-
-    from extcheck import theorems
-
-    ctx = builtin("finpre")
-    pool = ctx.objects(2)
-    halves = []
-    real = theorems._sum_halves
-
-    def counted(fn, n_left, n):
-        halves.append((n_left, n))
-        return real(fn, n_left, n)
-
-    monkeypatch.setattr(theorems, "_sum_halves", counted)
-    for fam in ctx.families:
-        halves.clear()
-        cls_of = cache(fam.component)
-        closed = theorems._continuous_morphisms(ctx, pool, cls_of)
-        outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, cls_of))
-        sources = {x for x, _, _ in closed}
-        targets = {y for _, y, _ in closed}
-        read = {(a, c) for a in sources for c in sources} | {
-            (b, d) for b in targets for d in targets}
-        assert len(halves) == len(read), fam.name
-        assert len(halves) < 2 * len(closed) ** 2
-        assert sorted(halves) == sorted((x.size, x.size + y.size) for x, y in read)
-        n_maps = sum(len(block) for _, _, block in closed)
-        assert sum(o if o.__class__ is int else 1 for o in outcomes) == n_maps ** 2
-
-
 @pytest.mark.parametrize("name", ["finset", "finpre"])
-def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
-    """A `cli.run` of adjunctions, A, B and C at bound 2 builds
-    `core.coproduct` once per (x, y), though the plain sums' lattices
-    (`_sum_masks`) are read more often than that.  A witness's label-level
-    sum (`subobjects.sum_subobjects`, named after its lattices' ambients)
-    is built apart and not counted."""
+def test_run_builds_each_sum_record_once_per_context(monkeypatch, name):
+    """A `cli.run` of adjunctions, A, B, C and D at bound 2 builds one
+    `ClosureSplit` per (x, y, family) that it reads, and `core.coproduct`
+    once per (x, y), though the splits and the plain sums' lattices are
+    read more often than that.  A witness's label-level sum
+    (`subobjects.sum_subobjects`, named after its lattices' ambients) is
+    built apart and not counted."""
     import dataclasses
     from collections import Counter
 
-    from extcheck import cli, core, theorems
+    from extcheck import cli, contexts, core
+    from extcheck.contexts import ClosureSplit, Context
     from extcheck.core import coproduct
 
-    built, reads = Counter(), []
+    built, reads, split_keys = Counter(), Counter(), set()
 
     def counted(x, y):
         built[x, y] += 1
         return coproduct(x, y)
 
-    real_sum_masks = theorems._sum_masks
+    def split(*fields):
+        built["split"] += 1
+        return ClosureSplit(*fields)
 
-    def sum_masks(ctx, x, y):
-        reads.append((x, y))
-        return real_sum_masks(ctx, x, y)
+    def reading(method):
+        real = getattr(Context, method)
 
-    for module in (core, theorems):
+        def read(ctx, x, y, *family):
+            reads[method] += 1
+            if family:
+                split_keys.add((id(ctx), x, y, family[0].name))
+            return real(ctx, x, y, *family)
+        return read
+
+    for module in (core, contexts):
         monkeypatch.setattr(module, "coproduct", counted)
-    monkeypatch.setattr(theorems, "_sum_masks", sum_masks)
+    monkeypatch.setattr(contexts, "ClosureSplit", split)
+    for method in ("closure_split", "plain_sum_lattice"):
+        monkeypatch.setattr(Context, method, reading(method))
     monkeypatch.setattr(cli, "builtin", lambda context: dataclasses.replace(
         builtin(context), coproduct_fn=counted))
     result = cli.run(cli.RunConfig(context=name, bound=2,
-                                   theorems=("adjunctions", "A", "B", "C")))
+                                   theorems=("adjunctions", "A", "B", "C", "D")))
     assert all(v.passed for v in result.verdicts)
+    n_splits = built.pop("split")
     assert built and set(built.values()) == {1}
-    assert len(reads) > len(set(reads))
+    assert n_splits == len(split_keys) < reads["closure_split"]
+    assert {key[3] for key in split_keys} == {f.name for f in builtin(name).families}
+    assert reads["plain_sum_lattice"] > len(built)
 
 
 def test_first_counterexample_counts_through_the_first_failure():
