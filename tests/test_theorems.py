@@ -661,8 +661,45 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
 
 
+def test_c_sum_side_builds_each_sum_table_once(monkeypatch):
+    """On finpre at bound 2, C's sum side builds one `ClosureSplit` per
+    distinct (x, z) end pair it reads: the sources of every two blocks of
+    closed maps, and their targets."""
+    from extcheck import contexts, theorems
+    from extcheck.contexts import ClosureSplit, Context
+
+    ctx = builtin("finpre")
+    pool = ctx.objects(2)
+    built, keys = [], []
+    real = Context.closure_split
+
+    def split(*fields):
+        built.append(fields)
+        return ClosureSplit(*fields)
+
+    def read(self, x, y, family):
+        keys.append((x, y))
+        return real(self, x, y, family)
+
+    monkeypatch.setattr(contexts, "ClosureSplit", split)
+    monkeypatch.setattr(Context, "closure_split", read)
+    for fam in ctx.families:
+        closed = theorems._continuous_morphisms(ctx, pool, fam)
+        built.clear(), keys.clear()
+        outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, fam))
+        sources = {x for x, _, _ in closed}
+        targets = {y for _, y, _ in closed}
+        read_pairs = {(a, c) for a in sources for c in sources} | {
+            (b, d) for b in targets for d in targets}
+        assert len(built) == len(read_pairs), fam.name
+        assert len(built) < 2 * len(closed) ** 2
+        assert set(keys) == read_pairs
+        n_maps = sum(len(block) for _, _, block in closed)
+        assert sum(o if o.__class__ is int else 1 for o in outcomes) == n_maps ** 2
+
+
 @pytest.mark.parametrize("name", ["finset", "finpre"])
-def test_run_builds_each_sum_record_once_per_context(monkeypatch, name):
+def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
     """A `cli.run` of adjunctions, A, B, C and D at bound 2 builds one
     `ClosureSplit` per (x, y, family) that it reads, and `core.coproduct`
     once per (x, y), though the splits and the plain sums' lattices are
