@@ -183,11 +183,18 @@ def _proper_on_tables(f_idx, src_fn: MaskFn, tgt_fn: MaskFn, n_src: int):
     return True, None
 
 
-def proper_witness(family: ClosureFamily, idx, src: FiniteObject, tgt):
+# A family's closure of an object: a context's cached `closure`, or
+# `ClosureFamily.component`.
+ClosureOf = Callable[[ClosureFamily, FiniteObject], MaskFn]
+
+
+def proper_witness(closure: ClosureOf, family: ClosureFamily, idx,
+                   src: FiniteObject, tgt: FiniteObject):
     """(ok, witness) of the map src -> tgt with index table `idx` being
     continuous and stably closed: under every registered family,
-    continuous and closed (see `ClosureFamily`)."""
-    return _proper_on_tables(idx, family.component(src), family.component(tgt),
+    continuous and closed (see `ClosureFamily`).  The spaces' closures are
+    `closure(family, src)` and `closure(family, tgt)`."""
+    return _proper_on_tables(idx, closure(family, src), closure(family, tgt),
                              src.size)
 
 
@@ -202,13 +209,15 @@ def _kernel_diagonal(idx, src: FiniteObject):
     return pairs, down, tuple(at[a, a] for a in range(src.size))
 
 
-def separated_witness(family: ClosureFamily, idx, src: FiniteObject, tgt):
+def separated_witness(closure: ClosureOf, family: ClosureFamily, idx,
+                      src: FiniteObject, tgt: FiniteObject):
     """(ok, witness) of the map src -> tgt with index table `idx` being
     continuous, with a proper diagonal into the kernel pair.  Continuity
     is decided on the map itself: the diagonal of a map that is not
-    continuous can be."""
-    src_fn = family.component(src)
-    if not _continuous_fast(idx, src_fn, family.component(tgt), src.size):
+    continuous can be.  The spaces' closures are read as in
+    `proper_witness`; the kernel pair's is the family's formula."""
+    src_fn = closure(family, src)
+    if not _continuous_fast(idx, src_fn, closure(family, tgt), src.size):
         return False, {"continuous": False}
     pairs, down, diagonal = _kernel_diagonal(idx, src)
     return _proper_on_tables(diagonal, src_fn, family.fn_for(len(pairs), down),

@@ -3,35 +3,35 @@
 Subobject lattices and closed-subobject lattices of a binary sum split as a
 biproduct in the category of join-semilattices: injections given by closure
 of the tagged embedding, projections by component restriction.  This module
-materializes those lattices over bitmasks, each read off a closure function
-on masks (`family.component`), verifies the biproduct equations, and
-provides the 2x2 matrix calculus for homs between binary sums.
+materializes those lattices over bitmasks, each read off a context's cached
+closure function on masks (`Context.closure`), verifies the biproduct
+equations, and provides the 2x2 matrix calculus for homs between binary
+sums.  The biproduct checker builds them literally only for a sum that its
+product certificate does not settle (`theorems._product_certified`).
 
 A hom is a plain index table (`Table`) between two lattices the caller
 holds, the biproduct structure maps included.  `enumerate_homs` assigns the
 join-irreducibles depth-first and checks join-preservation on generator
-equations only; `matrix_roundtrip` returns the positions of the tables t
-for which `matrix_to_hom(hom_matrix(t)) != t`, through the round trip
-precomposed once per biproduct.  It decides a whole (source, target) pair
-at once when two guards hold: each source point k is the join of its pair
-(l, r), and the target's precomposed round trip is its join table.  Then
-t[k] = t[l] v t[r] for a hom t, which is the round trip's entry k, so every
-hom round-trips; only when a guard fails are the tables compared one by one.
+equations only; `count_homs` runs the same search and counts the tables
+without building them.  `matrix_roundtrip` returns the positions of the
+tables t for which `matrix_to_hom(hom_matrix(t)) != t`, through the round
+trip precomposed once per biproduct.  It decides a whole (source, target)
+pair at once when two guards hold (`every_hom_roundtrips`): each source
+point k is the join of its pair (l, r), and the target's precomposed round
+trip is its join table.  Then t[k] = t[l] v t[r] for a hom t, which is the
+round trip's entry k, so every hom round-trips, and the checker needs only
+their number; only when a guard fails are the tables enumerated and
+compared one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import CheckResult, Coproduct, FiniteObject, Report
+from .core import CheckResult, FiniteObject, Report
 from .closure import ClosureFamily, MaskFn
-
-# The admissible masks of an object, in lattice order (a context's
-# `sub_lattice`).
-LatticeOf = Callable[[FiniteObject], Iterable[int]]
-
 
 @dataclass(eq=False)
 class JoinSemilattice:
@@ -156,6 +156,26 @@ def enumerate_homs(src: JoinSemilattice,
     joins associative, so a non-associative table is refused; t[zero] is
     zero by construction.
     """
+    out: list[Table] = []
+    _search(src, tgt, out)
+    return tuple(out)
+
+
+def count_homs(src: JoinSemilattice, tgt: JoinSemilattice) -> int:
+    """len(enumerate_homs(src, tgt)), by the same search, building no table.
+
+    The search reaches one complete table per assignment that passes.
+    Once no irreducible left has an order constraint (one between two
+    irreducibles is tested when the later is assigned) or an equation,
+    every value passes at every depth left, so the k left are counted as
+    tgt.n ** k.  In a Boolean lattice, such as every lattice of all
+    subsets, that holds from the first irreducible on."""
+    return _search(src, tgt, None)
+
+
+def _search(src: JoinSemilattice, tgt: JoinSemilattice, out) -> int:
+    """The depth-first search of `enumerate_homs`: the number of homs, each
+    table appended to `out` unless it is None."""
     if not (src.associative and tgt.associative):
         raise ValueError("join not associative")
     irr, sj, n = src.irreducibles, src.join, src.n
@@ -173,19 +193,30 @@ def enumerate_homs(src: JoinSemilattice,
             and below[sj[x][p]] != below[x] | below[p])
         steps.append((above, lower, upper, equations))
     if not steps:
-        return ((tgt.zero,) * n,)
-    out: list[Table] = []
-    _assign(0, [tgt.zero] * n, [0] * len(irr), steps, tgt.join, out)
-    return tuple(out)
+        if out is not None:
+            out.append((tgt.zero,) * n)
+        return 1
+    # When counting, the tables from depth `free` on are counted as a power:
+    # no irreducible there has an order constraint or an equation.
+    free = len(steps)
+    while out is None and free and not any(steps[free - 1][1:]):
+        free -= 1
+    return _assign(0, [tgt.zero] * n, [0] * len(irr), steps, tgt.join, out, free)
 
 
-def _assign(d: int, t: list[int], values: list[int], steps, tj, out) -> None:
+def _assign(d: int, t: list[int], values: list[int], steps, tj, out,
+            free: int) -> int:
     """Give irreducible d each target value in turn, extend the running
-    table `t` and recurse; complete tables go to `out`.  A module-level
-    function, not a closure that calls itself, so no reference cycle keeps
-    a finished enumeration alive."""
+    table `t` and recurse; the number of complete tables, each appended to
+    `out` unless it is None.  From depth `free` on every value passes, so
+    the tables are counted as a power.  A module-level function, not a
+    closure that calls itself, so no reference cycle keeps a finished
+    enumeration alive."""
+    if d == free:
+        return len(tj) ** (len(steps) - d)
     above, lower, upper, equations = steps[d]
     last = d + 1 == len(steps)
+    found = 0
     for v in range(len(tj)):
         if (lower or upper) and (
                 any(tj[values[p]][v] != v for p in lower)
@@ -197,10 +228,13 @@ def _assign(d: int, t: list[int], values: list[int], steps, tj, out) -> None:
         if equations and any(u[y] != tj[u[x]][u[p]] for y, x, p in equations):
             continue
         if last:
-            out.append(tuple(u))
+            found += 1
+            if out is not None:
+                out.append(tuple(u))
         else:
             values[d] = v
-            _assign(d + 1, u, values, steps, tj, out)
+            found += _assign(d + 1, u, values, steps, tj, out, free)
+    return found
 
 
 @dataclass(eq=False)
@@ -270,16 +304,20 @@ def verify_biproduct(left: JoinSemilattice, right: JoinSemilattice,
     return Report("biproduct", tuple(checks))
 
 
-def closed_biproduct(lattice_of: LatticeOf, family: ClosureFamily,
-                     x: FiniteObject, y: FiniteObject, cp: Coproduct) -> Biproduct:
-    """Closed lattices of a sum: inject by closing the placed mask, project
-    by splitting; zero is the closure of empty.  Under `IDENTITY` every
-    admissible subobject is closed, so that entry is Sub(X+Y) as the
-    biproduct of Sub(X) and Sub(Y)."""
-    fx, fy, fxy = family.component(x), family.component(y), family.component(cp.ob)
-    kx, masks_x = closed_semilattice(fx, lattice_of(x))
-    ky, masks_y = closed_semilattice(fy, lattice_of(y))
-    kxy, masks_xy = closed_semilattice(fxy, lattice_of(cp.ob))
+def closed_biproduct(ctx, family: ClosureFamily, x: FiniteObject,
+                     y: FiniteObject) -> Biproduct:
+    """Closed lattices of the sum x + y of the context `ctx` under `family`:
+    inject by closing the placed mask, project by splitting; zero is the
+    closure of empty.  The admissible masks are `ctx.sub_lattice`'s, read
+    for x, then y, then the sum, and the closures `ctx.closure`'s.  Under
+    `IDENTITY` every admissible subobject is closed, so that entry is
+    Sub(X+Y) as the biproduct of Sub(X) and Sub(Y)."""
+    sum_ob = ctx.coproduct(x, y).ob
+    lat_x, lat_y, lat_xy = (ctx.sub_lattice(ob) for ob in (x, y, sum_ob))
+    fx, fy, fxy = (ctx.closure(family, ob) for ob in (x, y, sum_ob))
+    kx, masks_x = closed_semilattice(fx, lat_x)
+    ky, masks_y = closed_semilattice(fy, lat_y)
+    kxy, masks_xy = closed_semilattice(fxy, lat_xy)
     nx = x.size
     low = (1 << nx) - 1
     idx_xy = {m: i for i, m in enumerate(masks_xy)}
@@ -320,6 +358,14 @@ def matrix_to_hom(bp_src: Biproduct, bp_tgt: Biproduct, matrix: Matrix) -> Table
         for a, b in zip(bp_src.proj_l, bp_src.proj_r))
 
 
+def every_hom_roundtrips(bp_src: Biproduct, bp_tgt: Biproduct) -> bool:
+    """Both guards of `matrix_roundtrip`: each source point k is the join
+    of its pair (l, r), and the target's `joint` is its join table.  Then
+    every hom t between the two totals round-trips, as t[k] is
+    T.join[t[l]][t[r]], which is the round trip's entry k."""
+    return bp_src.pairs_rejoin and bp_tgt.joint == bp_tgt.total.join
+
+
 def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
                      homs: Sequence[Table]) -> list[int]:
     """The ascending positions of the tables t in `homs` for which
@@ -335,12 +381,12 @@ def matrix_roundtrip(bp_src: Biproduct, bp_tgt: Biproduct,
     point k joins back to k (`bp_src.pairs_rejoin`), t[k] is
     T.join[t[l]][t[r]], as t preserves binary joins; when the target's
     `joint` is its total's join table as well, that is the round trip's
-    entry, so every t round-trips and the answer is [].  The argument needs
-    each table in `homs` to be a hom: `enumerate_homs` yields only homs, and
-    so do identity and zero tables.  When a guard fails, each table is
-    compared point by point."""
-    joint, pairs = bp_tgt.joint, bp_src.pairs
-    if bp_src.pairs_rejoin and joint == bp_tgt.total.join:
+    entry, so every t round-trips and the answer is [] (`every_hom_roundtrips`).
+    The argument needs each table in `homs` to be a hom: `enumerate_homs`
+    yields only homs, and so do identity and zero tables.  When a guard
+    fails, each table is compared point by point."""
+    if every_hom_roundtrips(bp_src, bp_tgt):
         return []
+    joint, pairs = bp_tgt.joint, bp_src.pairs
     return [k for k, t in enumerate(homs)
             if [joint[t[a]][t[b]] for a, b in pairs] != list(t)]

@@ -22,9 +22,8 @@ Subobjects are masks and maps are index tables of the context's hom store
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import chain, product
 from operator import or_
 from typing import Sequence
@@ -59,7 +58,10 @@ from .core import (
 from .contexts import Context, injections_in_m
 from .semilattice import (
     closed_biproduct,
+    closed_semilattice,
+    count_homs,
     enumerate_homs,
+    every_hom_roundtrips,
     hom_matrix,
     identity_hom,
     matrix_roundtrip,
@@ -712,15 +714,17 @@ def _two_point_sum(ctx, pool, family, test, hausdorff):
 
 def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
                    bound: int, test, names, criterion) -> Verdict:
-    """A class of morphisms, decided on index tables by `test` (family,
-    table, source, target -> ok, failure), is closed under binary sums, and
-    its spaces (those whose map to the point is in the class) are closed
-    under binary sums iff `criterion` holds.  `names` are the three (side
-    name, count name) pairs.  `test` decides each map's continuity itself,
-    so every map is handed to it as is; the bound only sizes the pool.  A
-    sum f + g not monotone between the context's sums (the crossed
-    mutant's) fails with {"monotone": false}."""
+    """A class of morphisms, decided on index tables by `test` (closure,
+    family, table, source, target -> ok, failure), is closed under binary
+    sums, and its spaces (those whose map to the point is in the class) are
+    closed under binary sums iff `criterion` holds.  `names` are the three
+    (side name, count name) pairs.  `test` reads the spaces' closures from
+    the context's cache (`Context.closure`), and decides each map's
+    continuity itself, so every map is handed to it as is; the bound only
+    sizes the pool.  A sum f + g not monotone between the context's sums
+    (the crossed mutant's) fails with {"monotone": false}."""
     pool = ctx.objects(bound)
+    test = partial(test, ctx.closure)
 
     def morphism_sums():
         for x, y, f in members:
@@ -869,11 +873,69 @@ def _union_closed(masks, n: int) -> bool:
     return True
 
 
+def _product_certified(ctx: Context, family: ClosureFamily,
+                       x: FiniteObject, y: FiniteObject) -> bool:
+    """The product certificate of the closed lattices of x + y under
+    `family`: (1) the admissible masks of the context's sum are exactly the
+    a | b << |x| for a admissible in x and b in y, and (2) the sum's
+    closure of each is fx(a) | fy(b) << |x|.  The lattices are read for x,
+    then y, then the sum, as `closed_biproduct` reads them; the closures
+    are `ctx.closure`'s."""
+    lat_x, lat_y = ctx.sub_lattice(x), ctx.sub_lattice(y)
+    sum_ob = ctx.coproduct(x, y).ob
+    members = ctx.sub_lattice(sum_ob).members
+    fx, fy, fsum = (ctx.closure(family, ob) for ob in (x, y, sum_ob))
+    left = [(a, fx(a)) for a in lat_x]
+    right = [(b << x.size, fy(b) << x.size) for b in lat_y]
+    pairs = [(a | b, ca | cb) for a, ca in left for b, cb in right]
+    return (members == {m for m, _ in pairs}
+            and all(fsum(m) == closed for m, closed in pairs))
+
+
 def _lattice_biproduct_outcomes(ctx: Context, pool, family: ClosureFamily):
-    """Per object pair: None when the closed lattices of x, y and x + y under
-    `family` split as a biproduct, else the pair with the failed equations."""
+    """Per object pair: None when the closed lattices of x, y and x + y
+    under `family` split as a biproduct, else the pair with the failed
+    equations.
+
+    A pair whose product certificate holds (`_product_certified`) is
+    decided without building the sum's closed lattice.  The closed
+    lattices of x and y are still built, once per object in a sweep, which
+    validates them as semilattices and raises where building them raises;
+    every other pair is built literally (`closed_biproduct`).  Either way a
+    pair counts one.
+
+    The certificate implies that the literal build passes all five
+    equations.  Write n = |x|, Cl for closed admissible masks and zx, zy
+    for the zeros fx(0), fy(0).  The biproduct checker's hypothesis, which
+    `run_checker` decides before this side runs, gives that each object's
+    and each sum's admissible masks contain 0 and are closed under unions;
+    a closure of an object returns masks of that object.
+    - Each admissible mask of the sum is a | b << n for one admissible
+      pair (a, b) (condition 1), and is closed exactly when
+      fx(a) | fy(b) << n is itself (condition 2), that is when a is in
+      Cl x and b in Cl y.  So Cl(x + y) is Cl x times Cl y as a set.
+    - Its join is the pair of joins: a | a' and b | b' are admissible, so
+      fsum((a | a') | (b | b') << n) is fx(a | a') | fy(b | b') << n by
+      condition 2; its zero fsum(0) is zx | zy << n likewise.
+    - So inj_l(a) = fsum(a) = (a, zy), inj_r(b) = (zx, b), and the
+      projections split a mask into its halves: proj_l(a, b) = a,
+      proj_r(a, b) = b.  Endpoints agree by construction.  All four maps
+      preserve zero and joins.  proj_l inj_l and proj_r inj_r are
+      identities, proj_l inj_r and proj_r inj_l send everything to zx and
+      zy, and inj_l proj_l v inj_r proj_r sends (a, b) to
+      (a v zx, zy v b) = (a, b), as zx and zy are neutral in x's and y's
+      closed lattices, which their literal builds check.
+    """
+    validated = set()
     for x, y in _object_pairs(pool):
-        bp = closed_biproduct(ctx.sub_lattice, family, x, y, ctx.coproduct(x, y))
+        if _product_certified(ctx, family, x, y):
+            for ob in (x, y):
+                if ob not in validated:
+                    closed_semilattice(ctx.closure(family, ob), ctx.sub_lattice(ob))
+                    validated.add(ob)
+            yield None
+            continue
+        bp = closed_biproduct(ctx, family, x, y)
         yield None if bp.passed else _witness(
             x, y, failed=[c.id for c in bp.report.failed()])
 
@@ -890,50 +952,51 @@ def _roundtrip_outcomes(ctx: Context, pool):
     """Per hom between sum lattices of objects of size at most 2: None when
     its 2x2 matrix joins back to the same table.
 
-    A block's homs depend only on the two total lattices, and which of
-    them fail the round trip only on those, the source's `pairs` and the
-    target's `joint`, so each is decided once per key in one run (capped
+    A block whose guards hold (`every_hom_roundtrips`) round-trips every
+    hom, so it is one run of `count_homs`, counted once per pair of total
+    lattices.  Elsewhere a block's homs depend only on the two total
+    lattices, and which of them fail the round trip only on those, the
+    source's `pairs` and the target's `joint`, so they are enumerated once
+    per pair of lattices and decided once per key in one run (capped
     blocks are not memoized).  The homs that hold are yielded as runs; a
     hom that fails is confirmed on the literal matrix calculus, with its
     block's own structure maps."""
     small = [x for x in pool if x.size <= 2]
-    bps = {(x, y): closed_biproduct(ctx.sub_lattice, IDENTITY, x, y,
-                                    ctx.coproduct(x, y))
+    bps = {(x, y): closed_biproduct(ctx, IDENTITY, x, y)
            for x, y in _object_pairs(small)}
-    # A key's homs are held from its first block to its last, no longer.
     tables = {bp: (bp.total.join, bp.total.zero) for bp in bps.values()}
-    uses = Counter(tables[s] + tables[t] for s, t in product(bps.values(), repeat=2))
-    homs_of, failed_of = {}, {}
-    for src_key, bp_s in bps.items():
-        src = bp_s.total
-        irr = len(src.irreducibles)
-        for tgt_key, bp_t in bps.items():
-            tgt = bp_t.total
-            if tgt.n ** irr <= HOM_ENUMERATION_CAP:
-                lattices = tables[bp_s] + tables[bp_t]
-                if lattices not in homs_of:
-                    homs_of[lattices] = enumerate_homs(src, tgt)
-                uses[lattices] -= 1
-                homs = homs_of[lattices] if uses[lattices] else homs_of.pop(lattices)
-                key = lattices, bp_s.pairs, bp_t.joint
-                if key not in failed_of:
-                    failed_of[key] = matrix_roundtrip(bp_s, bp_t, homs)
-                failed = failed_of[key]
-            else:
-                homs = [identity_hom(src)] if src is tgt else []
-                homs.append(zero_hom(src, tgt))
-                failed = matrix_roundtrip(bp_s, bp_t, homs)
-            start = 0
-            for k in failed:
-                if k > start:
-                    yield k - start
-                h, start = homs[k], k + 1
-                yield (None if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h
-                       else {"source_pair": [o.label for o in src_key],
-                             "target_pair": [o.label for o in tgt_key],
-                             "hom_table": list(h)})
-            if len(homs) > start:
-                yield len(homs) - start
+    counts, homs_of, failed_of = {}, {}, {}
+    for (src_key, bp_s), (tgt_key, bp_t) in product(bps.items(), repeat=2):
+        src, tgt = bp_s.total, bp_t.total
+        if tgt.n ** len(src.irreducibles) <= HOM_ENUMERATION_CAP:
+            lattices = tables[bp_s] + tables[bp_t]
+            if every_hom_roundtrips(bp_s, bp_t):
+                if lattices not in counts:
+                    counts[lattices] = count_homs(src, tgt)
+                yield counts[lattices]
+                continue
+            if lattices not in homs_of:
+                homs_of[lattices] = enumerate_homs(src, tgt)
+            homs = homs_of[lattices]
+            key = lattices, bp_s.pairs, bp_t.joint
+            if key not in failed_of:
+                failed_of[key] = matrix_roundtrip(bp_s, bp_t, homs)
+            failed = failed_of[key]
+        else:
+            homs = [identity_hom(src)] if src is tgt else []
+            homs.append(zero_hom(src, tgt))
+            failed = matrix_roundtrip(bp_s, bp_t, homs)
+        start = 0
+        for k in failed:
+            if k > start:
+                yield k - start
+            h, start = homs[k], k + 1
+            yield (None if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h
+                   else {"source_pair": [o.label for o in src_key],
+                         "target_pair": [o.label for o in tgt_key],
+                         "hom_table": list(h)})
+        if len(homs) > start:
+            yield len(homs) - start
 
 
 def check_biproduct(ctx: Context, family: ClosureFamily,

@@ -50,6 +50,7 @@ GOLDEN_B = tuple(f"tests/test_golden_reports.py::test_structured_report_matches_
                  for stem in ("finset-b2", "finpre-b1"))
 LEAKY_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_fails_where_a_sum_closure_leaks"
 SERVED_ADJ = "tests/test_theorems.py::test_closed_adjunction_side_served_from_the_admissible_side"
+CERTIFICATE = "tests/test_theorems.py::test_product_certificate_implies_the_literal_biproduct"
 
 
 class Mutation(NamedTuple):
@@ -82,7 +83,7 @@ MUTATIONS = (
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
     Mutation("separated: the map is continuous", CLOSURE,
-             "if not _continuous_fast(idx, src_fn, family.component(tgt), src.size):",
+             "if not _continuous_fast(idx, src_fn, closure(family, tgt), src.size):",
              "if False:",
              ("tests/test_closure.py::test_map_that_is_not_continuous_is_reported",)),
     Mutation("proper: the map is closed", CLOSURE,
@@ -196,14 +197,25 @@ MUTATIONS = (
              "key = lattices, bp_s.pairs, bp_t.joint",
              "key = lattices",
              ("tests/test_theorems.py::"
-              "test_roundtrip_side_keys_round_trips_on_structure_maps",)),
+              "test_roundtrip_side_keys_round_trips_on_structure_maps",
+              "tests/test_theorems.py::"
+              "test_roundtrip_side_decides_each_key_once")),
     Mutation("biproduct: a block's homs all round-trip when both guards hold",
              SEMILATTICE,
-             "if bp_src.pairs_rejoin and joint == bp_tgt.total.join:",
-             "if True:",
+             "return bp_src.pairs_rejoin and bp_tgt.joint == bp_tgt.total.join",
+             "return True",
              ("tests/test_semilattice.py::test_matrix_roundtrip_with_broken_projection",
               "tests/test_theorems.py::"
               "test_roundtrip_side_names_the_first_hom_that_fails")),
+    Mutation("biproduct: a certified sum's admissible masks are the sums of its "
+             "summands'", THEOREMS,
+             "members == {m for m, _ in pairs}",
+             "True",
+             (f"{CERTIFICATE}[finpre!no-1-b2]",)),
+    Mutation("biproduct: a certified sum closes componentwise", THEOREMS,
+             "all(fsum(m) == closed for m, closed in pairs)",
+             "True",
+             (f"{CERTIFICATE}[finpre!crossed-b2]", f"{CERTIFICATE}[finpre-b3]")),
     Mutation("lattices: a lattice takes every subset under any system", SUBOBJECTS,
              "if sys.m_table is injective_table or sys.m_table is embedding_table:",
              "if True:",

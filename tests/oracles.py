@@ -72,6 +72,7 @@ from extcheck.core import (
     RIGHT_TAG,
 )
 from extcheck.closure import (
+    ClosureFamily,
     _closed_fast,
     _continuous_fast,
     proper_witness,
@@ -147,12 +148,13 @@ def to_point(ob) -> Morphism:
 
 def is_proper_witness(family, f: Morphism):
     """`closure.proper_witness` of a label-level map."""
-    return proper_witness(family, f.idx, f.source, f.target)
+    return proper_witness(ClosureFamily.component, family, f.idx, f.source, f.target)
 
 
 def is_separated_witness(family, f: Morphism):
     """`closure.separated_witness` of a label-level map."""
-    return separated_witness(family, f.idx, f.source, f.target)
+    return separated_witness(ClosureFamily.component, family, f.idx, f.source,
+                             f.target)
 
 
 def make_preorder(elements, pairs=()) -> frozenset[tuple[str, str]]:

@@ -132,8 +132,7 @@ def test_07_biproducts_at_depth_3_and_matrix_round_trips():
     # between the 16-element sum lattices
     ctx = builtin("finset")
     two = ctx.objects(2)[2]
-    bp = closed_biproduct(ctx.sub_lattice, IDENTITY, two, two,
-                          ctx.coproduct(two, two))
+    bp = closed_biproduct(ctx, IDENTITY, two, two)
     homs = enumerate_homs(bp.total, bp.total)
     assert len(homs) == len(set(homs)) == 65536
     for h in homs:

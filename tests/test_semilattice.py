@@ -13,6 +13,7 @@ from extcheck.semilattice import (
     closed_biproduct,
     closed_semilattice,
     compose_homs,
+    count_homs,
     enumerate_homs,
     hom_matrix,
     identity_hom,
@@ -30,7 +31,7 @@ from oracles import SemilatticeHom, join_of
 def subobject_biproduct(ctx, x, y):
     """Sub(x + y) as the biproduct of Sub(x) and Sub(y): the identity
     closure's closed lattices."""
-    return closed_biproduct(ctx.sub_lattice, IDENTITY, x, y, ctx.coproduct(x, y))
+    return closed_biproduct(ctx, IDENTITY, x, y)
 
 
 def powerset_lattice(n: int) -> JoinSemilattice:
@@ -116,6 +117,40 @@ def test_hom_enumeration_on_non_distributive_lattices():
             if SemilatticeHom(src, tgt, table).is_valid())
         counts.append(len(homs))
     assert counts == [50, 41, 25, 41, 43, 25, 25, 25, 16]
+
+
+def test_count_homs_matches_enumeration():
+    """`count_homs` is `len(enumerate_homs)` on every uncapped pair of the
+    total lattices that the round-trip side reads on finset at bound 3 and
+    finpre at bounds 2 and 3 (the sums of the identity's closed lattices
+    of objects of at most 2 points), and on every uncapped pair drawn from
+    those, the alexandrov closed lattices of the same sums, M3 and N5.
+    Powersets are counted as tgt.n ** k outright; the down-set lattices
+    have comparable irreducibles and M3 and N5 equations, so there the
+    count runs the search, and is below that power."""
+    from extcheck.closure import ALEXANDROV
+    from extcheck.theorems import HOM_ENUMERATION_CAP
+
+    def sums(name, bound, family):
+        ctx = builtin(name)
+        small = [x for x in ctx.objects(bound) if x.size <= 2]
+        return [closed_biproduct(ctx, family, x, y).total
+                for x, y in itertools.product(small, repeat=2)]
+
+    read = [*sums("finset", 3, IDENTITY), *sums("finpre", 2, IDENTITY),
+            *sums("finpre", 3, IDENTITY)]
+    lats = {(lat.join, lat.zero): lat for lat in (
+        *read, *sums("finpre", 2, ALEXANDROV), lattice_of_masks(M3),
+        lattice_of_masks(N5))}
+    checked = below_power = 0
+    for src, tgt in itertools.product(lats.values(), repeat=2):
+        power = tgt.n ** len(src.irreducibles)
+        if power <= HOM_ENUMERATION_CAP:
+            count = count_homs(src, tgt)
+            assert count == len(enumerate_homs(src, tgt)), (src, tgt)
+            checked += 1
+            below_power += count < power
+    assert (len(lats), checked, below_power) == (15, 209, 114)
 
 
 def test_hom_composition_and_join():
@@ -373,7 +408,7 @@ def test_closed_biproduct_alexandrov_and_identity(name):
     ctx = builtin(name)
     one = terminal(ctx.ordered)
     for fam in ctx.families:
-        bp = closed_biproduct(ctx.sub_lattice, fam, one, one, ctx.coproduct(one, one))
+        bp = closed_biproduct(ctx, fam, one, one)
         if fam.name == "indiscrete":
             assert not bp.passed
         else:

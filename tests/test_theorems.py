@@ -4,6 +4,7 @@ import pytest
 
 from extcheck.closure import ClosureFamily
 from extcheck.contexts import (
+    Context,
     builtin,
     crossed_coproduct_context,
     preorders_of_size,
@@ -11,6 +12,7 @@ from extcheck.contexts import (
     swapped_system_context,
 )
 from extcheck.core import LEFT_TAG, RIGHT_TAG, count_instances, serialize_object
+from extcheck.factorization import FactorizationSystem
 from extcheck.theorems import (
     CHECKERS,
     FAMILY_FREE,
@@ -310,8 +312,6 @@ def _no_two_point_e(base):
     """The base context with E narrowed to maps whose source does not have
     two points, so that some E-mono between sums pulls back along an
     injection to a map outside E."""
-    from extcheck.factorization import FactorizationSystem
-
     sys = base.system
     base.system = FactorizationSystem(
         f"{sys.name}|e-no-2",
@@ -628,34 +628,55 @@ def test_closed_adjunction_side_under_identity_runs_no_row_of_its_own(monkeypatc
 
 
 def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
-    """The family-independent `subobject_lattice_biproduct` side, the closed
-    side under the identity closure, is built once per run and served from
-    the memo for the other families, with the same verdicts as unmemoized
-    runs."""
+    """On finpre at bound 1, one run of every family decides the product
+    certificate once per pair for each of the identity and alexandrov
+    closures: the family-independent `subobject_lattice_biproduct` side,
+    the closed side under identity, is swept once and served from the
+    memo.  Every pair is certified, so the only literal `closed_biproduct`
+    builds are the hom round trip's, one under identity per pair of
+    objects of at most 2 points: at bound 1, every pair.  The verdicts
+    equal unmemoized runs'.  On the crossed mutant at bound 2 under
+    alexandrov, whose gate fails, the side swept past every failure
+    decides each of the 25 pairs once and builds exactly the 16 that the
+    certificate refuses, each failing."""
     from collections import Counter
     from itertools import product
 
     from extcheck import theorems
-    from extcheck.closure import IDENTITY
 
-    ctx = builtin("finpre")
-    built = Counter()
-    real_closed = theorems.closed_biproduct
+    decided, built = Counter(), Counter()
+    real_certified, real_closed = theorems._product_certified, theorems.closed_biproduct
 
-    def counted(lattice_of, family, x, y, cp):
-        if family is IDENTITY:
-            built[x, y] += 1
-        return real_closed(lattice_of, family, x, y, cp)
+    def certified(ctx, family, x, y):
+        decided[family.name, x, y] += 1
+        return real_certified(ctx, family, x, y)
 
+    def counted(ctx, family, x, y):
+        built[family.name, x, y] += 1
+        return real_closed(ctx, family, x, y)
+
+    monkeypatch.setattr(theorems, "_product_certified", certified)
     monkeypatch.setattr(theorems, "closed_biproduct", counted)
+    ctx = builtin("finpre")
+    pairs = list(product(ctx.objects(1), repeat=2))
     memo = {}
     verdicts = [run_checker("biproduct", ctx, fam, 1, memo) for fam in ctx.families]
     assert [v.status for v in verdicts] == ["ok", "ok", "hypothesis-failed"]
-    # Once for the side, also serving identity's closed side, and once for
-    # the hom round trip, which builds every pair of objects of size at most
-    # 2: at bound 1, all of them.
-    pairs = list(product(ctx.objects(1), repeat=2))
-    assert built == {pair: 2 for pair in pairs}
+    assert decided == {(fam, x, y): 1 for fam in ("alexandrov", "identity")
+                       for x, y in pairs}
+    assert built == {("identity", x, y): 1 for x, y in pairs}
+
+    crossed = crossed_coproduct_context(builtin("finpre"))
+    pairs = list(product(crossed.objects(2), repeat=2))
+    decided.clear(), built.clear()
+    outcomes = list(theorems._lattice_biproduct_outcomes(
+        crossed, crossed.objects(2), crossed.family("alexandrov")))
+    refused = [k for k, (x, y) in enumerate(pairs)
+               if not real_certified(crossed, crossed.family("alexandrov"), x, y)]
+    assert decided == {("alexandrov", x, y): 1 for x, y in pairs}
+    assert built == {("alexandrov", *pairs[k]): 1 for k in refused}
+    assert len(refused) == 16
+    assert [k for k, o in enumerate(outcomes) if o is not None] == refused
     monkeypatch.undo()
     for fam, v in zip(ctx.families, verdicts):
         assert run_checker("biproduct", builtin("finpre"), fam, 1, None) == v
@@ -862,14 +883,97 @@ def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
         assert ("biproduct_roundtrip", bound) not in memo
 
 
+def _no_point_inclusions(base: Context) -> Context:
+    """The base context with M narrowed to maps whose source is not one
+    point.  Every lattice still contains 0 and is closed under unions, but
+    the sum of two points has its full mask admissible, which is no sum of
+    admissible masks of the points: the product certificate's first
+    condition fails there, and the literal biproduct build raises."""
+    sys = base.system
+    narrowed = FactorizationSystem(
+        f"{sys.name}|no-1", sys.e_table,
+        lambda idx, *rest: sys.m_table(idx, *rest) and len(idx) != 1)
+    return Context(f"{base.name}!no-1", base.ordered, narrowed, base.families,
+                   base.enumerate_objects)
+
+
+# case -> (context maker, bound, pairs the certificate refuses per family)
+CERTIFICATE_CASES = {
+    "finset-b3": (lambda: builtin("finset"), 3,
+                  {"identity": 0, "indiscrete": 9, "leaky": 6}),
+    "finpre-b3": (lambda: builtin("finpre"), 3,
+                  {"alexandrov": 0, "identity": 0, "indiscrete": 169, "leaky": 132}),
+    **{f"finpre!{mutant.__name__.split('_')[0]}-b2": (
+        lambda mutant=mutant: mutant(builtin("finpre")), 2, refused)
+       for mutant, refused in (
+           (crossed_coproduct_context,
+            {"alexandrov": 16, "identity": 0, "indiscrete": 16, "leaky": 15}),
+           (split_mono_context,
+            {"alexandrov": 16, "identity": 16, "indiscrete": 16, "leaky": 16}),
+           (swapped_system_context,
+            {"alexandrov": 0, "identity": 0, "indiscrete": 0, "leaky": 15}))},
+    "finpre!no-1-b2": (lambda: _no_point_inclusions(builtin("finpre")), 2,
+                       {"alexandrov": 16, "identity": 16, "indiscrete": 16,
+                        "leaky": 16}),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_product_certificate_implies_the_literal_biproduct(case):
+    """Under every registered family and `LEAKY`, wherever the product
+    certificate of a pair holds, the literal `closed_biproduct` passes, or
+    raises as building x's or y's own closed lattice raises, which the
+    certified path does too (the split and swapped mutants, whose lattices
+    miss the empty subobject).  Each family refuses the pinned number of
+    pairs.  On the crossed mutant under alexandrov each of its 16 refusals
+    fails literally.  With no one-point inclusion in M, under identity,
+    each of the 16 refusals has lattices of x and y that build and a
+    literal build that raises: the sum has admissible masks whose halves
+    are not admissible."""
+    from itertools import product
+
+    from extcheck import theorems
+    from extcheck.semilattice import closed_biproduct, closed_semilattice
+
+    make, bound, refused = CERTIFICATE_CASES[case]
+    ctx = make()
+
+    def outcome(build):
+        try:
+            return build()
+        except KeyError as err:
+            return type(err)
+
+    counted = {}
+    for fam in (*ctx.families, LEAKY):
+        literal = {}
+        for x, y in product(ctx.objects(bound), repeat=2):
+            own = outcome(lambda: [closed_semilattice(ctx.closure(fam, ob),
+                                                      ctx.sub_lattice(ob))
+                                   for ob in (x, y)] and True)
+            passed = outcome(lambda: closed_biproduct(ctx, fam, x, y).passed)
+            if not theorems._product_certified(ctx, fam, x, y):
+                literal[x, y] = own, passed
+            else:
+                assert passed is True or passed is own is KeyError, (fam.name, x, y)
+        counted[fam.name] = len(literal)
+        if (case, fam.name) == ("finpre!crossed-b2", "alexandrov"):
+            assert set(literal.values()) == {(True, False)}
+        if (case, fam.name) == ("finpre!no-1-b2", "identity"):
+            assert set(literal.values()) == {(True, KeyError)}
+    assert counted == refused
+
+
 # Under identity the two sides are one memo entry, so only another family
 # can fail one and not the other.
 @pytest.mark.parametrize("name, fam_name", [("finpre", "alexandrov")])
 def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
                                                              monkeypatch):
-    """A forced `subobject_lattice_biproduct` failure on the first pair
-    ends that side only: the closed lattices of every pair are still built,
-    and the closed side keeps the value it has without the failure."""
+    """With the product certificate refused on every pair, so that each
+    pair is decided on its literal `closed_biproduct`, a forced
+    `subobject_lattice_biproduct` failure on the first pair ends that side
+    only: the closed lattices of every pair are still built, and the closed
+    side keeps the value it has without the failure."""
     from itertools import product
 
     from extcheck import theorems
@@ -883,8 +987,8 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
     real_closed = theorems.closed_biproduct
     closed_pairs = []
 
-    def failing_on_first_pair(lattice_of, family, x, y, cp):
-        bp = real_closed(lattice_of, family, x, y, cp)
+    def failing_on_first_pair(ctx, family, x, y):
+        bp = real_closed(ctx, family, x, y)
         if family is IDENTITY and (x, y) == pairs[0]:
             bp.report = Report("biproduct", (CheckResult("forced", False, 1),))
         elif family is fam:
@@ -892,6 +996,7 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
         return bp
 
     monkeypatch.setattr(theorems, "closed_biproduct", failing_on_first_pair)
+    monkeypatch.setattr(theorems, "_product_certified", lambda *args: False)
     v = run_checker("biproduct", ctx, fam, 1, {})
     sides = dict(v.sides)
     assert sides["subobject_lattice_biproduct"] is False
@@ -916,8 +1021,8 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
 
     real = theorems.closed_biproduct
 
-    def broken(lattice_of, family, x, y, cp):
-        bp = real(lattice_of, family, x, y, cp)
+    def broken(ctx, family, x, y):
+        bp = real(ctx, family, x, y)
         bp.proj_r = (bp.right.zero,) * bp.total.n
         return bp
 
@@ -928,8 +1033,7 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
         theorems._roundtrip_outcomes(ctx, pool))
     assert not ok
 
-    bps = [(key, broken(ctx.sub_lattice, IDENTITY, *key, ctx.coproduct(*key)))
-           for key in theorems._object_pairs(pool)]
+    bps = [(key, broken(ctx, IDENTITY, *key)) for key in theorems._object_pairs(pool)]
 
     def literal():
         for s_key, s in bps:
@@ -943,29 +1047,35 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
     assert (witness, count) == first_counterexample(literal())[1:]
 
 
+def _right_projection_broken_at(key):
+    """A `closed_biproduct` that breaks to zero the right projection of the
+    sum of the pair `key` of objects."""
+    from extcheck.semilattice import closed_biproduct
+
+    def broken(ctx, family, x, y):
+        bp = closed_biproduct(ctx, family, x, y)
+        if (x, y) == key:
+            bp.proj_r = (bp.right.zero,) * bp.total.n
+        return bp
+    return broken
+
+
 def test_roundtrip_side_decides_each_key_once(monkeypatch):
-    """On finpre at bound 2 the round-trip side enumerates homs once per
-    distinct (source, target) pair of total lattice tables among the
-    uncapped blocks, and decides round trips once per distinct (tables,
-    source pairs, target joint) key plus once per capped block, with both
-    key sets built here from the structure maps; it still counts every
-    hom it round-trips."""
+    """The round-trip side calls `count_homs` once per distinct (source,
+    target) pair of total lattice tables among the uncapped blocks whose
+    guards hold, `enumerate_homs` once per such pair among the uncapped
+    blocks whose guards fail, and `matrix_roundtrip` once per distinct
+    (tables, source pairs, target joint) key among those plus once per
+    capped block, with the guards and every key set built here from the
+    structure maps.  On finpre at bound 2 every guard holds: nothing is
+    enumerated, and the side counts all 500,243 homs.  With one finset sum
+    broken (its right projection to zero), the blocks that read it are
+    enumerated, swept here to the end."""
     from functools import reduce
     from itertools import product
 
     from extcheck import theorems
     from extcheck.closure import IDENTITY
-
-    calls = {"enumerate_homs": 0, "matrix_roundtrip": 0}
-    for name in calls:
-        def counted(*args, real=getattr(theorems, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(theorems, name, counted)
-    ctx = builtin("finpre")
-    pool = ctx.objects(2)
-    assert first_counterexample(theorems._roundtrip_outcomes(ctx, pool)) == (
-        True, None, 500243)
 
     def tables(bp):
         return bp.total.join, bp.total.zero
@@ -982,19 +1092,48 @@ def test_roundtrip_side_decides_each_key_once(monkeypatch):
                                   (left[u], left[w], right[u], right[w]))
                            for w in rng) for u in rng)
 
-    bps = [theorems.closed_biproduct(ctx.sub_lattice, IDENTITY, x, y,
-                                     ctx.coproduct(x, y))
-           for x, y in product([x for x in pool if x.size <= 2], repeat=2)]
-    hom_keys, roundtrip_keys, capped = set(), set(), 0
-    for s, t in product(bps, repeat=2):
-        if t.total.n ** len(s.total.irreducibles) > theorems.HOM_ENUMERATION_CAP:
-            capped += 1
-        else:
-            hom_keys.add((tables(s), tables(t)))
-            roundtrip_keys.add((tables(s), tables(t), pairs(s), joint(t)))
-    assert (len(bps), capped) == (25, 81)
-    assert calls == {"enumerate_homs": len(hom_keys),
-                     "matrix_roundtrip": len(roundtrip_keys) + capped}
+    def guarded(s, t):
+        return (all(s.total.join[a][b] == k for k, (a, b) in enumerate(pairs(s)))
+                and joint(t) == t.total.join)
+
+    calls = dict.fromkeys(("count_homs", "enumerate_homs", "matrix_roundtrip"), 0)
+    for called in calls:
+        def counted(*args, real=getattr(theorems, called), called=called):
+            calls[called] += 1
+            return real(*args)
+        monkeypatch.setattr(theorems, called, counted)
+    # context, bound, index of the broken sum's pair or None, the calls of
+    # count_homs, enumerate_homs and matrix_roundtrip, sums and capped blocks
+    for name, bound, broken_at, counts, blocks in (
+            ("finpre", 2, None, (24, 0, 81), (25, 81)),
+            ("finset", 2, 7, (24, 9, 15), (9, 1))):
+        ctx = builtin(name)
+        pool = ctx.objects(bound)
+        keys = list(product([x for x in pool if x.size <= 2], repeat=2))
+        build = (theorems.closed_biproduct if broken_at is None
+                 else _right_projection_broken_at(keys[broken_at]))
+        monkeypatch.setattr(theorems, "closed_biproduct", build)
+        calls.update(dict.fromkeys(calls, 0))
+        outcomes = list(theorems._roundtrip_outcomes(ctx, pool))
+        assert first_counterexample(iter(outcomes))[0] == (broken_at is None)
+        if broken_at is None:
+            assert count_instances(iter(outcomes)) == 500243
+
+        bps = [build(ctx, IDENTITY, x, y) for x, y in keys]
+        counted_keys, hom_keys, roundtrip_keys, capped = set(), set(), set(), 0
+        for s, t in product(bps, repeat=2):
+            if t.total.n ** len(s.total.irreducibles) > theorems.HOM_ENUMERATION_CAP:
+                capped += 1
+            elif guarded(s, t):
+                counted_keys.add((tables(s), tables(t)))
+            else:
+                hom_keys.add((tables(s), tables(t)))
+                roundtrip_keys.add((tables(s), tables(t), pairs(s), joint(t)))
+        assert (len(bps), capped) == blocks
+        assert calls == {"count_homs": len(counted_keys),
+                         "enumerate_homs": len(hom_keys),
+                         "matrix_roundtrip": len(roundtrip_keys) + capped}
+        assert tuple(calls.values()) == counts, name
 
 
 def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
@@ -1010,24 +1149,16 @@ def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
     pool = ctx.objects(2)
     keys = list(theorems._object_pairs(pool))
     two, one = pool[2], pool[1]
-    real = theorems.closed_biproduct
-
-    def broken(lattice_of, family, x, y, cp):
-        bp = real(lattice_of, family, x, y, cp)
-        if (x, y) == (two, one):
-            bp.proj_r = (bp.right.zero,) * bp.total.n
-        return bp
-
-    bps = [(key, broken(ctx.sub_lattice, IDENTITY, *key, ctx.coproduct(*key)))
-           for key in keys]
+    broken = _right_projection_broken_at((two, one))
+    bps = [(key, broken(ctx, IDENTITY, *key)) for key in keys]
     tables = [(bp.total.join, bp.total.zero) for _, bp in bps]
     assert (two.size, one.size) == (2, 1)
     assert keys.index((one, two)) < keys.index((two, one))
     assert tables[keys.index((one, two))] == tables[keys.index((two, one))]
 
     monkeypatch.setattr(theorems, "closed_biproduct", broken)
-    ok, witness, count = first_counterexample(
-        theorems._roundtrip_outcomes(ctx, pool))
+    outcomes = list(theorems._roundtrip_outcomes(ctx, pool))
+    ok, witness, count = first_counterexample(iter(outcomes))
     assert not ok and witness["target_pair"] == [two.label, one.label]
 
     def literal():
@@ -1040,6 +1171,11 @@ def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
                                  "hom_table": list(h)})
 
     assert (witness, count) == first_counterexample(literal())[1:]
+    # Past the first failure too, where the blocks from and into either sum
+    # share their lattice tables; the capped block, of the two-point sets'
+    # sums, reads neither.
+    witnesses = [o for o in outcomes if o.__class__ is dict]
+    assert witnesses == [o for o in literal() if o is not None]
 
 
 # G and H: every side fails where the class's test fails on the maps that
@@ -1132,10 +1268,10 @@ def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
     real = getattr(theorems, name)
     injected = _G_H_BREAKS[breaks]
 
-    def test(family, idx, src, tgt):
+    def test(closure, family, idx, src, tgt):
         if injected(src, tgt):
             return False, _INJECTED
-        return real(family, idx, src, tgt)
+        return real(closure, family, idx, src, tgt)
 
     monkeypatch.setattr(theorems, name, test)
     ctx = builtin("finpre")
@@ -1144,6 +1280,31 @@ def test_g_h_side_fails_where_its_test_fails(monkeypatch, thm, breaks, sides,
     assert v.sides == sides
     assert v.counts == counts
     assert v.witnesses[0] == witness
+
+
+@pytest.mark.parametrize("thm, closures", [("G", 74), ("H", 76)])
+def test_g_h_build_each_closure_once(monkeypatch, thm, closures):
+    """Run under the three families at finpre bound 2 with one memo, G or H,
+    their gates included, calls `ClosureFamily.component` once per
+    (family, object) closure that the context keeps: the class's test
+    reads the spaces' closures from `Context.closure`, not from the
+    family on every map."""
+    from collections import Counter
+
+    calls = Counter()
+    component = ClosureFamily.component
+
+    def counted(family, ob):
+        calls[family.name, ob] += 1
+        return component(family, ob)
+
+    monkeypatch.setattr(ClosureFamily, "component", counted)
+    ctx = builtin("finpre")
+    memo = {}
+    verdicts = [run_checker(thm, ctx, fam, 2, memo) for fam in ctx.families]
+    assert [v.status for v in verdicts] == ["ok", "ok", "hypothesis-failed"]
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(ctx._closures) == closures
 
 
 @pytest.mark.parametrize("thm, count", [("G", "proper_pairs"), ("H", "separated_pairs")])
