@@ -137,16 +137,12 @@ def finpre_objects(bound: int) -> tuple[FiniteObject, ...]:
 
 
 class ClosureSplit(NamedTuple):
-    """A family's closures of x, y and the context's x + y, and the sum's
-    singleton closure table cut at |x| (x's points come first): `lows` the
-    left parts of the left points' rows, `highs` the right parts, shifted
-    down, of the right points', each then c(empty)'s; `crossed` the other
-    parts, all empty when `diagonal`.  `low` and `high` number `lows` and
-    `highs` in the context."""
+    """A family's singleton closure table of the context's x + y, cut at
+    |x| (x's points come first): `lows` the left parts of the left points'
+    rows, `highs` the right parts, shifted down, of the right points', each
+    then c(empty)'s; `crossed` the other parts, all empty when `diagonal`.
+    `low` and `high` number `lows` and `highs` in the context."""
 
-    fx: MaskFn
-    fy: MaskFn
-    fsum: MaskFn
     low: int
     lows: tuple[int, ...]
     high: int
@@ -220,6 +216,12 @@ class Context:
             fn = self._closures[family, ob] = family.component(ob)
         return fn
 
+    def sum_closures(self, x: FiniteObject, y: FiniteObject,
+                     family: ClosureFamily) -> tuple[MaskFn, MaskFn, MaskFn]:
+        """The family's closures of x, y and the context's x + y."""
+        return (self.closure(family, x), self.closure(family, y),
+                self.closure(family, self.coproduct(x, y).ob))
+
     def closure_split(self, x: FiniteObject, y: FiniteObject,
                       family: ClosureFamily) -> ClosureSplit:
         split = self._splits.get((x, y, family))
@@ -233,7 +235,6 @@ class Context:
             highs = (*[r >> nx for r in right], empty >> nx)
             number = self._halves.setdefault
             split = self._splits[x, y, family] = ClosureSplit(
-                self.closure(family, x), self.closure(family, y), fsum,
                 number(lows, len(self._halves)), lows,
                 number(highs, len(self._halves)), highs,
                 crossed, not any(crossed[0] + crossed[1]))

@@ -279,10 +279,13 @@ class Biproduct:
 def verify_biproduct(left: JoinSemilattice, right: JoinSemilattice,
                      total: JoinSemilattice, inj_l: Table, inj_r: Table,
                      proj_l: Table, proj_r: Table) -> Report:
-    """The four retraction/vanishing equations plus the joint identity."""
+    """The four retraction/vanishing equations plus the joint identity.
+    The endpoints agree when each map has a value, None for none, at every
+    point of its source."""
     checks = []
     endpoints_ok = (len(inj_l) == left.n and len(inj_r) == right.n
-                    and len(proj_l) == len(proj_r) == total.n)
+                    and len(proj_l) == len(proj_r) == total.n
+                    and all(None not in t for t in (inj_l, inj_r, proj_l, proj_r)))
     checks.append(CheckResult("endpoints_consistent", endpoints_ok, 1, None))
     valid = endpoints_ok and (
         is_hom(left, total, inj_l) and is_hom(right, total, inj_r)
@@ -311,7 +314,9 @@ def closed_biproduct(ctx, family: ClosureFamily, x: FiniteObject,
     closure of empty.  The admissible masks are `ctx.sub_lattice`'s, read
     for x, then y, then the sum, and the closures `ctx.closure`'s.  Under
     `IDENTITY` every admissible subobject is closed, so that entry is
-    Sub(X+Y) as the biproduct of Sub(X) and Sub(Y)."""
+    Sub(X+Y) as the biproduct of Sub(X) and Sub(Y).  A mask with no value,
+    say a sum's mask whose half is not closed in x, maps to None, which
+    fails the endpoints check."""
     sum_ob = ctx.coproduct(x, y).ob
     lat_x, lat_y, lat_xy = (ctx.sub_lattice(ob) for ob in (x, y, sum_ob))
     fx, fy, fxy = (ctx.closure(family, ob) for ob in (x, y, sum_ob))
@@ -323,10 +328,10 @@ def closed_biproduct(ctx, family: ClosureFamily, x: FiniteObject,
     idx_xy = {m: i for i, m in enumerate(masks_xy)}
     idx_x = {m: i for i, m in enumerate(masks_x)}
     idx_y = {m: i for i, m in enumerate(masks_y)}
-    inj_l = tuple(idx_xy[fxy(m)] for m in masks_x)
-    inj_r = tuple(idx_xy[fxy(m << nx)] for m in masks_y)
-    proj_l = tuple(idx_x[m & low] for m in masks_xy)
-    proj_r = tuple(idx_y[m >> nx] for m in masks_xy)
+    inj_l = tuple(idx_xy.get(fxy(m)) for m in masks_x)
+    inj_r = tuple(idx_xy.get(fxy(m << nx)) for m in masks_y)
+    proj_l = tuple(idx_x.get(m & low) for m in masks_xy)
+    proj_r = tuple(idx_y.get(m >> nx) for m in masks_xy)
     report = verify_biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r)
     return Biproduct(kx, ky, kxy, inj_l, inj_r, proj_l, proj_r, report)
 

@@ -32,6 +32,8 @@ from .closure import (
     IDENTITY,
     ClosureFamily,
     _closed_fast,
+    # Not called here: bound so that perfbench/tracer.py can wrap it for
+    # the metric closure.continuous_fast.calls.
     _continuous_fast,
     proper_witness,
     separated_witness,
@@ -205,7 +207,8 @@ def _e_monos_between_sums(ctx: Context, pool, family: ClosureFamily):
     """Yield (e, src, tgt, (x, y)) for every continuous and closed member e
     of E cap Mono, an index table, from a constructed binary sum src at the
     bound to tgt = x + y: the monotone bijections in E, since E-members are
-    epi and only carrier-size-matched sums can carry one."""
+    epi and only carrier-size-matched sums can carry one.  A closed map is
+    continuous (see `_continuous_morphisms`), so e is kept by closedness."""
     sys = ctx.system
     by_total: dict[int, list] = {}
     for x, y in _object_pairs(pool):
@@ -220,7 +223,6 @@ def _e_monos_between_sums(ctx: Context, pool, family: ClosureFamily):
                 f_tgt, tgt_up = ctx.closure(family, tgt), up_masks_or_none(tgt)
                 for e in monotone_bijections(src, tgt):
                     if (sys.e_table(e, src_up, total, tgt_up)
-                            and _continuous_fast(e, f_src, f_tgt, total)
                             and _closed_fast(e, f_src, f_tgt, total)):
                         yield e, src, tgt, (x, y)
 
@@ -288,7 +290,7 @@ def _closed_sum_outcomes(ctx: Context, pool, family: ClosureFamily):
     (whether a + b is admissible and closed, x, y, a, b, whether it is
     admissible, its closure in the context's x + y)."""
     for x, y in _object_pairs(pool):
-        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
+        fx, fy, fsum = ctx.sum_closures(x, y, family)
         sums = ctx.plain_sum_lattice(x, y).members
         nx = x.size
         closed_x = [a for a in ctx.sub_lattice(x) if fx(a) == a]
@@ -319,7 +321,7 @@ def _admissible_sum_outcomes(ctx: Context, pool, family: ClosureFamily):
     (x, y, a, b, sum admissible, injections closed embeddings)."""
     for x, y in _object_pairs(pool):
         cp = ctx.coproduct(x, y)
-        fsum = ctx.closure_split(x, y, family).fsum
+        fsum = ctx.closure(family, cp.ob)
         sums = ctx.plain_sum_lattice(x, y).members
         nx = x.size
         low, high = (1 << nx) - 1, ((1 << cp.ob.size) - 1) >> nx << nx
@@ -336,7 +338,7 @@ def _dense_split_outcomes(ctx: Context, pool, family: ClosureFamily):
     """Condition (c), per subset s of x + y: None unless s is dense and a
     component is not, else (x, y, labels of s and of component closures)."""
     for x, y in _object_pairs(pool):
-        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
+        fx, fy, fsum = ctx.sum_closures(x, y, family)
         cp = ctx.coproduct(x, y)
         nx = x.size
         low, full_y, full_sum = (1 << nx) - 1, (1 << y.size) - 1, (1 << cp.ob.size) - 1
@@ -387,15 +389,21 @@ def check_sum_closed_embeddings(ctx: Context, family: ClosureFamily,
 
 def _continuous_morphisms(ctx: Context, pool, family: ClosureFamily):
     """The continuous and closed maps between pool objects, as blocks (src,
-    tgt, index tables), one per pair of objects that has one."""
+    tgt, index tables), one per pair of objects that has one.
+
+    A map f is kept by `_closed_fast`'s equation alone, f(c(empty)) =
+    c(empty) and f(c({i})) = c({f(i)}) for each point i, which implies
+    `_continuous_fast`'s f(c({i})) <= c({f(i)}).  It is decided on each
+    object's singleton closure table, c(empty) last, read once."""
+    tables = []
+    for ob in pool:
+        fn = ctx.closure(family, ob)
+        tables.append((*[fn(1 << i) for i in range(ob.size)], fn(0)))
     out = []
-    for src in pool:
-        fs = ctx.closure(family, src)
-        for tgt in pool:
-            ft = ctx.closure(family, tgt)
+    for src, s_table in zip(pool, tables):
+        for tgt, t_table in zip(pool, tables):
             block = [f for f in ctx.hom_tables(src, tgt)
-                     if _continuous_fast(f, fs, ft, src.size)
-                     and _closed_fast(f, fs, ft, src.size)]
+                     if _carries(f, s_table, t_table, f + (-1,))]
             if block:
                 out.append((src, tgt, block))
     return out
@@ -405,6 +413,21 @@ def _carries(idx, masks, tgt, keys) -> bool:
     """The map `idx` sends each of `masks` onto the entry of `tgt` at the
     matching entry of `keys`."""
     return all(image_bits(m, idx) == tgt[j] for m, j in zip(masks, keys))
+
+
+def _block_bits(block, src, tgt) -> int:
+    """The bits k of the maps block[k] that carry the halves `src` onto
+    `tgt`; c(empty) comes last in both, so point -1 names it."""
+    return sum(1 << k for k, h in enumerate(block) if _carries(h, src, tgt, h + (-1,)))
+
+
+def _high_bits(memo, n: int, g_block, s, t) -> int:
+    """One g-block decision: `_block_bits` of g-block n on the high halves
+    of the splits s and t, memoized on n and the halves' numbers."""
+    key = n, s[2], t[2]
+    if key not in memo:
+        memo[key] = _block_bits(g_block, s[3], t[3])
+    return memo[key]
 
 
 def _closed_sum_of_closed_outcomes(ctx: Context, closed, family: ClosureFamily):
@@ -421,48 +444,73 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, family: ClosureFamily):
       closures, and f the low parts of the right points', onto those of
       their images.  They hold when both tables are block-diagonal, and
       are decided per pair otherwise.
-    The tables are the context's `ClosureSplit`s, read into one row per
-    object and end of the blocks; L is computed once per f-block and
-    distinct low halves, R once per g-block and distinct high halves.
-    Pairs are yielded f-major, then by g-block, then g, in the order
-    `closed`'s blocks list them, so counts and first witnesses are those
-    of the per-pair sweep.  Pairs that all hold are yielded as one run: a
-    whole f-block's when every entry of its row is full with no cross
-    terms, else an (f, g-block) product's.
+    The tables are the context's `ClosureSplit`s: `halves(x, 0)` holds
+    x + z's for the source z of every block, `halves(y, 1)` y + w's for
+    every target w.  L is computed once per f-block and distinct low
+    halves, R once per g-block and distinct high halves.  Pairs are yielded
+    f-major, then by g-block, then g, in the order `closed`'s blocks list
+    them, so counts and first witnesses are those of the per-pair sweep.
+    Pairs that all hold are yielded as one run: a whole f-block's when its
+    row is certified, else an (f, g-block) product's.
+
+    Each (object, end) is summarized once: whether all its splits are
+    diagonal, its distinct low halves by number, and its signature, its
+    high halves' numbers, one per block (equal numbers are equal halves).
+    An f-block x -> y's row meets, at block n, x's and y's splits n.  Every
+    pair of the row holds, with no cross terms, when
+    (a) every split of x and of y is diagonal: no entry has cross terms;
+    (b) the f-block carries every pair of x's and y's distinct low halves,
+        among them each entry's pair: L holds for every f;
+    (c) every g-block n carries the high halves numbered sig_x[n] onto
+        those numbered sig_y[n], entry n's: R holds for every g.
+    (c) depends only on (sig_x, sig_y), so it is decided once per distinct
+    pair.  The certificate reads only `halves(x, 0)` and `halves(y, 1)`,
+    which the per-pair loop of a refused f-block reads too.
     """
     blocks = [block for _, _, block in closed]
+    fulls = [(1 << len(block)) - 1 for block in blocks]
 
     @cache
     def halves(x: FiniteObject, end: int) -> list[tuple]:
-        """Per block, x + z's split from `low` on, z the block's source (end 0)
-        or target (end 1): a plain tuple, which unpacks faster than the record."""
+        """Per block, x + z's split, z the block's source (end 0) or target
+        (end 1): a plain tuple, which unpacks faster than the record."""
         ends = [block[end] for block in closed]
-        at = {z: ctx.closure_split(x, z, family)[3:] for z in dict.fromkeys(ends)}
+        at = {z: tuple(ctx.closure_split(x, z, family)) for z in dict.fromkeys(ends)}
         return list(map(at.__getitem__, ends))
 
-    def half_bits(block, src, tgt) -> int:
-        # c(empty) comes last in both halves, so point -1 names it.
-        return sum(1 << k for k, h in enumerate(block)
-                   if _carries(h, src, tgt, h + (-1,)))
+    @cache
+    def summary(x: FiniteObject, end: int):
+        splits = halves(x, end)
+        return (all(s[5] for s in splits), {s[0]: s[1] for s in splits},
+                tuple(s[2] for s in splits))
 
-    r_memo, run = {}, sum(map(len, blocks))
+    r_memo, sig_memo, run = {}, {}, sum(map(len, blocks))
     for x, y, f_block in closed:
-        l_memo, row = {}, []
-        for n, (g_block, s, t) in enumerate(zip(blocks, halves(x, 0), halves(y, 1))):
-            s_low, s_lows, s_high, s_highs, s_crossed, s_diag = s
-            t_low, t_lows, t_high, t_highs, t_crossed, t_diag = t
+        l_memo, f_full = {}, (1 << len(f_block)) - 1
+        diag_x, lows_x, sig_x = summary(x, 0)
+        diag_y, lows_y, sig_y = summary(y, 1)
+        if diag_x and diag_y and all(
+                _memoized(l_memo, (a, b), lambda: _block_bits(f_block, s_lows, t_lows))
+                == f_full
+                for a, s_lows in lows_x.items() for b, t_lows in lows_y.items()):
+            if (sig_x, sig_y) not in sig_memo:
+                sig_memo[sig_x, sig_y] = all(
+                    _high_bits(r_memo, n, g_block, s, t) == full
+                    for n, (g_block, full, s, t) in enumerate(
+                        zip(blocks, fulls, halves(x, 0), halves(y, 1))))
+            if sig_memo[sig_x, sig_y]:
+                yield len(f_block) * run
+                continue
+        row = []
+        for n, (g_block, full, s, t) in enumerate(
+                zip(blocks, fulls, halves(x, 0), halves(y, 1))):
+            s_low, s_lows, _, _, s_crossed, s_diag = s
+            t_low, t_lows, _, _, t_crossed, t_diag = t
             if (s_low, t_low) not in l_memo:
-                l_memo[s_low, t_low] = half_bits(f_block, s_lows, t_lows)
-            if (n, s_high, t_high) not in r_memo:
-                r_memo[n, s_high, t_high] = half_bits(g_block, s_highs, t_highs)
-            row.append((g_block, (1 << len(g_block)) - 1,
-                        l_memo[s_low, t_low], r_memo[n, s_high, t_high],
+                l_memo[s_low, t_low] = _block_bits(f_block, s_lows, t_lows)
+            row.append((g_block, full, l_memo[s_low, t_low],
+                        _high_bits(r_memo, n, g_block, s, t),
                         not (s_diag and t_diag) and (*s_crossed, *t_crossed)))
-        f_full = (1 << len(f_block)) - 1
-        if all(l_bits == f_full and r_bits == full and not crossed
-               for _, full, l_bits, r_bits, crossed in row):
-            yield len(f_block) * run
-            continue
         for k, f in enumerate(f_block):
             for (z, w, _), (g_block, full, l_bits, r_bits, crossed) in zip(closed, row):
                 ok = r_bits if l_bits >> k & 1 else 0
@@ -482,11 +530,11 @@ def _closed_sum_of_closed_outcomes(ctx: Context, closed, family: ClosureFamily):
 
 def _injections_closed_outcomes(ctx: Context, pool, family: ClosureFamily):
     for x, y in _object_pairs(pool):
-        split = ctx.closure_split(x, y, family)
+        fx, fy, fsum = ctx.sum_closures(x, y, family)
         inl_idx = tuple(range(x.size))
         inr_idx = tuple(x.size + j for j in range(y.size))
-        yield (None if _closed_fast(inl_idx, split.fx, split.fsum, x.size)
-               and _closed_fast(inr_idx, split.fy, split.fsum, y.size)
+        yield (None if _closed_fast(inl_idx, fx, fsum, x.size)
+               and _closed_fast(inr_idx, fy, fsum, y.size)
                else _witness(x, y))
 
 
@@ -514,7 +562,7 @@ def check_cor_sum_closed_morphisms(ctx: Context, family: ClosureFamily,
 
 def _componentwise_closure_outcomes(ctx: Context, pool, family: ClosureFamily):
     for x, y in _object_pairs(pool):
-        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
+        fx, fy, fsum = ctx.sum_closures(x, y, family)
         cp = ctx.coproduct(x, y)
         nx = x.size
         lat_y = ctx.sub_lattice(y)
@@ -806,7 +854,7 @@ def _closed_adjunction_outcomes(ctx: Context, pool, family: ClosureFamily,
     plain sum's and the closure fixes every join; its triples then have the
     admissible side's outcomes, so when that side held they are one run."""
     for x, y in _object_pairs(pool):
-        fx, fy, fsum = ctx.closure_split(x, y, family)[:3]
+        fx, fy, fsum = ctx.sum_closures(x, y, family)
         cp = ctx.coproduct(x, y)
         nx = x.size
         lat_x, lat_y, lat_sum = (ctx.sub_lattice(ob) for ob in (x, y, cp.ob))
@@ -960,14 +1008,26 @@ def _roundtrip_outcomes(ctx: Context, pool):
     per pair of lattices and decided once per key in one run (capped
     blocks are not memoized).  The homs that hold are yielded as runs; a
     hom that fails is confirmed on the literal matrix calculus, with its
-    block's own structure maps."""
+    block's own structure maps.  A block of a biproduct whose structure
+    maps miss a value (None, see `closed_biproduct`) has no matrices: its
+    zero hom fails."""
     small = [x for x in pool if x.size <= 2]
     bps = {(x, y): closed_biproduct(ctx, IDENTITY, x, y)
            for x, y in _object_pairs(small)}
     tables = {bp: (bp.total.join, bp.total.zero) for bp in bps.values()}
     counts, homs_of, failed_of = {}, {}, {}
+    mapped = {key: None not in (*bp.inj_l, *bp.inj_r, *bp.proj_l, *bp.proj_r)
+              for key, bp in bps.items()}
+
+    def hom_witness(src_key, tgt_key, h):
+        return {"source_pair": [o.label for o in src_key],
+                "target_pair": [o.label for o in tgt_key], "hom_table": list(h)}
+
     for (src_key, bp_s), (tgt_key, bp_t) in product(bps.items(), repeat=2):
         src, tgt = bp_s.total, bp_t.total
+        if not (mapped[src_key] and mapped[tgt_key]):
+            yield hom_witness(src_key, tgt_key, zero_hom(src, tgt))
+            continue
         if tgt.n ** len(src.irreducibles) <= HOM_ENUMERATION_CAP:
             lattices = tables[bp_s] + tables[bp_t]
             if every_hom_roundtrips(bp_s, bp_t):
@@ -992,9 +1052,7 @@ def _roundtrip_outcomes(ctx: Context, pool):
                 yield k - start
             h, start = homs[k], k + 1
             yield (None if matrix_to_hom(bp_s, bp_t, hom_matrix(bp_s, bp_t, h)) == h
-                   else {"source_pair": [o.label for o in src_key],
-                         "target_pair": [o.label for o in tgt_key],
-                         "hom_table": list(h)})
+                   else hom_witness(src_key, tgt_key, h))
         if len(homs) > start:
             yield len(homs) - start
 

@@ -115,12 +115,23 @@ MUTATIONS = (
              "yield None if ok >> j & 1 else _maps_witness(",
              "yield None if True else _maps_witness(",
              ("tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false",)),
-    Mutation("C: a whole f-block of sums holds", THEOREMS,
-             "if all(l_bits == f_full and r_bits == full and not crossed\n"
-             "               for _, full, l_bits, r_bits, crossed in row):",
-             "if True:",
-             (C_ORACLE,
-              "tests/test_theorems.py::test_checker_c_indiscrete_sides_agree_false")),
+    # A certified f-block's whole row is one run; each condition of the
+    # certificate, assumed, lets a failing pair into that run.
+    Mutation("C: (a) a certified f-block's splits are all diagonal", THEOREMS,
+             "if diag_x and diag_y and all(",
+             "if True and all(",
+             (C_ORACLE,)),
+    Mutation("C: (b) a certified f-block carries every pair of its low halves",
+             THEOREMS,
+             "_memoized(l_memo, (a, b), lambda: _block_bits(f_block, s_lows, t_lows))\n"
+             "                == f_full",
+             "True",
+             (C_ORACLE,)),
+    Mutation("C: (c) every g-block carries the high halves of a certified signature pair",
+             THEOREMS,
+             "_high_bits(r_memo, n, g_block, s, t) == full",
+             "True",
+             (C_ORACLE,)),
     Mutation("C: injections closed", THEOREMS,
              "yield (None if _closed_fast(inl_idx,",
              "yield (None if True or _closed_fast(inl_idx,",

@@ -215,20 +215,41 @@ def _expanded(outcomes) -> list:
         repeat(None, o) if o.__class__ is int else (o,) for o in outcomes))
 
 
-# case -> (base context, variant, bound, {family: failing pairs}).  The
-# crossed mutant's alexandrov sums and every indiscrete sum have closure
-# tables that are not block-diagonal, so their cross terms are decided per
-# pair, on passing and on failing pairs.
+# case -> (base context, variant, bound, {family: (failing pairs, f-blocks
+# whose whole row is certified)}).  The crossed mutant's alexandrov sums
+# and every indiscrete sum have closure tables that are not block-diagonal,
+# so their cross terms are decided per pair, on passing and on failing
+# pairs; there the certificate accepts only the f-block of the empty map.
+# `LEAKY`'s sums are diagonal, but their halves differ from x's and y's own
+# tables.
 C_SUM_ORACLE_CASES = {
-    "finset-b3": ("finset", None, 3, {"identity": 0, "indiscrete": 102}),
+    "finset-b3": ("finset", None, 3, {"identity": (0, 13), "indiscrete": (102, 1),
+                                      "leaky": (245, 2)}),
     "finpre+closed-maps-b2": ("finpre", _with_bench_objects, 2,
-                              {"alexandrov": 0, "identity": 0,
-                               "indiscrete": 1344}),
+                              {"alexandrov": (0, 60), "identity": (0, 73),
+                               "indiscrete": (1344, 1), "leaky": (9121, 10)}),
     "finpre+closed-maps!crossed-b2": (
         "finpre", lambda ctx: crossed_coproduct_context(
             _with_bench_objects(ctx)), 2,
-        {"alexandrov": 6337, "identity": 0, "indiscrete": 1344}),
+        {"alexandrov": (6337, 1), "identity": (0, 73), "indiscrete": (1344, 1),
+         "leaky": (9121, 10)}),
 }
+
+
+def _certified_blocks(outcomes, closed) -> list[bool]:
+    """Per f-block of `closed`, whether C's sum side yielded its row as one
+    run: it reads the outcomes that count its len(f_block) * (number of
+    maps) pairs.  A refused f-block yields one outcome or more per g-block."""
+    run = sum(len(block) for _, _, block in closed)
+    outcomes, certified = iter(outcomes), []
+    for _, _, f_block in closed:
+        left, read = len(f_block) * run, 0
+        while left:
+            o = next(outcomes)
+            left -= o if o.__class__ is int else 1
+            read += 1
+        certified.append(read == 1)
+    return certified
 
 
 @pytest.mark.parametrize("case", C_SUM_ORACLE_CASES)
@@ -236,23 +257,90 @@ def test_checker_c_sum_side_matches_per_pair_oracle(case):
     """Checker C's sum side, decided per block on closure tables, yields
     the outcome of every pair that the per-pair `_closed_fast` sweep
     yields, witnesses included, in the same order, once each run of k
-    pairs that hold is expanded into k Nones."""
+    pairs that hold is expanded into k Nones, under every registered family
+    and `LEAKY`.  The certificate accepts the pinned number of f-blocks,
+    some and not all of them on the crossed mutant under alexandrov."""
     from functools import cache
 
     from oracles import closed_sum_of_closed_outcomes
     from extcheck import theorems
 
-    base, variant, bound, failing = C_SUM_ORACLE_CASES[case]
+    base, variant, bound, pinned = C_SUM_ORACLE_CASES[case]
     ctx = builtin(base) if variant is None else variant(builtin(base))
     pool = ctx.objects(bound)
-    for fam in ctx.families:
+    for fam in (*ctx.families, LEAKY):
         closed = theorems._continuous_morphisms(ctx, pool, fam)
-        blocked = _expanded(
-            theorems._closed_sum_of_closed_outcomes(ctx, closed, fam))
+        outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, fam))
+        blocked = _expanded(outcomes)
         per_pair = list(closed_sum_of_closed_outcomes(ctx, closed, cache(fam.component)))
         assert blocked == per_pair, fam.name
         assert len(blocked) == sum(len(block) for _, _, block in closed) ** 2
-        assert sum(o is not None for o in blocked) == failing[fam.name]
+        certified = _certified_blocks(outcomes, closed)
+        assert (sum(o is not None for o in blocked), sum(certified)) == pinned[fam.name]
+        if (case, fam.name) == ("finpre+closed-maps!crossed-b2", "alexandrov"):
+            assert 0 < sum(certified) < len(closed)
+
+
+@pytest.mark.parametrize("case", C_SUM_ORACLE_CASES)
+def test_closed_map_filters_match_continuous_and_closed(case, monkeypatch):
+    """C's blocks and A/F's E-monos keep a map by closedness alone: on
+    every hom set of the pool, under every registered family and `LEAKY`,
+    C keeps exactly the maps that `_continuous_fast` and `_closed_fast`
+    both accept, and A/F's E-monos between sums are the same with
+    continuity added to their filter.  Some maps are not closed."""
+    from extcheck import theorems
+    from extcheck.closure import _closed_fast, _continuous_fast
+
+    base, variant, bound, _ = C_SUM_ORACLE_CASES[case]
+    ctx = builtin(base) if variant is None else variant(builtin(base))
+    pool = ctx.objects(bound)
+    dropped = 0
+    for fam in (*ctx.families, LEAKY):
+        blocks = {(x, y): block
+                  for x, y, block in theorems._continuous_morphisms(ctx, pool, fam)}
+        for x in pool:
+            for y in pool:
+                fx, fy = fam.component(x), fam.component(y)
+                homs = ctx.hom_tables(x, y)
+                literal = [f for f in homs if _continuous_fast(f, fx, fy, x.size)
+                           and _closed_fast(f, fx, fy, x.size)]
+                assert blocks.get((x, y), []) == literal, (fam.name, x, y)
+                dropped += len(homs) - len(literal)
+        e_monos = list(theorems._e_monos_between_sums(ctx, pool, fam))
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "_closed_fast", lambda e, fs, ft, n: (
+                _continuous_fast(e, fs, ft, n) and _closed_fast(e, fs, ft, n)))
+            assert list(theorems._e_monos_between_sums(ctx, pool, fam)) == e_monos
+        assert e_monos, fam.name
+    assert dropped
+
+
+def test_c_sum_side_decides_g_blocks_per_signature_pair(monkeypatch):
+    """On finpre at bound 3 under identity, where every row is certified,
+    C's sum side makes one g-block decision per block and distinct
+    signature pair of the f-blocks' ends, not one per pair of blocks: the
+    183 blocks share one signature pair."""
+    from extcheck import theorems
+
+    ctx = builtin("finpre")
+    fam = ctx.family("identity")
+    closed = theorems._continuous_morphisms(ctx, ctx.objects(3), fam)
+    sources, targets = [x for x, _, _ in closed], [y for _, y, _ in closed]
+    signatures = {(tuple(ctx.closure_split(x, z, fam).high for z in sources),
+                   tuple(ctx.closure_split(y, w, fam).high for w in targets))
+                  for x, y, _ in closed}
+    decided = []
+    real = theorems._high_bits
+
+    def counted(memo, n, *rest):
+        decided.append(n)
+        return real(memo, n, *rest)
+
+    monkeypatch.setattr(theorems, "_high_bits", counted)
+    outcomes = list(theorems._closed_sum_of_closed_outcomes(ctx, closed, fam))
+    assert len(outcomes) == len(closed) == 183 and len(signatures) == 1
+    assert sum(outcomes) == sum(len(block) for _, _, block in closed) ** 2
+    assert len(decided) <= len(closed) * len(signatures) < len(closed) ** 2
 
 
 # case -> (base context, variant, bound)
@@ -268,9 +356,10 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_closure_split_is_componentwise_exactly_where_every_sum_closes_so(case):
-    """The context's `ClosureSplit` of x + y holds the family's closures of
-    x, y and the context's x + y, and says "block-diagonal, with halves
-    equal to x's and y's own singleton tables, c(empty) rows included"
+    """The context's `sum_closures` of x and y are the family's closures of
+    x, y and the context's x + y, and its `ClosureSplit` of x + y says
+    "block-diagonal, with halves equal to x's and y's own singleton tables,
+    c(empty) rows included"
     exactly when the closure of a | b << |x| is fx(a) | fy(b) << |x| for
     every pair of masks, under every registered family and `LEAKY`; both
     answers occur.  `LEAKY`'s sums are all block-diagonal: what fails there
@@ -289,12 +378,13 @@ def test_closure_split_is_componentwise_exactly_where_every_sum_closes_so(case):
     for fam in (*ctx.families, LEAKY):
         for x, y in product(pool, repeat=2):
             split = ctx.closure_split(x, y, fam)
+            read_x, read_y, read_sum = ctx.sum_closures(x, y, fam)
             nx, ny = x.size, y.size
             fx, fy = fam.component(x), fam.component(y)
             fsum = fam.component(ctx.coproduct(x, y).ob)
-            assert all(split.fsum(m) == fsum(m) for m in range(1 << nx + ny))
-            assert table(split.fx, nx) == table(fx, nx)
-            assert table(split.fy, ny) == table(fy, ny)
+            assert all(read_sum(m) == fsum(m) for m in range(1 << nx + ny))
+            assert table(read_x, nx) == table(fx, nx)
+            assert table(read_y, ny) == table(fy, ny)
             componentwise = (split.diagonal and split.lows == table(fx, nx)
                              and split.highs == table(fy, ny))
             literal = all(fsum(a | b << nx) == fx(a) | fy(b) << nx
@@ -721,16 +811,20 @@ def test_c_sum_side_builds_each_sum_table_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["finset", "finpre"])
 def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
-    """A `cli.run` of adjunctions, A, B, C and D at bound 2 builds one
-    `ClosureSplit` per (x, y, family) that it reads, and `core.coproduct`
-    once per (x, y), though the splits and the plain sums' lattices are
-    read more often than that.  A witness's label-level sum
+    """A `cli.run` of adjunctions, A, B, C and D at bound 2 builds
+    `core.coproduct` once per (x, y), though the plain sums' lattices are
+    read more often than that.  Only C's sum side builds full
+    `ClosureSplit`s, one per (x, y, family) that it reads: pairs of its
+    blocks' sources and pairs of their targets, all of them under a family
+    whose sum side holds (it stops at a first failure).
+    The other sides read the closures alone (`Context.sum_closures`), so a
+    run without C builds none.  A witness's label-level sum
     (`subobjects.sum_subobjects`, named after its lattices' ambients) is
     built apart and not counted."""
     import dataclasses
     from collections import Counter
 
-    from extcheck import cli, contexts, core
+    from extcheck import cli, contexts, core, theorems
     from extcheck.contexts import ClosureSplit, Context
     from extcheck.core import coproduct
 
@@ -750,7 +844,7 @@ def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
         def read(ctx, x, y, *family):
             reads[method] += 1
             if family:
-                split_keys.add((id(ctx), x, y, family[0].name))
+                split_keys.add((x, y, family[0].name))
             return real(ctx, x, y, *family)
         return read
 
@@ -761,14 +855,29 @@ def test_run_builds_each_plain_sum_once_per_context(monkeypatch, name):
         monkeypatch.setattr(Context, method, reading(method))
     monkeypatch.setattr(cli, "builtin", lambda context: dataclasses.replace(
         builtin(context), coproduct_fn=counted))
+    without_c = cli.run(cli.RunConfig(context=name, bound=2,
+                                      theorems=("adjunctions", "A", "B", "D")))
+    assert all(v.passed for v in without_c.verdicts)
+    assert built["split"] == reads["closure_split"] == 0
+    built.clear(), reads.clear()
     result = cli.run(cli.RunConfig(context=name, bound=2,
                                    theorems=("adjunctions", "A", "B", "C", "D")))
     assert all(v.passed for v in result.verdicts)
     n_splits = built.pop("split")
     assert built and set(built.values()) == {1}
-    assert n_splits == len(split_keys) < reads["closure_split"]
-    assert {key[3] for key in split_keys} == {f.name for f in builtin(name).families}
     assert reads["plain_sum_lattice"] > len(built)
+    ctx = result.context
+    read_by_c = set()
+    for fam in ctx.families:
+        closed = theorems._continuous_morphisms(ctx, ctx.objects(2), fam)
+        for end in (0, 1):
+            ends = {block[end] for block in closed}
+            read_by_c |= {(a, b, fam.name) for a in ends for b in ends}
+    swept = {v.family for v in result.verdicts
+             if v.theorem == "C" and dict(v.sides)["sums_of_closed_morphisms_closed"]}
+    assert n_splits == len(split_keys) and split_keys <= read_by_c
+    assert {key for key in split_keys if key[2] in swept} == {
+        key for key in read_by_c if key[2] in swept} != set()
 
 
 def test_first_counterexample_counts_through_the_first_failure():
@@ -888,7 +997,8 @@ def _no_point_inclusions(base: Context) -> Context:
     point.  Every lattice still contains 0 and is closed under unions, but
     the sum of two points has its full mask admissible, which is no sum of
     admissible masks of the points: the product certificate's first
-    condition fails there, and the literal biproduct build raises."""
+    condition fails there, and the literal biproduct build fails its
+    endpoints check, as its projections have no value at that mask."""
     sys = base.system
     narrowed = FactorizationSystem(
         f"{sys.name}|no-1", sys.e_table,
@@ -928,8 +1038,9 @@ def test_product_certificate_implies_the_literal_biproduct(case):
     pairs.  On the crossed mutant under alexandrov each of its 16 refusals
     fails literally.  With no one-point inclusion in M, under identity,
     each of the 16 refusals has lattices of x and y that build and a
-    literal build that raises: the sum has admissible masks whose halves
-    are not admissible."""
+    literal build that fails first its endpoints check: the sum has
+    admissible masks whose halves are not admissible, which no projection
+    can send anywhere."""
     from itertools import product
 
     from extcheck import theorems
@@ -960,8 +1071,35 @@ def test_product_certificate_implies_the_literal_biproduct(case):
         if (case, fam.name) == ("finpre!crossed-b2", "alexandrov"):
             assert set(literal.values()) == {(True, False)}
         if (case, fam.name) == ("finpre!no-1-b2", "identity"):
-            assert set(literal.values()) == {(True, KeyError)}
+            assert set(literal.values()) == {(True, False)}
+            assert all(closed_biproduct(ctx, fam, x, y).report.failed()[0].id
+                       == "endpoints_consistent" for x, y in literal)
     assert counted == refused
+
+
+def test_biproduct_reports_projections_with_no_value():
+    """With no one-point inclusion in M, the biproduct checker under
+    identity at bound 1 reports each side failed, not a traceback: the sum
+    of two points has an admissible mask whose halves are not admissible,
+    so its projections have no value there and the literal build fails
+    its endpoints check; the round trip has no matrices on that sum, and
+    its first block with it, from the sum of two empty objects, fails on
+    its zero hom."""
+    from extcheck.closure import IDENTITY
+
+    ctx = _no_point_inclusions(builtin("finpre"))
+    point = ctx.objects(1)[1]
+    v = run_checker("biproduct", ctx, IDENTITY, 1, {})
+    assert v.status == "ok" and not v.passed
+    assert [value for _, value in v.sides] == [False, False, False]
+    assert v.counts == (("object_pairs", 4), ("homs_roundtripped", 4))
+    pair = {"x": serialize_object(point), "y": serialize_object(point),
+            "failed": ["endpoints_consistent", "maps_are_homs"]}
+    assert v.witnesses == (
+        dict(pair, side="subobject_lattice_biproduct", kind="counterexample"),
+        dict(pair, side="closed_lattice_biproduct", kind="counterexample"),
+        {"source_pair": ["pre0_0", "pre0_0"], "target_pair": ["pre1_0", "pre1_0"],
+         "hom_table": [0], "side": "hom_matrix_roundtrip", "kind": "counterexample"})
 
 
 # Under identity the two sides are one memo entry, so only another family
