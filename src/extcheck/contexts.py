@@ -31,6 +31,7 @@ from .core import (
     coproduct,
     count_monotone,
     embedding_table,
+    image_bits,
     initial,
     injective_table,
     is_iso,
@@ -38,6 +39,7 @@ from .core import (
     monotone_table,
     morphism_of,
     order_reflecting_table,
+    order_size,
     pair_label,
     points,
     preimage_bits,
@@ -49,8 +51,7 @@ from .core import (
     serialize_object,
     surjective_table,
     terminal,
-    transitive_closure,
-    up_masks_or_none,
+    transitive_rows,
 )
 from .closure import ALEXANDROV, IDENTITY, INDISCRETE, ClosureFamily, MaskFn
 from .factorization import FactorizationSystem, validate_system
@@ -76,22 +77,10 @@ def finset_objects(bound: int) -> tuple[FiniteObject, ...]:
     return tuple(out)
 
 
-def _transitive_rows(rows: list[int], k: int) -> bool:
-    for i in range(k):
-        ri = rows[i]
-        m = ri
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & ~ri:
-                return False
-            m ^= low
-    return True
-
-
 def _iso_signature(ob: FiniteObject) -> tuple:
     down = sorted((bin(d).count("1"), bin(u).count("1"))
                   for d, u in zip(ob.down_masks, ob.up_masks))
-    return (len(ob.order), tuple(down))
+    return (order_size(ob), tuple(down))
 
 
 @lru_cache(maxsize=None)
@@ -112,19 +101,16 @@ def preorders_of_size(k: int) -> tuple[FiniteObject, ...]:
         for p, (i, j) in enumerate(positions):
             if (bits >> p) & 1:
                 rows[i] |= 1 << j
-        if not _transitive_rows(rows, k):
+        if not transitive_rows(rows):
             continue
-        pairs = frozenset(
-            (labels[i], labels[j]) for i in range(k) for j in range(k)
-            if (rows[i] >> j) & 1)
-        ob = FiniteObject(labels, pairs)
+        ob = FiniteObject.of_masks(labels, rows)
         sig = _iso_signature(ob)
         bucket = groups.setdefault(sig, [])
         if not any(is_isomorphic(ob, seen) for seen in bucket):
             bucket.append(ob)
     reps = [ob for bucket in groups.values() for ob in bucket]
-    reps.sort(key=lambda o: (len(o.order), sorted(o.order)))
-    return tuple(FiniteObject(o.elements, o.order, name=f"pre{k}_{i}")
+    reps.sort(key=lambda o: (order_size(o), sorted(o.order)))
+    return tuple(FiniteObject.of_masks(o.elements, o.up_masks, name=f"pre{k}_{i}")
                  for i, o in enumerate(reps))
 
 
@@ -279,18 +265,22 @@ def swapped_system_context(base: Context) -> Context:
 
 
 def crossed_coproduct_context(base: Context) -> Context:
-    """Self-test mutant: coproduct order polluted with one cross pair."""
+    """Self-test mutant: coproduct order polluted with one cross pair, from
+    x's first point to y's, closed transitively: each point below x's
+    first point comes below everything above y's."""
     assert base.ordered, "the cross-pair mutant needs the ordered flavor"
 
     def crossed(x: FiniteObject, y: FiniteObject) -> Coproduct:
         cp = core.coproduct(x, y)
         if x.size == 0 or y.size == 0:
             return cp
-        extra = (LEFT_TAG + x.elements[0], RIGHT_TAG + y.elements[0])
-        order = transitive_closure(set(cp.ob.order) | {extra})
-        ob = FiniteObject(cp.ob.elements, order, name=cp.ob.name + "!")
-        return Coproduct(ob, Morphism(x, ob, cp.inl.mapping),
-                         Morphism(y, ob, cp.inr.mapping))
+        up = list(cp.ob.up_masks)
+        above = up[x.size]
+        for i in range(x.size):
+            if up[i] & 1:
+                up[i] |= above
+        ob = FiniteObject.of_masks(cp.ob.elements, up, name=cp.ob.name + "!")
+        return Coproduct(ob, x, y, cp.inl_idx, cp.inr_idx)
 
     return Context(f"{base.name}!crossed", base.ordered, base.system, base.families,
                    base.enumerate_objects, base.extra_objects, crossed)
@@ -354,14 +344,15 @@ def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
     leg(b)) is monotone and equals f after the comparison.  A failing f is
     re-run label-level, which builds its witness."""
     sum_ob = cp.ob
-    z_up, sum_up = up_masks_or_none(z), up_masks_or_none(sum_ob)
+    z_up, sum_up = z.up_masks, sum_ob.up_masks
     everything = list(range(z.size))
     legs = []
-    for tag, leg in ((LEFT_TAG, cp.inl), (RIGHT_TAG, cp.inr)):
+    for tag, src, leg_idx in ((LEFT_TAG, cp.left, cp.inl_idx),
+                              (RIGHT_TAG, cp.right, cp.inr_idx)):
         fibres = [0] * sum_ob.size
-        for b, t in enumerate(leg.idx):
+        for b, t in enumerate(leg_idx):
             fibres[t] |= 1 << b
-        legs.append((tag, leg.source, leg.idx, fibres, {}))
+        legs.append((tag, src, leg_idx, fibres, {}))
 
     def along(tag, src, leg_idx, fibres, built, f_idx):
         """The pullback along one leg: its object, its tagged labels, and
@@ -382,7 +373,7 @@ def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
         ob_l, tags_l, comp_l, into_l = along(*legs[0], f_idx)
         ob_r, tags_r, comp_r, into_r = along(*legs[1], f_idx)
         mid = ctx.coproduct(ob_l, ob_r).ob
-        mid_up = up_masks_or_none(mid)
+        mid_up = mid.up_masks
         comparison, into_sum = comp_l + comp_r, into_l + into_r
         holds = (mid.elements == tags_l + tags_r
                  and sorted(comparison) == everything
@@ -396,9 +387,9 @@ def _pullback_stability_tables(ctx: Context, cp: Coproduct, z: FiniteObject):
 
 def injections_in_m(sys: FactorizationSystem, cp: Coproduct) -> bool:
     """Whether both legs of `cp` are in M, decided on their index tables."""
-    up = up_masks_or_none(cp.ob)
-    return all(sys.m_table(leg.idx, up_masks_or_none(leg.source), cp.ob.size, up)
-               for leg in (cp.inl, cp.inr))
+    up = cp.ob.up_masks
+    return (sys.m_table(cp.inl_idx, cp.left.up_masks, cp.ob.size, up)
+            and sys.m_table(cp.inr_idx, cp.right.up_masks, cp.ob.size, up))
 
 
 @lru_cache(maxsize=None)
@@ -461,15 +452,15 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
             # Injective, disjoint and jointly onto: each point hit once.
-            good = (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))
+            good = (sorted(cp.inl_idx + cp.inr_idx) == list(range(cp.ob.size))
                     and injections_in_m(ctx.system, cp))
             yield None if good else {"x": serialize_object(x), "y": serialize_object(y)}
 
     def coproduct_disjoint():
         for x, y in pairs:
             cp = ctx.coproduct(x, y)
-            overlap = (cp.inl.image_mask((1 << x.size) - 1)
-                       & cp.inr.image_mask((1 << y.size) - 1))
+            overlap = (image_bits((1 << x.size) - 1, cp.inl_idx)
+                       & image_bits((1 << y.size) - 1, cp.inr_idx))
             yield (None if not overlap
                    else {"x": serialize_object(x), "y": serialize_object(y)})
 
@@ -505,5 +496,5 @@ def validate_extensive(ctx: Context, bound: int) -> Report:
         CheckResult.of("coproducts_pullback_stable", coproducts_pullback_stable()),
         CheckResult.of("distributivity_two_by_x", distributivity_two_by_x()),
         CheckResult("zero_embedding_admissible", ctx.system.m_table(
-            (), up_masks_or_none(zero), 1, up_masks_or_none(one)), 1),
+            (), zero.up_masks, 1, one.up_masks), 1),
         CheckResult.of("morphisms_reflect_zero", morphisms_reflect_zero())))

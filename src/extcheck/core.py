@@ -1,11 +1,16 @@
-"""Finite label-based objects, morphisms, and limit/colimit constructions.
+"""Finite objects, morphisms, and limit/colimit constructions.
 
 Objects are sorted tuples of string labels, optionally carrying a preorder
-(a reflexive transitive relation) as a frozenset of pairs.  Morphisms are
-total lookup tables, checked for monotonicity when both endpoints carry an
-order.  Constructions pick canonical labels ("L:"/"R:" tags for coproduct
-elements, "(a,b)" pairs for pullback and product elements) so building the
-same thing twice yields equal values and every enumeration is reproducible.
+(a reflexive transitive relation), kept as up-masks over the labels: bit j
+of row i set when point i <= point j.  The label pairs of the order, its
+index pairs and its down-masks are derived from the masks when read, for
+serialization and the label-level code.  Morphisms are total lookup tables
+with their index tables, checked for monotonicity on the masks when both
+endpoints carry an order.  Constructions work on masks and pick canonical
+labels ("L:"/"R:" tags for coproduct elements, "(a,b)" pairs for pullback
+and product elements), so building the same thing twice yields equal values
+and every enumeration is reproducible.  A coproduct keeps its injections as
+index tables and builds them as morphisms only when they are read.
 """
 
 from __future__ import annotations
@@ -18,65 +23,104 @@ LEFT_TAG = "L:"
 RIGHT_TAG = "R:"
 
 
-def transitive_closure(pairs: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closed):
-            for (c, d) in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return frozenset(closed)
+def transitive_rows(rows) -> bool:
+    """Whether the relation with row masks `rows` is transitive: each row
+    holds the rows of its points."""
+    for ri in rows:
+        m = ri
+        while m:
+            low = m & -m
+            if rows[low.bit_length() - 1] & ~ri:
+                return False
+            m ^= low
+    return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteObject:
     """A finite set of distinct string labels, optionally preordered.
 
-    `order` is None for the unordered flavor and a reflexive transitive
-    frozenset of label pairs otherwise.  `name` is cosmetic and ignored by
-    equality and hashing.
+    `elements` are sorted.  `up_masks` is None for the unordered flavor and
+    otherwise the order as up-masks over `elements`: up_masks[i] has bit j
+    set iff element i <= element j.  `FiniteObject(elements, order, name)`
+    builds it from labels in any order and a frozenset of label pairs
+    (None unordered); `of_masks` from ascending labels and up-masks.  Both
+    run `__post_init__`, which checks the order on the masks.  `order`,
+    `order_idx` and `down_masks` are derived when read.  Equality and the
+    hash are on (elements, up_masks); `name` is cosmetic and ignored by
+    both.
     """
 
     elements: tuple[str, ...]
-    order: frozenset[tuple[str, str]] | None = None
+    up_masks: tuple[int, ...] | None
     name: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        elements = tuple(sorted(self.elements))
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, elements: Iterable[str], order=None, name: str = ""):
+        elements = tuple(sorted(elements))
         if len(set(elements)) != len(elements):
             raise ValueError(f"duplicate labels in carrier: {elements}")
-        order = None if self.order is None else frozenset(tuple(p) for p in self.order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_hash", hash((elements, order)))  # keys caches
-        if order is None:
+        up = None
+        if order is not None:
+            index = {e: i for i, e in enumerate(elements)}
+            rows = [0] * len(elements)
+            outside = []
+            for a, b in order:
+                if a in index and b in index:
+                    rows[index[a]] |= 1 << index[b]
+                else:
+                    outside.append((a, b))
+            if outside:
+                # The least offending pair, so that no message depends on
+                # the iteration order of a frozenset (the hash seed).
+                a, b = min(outside)
+                raise ValueError(f"order pair ({a},{b}) outside carrier")
+            up = tuple(rows)
+        self._fill(elements, up, name)
+
+    @classmethod
+    def of_masks(cls, elements: tuple[str, ...], up_masks, name: str = "") -> "FiniteObject":
+        """The object on the strictly ascending labels `elements` whose order
+        has the up-masks `up_masks` over them (None unordered)."""
+        ob = cls.__new__(cls)
+        ob._fill(elements, None if up_masks is None else tuple(up_masks), name)
+        return ob
+
+    def _fill(self, elements, up_masks, name) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "up_masks", up_masks)
+        object.__setattr__(self, "name", name)
+        self.__post_init__()
+
+    def __post_init__(self):
+        elements, up = self.elements, self.up_masks
+        if any(a >= b for a, b in zip(elements, elements[1:])):
+            if len(set(elements)) != len(elements):
+                raise ValueError(f"duplicate labels in carrier: {elements}")
+            raise ValueError(f"carrier labels not ascending: {elements}")
+        object.__setattr__(self, "_hash", hash((elements, up)))  # keys caches
+        if up is None:
             return
-        # Errors name the least offending pair, so that no message depends
-        # on the iteration order of a frozenset (the hash seed).
-        universe = set(elements)
-        outside = [(a, b) for (a, b) in order
-                   if a not in universe or b not in universe]
-        if outside:
-            a, b = min(outside)
-            raise ValueError(f"order pair ({a},{b}) outside carrier")
-        for e in elements:
-            if (e, e) not in order:
-                raise ValueError(f"order not reflexive: missing ({e},{e})")
-        missing = [(a, d, b) for (a, b) in order for (c, d) in order
-                   if b == c and (a, d) not in order]
-        if missing:
-            a, d, b = min(missing)
-            raise ValueError(f"order not transitive: missing ({a},{d}) via {b}")
+        n = len(elements)
+        if len(up) != n or any(row >> n for row in up):
+            raise ValueError(f"up-masks {up} do not fit a carrier of {n} points")
+        # Errors name the least offending pair: the labels are sorted, so
+        # the least index pair.
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise ValueError(
+                    f"order not reflexive: missing ({elements[i]},{elements[i]})")
+        if not transitive_rows(up):
+            i, k, j = min((i, k, j) for i, row in enumerate(up)
+                          for j in points(row) for k in points(up[j] & ~row))
+            raise ValueError(f"order not transitive: missing "
+                             f"({elements[i]},{elements[k]}) via {elements[j]}")
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def has_order(self) -> bool:
-        return self.order is not None
+        return self.up_masks is not None
 
     @property
     def size(self) -> int:
@@ -91,35 +135,34 @@ class FiniteObject:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def order_idx(self) -> frozenset[tuple[int, int]]:
-        assert self.order is not None
-        idx = self.index
-        return frozenset((idx[a], idx[b]) for (a, b) in self.order)
+    def order(self) -> frozenset[tuple[str, str]] | None:
+        """The order as the frozenset of label pairs (a, b), a <= b; None
+        for the unordered flavor."""
+        if self.up_masks is None:
+            return None
+        e = self.elements
+        return frozenset((e[i], e[j]) for i, j in self.order_idx)
 
     @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """up_masks[i] has bit j set iff element i <= element j."""
-        masks = [0] * self.size
-        for (i, j) in self.order_idx:
-            masks[i] |= 1 << j
-        return tuple(masks)
+    def order_idx(self) -> frozenset[tuple[int, int]]:
+        assert self.up_masks is not None
+        return frozenset((i, j) for i, row in enumerate(self.up_masks)
+                         for j in points(row))
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """down_masks[j] has bit i set iff element i <= element j."""
-        masks = [0] * self.size
-        for (i, j) in self.order_idx:
-            masks[j] |= 1 << i
-        return tuple(masks)
+        up = self.up_masks
+        return tuple(sum(1 << i for i, row in enumerate(up) if row >> j & 1)
+                     for j in range(len(up)))
 
     def restrict(self, labels) -> "FiniteObject":
         """Full subobject on `labels` with the induced order."""
         keep = set(labels)
         assert keep <= set(self.elements), f"{keep - set(self.elements)} not in carrier"
-        order = None
-        if self.order is not None:
-            order = frozenset((a, b) for (a, b) in self.order if a in keep and b in keep)
-        return FiniteObject(tuple(sorted(keep)), order)
+        pts = [i for i, e in enumerate(self.elements) if e in keep]
+        up = None if self.up_masks is None else restrict_masks(self.up_masks, pts)
+        return FiniteObject.of_masks(tuple(self.elements[i] for i in pts), up)
 
     def mask_of(self, labels) -> int:
         m = 0
@@ -131,9 +174,16 @@ class FiniteObject:
         return tuple(e for i, e in enumerate(self.elements) if (mask >> i) & 1)
 
 
+def order_size(x: FiniteObject) -> int:
+    """The number of pairs of x's order (x ordered)."""
+    return sum(row.bit_count() for row in x.up_masks)
+
+
 @dataclass(frozen=True)
 class Morphism:
-    """A total map between finite objects, stored as a sorted lookup table."""
+    """A total map between finite objects, stored as a sorted lookup table,
+    with `idx`, its index table: idx[i] the target index of the image of
+    source element i."""
 
     source: FiniteObject
     target: FiniteObject
@@ -145,31 +195,26 @@ class Morphism:
         keys = tuple(k for k, _ in mapping)
         if keys != self.source.elements:
             raise ValueError(f"table keys {keys} do not match source carrier")
-        tgt = set(self.target.elements)
+        tix = self.target.index
         for (_, v) in mapping:
-            if v not in tgt:
+            if v not in tix:
                 raise ValueError(f"table value {v} outside target carrier")
-        if self.source.has_order and self.target.has_order:
-            tab = dict(mapping)
-            order = self.target.order
-            bad = [(a, b) for (a, b) in self.source.order
-                   if (tab[a], tab[b]) not in order]
-            if bad:
-                # The least failing pair, so the message does not depend on
-                # the iteration order of a frozenset (the hash seed).
-                a, b = min(bad)
-                raise ValueError(
-                    f"not monotone: {a}<={b} but {tab[a]}<={tab[b]} fails")
+        idx = tuple(tix[v] for (_, v) in mapping)
+        object.__setattr__(self, "idx", idx)
+        src_up, tgt_up = self.source.up_masks, self.target.up_masks
+        if not monotone_table(idx, src_up, tgt_up):
+            # The least failing pair, so the message does not depend on
+            # the iteration order of a frozenset (the hash seed); the
+            # labels are sorted, so the least index pair.
+            i, j = min((i, j) for i, row in enumerate(src_up) for j in points(row)
+                       if not tgt_up[idx[i]] >> idx[j] & 1)
+            src, tgt = self.source.elements, self.target.elements
+            raise ValueError(f"not monotone: {src[i]}<={src[j]} but "
+                             f"{tgt[idx[i]]}<={tgt[idx[j]]} fails")
 
     @cached_property
     def table(self) -> dict[str, str]:
         return dict(self.mapping)
-
-    @cached_property
-    def idx(self) -> tuple[int, ...]:
-        """idx[i] = target index of the image of source element i."""
-        tix = self.target.index
-        return tuple(tix[v] for (_, v) in self.mapping)
 
     def image_mask(self, mask: int) -> int:
         return image_bits(mask, self.idx)
@@ -215,10 +260,6 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.target != g.source:
         raise ValueError("morphisms not composable")
     return Morphism(f.source, g.target, tuple((k, g.table[v]) for (k, v) in f.mapping))
-
-
-def up_masks_or_none(x: FiniteObject) -> tuple[int, ...] | None:
-    return x.up_masks if x.has_order else None
 
 
 def down_or_discrete(x: FiniteObject) -> tuple[int, ...]:
@@ -288,61 +329,73 @@ def is_iso(f: Morphism) -> bool:
     if not (is_injective(f) and is_surjective(f)):
         return False
     if f.source.has_order and f.target.has_order:
-        return len(f.source.order) == len(f.target.order)
+        return order_size(f.source) == order_size(f.target)
     return True
 
 
 def initial(ordered: bool) -> FiniteObject:
-    return FiniteObject((), frozenset() if ordered else None, name="0")
+    return FiniteObject.of_masks((), () if ordered else None, name="0")
 
 
 def terminal(ordered: bool) -> FiniteObject:
-    order = frozenset({("*", "*")}) if ordered else None
-    return FiniteObject(("*",), order, name="1")
+    return FiniteObject.of_masks(("*",), (1,) if ordered else None, name="1")
 
 
 def inclusion(sub: FiniteObject, ambient: FiniteObject) -> Morphism:
     return Morphism(sub, ambient, tuple((e, e) for e in sub.elements))
 
 
-class Coproduct(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Coproduct:
+    """A sum `ob` of `left` and `right` with its two injections as index
+    tables into it, `inl_idx` and `inr_idx`; the injections as morphisms,
+    `inl` and `inr`, are built when first read."""
+
     ob: FiniteObject
-    inl: Morphism
-    inr: Morphism
+    left: FiniteObject
+    right: FiniteObject
+    inl_idx: tuple[int, ...]
+    inr_idx: tuple[int, ...]
+
+    @cached_property
+    def inl(self) -> Morphism:
+        return morphism_of(self.left, self.ob, self.inl_idx)
+
+    @cached_property
+    def inr(self) -> Morphism:
+        return morphism_of(self.right, self.ob, self.inr_idx)
 
 
 def coproduct(x: FiniteObject, y: FiniteObject) -> Coproduct:
-    """Tagged disjoint union; injections are literal inclusions up to tagging."""
+    """Tagged disjoint union: x's labels tagged "L:", then y's tagged "R:",
+    which keeps them sorted, each summand's up-masks on its own block (y's
+    shifted by |x|), and the injections onto the two blocks."""
     if x.has_order != y.has_order:
         raise ValueError("cannot mix ordered and unordered objects")
+    nx = x.size
     elements = tuple(LEFT_TAG + e for e in x.elements) + tuple(
         RIGHT_TAG + e for e in y.elements)
-    order = None
-    if x.has_order:
-        order = frozenset(
-            {(LEFT_TAG + a, LEFT_TAG + b) for (a, b) in x.order}
-            | {(RIGHT_TAG + a, RIGHT_TAG + b) for (a, b) in y.order})
-    ob = FiniteObject(elements, order, name=f"({x.label}+{y.label})")
-    inl = Morphism(x, ob, tuple((e, LEFT_TAG + e) for e in x.elements))
-    inr = Morphism(y, ob, tuple((e, RIGHT_TAG + e) for e in y.elements))
-    return Coproduct(ob, inl, inr)
+    up = None if x.up_masks is None else x.up_masks + tuple(
+        row << nx for row in y.up_masks)
+    ob = FiniteObject.of_masks(elements, up, name=f"({x.label}+{y.label})")
+    return Coproduct(ob, x, y, tuple(range(nx)), tuple(range(nx, nx + y.size)))
 
 
 def split_coproduct(ob: FiniteObject) -> tuple[FiniteObject, FiniteObject]:
-    """Recover the two summands of a constructed coproduct by stripping tags."""
+    """Recover the two summands of a constructed coproduct by stripping
+    tags: the "L:" labels sort first, and each summand keeps the order
+    within its block."""
     if not all(e.startswith((LEFT_TAG, RIGHT_TAG)) for e in ob.elements):
         raise ValueError(f"{ob.label} is not a constructed coproduct")
-    left = [e[len(LEFT_TAG):] for e in ob.elements if e.startswith(LEFT_TAG)]
-    right = [e[len(RIGHT_TAG):] for e in ob.elements if e.startswith(RIGHT_TAG)]
-    order_l = order_r = None
+    nl = sum(1 for e in ob.elements if e.startswith(LEFT_TAG))
+    left = tuple(e[len(LEFT_TAG):] for e in ob.elements[:nl])
+    right = tuple(e[len(RIGHT_TAG):] for e in ob.elements[nl:])
+    up_l = up_r = None
     if ob.has_order:
-        order_l = frozenset(
-            (a[len(LEFT_TAG):], b[len(LEFT_TAG):]) for (a, b) in ob.order
-            if a.startswith(LEFT_TAG) and b.startswith(LEFT_TAG))
-        order_r = frozenset(
-            (a[len(RIGHT_TAG):], b[len(RIGHT_TAG):]) for (a, b) in ob.order
-            if a.startswith(RIGHT_TAG) and b.startswith(RIGHT_TAG))
-    return (FiniteObject(tuple(left), order_l), FiniteObject(tuple(right), order_r))
+        low = (1 << nl) - 1
+        up_l = tuple(row & low for row in ob.up_masks[:nl])
+        up_r = tuple(row >> nl for row in ob.up_masks[nl:])
+    return FiniteObject.of_masks(left, up_l), FiniteObject.of_masks(right, up_r)
 
 
 def copair(f: Morphism, g: Morphism, sum_ob: FiniteObject | None = None) -> Morphism:
@@ -390,25 +443,36 @@ def componentwise(pairs, rows_x, rows_y) -> tuple[int, ...]:
 
 
 def _pair_carrier(x: FiniteObject, y: FiniteObject,
-                  pairs) -> tuple[list[str], frozenset | None]:
-    """The labels "(a,b)" of the index pairs `pairs` of x and y, in pair
-    order, and their componentwise order (None unless both are ordered)."""
+                  pairs) -> tuple[list[str], tuple | None, list[int]]:
+    """The labels "(a,b)" of the index pairs `pairs` of x and y, sorted,
+    the up-masks of their componentwise order over them (None unless both
+    are ordered), and per label the position of its pair in `pairs`.  The
+    labels need not sort in pair order: a label with a character that
+    sorts before "," (as "a+" does) sorts its pairs before those of its
+    prefix "a"."""
     labels = [pair_label(x.elements[a], y.elements[b]) for a, b in pairs]
-    order = None
+    up = None
     if x.has_order and y.has_order:
         up = componentwise(pairs, x.up_masks, y.up_masks)
-        order = frozenset((labels[k], labels[l]) for k, row in enumerate(up)
-                          for l in points(row))
-    return labels, order
+    at = list(range(len(pairs)))
+    if any(p >= q for p, q in zip(labels, labels[1:])):
+        at.sort(key=labels.__getitem__)
+        labels = [labels[k] for k in at]
+        if up is not None:
+            rank = [0] * len(at)
+            for r, k in enumerate(at):
+                rank[k] = r
+            up = tuple(sum(1 << rank[l] for l in points(up[k])) for k in at)
+    return labels, up, at
 
 
 def _pair_object(x: FiniteObject, y: FiniteObject, pairs, name: str) -> Product:
     """The object on the index pairs `pairs` of x and y, labelled "(a,b)"
     and ordered componentwise, with its two projections."""
-    labels, order = _pair_carrier(x, y, pairs)
-    ob = FiniteObject(tuple(labels), order, name=name)
-    p1 = Morphism(ob, x, tuple(zip(labels, (x.elements[a] for a, _ in pairs))))
-    p2 = Morphism(ob, y, tuple(zip(labels, (y.elements[b] for _, b in pairs))))
+    labels, up, at = _pair_carrier(x, y, pairs)
+    ob = FiniteObject.of_masks(tuple(labels), up, name=name)
+    p1 = morphism_of(ob, x, [pairs[k][0] for k in at])
+    p2 = morphism_of(ob, y, [pairs[k][1] for k in at])
     return Product(ob, p1, p2)
 
 
@@ -431,8 +495,8 @@ def pullback(f: Morphism, g: Morphism) -> Product:
 def pullback_object(x: FiniteObject, y: FiniteObject, pairs) -> FiniteObject:
     """`pullback(f, g).ob` for f out of x and g out of y, from its index
     pairs (`pullback_pairs(f.idx, g.idx)`), with no map built."""
-    labels, order = _pair_carrier(x, y, pairs)
-    return FiniteObject(tuple(labels), order, name=f"pb({x.label},{y.label})")
+    labels, up, _ = _pair_carrier(x, y, pairs)
+    return FiniteObject.of_masks(tuple(labels), up, name=f"pb({x.label},{y.label})")
 
 
 def _monotone_constraints(k: int, src_up, tgt_up) -> list[list[tuple]]:
@@ -461,7 +525,7 @@ def _monotone_maps(x: FiniteObject, y: FiniteObject,
     """The index tables of the monotone maps x -> y, only the injective ones
     if `injective`, in lexicographic order, each yielded when reached."""
     n = x.size
-    constraints = _monotone_constraints(n, up_masks_or_none(x), up_masks_or_none(y))
+    constraints = _monotone_constraints(n, x.up_masks, y.up_masks)
     assign = [0] * n
 
     def extend(i: int, free: int):
@@ -553,7 +617,7 @@ def is_isomorphic(x: FiniteObject, y: FiniteObject) -> bool:
     """Whether some monotone bijection x -> y exists and both orders have
     as many pairs, when it reflects the order (see `is_iso`)."""
     return (x.has_order == y.has_order
-            and (not x.has_order or len(x.order) == len(y.order))
+            and (not x.has_order or order_size(x) == order_size(y))
             and next(monotone_bijections(x, y), None) is not None)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -45,7 +46,6 @@ from .core import (
     restrict_masks,
     runs_around,
     serialize_morphism,
-    up_masks_or_none,
 )
 
 
@@ -108,9 +108,10 @@ class _Pool:
         self.ids = [ids.setdefault(x, len(ids)) for x in objects]
         self.obs = list(ids)
         self.size = [x.size for x in ids]
-        self.up = [up_masks_or_none(x) for x in ids]
-        self.order = [tuple(sorted((i, j) for i, j in x.order_idx if i != j))
-                      if x.has_order else () for x in ids]
+        self.up = [x.up_masks for x in ids]
+        self.order = [() if up is None else tuple(
+            (i, j) for i, row in enumerate(up) for j in points(row) if i != j)
+            for up in self.up]
         self.hom: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self.hom_tables = hom_tables
 
@@ -321,6 +322,14 @@ def _fibres(idx, n: int) -> list[list[int]]:
     return fibres
 
 
+def _getter(idx) -> Callable:
+    """A C-level getter of the entries at the index table `idx` of a list:
+    a tuple, but the entry itself for a one-point table (which
+    `operator.itemgetter` returns for one index), and () for the empty
+    table (which it cannot make)."""
+    return itemgetter(*idx) if idx else lambda _: ()
+
+
 def _pullback_table(g_idx, x_up, fibres, y_up) -> tuple:
     """The class predicates' arguments of the first projection of the
     pullback of g: x -> d (index table `g_idx`, source up-masks `x_up`) and
@@ -350,9 +359,15 @@ def validate_system(sys: FactorizationSystem, objects: Sequence[FiniteObject],
                 sys.m_table(g.idx, up[g.s], size[g.t], up[g.t])) for g in maps]
     e_list = [g for g, in_e, _ in classes if in_e]
     m_list = [g for g, _, in_m in classes if in_m]
-    by_target: dict[int, list[_Map]] = defaultdict(list)
+    # Per target id, the maps into it in pool order, in blocks of one
+    # source id: (source id, maps, per map a getter of its key's masks).
+    blocks: dict[int, list[tuple]] = defaultdict(list)
     for g in maps:
-        by_target[g.t].append(g)
+        into = blocks[g.t]
+        if not into or into[-1][0] != g.s:
+            into.append((g.s, [], []))
+        into[-1][1].append(g)
+        into[-1][2].append(_getter(g.idx))
 
     def label_level(g: _Map) -> Morphism:
         return ctx.morphism(pool.obs[g.s], pool.obs[g.t], g.idx)
@@ -395,28 +410,37 @@ def validate_system(sys: FactorizationSystem, objects: Sequence[FiniteObject],
         """On index pullbacks.  The table of g's pullback along m depends on
         g's source, m's source and, per point a of g's source, the fibre of
         m over g(a) only, so it is decided once per such key, on ids and
-        fibre masks; the label-level pullback is built only for a
-        witness.  Consecutive instances that hold are yielded as one run."""
-        decided: dict[tuple, bool] = {}
+        fibre masks, memoized per pair of source ids; the label-level
+        pullback is built only for a witness.  The maps g into m's target
+        come in blocks of one source id, whose keys' masks are read by one
+        getter per map; a block all of whose keys are decided to hold is
+        one run, and any other block is decided map by map.  Consecutive
+        instances that hold are yielded as one run."""
+        decided: dict[tuple[int, int], dict] = {}
         run = 0
         for m in m_list:
             fibres, m_up = _fibres(m.idx, size[m.t]), up[m.s]
             masks = [sum(1 << b for b in fibre) for fibre in fibres]
-            for g in by_target[m.t]:
-                key = g.s, m.s, *map(masks.__getitem__, g.idx)
-                holds = decided.get(key)
-                if holds is None:
-                    holds = decided[key] = sys.m_table(
-                        *_pullback_table(g.idx, up[g.s], fibres, m_up))
-                if holds:
-                    run += 1
+            for s, block, getters in blocks[m.t]:
+                memo = decided.setdefault((s, m.s), {})
+                keys = [get(masks) for get in getters]
+                if all(map(memo.get, keys)):
+                    run += len(block)
                     continue
-                if run:
-                    yield run
-                    run = 0
-                yield {"m": serialized(m), "along": serialized(g),
-                       "pulled_back": serialize_morphism(
-                           pullback(label_level(g), label_level(m)).p1)}
+                for g, key in zip(block, keys):
+                    holds = memo.get(key)
+                    if holds is None:
+                        holds = memo[key] = sys.m_table(
+                            *_pullback_table(g.idx, up[s], fibres, m_up))
+                    if holds:
+                        run += 1
+                        continue
+                    if run:
+                        yield run
+                        run = 0
+                    yield {"m": serialized(m), "along": serialized(g),
+                           "pulled_back": serialize_morphism(
+                               pullback(label_level(g), label_level(m)).p1)}
         if run:
             yield run
 

@@ -32,7 +32,6 @@ from .core import (
     runs_around,
     split_coproduct,
     supersets,
-    up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
@@ -124,7 +123,7 @@ def subobject_lattice(sys: FactorizationSystem, x: FiniteObject) -> SubobjectLat
     parent's in O(k), a size at a time."""
     if sys.m_table is injective_table or sys.m_table is embedding_table:
         return SubobjectLattice(x, _every_subset(x.size))
-    n, up = x.size, up_masks_or_none(x)
+    n, up = x.size, x.up_masks
     level, masks = [((), 0, None if up is None else ())], []
     while level:
         level, parents = [], level

@@ -55,7 +55,6 @@ from .core import (
     serialize_morphism,
     serialize_object,
     terminal,
-    up_masks_or_none,
 )
 from .contexts import Context, injections_in_m
 from .semilattice import (
@@ -217,10 +216,10 @@ def _e_monos_between_sums(ctx: Context, pool, family: ClosureFamily):
         pairs = by_total[total]
         for (a, b) in pairs:
             src = ctx.coproduct(a, b).ob
-            f_src, src_up = ctx.closure(family, src), up_masks_or_none(src)
+            f_src, src_up = ctx.closure(family, src), src.up_masks
             for (x, y) in pairs:
                 tgt = ctx.coproduct(x, y).ob
-                f_tgt, tgt_up = ctx.closure(family, tgt), up_masks_or_none(tgt)
+                f_tgt, tgt_up = ctx.closure(family, tgt), tgt.up_masks
                 for e in monotone_bijections(src, tgt):
                     if (sys.e_table(e, src_up, total, tgt_up)
                             and _closed_fast(e, f_src, f_tgt, total)):
@@ -238,7 +237,7 @@ def _failed_pullback(ctx: Context, family: ClosureFamily, e, src, x, y):
         idx = tuple(e[i] - low for i in pts)
         up = restrict_masks(src.up_masks, pts) if src.has_order else None
         down = restrict_masks(src.down_masks, pts) if src.has_order else ()
-        if not (ctx.system.e_table(idx, up, component.size, up_masks_or_none(component))
+        if not (ctx.system.e_table(idx, up, component.size, component.up_masks)
                 and _closed_fast(idx, family.fn_for(len(idx), down),
                                  ctx.closure(family, component), len(idx))):
             return morphism_of(src.restrict([src.elements[i] for i in pts]),
@@ -779,7 +778,7 @@ def _sums_of_class(theorem: str, ctx: Context, family: ClosureFamily,
             for z, w, g in members:
                 src, tgt = ctx.coproduct(x, z).ob, ctx.coproduct(y, w).ob
                 table = _sum_table(f, g, y.size)
-                ups = up_masks_or_none(src), up_masks_or_none(tgt)
+                ups = src.up_masks, tgt.up_masks
                 good, bad = (test(family, table, src, tgt) if monotone_table(table, *ups)
                              else (False, {"monotone": False}))
                 yield None if good else _maps_witness(

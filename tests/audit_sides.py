@@ -187,12 +187,17 @@ MUTATIONS = (
              "if count > 1:",
              (f"{SWEEP}[swapped]", f"{VALIDATE}[finpre-extra-swapped-b2]")),
     Mutation("factorization: M is stable under pullback", FACTORIZATION,
-             "holds = decided[key] = sys.m_table(",
-             "holds = decided[key] = True or sys.m_table(",
+             "holds = memo[key] = sys.m_table(",
+             "holds = memo[key] = True or sys.m_table(",
+             (f"{VALIDATE}[finpre-no-2-b2]",)),
+    Mutation("factorization: a block of pullback keys is one run only when "
+             "each key holds", FACTORIZATION,
+             "if all(map(memo.get, keys)):",
+             "if True:",
              (f"{VALIDATE}[finpre-no-2-b2]",)),
     Mutation("factorization: a pullback key names m's source", FACTORIZATION,
-             "key = g.s, m.s, *map(masks.__getitem__, g.idx)",
-             "key = g.s, *map(masks.__getitem__, g.idx)",
+             "memo = decided.setdefault((s, m.s), {})",
+             "memo = decided.setdefault(s, {})",
              (f"{PULLBACK_KEY}[plain]", f"{PULLBACK_KEY}[swapped]")),
     Mutation("biproduct: lattices split as biproducts", THEOREMS,
              "yield None if bp.passed else _witness(",

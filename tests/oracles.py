@@ -66,8 +66,6 @@ from extcheck.core import (
     serialize_morphism,
     serialize_object,
     terminal,
-    transitive_closure,
-    up_masks_or_none,
     LEFT_TAG,
     RIGHT_TAG,
 )
@@ -108,8 +106,8 @@ def table_of(f: Morphism) -> tuple:
     """(index table, source up-masks, target size, target up-masks) of f,
     the arguments of a factorization system's class predicates; the
     up-masks are None for the unordered flavor."""
-    return (f.idx, up_masks_or_none(f.source), f.target.size,
-            up_masks_or_none(f.target))
+    return (f.idx, f.source.up_masks, f.target.size,
+            f.target.up_masks)
 
 
 def in_e(sys, f: Morphism) -> bool:
@@ -155,6 +153,20 @@ def is_separated_witness(family, f: Morphism):
     """`closure.separated_witness` of a label-level map."""
     return separated_witness(ClosureFamily.component, family, f.idx, f.source,
                              f.target)
+
+
+def transitive_closure(pairs: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """The least transitive relation containing the label pairs `pairs`."""
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(closed):
+            for (c, d) in list(closed):
+                if b == c and (a, d) not in closed:
+                    closed.add((a, d))
+                    changed = True
+    return frozenset(closed)
 
 
 def make_preorder(elements, pairs=()) -> frozenset[tuple[str, str]]:
@@ -217,7 +229,7 @@ def inclusion_table(x, mask: int) -> tuple:
     """`table_of` the inclusion of the subset `mask` of x into x, built
     from scratch: the table a lattice decides that subset on."""
     idx = points(mask)
-    up = up_masks_or_none(x)
+    up = x.up_masks
     sub_up = None if up is None else restrict_masks(up, idx)
     return idx, sub_up, x.size, up
 
@@ -399,11 +411,12 @@ def is_block_sum(cp) -> bool:
     """Whether the two legs of `cp` cover each point of the sum exactly once
     and, ordered, the sum's up-mask at leg[b] is the image of the summand's
     at b: the sum's order is the block sum of its summands' orders."""
-    up = up_masks_or_none(cp.ob)
-    return (sorted(cp.inl.idx + cp.inr.idx) == list(range(cp.ob.size))
+    up = cp.ob.up_masks
+    return (sorted(cp.inl_idx + cp.inr_idx) == list(range(cp.ob.size))
             and (up is None or all(
-                up[t] == image_bits(leg.source.up_masks[b], leg.idx)
-                for leg in (cp.inl, cp.inr) for b, t in enumerate(leg.idx))))
+                up[t] == image_bits(src.up_masks[b], idx)
+                for src, idx in ((cp.left, cp.inl_idx), (cp.right, cp.inr_idx))
+                for b, t in enumerate(idx))))
 
 
 def pullback_stability_instances(ctx, bound: int):

@@ -290,7 +290,7 @@ def test_index_certificate_decides_comparison_over_any_cospan(name):
             for y in pool:
                 for l in hom(ctx, x, w):
                     for r in hom(ctx, y, w):
-                        cospan = Coproduct(w, l, r)
+                        cospan = Coproduct(w, x, y, l.idx, r.idx)
                         certified = oracles.is_block_sum(cospan)
                         literal = all(
                             oracles.pullback_stability_instance(ctx, cospan, f) is None

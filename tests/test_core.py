@@ -25,16 +25,17 @@ from extcheck.core import (
     is_isomorphic,
     is_surjective,
     monotone_bijections,
+    morphism_of,
     order_reflecting_table,
     pair_label,
     product,
     pullback,
+    pullback_object,
     pullback_pairs,
     split_coproduct,
     terminal,
-    transitive_closure,
 )
-from oracles import find_iso, identity, make_preorder, sum_morphisms
+from oracles import find_iso, identity, make_preorder, sum_morphisms, transitive_closure
 
 
 def discrete(*labels):
@@ -244,6 +245,144 @@ def test_pullback_primitives_match_the_label_level_pullback(flavour):
             pairs = [(a, b) for a in range(x.size) for b in range(y.size)]
             _assert_pair_object(x, y, pairs, *product(x, y))
     assert cospans > 1000
+
+
+def _assert_label_built(built, elements, pairs, name):
+    """`built` is the label-built `FiniteObject(elements, pairs, name)`:
+    equal, with the same hash and label, and its masks, index pairs and
+    label pairs those that `pairs` (None unordered) defines literally."""
+    ref = FiniteObject(elements, pairs, name)
+    assert built == ref and hash(built) == hash(ref)
+    assert built.elements == ref.elements == tuple(sorted(elements))
+    assert built.label == ref.label
+    assert built.up_masks == ref.up_masks
+    if pairs is None:
+        assert built.order is None and built.up_masks is None
+        return
+    pairs = frozenset(pairs)
+    index = built.index
+    up, down = [0] * built.size, [0] * built.size
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+        down[index[b]] |= 1 << index[a]
+    assert built.order == ref.order == pairs
+    assert built.up_masks == tuple(up)
+    assert built.down_masks == ref.down_masks == tuple(down)
+    assert built.order_idx == ref.order_idx == frozenset(
+        (index[a], index[b]) for a, b in pairs)
+
+
+def _pair_reference(x, y, pairs):
+    """The labels "(a,b)" of the index pairs `pairs` of x and y and their
+    componentwise order as label pairs (None unless both are ordered)."""
+    labels = [pair_label(x.elements[a], y.elements[b]) for a, b in pairs]
+    if not (x.has_order and y.has_order):
+        return labels, None
+    return labels, frozenset(
+        (labels[k], labels[j]) for k, (a1, b1) in enumerate(pairs)
+        for j, (a2, b2) in enumerate(pairs)
+        if (x.elements[a1], x.elements[a2]) in x.order
+        and (y.elements[b1], y.elements[b2]) in y.order)
+
+
+def _unsorted_pair_pool(ordered):
+    """Carriers whose pair labels do not sort in pair order: "a+" sorts after
+    "a", but "(a+," before "(a,"; "a!" after "a", but "a!)" before "a)"."""
+    out = []
+    for labels in (("a", "a+"), ("a", "a!")):
+        if not ordered:
+            out.append(FiniteObject(labels, None))
+            continue
+        lo, hi = labels
+        out += [FiniteObject(labels, make_preorder(labels)),
+                FiniteObject(labels, make_preorder(labels, [(lo, hi)])),
+                FiniteObject(labels, make_preorder(labels, [(hi, lo)]))]
+    return tuple(out)
+
+
+CONSTRUCTION_POOLS = ("finset-b3", "finpre-b3-extras", "finset-unsorted-pairs",
+                      "finpre-unsorted-pairs")
+
+
+@pytest.mark.parametrize("case", CONSTRUCTION_POOLS)
+def test_mask_built_objects_equal_label_built_ones(case):
+    # Every object a construction builds from masks equals the one built
+    # from its labels and label pairs: the sums of `core.coproduct` and of
+    # the crossed mutant (whose order is the transitive closure of the sum's
+    # with its cross pair), each pullback of a map into either sum along
+    # either leg (`pullback` and `pullback_object`), and each product.
+    from extcheck.contexts import (
+        builtin, crossed_coproduct_context, finpre_objects, finset_objects)
+    from test_golden_reports import WORKLOAD_EXTRAS
+
+    ordered = case.startswith("finpre")
+    pool = {"finset-b3": lambda: finset_objects(3),
+            "finpre-b3-extras": lambda: finpre_objects(3) + WORKLOAD_EXTRAS,
+            }.get(case, lambda: _unsorted_pair_pool(ordered))()
+    ctx = builtin("finpre" if ordered else "finset")
+    crossed = crossed_coproduct_context(builtin("finpre")).coproduct_fn
+    seen = set()
+    for x in pool:
+        for y in pool:
+            tagged = [LEFT_TAG + e for e in x.elements] + [
+                RIGHT_TAG + e for e in y.elements]
+            plain_pairs = None if not ordered else frozenset(
+                {(LEFT_TAG + a, LEFT_TAG + b) for a, b in x.order}
+                | {(RIGHT_TAG + a, RIGHT_TAG + b) for a, b in y.order})
+            cp = coproduct(x, y)
+            _assert_label_built(cp.ob, tagged, plain_pairs, f"({x.label}+{y.label})")
+            assert cp.inl == Morphism(x, cp.ob, [(e, LEFT_TAG + e) for e in x.elements])
+            assert cp.inr == Morphism(y, cp.ob, [(e, RIGHT_TAG + e) for e in y.elements])
+            sums = [cp]
+            if ordered and x.size and y.size:
+                cross = crossed(x, y)
+                extra = (LEFT_TAG + x.elements[0], RIGHT_TAG + y.elements[0])
+                _assert_label_built(cross.ob, tagged,
+                                    transitive_closure(plain_pairs | {extra}),
+                                    cp.ob.name + "!")
+                assert (cross.inl_idx, cross.inr_idx) == (cp.inl_idx, cp.inr_idx)
+                sums.append(cross)
+            for s in sums:
+                for z in pool:
+                    for f_idx in ctx.hom_tables(z, s.ob):
+                        for leg in (s.inl, s.inr):
+                            pairs = pullback_pairs(f_idx, leg.idx)
+                            key = (z, leg.source, tuple(pairs))
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            labels, order = _pair_reference(z, leg.source, pairs)
+                            name = f"pb({z.label},{leg.source.label})"
+                            pb = pullback(morphism_of(z, s.ob, f_idx), leg)
+                            _assert_label_built(pb.ob, labels, order, name)
+                            _assert_label_built(pullback_object(z, leg.source, pairs),
+                                                labels, order, name)
+                            assert pb.p1.table == {
+                                label: z.elements[a] for label, (a, _) in zip(labels, pairs)}
+                            assert pb.p2.table == {label: leg.source.elements[b]
+                                                   for label, (_, b) in zip(labels, pairs)}
+            pairs = [(a, b) for a in range(x.size) for b in range(y.size)]
+            labels, order = _pair_reference(x, y, pairs)
+            _assert_label_built(product(x, y).ob, labels, order,
+                                f"({x.label}x{y.label})")
+    assert len(seen) > 10
+
+
+def test_mask_built_order_is_validated():
+    # The mask-level constructor checks the order as the label-level one
+    # does, with the same messages.
+    with pytest.raises(ValueError, match=r"order not reflexive: missing \(b,b\)"):
+        FiniteObject.of_masks(("a", "b"), (0b11, 0b00))
+    with pytest.raises(ValueError, match=r"order not transitive: missing \(a,c\) via b"):
+        FiniteObject.of_masks(("a", "b", "c"), (0b011, 0b110, 0b100))
+    with pytest.raises(ValueError, match="do not fit"):
+        FiniteObject.of_masks(("a",), (0b11,))
+    with pytest.raises(ValueError, match="not ascending"):
+        FiniteObject.of_masks(("b", "a"), None)
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteObject.of_masks(("a", "a"), None)
+    assert FiniteObject.of_masks(("a", "b", "c"), (0b111, 0b110, 0b100)) == \
+        FiniteObject(tuple("abc"), make_preorder("abc", [("a", "b"), ("b", "c")]))
 
 
 def test_kernel_pair_size_of_fold():
