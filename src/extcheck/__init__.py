@@ -5,10 +5,22 @@ and brute-force checkers for the structural theorems about finite sums."""
 
 __version__ = "0.1.0"
 
+import gc
+
 from .core import FiniteObject, Morphism, Report
 from .closure import ClosureFamily, get_family
 from .contexts import Context, builtin
 from .theorems import THEOREM_IDS, Verdict, run_checker
+
+# Everything the collector tracks here is the loaded program (modules,
+# functions, tables) or what the importer built before it, and it lives until
+# exit.  Frozen, it is skipped by every later collection: one full collection
+# of it took 2.2 ms, and shutdown runs several (a process that only imports
+# extcheck.cli: 126 ms, or 113 ms frozen; medians of 15 on a 2-vCPU host,
+# compiling the sources).  Freezing also zeroes the young generation's count,
+# so a checker's first collection does not shift with what the imports
+# allocated.  A module body runs once per process: no run's garbage is frozen.
+gc.freeze()
 
 __all__ = ["FiniteObject", "Morphism", "Report", "ClosureFamily", "get_family",
            "Context", "builtin", "THEOREM_IDS", "Verdict", "run_checker",

@@ -9,16 +9,19 @@ usage errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .closure import ClosureFamily
 from .contexts import BUILTIN_CONTEXTS, Context, builtin
 from .core import FiniteObject
-from .theorems import FAMILY_FREE, THEOREM_IDS, Verdict, run_checker
+from .theorems import FAMILY_FREE, THEOREM_IDS, Verdict, preload, run_checker
+
+if TYPE_CHECKING:
+    import argparse
 
 MAX_BOUND = 5
 MAX_CARRIER = 5
@@ -181,6 +184,7 @@ def run(config: RunConfig) -> RunResult:
 
     result = RunResult(config, ctx)
     memo: dict = {}
+    preload(theorems)
     for thm in theorems:
         bound = config.bound if config.bound is not None else DEFAULT_BOUNDS[thm]
         if thm in FAMILY_FREE:
@@ -254,6 +258,9 @@ def format_structured(result: RunResult) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here: only `main` parses arguments, and `run` needs none.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="extcheck",
         description="Exhaustively verify structural facts about finite sums "

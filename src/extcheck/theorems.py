@@ -57,18 +57,6 @@ from .core import (
     terminal,
 )
 from .contexts import Context, injections_in_m
-from .semilattice import (
-    closed_biproduct,
-    closed_semilattice,
-    count_homs,
-    enumerate_homs,
-    every_hom_roundtrips,
-    hom_matrix,
-    identity_hom,
-    matrix_roundtrip,
-    matrix_to_hom,
-    zero_hom,
-)
 from .subobjects import (
     adjunction_outcomes,
     check_adjunction_admissible,
@@ -76,6 +64,9 @@ from .subobjects import (
     subobject_from_mask,
     sum_subobjects,
 )
+
+# Only biproduct reads `semilattice`: its sides import it in their bodies as
+# `from .semilattice import f` (the form perfbench/tracer.py wraps).
 
 THEOREM_IDS = ("A", "B", "C", "D", "E", "F", "G", "H",
                "adjunctions", "biproduct", "validate")
@@ -973,6 +964,8 @@ def _lattice_biproduct_outcomes(ctx: Context, pool, family: ClosureFamily):
       (a v zx, zy v b) = (a, b), as zx and zy are neutral in x's and y's
       closed lattices, which their literal builds check.
     """
+    from .semilattice import closed_biproduct, closed_semilattice
+
     validated = set()
     for x, y in _object_pairs(pool):
         if _product_certified(ctx, family, x, y):
@@ -1010,6 +1003,10 @@ def _roundtrip_outcomes(ctx: Context, pool):
     block's own structure maps.  A block of a biproduct whose structure
     maps miss a value (None, see `closed_biproduct`) has no matrices: its
     zero hom fails."""
+    from .semilattice import (closed_biproduct, count_homs, enumerate_homs,
+                              every_hom_roundtrips, hom_matrix, identity_hom,
+                              matrix_roundtrip, matrix_to_hom, zero_hom)
+
     small = [x for x in pool if x.size <= 2]
     bps = {(x, y): closed_biproduct(ctx, IDENTITY, x, y)
            for x, y in _object_pairs(small)}
@@ -1145,6 +1142,13 @@ GATES = {
     "biproduct": (*CLOSED_SUMS, ("admissible subobjects contain the empty one and "
                                  "are closed under unions", _unions_admissible)),
 }
+
+
+def preload(theorems) -> None:
+    """Import the modules that the checkers `theorems` import in their own
+    bodies, so that a run compiles them before its first checker starts."""
+    if "biproduct" in theorems:
+        from .semilattice import closed_biproduct  # noqa: F401
 
 
 def run_checker(theorem: str, ctx: Context, family: ClosureFamily | None,

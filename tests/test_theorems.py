@@ -732,10 +732,10 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
     from collections import Counter
     from itertools import product
 
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
 
     decided, built = Counter(), Counter()
-    real_certified, real_closed = theorems._product_certified, theorems.closed_biproduct
+    real_certified, real_closed = theorems._product_certified, semilattice.closed_biproduct
 
     def certified(ctx, family, x, y):
         decided[family.name, x, y] += 1
@@ -746,7 +746,7 @@ def test_biproduct_subobject_side_is_swept_once_per_run(monkeypatch):
         return real_closed(ctx, family, x, y)
 
     monkeypatch.setattr(theorems, "_product_certified", certified)
-    monkeypatch.setattr(theorems, "closed_biproduct", counted)
+    monkeypatch.setattr(semilattice, "closed_biproduct", counted)
     ctx = builtin("finpre")
     pairs = list(product(ctx.objects(1), repeat=2))
     memo = {}
@@ -972,12 +972,12 @@ def test_biproduct_needs_empty_and_union_closed_admissibles(base, variant,
     """On the variants whose admissible subobjects miss the empty one, the
     biproduct checker reports the failed hypothesis with the first object
     that breaks it, and builds neither semilattice biproduct."""
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
 
     def unguarded(*args):
         raise AssertionError("semilattice biproduct built without its hypothesis")
 
-    monkeypatch.setattr(theorems, "closed_biproduct", unguarded)
+    monkeypatch.setattr(semilattice, "closed_biproduct", unguarded)
     ctx = variant(builtin(base))
     point = ctx.objects(1)[1]
     assert point.size == 1
@@ -1114,7 +1114,7 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
     side keeps the value it has without the failure."""
     from itertools import product
 
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
     from extcheck.closure import IDENTITY
     from extcheck.core import CheckResult, Report
 
@@ -1122,7 +1122,7 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
     fam = ctx.family(fam_name)
     unforced = dict(run_checker("biproduct", ctx, fam, 1, {}).sides)
     pairs = list(product(ctx.objects(1), repeat=2))
-    real_closed = theorems.closed_biproduct
+    real_closed = semilattice.closed_biproduct
     closed_pairs = []
 
     def failing_on_first_pair(ctx, family, x, y):
@@ -1133,7 +1133,7 @@ def test_closed_biproduct_side_runs_past_a_subobject_failure(name, fam_name,
             closed_pairs.append((x, y))
         return bp
 
-    monkeypatch.setattr(theorems, "closed_biproduct", failing_on_first_pair)
+    monkeypatch.setattr(semilattice, "closed_biproduct", failing_on_first_pair)
     monkeypatch.setattr(theorems, "_product_certified", lambda *args: False)
     v = run_checker("biproduct", ctx, fam, 1, {})
     sides = dict(v.sides)
@@ -1153,18 +1153,18 @@ def test_roundtrip_side_names_the_first_hom_that_fails(monkeypatch):
     round-trip side fails, and its witness and count are those of the first
     hom, over the (source, target) pairs in order, whose 2x2 matrix does not
     join back on the literal matrix calculus."""
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
     from extcheck.closure import IDENTITY
     from extcheck.semilattice import enumerate_homs, hom_matrix, matrix_to_hom
 
-    real = theorems.closed_biproduct
+    real = semilattice.closed_biproduct
 
     def broken(ctx, family, x, y):
         bp = real(ctx, family, x, y)
         bp.proj_r = (bp.right.zero,) * bp.total.n
         return bp
 
-    monkeypatch.setattr(theorems, "closed_biproduct", broken)
+    monkeypatch.setattr(semilattice, "closed_biproduct", broken)
     ctx = builtin("finset")
     pool = ctx.objects(1)
     ok, witness, count = first_counterexample(
@@ -1212,7 +1212,7 @@ def test_roundtrip_side_decides_each_key_once(monkeypatch):
     from functools import reduce
     from itertools import product
 
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
     from extcheck.closure import IDENTITY
 
     def tables(bp):
@@ -1236,10 +1236,10 @@ def test_roundtrip_side_decides_each_key_once(monkeypatch):
 
     calls = dict.fromkeys(("count_homs", "enumerate_homs", "matrix_roundtrip"), 0)
     for called in calls:
-        def counted(*args, real=getattr(theorems, called), called=called):
+        def counted(*args, real=getattr(semilattice, called), called=called):
             calls[called] += 1
             return real(*args)
-        monkeypatch.setattr(theorems, called, counted)
+        monkeypatch.setattr(semilattice, called, counted)
     # context, bound, index of the broken sum's pair or None, the calls of
     # count_homs, enumerate_homs and matrix_roundtrip, sums and capped blocks
     for name, bound, broken_at, counts, blocks in (
@@ -1248,9 +1248,9 @@ def test_roundtrip_side_decides_each_key_once(monkeypatch):
         ctx = builtin(name)
         pool = ctx.objects(bound)
         keys = list(product([x for x in pool if x.size <= 2], repeat=2))
-        build = (theorems.closed_biproduct if broken_at is None
+        build = (semilattice.closed_biproduct if broken_at is None
                  else _right_projection_broken_at(keys[broken_at]))
-        monkeypatch.setattr(theorems, "closed_biproduct", build)
+        monkeypatch.setattr(semilattice, "closed_biproduct", build)
         calls.update(dict.fromkeys(calls, 0))
         outcomes = list(theorems._roundtrip_outcomes(ctx, pool))
         assert first_counterexample(iter(outcomes))[0] == (broken_at is None)
@@ -1279,7 +1279,7 @@ def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
     round-trip side's witness and count are those of the literal per-block
     sweep, although an earlier pair has the same lattice tables: which homs
     round-trip is not decided by the tables alone."""
-    from extcheck import theorems
+    from extcheck import semilattice, theorems
     from extcheck.closure import IDENTITY
     from extcheck.semilattice import enumerate_homs, hom_matrix, matrix_to_hom
 
@@ -1294,7 +1294,7 @@ def test_roundtrip_side_keys_round_trips_on_structure_maps(monkeypatch):
     assert keys.index((one, two)) < keys.index((two, one))
     assert tables[keys.index((one, two))] == tables[keys.index((two, one))]
 
-    monkeypatch.setattr(theorems, "closed_biproduct", broken)
+    monkeypatch.setattr(semilattice, "closed_biproduct", broken)
     outcomes = list(theorems._roundtrip_outcomes(ctx, pool))
     ok, witness, count = first_counterexample(iter(outcomes))
     assert not ok and witness["target_pair"] == [two.label, one.label]
